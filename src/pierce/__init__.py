@@ -1,7 +1,7 @@
 """Piercing small transversals through convex bodies that meet on a circle."""
 
 from .geometry import ConvexBody, CurveModel, UNIT_CIRCLE
-from .instances import Instance, RunConfig, gallery7, gen_clustered, gen_pairwise
+from .instances import Instance, gallery7, gen_clustered, gen_pairwise
 from .instances import load_instance, save_instance
 from .pipeline import PipelineConfig, TransversalReport, run_pipeline
 from .reports import load_report, save_report, verify_report
@@ -14,7 +14,6 @@ __all__ = [
     "CurveModel",
     "UNIT_CIRCLE",
     "Instance",
-    "RunConfig",
     "PipelineConfig",
     "TransversalReport",
     "WitnessList",

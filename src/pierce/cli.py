@@ -17,7 +17,6 @@ from .errors import PierceError
 from .geometry import brute_min_transversal, candidate_points
 from .instances import (
     Instance,
-    RunConfig,
     gallery7,
     gen_clustered,
     gen_pairwise,
@@ -25,7 +24,7 @@ from .instances import (
     save_instance,
 )
 from .meetgraph import build_meet_graph, turan_pair_check
-from .pipeline import run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .reports import load_report, save_report, verify_report
 from .svg import render_svg
 from .witness import build_witness_list, is_spread_out
@@ -60,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the full rounding pipeline")
     solve.add_argument("instance")
     solve.add_argument("-o", "--output", help="report file (default stdout)")
-    solve.add_argument("--alpha", type=float, default=0.027)
     solve.add_argument("--trials", type=int, default=2000)
     solve.add_argument("--seed", type=int, default=0)
 
@@ -109,10 +107,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    cfg = RunConfig(alpha=args.alpha, trials=args.trials, seed=args.seed)
-    report = run_pipeline(
-        instance.bodies, instance.curve, instance.p, cfg.pipeline_config()
-    )
+    cfg = PipelineConfig(seed=args.seed, trials=args.trials)
+    report = run_pipeline(instance.bodies, instance.curve, instance.p, cfg)
     for name, value in report.flags.items():
         logger.info("flag %s = %s", name, value)
     if args.output:
@@ -166,7 +162,7 @@ def _cmd_stats(args) -> int:
     q = build_witness_list(instance.bodies, instance.curve)
     n_bodies = len(instance.bodies)
     spread = sum(
-        1 for b in instance.bodies if len(q) and is_spread_out(q, b.id, args.alpha)
+        1 for color in range(n_bodies) if len(q) and is_spread_out(q, color, args.alpha)
     )
     graph = build_meet_graph(instance.bodies, instance.curve)
     meets, bound, ok = turan_pair_check(graph, instance.p, check=False)

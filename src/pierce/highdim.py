@@ -283,13 +283,3 @@ def interval_cover_general(
         return cover if len(cover) <= limit else None
     return min_circular_cover(occ, n, width, limit)
 
-
-def rate_constant(d: int) -> tuple[float, bool]:
-    """Per-dimension spread rate alpha/gamma and whether analysis backs it.
-
-    Only the planar value 1/300 is validated; higher dimensions reuse it as
-    a placeholder and report False.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    return (1.0 / 300.0, d == 2)

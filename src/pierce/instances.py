@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel
-from .meetgraph import build_meet_graph, verify_p2
-from .pipeline import PipelineConfig
+from .geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, body_contains
+from .meetgraph import build_meet_graph
 
 
 @dataclass
@@ -69,40 +68,6 @@ def load_instance(path: str) -> Instance:
         return Instance.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for a solve run, as read from CLI flags."""
-
-    alpha: float = 0.027
-    strategy: str = "exhaustive"
-    trials: int = 2000
-    seed: int = 0
-    max_denominator: int = 10_000
-    resolution: int = 1000
-    tol_geom: float = 1e-9
-    tol_lp: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1 / 3:
-            raise ValueError("alpha must lie in (0, 1/3)")
-        if self.strategy not in ("exhaustive", "random"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.tol_geom <= 0 or self.tol_lp <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_denominator < 1 or self.resolution < 1:
-            raise ValueError("max_denominator and resolution must be at least 1")
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            seed=self.seed,
-            trials=self.trials,
-            alpha=self.alpha,
-            max_denominator=self.max_denominator,
-        )
-
-
 def _ring_points(lo: float, span: float, step_cap: float = 0.4) -> list[tuple[float, float]]:
     """Vertices of a convex hull that contains the circle arc [lo, lo+span].
 
@@ -153,7 +118,9 @@ def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:
 
     Among any p bodies two land in the same cluster and meet there, so the
     instance satisfies the p-subset condition by construction; picking one
-    body per cluster gives an independent set of size p-1 (tightness).
+    body per cluster gives an independent set of size p-1 (tightness).  The
+    self-check is that pigeonhole certificate, linear in n: every body holds
+    the circle point at its cluster's anchor.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -169,10 +136,10 @@ def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:
         anchor = TWO_PI * cluster / k
         w_lo = float(rng.uniform(0.1 * w_cap, w_cap))
         w_hi = float(rng.uniform(0.1 * w_cap, w_cap))
-        bodies.append(ConvexBody.from_vertices(i, _wedge_points(anchor, w_lo, w_hi)))
-    graph = build_meet_graph(bodies, UNIT_CIRCLE)
-    if not verify_p2(graph, p, max_exact=max(n, 1)):
-        raise GenerationError("cluster generator failed its condition check")
+        body = ConvexBody.from_vertices(i, _wedge_points(anchor, w_lo, w_hi))
+        if not body_contains(body, UNIT_CIRCLE.point_at(anchor)):
+            raise GenerationError(f"clustered body {i} misses its cluster's anchor")
+        bodies.append(body)
     meta = {"kind": "clustered", "p": p, "n": n, "seed": seed, "clusters": k}
     return Instance(bodies, p, UNIT_CIRCLE, meta)
 

@@ -66,9 +66,9 @@ class LPSolution:
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and abs(tab[i, col]) > 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    tab -= np.outer(factor, tab[row])
     basis[row] = col
 
 

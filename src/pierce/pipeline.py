@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .geometry import (
     TOL_GEOM,
-    TWO_PI,
     UNIT_CIRCLE,
     ConvexBody,
     CurveModel,
@@ -39,7 +38,6 @@ from .lp import GEQ, LEQ, LPProblem, lp_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
 from .witness import WitnessList, WitnessPoint, find_heavy_point
 
-CLOUD_EPS = 1e-7
 DUALITY_TOL = 1e-6
 MAX_DENOMINATOR = 10_000
 MULTISET_BUDGET = 500
@@ -116,12 +114,14 @@ class TransversalReport:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The one run config: the heavy-point sampler's seed and trial count."""
+
     seed: int = 0
     trials: int = 2000
-    alpha: float = 0.027
-    max_denominator: int = MAX_DENOMINATOR
-    multiset_budget: int = MULTISET_BUDGET
-    check_condition: bool = True
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
 
 
 def candidate_classes(
@@ -183,53 +183,43 @@ def _maximal_rows(uniq: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transversal_lp(classes: CandidateClasses) -> FractionalTransversal:
+def solve_lp_pair(
+    classes: CandidateClasses,
+) -> tuple[FractionalTransversal, FractionalPacking]:
+    """The fractional transversal and packing programs over the class matrix.
+
+    The cover minimizes total point weight with every body hit at least once;
+    the packing maximizes total body weight with every class loaded at most
+    once.  They are an exact dual pair over the same 0/1 matrix.
+    """
     mat = classes.matrix()
-    k = len(classes.points)
-    problem = LPProblem(
-        objective=(1.0,) * k,
-        rows=tuple(tuple(1.0 if mat[j, i] else 0.0 for j in range(k)) for i in range(classes.n_bodies)),
-        senses=(GEQ,) * classes.n_bodies,
-        rhs=(1.0,) * classes.n_bodies,
-        direction="min",
-    )
-    sol = lp_solve(problem)
-    if sol.status != "optimal":
-        raise PipelineError(f"transversal program came back {sol.status}")
-    weights = tuple(min(1.0, max(0.0, v)) for v in sol.values)
-    return FractionalTransversal(classes.points, weights, sol.objective)
+    k, n = mat.shape
+    cover = lp_solve(LPProblem((1.0,) * k, mat.T, (GEQ,) * n, (1.0,) * n, "min"))
+    if cover.status != "optimal":
+        raise PipelineError(f"transversal program came back {cover.status}")
+    packing = lp_solve(LPProblem((1.0,) * n, mat, (LEQ,) * k, (1.0,) * k, "max"))
+    if packing.status != "optimal":
+        raise PipelineError(f"packing program came back {packing.status}")
+    ft = FractionalTransversal(classes.points, _clip(cover.values), cover.objective)
+    return ft, FractionalPacking(_clip(packing.values), packing.objective)
 
 
-def _packing_lp(classes: CandidateClasses) -> FractionalPacking:
-    mat = classes.matrix()
-    k = len(classes.points)
-    n = classes.n_bodies
-    problem = LPProblem(
-        objective=(1.0,) * n,
-        rows=tuple(tuple(1.0 if mat[j, i] else 0.0 for i in range(n)) for j in range(k)),
-        senses=(LEQ,) * k,
-        rhs=(1.0,) * k,
-        direction="max",
-    )
-    sol = lp_solve(problem)
-    if sol.status != "optimal":
-        raise PipelineError(f"packing program came back {sol.status}")
-    weights = tuple(min(1.0, max(0.0, v)) for v in sol.values)
-    return FractionalPacking(weights, sol.objective)
+def _clip(values) -> tuple[float, ...]:
+    return tuple(min(1.0, max(0.0, v)) for v in values)
 
 
 def fractional_transversal(
     bodies: list[ConvexBody], candidates: list[Point2] | None = None
 ) -> FractionalTransversal:
     """Minimum-size fractional cover of the bodies by candidate points."""
-    return _transversal_lp(candidate_classes(bodies, candidates))
+    return solve_lp_pair(candidate_classes(bodies, candidates))[0]
 
 
 def fractional_packing(
     bodies: list[ConvexBody], candidates: list[Point2] | None = None
 ) -> FractionalPacking:
     """Maximum-size fractional packing; dual of the fractional transversal."""
-    return _packing_lp(candidate_classes(bodies, candidates))
+    return solve_lp_pair(candidate_classes(bodies, candidates))[1]
 
 
 def rationalize(
@@ -298,19 +288,6 @@ def replicate(
             out.append(ConvexBody(len(out), body.vertices, body.normals, body.offsets))
             origin.append(i)
     return out, tuple(origin)
-
-
-def cloud_expand(ft: FractionalTransversal, resolution: int) -> list[Point2]:
-    """Replace each weighted point by round(R*w) jittered copies."""
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    out: list[Point2] = []
-    for (x, y), w in zip(ft.points, ft.weights):
-        copies = int(math.floor(resolution * w + 0.5))
-        for t in range(copies):
-            ang = TWO_PI * t / copies
-            out.append((x + CLOUD_EPS * math.cos(ang), y + CLOUD_EPS * math.sin(ang)))
-    return out
 
 
 def greedy_transversal(
@@ -386,7 +363,7 @@ def run_pipeline(
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if cfg.check_condition and len(active) <= EXACT_INDEPENDENCE_CAP:
+    if len(active) <= EXACT_INDEPENDENCE_CAP:
         graph = build_meet_graph(active, curve)
         flags["condition_checked"] = True
         flags["condition_holds"] = verify_p2(graph, p_eff)
@@ -403,17 +380,13 @@ def run_pipeline(
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ft = _transversal_lp(classes)
-    fp = _packing_lp(classes)
+    ft, fp = solve_lp_pair(classes)
     tau_star = ft.size
     flags["duality_ok"] = abs(ft.size - fp.size) <= DUALITY_TOL
     timings["lps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    d_cap = min(
-        cfg.max_denominator,
-        max(1, int(cfg.multiset_budget / max(tau_star, 1.0))),
-    )
+    d_cap = min(MAX_DENOMINATOR, max(1, int(MULTISET_BUDGET / max(tau_star, 1.0))))
     m, d = rationalize(fp.weights, d_cap, signatures=classes.signatures)
     if sum(m) == 0:
         m = list(m)
@@ -439,15 +412,8 @@ def run_pipeline(
         inside = containment_matrix(multiset, [z], TOL_GEOM)
         covered = int(inside.sum())
     else:
-        strategy = "exhaustive" if len(q_multi) <= 60 else "random"
         heavy = find_heavy_point(
-            q_multi,
-            multiset,
-            curve,
-            strategy=strategy,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            alpha=cfg.alpha,
+            q_multi, multiset, curve, trials=cfg.trials, seed=cfg.seed
         )
         z = heavy.point
         covered = heavy.covered

@@ -14,13 +14,7 @@ import math
 
 from .geometry import TOL_GEOM, body_contains, containment_matrix
 from .instances import Instance
-from .pipeline import (
-    DUALITY_TOL,
-    TransversalReport,
-    _packing_lp,
-    _transversal_lp,
-    candidate_classes,
-)
+from .pipeline import DUALITY_TOL, TransversalReport, candidate_classes, solve_lp_pair
 
 REQUIRED_KEYS = ("transversal", "tau_star", "m", "D", "z", "coverage", "flags")
 
@@ -76,8 +70,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
             failures.append(f"transversal misses bodies {missed}")
 
     classes = candidate_classes(active)
-    ft = _transversal_lp(classes)
-    fp = _packing_lp(classes)
+    ft, fp = solve_lp_pair(classes)
     if abs(ft.size - fp.size) > DUALITY_TOL:
         failures.append(f"duality gap {abs(ft.size - fp.size):.3e}")
     if abs(float(report["tau_star"]) - ft.size) > DUALITY_TOL:

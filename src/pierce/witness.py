@@ -401,7 +401,7 @@ EXHAUSTIVE_LIMIT = 60
 
 def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel,
                      strategy: str = "exhaustive", trials: int = 2000,
-                     seed: int = 0, alpha: float = 0.027) -> HeavyPointResult:
+                     seed: int = 0) -> HeavyPointResult:
     """Best piercing point over separator quadruples, with geometric recount.
 
     Enumerates all quadruples when strategy is exhaustive and N <= 60, else
@@ -409,10 +409,8 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel
     containing the returned point via body_contains, which is never below the
     pierced-color count of the winning quadruple. Lists shorter than four
     entries, or with all angles coincident, fall back to the best witness
-    angle itself. alpha is accepted for signature parity and not used by the
-    search.
+    angle itself.
     """
-    _ = alpha
     n = len(q)
     if n == 0:
         raise InsufficientWitnessesError("empty witness list")

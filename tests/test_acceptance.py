@@ -28,7 +28,7 @@ from pierce.highdim import (
     separator_tuple_size,
     spread_out_general,
 )
-from pierce.instances import RunConfig, gallery7, gen_clustered, gen_pairwise
+from pierce.instances import gallery7, gen_clustered, gen_pairwise
 from pierce.meetgraph import (
     ColorGraph,
     build_meet_graph,
@@ -37,6 +37,7 @@ from pierce.meetgraph import (
     verify_p2,
 )
 from pierce.pipeline import (
+    PipelineConfig,
     candidate_classes,
     fractional_packing,
     fractional_transversal,
@@ -272,11 +273,11 @@ def test_criterion_09_end_to_end_hundred_bodies():
     hp = find_heavy_point(q, inst.bodies, inst.curve, strategy="random",
                           trials=2000, seed=0)
     mean_pierced = expected_pierced(q)
-    cfg = RunConfig().pipeline_config()
+    cfg = PipelineConfig()
     report = run_pipeline(inst.bodies, inst.curve, inst.p, cfg)
     pts = list(report.transversal)
     mat = containment_matrix(inst.bodies, pts)
-    all_hit = bool(mat.any(axis=1).all())
+    all_hit = bool(mat.any(axis=0).all())
     size_bound = report.tau_star * (1.0 + math.log(100.0)) + 1.0
     elapsed = time.perf_counter() - t0
     wanted_flags = (

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pierce.cli import cli_run
-from pierce.instances import load_instance
+from pierce.instances import gen_pairwise, load_instance
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -62,6 +62,18 @@ def test_gen_pairwise_and_stats(tmp_path, capsys):
     assert "turan" in out
 
 
+def test_stats_colors_by_list_index(tmp_path, capsys):
+    # witness lists color bodies by position, so ids other than 0..n-1
+    # must not change the spread-out count
+    data = gen_pairwise(12, seed=3).to_dict()
+    for k, body in enumerate(data["bodies"]):
+        body["id"] = 100 + k
+    inst_path = tmp_path / "renumbered.json"
+    inst_path.write_text(json.dumps(data))
+    assert cli_run(["stats", str(inst_path)]) == 0
+    assert "spread_out 12/12 " in capsys.readouterr().out
+
+
 def test_gen_clustered_flags(tmp_path):
     inst_path = str(tmp_path / "cl.json")
     assert (
@@ -109,6 +121,10 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("{ not json")
     assert cli_run(["solve", str(bad)]) == 2
     assert cli_run(["gen", "pairwise", "--n", "1"]) == 2
+    inst_path = str(tmp_path / "g.json")
+    assert cli_run(["gen", "gallery", "-o", inst_path]) == 0
+    assert cli_run(["solve", inst_path, "--trials", "0"]) == 2
+    assert cli_run(["solve", inst_path, "--alpha", "0.05"]) == 2
     capsys.readouterr()
 
 

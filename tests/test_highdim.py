@@ -13,7 +13,6 @@ from pierce.highdim import (
     curve_point,
     hyperplane_crossings,
     interval_cover_general,
-    rate_constant,
     separator_tuple_size,
     spread_out_general,
 )
@@ -204,13 +203,3 @@ def test_dichotomy_breaks_outside_regime():
     assert not spread_out_general(occ, 22, alpha, d=2)
     assert interval_cover_general(occ, 22, alpha, d=2) is None
 
-
-def test_rate_constant():
-    value, validated = rate_constant(2)
-    assert value == pytest.approx(1.0 / 300.0)
-    assert validated
-    value, validated = rate_constant(5)
-    assert value == pytest.approx(1.0 / 300.0)
-    assert not validated
-    with pytest.raises(ValueError):
-        rate_constant(1)

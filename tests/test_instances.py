@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from pierce.errors import GenerationError
-from pierce.geometry import UNIT_CIRCLE, ConvexBody
+from pierce.geometry import UNIT_CIRCLE, ConvexBody, body_contains
 from pierce.instances import (
     GALLERY_TRIANGLES,
     Instance,
-    RunConfig,
     gallery7,
     gen_clustered,
     gen_pairwise,
@@ -82,6 +81,15 @@ def test_gen_clustered_condition_and_tightness():
             assert not graph.has_edge(a, b)
 
 
+def test_gen_clustered_large_shares_anchors():
+    # the generator's self-check is linear in n, so large families are cheap
+    inst = gen_clustered(8, 80, seed=0)
+    assert len(inst.bodies) == 80
+    for body in inst.bodies:
+        anchor = 2 * math.pi * (body.id % 7) / 7
+        assert body_contains(body, UNIT_CIRCLE.point_at(anchor))
+
+
 def test_gen_clustered_validation():
     with pytest.raises(ValueError):
         gen_clustered(1, 5)
@@ -106,20 +114,3 @@ def test_gallery7_shape():
             assert len(corner_sets[i] & corner_sets[j]) == 1
 
 
-def test_run_config():
-    cfg = RunConfig(alpha=0.05, trials=10, seed=2, max_denominator=99)
-    pc = cfg.pipeline_config()
-    assert pc.alpha == 0.05
-    assert pc.trials == 10
-    assert pc.seed == 2
-    assert pc.max_denominator == 99
-    for bad in (
-        dict(alpha=0.0),
-        dict(alpha=0.5),
-        dict(strategy="guess"),
-        dict(trials=0),
-        dict(tol_geom=0.0),
-        dict(resolution=0),
-    ):
-        with pytest.raises(ValueError):
-            RunConfig(**bad)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pierce.lp import GEQ, LEQ, TOL_LP, LPProblem, LPSolution, lp_solve
+from pierce.lp import GEQ, LEQ, TOL_LP, LPProblem, LPSolution, _pivot, lp_solve
 
 
 def solve_with_scipy(problem: LPProblem):
@@ -24,6 +24,25 @@ def solve_with_scipy(problem: LPProblem):
         return "unbounded", None
     assert res.status == 0
     return "optimal", sign * res.fun
+
+
+def test_pivot_matches_row_loop():
+    # the rank-1 update does the same per-entry arithmetic as eliminating
+    # the pivot column row by row, so the tableaus agree exactly
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m, k = rng.integers(1, 8), rng.integers(2, 10)
+        tab = rng.normal(size=(m, k)) * (rng.random((m, k)) < 0.6)
+        row, col = int(rng.integers(m)), int(rng.integers(k))
+        tab[row, col] = rng.uniform(0.5, 2.0)
+        want = tab.copy()
+        want[row] /= want[row, col]
+        for i in range(m):
+            if i != row and abs(want[i, col]) > 0.0:
+                want[i] -= want[i, col] * want[row]
+        basis = [0] * m
+        _pivot(tab, basis, row, col)
+        assert np.array_equal(tab, want) and basis[row] == col
 
 
 def test_lp_examples():
