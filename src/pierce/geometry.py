@@ -378,61 +378,24 @@ def _edge_crossings_batch(p0a, da, na, p0b, db, nb, tol: float) -> list[Point2]:
     return [(float(x), float(y)) for x, y in zip(px, py)]
 
 
-def dedup_points(points: list[Point2], tol: float = TOL_GEOM) -> list[Point2]:
-    """Drop points within tol of an earlier one, keeping first occurrences."""
-    if tol <= 0.0:
-        seen_exact = set()
-        out = []
-        for p in points:
-            if p not in seen_exact:
-                seen_exact.add(p)
-                out.append(p)
-        return out
-    cell = 2.0 * tol
-    buckets: dict[tuple[int, int], list[Point2]] = {}
-    out = []
-    for p in points:
-        ix = int(math.floor(p[0] / cell))
-        iy = int(math.floor(p[1] / cell))
-        dup = False
-        for nx in (ix - 1, ix, ix + 1):
-            for ny in (iy - 1, iy, iy + 1):
-                for q in buckets.get((nx, ny), ()):
-                    if math.hypot(p[0] - q[0], p[1] - q[1]) <= tol:
-                        dup = True
-                        break
-                if dup:
-                    break
-            if dup:
-                break
-        if not dup:
-            buckets.setdefault((ix, iy), []).append(p)
-            out.append(p)
-    return out
+def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Point2]:
+    """Body vertices and pairwise edge crossings: the arrangement's vertices.
 
-
-_NUDGE_DIRS = (
-    (0.7071067811865476, 0.7071067811865476),
-    (-0.7071067811865476, 0.7071067811865476),
-    (-0.7071067811865476, -0.7071067811865476),
-    (0.7071067811865476, -0.7071067811865476),
-)
-
-
-def candidate_points(bodies: list[ConvexBody], nudge_eps: float = NUDGE_EPS,
-                     tol: float = TOL_GEOM) -> list[Point2]:
-    """Finite point set that meets every cell of the body arrangement.
-
-    Vertices of all bodies, proper pairwise edge crossings, and for each of
-    those four diagonal nudges at distance nudge_eps. An optimal hitting set
-    over the arrangement can always be moved onto this set, which is what the
-    exact oracle and the linear programs rely on.
+    A maximal containment class (one whose body set no other class's set
+    contains) is the whole intersection of its closed convex bodies, since a
+    point of that intersection inside another body would make a larger
+    class. That intersection is a nonempty convex polygon, segment or point,
+    and each of its vertices is a body vertex or an edge crossing. So every
+    maximal class has a point here, and any hitting set can be moved onto
+    this list, which is what the exact oracle and the linear programs rely
+    on. Body pairs whose bounding boxes are more than tol apart are skipped.
+    Points may repeat; callers merge them by containment signature.
     """
-    base: list[Point2] = []
+    out: list[Point2] = []
     starts, deltas, norms, boxes = [], [], [], []
     for body in bodies:
         for v in body.vertices:
-            base.append((float(v[0]), float(v[1])))
+            out.append((float(v[0]), float(v[1])))
         vs = body.vertices
         m = vs.shape[0]
         count = 0 if m < 2 else (m if m >= 3 else 1)
@@ -454,16 +417,12 @@ def candidate_points(bodies: list[ConvexBody], nudge_eps: float = NUDGE_EPS,
                 or bj[3] < bi[2] - tol
             ):
                 continue
-            base.extend(
+            out.extend(
                 _edge_crossings_batch(
                     starts[i], deltas[i], norms[i], starts[j], deltas[j], norms[j], tol
                 )
             )
-    pts = list(base)
-    for x, y in base:
-        for dx, dy in _NUDGE_DIRS:
-            pts.append((x + dx * nudge_eps, y + dy * nudge_eps))
-    return dedup_points(pts, tol)
+    return out
 
 
 def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
@@ -482,24 +441,30 @@ def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
     return inside
 
 
-def containment_signatures(bodies: list[ConvexBody], points: list[Point2],
-                           tol: float = TOL_GEOM) -> list[frozenset[int]]:
-    """Per point, the index set of bodies containing it."""
-    inside = containment_matrix(bodies, points, tol)
-    return [frozenset(np.flatnonzero(row)) for row in inside]
+_NUDGE_DIRS = (
+    (0.7071067811865476, 0.7071067811865476),
+    (-0.7071067811865476, 0.7071067811865476),
+    (-0.7071067811865476, -0.7071067811865476),
+    (0.7071067811865476, -0.7071067811865476),
+)
 
 
 def face_census(bodies: list[ConvexBody], candidates: list[Point2],
-                clearance: float = 1e-7, tol: float = TOL_GEOM) -> dict[frozenset[int], Point2]:
-    """Distinct containment signatures among candidates clear of all boundaries.
+                clearance: float = 1e-7) -> dict[frozenset[int], Point2]:
+    """Distinct containment signatures next to candidates, clear of all boundaries.
 
-    A candidate within clearance of any body boundary is skipped, so each kept
-    signature corresponds to an open cell of the arrangement and the map value
-    is one interior representative. Convexity makes cells with equal signature
-    connected, so the count per depth is a face count.
+    Candidates from candidate_points lie on body boundaries, so each one is
+    nudged NUDGE_EPS along the four diagonals, in order, and the nudged
+    points are what get classified. A nudged point within clearance of any
+    body boundary is skipped, so each kept signature corresponds to an open
+    cell of the arrangement and the map value is one interior
+    representative. Convexity makes cells with equal signature connected,
+    so the count per depth is a face count.
     """
+    nudged = [(x + dx * NUDGE_EPS, y + dy * NUDGE_EPS)
+              for x, y in candidates for dx, dy in _NUDGE_DIRS]
     reps: dict[frozenset[int], Point2] = {}
-    for pt in candidates:
+    for pt in nudged:
         clean = True
         members = []
         for k, body in enumerate(bodies):
@@ -529,9 +494,10 @@ def brute_min_transversal(bodies: list[ConvexBody], candidates: list[Point2],
     n = len(bodies)
     if n == 0:
         return []
-    sigs = containment_signatures(bodies, candidates, tol)
+    inside = containment_matrix(bodies, candidates, tol)
     best_rep: dict[frozenset[int], Point2] = {}
-    for pt, sig in zip(candidates, sigs):
+    for pt, row in zip(candidates, inside):
+        sig = frozenset(np.flatnonzero(row))
         if sig and sig not in best_rep:
             best_rep[sig] = pt
     uniq = sorted(best_rep, key=lambda s: (-len(s), sorted(s)))

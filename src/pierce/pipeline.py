@@ -363,7 +363,8 @@ def run_pipeline(
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if len(active) <= EXACT_INDEPENDENCE_CAP:
+    # For p = 2 verify_p2 only counts edges, so the exact-search cap does not apply.
+    if p_eff == 2 or len(active) <= EXACT_INDEPENDENCE_CAP:
         graph = build_meet_graph(active, curve)
         flags["condition_checked"] = True
         flags["condition_holds"] = verify_p2(graph, p_eff)

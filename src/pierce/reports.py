@@ -102,7 +102,9 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
             eps = recount / total
             if abs(eps - float(cov["epsilon"])) > 1e-9:
                 failures.append(f"epsilon mismatch: {eps} vs {cov['epsilon']}")
-            if eps > 0:
+            if eps == 0:
+                failures.append("heavy point covers no copy")
+            else:
                 slack = len(active) / d + 1e-9
                 if ft.size > 1.0 / eps + slack:
                     failures.append(

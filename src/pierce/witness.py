@@ -408,8 +408,8 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel
     samples trials quadruples from the given seed. covered counts the bodies
     containing the returned point via body_contains, which is never below the
     pierced-color count of the winning quadruple. Lists shorter than four
-    entries, or with all angles coincident, fall back to the best witness
-    angle itself.
+    entries, with all angles coincident, or where no quadruple pierces any
+    color, fall back to the best witness angle itself.
     """
     n = len(q)
     if n == 0:
@@ -429,6 +429,10 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel
         quads = np.array(rows, dtype=np.int64)
 
     pierced = _pierced_counts(q, quads)
+    if not pierced.any():
+        # An unpierced quadruple's point need not lie in any body, while a
+        # witness angle always lies in both of its colors.
+        return _fallback_heavy_point(q, bodies, curve, distinct)
     order = np.argsort(-pierced, kind="stable")
     for rank in order:
         quad = tuple(int(v) for v in quads[rank])

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pierce.errors import EmptyMultisetError, IncompleteCandidatesError, PipelineError
 from pierce.geometry import (
+    NUDGE_EPS,
+    TWO_PI,
     ConvexBody,
     UNIT_CIRCLE,
     candidate_points,
@@ -59,6 +63,37 @@ def test_candidate_classes_incomplete():
     bodies = [box(0, 0.0, 0.0), box(1, 5.0, 0.0)]
     with pytest.raises(IncompleteCandidatesError):
         candidate_classes(bodies, candidates=[(0.0, 0.0)])
+
+
+# Squares and triangles on a half-unit grid, so that shared vertices, shared
+# edges, nesting and corner contacts come up often.
+_grid = st.integers(0, 8).map(lambda k: k / 2)
+_square = st.tuples(_grid, _grid, st.integers(1, 6)).map(
+    lambda t: [(t[0], t[1]), (t[0] + t[2] / 2, t[1]),
+               (t[0] + t[2] / 2, t[1] + t[2] / 2), (t[0], t[1] + t[2] / 2)])
+_triangle = st.lists(st.tuples(_grid, _grid), min_size=3, max_size=3).filter(
+    lambda v: (v[1][0] - v[0][0]) * (v[2][1] - v[0][1])
+    != (v[1][1] - v[0][1]) * (v[2][0] - v[0][0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_square, _triangle), min_size=1, max_size=6))
+@example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]])  # shared vertex
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 0), (2, 0), (2, 1), (1, 1)]])  # shared edge
+@example([[(0, 0), (3, 0), (3, 3), (0, 3)], [(1, 1), (2, 1), (2, 2), (1, 2)]])  # nested
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 1), (2, 1), (2, 2), (1, 2)]])  # corner to corner
+@example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(2, 1), (3, 0), (3, 2)]])  # corner on an edge
+def test_vertex_candidates_find_every_maximal_class(shapes):
+    bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
+    base = candidate_points(bodies)
+    step = NUDGE_EPS / math.sqrt(2.0)
+    nudged = base + [(x + sx * step, y + sy * step)
+                     for x, y in base for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    got = set(candidate_classes(bodies).signatures)
+    assert got == set(candidate_classes(bodies, candidates=nudged).signatures)
+    # An eighth-unit grid over the shapes' range reaches cells no vertex is near.
+    sample = [(i / 8, j / 8) for i in range(57) for j in range(57)]
+    assert got == set(candidate_classes(bodies, candidates=nudged + sample).signatures)
 
 
 def test_maximal_rows_against_bruteforce():
@@ -244,6 +279,29 @@ def test_run_pipeline_cluster_instance():
     assert report.flags["rounding_feasible_exact"]
     assert not report.flags["condition_checked"]  # 60 exceeds the exact cap
     assert report.p_effective == 4
+
+
+def test_run_pipeline_checks_pairwise_condition_past_exact_cap():
+    # For p = 2 the condition is an edge count, so n > 40 is still checked.
+    inst = gen_pairwise(50)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert report.flags["condition_checked"]
+    assert report.flags["condition_holds"]
+
+
+def test_run_pipeline_heavy_point_covers_a_copy():
+    # PG(2,2) inscribed with its seven points reordered on the circle: the
+    # multiset's witness list has no quadruple that pierces any color.
+    lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+    place = (0, 1, 2, 4, 5, 3, 6)
+    bodies = [
+        ConvexBody.from_vertices(i, [(math.cos(TWO_PI * place[v] / 7),
+                                      math.sin(TWO_PI * place[v] / 7)) for v in line])
+        for i, line in enumerate(lines)
+    ]
+    report = run_pipeline(bodies, UNIT_CIRCLE, 2)
+    assert report.heavy_coverage > 0
+    assert report.flags["tau_epsilon_consistent"]
 
 
 def test_run_pipeline_filters_off_curve_bodies():

@@ -6,7 +6,7 @@ import pytest
 from conftest import arc_body, random_pair_list, synthetic_list
 
 from pierce.errors import DegenerateQuadrupleError, InsufficientWitnessesError
-from pierce.geometry import TWO_PI, UNIT_CIRCLE, body_contains
+from pierce.geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, body_contains
 from pierce.witness import (
     HeavyPointResult,
     SeparatorQuadruple,
@@ -361,6 +361,23 @@ def test_find_heavy_point_errors_and_fallback():
     got = find_heavy_point(q, [a, b], UNIT_CIRCLE)
     assert got.quad is None
     assert got.covered == 2
+
+
+def test_find_heavy_point_unpierced_list_falls_back():
+    # Four lines of PG(2,2) inscribed as triangles on seven evenly spaced
+    # circle points: each pair shares one vertex, so every color occurs
+    # three times and no quadruple pierces any color.
+    lines = [(0, 1, 4), (1, 2, 5), (2, 3, 4), (4, 5, 6)]
+    bodies = [
+        ConvexBody.from_vertices(i, [(math.cos(TWO_PI * v / 7), math.sin(TWO_PI * v / 7))
+                                     for v in line])
+        for i, line in enumerate(lines)
+    ]
+    q = build_witness_list(bodies, UNIT_CIRCLE)
+    assert len(q) == 6
+    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
+    assert got.quad is None
+    assert got.covered >= 2
 
 
 def test_separator_quadruple_validation():
