@@ -369,8 +369,8 @@ def run_pipeline(
         flags["condition_checked"] = True
         flags["condition_holds"] = verify_p2(graph, p_eff)
     else:
+        # No condition_holds: a skipped check observed neither outcome.
         flags["condition_checked"] = False
-        flags["condition_holds"] = False
     timings["condition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

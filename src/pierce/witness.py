@@ -405,11 +405,17 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel
     """Best piercing point over separator quadruples, with geometric recount.
 
     Enumerates all quadruples when strategy is exhaustive and N <= 60, else
-    samples trials quadruples from the given seed. covered counts the bodies
-    containing the returned point via body_contains, which is never below the
+    samples trials quadruples from the given seed. Quadruples are tried by
+    decreasing pierced-color count, ties by enumeration order, and the first
+    whose separator chords cross wins. covered counts the bodies containing
+    the returned point via body_contains, which is never below the
     pierced-color count of the winning quadruple. Lists shorter than four
     entries, with all angles coincident, or where no quadruple pierces any
     color, fall back to the best witness angle itself.
+
+    Cost: scoring is numpy work in bounded chunks, O(C(N, 4)) table lookups
+    when exhaustive and O(colors * trials) when sampled; the sampler makes
+    one rng.choice call per trial, so it runs at Python speed.
     """
     n = len(q)
     if n == 0:
@@ -422,28 +428,51 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel
     if strategy not in ("exhaustive", "random"):
         raise ValueError("strategy must be 'exhaustive' or 'random'")
     if strategy == "exhaustive" and n <= EXHAUSTIVE_LIMIT:
-        quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64)
+        quads = _all_quadruples(n)
     else:
         rng = np.random.default_rng(seed)
-        rows = [np.sort(rng.choice(n, size=4, replace=False)) for _ in range(trials)]
-        quads = np.array(rows, dtype=np.int64)
+        quads = np.array([rng.choice(n, size=4, replace=False) for _ in range(trials)])
+        quads.sort(axis=1)
 
     pierced = _pierced_counts(q, quads)
     if not pierced.any():
         # An unpierced quadruple's point need not lie in any body, while a
         # witness angle always lies in both of its colors.
         return _fallback_heavy_point(q, bodies, curve, distinct)
-    order = np.argsort(-pierced, kind="stable")
-    for rank in order:
-        quad = tuple(int(v) for v in quads[rank])
-        try:
-            z = piercing_point(curve, q, quad)
-        except DegenerateQuadrupleError:
-            continue
-        covered = sum(1 for b in bodies if body_contains(b, z))
-        return HeavyPointResult(point=z, covered=covered,
-                                pierced=int(pierced[rank]), quad=quad)
+    # The order of a stable argsort of -pierced, one count at a time: the
+    # first quadruple usually gives a point, and the rest are never sorted.
+    for value in np.flatnonzero(np.bincount(pierced))[::-1]:
+        for rank in np.flatnonzero(pierced == value):
+            quad = tuple(int(v) for v in quads[rank])
+            try:
+                z = piercing_point(curve, q, quad)
+            except DegenerateQuadrupleError:
+                continue
+            covered = sum(1 for b in bodies if body_contains(b, z))
+            return HeavyPointResult(point=z, covered=covered, pierced=int(value), quad=quad)
     return _fallback_heavy_point(q, bodies, curve, distinct)
+
+
+def _all_quadruples(n: int) -> np.ndarray:
+    """Every increasing quadruple of range(n), in itertools.combinations order.
+
+    Row (a, b, c, d) is the pair (a, b) followed by a pair (c, d) with c > b;
+    in the lexicographic pair list those pairs are a suffix, so each (a, b)
+    repeats once per pair of that suffix.
+    """
+    first, second = np.triu_indices(n, 1)
+    # start[s]: how many pairs have a first index below s.
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.arange(n - 1, -1, -1), out=start[1:])
+    lo = start[second + 1]
+    counts = len(first) - lo
+    tail = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    quads = np.empty((tail.size, 4), dtype=np.min_scalar_type(n - 1))
+    quads[:, 0] = np.repeat(first, counts)
+    quads[:, 1] = np.repeat(second, counts)
+    quads[:, 2] = first[tail]
+    quads[:, 3] = second[tail]
+    return quads
 
 
 def _distinct_angles(angles: list[float], tol: float = TOL_GEOM) -> list[float]:
@@ -466,18 +495,74 @@ def _fallback_heavy_point(q: WitnessList, bodies, curve, distinct) -> HeavyPoint
     return best
 
 
+# Cells (colors x quadruples, or quadruples) one scoring step holds at once.
+_CHUNK = 1 << 15
+
+
 def _pierced_counts(q: WitnessList, quads: np.ndarray) -> np.ndarray:
+    """Colors pierced by each row (a, b, c, d), a < b < c < d < N, of quads.
+
+    With k(x) the number of a color's occurrences below index x and m their
+    total, the color is pierced when k(a) < k(b) < k(c) < k(d) and either
+    k(d) < m or k(a) > 0: each of the circular intervals [a, b), [b, c),
+    [c, d) and [d, a) holds an occurrence. Only colors occurring four or more
+    times can be pierced. When the N x N interval table is no larger than
+    the quadruple count it is built once, as presence bits packed over
+    colors, and each row ANDs four lookups; otherwise each block of colors
+    compares prefix counts taken at the rows' distinct indices.
+    """
     n = len(q)
-    a, b, c, d = (quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3])
+    occs = [occ for occ in map(q.occurrences, q.colors) if len(occ) >= 4]
     totals = np.zeros(quads.shape[0], dtype=np.int64)
-    for color in q.colors:
-        occ = np.asarray(q.occurrences(color), dtype=np.int64)
-        in1 = np.searchsorted(occ, a) < np.searchsorted(occ, b)
-        in2 = np.searchsorted(occ, b) < np.searchsorted(occ, c)
-        in3 = np.searchsorted(occ, c) < np.searchsorted(occ, d)
-        in4 = (np.searchsorted(occ, d) < occ.size) | (np.searchsorted(occ, a) > 0)
-        totals += (in1 & in2 & in3 & in4)
+    if not occs or not quads.shape[0]:
+        return totals
+    m = np.array([len(occ) for occ in occs])
+    # keys[j] = rank * (N + 1) + index: every occurrence, sorted by color rank.
+    keys = np.concatenate([np.asarray(occ) + r * (n + 1) for r, occ in enumerate(occs)])
+    base = np.concatenate(([0], np.cumsum(m)[:-1]))
+
+    def prefix(ranks: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        # k at every position for each color rank: one searchsorted in all.
+        at = np.searchsorted(keys, ranks[:, None] * (n + 1) + positions[None, :])
+        return at - base[ranks, None]
+
+    if n * n <= quads.shape[0]:
+        table = np.zeros((n * n, 8 * -(-len(occs) // 64)), dtype=np.uint8)
+        forward = np.arange(n)[:, None] < np.arange(n)[None, :]
+        step = 8 * max(1, _CHUNK // (8 * n * n))  # whole bytes of colors per block
+        for r0 in range(0, len(occs), step):
+            ranks = np.arange(r0, min(r0 + step, len(occs)))
+            k = prefix(ranks, np.arange(n))
+            diff = k[:, None, :] - k[:, :, None]  # k(y) - k(x) for the interval [x, y)
+            present = np.where(forward, diff > 0, diff > -m[ranks, None, None])
+            packed = np.packbits(present, axis=0, bitorder="little").reshape(-1, n * n)
+            table[:, r0 // 8:r0 // 8 + packed.shape[0]] = packed.T
+        table = table.view(np.uint64)
+        for lo in range(0, quads.shape[0], _CHUNK):
+            a, b, c, d = quads[lo:lo + _CHUNK].T.astype(np.intp)
+            hit = table[a * n + b] & table[b * n + c] & table[c * n + d] & table[d * n + a]
+            totals[lo:lo + _CHUNK] = _popcount(hit).sum(axis=1)
+        return totals
+
+    positions, inverse = np.unique(quads, return_inverse=True)
+    a, b, c, d = inverse.reshape(quads.shape).T
+    step = max(1, _CHUNK // max(len(positions), quads.shape[0]))
+    for r0 in range(0, len(occs), step):
+        ranks = np.arange(r0, min(r0 + step, len(occs)))
+        k = prefix(ranks, positions)
+        ka, kb, kc, kd = k[:, a], k[:, b], k[:, c], k[:, d]
+        hit = (ka < kb) & (kb < kc) & (kc < kd) & ((kd < m[ranks, None]) | (ka > 0))
+        totals += hit.sum(axis=0)
     return totals
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64, by SWAR (np.bitwise_count needs numpy 2)."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    pairs = np.uint64(0x3333333333333333)
+    x = (x & pairs) + ((x >> np.uint64(2)) & pairs)
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
 def coverage_rate_bound(alpha: float) -> float:

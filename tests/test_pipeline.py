@@ -278,6 +278,7 @@ def test_run_pipeline_cluster_instance():
     assert report.flags["duality_ok"]
     assert report.flags["rounding_feasible_exact"]
     assert not report.flags["condition_checked"]  # 60 exceeds the exact cap
+    assert "condition_holds" not in report.flags
     assert report.p_effective == 4
 
 

@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 from conftest import arc_body, random_pair_list, synthetic_list
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pierce.errors import DegenerateQuadrupleError, InsufficientWitnessesError
 from pierce.geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, body_contains
 from pierce.witness import (
+    EXHAUSTIVE_LIMIT,
     HeavyPointResult,
+    _all_quadruples,
+    _pierced_counts,
     SeparatorQuadruple,
     WitnessList,
     WitnessPoint,
@@ -29,9 +34,6 @@ from pierce.witness import (
     spread_threshold,
     three_interval_cover,
 )
-
-
-
 
 
 def spread_oracle(occ, n, alpha):
@@ -378,6 +380,79 @@ def test_find_heavy_point_unpierced_list_falls_back():
     got = find_heavy_point(q, bodies, UNIT_CIRCLE)
     assert got.quad is None
     assert got.covered >= 2
+
+
+@st.composite
+def _pierce_case(draw, n_lo, n_hi):
+    """A witness list and quadruple rows for the pierced-count kernel.
+
+    Entries sit at evenly spaced angles. Most carry a pair from a small
+    palette, so colors recur and their occurrences wrap past index 0; a few
+    carry a color of their own, which occurs once. Rows always include ones
+    that touch indices 0 and N - 1. Short lists get N^2 rows of their
+    exhaustive enumeration (all of them below N = 8), long lists 200 sampled
+    rows, so both ways of counting run.
+    """
+    n = draw(st.integers(n_lo, n_hi))
+    palette = next(p for p in range(2, n + 2) if p * (p - 1) // 2 >= n)
+    pairs = list(itertools.combinations(range(palette), 2))
+    picks = draw(st.permutations(range(len(pairs))))
+    lonely = draw(st.sets(st.integers(0, n - 1), max_size=6))
+    entries = []
+    for k in range(n):
+        colors = (k % palette, 1000 + k) if k in lonely else pairs[picks[k]]
+        entries.append(WitnessPoint(TWO_PI * k / n, colors))
+    q = WitnessList.from_entries(entries)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n <= EXHAUSTIVE_LIMIT:
+        every = _all_quadruples(n)
+        rows = every[np.sort(rng.choice(len(every), min(len(every), n * n), replace=False))]
+    else:
+        rows = np.array([rng.choice(n, size=4, replace=False) for _ in range(200)])
+        rows.sort(axis=1)
+    edges = [(0, 1, 2, n - 1), (0, n - 3, n - 2, n - 1), (0, 1, n - 2, n - 1)]
+    return q, np.vstack([rows, np.array(edges, dtype=rows.dtype)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_pierce_case(4, 60), _pierce_case(65, 120)))
+def test_pierced_counts_match_quadruple_pierces(case):
+    q, quads = case
+    got = _pierced_counts(q, quads)
+    for row, count in zip(quads.tolist(), got.tolist()):
+        assert count == sum(quadruple_pierces(q, row, c) for c in q.colors), row
+
+
+@pytest.mark.parametrize("n", [4, 5, 13, 60])
+def test_all_quadruples_in_combinations_order(n):
+    got = _all_quadruples(n)
+    assert got.tolist() == [list(t) for t in itertools.combinations(range(n), 4)]
+
+
+def _arc_family(seed: int, k: int) -> list[ConvexBody]:
+    rng = np.random.default_rng(seed)
+    bodies = []
+    for i in range(k):
+        lo = float(rng.uniform(0, TWO_PI))
+        bodies.append(arc_body(i, lo, lo + float(rng.uniform(1.2, 2.9))))
+    return bodies
+
+
+@pytest.mark.parametrize("seed, k, n, kwargs, quad, pierced, covered, point", [
+    # N = 46: every quadruple is scored.
+    (43, 12, 46, {}, (6, 27, 30, 34), 5, 6, (-0.12512621202788698, -0.974368589158973)),
+    # N = 72: 2000 quadruples sampled from seed 5.
+    (45, 15, 72, {"seed": 5}, (22, 34, 43, 53), 8, 9, (0.296140045073763, -0.9288395454442643)),
+])
+def test_find_heavy_point_golden(seed, k, n, kwargs, quad, pierced, covered, point):
+    # Pinned results: a change to the scoring, the order quadruples are
+    # tried in or the sampler's stream moves them.
+    bodies = _arc_family(seed, k)
+    q = build_witness_list(bodies, UNIT_CIRCLE)
+    assert len(q) == n
+    got = find_heavy_point(q, bodies, UNIT_CIRCLE, **kwargs)
+    assert (got.quad, got.pierced, got.covered) == (quad, pierced, covered)
+    assert got.point == pytest.approx(point, abs=1e-12)
 
 
 def test_separator_quadruple_validation():
