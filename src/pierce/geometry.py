@@ -350,32 +350,8 @@ def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
     return None
 
 
-def _edge_crossings_batch(p0a, da, na, p0b, db, nb, tol: float) -> list[Point2]:
-    """All proper crossings between two edge sets; mirrors segment_intersection."""
-    if len(da) == 0 or len(db) == 0:
-        return []
-    den = da[:, None, 0] * db[None, :, 1] - da[:, None, 1] * db[None, :, 0]
-    usable = np.abs(den) > tol * na[:, None] * nb[None, :]
-    if not usable.any():
-        return []
-    ex = p0b[None, :, 0] - p0a[:, None, 0]
-    ey = p0b[None, :, 1] - p0a[:, None, 1]
-    safe_den = np.where(usable, den, 1.0)
-    t = (ex * db[None, :, 1] - ey * db[None, :, 0]) / safe_den
-    u = (ex * da[:, None, 1] - ey * da[:, None, 0]) / safe_den
-    pad_t = tol / na[:, None]
-    pad_u = tol / nb[None, :]
-    hit = (
-        usable
-        & (t >= -pad_t)
-        & (t <= 1.0 + pad_t)
-        & (u >= -pad_u)
-        & (u <= 1.0 + pad_u)
-    )
-    ia, ib = np.nonzero(hit)
-    px = p0a[ia, 0] + t[ia, ib] * da[ia, 0]
-    py = p0a[ia, 1] + t[ia, ib] * da[ia, 1]
-    return [(float(x), float(y)) for x, y in zip(px, py)]
+# Edge pairs one crossing step holds at once.
+_CHUNK = 1 << 15
 
 
 def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Point2]:
@@ -389,39 +365,68 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Po
     maximal class has a point here, and any hitting set can be moved onto
     this list, which is what the exact oracle and the linear programs rely
     on. Body pairs whose bounding boxes are more than tol apart are skipped.
-    Points may repeat; callers merge them by containment signature.
+
+    Order: every body's vertices, body by body; then the crossings of each
+    body pair i < j in (i, j) order, within a pair by i's edge, then j's
+    edge. Class representatives are first occurrences in this list. A
+    crossing is segment_intersection's point for the two edges. Points may
+    repeat; callers merge them by containment signature.
     """
-    out: list[Point2] = []
-    starts, deltas, norms, boxes = [], [], [], []
-    for body in bodies:
-        for v in body.vertices:
-            out.append((float(v[0]), float(v[1])))
-        vs = body.vertices
-        m = vs.shape[0]
-        count = 0 if m < 2 else (m if m >= 3 else 1)
-        p0 = vs[:count]
-        d = vs[(np.arange(count) + 1) % m] - p0 if count else vs[:0]
-        starts.append(p0)
-        deltas.append(d)
-        norms.append(np.hypot(d[:, 0], d[:, 1]) if count else np.zeros(0))
-        boxes.append(
-            (vs[:, 0].min(), vs[:, 0].max(), vs[:, 1].min(), vs[:, 1].max())
-        )
-    for i in range(len(bodies)):
-        for j in range(i + 1, len(bodies)):
-            bi, bj = boxes[i], boxes[j]
-            if (
-                bi[1] < bj[0] - tol
-                or bj[1] < bi[0] - tol
-                or bi[3] < bj[2] - tol
-                or bj[3] < bi[2] - tol
-            ):
-                continue
-            out.extend(
-                _edge_crossings_batch(
-                    starts[i], deltas[i], norms[i], starts[j], deltas[j], norms[j], tol
-                )
-            )
+    if not bodies:
+        return []
+    verts = np.concatenate([body.vertices for body in bodies])
+    out = list(zip(verts[:, 0].tolist(), verts[:, 1].tolist()))
+    # Edge k of a body runs from its vertex k to vertex k + 1 (mod m); a
+    # segment body has one edge and a point body none.
+    nv = np.array([body.vertices.shape[0] for body in bodies])
+    vstart = np.concatenate(([0], np.cumsum(nv)[:-1]))
+    ne = np.where(nv >= 3, nv, nv - 1)
+    estart = np.concatenate(([0], np.cumsum(ne)[:-1]))
+    owner = np.repeat(np.arange(len(bodies)), ne)
+    k = np.arange(owner.size) - estart[owner]
+    head, tail = vstart[owner] + k, vstart[owner] + (k + 1) % nv[owner]
+    sx, sy = verts[head].T
+    dx, dy = (verts[tail] - verts[head]).T
+    norm = np.hypot(dx, dy)
+    slack, pad = tol * norm, tol / norm
+
+    x0, x1, y0, y1 = (
+        f.reduceat(verts[:, c], vstart)
+        for f, c in ((np.minimum, 0), (np.maximum, 0), (np.minimum, 1), (np.maximum, 1))
+    )
+    bi, bj = np.triu_indices(len(bodies), 1)
+    apart = (
+        (x1[bi] < x0[bj] - tol)
+        | (x1[bj] < x0[bi] - tol)
+        | (y1[bi] < y0[bj] - tol)
+        | (y1[bj] < y0[bi] - tol)
+    )
+    bi, bj = bi[~apart], bj[~apart]
+    size = ne[bi] * ne[bj]
+    end = np.cumsum(size)
+    xs, ys = [], []
+    lo = 0
+    while lo < bi.size:
+        first = end[lo] - size[lo]  # edge pairs before this block
+        hi = max(lo + 1, int(np.searchsorted(end, first + _CHUNK, "right")))
+        pair = np.repeat(np.arange(lo, hi), size[lo:hi])
+        rank = np.arange(first, end[hi - 1]) - (end[pair] - size[pair])
+        a = estart[bi[pair]] + rank // ne[bj[pair]]
+        b = estart[bj[pair]] + rank % ne[bj[pair]]
+        lo = hi
+        # The formulas of segment_intersection, term by term.
+        den = dx[a] * dy[b] - dy[a] * dx[b]
+        usable = np.abs(den) > slack[a] * norm[b]
+        a, b, den = a[usable], b[usable], den[usable]
+        ex, ey = sx[b] - sx[a], sy[b] - sy[a]
+        t = (ex * dy[b] - ey * dx[b]) / den
+        u = (ex * dy[a] - ey * dx[a]) / den
+        hit = (t >= -pad[a]) & (t <= 1.0 + pad[a]) & (u >= -pad[b]) & (u <= 1.0 + pad[b])
+        a, t = a[hit], t[hit]
+        xs.append(sx[a] + t * dx[a])
+        ys.append(sy[a] + t * dy[a])
+    if xs:
+        out.extend(zip(np.concatenate(xs).tolist(), np.concatenate(ys).tolist()))
     return out
 
 

@@ -41,7 +41,8 @@ from .witness import WitnessList, WitnessPoint, find_heavy_point
 DUALITY_TOL = 1e-6
 MAX_DENOMINATOR = 10_000
 MULTISET_BUDGET = 500
-HARD_MULTISET_CAP = 50_000
+# _multiset_witness_list is quadratic in the multiset size.
+HARD_MULTISET_CAP = 2 * MULTISET_BUDGET
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,17 @@ def candidate_classes(
     if not covered.all():
         missing = [bodies[i].id for i in np.flatnonzero(~covered)]
         raise IncompleteCandidatesError(f"no candidate inside bodies {missing}")
-    keep = inside.any(axis=1)
+    keep = np.flatnonzero(inside.any(axis=1))
     inside = inside[keep]
-    kept_pts = [p for p, k in zip(candidates, keep) if k]
-    uniq, first = np.unique(inside, axis=0, return_index=True)
-    maximal = _maximal_rows(uniq)
-    chosen = sorted(np.flatnonzero(maximal), key=lambda i: first[i])
-    points = tuple(kept_pts[first[i]] for i in chosen)
-    signatures = tuple(
-        frozenset(int(v) for v in np.flatnonzero(uniq[i])) for i in chosen
-    )
+    # One void scalar per bit-packed row: np.unique sorts bytes, not bools,
+    # and its stable sort returns each signature's first occurrence.
+    packed = np.packbits(inside, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    first = np.unique(rows, return_index=True)[1]
+    uniq = inside[first]
+    chosen = np.sort(first[_maximal_rows(uniq)])
+    points = tuple(candidates[k] for k in keep[chosen].tolist())
+    signatures = tuple(frozenset(np.flatnonzero(row).tolist()) for row in inside[chosen])
     return CandidateClasses(points, signatures, len(bodies))
 
 
@@ -354,7 +356,8 @@ def run_pipeline(
     t0 = time.perf_counter()
     arcs_all = [body_curve_arcs(b, curve) for b in bodies]
     filtered = tuple(i for i, arcs in enumerate(arcs_all) if not arcs)
-    active_idx = [i for i in range(len(bodies)) if i not in set(filtered)]
+    skip = set(filtered)
+    active_idx = [i for i in range(len(bodies)) if i not in skip]
     if not active_idx:
         raise PipelineError("validate: no body meets the curve")
     active = [bodies[i] for i in active_idx]

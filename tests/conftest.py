@@ -3,8 +3,20 @@
 import itertools
 import math
 
+from hypothesis import strategies as st
+
 from pierce.geometry import TWO_PI, ConvexBody
 from pierce.witness import WitnessList, WitnessPoint
+
+# Squares and triangles on a half-unit grid, so that shared vertices, shared
+# edges, nesting and corner contacts come up often.
+grid = st.integers(0, 8).map(lambda k: k / 2)
+grid_square = st.tuples(grid, grid, st.integers(1, 6)).map(
+    lambda t: [(t[0], t[1]), (t[0] + t[2] / 2, t[1]),
+               (t[0] + t[2] / 2, t[1] + t[2] / 2), (t[0], t[1] + t[2] / 2)])
+grid_triangle = st.lists(st.tuples(grid, grid), min_size=3, max_size=3).filter(
+    lambda v: (v[1][0] - v[0][0]) * (v[2][1] - v[0][1])
+    != (v[1][1] - v[0][1]) * (v[2][0] - v[0][0]))
 
 
 def arc_body(body_id: int, lo: float, hi: float) -> ConvexBody:

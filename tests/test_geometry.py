@@ -1,9 +1,14 @@
+import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pierce import geometry
 from pierce.errors import InvalidBodyError
 from pierce.geometry import (
     FULL_CIRCLE,
@@ -24,6 +29,9 @@ from pierce.geometry import (
     normalize_angle,
     segment_intersection,
 )
+from pierce.instances import gallery7, gen_pairwise
+
+from conftest import grid, grid_square, grid_triangle
 
 
 def square(body_id, x0, y0, side=1.0):
@@ -238,6 +246,72 @@ def test_candidate_points_two_squares():
             (0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5),
             (1.0, 0.5), (0.5, 1.0)}
     assert set(cands) == base
+
+
+def _edges(body):
+    vs = [(float(x), float(y)) for x, y in body.vertices]
+    if len(vs) < 3:  # a segment body has one edge, a point body none
+        return list(zip(vs[:-1], vs[1:]))
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
+def _apart(a, b, tol):
+    (ax0, ay0), (ax1, ay1) = a.vertices.min(axis=0), a.vertices.max(axis=0)
+    (bx0, by0), (bx1, by1) = b.vertices.min(axis=0), b.vertices.max(axis=0)
+    return ax1 < bx0 - tol or bx1 < ax0 - tol or ay1 < by0 - tol or by1 < ay0 - tol
+
+
+def reference_candidates(bodies, tol=geometry.TOL_GEOM):
+    """Vertices, then segment_intersection over (i, j, edge of i, edge of j)."""
+    out = [(float(x), float(y)) for body in bodies for x, y in body.vertices]
+    for a, b in itertools.combinations(bodies, 2):
+        if _apart(a, b, tol):
+            continue
+        for a1, a2 in _edges(a):
+            for b1, b2 in _edges(b):
+                pt = segment_intersection(a1, a2, b1, b2, tol)
+                if pt is not None:
+                    out.append(pt)
+    return out
+
+
+_grid_point = st.tuples(grid, grid).map(lambda v: [v])
+_grid_segment = st.lists(st.tuples(grid, grid), min_size=2, max_size=2, unique=True)
+# A shape moved 10 units right has a bounding box apart from every unmoved one.
+_grid_shape = st.tuples(
+    st.one_of(grid_square, grid_triangle, _grid_segment, _grid_point), st.booleans()
+).map(lambda t: [(x + 10.0 * t[1], y) for x, y in t[0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_grid_shape, max_size=7), st.sampled_from([1, 5, 64, geometry._CHUNK]))
+@example([], geometry._CHUNK)
+@example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]], 1)  # shared vertex
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 0), (2, 0), (2, 1), (1, 1)]], 5)  # shared edge
+@example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 0), (3, 0)], [(1, 1)]], 1)  # collinear edges
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 2), (1, 3)], [(0, 3), (1, 4)]], 64)  # parallel
+@example([[(0, 0), (1, 0), (0, 1)], [(10, 0), (11, 0), (10, 1)], [(0.5, 0.5)]], 1)  # apart
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (4, 1e-10)]], 1)  # parallel within tol
+def test_candidate_points_match_reference(shapes, chunk):
+    # chunk sets the edge pairs per numpy block; 1 and 5 split body pairs over blocks.
+    bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
+    with mock.patch.object(geometry, "_CHUNK", chunk):
+        got = candidate_points(bodies)
+    want = reference_candidates(bodies)
+    assert [tuple(map(float, p)) for p in want] == got
+    assert all(type(c) is float for p in got for c in p)
+
+
+@pytest.mark.parametrize("instance, count, digest", [
+    (gallery7, 140, "3565b0659cdddd0ac61f5499a914e700d99323682624a08e65d481a4bf4b4001"),
+    (lambda: gen_pairwise(12, 3), 1482,
+     "d4bea6232305ded6c5ccf2ae042535dc25dee21480c9f1746dc4cfbe1626a679"),
+], ids=["gallery7", "pairwise12"])
+def test_candidate_points_golden(instance, count, digest):
+    # Class representatives are first occurrences, so the order is pinned too.
+    cands = candidate_points(instance().bodies)
+    assert len(cands) == count
+    assert hashlib.sha256(np.asarray(cands).tobytes()).hexdigest() == digest
 
 
 def test_face_census_two_squares():

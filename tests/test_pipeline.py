@@ -20,6 +20,8 @@ from pierce.geometry import (
 from pierce.instances import gallery7, gen_clustered, gen_pairwise
 from pierce.meetgraph import build_meet_graph, verify_p2
 from pierce.pipeline import (
+    HARD_MULTISET_CAP,
+    MULTISET_BUDGET,
     PipelineConfig,
     candidate_classes,
     fractional_packing,
@@ -31,7 +33,7 @@ from pierce.pipeline import (
     _maximal_rows,
 )
 
-from conftest import arc_body
+from conftest import arc_body, grid_square, grid_triangle
 
 
 def box(body_id: int, cx: float, cy: float, r: float = 0.4) -> ConvexBody:
@@ -65,19 +67,8 @@ def test_candidate_classes_incomplete():
         candidate_classes(bodies, candidates=[(0.0, 0.0)])
 
 
-# Squares and triangles on a half-unit grid, so that shared vertices, shared
-# edges, nesting and corner contacts come up often.
-_grid = st.integers(0, 8).map(lambda k: k / 2)
-_square = st.tuples(_grid, _grid, st.integers(1, 6)).map(
-    lambda t: [(t[0], t[1]), (t[0] + t[2] / 2, t[1]),
-               (t[0] + t[2] / 2, t[1] + t[2] / 2), (t[0], t[1] + t[2] / 2)])
-_triangle = st.lists(st.tuples(_grid, _grid), min_size=3, max_size=3).filter(
-    lambda v: (v[1][0] - v[0][0]) * (v[2][1] - v[0][1])
-    != (v[1][1] - v[0][1]) * (v[2][0] - v[0][0]))
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(_square, _triangle), min_size=1, max_size=6))
+@given(st.lists(st.one_of(grid_square, grid_triangle), min_size=1, max_size=6))
 @example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]])  # shared vertex
 @example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 0), (2, 0), (2, 1), (1, 1)]])  # shared edge
 @example([[(0, 0), (3, 0), (3, 3), (0, 3)], [(1, 1), (2, 1), (2, 2), (1, 2)]])  # nested
@@ -94,6 +85,32 @@ def test_vertex_candidates_find_every_maximal_class(shapes):
     # An eighth-unit grid over the shapes' range reaches cells no vertex is near.
     sample = [(i / 8, j / 8) for i in range(57) for j in range(57)]
     assert got == set(candidate_classes(bodies, candidates=nudged + sample).signatures)
+
+
+def reference_classes(bodies):
+    """First point of each nonempty signature, dominated ones dropped."""
+    cands = candidate_points(bodies)
+    reps = {}
+    for pt, row in zip(cands, containment_matrix(bodies, cands)):
+        sig = frozenset(np.flatnonzero(row).tolist())
+        if sig and sig not in reps:
+            reps[sig] = pt  # dicts keep first-occurrence order
+    return [(pt, sig) for sig, pt in reps.items() if not any(sig < s for s in reps)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_candidate_classes_packed_dedup_matches_frozensets(n):
+    # 7, 8, 9 and 17 bodies put the last signature bit just inside, at, and
+    # past a byte of np.packbits padding.
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        bodies = [box(i, *(rng.integers(0, 9, size=2) / 2), r=float(rng.integers(1, 5)) / 2)
+                  for i in range(n)]
+        cc = candidate_classes(bodies)
+        want = reference_classes(bodies)
+        assert list(cc.points) == [pt for pt, _ in want]
+        assert list(cc.signatures) == [sig for _, sig in want]
+        assert n < 9 or any(max(sig) >= 8 for sig in cc.signatures)
 
 
 def test_maximal_rows_against_bruteforce():
@@ -210,6 +227,17 @@ def test_replicate_errors():
         replicate(bodies, (-1,))
     with pytest.raises(PipelineError):
         replicate(bodies, (50_001,))
+
+
+def test_replicate_cap_bounds_the_witness_list():
+    # _multiset_witness_list is quadratic in the copies, so the cap is a
+    # small multiple of the budget run_pipeline aims for.
+    assert HARD_MULTISET_CAP == 2 * MULTISET_BUDGET
+    bodies = [box(0, 0.0, 0.0)]
+    multi, origin = replicate(bodies, (HARD_MULTISET_CAP,))
+    assert len(multi) == HARD_MULTISET_CAP and set(origin) == {0}
+    with pytest.raises(PipelineError):
+        replicate(bodies, (HARD_MULTISET_CAP + 1,))
 
 
 def test_replicate_preserves_meeting_condition():
