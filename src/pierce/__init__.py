@@ -3,7 +3,7 @@
 from .geometry import ConvexBody, CurveModel, UNIT_CIRCLE
 from .instances import Instance, gallery7, gen_clustered, gen_pairwise
 from .instances import load_instance, save_instance
-from .pipeline import PipelineConfig, TransversalReport, run_pipeline
+from .pipeline import TransversalReport, run_pipeline
 from .reports import load_report, save_report, verify_report
 from .witness import WitnessList, build_witness_list, find_heavy_point
 
@@ -14,7 +14,6 @@ __all__ = [
     "CurveModel",
     "UNIT_CIRCLE",
     "Instance",
-    "PipelineConfig",
     "TransversalReport",
     "WitnessList",
     "build_witness_list",

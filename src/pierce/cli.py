@@ -24,7 +24,7 @@ from .instances import (
     save_instance,
 )
 from .meetgraph import build_meet_graph, turan_pair_check
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import run_pipeline
 from .reports import load_report, save_report, verify_report
 from .svg import render_svg
 from .witness import build_witness_list, is_spread_out
@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the full rounding pipeline")
     solve.add_argument("instance")
     solve.add_argument("-o", "--output", help="report file (default stdout)")
-    solve.add_argument("--trials", type=int, default=2000)
-    solve.add_argument("--seed", type=int, default=0)
 
     oracle = sub.add_parser("oracle", help="exact minimum transversal by search")
     oracle.add_argument("instance")
@@ -107,8 +105,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    cfg = PipelineConfig(seed=args.seed, trials=args.trials)
-    report = run_pipeline(instance.bodies, instance.curve, instance.p, cfg)
+    report = run_pipeline(instance.bodies, instance.curve, instance.p)
     for name, value in report.flags.items():
         logger.info("flag %s = %s", name, value)
     if args.output:

@@ -25,10 +25,6 @@ class ConditionNotSatisfiedError(PierceError):
     """Raised when an operation requires the p-subset meeting condition and it fails."""
 
 
-class EmptyMultisetError(PierceError):
-    """Raised when replication is asked to build a multiset with no elements."""
-
-
 class GenerationError(PierceError):
     """Raised when an instance generator fails its post-check after retries."""
 

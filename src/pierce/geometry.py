@@ -326,6 +326,23 @@ def arcs_common_point(a: list[AngularInterval], b: list[AngularInterval]) -> flo
     return best.midpoint
 
 
+def meet_angles(arcs: list[list[AngularInterval]]) -> np.ndarray:
+    """Symmetric table of arcs_common_point over all pairs of arc sets.
+
+    Entry [i, j] is where bodies i and j meet on the curve, NaN when they do
+    not; the diagonal [i, i] is a point of body i's own arcs, NaN when it has
+    none. One table serves the meet graph and the witness lists.
+    """
+    n = len(arcs)
+    out = np.full((n, n), np.nan)
+    for i in range(n):
+        for j in range(i, n):
+            angle = arcs_common_point(arcs[i], arcs[j])
+            if angle is not None:
+                out[i, j] = out[j, i] = angle
+    return out
+
+
 def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
                          tol: float = TOL_GEOM) -> Point2 | None:
     """Intersection point of two closed segments, or None.

@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConditionNotSatisfiedError
-from .geometry import TOL_GEOM, ConvexBody, CurveModel, arcs_common_point, body_curve_arcs
+from .geometry import TOL_GEOM, ConvexBody, CurveModel, body_curve_arcs, meet_angles
 
 EXACT_INDEPENDENCE_CAP = 40
 
@@ -62,15 +64,19 @@ class ColorGraph:
 
 
 def build_meet_graph(
-    bodies: list[ConvexBody], curve: CurveModel, tol: float = TOL_GEOM
+    bodies: list[ConvexBody],
+    curve: CurveModel,
+    tol: float = TOL_GEOM,
+    angles: np.ndarray | None = None,
 ) -> ColorGraph:
-    """Edge (i, j) whenever bodies i and j share a point of the curve."""
-    arcs = [body_curve_arcs(b, curve, tol) for b in bodies]
-    edges = set()
-    for i, j in itertools.combinations(range(len(bodies)), 2):
-        if arcs_common_point(arcs[i], arcs[j]) is not None:
-            edges.add((i, j))
-    return ColorGraph(len(bodies), frozenset(edges))
+    """Edge (i, j) whenever bodies i and j share a point of the curve.
+
+    angles is the bodies' meet_angles table when the caller already has it.
+    """
+    if angles is None:
+        angles = meet_angles([body_curve_arcs(b, curve, tol) for b in bodies])
+    i, j = np.nonzero(np.triu(~np.isnan(angles), 1))
+    return ColorGraph(len(bodies), frozenset(zip(i.tolist(), j.tolist())))
 
 
 def _has_independent_set(graph: ColorGraph, size: int) -> bool:

@@ -3,10 +3,12 @@
 The chain: deduplicate candidate points into maximal containment classes,
 solve the fractional transversal and fractional packing programs (an exact
 dual pair over the same 0/1 matrix), turn the packing weights into integer
-multiplicities m(S)/D, replicate the family into a multiset, extract a heavy
-point from the multiset's witness list, and finish with a greedy verified
-hitting set.  Every stage's claim is re-checked and the outcome recorded in
-the report flags rather than trusted.
+multiplicities m(S)/D, extract a heavy point from the witness list of the
+multiset with m(S) copies of each body S, and finish with a greedy verified
+hitting set.  Copies of a body share its arcs and meet angles, so the
+multiset is never built: its witness list is the bodies' meet angles with
+body S weighted by m(S).  Every stage's claim is re-checked and the outcome
+recorded in the report flags rather than trusted.
 """
 
 from __future__ import annotations
@@ -18,31 +20,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    EmptyMultisetError,
-    IncompleteCandidatesError,
-    PipelineError,
-)
+from .errors import IncompleteCandidatesError, PipelineError
 from .geometry import (
     TOL_GEOM,
     UNIT_CIRCLE,
     ConvexBody,
     CurveModel,
     Point2,
-    arcs_common_point,
     body_curve_arcs,
     candidate_points,
     containment_matrix,
+    meet_angles,
 )
 from .lp import GEQ, LEQ, LPProblem, lp_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
-from .witness import WitnessList, WitnessPoint, find_heavy_point
+from .witness import WeightedWitnessList, find_heavy_point
 
 DUALITY_TOL = 1e-6
 MAX_DENOMINATOR = 10_000
 MULTISET_BUDGET = 500
-# _multiset_witness_list is quadratic in the multiset size.
-HARD_MULTISET_CAP = 2 * MULTISET_BUDGET
 
 
 @dataclass(frozen=True)
@@ -111,18 +107,6 @@ class TransversalReport:
             "flags": dict(self.flags),
             "stages": dict(self.timings),
         }
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """The one run config: the heavy-point sampler's seed and trial count."""
-
-    seed: int = 0
-    trials: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
 
 def candidate_classes(
@@ -270,28 +254,6 @@ def rationalize(
     return tuple(m), d
 
 
-def replicate(
-    bodies: list[ConvexBody], m
-) -> tuple[list[ConvexBody], tuple[int, ...]]:
-    """Multiset with m[i] copies of body i; returns (copies, origin indices)."""
-    if len(m) != len(bodies):
-        raise ValueError("one multiplicity per body required")
-    if any(int(v) != v or v < 0 for v in m):
-        raise ValueError("multiplicities must be nonnegative integers")
-    total = int(sum(m))
-    if total == 0:
-        raise EmptyMultisetError("all multiplicities are zero")
-    if total > HARD_MULTISET_CAP:
-        raise PipelineError(f"multiset size {total} exceeds cap {HARD_MULTISET_CAP}")
-    out: list[ConvexBody] = []
-    origin: list[int] = []
-    for i, body in enumerate(bodies):
-        for _ in range(int(m[i])):
-            out.append(ConvexBody(len(out), body.vertices, body.normals, body.offsets))
-            origin.append(i)
-    return out, tuple(origin)
-
-
 def greedy_transversal(
     bodies: list[ConvexBody], candidates: list[Point2] | None = None
 ) -> list[Point2]:
@@ -319,35 +281,27 @@ def _interior_point(body: ConvexBody) -> Point2:
     return (float(c[0]), float(c[1]))
 
 
-def _multiset_witness_list(
-    arcs, origin: tuple[int, ...]
-) -> WitnessList:
-    """Witness list for the replicated family, reusing original meet angles."""
-    n_orig = len(arcs)
-    pair_angle: dict[tuple[int, int], float | None] = {}
-    for i in range(n_orig):
-        for j in range(i, n_orig):
-            pair_angle[(i, j)] = arcs_common_point(arcs[i], arcs[j])
-    entries = []
-    total = len(origin)
-    for a in range(total):
-        for b in range(a + 1, total):
-            i, j = origin[a], origin[b]
-            ang = pair_angle[(min(i, j), max(i, j))]
-            if ang is None:
-                continue
-            entries.append(WitnessPoint(ang, (a, b)))
-    return WitnessList.from_entries(entries)
+def _multiset_witness_list(angles: np.ndarray, m) -> WeightedWitnessList:
+    """Witness list of the multiset with m[i] copies of body i, as weighted colors.
+
+    angles is the bodies' meet_angles table. The entries are the meeting
+    pairs of bodies with m > 0, and each body with m >= 2 paired with itself
+    at its diagonal angle, where its copies meet each other.
+    """
+    weights = np.asarray(m, dtype=np.int64)
+    used = weights > 0
+    meets = ~np.isnan(angles) & used[:, None] & used[None, :]
+    meets[np.diag_indices_from(meets)] &= weights >= 2
+    i, j = np.nonzero(np.triu(meets))
+    return WeightedWitnessList(angles[i, j], np.stack([i, j], axis=1), weights)
 
 
 def run_pipeline(
     bodies: list[ConvexBody],
     curve: CurveModel = UNIT_CIRCLE,
     p: int = 2,
-    config: PipelineConfig | None = None,
 ) -> TransversalReport:
     """Full rounding chain from a family to a verified integer transversal."""
-    cfg = config or PipelineConfig()
     if not bodies:
         raise PipelineError("validate: no bodies supplied")
     timings: dict[str, float] = {}
@@ -366,9 +320,10 @@ def run_pipeline(
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    angles = meet_angles(arcs)
     # For p = 2 verify_p2 only counts edges, so the exact-search cap does not apply.
     if p_eff == 2 or len(active) <= EXACT_INDEPENDENCE_CAP:
-        graph = build_meet_graph(active, curve)
+        graph = build_meet_graph(active, curve, angles=angles)
         flags["condition_checked"] = True
         flags["condition_holds"] = verify_p2(graph, p_eff)
     else:
@@ -402,26 +357,13 @@ def run_pipeline(
     timings["rationalize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    multiset, origin = replicate(active, m)
-    timings["replicate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    q_multi = _multiset_witness_list(arcs, origin)
+    q_multi = _multiset_witness_list(angles, m)
     timings["witnesses"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if len(q_multi) == 0:
-        ang = arcs_common_point(arcs[0], arcs[0])
-        z = curve.point_at(ang)
-        inside = containment_matrix(multiset, [z], TOL_GEOM)
-        covered = int(inside.sum())
-    else:
-        heavy = find_heavy_point(
-            q_multi, multiset, curve, trials=cfg.trials, seed=cfg.seed
-        )
-        z = heavy.point
-        covered = heavy.covered
-    total = len(multiset)
+    heavy = find_heavy_point(q_multi, active, curve)
+    z, covered = heavy.point, heavy.covered
+    total = sum(m)
     epsilon = covered / total
     flags["coverage_le_denominator"] = covered <= d
     slack = len(active) / d + 1e-9

@@ -3,14 +3,17 @@
 A report is the JSON form of a TransversalReport.  verify_report loads one
 next to its instance and re-derives every claim from scratch: geometry of
 the output points, the dual program values, exact integer feasibility of
-the multiplicities, and the heavy-point accounting.  It trusts nothing in
-the file beyond the numbers it is checking.
+the multiplicities, and the heavy-point accounting, whose recount may
+exceed neither D nor the heaviest class load max(classes.matrix() @ m).
+It trusts nothing in the file beyond the numbers it is checking.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from .geometry import TOL_GEOM, body_contains, containment_matrix
 from .instances import Instance
@@ -78,8 +81,8 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
             f"tau_star {report['tau_star']} != re-solved value {ft.size:.9f}"
         )
 
-    for sig in classes.signatures:
-        load = sum(m[i] for i in sig)
+    loads = classes.matrix() @ np.asarray(m, dtype=np.int64)
+    for sig, load in zip(classes.signatures, loads.tolist()):
         if load > d:
             failures.append(f"multiplicity sum {load} > D={d} at class {sorted(sig)}")
             break
@@ -98,6 +101,11 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
             )
         if recount > d:
             failures.append(f"heavy coverage {recount} exceeds D={d}")
+        best_load = int(loads.max())
+        if recount > best_load:
+            failures.append(
+                f"heavy coverage {recount} exceeds the best class load {best_load}"
+            )
         if total > 0:
             eps = recount / total
             if abs(eps - float(cov["epsilon"])) > 1e-9:

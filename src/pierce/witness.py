@@ -20,9 +20,11 @@ from .geometry import (
     ConvexBody,
     CurveModel,
     Point2,
+    arcs_common_point,
     body_contains,
     body_curve_arcs,
-    arcs_common_point,
+    containment_matrix,
+    meet_angles,
     normalize_angle,
     segment_intersection,
 )
@@ -82,18 +84,30 @@ class WitnessList:
 def build_witness_list(bodies: list[ConvexBody], curve: CurveModel,
                        tol: float = TOL_GEOM) -> WitnessList:
     """One witness per body pair whose curve arcs share a point."""
-    arcs = [body_curve_arcs(b, curve, tol) for b in bodies]
-    entries = []
-    for i in range(len(bodies)):
-        if not arcs[i]:
-            continue
-        for j in range(i + 1, len(bodies)):
-            if not arcs[j]:
-                continue
-            angle = arcs_common_point(arcs[i], arcs[j])
-            if angle is not None:
-                entries.append(WitnessPoint(angle, (i, j)))
-    return WitnessList.from_entries(entries)
+    angles = meet_angles([body_curve_arcs(b, curve, tol) for b in bodies])
+    i, j = np.nonzero(np.triu(~np.isnan(angles), 1))
+    return WitnessList.from_entries(
+        WitnessPoint(float(angles[a, b]), (a, b)) for a, b in zip(i.tolist(), j.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedWitnessList:
+    """The witness list of a multiset, one color per distinct body.
+
+    Color i stands for weights[i] identical copies of body i. Copies share
+    their arcs, so every copy of i meets every copy of j at the same angle,
+    and copies of i meet each other at one angle of i's own arcs. The
+    entries are therefore the meeting pairs (i, j), i < j, of colors with
+    positive weight, plus (i, i) for each color of weight two or more;
+    len() counts these entries.
+    """
+
+    angles: np.ndarray   # (E,) meet angle of each entry, in [0, 2*pi)
+    pairs: np.ndarray    # (E, 2) the entry's two colors, i <= j
+    weights: np.ndarray  # weight of each color, indexed like the bodies
+
+    def __len__(self) -> int:
+        return len(self.angles)
 
 
 def circ_distance(a: int, b: int, n: int) -> int:
@@ -344,7 +358,12 @@ def separator_angles(q: WitnessList, quad) -> tuple[float, float, float, float]:
 
 def piercing_point(curve: CurveModel, q: WitnessList, quad) -> Point2:
     """Crossing of the two diagonal chords spanned by the four separators."""
-    ya, yb, yc, yd = separator_angles(q, quad)
+    return _chord_crossing(curve, separator_angles(q, quad))
+
+
+def _chord_crossing(curve: CurveModel, angles) -> Point2:
+    """Crossing of the chords ya-yc and yb-yd for separators (ya, yb, yc, yd)."""
+    ya, yb, yc, yd = angles
     spread = max(_angle_gap(x, y) for x, y in itertools.combinations((ya, yb, yc, yd), 2))
     if spread <= TOL_GEOM:
         raise DegenerateQuadrupleError("all separators collapse to one angle")
@@ -399,8 +418,8 @@ class HeavyPointResult:
 EXHAUSTIVE_LIMIT = 60
 
 
-def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel,
-                     strategy: str = "exhaustive", trials: int = 2000,
+def find_heavy_point(q: WitnessList | WeightedWitnessList, bodies: list[ConvexBody],
+                     curve: CurveModel, strategy: str = "exhaustive", trials: int = 2000,
                      seed: int = 0) -> HeavyPointResult:
     """Best piercing point over separator quadruples, with geometric recount.
 
@@ -416,12 +435,18 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel
     Cost: scoring is numpy work in bounded chunks, O(C(N, 4)) table lookups
     when exhaustive and O(colors * trials) when sampled; the sampler makes
     one rng.choice call per trial, so it runs at Python speed.
+
+    A WeightedWitnessList is searched by _weighted_heavy_point instead,
+    always exhaustively and without a seed; strategy, trials and seed apply
+    to a plain WitnessList only.
     """
+    if isinstance(q, WeightedWitnessList):
+        return _weighted_heavy_point(q, bodies, curve)
     n = len(q)
     if n == 0:
         raise InsufficientWitnessesError("empty witness list")
     angles = q.angles
-    distinct = _distinct_angles(angles)
+    distinct = _angle_runs(angles)[0]
     if n < 4 or len(distinct) < 2:
         return _fallback_heavy_point(q, bodies, curve, distinct)
 
@@ -439,18 +464,98 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody], curve: CurveModel
         # An unpierced quadruple's point need not lie in any body, while a
         # witness angle always lies in both of its colors.
         return _fallback_heavy_point(q, bodies, curve, distinct)
-    # The order of a stable argsort of -pierced, one count at a time: the
-    # first quadruple usually gives a point, and the rest are never sorted.
-    for value in np.flatnonzero(np.bincount(pierced))[::-1]:
-        for rank in np.flatnonzero(pierced == value):
-            quad = tuple(int(v) for v in quads[rank])
-            try:
-                z = piercing_point(curve, q, quad)
-            except DegenerateQuadrupleError:
-                continue
-            covered = sum(1 for b in bodies if body_contains(b, z))
-            return HeavyPointResult(point=z, covered=covered, pierced=int(value), quad=quad)
+    for value, rank in _by_decreasing_score(pierced):
+        quad = tuple(int(v) for v in quads[rank])
+        try:
+            z = piercing_point(curve, q, quad)
+        except DegenerateQuadrupleError:
+            continue
+        covered = sum(1 for b in bodies if body_contains(b, z))
+        return HeavyPointResult(point=z, covered=covered, pierced=value, quad=quad)
     return _fallback_heavy_point(q, bodies, curve, distinct)
+
+
+def _weighted_heavy_point(q: WeightedWitnessList, bodies: list[ConvexBody],
+                          curve: CurveModel) -> HeavyPointResult:
+    """Heaviest point of a weighted list: separators pinned at meet angles.
+
+    The A distinct angles of the entries (merged within TOL_GEOM by
+    _angle_runs) are the only separator positions, and every
+    quadruple of them is scored: color i adds weights[i] when each closed
+    arc [a, b], [b, c], [c, d], [d, a] holds one of its angles, since its
+    copies then contain both chords' crossing. Past EXHAUSTIVE_LIMIT angles,
+    the EXHAUSTIVE_LIMIT with the most occurrence weight (the total weight of
+    the colors meeting there) are kept, ties to the smaller angle.
+    Quadruples are tried by decreasing score, ties in combinations order;
+    the first whose chords cross is recounted as the weight of the bodies
+    containing it. The result is that point or, when it covers more, the
+    best point of the curve at a distinct angle, scored the same way; pierced
+    is then the angle's occurrence weight and quad None. A quadruple's quad
+    indexes the distinct angles in increasing order.
+
+    Separators in the gaps between distinct angles are left out: a
+    separator pinned at either neighbouring angle closes both arcs beside it
+    over a superset of occurrences, so it never pierces less, and only
+    pinned separators pierce bodies whose meets are all at their vertices.
+
+    Cost: O(C(min(A, EXHAUSTIVE_LIMIT), 4)) table lookups in numpy, and one
+    containment_matrix call for the A angle points.
+    """
+    if not q.weights.any():
+        raise InsufficientWitnessesError("no color has positive weight")
+    if len(q) == 0:
+        # No two copies meet on the curve, so no curve point lies in two of
+        # them, and a point of the heaviest body's arcs is the best one.
+        i = int(np.argmax(q.weights))
+        arcs = body_curve_arcs(bodies[i], curve)
+        z = curve.point_at(arcs_common_point(arcs, arcs))
+        count = int(containment_matrix(bodies, [z])[0] @ q.weights)
+        return HeavyPointResult(point=z, covered=count, pierced=int(q.weights[i]), quad=None)
+    distinct, present = _occurrences(q)
+    at_angle = q.weights @ present
+    points = [curve.point_at(t) for t in distinct]
+    covered = containment_matrix(bodies, points) @ q.weights
+    k = int(np.argmax(covered))
+    best = HeavyPointResult(point=points[k], covered=int(covered[k]),
+                            pierced=int(at_angle[k]), quad=None)
+
+    keep = np.arange(len(distinct))
+    if len(keep) > EXHAUSTIVE_LIMIT:
+        keep = np.sort(np.lexsort((distinct, -at_angle))[:EXHAUSTIVE_LIMIT])
+    if len(keep) < 4:
+        return best
+    quads = _all_quadruples(len(keep))
+    for value, rank in _by_decreasing_score(_weighted_scores(present[:, keep], q.weights, quads)):
+        quad = tuple(int(v) for v in keep[quads[rank]])
+        try:
+            z = _chord_crossing(curve, [distinct[v] for v in quad])
+        except DegenerateQuadrupleError:
+            continue
+        count = int(containment_matrix(bodies, [z])[0] @ q.weights)
+        if count >= best.covered:
+            best = HeavyPointResult(point=z, covered=count, pierced=value, quad=quad)
+        break
+    return best
+
+
+def _occurrences(q: WeightedWitnessList) -> tuple[list[float], np.ndarray]:
+    """The list's distinct angles, and whether each color occurs at each one."""
+    distinct, run = _angle_runs(q.angles.tolist())
+    present = np.zeros((len(q.weights), len(distinct)), dtype=bool)
+    present[q.pairs[:, 0], run] = True
+    present[q.pairs[:, 1], run] = True
+    return distinct, present
+
+
+def _by_decreasing_score(scores: np.ndarray):
+    """(score, row) pairs in the order of a stable argsort of -scores.
+
+    Made one score at a time: the first row usually gives a point, and the
+    rest are never sorted.
+    """
+    for value in np.flatnonzero(np.bincount(scores))[::-1]:
+        for rank in np.flatnonzero(scores == value):
+            yield int(value), int(rank)
 
 
 def _all_quadruples(n: int) -> np.ndarray:
@@ -475,14 +580,24 @@ def _all_quadruples(n: int) -> np.ndarray:
     return quads
 
 
-def _distinct_angles(angles: list[float], tol: float = TOL_GEOM) -> list[float]:
+def _angle_runs(angles: list[float],
+                tol: float = TOL_GEOM) -> tuple[list[float], np.ndarray]:
+    """Distinct angles, and the index of the one each input angle merges into.
+
+    In sorted order an angle within tol of the current run's first angle
+    joins that run, which its first angle represents; a last run within tol
+    of the first one across 2*pi joins the first.
+    """
     out: list[float] = []
-    for t in sorted(angles):
-        if not out or t - out[-1] > tol:
-            out.append(t)
+    run = np.empty(len(angles), dtype=np.intp)
+    for k in sorted(range(len(angles)), key=angles.__getitem__):
+        if not out or angles[k] - out[-1] > tol:
+            out.append(angles[k])
+        run[k] = len(out) - 1
     if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= tol:
         out.pop()
-    return out
+        run[run == len(out)] = 0
+    return out, run
 
 
 def _fallback_heavy_point(q: WitnessList, bodies, curve, distinct) -> HeavyPointResult:
@@ -553,6 +668,49 @@ def _pierced_counts(q: WitnessList, quads: np.ndarray) -> np.ndarray:
         ka, kb, kc, kd = k[:, a], k[:, b], k[:, c], k[:, d]
         hit = (ka < kb) & (kb < kc) & (kc < kd) & ((kd < m[ranks, None]) | (ka > 0))
         totals += hit.sum(axis=0)
+    return totals
+
+
+def _weighted_scores(present: np.ndarray, weights: np.ndarray,
+                     quads: np.ndarray) -> np.ndarray:
+    """Pierced weight of each row (a, b, c, d), a < b < c < d < A, of quads.
+
+    present[i, x] says color i occurs at distinct angle x. Color i adds
+    weights[i] when each closed circular arc [a, b], [b, c], [c, d] and
+    [d, a] holds one of its occurrences; only colors at two or more angles
+    can. The arc presence is built once, as an A x A table of color bits
+    packed in bytes; each row ANDs four lookups, and every byte of the
+    result turns into weight through a 256-entry table of that byte's
+    colors.
+    """
+    n_angles = present.shape[1]
+    live = (weights > 0) & (present.sum(axis=1) >= 2)
+    present, weights = present[live], weights[live]
+    totals = np.zeros(quads.shape[0], dtype=np.int64)
+    if not len(weights) or not quads.shape[0]:
+        return totals
+    # k[i, x]: occurrences of color i below angle x.
+    k = np.zeros((len(weights), n_angles + 1), dtype=np.int64)
+    np.cumsum(present, axis=1, out=k[:, 1:])
+    wraps = np.arange(n_angles)[:, None] > np.arange(n_angles)[None, :]
+    table = np.zeros((n_angles * n_angles, -(-len(weights) // 8)), dtype=np.uint8)
+    step = 8 * max(1, _CHUNK // (8 * n_angles * n_angles))  # whole bytes of colors per block
+    for r0 in range(0, len(weights), step):
+        kb = k[r0:r0 + step]
+        # Occurrences in [x, y], or in [x, A) and [0, y] when the arc wraps.
+        count = kb[:, None, 1:] - kb[:, :-1, None] + np.where(wraps, kb[:, -1, None, None], 0)
+        packed = np.packbits(count > 0, axis=0, bitorder="little")
+        table[:, r0 // 8:r0 // 8 + packed.shape[0]] = packed.reshape(packed.shape[0], -1).T
+    padded = np.zeros(8 * table.shape[1], dtype=np.int64)
+    padded[:len(weights)] = weights
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    byte_weight = byte_bits.astype(np.int64) @ padded.reshape(-1, 8).T  # (value, byte)
+    byte = np.arange(table.shape[1])
+    for lo in range(0, quads.shape[0], _CHUNK):
+        a, b, c, d = quads[lo:lo + _CHUNK].T.astype(np.intp)
+        hit = (table[a * n_angles + b] & table[b * n_angles + c]
+               & table[c * n_angles + d] & table[d * n_angles + a])
+        totals[lo:lo + _CHUNK] = byte_weight[hit, byte].sum(axis=1)
     return totals
 
 

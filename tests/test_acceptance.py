@@ -37,7 +37,6 @@ from pierce.meetgraph import (
     verify_p2,
 )
 from pierce.pipeline import (
-    PipelineConfig,
     candidate_classes,
     fractional_packing,
     fractional_transversal,
@@ -273,8 +272,7 @@ def test_criterion_09_end_to_end_hundred_bodies():
     hp = find_heavy_point(q, inst.bodies, inst.curve, strategy="random",
                           trials=2000, seed=0)
     mean_pierced = expected_pierced(q)
-    cfg = PipelineConfig()
-    report = run_pipeline(inst.bodies, inst.curve, inst.p, cfg)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
     pts = list(report.transversal)
     mat = containment_matrix(inst.bodies, pts)
     all_hit = bool(mat.any(axis=0).all())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pierce.errors import EmptyMultisetError, IncompleteCandidatesError, PipelineError
+from pierce.errors import IncompleteCandidatesError, PipelineError
 from pierce.geometry import (
     NUDGE_EPS,
     TWO_PI,
@@ -17,21 +17,17 @@ from pierce.geometry import (
     candidate_points,
     containment_matrix,
 )
-from pierce.instances import gallery7, gen_clustered, gen_pairwise
-from pierce.meetgraph import build_meet_graph, verify_p2
+from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import (
-    HARD_MULTISET_CAP,
-    MULTISET_BUDGET,
-    PipelineConfig,
     candidate_classes,
     fractional_packing,
     fractional_transversal,
     greedy_transversal,
     rationalize,
-    replicate,
     run_pipeline,
     _maximal_rows,
 )
+from pierce.reports import verify_report
 
 from conftest import arc_body, grid_square, grid_triangle
 
@@ -202,51 +198,6 @@ def test_rationalize_stays_feasible_on_lp_outputs():
             assert total <= d
 
 
-# ---------------------------------------------------------------- replicate
-
-
-def test_replicate_identity_and_copies():
-    bodies = [box(0, 0.0, 0.0), box(1, 3.0, 0.0)]
-    multi, origin = replicate(bodies, (1, 1))
-    assert origin == (0, 1)
-    assert [b.id for b in multi] == [0, 1]
-    assert np.array_equal(multi[0].vertices, bodies[0].vertices)
-
-    multi, origin = replicate(bodies, (2, 0))
-    assert origin == (0, 0)
-    assert all(np.array_equal(b.vertices, bodies[0].vertices) for b in multi)
-
-
-def test_replicate_errors():
-    bodies = [box(0, 0.0, 0.0)]
-    with pytest.raises(EmptyMultisetError):
-        replicate(bodies, (0,))
-    with pytest.raises(ValueError):
-        replicate(bodies, (1, 1))
-    with pytest.raises(ValueError):
-        replicate(bodies, (-1,))
-    with pytest.raises(PipelineError):
-        replicate(bodies, (50_001,))
-
-
-def test_replicate_cap_bounds_the_witness_list():
-    # _multiset_witness_list is quadratic in the copies, so the cap is a
-    # small multiple of the budget run_pipeline aims for.
-    assert HARD_MULTISET_CAP == 2 * MULTISET_BUDGET
-    bodies = [box(0, 0.0, 0.0)]
-    multi, origin = replicate(bodies, (HARD_MULTISET_CAP,))
-    assert len(multi) == HARD_MULTISET_CAP and set(origin) == {0}
-    with pytest.raises(PipelineError):
-        replicate(bodies, (HARD_MULTISET_CAP + 1,))
-
-
-def test_replicate_preserves_meeting_condition():
-    inst = gen_clustered(3, 6, seed=2)
-    multi, _ = replicate(inst.bodies, (2, 1, 1, 1, 2, 1))
-    graph = build_meet_graph(multi, inst.curve)
-    assert verify_p2(graph, inst.p)
-
-
 def test_fractional_transversal_covers_gallery():
     bodies = gallery7().bodies
     mat = candidate_classes(bodies).matrix()
@@ -318,19 +269,80 @@ def test_run_pipeline_checks_pairwise_condition_past_exact_cap():
     assert report.flags["condition_holds"]
 
 
+def inscribed(body_id: int, angles) -> ConvexBody:
+    return ConvexBody.from_vertices(body_id, [(math.cos(a), math.sin(a)) for a in angles])
+
+
+FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+
+
+def fano(place) -> list[ConvexBody]:
+    """PG(2,2)'s lines as triangles on seven evenly spaced circle points."""
+    return [inscribed(i, [TWO_PI * place[v] / 7 for v in line])
+            for i, line in enumerate(FANO_LINES)]
+
+
+def three_bodies() -> Instance:
+    # m = (0, 1, 1): the two weighted bodies do not meet, so the multiset's
+    # witness list is empty, and body 0 carries no copy.
+    return Instance([inscribed(0, (0.1, 0.3, 3.3, 5.0)), inscribed(1, (0.0, 0.3, 0.6)),
+                     inscribed(2, (3.0, 3.3, 3.6))], p=3)
+
+
 def test_run_pipeline_heavy_point_covers_a_copy():
-    # PG(2,2) inscribed with its seven points reordered on the circle: the
-    # multiset's witness list has no quadruple that pierces any color.
-    lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
-    place = (0, 1, 2, 4, 5, 3, 6)
-    bodies = [
-        ConvexBody.from_vertices(i, [(math.cos(TWO_PI * place[v] / 7),
-                                      math.sin(TWO_PI * place[v] / 7)) for v in line])
-        for i, line in enumerate(lines)
-    ]
-    report = run_pipeline(bodies, UNIT_CIRCLE, 2)
+    # PG(2,2) inscribed with its seven points reordered on the circle: no
+    # quadruple of separators in the gaps between meet angles pierces a color.
+    report = run_pipeline(fano((0, 1, 2, 4, 5, 3, 6)), UNIT_CIRCLE, 2)
     assert report.heavy_coverage > 0
     assert report.flags["tau_epsilon_consistent"]
+
+
+def test_run_pipeline_heavy_point_with_no_meeting_copies():
+    inst = three_bodies()
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert report.multiplicities == (0, 1, 1) and report.denominator == 1
+    assert report.heavy_coverage >= 1
+    assert report.flags["tau_epsilon_consistent"]
+    assert verify_report(inst, report.to_dict()) == []
+
+
+# Pinned transversal, tau_star, m and D of each family. The heavy point
+# feeds none of them, so a change to its search must leave them as they are.
+GUARD = {
+    "gallery7": (
+        ((-0.07789159301375048, -0.24602172220539184), (1.0, 0.0),
+         (-0.22252093395631434, 0.9749279121818236)),
+        2.142857142857143, (3, 3, 2, 2, 2, 2, 1), 7),
+    "three_bodies": (
+        ((0.955336489125606, 0.29552020666133955), (-0.9874797699088649, -0.1577456941432482)),
+        2.0, (0, 1, 1), 1),
+    "fano": (
+        ((1.0, 0.0), (-0.6920214716300959, 1.1102230246251565e-16),
+         (0.6234898018587336, 0.7818314824680298)),
+        2.3333333333333335, (1, 1, 1, 1, 1, 1, 1), 3),
+    "fano_reordered": (
+        ((0.3215520660538953, 0.15485131363667792), (-0.9009688679024191, -0.433883739117558)),
+        2.0, (0, 1, 1, 1, 0, 1, 0), 2),
+}
+
+
+def _guard_instance(name: str) -> Instance:
+    if name == "gallery7":
+        return gallery7()
+    if name == "three_bodies":
+        return three_bodies()
+    return Instance(fano(range(7) if name == "fano" else (0, 1, 2, 4, 5, 3, 6)), p=2)
+
+
+@pytest.mark.parametrize("name", sorted(GUARD))
+def test_run_pipeline_pins_the_rounding_outputs(name):
+    inst = _guard_instance(name)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    transversal, tau_star, m, d = GUARD[name]
+    assert np.allclose(report.transversal, transversal, rtol=0.0, atol=1e-12)
+    assert report.tau_star == pytest.approx(tau_star, abs=1e-12)
+    assert report.multiplicities == m and report.denominator == d
+    assert verify_report(inst, report.to_dict()) == []
 
 
 def test_run_pipeline_filters_off_curve_bodies():
@@ -351,17 +363,10 @@ def test_run_pipeline_errors():
         run_pipeline([box(0, 9.0, 9.0, 0.5)])
 
 
-def test_pipeline_config_validation():
-    assert PipelineConfig() == PipelineConfig(seed=0, trials=2000)
-    with pytest.raises(ValueError):
-        PipelineConfig(trials=0)
-
-
 def test_run_pipeline_deterministic_report():
     inst = gen_clustered(3, 12, seed=5)
-    cfg = PipelineConfig(seed=11, trials=500)
-    a = run_pipeline(inst.bodies, inst.curve, inst.p, cfg).to_dict()
-    b = run_pipeline(inst.bodies, inst.curve, inst.p, cfg).to_dict()
+    a = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    b = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
     a.pop("stages")
     b.pop("stages")
     assert a == b

@@ -4,17 +4,28 @@ import math
 import numpy as np
 import pytest
 from conftest import arc_body, random_pair_list, synthetic_list
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pierce.errors import DegenerateQuadrupleError, InsufficientWitnessesError
-from pierce.geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, body_contains
+from pierce.geometry import (
+    TWO_PI,
+    UNIT_CIRCLE,
+    ConvexBody,
+    body_contains,
+    body_curve_arcs,
+    meet_angles,
+)
+from pierce.pipeline import _multiset_witness_list
 from pierce.witness import (
     EXHAUSTIVE_LIMIT,
     HeavyPointResult,
     _all_quadruples,
+    _occurrences,
     _pierced_counts,
+    _weighted_scores,
     SeparatorQuadruple,
+    WeightedWitnessList,
     WitnessList,
     WitnessPoint,
     build_witness_list,
@@ -453,6 +464,100 @@ def test_find_heavy_point_golden(seed, k, n, kwargs, quad, pierced, covered, poi
     got = find_heavy_point(q, bodies, UNIT_CIRCLE, **kwargs)
     assert (got.quad, got.pierced, got.covered) == (quad, pierced, covered)
     assert got.point == pytest.approx(point, abs=1e-12)
+
+
+def _replicated_list(angles: np.ndarray, m) -> WitnessList:
+    """The multiset's witness list with every copy a color of its own.
+
+    Copy a of body i and copy b of body j meet at the bodies' meet angle;
+    this is the list the weighted search stands in for.
+    """
+    origin = [i for i, w in enumerate(m) for _ in range(w)]
+    entries = [WitnessPoint(float(angles[origin[a], origin[b]]), (a, b))
+               for a, b in itertools.combinations(range(len(origin)), 2)
+               if not np.isnan(angles[origin[a], origin[b]])]
+    return WitnessList.from_entries(entries)
+
+
+@st.composite
+def _weighted_family(draw):
+    """Arc bodies with multiplicities up to 3. Arc ends sit on a grid of
+    sixteenths of the circle, so distinct pairs often meet at one angle."""
+    k = draw(st.integers(2, 6))
+    bodies = []
+    for i in range(k):
+        lo = draw(st.integers(0, 15)) * TWO_PI / 16
+        bodies.append(arc_body(i, lo, lo + draw(st.integers(1, 7)) * TWO_PI / 16))
+    m = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    return bodies, m
+
+
+def _best_weighted_score(q) -> int:
+    """Best score of the weighted search: a distinct angle's occurrence
+    weight, or a quadruple of distinct angles' pierced weight."""
+    distinct, present = _occurrences(q)
+    best = int((q.weights @ present).max())
+    if len(distinct) >= 4:
+        scores = _weighted_scores(present, q.weights, _all_quadruples(len(distinct)))
+        best = max(best, int(scores.max()))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_family())
+def test_weighted_search_dominates_the_replicated_list(case):
+    bodies, m = case
+    angles = meet_angles([body_curve_arcs(b, UNIT_CIRCLE) for b in bodies])
+    ref = _replicated_list(angles, m)
+    assume(4 <= len(ref) <= EXHAUSTIVE_LIMIT)
+    # Every quadruple of the copies' list, gap separators included.
+    old_best = int(_pierced_counts(ref, _all_quadruples(len(ref))).max())
+    q = _multiset_witness_list(angles, m)
+    best = _best_weighted_score(q)
+    assert best >= old_best
+    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
+    assert got.covered >= got.pierced
+    assert got.covered >= best
+
+
+def test_weighted_search_keeps_the_heaviest_angles():
+    bodies = _arc_family(44, 14)
+    m = [1 + i % 3 for i in range(len(bodies))]
+    q = _multiset_witness_list(meet_angles([body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]), m)
+    distinct, present = _occurrences(q)
+    assert len(distinct) == 68
+    weight = np.asarray(m) @ present
+    keep = sorted(sorted(range(68), key=lambda x: (-weight[x], distinct[x]))[:EXHAUSTIVE_LIMIT])
+    scores = _weighted_scores(present[:, keep], q.weights, _all_quadruples(len(keep)))
+    top = tuple(keep[v] for v in _all_quadruples(len(keep))[int(np.argmax(scores))])
+    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
+    assert (got.quad, got.pierced) == (top, int(scores.max()))
+    assert got.covered >= got.pierced
+    # No seed: the sampler's arguments change nothing.
+    assert find_heavy_point(q, bodies, UNIT_CIRCLE, strategy="random", seed=9) == got
+
+
+def test_weighted_search_breaks_weight_ties_by_angle():
+    # 61 angles of one entry each, all of occurrence weight 2: the largest
+    # angle is the one left out. Every body holds the whole circle, so all
+    # points tie on coverage and the best quadruple is returned.
+    n = EXHAUSTIVE_LIMIT + 1
+    pairs = np.array([(k % 5, 5 + k % 7) for k in range(n)])
+    q = WeightedWitnessList(TWO_PI * np.arange(n) / n, pairs, np.ones(12, dtype=np.int64))
+    square = [(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)]
+    bodies = [ConvexBody.from_vertices(i, square) for i in range(12)]
+    distinct, present = _occurrences(q)
+    quads = _all_quadruples(EXHAUSTIVE_LIMIT)
+
+    def top(keep):
+        scores = _weighted_scores(present[:, keep], q.weights, quads)
+        return tuple(int(keep[v]) for v in quads[int(np.argmax(scores))]), int(scores.max())
+
+    low, high = top(np.arange(n - 1)), top(np.arange(1, n))
+    assert low != high
+    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
+    assert (got.quad, got.pierced) == low
+    assert got.covered == 12
 
 
 def test_separator_quadruple_validation():
