@@ -254,15 +254,8 @@ def rationalize(
     return tuple(m), d
 
 
-def greedy_transversal(
-    bodies: list[ConvexBody], candidates: list[Point2] | None = None
-) -> list[Point2]:
+def greedy_transversal(classes: CandidateClasses) -> list[Point2]:
     """Greedy maximum-coverage hitting set over candidate classes."""
-    classes = candidate_classes(bodies, candidates)
-    return _greedy_from_classes(classes)
-
-
-def _greedy_from_classes(classes: CandidateClasses) -> list[Point2]:
     mat = classes.matrix()
     unhit = np.ones(classes.n_bodies, dtype=bool)
     picks: list[Point2] = []
@@ -371,7 +364,7 @@ def run_pipeline(
     timings["heavy_point"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    picks = _greedy_from_classes(classes)
+    picks = greedy_transversal(classes)
     flags["greedy_within_log_bound"] = (
         len(picks) <= tau_star * (1 + math.log(max(len(active), 1))) + 1
     )

@@ -1,9 +1,13 @@
 """Circular witness lists, spread-out colors, and separator quadruples.
 
 A witness list records, for every pair of bodies that meet on the curve, one
-curve angle where they do, tagged with the two body indices as colors. All
-combinatorics below run on entry indices of the sorted list; distances are
-circular index distances, never angles.
+curve angle where they do, tagged with the two body indices as colors. The
+paper's combinatorics (spread-out colors, interval covers, quadruples that
+pierce a color and their counts) run on entry indices of the sorted list;
+distances there are circular index distances, never angles. The heavy-point
+search, find_heavy_point, instead pins its separators at the list's distinct
+angles and weighs each color, so one search serves a plain list (unit
+weights) and the weighted list of a multiset.
 """
 
 import itertools
@@ -21,7 +25,6 @@ from .geometry import (
     CurveModel,
     Point2,
     arcs_common_point,
-    body_contains,
     body_curve_arcs,
     containment_matrix,
     meet_angles,
@@ -293,20 +296,8 @@ def three_interval_cover(q: WitnessList, color: int,
     return None
 
 
-@dataclass(frozen=True)
-class SeparatorQuadruple:
-    """Four distinct entry indices in increasing order."""
-
-    indices: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        a, b, c, d = self.indices
-        if not (0 <= a < b < c < d):
-            raise ValueError("separator indices must be distinct and increasing")
-
-
 def _quad_indices(quad) -> tuple[int, int, int, int]:
-    idx = quad.indices if isinstance(quad, SeparatorQuadruple) else tuple(quad)
+    idx = tuple(quad)
     if len(idx) != 4:
         raise ValueError("a separator quadruple needs exactly four indices")
     a, b, c, d = idx
@@ -409,6 +400,13 @@ def expected_pierced(q: WitnessList) -> float:
 
 @dataclass(frozen=True)
 class HeavyPointResult:
+    """A heavy point z, the weight of the bodies containing it, and its score.
+
+    quad holds four indices into the searched list's distinct angles, in
+    increasing order, when z is the crossing of their chords; it is None when
+    z is the curve point at one distinct angle, or a point of one body's arcs.
+    """
+
     point: Point2
     covered: int
     pierced: int
@@ -419,65 +417,13 @@ EXHAUSTIVE_LIMIT = 60
 
 
 def find_heavy_point(q: WitnessList | WeightedWitnessList, bodies: list[ConvexBody],
-                     curve: CurveModel, strategy: str = "exhaustive", trials: int = 2000,
-                     seed: int = 0) -> HeavyPointResult:
-    """Best piercing point over separator quadruples, with geometric recount.
+                     curve: CurveModel) -> HeavyPointResult:
+    """Heaviest point of a witness list: separators pinned at meet angles.
 
-    Enumerates all quadruples when strategy is exhaustive and N <= 60, else
-    samples trials quadruples from the given seed. Quadruples are tried by
-    decreasing pierced-color count, ties by enumeration order, and the first
-    whose separator chords cross wins. covered counts the bodies containing
-    the returned point via body_contains, which is never below the
-    pierced-color count of the winning quadruple. Lists shorter than four
-    entries, with all angles coincident, or where no quadruple pierces any
-    color, fall back to the best witness angle itself.
-
-    Cost: scoring is numpy work in bounded chunks, O(C(N, 4)) table lookups
-    when exhaustive and O(colors * trials) when sampled; the sampler makes
-    one rng.choice call per trial, so it runs at Python speed.
-
-    A WeightedWitnessList is searched by _weighted_heavy_point instead,
-    always exhaustively and without a seed; strategy, trials and seed apply
-    to a plain WitnessList only.
-    """
-    if isinstance(q, WeightedWitnessList):
-        return _weighted_heavy_point(q, bodies, curve)
-    n = len(q)
-    if n == 0:
-        raise InsufficientWitnessesError("empty witness list")
-    angles = q.angles
-    distinct = _angle_runs(angles)[0]
-    if n < 4 or len(distinct) < 2:
-        return _fallback_heavy_point(q, bodies, curve, distinct)
-
-    if strategy not in ("exhaustive", "random"):
-        raise ValueError("strategy must be 'exhaustive' or 'random'")
-    if strategy == "exhaustive" and n <= EXHAUSTIVE_LIMIT:
-        quads = _all_quadruples(n)
-    else:
-        rng = np.random.default_rng(seed)
-        quads = np.array([rng.choice(n, size=4, replace=False) for _ in range(trials)])
-        quads.sort(axis=1)
-
-    pierced = _pierced_counts(q, quads)
-    if not pierced.any():
-        # An unpierced quadruple's point need not lie in any body, while a
-        # witness angle always lies in both of its colors.
-        return _fallback_heavy_point(q, bodies, curve, distinct)
-    for value, rank in _by_decreasing_score(pierced):
-        quad = tuple(int(v) for v in quads[rank])
-        try:
-            z = piercing_point(curve, q, quad)
-        except DegenerateQuadrupleError:
-            continue
-        covered = sum(1 for b in bodies if body_contains(b, z))
-        return HeavyPointResult(point=z, covered=covered, pierced=value, quad=quad)
-    return _fallback_heavy_point(q, bodies, curve, distinct)
-
-
-def _weighted_heavy_point(q: WeightedWitnessList, bodies: list[ConvexBody],
-                          curve: CurveModel) -> HeavyPointResult:
-    """Heaviest point of a weighted list: separators pinned at meet angles.
+    A plain WitnessList is searched as a weighted list with weight 1 for
+    every body, so its colors must be indices into bodies; ValueError names
+    the first color that is not. An empty plain list raises
+    InsufficientWitnessesError, since its bodies need not meet the curve.
 
     The A distinct angles of the entries (merged within TOL_GEOM by
     _angle_runs) are the only separator positions, and every
@@ -490,8 +436,8 @@ def _weighted_heavy_point(q: WeightedWitnessList, bodies: list[ConvexBody],
     the first whose chords cross is recounted as the weight of the bodies
     containing it. The result is that point or, when it covers more, the
     best point of the curve at a distinct angle, scored the same way; pierced
-    is then the angle's occurrence weight and quad None. A quadruple's quad
-    indexes the distinct angles in increasing order.
+    is then the angle's occurrence weight and quad None. An empty weighted
+    list gives a point of the heaviest body's arcs.
 
     Separators in the gaps between distinct angles are left out: a
     separator pinned at either neighbouring angle closes both arcs beside it
@@ -501,6 +447,15 @@ def _weighted_heavy_point(q: WeightedWitnessList, bodies: list[ConvexBody],
     Cost: O(C(min(A, EXHAUSTIVE_LIMIT), 4)) table lookups in numpy, and one
     containment_matrix call for the A angle points.
     """
+    if isinstance(q, WitnessList):
+        if len(q) == 0:
+            raise InsufficientWitnessesError("empty witness list")
+        foreign = [c for c in q.colors if not 0 <= c < len(bodies)]
+        if foreign:
+            raise ValueError(f"witness color {foreign[0]} is not an index into bodies")
+        pairs = np.array([w.colors for w in q.entries], dtype=np.intp).reshape(-1, 2)
+        q = WeightedWitnessList(np.array(q.angles, dtype=float), pairs,
+                                np.ones(len(bodies), dtype=np.int64))
     if not q.weights.any():
         raise InsufficientWitnessesError("no color has positive weight")
     if len(q) == 0:
@@ -600,75 +555,8 @@ def _angle_runs(angles: list[float],
     return out, run
 
 
-def _fallback_heavy_point(q: WitnessList, bodies, curve, distinct) -> HeavyPointResult:
-    best = None
-    for t in distinct:
-        z = curve.point_at(t)
-        covered = sum(1 for b in bodies if body_contains(b, z))
-        if best is None or covered > best.covered:
-            best = HeavyPointResult(point=z, covered=covered, pierced=0, quad=None)
-    return best
-
-
-# Cells (colors x quadruples, or quadruples) one scoring step holds at once.
+# Cells (colors x angle pairs, or quadruples) one scoring step holds at once.
 _CHUNK = 1 << 15
-
-
-def _pierced_counts(q: WitnessList, quads: np.ndarray) -> np.ndarray:
-    """Colors pierced by each row (a, b, c, d), a < b < c < d < N, of quads.
-
-    With k(x) the number of a color's occurrences below index x and m their
-    total, the color is pierced when k(a) < k(b) < k(c) < k(d) and either
-    k(d) < m or k(a) > 0: each of the circular intervals [a, b), [b, c),
-    [c, d) and [d, a) holds an occurrence. Only colors occurring four or more
-    times can be pierced. When the N x N interval table is no larger than
-    the quadruple count it is built once, as presence bits packed over
-    colors, and each row ANDs four lookups; otherwise each block of colors
-    compares prefix counts taken at the rows' distinct indices.
-    """
-    n = len(q)
-    occs = [occ for occ in map(q.occurrences, q.colors) if len(occ) >= 4]
-    totals = np.zeros(quads.shape[0], dtype=np.int64)
-    if not occs or not quads.shape[0]:
-        return totals
-    m = np.array([len(occ) for occ in occs])
-    # keys[j] = rank * (N + 1) + index: every occurrence, sorted by color rank.
-    keys = np.concatenate([np.asarray(occ) + r * (n + 1) for r, occ in enumerate(occs)])
-    base = np.concatenate(([0], np.cumsum(m)[:-1]))
-
-    def prefix(ranks: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        # k at every position for each color rank: one searchsorted in all.
-        at = np.searchsorted(keys, ranks[:, None] * (n + 1) + positions[None, :])
-        return at - base[ranks, None]
-
-    if n * n <= quads.shape[0]:
-        table = np.zeros((n * n, 8 * -(-len(occs) // 64)), dtype=np.uint8)
-        forward = np.arange(n)[:, None] < np.arange(n)[None, :]
-        step = 8 * max(1, _CHUNK // (8 * n * n))  # whole bytes of colors per block
-        for r0 in range(0, len(occs), step):
-            ranks = np.arange(r0, min(r0 + step, len(occs)))
-            k = prefix(ranks, np.arange(n))
-            diff = k[:, None, :] - k[:, :, None]  # k(y) - k(x) for the interval [x, y)
-            present = np.where(forward, diff > 0, diff > -m[ranks, None, None])
-            packed = np.packbits(present, axis=0, bitorder="little").reshape(-1, n * n)
-            table[:, r0 // 8:r0 // 8 + packed.shape[0]] = packed.T
-        table = table.view(np.uint64)
-        for lo in range(0, quads.shape[0], _CHUNK):
-            a, b, c, d = quads[lo:lo + _CHUNK].T.astype(np.intp)
-            hit = table[a * n + b] & table[b * n + c] & table[c * n + d] & table[d * n + a]
-            totals[lo:lo + _CHUNK] = _popcount(hit).sum(axis=1)
-        return totals
-
-    positions, inverse = np.unique(quads, return_inverse=True)
-    a, b, c, d = inverse.reshape(quads.shape).T
-    step = max(1, _CHUNK // max(len(positions), quads.shape[0]))
-    for r0 in range(0, len(occs), step):
-        ranks = np.arange(r0, min(r0 + step, len(occs)))
-        k = prefix(ranks, positions)
-        ka, kb, kc, kd = k[:, a], k[:, b], k[:, c], k[:, d]
-        hit = (ka < kb) & (kb < kc) & (kc < kd) & ((kd < m[ranks, None]) | (ka > 0))
-        totals += hit.sum(axis=0)
-    return totals
 
 
 def _weighted_scores(present: np.ndarray, weights: np.ndarray,
@@ -712,15 +600,6 @@ def _weighted_scores(present: np.ndarray, weights: np.ndarray,
                & table[c * n_angles + d] & table[d * n_angles + a])
         totals[lo:lo + _CHUNK] = byte_weight[hit, byte].sum(axis=1)
     return totals
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64, by SWAR (np.bitwise_count needs numpy 2)."""
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    pairs = np.uint64(0x3333333333333333)
-    x = (x & pairs) + ((x >> np.uint64(2)) & pairs)
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
 def coverage_rate_bound(alpha: float) -> float:

@@ -269,8 +269,7 @@ def test_criterion_09_end_to_end_hundred_bodies():
     t0 = time.perf_counter()
     inst = gen_pairwise(100, seed=0)
     q = build_witness_list(inst.bodies, inst.curve)
-    hp = find_heavy_point(q, inst.bodies, inst.curve, strategy="random",
-                          trials=2000, seed=0)
+    hp = find_heavy_point(q, inst.bodies, inst.curve)
     mean_pierced = expected_pierced(q)
     report = run_pipeline(inst.bodies, inst.curve, inst.p)
     pts = list(report.transversal)

@@ -54,7 +54,7 @@ def test_candidate_classes_nested_signature_dominated():
     # every point of the inner square lies in the outer one, so the lone
     # maximal class is {0,1} and one point covers both bodies
     assert cc.signatures == (frozenset({0, 1}),)
-    assert len(greedy_transversal([outer, inner])) == 1
+    assert len(greedy_transversal(candidate_classes([outer, inner]))) == 1
 
 
 def test_candidate_classes_incomplete():
@@ -210,14 +210,14 @@ def test_fractional_transversal_covers_gallery():
 
 
 def test_greedy_examples():
-    assert len(greedy_transversal([box(0, 0.0, 0.0)])) == 1
+    assert len(greedy_transversal(candidate_classes([box(0, 0.0, 0.0)]))) == 1
 
     boxes = [box(i, 3.0 * i, 0.0) for i in range(4)]
-    picks = greedy_transversal(boxes)
+    picks = greedy_transversal(candidate_classes(boxes))
     assert len(picks) == 4
 
     bodies = gallery7().bodies
-    picks = greedy_transversal(bodies)
+    picks = greedy_transversal(candidate_classes(bodies))
     assert len(picks) >= 3
     inside = containment_matrix(bodies, picks)
     assert inside.any(axis=0).all()
@@ -343,6 +343,23 @@ def test_run_pipeline_pins_the_rounding_outputs(name):
     assert report.tau_star == pytest.approx(tau_star, abs=1e-12)
     assert report.multiplicities == m and report.denominator == d
     assert verify_report(inst, report.to_dict()) == []
+
+
+@pytest.mark.parametrize("name", ["clustered", "fano", "fano_reordered", "gallery7"])
+def test_tau_star_and_classes_do_not_depend_on_body_order(name):
+    # D, m, z and the transversal may move with the order: the LP vertex and
+    # greedy's ties follow the body indices. tau* and the classes may not.
+    inst = gen_clustered(4, 16, seed=0) if name == "clustered" else _guard_instance(name)
+    n = len(inst.bodies)
+    tau_star = run_pipeline(inst.bodies, inst.curve, inst.p).tau_star
+    signatures = set(candidate_classes(inst.bodies).signatures)
+    for order in (list(range(n))[::-1], np.random.default_rng(0).permutation(n).tolist()):
+        bodies = [inst.bodies[i] for i in order]
+        report = run_pipeline(bodies, inst.curve, inst.p)
+        assert report.tau_star == pytest.approx(tau_star, abs=1e-9)
+        relabelled = {frozenset(order[j] for j in sig)
+                      for sig in candidate_classes(bodies).signatures}
+        assert relabelled == signatures
 
 
 def test_run_pipeline_filters_off_curve_bodies():
