@@ -7,15 +7,19 @@ cos(d/2 t)), circularly ordered.  Separator tuples grow from the planar
 quadruple to a size determined only by the dimension, and the spread-out /
 short-cover dichotomy carries over with the tuple size in place of four.
 
-Crossing counts for the moment curve are computed exactly over the rationals
-with Sturm chains; the closed curve falls back to dense sign sampling.
+Crossing counts for the moment curve are exact: the float data, dyadic
+rationals, are scaled to an integer polynomial, and a Sturm chain of integer
+pseudo-remainders counts its distinct real roots, with each member's sign at
++-infinity read from its leading coefficient and degree.  The closed curve
+falls back to dense sign sampling, vectorized over the sample grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .witness import (
     IndexInterval,
@@ -63,88 +67,108 @@ def separator_tuple_size(d: int) -> int:
 
 
 def curve_point(spec: CurveSpecD, t: float) -> PointD:
-    """Point of the curve at parameter t."""
+    """Point of the curve at parameter t; for an array t, coordinate arrays."""
     if spec.kind == MOMENT:
         return tuple(t**k for k in range(1, spec.d + 1))
     out: list[float] = []
     for k in range(1, spec.d // 2 + 1):
-        out.append(math.sin(k * t))
-        out.append(math.cos(k * t))
+        out.append(np.sin(k * t))
+        out.append(np.cos(k * t))
     return tuple(out)
 
 
 # ----------------------------------------------------------------- Sturm
 
-Poly = list[Fraction]
+IntPoly = list[int]  # coefficients, constant term first, leading one nonzero
 
 
-def _poly_trim(p: Poly) -> Poly:
+def _trim(p: IntPoly) -> IntPoly:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(q, r) with |lc(b)|^(deg a - deg b + 1) a = q b + r and deg r < deg b.
+
+    The scale makes every quotient coefficient an integer, and being
+    positive, it leaves q and r positive multiples of the quotient and
+    remainder of a by b over the rationals.
+    """
+    lead = b[-1]
+    quo = [0] * (len(a) - len(b) + 1)
+    rem = [abs(lead) ** len(quo) * c for c in a]
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        factor = quo[shift] = rem[-1] // lead  # exact, by the scale
+        for i, c in enumerate(b):
+            rem[i + shift] -= factor * c
+        rem.pop()
+        _trim(rem)
+    return quo, rem
 
 
-def _poly_deriv(p: Poly) -> Poly:
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def _poly_rem(num: Poly, den: Poly) -> Poly:
-    out = _poly_trim(list(num))
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(out) - 1 >= dn:
-        shift = len(out) - 1 - dn
-        factor = out[-1] / lead
-        for i, c in enumerate(den):
-            out[i + shift] -= factor * c
-        out.pop()
-        _poly_trim(out)
-    return out
-
-
-def _sturm_chain(p: Poly) -> list[Poly]:
-    # Standard chain: p, p', then negated remainders until a constant or a
-    # vanishing remainder (the latter means p had multiple roots; stopping at
-    # the gcd still counts distinct roots, as the whole chain is then a
-    # common multiple of a proper chain for the square-free part).
-    chain = [_poly_trim(list(p))]
-    if len(chain[0]) > 1:
-        chain.append(_poly_trim(_poly_deriv(chain[0])))
+def _sturm_chain(p: IntPoly) -> list[IntPoly]:
+    # p (degree >= 1), p', then negated remainders, each scaled by a positive
+    # integer (pseudo-division, then content removal) so the sign pattern is
+    # that of the rational chain, until a constant or a vanishing remainder.
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
-        rem = _poly_trim(_poly_rem(chain[-2], chain[-1]))
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
-        scale = abs(rem[-1])  # positive, so the sign pattern is unchanged
-        chain.append([-c / scale for c in rem])
-    return [c for c in chain if c]
+        content = math.gcd(*rem)
+        chain.append([-c // content for c in rem])
+    gcd = chain[-1]
+    if len(gcd) > 1:
+        # p has multiple roots and the chain stopped at gcd(p, p').  Dividing
+        # it out leaves a chain for the square-free part, so each root counts
+        # once, also at an endpoint that is a multiple root (where every
+        # undivided member vanishes).  Elsewhere the division multiplies all
+        # signs by the same sign and leaves the variations as they were.
+        chain = [_pseudo_divmod(q, gcd)[0] for q in chain]
+    return chain
 
 
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_at(p: IntPoly, num: int, den: int) -> int:
+    # Sign of p(num/den) for den > 0: Horner on den^deg(p) p(num/den).
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_at_infinity(p: IntPoly, positive: bool) -> int:
+    lead = 1 if p[-1] > 0 else -1
+    return lead if positive or len(p) % 2 == 1 else -lead
+
+
+def _variations(signs: list[int]) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _distinct_roots_between(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of p in (lo, hi], exactly, via a Sturm chain."""
+def _distinct_roots(p: IntPoly, window: tuple[float, float] | None) -> int:
+    """Distinct real roots of p on the whole line, or in (lo, hi], exactly."""
     chain = _sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    if window is None:
+        lo = [_sign_at_infinity(q, False) for q in chain]
+        hi = [_sign_at_infinity(q, True) for q in chain]
+    else:
+        # floats are dyadic rationals, so each endpoint is num/den exactly
+        lo_r, hi_r = (x.as_integer_ratio() for x in window)
+        lo = [_sign_at(q, *lo_r) for q in chain]
+        hi = [_sign_at(q, *hi_r) for q in chain]
+    return _variations(lo) - _variations(hi)
 
 
-def _cauchy_bound(p: Poly) -> Fraction:
-    lead = abs(p[-1])
-    rest = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + rest / lead
+def _moment_poly(coeffs: list[float], offset: float) -> IntPoly:
+    # -offset + sum coeffs[k-1] t^k, scaled to integers by the common
+    # power-of-two denominator of its (dyadic) float coefficients
+    ratios = [c.as_integer_ratio() for c in [-offset, *coeffs]]
+    scale = max(den for _, den in ratios)
+    return _trim([num * (scale // den) for num, den in ratios])
 
 
 def hyperplane_crossings(
@@ -157,44 +181,51 @@ def hyperplane_crossings(
     """How often the curve crosses the hyperplane normal . x = offset.
 
     Moment curve: the composition is a polynomial of degree at most d, and
-    the count is its number of distinct real roots, computed exactly over
-    the rationals (whole line by default, or restricted to (lo, hi]).
+    the count is its number of distinct real roots (whole line by default,
+    or restricted to (lo, hi]).  It is exact: the float data are dyadic
+    rationals, scaled to an integer polynomial whose Sturm chain is built
+    from integer pseudo-remainders; whole-line counts read each member's
+    sign at +-infinity from its leading coefficient and degree, and window
+    counts evaluate the chain at the endpoints with integer Horner.
     Closed curve: sign changes of the composition over a dense circular
     sample (linear when an explicit t_range is given).
+
+    The normal, offset and t_range must be finite, with lo < hi.
     """
     coeffs = [float(c) for c in normal]
     if len(coeffs) != spec.d:
         raise ValueError("normal length must match the dimension")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError("hyperplane normal must be finite")
     if not any(c != 0.0 for c in coeffs):
         raise ValueError("hyperplane normal must be nonzero")
+    offset = float(offset)
+    if not math.isfinite(offset):
+        raise ValueError("hyperplane offset must be finite")
+    window = None
+    if t_range is not None:
+        window = (float(t_range[0]), float(t_range[1]))
+        if not all(math.isfinite(x) for x in window):
+            raise ValueError("t_range must be finite")
+        if window[0] >= window[1]:
+            raise ValueError("t_range must satisfy lo < hi")
 
     if spec.kind == MOMENT:
-        poly = _poly_trim([Fraction(-float(offset))] + [Fraction(c) for c in coeffs])
-        if len(poly) <= 1:
-            return 0
-        if t_range is None:
-            bound = _cauchy_bound(poly)
-            lo, hi = -bound, bound
-        else:
-            lo, hi = Fraction(float(t_range[0])), Fraction(float(t_range[1]))
-        return _distinct_roots_between(poly, lo, hi)
+        return _distinct_roots(_moment_poly(coeffs, offset), window)
 
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    closed = t_range is None
-    lo_f, hi_f = (0.0, 2.0 * math.pi) if closed else (float(t_range[0]), float(t_range[1]))
-
-    def f(t: float) -> float:
-        pt = curve_point(spec, t)
-        return sum(c * v for c, v in zip(coeffs, pt)) - float(offset)
-
-    step = (hi_f - lo_f) / samples
-    values = [f(lo_f + step * k) for k in range(samples if closed else samples + 1)]
-    signs = [1 if v > 0 else -1 for v in values if v != 0.0]
-    if len(signs) < 2:
+    lo, hi = (0.0, 2.0 * math.pi) if window is None else window
+    step = (hi - lo) / samples
+    t = lo + step * np.arange(samples if window is None else samples + 1)
+    values = sum(c * v for c, v in zip(coeffs, curve_point(spec, t))) - offset
+    positive = values[values != 0.0] > 0.0
+    if len(positive) < 2:
         return 0
-    pairs = zip(signs, signs[1:] + ([signs[0]] if closed else []))
-    return sum(1 for a, b in pairs if a != b)
+    changes = np.count_nonzero(positive[1:] != positive[:-1])
+    if window is None:
+        changes += positive[-1] != positive[0]
+    return int(changes)
 
 
 # ------------------------------------------------------- spread dichotomy

@@ -83,10 +83,7 @@ def _bland_simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> str:
     m, width = tab.shape
     k = width - 1
     while True:
-        reduced = cost.copy()
-        for i, b in enumerate(basis):
-            if cost[b] != 0.0:
-                reduced -= cost[b] * tab[i, :k]
+        reduced = cost - cost[basis] @ tab[:, :k]
         entering = -1
         for j in range(k):
             if reduced[j] < -TOL_LP:

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pierce.highdim import (
     CARATHEODORY,
@@ -58,6 +61,22 @@ def test_hyperplane_crossings_validation():
         hyperplane_crossings(spec, (0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         hyperplane_crossings(spec, (1.0, 0.0), 0.0)
+    nan, inf = float("nan"), float("inf")
+    for kind, d in ((MOMENT, 2), (CARATHEODORY, 2)):
+        spec = CurveSpecD(kind, d)
+        for normal, offset, t_range, bad in [
+            ((1.0, nan), 0.0, None, "normal"),
+            ((inf, 1.0), 0.0, None, "normal"),
+            ((1.0, -inf), 0.0, None, "normal"),
+            ((1.0, 1.0), nan, None, "offset"),
+            ((1.0, 1.0), inf, None, "offset"),
+            ((1.0, 1.0), 0.0, (5.0, -5.0), "t_range"),
+            ((1.0, 1.0), 0.0, (1.0, 1.0), "t_range"),
+            ((1.0, 1.0), 0.0, (nan, 1.0), "t_range"),
+            ((1.0, 1.0), 0.0, (0.0, inf), "t_range"),
+        ]:
+            with pytest.raises(ValueError, match=bad):
+                hyperplane_crossings(spec, normal, offset, t_range=t_range)
 
 
 def test_moment_crossings_simple():
@@ -103,6 +122,115 @@ def test_moment_crossings_never_exceed_dimension():
                 normal[0] = 1
             offset = float(rng.integers(-9, 10))
             assert hyperplane_crossings(spec, [float(v) for v in normal], offset) <= d
+
+
+T = sympy.Symbol("t")
+
+
+def _sympy_roots(coeffs, window) -> int:
+    """Distinct real roots of sum coeffs[i] t^i on the line, or in (lo, hi]."""
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], T, domain="QQ")
+    if window is None:
+        return int(poly.count_roots())
+    lo, hi = (sympy.Rational(x) for x in window)
+    # count_roots counts the closed interval [lo, hi]
+    return int(poly.count_roots(lo, hi)) - int(poly.eval(lo) == 0)
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def moment_inputs(draw):
+    """Coefficients (constant first) of degree 1-8, and a window or None.
+
+    Half are products of (t - r)^k, often with repeated roots, times a scale
+    and maybe t^2 + c; their windows often end at a root.  The other half
+    have arbitrary float coefficients, such as the non-dyadic 0.1.
+    """
+    roots: list[float] = []
+    if draw(st.booleans()):
+        coeffs = [Fraction(draw(st.sampled_from([1, -1, 2, -3, 0.5])))]
+        for r, k in draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)),
+                                  min_size=1, max_size=3)):
+            roots.append(r / 2)
+            for _ in range(k):
+                coeffs = _times(coeffs, [Fraction(-r, 2), Fraction(1)])
+        if draw(st.booleans()):
+            coeffs = _times(coeffs, [Fraction(draw(st.integers(1, 3))), 0, 1])
+        assume(len(coeffs) <= 9)
+        coeffs = [float(c) for c in coeffs]
+    else:
+        value = st.sampled_from([0.0, 0.1, -0.3, 1 / 3, 2.5, -7.0]) | st.floats(
+            -10, 10, allow_nan=False, allow_subnormal=False)
+        coeffs = draw(st.lists(value, min_size=2, max_size=9))
+        assume(any(c != 0.0 for c in coeffs[1:]))
+    end = st.floats(-8, 8, allow_nan=False, allow_subnormal=False)
+    if roots:
+        end = end | st.sampled_from(roots)
+    window = draw(st.none() | st.tuples(end, end).filter(lambda w: w[0] < w[1]))
+    return coeffs, window
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_inputs())
+# double roots at an endpoint: t^2 (1 - 2t) and t^2 (3 + t^4) on (0, 1];
+# then non-dyadic coefficients and endpoint
+@example(([0.0, 0.0, 1.0, -2.0], (0.0, 1.0)))
+@example(([0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 1.0], (0.0, 1.0)))
+@example(([-0.1, 0.1, 0.1], (-2.0, 0.1)))
+def test_moment_crossings_match_sympy(case):
+    coeffs, window = case
+    d = max(2, len(coeffs) - 1)
+    normal = coeffs[1:] + [0.0] * (d + 1 - len(coeffs))
+    spec = CurveSpecD(MOMENT, d)
+    assert hyperplane_crossings(spec, normal, -coeffs[0]) == _sympy_roots(coeffs, None)
+    if window is not None:
+        got = hyperplane_crossings(spec, normal, -coeffs[0], t_range=window)
+        assert got == _sympy_roots(coeffs, window)
+
+
+def _closed_crossings_reference(spec, normal, offset, t_range, samples=4096) -> int:
+    # one sample at a time, with the math module's sin and cos
+    closed = t_range is None
+    lo, hi = (0.0, 2.0 * math.pi) if closed else t_range
+    step = (hi - lo) / samples
+    values = []
+    for k in range(samples if closed else samples + 1):
+        t = lo + step * k
+        pt = [f(j * t) for j in range(1, spec.d // 2 + 1) for f in (math.sin, math.cos)]
+        values.append(sum(c * v for c, v in zip(normal, pt)) - offset)
+    signs = [1 if v > 0 else -1 for v in values if v != 0.0]
+    if len(signs) < 2:
+        return 0
+    pairs = zip(signs, signs[1:] + ([signs[0]] if closed else []))
+    return sum(1 for a, b in pairs if a != b)
+
+
+def test_closed_curve_counts_match_the_sampled_reference():
+    circle = CurveSpecD(CARATHEODORY, 2)
+    # sin t is exactly zero at the first sample
+    cases = [(circle, [1.0, 0.0], 0.0, None), (circle, [1.0, 0.0], 0.0, (0.0, math.pi))]
+    rng = np.random.default_rng(29)
+    for d in (2, 4, 6):
+        spec = CurveSpecD(CARATHEODORY, d)
+        for _ in range(20):
+            normal = rng.normal(size=d).tolist()
+            offset = float(rng.uniform(-1.0, 1.0))
+            lo = float(rng.uniform(-4.0, 4.0))
+            window = (lo, lo + float(rng.uniform(0.1, 7.0)))
+            cases += [(spec, normal, offset, None), (spec, normal, offset, window)]
+    counts = []
+    for spec, normal, offset, window in cases:
+        count = hyperplane_crossings(spec, normal, offset, t_range=window)
+        assert count == _closed_crossings_reference(spec, normal, offset, window)
+        counts.append(count)
+    assert len(set(counts)) > 2  # the inputs reach several counts
 
 
 def test_closed_curve_crossings():
