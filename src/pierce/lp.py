@@ -59,9 +59,14 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """values and objective at the optimum; duals[i] is the optimum's rate of
+    change in rhs[i], so a max problem's LEQ rows and a min problem's GEQ rows
+    get duals >= 0.  values and duals are empty unless status is optimal."""
+
     values: tuple[float, ...]
     objective: float
     status: str  # optimal | infeasible | unbounded
+    duals: tuple[float, ...] = ()
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -124,12 +129,12 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     a = np.asarray(problem.rows, dtype=float)
     b = np.asarray(problem.rhs, dtype=float)
-    senses = list(problem.senses)
-    for i in range(m):
-        if b[i] < 0.0:
-            a[i] = -a[i]
-            b[i] = -b[i]
-            senses[i] = GEQ if senses[i] == LEQ else LEQ
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    a *= flip[:, None]
+    b *= flip
+    senses = [
+        s if f > 0 else (GEQ if s == LEQ else LEQ) for s, f in zip(problem.senses, flip)
+    ]
 
     # Columns: n structural, m slack/surplus, then artificials for GEQ rows.
     art_rows = [i for i in range(m) if senses[i] == GEQ]
@@ -158,21 +163,14 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         infeas = sum(tab[i, k] for i in range(m) if basis[i] >= n + m)
         if infeas > TOL_LP:
             return LPSolution((), 0.0, "infeasible")
-        # Pivot any degenerate artificial out of the basis, or drop its row.
-        keep = []
+        # Pivot any degenerate artificial out of the basis.  A pivot always
+        # exists: pivots keep each surplus column the exact negative of its
+        # row's artificial column, so a basic artificial's row holds -1 in
+        # that surplus column, and no row is ever dropped as redundant.
         for i in range(m):
             if basis[i] >= n + m:
-                piv = next(
-                    (j for j in range(n + m) if abs(tab[i, j]) > 1e-8), None
-                )
-                if piv is None:
-                    continue  # redundant row
+                piv = next(j for j in range(n + m) if abs(tab[i, j]) > 1e-8)
                 _pivot(tab, basis, i, piv)
-            keep.append(i)
-        if len(keep) < m:
-            tab = tab[keep]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
 
     tab = np.hstack([tab[:, : n + m], tab[:, k:]])
     k = n + m
@@ -186,6 +184,12 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     for i, bcol in enumerate(basis):
         x[bcol] = tab[i, k]
     values = x[:n]
+    # The reduced cost of row i's slack (+e_i) or surplus (-e_i) column is
+    # -pi_i or +pi_i, where pi = c_B B^-1 prices the rows of the flipped,
+    # minimized problem; undo the flip and the direction.
+    reduced = phase2 - phase2[basis] @ tab[:, :k]
+    row_sign = np.where(np.asarray(senses) == LEQ, -1.0, 1.0)
+    duals = sign * flip * row_sign * reduced[n:]
 
     residuals_ok = True
     for i in range(len(problem.rows)):
@@ -198,4 +202,6 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         raise ArithmeticError("simplex returned an infeasible optimum")
 
     objective = float(np.dot(problem.objective, values))
-    return LPSolution(tuple(float(v) for v in values), objective, "optimal")
+    return LPSolution(
+        tuple(float(v) for v in values), objective, "optimal", tuple(duals.tolist())
+    )

@@ -1,14 +1,17 @@
 """LP-duality rounding from fractional to integer transversals.
 
 The chain: deduplicate candidate points into maximal containment classes,
-solve the fractional transversal and fractional packing programs (an exact
-dual pair over the same 0/1 matrix), turn the packing weights into integer
-multiplicities m(S)/D, extract a heavy point from the witness list of the
-multiset with m(S) copies of each body S, and finish with a greedy verified
-hitting set.  Copies of a body share its arcs and meet angles, so the
-multiset is never built: its witness list is the bodies' meet angles with
-body S weighted by m(S).  Every stage's claim is re-checked and the outcome
-recorded in the report flags rather than trusted.
+solve the fractional packing program and read the fractional transversal
+(its exact dual over the same 0/1 matrix) off the optimal tableau, check the
+pair as a weak-duality certificate for tau*, turn the packing weights into
+integer multiplicities m(S)/D, extract a heavy point from the witness list
+of the multiset with m(S) copies of each body S, and finish with a greedy
+verified hitting set.  Copies of a body share its arcs and meet angles, so
+the multiset is never built: its witness list is the bodies' meet angles
+with body S weighted by m(S).  Every stage's claim is re-checked and the
+outcome recorded in the report flags rather than trusted; the report
+carries the LP certificate so that verify_report can prove tau* without a
+solver.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .geometry import (
     containment_matrix,
     meet_angles,
 )
-from .lp import GEQ, LEQ, LPProblem, lp_solve
+from .lp import LEQ, LPProblem, lp_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
 from .witness import WeightedWitnessList, find_heavy_point
 
@@ -87,6 +90,8 @@ class TransversalReport:
     multiset_size: int
     p_effective: int
     filtered: tuple[int, ...]
+    cover: FractionalTransversal
+    packing: FractionalPacking
     flags: dict[str, bool]
     timings: dict[str, float]
 
@@ -104,6 +109,11 @@ class TransversalReport:
             },
             "p_effective": self.p_effective,
             "filtered": list(self.filtered),
+            "lp": {
+                "cover_points": [list(pt) for pt in self.cover.points],
+                "cover_weights": list(self.cover.weights),
+                "packing": list(self.packing.weights),
+            },
             "flags": dict(self.flags),
             "stages": dict(self.timings),
         }
@@ -172,21 +182,20 @@ def _maximal_rows(uniq: np.ndarray) -> np.ndarray:
 def solve_lp_pair(
     classes: CandidateClasses,
 ) -> tuple[FractionalTransversal, FractionalPacking]:
-    """The fractional transversal and packing programs over the class matrix.
+    """The fractional transversal and packing over the class matrix, from one simplex.
 
-    The cover minimizes total point weight with every body hit at least once;
-    the packing maximizes total body weight with every class loaded at most
-    once.  They are an exact dual pair over the same 0/1 matrix.
+    The packing maximizes total body weight with every class loaded at most
+    once; the cover minimizes total point weight with every body hit at least
+    once.  They are an exact dual pair over the same 0/1 matrix, so only the
+    packing is solved, and the cover weight of each class is the dual of its
+    packing row, read off the optimal tableau.
     """
     mat = classes.matrix()
     k, n = mat.shape
-    cover = lp_solve(LPProblem((1.0,) * k, mat.T, (GEQ,) * n, (1.0,) * n, "min"))
-    if cover.status != "optimal":
-        raise PipelineError(f"transversal program came back {cover.status}")
     packing = lp_solve(LPProblem((1.0,) * n, mat, (LEQ,) * k, (1.0,) * k, "max"))
     if packing.status != "optimal":
         raise PipelineError(f"packing program came back {packing.status}")
-    ft = FractionalTransversal(classes.points, _clip(cover.values), cover.objective)
+    ft = FractionalTransversal(classes.points, packing.duals, math.fsum(packing.duals))
     return ft, FractionalPacking(_clip(packing.values), packing.objective)
 
 
@@ -194,18 +203,50 @@ def _clip(values) -> tuple[float, ...]:
     return tuple(min(1.0, max(0.0, v)) for v in values)
 
 
-def fractional_transversal(
-    bodies: list[ConvexBody], candidates: list[Point2] | None = None
-) -> FractionalTransversal:
-    """Minimum-size fractional cover of the bodies by candidate points."""
-    return solve_lp_pair(candidate_classes(bodies, candidates))[0]
+def certificate_failures(
+    ids, cover_rows: np.ndarray, cover_weights, class_rows: np.ndarray, packing, tau_star
+) -> list[str]:
+    """Check an LP certificate for tau_star; returns failure descriptions.
 
-
-def fractional_packing(
-    bodies: list[ConvexBody], candidates: list[Point2] | None = None
-) -> FractionalPacking:
-    """Maximum-size fractional packing; dual of the fractional transversal."""
-    return solve_lp_pair(candidate_classes(bodies, candidates))[1]
+    cover_rows[j, i] says whether cover point j lies in body i, class_rows
+    likewise for the candidate classes, and ids names the bodies.  Weights
+    are clipped at 0 first, so a negative weight can neither lower a sum nor
+    raise a load.  The clipped cover y, whose lightest body gets weight h,
+    scaled by 1/min(1, h) is a feasible cover; the clipped packing x, whose
+    heaviest class has load L, scaled by 1/max(1, L) is a feasible packing.
+    By weak duality sum(x)/max(1, L) <= tau* <= sum(y)/min(1, h), and
+    tau_star passes when it lies within DUALITY_TOL of both bounds, which
+    puts it within DUALITY_TOL of tau*.  Body weights, class loads, negative
+    weights and the two sums are each checked against DUALITY_TOL too.
+    """
+    y = np.asarray(cover_weights, dtype=float)
+    x = np.asarray(packing, dtype=float)
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        return ["LP certificate weights are not finite"]
+    failures = []
+    for name, w in (("cover", y), ("packing", x)):
+        if w.size and w.min() < -DUALITY_TOL:
+            failures.append(f"negative {name} weight {w.min():.3e}")
+    y, x = np.maximum(y, 0.0), np.maximum(x, 0.0)
+    hit = y @ cover_rows
+    low = int(np.argmin(hit))
+    if hit[low] < 1.0 - DUALITY_TOL:
+        failures.append(f"body {ids[low]} has cover weight {hit[low]:.9f} < 1")
+    loads = class_rows @ x
+    top = int(np.argmax(loads))
+    if loads[top] > 1.0 + DUALITY_TOL:
+        members = [ids[i] for i in np.flatnonzero(class_rows[top])]
+        failures.append(f"class of bodies {members} has packing load {loads[top]:.9f} > 1")
+    sum_y, sum_x = math.fsum(y), math.fsum(x)
+    if abs(sum_x - sum_y) > DUALITY_TOL:
+        failures.append(f"packing sum {sum_x:.9f} != cover sum {sum_y:.9f}")
+    upper = sum_y / min(1.0, hit[low]) if hit[low] > 0 else math.inf
+    lower = sum_x / max(1.0, loads[top])
+    if upper > tau_star + DUALITY_TOL:
+        failures.append(f"tau_star {tau_star!r} < cover bound {upper:.9f}")
+    if lower < tau_star - DUALITY_TOL:
+        failures.append(f"tau_star {tau_star!r} > packing bound {lower:.9f}")
+    return failures
 
 
 def rationalize(
@@ -333,8 +374,14 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     ft, fp = solve_lp_pair(classes)
-    tau_star = ft.size
-    flags["duality_ok"] = abs(ft.size - fp.size) <= DUALITY_TOL
+    tau_star = fp.size
+    mat = classes.matrix()
+    ids = [b.id for b in active]
+    flags["duality_ok"] = not certificate_failures(ids, mat, ft.weights, mat, fp.weights, tau_star)
+    support = [j for j, w in enumerate(ft.weights) if w > 0.0]
+    cover = FractionalTransversal(
+        tuple(ft.points[j] for j in support), tuple(ft.weights[j] for j in support), ft.size
+    )
     timings["lps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -384,6 +431,8 @@ def run_pipeline(
         multiset_size=total,
         p_effective=p_eff,
         filtered=filtered,
+        cover=cover,
+        packing=fp,
         flags=flags,
         timings=timings,
     )

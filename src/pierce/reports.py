@@ -1,11 +1,15 @@
 """Report files and the independent recheck of a finished run.
 
 A report is the JSON form of a TransversalReport.  verify_report loads one
-next to its instance and re-derives every claim from scratch: geometry of
-the output points, the dual program values, exact integer feasibility of
-the multiplicities, and the heavy-point accounting, whose recount may
-exceed neither D nor the heaviest class load max(classes.matrix() @ m).
-It trusts nothing in the file beyond the numbers it is checking.
+next to its instance and re-derives every claim from scratch: which bodies
+miss the curve, geometry of the output points, tau_star from the report's LP
+certificate, exact integer feasibility of the multiplicities, and the
+heavy-point accounting, whose recount may exceed neither D nor the heaviest
+class load max(classes.matrix() @ m).  The certificate is a cover (points
+with weights) and a packing (one weight per active body); verify_report
+proves tau_star by weak duality from containment and class loads alone, and
+solves no linear program.  It trusts nothing in the file beyond the numbers
+it is checking.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ import math
 
 import numpy as np
 
-from .geometry import TOL_GEOM, body_contains, containment_matrix
+from .geometry import TOL_GEOM, body_contains, body_curve_arcs, containment_matrix
 from .instances import Instance
-from .pipeline import DUALITY_TOL, TransversalReport, candidate_classes, solve_lp_pair
+from .pipeline import TransversalReport, candidate_classes, certificate_failures
 
-REQUIRED_KEYS = ("transversal", "tau_star", "m", "D", "z", "coverage", "flags")
+REQUIRED_KEYS = (
+    "transversal", "tau_star", "m", "D", "z", "coverage", "p_effective", "filtered", "lp",
+    "flags",
+)
+LP_KEYS = ("cover_points", "cover_weights", "packing")
 
 
 def save_report(report: TransversalReport | dict, path: str) -> None:
@@ -36,18 +44,29 @@ def load_report(path: str) -> dict:
 
 def verify_report(instance: Instance, report: dict) -> list[str]:
     """Re-derive every claim in the report; returns failure descriptions."""
-    failures: list[str] = []
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            failures.append(f"missing key {key!r}")
+    failures = [f"missing key {key!r}" for key in REQUIRED_KEYS if key not in report]
+    if not failures:
+        failures = [f"missing key 'lp.{key}'" for key in LP_KEYS if key not in report["lp"]]
     if failures:
         return failures
+    tau_star = float(report["tau_star"])
+    if not math.isfinite(tau_star):
+        return ["tau_star is not finite"]
 
     bodies = instance.bodies
-    filtered = set(int(i) for i in report.get("filtered", []))
-    active = [b for i, b in enumerate(bodies) if i not in filtered]
+    meets = [bool(body_curve_arcs(b, instance.curve)) for b in bodies]
+    filtered = [i for i, ok in enumerate(meets) if not ok]
+    claimed = [int(i) for i in report["filtered"]]
+    if claimed != filtered:
+        failures.append(f"filtered {claimed}, but the bodies missing the curve are {filtered}")
+    p_eff = max(2, instance.p - len(filtered))
+    if int(report["p_effective"]) != p_eff:
+        failures.append(
+            f"p_effective {report['p_effective']} != max(2, p - {len(filtered)}) = {p_eff}"
+        )
+    active = [b for b, ok in zip(bodies, meets) if ok]
     if not active:
-        return ["no active bodies left after the filtered list"]
+        return failures + ["no body meets the curve"]
 
     m = [int(v) for v in report["m"]]
     d = int(report["D"])
@@ -73,15 +92,10 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
             failures.append(f"transversal misses bodies {missed}")
 
     classes = candidate_classes(active)
-    ft, fp = solve_lp_pair(classes)
-    if abs(ft.size - fp.size) > DUALITY_TOL:
-        failures.append(f"duality gap {abs(ft.size - fp.size):.3e}")
-    if abs(float(report["tau_star"]) - ft.size) > DUALITY_TOL:
-        failures.append(
-            f"tau_star {report['tau_star']} != re-solved value {ft.size:.9f}"
-        )
+    class_rows = classes.matrix()
+    failures += _lp_certificate_failures(active, report["lp"], class_rows, tau_star)
 
-    loads = classes.matrix() @ np.asarray(m, dtype=np.int64)
+    loads = class_rows @ np.asarray(m, dtype=np.int64)
     for sig, load in zip(classes.signatures, loads.tolist()):
         if load > d:
             failures.append(f"multiplicity sum {load} > D={d} at class {sorted(sig)}")
@@ -114,12 +128,23 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
                 failures.append("heavy point covers no copy")
             else:
                 slack = len(active) / d + 1e-9
-                if ft.size > 1.0 / eps + slack:
+                if tau_star > 1.0 / eps + slack:
                     failures.append(
-                        f"tau_star {ft.size:.6f} above 1/epsilon + slack "
+                        f"tau_star {tau_star:.6f} above 1/epsilon + slack "
                         f"{1.0 / eps + slack:.6f}"
                     )
-
-    if not math.isfinite(float(report["tau_star"])):
-        failures.append("tau_star is not finite")
     return failures
+
+
+def _lp_certificate_failures(active, lp: dict, class_rows: np.ndarray, tau_star: float):
+    """The report's cover and packing, checked as a certificate for tau_star."""
+    points = [tuple(float(v) for v in pt) for pt in lp["cover_points"]]
+    weights = [float(w) for w in lp["cover_weights"]]
+    packing = [float(w) for w in lp["packing"]]
+    if len(weights) != len(points):
+        return [f"lp has {len(weights)} cover weights for {len(points)} cover points"]
+    if len(packing) != len(active):
+        return [f"lp packing has {len(packing)} entries for {len(active)} active bodies"]
+    cover_rows = containment_matrix(active, points, TOL_GEOM)
+    ids = [b.id for b in active]
+    return certificate_failures(ids, cover_rows, weights, class_rows, packing, tau_star)

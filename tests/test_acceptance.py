@@ -38,10 +38,9 @@ from pierce.meetgraph import (
 )
 from pierce.pipeline import (
     candidate_classes,
-    fractional_packing,
-    fractional_transversal,
     rationalize,
     run_pipeline,
+    solve_lp_pair,
 )
 from pierce.witness import (
     build_witness_list,
@@ -253,8 +252,7 @@ def test_criterion_08_lp_duality_and_exact_rounding():
     ok = True
     for inst in instances:
         classes = candidate_classes(inst.bodies)
-        ft = fractional_transversal(inst.bodies)
-        fp = fractional_packing(inst.bodies)
+        ft, fp = solve_lp_pair(classes)
         if abs(ft.size - fp.size) > DUALITY_TOL:
             ok = False
         m, d = rationalize(fp.weights, signatures=classes.signatures)

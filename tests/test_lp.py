@@ -66,7 +66,7 @@ def test_lp_validation():
 
 def test_lp_no_constraints():
     got = lp_solve(LPProblem((2.0, 1.0), (), (), (), "min"))
-    assert got.status == "optimal" and got.objective == 0.0
+    assert got.status == "optimal" and got.objective == 0.0 and got.duals == ()
     assert lp_solve(LPProblem((2.0, 1.0), (), (), (), "max")).status == "unbounded"
 
 
@@ -162,3 +162,77 @@ def test_lp_optimal_solutions_are_feasible():
                 assert lhs <= b + TOL_LP
             else:
                 assert lhs >= b - TOL_LP
+
+
+def highs_duals(problem: LPProblem) -> np.ndarray:
+    """HiGHS row marginals as rates of change of the objective in each rhs."""
+    sign = 1.0 if problem.direction == "min" else -1.0
+    flip = np.array([1.0 if s == LEQ else -1.0 for s in problem.senses])
+    res = linprog(
+        sign * np.asarray(problem.objective),
+        A_ub=flip[:, None] * np.asarray(problem.rows),
+        b_ub=flip * np.asarray(problem.rhs),
+        method="highs",
+    )
+    assert res.status == 0
+    return sign * flip * res.ineqlin.marginals
+
+
+def assert_optimal_duals(problem: LPProblem, got) -> None:
+    """Dual feasibility, strong duality and complementary slackness."""
+    a, b = np.asarray(problem.rows), np.asarray(problem.rhs)
+    c, x, y = np.asarray(problem.objective), np.asarray(got.values), np.asarray(got.duals)
+    # A max problem's objective grows with a LEQ row's rhs and shrinks with a
+    # GEQ row's; a min problem's the other way round.
+    grows = np.array([s == LEQ for s in problem.senses]) == (problem.direction == "max")
+    assert np.all(np.where(grows, y, -y) >= -1e-9)
+    reduced = c - a.T @ y
+    assert np.all((reduced if problem.direction == "min" else -reduced) >= -1e-9)
+    assert float(y @ b) == pytest.approx(got.objective, abs=1e-8)
+    assert np.abs(y * (b - a @ x)).max() <= 1e-8
+    assert np.abs(x * reduced).max() <= 1e-8
+
+
+def test_lp_duals_match_highs():
+    rng = np.random.default_rng(23)
+    seen = {"min": 0, "max": 0, "geq": 0, "flipped": 0, "split": 0}
+    for _ in range(400):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        rows = rng.uniform(-5, 5, size=(m, n))
+        senses = [str(s) for s in rng.choice([LEQ, GEQ], size=m)]
+        rhs = rng.uniform(-5, 5, size=m)
+        direction = "min" if rng.random() < 0.5 else "max"
+        p = LPProblem(tuple(rng.uniform(-5, 5, size=n)), rows, senses, rhs, direction)
+        got = lp_solve(p)
+        if got.status != "optimal":
+            continue
+        want = highs_duals(p)
+        assert len(got.duals) == m
+        np.testing.assert_allclose(got.duals, want, rtol=1e-6, atol=1e-7)
+        assert_optimal_duals(p, got)
+        live = np.abs(want) > 1e-6
+        seen[direction] += 1
+        seen["geq"] += int(np.any(live & (np.asarray(senses) == GEQ)))
+        seen["flipped"] += int(np.any(live & (rhs < 0)))
+        if not live.any():
+            continue
+        # A redundant copy of a binding row, scaled by s (s < 0 flips its
+        # sense and the sign of its rhs).  The copy is kept as its own row,
+        # and the two duals share the original's: y_r + s * y_copy.
+        r = int(np.flatnonzero(live)[0])
+        s = float(rng.choice([2.0, -1.0]))
+        sense = senses[r] if s > 0 else (GEQ if senses[r] == LEQ else LEQ)
+        twin = LPProblem(
+            p.objective, np.vstack([rows, s * rows[r]]), senses + [sense],
+            np.append(rhs, s * rhs[r]), direction,
+        )
+        split = lp_solve(twin)
+        assert split.status == "optimal"
+        assert split.objective == pytest.approx(got.objective, abs=1e-7)
+        duals = np.asarray(split.duals)
+        np.testing.assert_allclose(duals[:r], want[:r], rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(duals[r + 1 : m], want[r + 1 :], rtol=1e-6, atol=1e-7)
+        assert duals[r] + s * duals[m] == pytest.approx(want[r], rel=1e-6, abs=1e-7)
+        assert_optimal_duals(twin, split)
+        seen["split"] += 1
+    assert min(seen.values()) >= 20, seen

@@ -20,11 +20,10 @@ from pierce.geometry import (
 from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import (
     candidate_classes,
-    fractional_packing,
-    fractional_transversal,
     greedy_transversal,
     rationalize,
     run_pipeline,
+    solve_lp_pair,
     _maximal_rows,
 )
 from pierce.reports import verify_report
@@ -128,18 +127,19 @@ def test_maximal_rows_against_bruteforce():
 
 def test_fractional_sizes_trivial():
     tri = ConvexBody.from_vertices(0, [(0, 0), (1, 0), (0, 1)])
-    assert fractional_transversal([tri]).size == pytest.approx(1.0, abs=1e-9)
-    assert fractional_packing([tri]).size == pytest.approx(1.0, abs=1e-9)
+    ft, fp = solve_lp_pair(candidate_classes([tri]))
+    assert ft.size == pytest.approx(1.0, abs=1e-9)
+    assert fp.size == pytest.approx(1.0, abs=1e-9)
 
     boxes = [box(i, 3.0 * i, 0.0) for i in range(4)]
-    assert fractional_transversal(boxes).size == pytest.approx(4.0, abs=1e-9)
-    assert fractional_packing(boxes).size == pytest.approx(4.0, abs=1e-9)
+    ft, fp = solve_lp_pair(candidate_classes(boxes))
+    assert ft.size == pytest.approx(4.0, abs=1e-9)
+    assert fp.size == pytest.approx(4.0, abs=1e-9)
 
 
 def test_gallery_duality_and_value():
     bodies = gallery7().bodies
-    ft = fractional_transversal(bodies)
-    fp = fractional_packing(bodies)
+    ft, fp = solve_lp_pair(candidate_classes(bodies))
     assert abs(ft.size - fp.size) <= 1e-6
     # the optimum splits weight over the five deep corners and two of the
     # three depth-4 faces; its exact value is 15/7 (frozen from the solver,
@@ -150,14 +150,12 @@ def test_gallery_duality_and_value():
 def test_duality_on_generated_instances():
     for seed in range(3):
         inst = gen_pairwise(7, seed=seed)
-        ft = fractional_transversal(inst.bodies)
-        fp = fractional_packing(inst.bodies)
+        ft, fp = solve_lp_pair(candidate_classes(inst.bodies))
         assert abs(ft.size - fp.size) <= 1e-6
         assert ft.size <= 1.0 + 1e-9  # pairwise-meeting wedges share points
     for seed in range(3):
         inst = gen_clustered(4, 9, seed=seed)
-        ft = fractional_transversal(inst.bodies)
-        fp = fractional_packing(inst.bodies)
+        ft, fp = solve_lp_pair(candidate_classes(inst.bodies))
         assert abs(ft.size - fp.size) <= 1e-6
         assert ft.size <= 3.0 + 1e-9  # one point per cluster always covers
 
@@ -189,7 +187,7 @@ def test_rationalize_stays_feasible_on_lp_outputs():
     for seed in (0, 1, 2, 5):
         inst = gen_clustered(3, 8, seed=seed)
         cc = candidate_classes(inst.bodies)
-        fp = fractional_packing(inst.bodies)
+        fp = solve_lp_pair(cc)[1]
         m, d = rationalize(fp.weights, 200, signatures=cc.signatures)
         assert d <= 200
         for sig in cc.signatures:
@@ -200,8 +198,9 @@ def test_rationalize_stays_feasible_on_lp_outputs():
 
 def test_fractional_transversal_covers_gallery():
     bodies = gallery7().bodies
-    mat = candidate_classes(bodies).matrix()
-    ft = fractional_transversal(bodies)
+    classes = candidate_classes(bodies)
+    mat = classes.matrix()
+    ft = solve_lp_pair(classes)[0]
     # every body carries at least one unit of point weight
     assert (mat.T @ np.asarray(ft.weights) >= 1 - 1e-9).all()
 

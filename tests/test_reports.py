@@ -1,10 +1,19 @@
 """The independent recheck of a finished report."""
 
+import copy
+import re
+
+import pytest
+
+import pierce.lp
+import pierce.pipeline
 import pierce.reports
-from pierce.geometry import body_contains
-from pierce.instances import gallery7, gen_pairwise
+from pierce.geometry import ConvexBody, body_contains
+from pierce.instances import Instance, gallery7, gen_pairwise
 from pierce.pipeline import CandidateClasses, candidate_classes, run_pipeline
 from pierce.reports import verify_report
+
+from conftest import arc_body
 
 
 def test_verify_report_accepts_a_run():
@@ -47,3 +56,119 @@ def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):
     assert max(loads) < len(at_z)
     assert [f for f in failures if "best class load" in f] == [
         f"heavy coverage {len(at_z)} exceeds the best class load {max(loads)}"]
+
+
+def _gallery_report():
+    inst = gallery7()
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    assert verify_report(inst, report) == []
+    return inst, report
+
+
+def _numbers(pattern, failures):
+    """The numbers pattern captures from the one failure it matches."""
+    hits = [m for m in (re.fullmatch(pattern, f) for f in failures) if m]
+    assert len(hits) == 1, failures
+    return [float(v) for v in hits[0].groups()]
+
+
+def test_verify_report_checks_the_cover_certificate():
+    inst, report = _gallery_report()
+    lp = report["lp"]
+    lowered = copy.deepcopy(report)
+    lowered["lp"]["cover_weights"][0] -= 0.1
+    weight, bound = _numbers(r"body \d+ has cover weight (\S+) < (1)", verify_report(inst, lowered))
+    assert weight == pytest.approx(0.9, abs=1e-9) and bound == 1
+
+    raised = copy.deepcopy(report)
+    raised["lp"]["packing"][0] += 0.1
+    load, bound = _numbers(r"class of bodies \[.*\] has packing load (\S+) > (1)",
+                           verify_report(inst, raised))
+    assert load == pytest.approx(1.1, abs=1e-9) and bound == 1
+
+    # More cover weight still covers every body, but no longer matches the packing.
+    heavier = copy.deepcopy(report)
+    heavier["lp"]["cover_weights"][0] += 0.01
+    sum_x, sum_y = _numbers(r"packing sum (\S+) != cover sum (\S+)", verify_report(inst, heavier))
+    assert sum_x == pytest.approx(sum(lp["packing"]), abs=1e-9)
+    assert sum_y == pytest.approx(sum(lp["cover_weights"]) + 0.01, abs=1e-9)
+
+    high = dict(report, tau_star=report["tau_star"] + 1e-3)
+    tau, bound = _numbers(r"tau_star (\S+) > packing bound (\S+)", verify_report(inst, high))
+    assert tau == high["tau_star"] and bound == pytest.approx(15 / 7, abs=1e-9)
+    low = dict(report, tau_star=report["tau_star"] - 1e-3)
+    tau, bound = _numbers(r"tau_star (\S+) < cover bound (\S+)", verify_report(inst, low))
+    assert tau == low["tau_star"] and bound == pytest.approx(15 / 7, abs=1e-9)
+
+    # Negative weights at a point outside every body hit no body, so they
+    # must not pull the cover sum down to a lowered packing and tau_star.
+    far = copy.deepcopy(report)
+    far["lp"]["cover_points"] += [[9.0, 9.0]] * 1001
+    far["lp"]["cover_weights"] += [-9.99e-7] * 1001
+    scale = 1 - 1e-3 / sum(lp["packing"])
+    far["lp"]["packing"] = [w * scale for w in lp["packing"]]
+    far["tau_star"] = report["tau_star"] - 1e-3
+    tau, bound = _numbers(r"tau_star (\S+) < cover bound (\S+)", verify_report(inst, far))
+    assert tau == far["tau_star"] and bound == pytest.approx(15 / 7, abs=1e-9)
+
+    # Both weight lists scaled by less than DUALITY_TOL still pass the
+    # per-row checks, and their sums agree, but they prove only 15/7.
+    for sign, pattern in ((-1, r"tau_star (\S+) < cover bound (\S+)"),
+                          (1, r"tau_star (\S+) > packing bound (\S+)")):
+        scaled = copy.deepcopy(report)
+        factor = 1 + sign * 0.9 * pierce.pipeline.DUALITY_TOL
+        for key in ("cover_weights", "packing"):
+            scaled["lp"][key] = [w * factor for w in lp[key]]
+        scaled["tau_star"] = sum(scaled["lp"]["packing"])
+        assert abs(scaled["tau_star"] - report["tau_star"]) > pierce.pipeline.DUALITY_TOL
+        tau, bound = _numbers(pattern, verify_report(inst, scaled))
+        assert tau == scaled["tau_star"] and bound == pytest.approx(15 / 7, abs=1e-9)
+
+    missing = {k: v for k, v in report.items() if k != "lp"}
+    assert verify_report(inst, missing) == ["missing key 'lp'"]
+
+
+def test_verify_report_rederives_the_filtered_bodies():
+    inst, report = _gallery_report()
+    # Claim that only body 0 meets the curve: the LP over it alone is
+    # tau* = 1, and every other claim is made consistent with that.
+    z = next(pt for pt in report["transversal"] if body_contains(inst.bodies[0], tuple(pt)))
+    forged = dict(
+        report, filtered=[1, 2, 3, 4, 5, 6], p_effective=2, tau_star=1.0, m=[1], D=1, z=z,
+        coverage={"count": 1, "epsilon": 1.0, "multiset_size": 1},
+        lp={"cover_points": [z], "cover_weights": [1.0], "packing": [1.0]},
+    )
+    failures = verify_report(inst, forged)
+    assert "filtered [1, 2, 3, 4, 5, 6], but the bodies missing the curve are []" in failures
+    assert "m has 1 entries for 7 active bodies" in failures
+
+    far = ConvexBody.from_vertices(7, [(8.5, 8.5), (9.5, 8.5), (9.5, 9.5), (8.5, 9.5)])
+    bodies = [arc_body(0, 0.2, 1.0), arc_body(1, 0.6, 1.4), far]
+    off_curve = Instance(bodies, p=3)
+    report = run_pipeline(bodies, p=3).to_dict()
+    assert report["filtered"] == [2] and verify_report(off_curve, report) == []
+    assert verify_report(off_curve, dict(report, filtered=[])) == [
+        "filtered [], but the bodies missing the curve are [2]"]
+    assert verify_report(off_curve, dict(report, p_effective=3)) == [
+        "p_effective 3 != max(2, p - 1) = 2"]
+
+
+def test_one_simplex_per_run_and_none_in_verify(monkeypatch):
+    inst = gallery7()
+    solve = pierce.lp.lp_solve
+    directions = []
+
+    def counted(problem):
+        directions.append(problem.direction)
+        return solve(problem)
+
+    monkeypatch.setattr(pierce.pipeline, "lp_solve", counted)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    assert directions == ["max"]
+
+    def refuse(problem):
+        raise AssertionError("verify_report called the LP solver")
+
+    monkeypatch.setattr(pierce.lp, "lp_solve", refuse)
+    monkeypatch.setattr(pierce.pipeline, "lp_solve", refuse)
+    assert verify_report(inst, report) == []
