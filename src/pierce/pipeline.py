@@ -35,7 +35,7 @@ from .geometry import (
     containment_matrix,
     meet_angles,
 )
-from .lp import LEQ, LPProblem, lp_solve
+from .lp import packing_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
 from .witness import WeightedWitnessList, find_heavy_point
 
@@ -187,14 +187,11 @@ def solve_lp_pair(
     The packing maximizes total body weight with every class loaded at most
     once; the cover minimizes total point weight with every body hit at least
     once.  They are an exact dual pair over the same 0/1 matrix, so only the
-    packing is solved, and the cover weight of each class is the dual of its
-    packing row, read off the optimal tableau.
+    packing is solved, by packing_solve on the matrix itself, and the cover
+    weight of each class is the dual of its packing row, read off the optimal
+    tableau.
     """
-    mat = classes.matrix()
-    k, n = mat.shape
-    packing = lp_solve(LPProblem((1.0,) * n, mat, (LEQ,) * k, (1.0,) * k, "max"))
-    if packing.status != "optimal":
-        raise PipelineError(f"packing program came back {packing.status}")
+    packing = packing_solve(classes.matrix())
     ft = FractionalTransversal(classes.points, packing.duals, math.fsum(packing.duals))
     return ft, FractionalPacking(_clip(packing.values), packing.objective)
 

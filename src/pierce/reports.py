@@ -27,7 +27,36 @@ REQUIRED_KEYS = (
     "transversal", "tau_star", "m", "D", "z", "coverage", "p_effective", "filtered", "lp",
     "flags",
 )
-LP_KEYS = ("cover_points", "cover_weights", "packing")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_point(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+
+
+def _is_list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# What each value verify_report reads must be, by dotted key path.
+SHAPES = {
+    "transversal": ("a list of points", _is_list_of(_is_point)),
+    "tau_star": ("a finite number", _is_number),
+    "m": ("a list of numbers", _is_list_of(_is_number)),
+    "D": ("a finite number", _is_number),
+    "z": ("a point or null", lambda v: v is None or _is_point(v)),
+    "coverage.multiset_size": ("a finite number", _is_number),
+    "coverage.count": ("a finite number", _is_number),
+    "coverage.epsilon": ("a finite number", _is_number),
+    "p_effective": ("a finite number", _is_number),
+    "filtered": ("a list of numbers", _is_list_of(_is_number)),
+    "lp.cover_points": ("a list of points", _is_list_of(_is_point)),
+    "lp.cover_weights": ("a list of numbers", _is_list_of(_is_number)),
+    "lp.packing": ("a list of numbers", _is_list_of(_is_number)),
+}
 
 
 def save_report(report: TransversalReport | dict, path: str) -> None:
@@ -43,15 +72,14 @@ def load_report(path: str) -> dict:
 
 
 def verify_report(instance: Instance, report: dict) -> list[str]:
-    """Re-derive every claim in the report; returns failure descriptions."""
-    failures = [f"missing key {key!r}" for key in REQUIRED_KEYS if key not in report]
-    if not failures:
-        failures = [f"missing key 'lp.{key}'" for key in LP_KEYS if key not in report["lp"]]
+    """Re-derive every claim in the report; returns failure descriptions.
+
+    A report that cannot be read (not an object, a missing key, a value of
+    the wrong type) fails with a description too, and raises nothing."""
+    failures = _shape_failures(report)
     if failures:
         return failures
     tau_star = float(report["tau_star"])
-    if not math.isfinite(tau_star):
-        return ["tau_star is not finite"]
 
     bodies = instance.bodies
     meets = [bool(body_curve_arcs(b, instance.curve)) for b in bodies]
@@ -126,13 +154,35 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
                 failures.append(f"epsilon mismatch: {eps} vs {cov['epsilon']}")
             if eps == 0:
                 failures.append("heavy point covers no copy")
-            else:
+            elif d >= 1:  # D < 1 is reported above
                 slack = len(active) / d + 1e-9
                 if tau_star > 1.0 / eps + slack:
                     failures.append(
                         f"tau_star {tau_star:.6f} above 1/epsilon + slack "
                         f"{1.0 / eps + slack:.6f}"
                     )
+    return failures
+
+
+def _shape_failures(report) -> list[str]:
+    """Why the report cannot be read at all: a missing key or a wrong type."""
+    if not isinstance(report, dict):
+        return ["report is not a JSON object"]
+    failures = [f"missing key {key!r}" for key in REQUIRED_KEYS if key not in report]
+    failures += [
+        f"{key} is not a JSON object"
+        for key in ("coverage", "lp")
+        if key in report and not isinstance(report[key], dict)
+    ]
+    if failures:
+        return failures
+    for path, (what, ok) in SHAPES.items():
+        parent, _, key = path.rpartition(".")
+        holder = report[parent] if parent else report
+        if key not in holder:
+            failures.append(f"missing key {path!r}")
+        elif not ok(holder[key]):
+            failures.append(f"{path} is not {what}")
     return failures
 
 

@@ -51,6 +51,23 @@ def test_verify_catches_bad_multiplicities(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("change", [{"D": 0}, {"coverage": {}}, {"z": [0.1]}, "list"],
+                         ids=["zero-D", "empty-coverage", "short-z", "list"])
+def test_verify_fails_on_malformed_reports(tmp_path, capsys, change):
+    inst_path = str(tmp_path / "g.json")
+    rep_path = str(tmp_path / "r.json")
+    cli_run(["gen", "gallery", "-o", inst_path])
+    cli_run(["solve", inst_path, "-o", rep_path])
+    report = json.loads(open(rep_path).read())
+    report = [report] if change == "list" else dict(report, **change)
+    with open(rep_path, "w") as fh:
+        json.dump(report, fh)
+    capsys.readouterr()
+    assert cli_run(["verify", inst_path, rep_path]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL ") and err == ""
+
+
 def test_gen_pairwise_and_stats(tmp_path, capsys):
     inst_path = str(tmp_path / "pw.json")
     assert cli_run(["gen", "pairwise", "--n", "6", "--seed", "4", "-o", inst_path]) == 0

@@ -153,22 +153,71 @@ def test_verify_report_rederives_the_filtered_bodies():
         "p_effective 3 != max(2, p - 1) = 2"]
 
 
+@pytest.fixture(scope="module")
+def gallery_run():
+    inst = gallery7()
+    return inst, run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+
+
+def test_verify_report_fails_on_zero_denominator(gallery_run):
+    inst, report = gallery_run
+    failures = verify_report(inst, dict(report, D=0))
+    assert failures[0] == "multiplicities must be nonnegative with D >= 1"
+    assert "heavy coverage 7 exceeds D=0" in failures
+
+
+def test_verify_report_fails_on_empty_coverage(gallery_run):
+    inst, report = gallery_run
+    assert verify_report(inst, dict(report, coverage={})) == [
+        "missing key 'coverage.multiset_size'",
+        "missing key 'coverage.count'",
+        "missing key 'coverage.epsilon'",
+    ]
+
+
+def test_verify_report_fails_on_a_one_coordinate_heavy_point(gallery_run):
+    inst, report = gallery_run
+    assert verify_report(inst, dict(report, z=[0.1])) == ["z is not a point or null"]
+
+
+def test_verify_report_fails_on_a_report_that_is_not_an_object(gallery_run):
+    inst, report = gallery_run
+    assert verify_report(inst, list(report)) == ["report is not a JSON object"]
+    assert verify_report(inst, [report]) == ["report is not a JSON object"]
+
+
+def test_verify_report_fails_on_wrong_types(gallery_run):
+    inst, report = gallery_run
+    cases = {
+        "D": (None, "D is not a finite number"),
+        "tau_star": (float("nan"), "tau_star is not a finite number"),
+        "m": ("abc", "m is not a list of numbers"),
+        "transversal": ([[1.0]], "transversal is not a list of points"),
+        "lp": (None, "lp is not a JSON object"),
+    }
+    for key, (value, failure) in cases.items():
+        assert verify_report(inst, dict(report, **{key: value})) == [failure]
+    lp = dict(report["lp"], cover_weights=[True] * len(report["lp"]["cover_weights"]))
+    assert verify_report(inst, dict(report, lp=lp)) == [
+        "lp.cover_weights is not a list of numbers"]
+
+
 def test_one_simplex_per_run_and_none_in_verify(monkeypatch):
     inst = gallery7()
-    solve = pierce.lp.lp_solve
-    directions = []
+    solve = pierce.lp.packing_solve
+    shapes = []
 
-    def counted(problem):
-        directions.append(problem.direction)
-        return solve(problem)
+    def counted(mat):
+        shapes.append(mat.shape)
+        return solve(mat)
 
-    monkeypatch.setattr(pierce.pipeline, "lp_solve", counted)
+    monkeypatch.setattr(pierce.pipeline, "packing_solve", counted)
     report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
-    assert directions == ["max"]
+    assert len(shapes) == 1 and shapes[0][1] == len(inst.bodies)
 
-    def refuse(problem):
+    def refuse(mat):
         raise AssertionError("verify_report called the LP solver")
 
-    monkeypatch.setattr(pierce.lp, "lp_solve", refuse)
-    monkeypatch.setattr(pierce.pipeline, "lp_solve", refuse)
+    monkeypatch.setattr(pierce.lp, "packing_solve", refuse)
+    monkeypatch.setattr(pierce.pipeline, "packing_solve", refuse)
     assert verify_report(inst, report) == []
