@@ -15,7 +15,6 @@ from .errors import InvalidBodyError
 TWO_PI = 2.0 * math.pi
 
 TOL_GEOM = 1e-9
-NUDGE_EPS = 1e-6
 
 Point2 = tuple[float, float]
 
@@ -188,8 +187,9 @@ class ConvexBody:
             area2 = _signed_area2(arr)
             if area2 < 0.0:
                 arr = arr[::-1].copy()
-            edges = np.roll(arr, -1, axis=0) - arr
-            cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+            edges = _next(arr) - arr
+            turn = _next(edges)
+            cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
             if np.any(cross < -tol):
                 raise InvalidBodyError("vertices do not describe a convex polygon")
             lengths = np.hypot(edges[:, 0], edges[:, 1])
@@ -201,9 +201,15 @@ class ConvexBody:
         return cls(id=body_id, vertices=arr, normals=normals, offsets=offsets)
 
 
+def _next(arr: np.ndarray) -> np.ndarray:
+    # Row k + 1 at row k, cyclically: np.roll(arr, -1, axis=0) without its overhead.
+    return np.concatenate((arr[1:], arr[:1]))
+
+
 def _dedup_ring(arr: np.ndarray, tol: float) -> np.ndarray:
-    keep = [arr[0]]
-    for row in arr[1:]:
+    rows = arr.tolist()
+    keep = [rows[0]]
+    for row in rows[1:]:
         if math.hypot(row[0] - keep[-1][0], row[1] - keep[-1][1]) > tol:
             keep.append(row)
     if len(keep) > 1 and math.hypot(keep[0][0] - keep[-1][0], keep[0][1] - keep[-1][1]) <= tol:
@@ -212,8 +218,8 @@ def _dedup_ring(arr: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _signed_area2(arr: np.ndarray) -> float:
-    x, y = arr[:, 0], arr[:, 1]
-    return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = _next(arr)
+    return float(np.sum(arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]))
 
 
 def body_contains(body: ConvexBody, pt: Point2, tol: float = TOL_GEOM) -> bool:
@@ -332,15 +338,65 @@ def meet_angles(arcs: list[list[AngularInterval]]) -> np.ndarray:
     Entry [i, j] is where bodies i and j meet on the curve, NaN when they do
     not; the diagonal [i, i] is a point of body i's own arcs, NaN when it has
     none. One table serves the meet graph and the witness lists.
+
+    All pairs are computed at once, bit-identical to arcs_common_point. Each
+    set's _interval_segments pieces are padded to one (n, S) array (a pad
+    piece is [inf, -inf], which hits nothing), so the pieces' pairwise
+    overlaps [max(lo), min(hi)] form an (n, n, S*S) array, plus one column
+    for the point 0 when both sets touch it. Sorted by start, the overlaps
+    merge into the components of their union, as _segments_to_intervals
+    merges them. The earliest common sub-arc is the first component, unless
+    the union touches both 0 and 2*pi in two or more components: then the
+    first and last glue into one arc through 0, which is the earliest when
+    there are only two, and the second component is earliest otherwise. The
+    midpoint takes the adds of AngularInterval.midpoint and normalize_angle.
     """
     n = len(arcs)
-    out = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(i, n):
-            angle = arcs_common_point(arcs[i], arcs[j])
-            if angle is not None:
-                out[i, j] = out[j, i] = angle
-    return out
+    if n == 0:
+        return np.empty((0, 0))
+    segs = [[s for iv in body for s in _interval_segments(iv)] for body in arcs]
+    width = max((len(s) for s in segs), default=0)
+    lo = np.full((n, width), np.inf)
+    hi = np.full((n, width), -np.inf)
+    for k, body in enumerate(segs):
+        if body:
+            lo[k, : len(body)], hi[k, : len(body)] = zip(*body)
+    origin = ((lo == 0.0) | (hi == TWO_PI)).any(axis=1)
+    both = origin[:, None] & origin[None, :]
+    # A hit [start, end] is the complex number start + end*j, so that one
+    # sort orders hits by start; no hit is inf - inf*j, sorted last.
+    hits = np.empty((n, n, width * width + 1), dtype=complex)
+    hits.real[..., :-1] = np.maximum(lo[:, None, :, None], lo[None, :, None, :]).reshape(n, n, -1)
+    hits.imag[..., :-1] = np.minimum(hi[:, None, :, None], hi[None, :, None, :]).reshape(n, n, -1)
+    hits.real[..., -1] = np.where(both, 0.0, np.inf)
+    hits.imag[..., -1] = np.where(both, 0.0, -np.inf)
+    hits[hits.real > hits.imag] = complex(np.inf, -np.inf)
+    hits.sort(axis=2)
+    start, end = hits.real, hits.imag
+    # A hit starting past the reach of all earlier ones opens a component.
+    reach = np.maximum.accumulate(end, axis=2)
+    opens = start < np.inf
+    opens[..., 1:] &= start[..., 1:] > reach[..., :-1]
+    comp = np.cumsum(opens, axis=2) - 1
+    count = comp[..., -1] + 1
+
+    def part(c, values, pick, pad):
+        return pick.reduce(np.where(comp == c, values, pad), axis=2)
+
+    lo0, hi0 = start[..., 0], part(0, end, np.maximum, -np.inf)
+    lo1, hi1 = part(1, start, np.minimum, np.inf), part(1, end, np.maximum, -np.inf)
+    lo_last = part(count[..., None] - 1, start, np.minimum, np.inf)
+    glued = (lo0 == 0.0) & (reach[..., -1] == TWO_PI) & (count >= 2)
+    with np.errstate(invalid="ignore"):
+        mid = np.where(
+            glued & (count == 2),
+            lo_last + 0.5 * ((TWO_PI - lo_last) + hi0),
+            np.where(glued, lo1 + 0.5 * (hi1 - lo1), lo0 + 0.5 * (hi0 - lo0)),
+        )
+        # Starts and lengths are nonnegative, so this is normalize_angle.
+        mid = np.fmod(mid, TWO_PI)
+    mid[count == 0] = np.nan
+    return mid
 
 
 def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
@@ -461,47 +517,6 @@ def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
         else:
             inside[:, k] = [body_contains(body, (p[0], p[1]), tol) for p in pts]
     return inside
-
-
-_NUDGE_DIRS = (
-    (0.7071067811865476, 0.7071067811865476),
-    (-0.7071067811865476, 0.7071067811865476),
-    (-0.7071067811865476, -0.7071067811865476),
-    (0.7071067811865476, -0.7071067811865476),
-)
-
-
-def face_census(bodies: list[ConvexBody], candidates: list[Point2],
-                clearance: float = 1e-7) -> dict[frozenset[int], Point2]:
-    """Distinct containment signatures next to candidates, clear of all boundaries.
-
-    Candidates from candidate_points lie on body boundaries, so each one is
-    nudged NUDGE_EPS along the four diagonals, in order, and the nudged
-    points are what get classified. A nudged point within clearance of any
-    body boundary is skipped, so each kept signature corresponds to an open
-    cell of the arrangement and the map value is one interior
-    representative. Convexity makes cells with equal signature connected,
-    so the count per depth is a face count.
-    """
-    nudged = [(x + dx * NUDGE_EPS, y + dy * NUDGE_EPS)
-              for x, y in candidates for dx, dy in _NUDGE_DIRS]
-    reps: dict[frozenset[int], Point2] = {}
-    for pt in nudged:
-        clean = True
-        members = []
-        for k, body in enumerate(bodies):
-            margin = containment_margin(body, pt)
-            if abs(margin) <= clearance:
-                clean = False
-                break
-            if margin > 0.0:
-                members.append(k)
-        if not clean:
-            continue
-        sig = frozenset(members)
-        if sig not in reps:
-            reps[sig] = pt
-    return reps
 
 
 def brute_min_transversal(bodies: list[ConvexBody], candidates: list[Point2],

@@ -5,11 +5,12 @@ next to its instance and re-derives every claim from scratch: which bodies
 miss the curve, geometry of the output points, tau_star from the report's LP
 certificate, exact integer feasibility of the multiplicities, and the
 heavy-point accounting, whose recount may exceed neither D nor the heaviest
-class load max(classes.matrix() @ m).  The certificate is a cover (points
-with weights) and a packing (one weight per active body); verify_report
-proves tau_star by weak duality from containment and class loads alone, and
-solves no linear program.  It trusts nothing in the file beyond the numbers
-it is checking.
+load max(rows @ m) over the candidate rows, the bodies containing each
+candidate point.  The certificate is a cover (points with weights) and a
+packing (one weight per active body); verify_report proves tau_star by weak
+duality from containment and the candidate rows' loads alone, builds no
+classes and solves no linear program.  It trusts nothing in the file beyond
+the numbers it is checking.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 
 import numpy as np
 
-from .geometry import TOL_GEOM, body_contains, body_curve_arcs, containment_matrix
+from .geometry import TOL_GEOM, body_curve_arcs, candidate_points, containment_matrix
 from .instances import Instance
-from .pipeline import TransversalReport, candidate_classes, certificate_failures
+from .pipeline import TransversalReport, certificate_failures
 
 REQUIRED_KEYS = (
     "transversal", "tau_star", "m", "D", "z", "coverage", "p_effective", "filtered", "lp",
@@ -75,7 +76,17 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     """Re-derive every claim in the report; returns failure descriptions.
 
     A report that cannot be read (not an object, a missing key, a value of
-    the wrong type) fails with a description too, and raises nothing."""
+    the wrong type) fails with a description too, and raises nothing.
+
+    Class loads are read off the candidate rows, row k holding the bodies
+    that contain candidate point k, and no classes are built.  That gives
+    the same heaviest load as the maximal classes: every maximal class is a
+    candidate row (candidate_points has a point of each), and every row is
+    a subset of some maximal class, so for nonnegative weights the heaviest
+    row weighs as much as the heaviest class.  This holds for the packing,
+    which certificate_failures clips at 0, and for m >= 0.  A negative m
+    fails on its own, so the extra rows can only add lines to a report
+    that fails already."""
     failures = _shape_failures(report)
     if failures:
         return failures
@@ -119,31 +130,28 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         if missed:
             failures.append(f"transversal misses bodies {missed}")
 
-    classes = candidate_classes(active)
-    class_rows = classes.matrix()
-    failures += _lp_certificate_failures(active, report["lp"], class_rows, tau_star)
+    rows = containment_matrix(active, candidate_points(active), TOL_GEOM)
+    failures += _lp_certificate_failures(active, report["lp"], rows, tau_star)
 
-    loads = class_rows @ np.asarray(m, dtype=np.int64)
-    for sig, load in zip(classes.signatures, loads.tolist()):
-        if load > d:
-            failures.append(f"multiplicity sum {load} > D={d} at class {sorted(sig)}")
-            break
+    weights = np.asarray(m, dtype=np.int64)
+    loads = rows @ weights
+    top = int(np.argmax(loads))
+    best_load = int(loads[top])
+    if best_load > d:
+        members = [active[i].id for i in np.flatnonzero(rows[top])]
+        failures.append(f"multiplicity sum {best_load} > D={d} at class {members}")
 
     z = report["z"]
     if z is None:
         failures.append("missing heavy point")
     else:
-        zx, zy = float(z[0]), float(z[1])
-        recount = sum(
-            m[i] for i, b in enumerate(active) if body_contains(b, (zx, zy), TOL_GEOM)
-        )
+        recount = int(containment_matrix(active, [(float(z[0]), float(z[1]))])[0] @ weights)
         if recount != int(cov["count"]):
             failures.append(
                 f"heavy point covers {recount} copies, report says {cov['count']}"
             )
         if recount > d:
             failures.append(f"heavy coverage {recount} exceeds D={d}")
-        best_load = int(loads.max())
         if recount > best_load:
             failures.append(
                 f"heavy coverage {recount} exceeds the best class load {best_load}"

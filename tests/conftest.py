@@ -5,8 +5,17 @@ import math
 
 from hypothesis import strategies as st
 
-from pierce.geometry import TWO_PI, ConvexBody
+from pierce.geometry import TWO_PI, ConvexBody, Point2, containment_margin
 from pierce.witness import WitnessList, WitnessPoint
+
+NUDGE_EPS = 1e-6
+
+_NUDGE_DIRS = (
+    (0.7071067811865476, 0.7071067811865476),
+    (-0.7071067811865476, 0.7071067811865476),
+    (-0.7071067811865476, -0.7071067811865476),
+    (0.7071067811865476, -0.7071067811865476),
+)
 
 # Squares and triangles on a half-unit grid, so that shared vertices, shared
 # edges, nesting and corner contacts come up often.
@@ -53,3 +62,36 @@ def random_pair_list(rng, n: int, universe: int) -> WitnessList:
     picks = rng.choice(len(pairs), size=n, replace=False)
     entries = [WitnessPoint(TWO_PI * k / n, pairs[p]) for k, p in enumerate(picks)]
     return WitnessList.from_entries(entries)
+
+
+def face_census(bodies: list[ConvexBody], candidates: list[Point2],
+                clearance: float = 1e-7) -> dict[frozenset[int], Point2]:
+    """Distinct containment signatures next to candidates, clear of all boundaries.
+
+    Candidates from candidate_points lie on body boundaries, so each one is
+    nudged NUDGE_EPS along the four diagonals, in order, and the nudged
+    points are what get classified. A nudged point within clearance of any
+    body boundary is skipped, so each kept signature corresponds to an open
+    cell of the arrangement and the map value is one interior
+    representative. Convexity makes cells with equal signature connected,
+    so the count per depth is a face count.
+    """
+    nudged = [(x + dx * NUDGE_EPS, y + dy * NUDGE_EPS)
+              for x, y in candidates for dx, dy in _NUDGE_DIRS]
+    reps: dict[frozenset[int], Point2] = {}
+    for pt in nudged:
+        clean = True
+        members = []
+        for k, body in enumerate(bodies):
+            margin = containment_margin(body, pt)
+            if abs(margin) <= clearance:
+                clean = False
+                break
+            if margin > 0.0:
+                members.append(k)
+        if not clean:
+            continue
+        sig = frozenset(members)
+        if sig not in reps:
+            reps[sig] = pt
+    return reps

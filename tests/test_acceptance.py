@@ -12,13 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import synthetic_list
+from conftest import face_census, synthetic_list
 from pierce.geometry import (
     body_contains,
     brute_min_transversal,
     candidate_points,
     containment_matrix,
-    face_census,
     TOL_GEOM,
 )
 from pierce.highdim import (

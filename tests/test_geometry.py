@@ -23,7 +23,6 @@ from pierce.geometry import (
     brute_min_transversal,
     candidate_points,
     containment_margin,
-    face_census,
     intersect_arcs,
     make_arc,
     normalize_angle,
@@ -31,7 +30,7 @@ from pierce.geometry import (
 )
 from pierce.instances import gallery7, gen_pairwise
 
-from conftest import grid, grid_square, grid_triangle
+from conftest import face_census, grid, grid_square, grid_triangle
 
 
 def square(body_id, x0, y0, side=1.0):
@@ -223,6 +222,62 @@ def test_arcs_common_point_cases():
 
     # Zero-length overlap still yields its angle.
     assert arcs_common_point([make_arc(1.0, 2.0)], [make_arc(2.0, 3.0)]) == pytest.approx(2.0)
+
+
+_angle = st.one_of(st.sampled_from([0.0, 1.0, math.pi, TWO_PI - 1.0]),
+                   st.floats(0.0, TWO_PI, exclude_max=True))
+_arc = st.one_of(
+    st.builds(lambda lo, span: make_arc(lo, lo + span), _angle,
+              st.one_of(st.just(0.0), st.floats(0.0, TWO_PI))),
+    st.builds(lambda s: AngularInterval(s, 0.0, wraps=True), _angle),  # ends at 0
+    st.builds(lambda s: AngularInterval(s, TWO_PI), _angle),  # ends at 2*pi
+    st.builds(lambda t: AngularInterval(t, t), _angle),
+    st.just(FULL_CIRCLE),
+)
+
+
+def _on_circle(t):
+    return (math.cos(t), math.sin(t))
+
+
+# Zero-length arcs as point and segment bodies produce them: a point on the
+# curve touches it once, a chord through it twice.
+_touch_arcs = st.one_of(
+    st.builds(lambda t: body_curve_arcs(ConvexBody.from_vertices(0, [_on_circle(t)]), UNIT_CIRCLE),
+              _angle),
+    st.builds(lambda a, b: body_curve_arcs(
+        ConvexBody.from_vertices(0, [_on_circle(a), _on_circle(b)]), UNIT_CIRCLE), _angle, _angle),
+)
+
+
+def _pairwise_meets(arcs):
+    n = len(arcs)
+    out = np.full((n, n), np.nan)
+    for i, j in itertools.product(range(n), repeat=2):
+        angle = arcs_common_point(arcs[i], arcs[j])
+        if angle is not None:
+            out[i, j] = angle
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.lists(_arc, max_size=4), _touch_arcs), max_size=6))
+@example([[AngularInterval(5.0, 0.0, wraps=True)], [make_arc(0.0, 1.0)]])  # meet only at 0
+@example([[AngularInterval(5.0, TWO_PI)], [AngularInterval(0.0, 0.0)]])
+@example([[FULL_CIRCLE], [make_arc(0.0, 1.0), make_arc(2.0, 3.0), make_arc(5.0, TWO_PI)]])
+@example([[FULL_CIRCLE], [make_arc(5.0, TWO_PI + 1.0)], [], [FULL_CIRCLE]])
+def test_meet_angles_is_the_pairwise_table_bitwise(arcs):
+    table = geometry.meet_angles(arcs)
+    assert table.shape == (len(arcs), len(arcs))
+    assert table.tobytes() == _pairwise_meets(arcs).tobytes()
+
+
+def test_meet_angles_bitwise_on_bench_families():
+    inst = gallery7()
+    families = [inst.bodies, gen_pairwise(12, 3).bodies]
+    for bodies in families:
+        arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
+        assert geometry.meet_angles(arcs).tobytes() == _pairwise_meets(arcs).tobytes()
 
 
 def test_segment_intersection_cases():

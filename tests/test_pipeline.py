@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pierce.errors import IncompleteCandidatesError, PipelineError
 from pierce.geometry import (
-    NUDGE_EPS,
     TWO_PI,
     ConvexBody,
     UNIT_CIRCLE,
@@ -28,7 +27,7 @@ from pierce.pipeline import (
 )
 from pierce.reports import verify_report
 
-from conftest import arc_body, grid_square, grid_triangle
+from conftest import NUDGE_EPS, arc_body, grid_square, grid_triangle
 
 
 def box(body_id: int, cx: float, cy: float, r: float = 0.4) -> ConvexBody:

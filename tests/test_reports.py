@@ -1,16 +1,20 @@
 """The independent recheck of a finished report."""
 
 import copy
+import math
 import re
 
+import numpy as np
 import pytest
 
 import pierce.lp
 import pierce.pipeline
 import pierce.reports
-from pierce.geometry import ConvexBody, body_contains
+from pierce.geometry import (
+    TWO_PI, ConvexBody, body_contains, candidate_points, containment_matrix,
+)
 from pierce.instances import Instance, gallery7, gen_pairwise
-from pierce.pipeline import CandidateClasses, candidate_classes, run_pipeline
+from pierce.pipeline import candidate_classes, run_pipeline
 from pierce.reports import verify_report
 
 from conftest import arc_body
@@ -44,18 +48,44 @@ def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):
     loads = []
 
     def without_z(bodies):
-        full = candidate_classes(bodies)
-        kept = [k for k, sig in enumerate(full.signatures) if not at_z <= sig]
-        assert len(kept) == len(full.signatures) - 1
-        loads.extend(sum(m[i] for i in full.signatures[k]) for k in kept)
-        return CandidateClasses(tuple(full.points[k] for k in kept),
-                                tuple(full.signatures[k] for k in kept), full.n_bodies)
+        full = candidate_points(bodies)
+        rows = containment_matrix(bodies, full)
+        kept = [k for k, row in enumerate(rows) if not at_z <= set(np.flatnonzero(row))]
+        assert len(kept) < len(full)
+        loads.extend(int(rows[k] @ m) for k in kept)
+        return [full[k] for k in kept]
 
-    monkeypatch.setattr(pierce.reports, "candidate_classes", without_z)
+    monkeypatch.setattr(pierce.reports, "candidate_points", without_z)
     failures = verify_report(inst, report)
     assert max(loads) < len(at_z)
     assert [f for f in failures if "best class load" in f] == [
         f"heavy coverage {len(at_z)} exceeds the best class load {max(loads)}"]
+
+
+def pg22_twice() -> list[ConvexBody]:
+    """Two copies of PG(2,2), one inscribed triangle per line; the second is
+    turned by half a spacing and has its seven points in another order."""
+    lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+    bodies = []
+    for turn, place in ((0.0, (0, 1, 2, 3, 4, 5, 6)), (math.pi / 7, (0, 1, 2, 4, 5, 3, 6))):
+        for line in lines:
+            angles = [turn + TWO_PI * place[v] / 7 for v in line]
+            bodies.append(ConvexBody.from_vertices(
+                len(bodies), [(math.cos(a), math.sin(a)) for a in angles]))
+    return bodies
+
+
+@pytest.mark.parametrize("bodies", [gallery7().bodies, pg22_twice()], ids=["gallery7", "pg22x2"])
+def test_candidate_rows_have_the_maximal_class_loads(bodies):
+    rows = containment_matrix(bodies, candidate_points(bodies))
+    classes = candidate_classes(bodies).matrix()
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        # Nonnegative weights, with some zeros so that not every body counts.
+        x = rng.uniform(0.0, 1.0, len(bodies)) * (rng.uniform(size=len(bodies)) < 0.8)
+        m = rng.integers(0, 12, len(bodies))
+        assert (rows @ x).max() == pytest.approx((classes @ x).max(), rel=1e-12)
+        assert (rows @ m).max() == (classes @ m).max()
 
 
 def _gallery_report():
