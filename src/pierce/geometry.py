@@ -234,22 +234,6 @@ def body_contains(body: ConvexBody, pt: Point2, tol: float = TOL_GEOM) -> bool:
     return math.hypot(pt[0] - v[0], pt[1] - v[1]) <= tol
 
 
-def containment_margin(body: ConvexBody, pt: Point2) -> float:
-    """Signed clearance of pt: positive inside, negative outside.
-
-    For polygons this is the smallest half-plane slack, which understates the
-    true exterior distance near corners but has the correct sign everywhere.
-    """
-    m = body.vertices.shape[0]
-    if m >= 3:
-        p = np.asarray(pt, dtype=float)
-        return float(np.min(body.offsets - body.normals @ p))
-    if m == 2:
-        return -_point_segment_distance(pt, body.vertices[0], body.vertices[1])
-    v = body.vertices[0]
-    return -math.hypot(pt[0] - v[0], pt[1] - v[1])
-
-
 def _point_segment_distance(pt, a, b) -> float:
     ax, ay = a[0], a[1]
     dx, dy = b[0] - a[0], b[1] - a[1]

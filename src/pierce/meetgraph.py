@@ -8,65 +8,50 @@ for desk-scale inputs; the independent-set search is capped accordingly.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditionNotSatisfiedError
-from .geometry import TOL_GEOM, ConvexBody, CurveModel, body_curve_arcs, meet_angles
+from .geometry import ConvexBody, CurveModel, body_curve_arcs, meet_angles
 
 EXACT_INDEPENDENCE_CAP = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorGraph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on vertices 0..n-1.
 
-    n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    adj is its adjacency matrix: square, symmetric, with a False diagonal,
+    and adj[u, v] says whether u and v are joined.  It is stored read-only.
+    """
+
+    adj: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        normalized = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e} outside vertex range [0, {self.n})")
-            normalized.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(normalized))
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
+        loops = np.flatnonzero(adj.diagonal())
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        if (adj != adj.T).any():
+            raise ValueError("adjacency must be symmetric")
+        adj.setflags(write=False)
+        object.__setattr__(self, "adj", adj)
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if a == v or b == v)
-
-    def complement(self) -> "ColorGraph":
-        full = itertools.combinations(range(self.n), 2)
-        return ColorGraph(self.n, frozenset(e for e in full if e not in self.edges))
+        return int(np.count_nonzero(self.adj)) // 2
 
 
 def build_meet_graph(
     bodies: list[ConvexBody],
     curve: CurveModel,
-    tol: float = TOL_GEOM,
     angles: np.ndarray | None = None,
 ) -> ColorGraph:
     """Edge (i, j) whenever bodies i and j share a point of the curve.
@@ -74,38 +59,41 @@ def build_meet_graph(
     angles is the bodies' meet_angles table when the caller already has it.
     """
     if angles is None:
-        angles = meet_angles([body_curve_arcs(b, curve, tol) for b in bodies])
-    i, j = np.nonzero(np.triu(~np.isnan(angles), 1))
-    return ColorGraph(len(bodies), frozenset(zip(i.tolist(), j.tolist())))
+        angles = meet_angles([body_curve_arcs(b, curve) for b in bodies])
+    adj = ~np.isnan(angles)
+    np.fill_diagonal(adj, False)
+    return ColorGraph(adj)
 
 
 def _has_independent_set(graph: ColorGraph, size: int) -> bool:
-    """Branch and bound for an independent set of the given size. Exact."""
+    """Branch and bound for an independent set of the given size. Exact.
+
+    Vertices are taken in order of increasing degree so branches close
+    early; bit k of a mask stands for the k-th vertex in that order.
+    """
     if size <= 0:
         return True
     if size > graph.n:
         return False
-    adj = [set() for _ in range(graph.n)]
-    for a, b in graph.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    # Consider vertices in order of increasing degree so branches close early.
-    order = sorted(range(graph.n), key=lambda v: len(adj[v]))
+    order = np.argsort(graph.adj.sum(axis=1), kind="stable")
+    rows = np.packbits(graph.adj[np.ix_(order, order)], axis=1, bitorder="little")
+    neighbors = [int.from_bytes(row.tobytes(), "little") for row in rows]
 
-    def extend(chosen: int, candidates: list[int]) -> bool:
+    def extend(chosen: int, candidates: int) -> bool:
         if chosen == size:
             return True
-        if chosen + len(candidates) < size:
+        if chosen + candidates.bit_count() < size:
             return False
-        for k, v in enumerate(candidates):
-            rest = [w for w in candidates[k + 1 :] if w not in adj[v]]
-            if extend(chosen + 1, rest):
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            if extend(chosen + 1, candidates & ~neighbors[low.bit_length() - 1]):
                 return True
-            if chosen + (len(candidates) - k - 1) < size:
+            if chosen + candidates.bit_count() < size:
                 return False
         return False
 
-    return extend(0, order)
+    return extend(0, (1 << graph.n) - 1)
 
 
 def verify_p2(graph: ColorGraph, p: int, max_exact: int = EXACT_INDEPENDENCE_CAP) -> bool:
@@ -114,7 +102,7 @@ def verify_p2(graph: ColorGraph, p: int, max_exact: int = EXACT_INDEPENDENCE_CAP
     Equivalently: the graph has no independent set of size p, i.e. the
     complement has no p-clique.  Exact search, capped at max_exact vertices
     (the problem is NP-hard in general); callers that know their graph is
-    easy, like the cluster generator's post-check, may raise the cap.
+    easy may raise the cap, as the clustered-family acceptance check does.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -153,13 +141,7 @@ def max_neighbor_degree_sum(graph: ColorGraph) -> tuple[int, int]:
     """
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
-    deg = [0] * graph.n
-    for a, b in graph.edges:
-        deg[a] += 1
-        deg[b] += 1
-    g = [0] * graph.n
-    for a, b in graph.edges:
-        g[a] += deg[b]
-        g[b] += deg[a]
-    best = max(range(graph.n), key=lambda v: (g[v], -v))
-    return best, g[best]
+    adj = graph.adj.astype(np.int64)
+    g = adj @ adj.sum(axis=1)
+    best = int(np.argmax(g))
+    return best, int(g[best])

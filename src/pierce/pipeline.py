@@ -44,25 +44,23 @@ MAX_DENOMINATOR = 10_000
 MULTISET_BUDGET = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateClasses:
     """Maximal containment classes of the candidate arrangement.
 
     A class whose body set is contained in another's is dominated for both
     programs: the cover can move its weight to the larger class, and the
     packing constraint at the smaller class is implied by the larger one.
-    Only maximal classes are kept, one representative point each.
+    Only maximal classes are kept, one representative point each.  The
+    classes are stored as a read-only (classes x bodies) bool matrix whose
+    row j holds the bodies that contain points[j].
     """
 
     points: tuple[Point2, ...]
-    signatures: tuple[frozenset[int], ...]
-    n_bodies: int
+    members: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((len(self.points), self.n_bodies), dtype=bool)
-        for j, sig in enumerate(self.signatures):
-            out[j, list(sig)] = True
-        return out
+        return self.members
 
 
 @dataclass(frozen=True)
@@ -120,14 +118,12 @@ class TransversalReport:
 
 
 def candidate_classes(
-    bodies: list[ConvexBody],
-    candidates: list[Point2] | None = None,
-    tol: float = TOL_GEOM,
+    bodies: list[ConvexBody], candidates: list[Point2] | None = None
 ) -> CandidateClasses:
     """Deduplicate candidates into maximal containment classes."""
     if candidates is None:
-        candidates = candidate_points(bodies, tol=tol)
-    inside = containment_matrix(bodies, candidates, tol)
+        candidates = candidate_points(bodies)
+    inside = containment_matrix(bodies, candidates)
     covered = inside.any(axis=0)
     if not covered.all():
         missing = [bodies[i].id for i in np.flatnonzero(~covered)]
@@ -142,8 +138,9 @@ def candidate_classes(
     uniq = inside[first]
     chosen = np.sort(first[_maximal_rows(uniq)])
     points = tuple(candidates[k] for k in keep[chosen].tolist())
-    signatures = tuple(frozenset(np.flatnonzero(row).tolist()) for row in inside[chosen])
-    return CandidateClasses(points, signatures, len(bodies))
+    members = inside[chosen]
+    members.setflags(write=False)
+    return CandidateClasses(points, members)
 
 
 def _maximal_rows(uniq: np.ndarray) -> np.ndarray:
@@ -249,15 +246,17 @@ def certificate_failures(
 def rationalize(
     weights,
     max_denominator: int = MAX_DENOMINATOR,
-    signatures=None,
+    class_rows=None,
 ) -> tuple[tuple[int, ...], int]:
     """Integer multiplicities m and denominator D with m/D near the weights.
 
     Tries a common small denominator via continued fractions first; falls
-    back to flooring at D = max_denominator.  When signatures (index sets)
-    are supplied, the packing feasibility sum(m[i] for i in sig) <= D is
-    enforced exactly, repairing by decrements if the input weights were
-    infeasible to begin with.
+    back to flooring at D = max_denominator.  When class_rows (a 0/1 matrix,
+    one row per class, one column per weight) is supplied, the packing
+    feasibility class_rows @ m <= D is enforced exactly: if the small
+    denominator breaks it, m is floored at max_denominator, and while a row
+    is still over D, the first heaviest row's member with the largest m
+    (the lowest index among equals) loses one.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
@@ -275,27 +274,25 @@ def rationalize(
         d = max_denominator
         m = floored(d)
 
-    if signatures is not None:
-        if any(sum(m[i] for i in sig) > d for sig in signatures):
+    if class_rows is not None:
+        rows = np.asarray(class_rows, dtype=np.int64)
+        loads = rows @ np.array(m, dtype=np.int64)
+        if (loads > d).any():
             d = max_denominator
             m = floored(d)
-        while True:
-            worst, excess = None, 0
-            for sig in signatures:
-                over = sum(m[i] for i in sig) - d
-                if over > excess:
-                    worst, excess = sig, over
-            if worst is None:
-                break
+            loads = rows @ np.array(m, dtype=np.int64)
+        while (loads > d).any():
+            worst = np.flatnonzero(rows[int(np.argmax(loads))]).tolist()
             top = max(worst, key=lambda i: (m[i], -i))
             m[top] -= 1
+            loads -= rows[:, top]
     return tuple(m), d
 
 
 def greedy_transversal(classes: CandidateClasses) -> list[Point2]:
     """Greedy maximum-coverage hitting set over candidate classes."""
     mat = classes.matrix()
-    unhit = np.ones(classes.n_bodies, dtype=bool)
+    unhit = np.ones(mat.shape[1], dtype=bool)
     picks: list[Point2] = []
     while unhit.any():
         gains = (mat & unhit).sum(axis=1)
@@ -383,14 +380,12 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     d_cap = min(MAX_DENOMINATOR, max(1, int(MULTISET_BUDGET / max(tau_star, 1.0))))
-    m, d = rationalize(fp.weights, d_cap, signatures=classes.signatures)
+    m, d = rationalize(fp.weights, d_cap, class_rows=mat)
     if sum(m) == 0:
         m = list(m)
         m[int(np.argmax(fp.weights))] = 1
         m = tuple(m)
-    flags["rounding_feasible_exact"] = all(
-        sum(m[i] for i in sig) <= d for sig in classes.signatures
-    )
+    flags["rounding_feasible_exact"] = bool((mat @ np.array(m, dtype=np.int64) <= d).all())
     timings["rationalize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -34,6 +34,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_point(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
 
@@ -46,14 +50,14 @@ def _is_list_of(ok):
 SHAPES = {
     "transversal": ("a list of points", _is_list_of(_is_point)),
     "tau_star": ("a finite number", _is_number),
-    "m": ("a list of numbers", _is_list_of(_is_number)),
-    "D": ("a finite number", _is_number),
+    "m": ("a list of integers", _is_list_of(_is_int)),
+    "D": ("an integer", _is_int),
     "z": ("a point or null", lambda v: v is None or _is_point(v)),
-    "coverage.multiset_size": ("a finite number", _is_number),
-    "coverage.count": ("a finite number", _is_number),
+    "coverage.multiset_size": ("an integer", _is_int),
+    "coverage.count": ("an integer", _is_int),
     "coverage.epsilon": ("a finite number", _is_number),
-    "p_effective": ("a finite number", _is_number),
-    "filtered": ("a list of numbers", _is_list_of(_is_number)),
+    "p_effective": ("an integer", _is_int),
+    "filtered": ("a list of integers", _is_list_of(_is_int)),
     "lp.cover_points": ("a list of points", _is_list_of(_is_point)),
     "lp.cover_weights": ("a list of numbers", _is_list_of(_is_number)),
     "lp.packing": ("a list of numbers", _is_list_of(_is_number)),
@@ -95,11 +99,11 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     bodies = instance.bodies
     meets = [bool(body_curve_arcs(b, instance.curve)) for b in bodies]
     filtered = [i for i, ok in enumerate(meets) if not ok]
-    claimed = [int(i) for i in report["filtered"]]
+    claimed = report["filtered"]
     if claimed != filtered:
         failures.append(f"filtered {claimed}, but the bodies missing the curve are {filtered}")
     p_eff = max(2, instance.p - len(filtered))
-    if int(report["p_effective"]) != p_eff:
+    if report["p_effective"] != p_eff:
         failures.append(
             f"p_effective {report['p_effective']} != max(2, p - {len(filtered)}) = {p_eff}"
         )
@@ -107,16 +111,19 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     if not active:
         return failures + ["no body meets the curve"]
 
-    m = [int(v) for v in report["m"]]
-    d = int(report["D"])
+    m = report["m"]
+    d = report["D"]
     if len(m) != len(active):
         failures.append(f"m has {len(m)} entries for {len(active)} active bodies")
         return failures
     if d < 1 or any(v < 0 for v in m):
         failures.append("multiplicities must be nonnegative with D >= 1")
+    if sum(map(abs, m)) > np.iinfo(np.int64).max:
+        # The loads below are int64 sums of entries of m, which could wrap.
+        return failures + ["multiplicities sum past 2**63 - 1"]
     total = sum(m)
     cov = report["coverage"]
-    if total != int(cov["multiset_size"]):
+    if total != cov["multiset_size"]:
         failures.append(
             f"multiset size {cov['multiset_size']} != sum of multiplicities {total}"
         )
@@ -146,7 +153,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         failures.append("missing heavy point")
     else:
         recount = int(containment_matrix(active, [(float(z[0]), float(z[1]))])[0] @ weights)
-        if recount != int(cov["count"]):
+        if recount != cov["count"]:
             failures.append(
                 f"heavy point covers {recount} copies, report says {cov['count']}"
             )

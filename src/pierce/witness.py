@@ -84,10 +84,9 @@ class WitnessList:
         return sorted(self._occ)
 
 
-def build_witness_list(bodies: list[ConvexBody], curve: CurveModel,
-                       tol: float = TOL_GEOM) -> WitnessList:
+def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessList:
     """One witness per body pair whose curve arcs share a point."""
-    angles = meet_angles([body_curve_arcs(b, curve, tol) for b in bodies])
+    angles = meet_angles([body_curve_arcs(b, curve) for b in bodies])
     i, j = np.nonzero(np.triu(~np.isnan(angles), 1))
     return WitnessList.from_entries(
         WitnessPoint(float(angles[a, b]), (a, b)) for a, b in zip(i.tolist(), j.tolist()))

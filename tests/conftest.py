@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
-from pierce.geometry import TWO_PI, ConvexBody, Point2, containment_margin
+from pierce.geometry import TWO_PI, ConvexBody, Point2, _point_segment_distance
+from pierce.meetgraph import ColorGraph
 from pierce.witness import WitnessList, WitnessPoint
 
 NUDGE_EPS = 1e-6
@@ -40,6 +42,30 @@ def arc_body(body_id: int, lo: float, hi: float) -> ConvexBody:
         pts.append((r_out * math.cos(t), r_out * math.sin(t)))
     pts.append((0.3 * math.cos(hi), 0.3 * math.sin(hi)))
     return ConvexBody.from_vertices(body_id, pts)
+
+
+def containment_margin(body: ConvexBody, pt: Point2) -> float:
+    """Signed clearance of pt: positive inside, negative outside.
+
+    For polygons this is the smallest half-plane slack, which understates the
+    true exterior distance near corners but has the correct sign everywhere.
+    """
+    m = body.vertices.shape[0]
+    if m >= 3:
+        p = np.asarray(pt, dtype=float)
+        return float(np.min(body.offsets - body.normals @ p))
+    if m == 2:
+        return -_point_segment_distance(pt, body.vertices[0], body.vertices[1])
+    v = body.vertices[0]
+    return -math.hypot(pt[0] - v[0], pt[1] - v[1])
+
+
+def graph_from_edges(n: int, edges) -> ColorGraph:
+    """The ColorGraph on vertices 0..n-1 with the given (u, v) edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return ColorGraph(adj)
 
 
 def synthetic_list(n: int, target_positions=(), extra_colors=None) -> WitnessList:

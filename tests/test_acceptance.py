@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import face_census, synthetic_list
+from conftest import face_census, graph_from_edges, synthetic_list
 from pierce.geometry import (
     body_contains,
     brute_min_transversal,
@@ -29,7 +29,6 @@ from pierce.highdim import (
 )
 from pierce.instances import gallery7, gen_clustered, gen_pairwise
 from pierce.meetgraph import (
-    ColorGraph,
     build_meet_graph,
     max_neighbor_degree_sum,
     turan_pair_check,
@@ -220,17 +219,17 @@ def test_criterion_07_neighbor_degree_observation():
     for _ in range(100):
         n = int(rng.integers(1, 25))
         prob = float(rng.uniform(0.0, 1.0))
-        edges = frozenset(
+        edges = [
             (i, j)
             for i, j in itertools.combinations(range(n), 2)
             if rng.random() < prob
-        )
-        g = ColorGraph(n, edges)
+        ]
+        g = graph_from_edges(n, edges)
         _, gmax = max_neighbor_degree_sum(g)
         if gmax < 4 * g.edge_count**2 / n**2:
             ok = False
-        degs = [g.degree(v) for v in range(n)]
-        total_g = sum(sum(degs[w] for w in g.neighbors(v)) for v in range(n))
+        degs = g.adj.sum(axis=1).tolist()
+        total_g = sum(degs[j] for i, j in edges) + sum(degs[i] for i, j in edges)
         if total_g != sum(d * d for d in degs):
             ok = False
     _verdict(7, "max neighbor-degree sum beats 4|E|^2/n^2", ok)
@@ -254,10 +253,10 @@ def test_criterion_08_lp_duality_and_exact_rounding():
         ft, fp = solve_lp_pair(classes)
         if abs(ft.size - fp.size) > DUALITY_TOL:
             ok = False
-        m, d = rationalize(fp.weights, signatures=classes.signatures)
+        m, d = rationalize(fp.weights, class_rows=classes.matrix())
         if not (isinstance(d, int) and all(isinstance(v, int) for v in m)):
             ok = False
-        if any(sum(m[i] for i in sig) > d for sig in classes.signatures):
+        if any(sum(m[i] for i in np.flatnonzero(row)) > d for row in classes.matrix()):
             ok = False
     _verdict(8, "packing equals transversal and rounds to exact integers", ok)
 

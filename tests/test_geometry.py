@@ -22,7 +22,6 @@ from pierce.geometry import (
     body_curve_arcs,
     brute_min_transversal,
     candidate_points,
-    containment_margin,
     intersect_arcs,
     make_arc,
     normalize_angle,
@@ -30,7 +29,7 @@ from pierce.geometry import (
 )
 from pierce.instances import gallery7, gen_pairwise
 
-from conftest import face_census, grid, grid_square, grid_triangle
+from conftest import containment_margin, face_census, grid, grid_square, grid_triangle
 
 
 def square(body_id, x0, y0, side=1.0):

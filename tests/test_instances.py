@@ -78,7 +78,7 @@ def test_gen_clustered_condition_and_tightness():
     # one representative per cluster is pairwise non-meeting
     for a in range(3):
         for b in range(a + 1, 3):
-            assert not graph.has_edge(a, b)
+            assert not graph.adj[a, b]
 
 
 def test_gen_clustered_large_shares_anchors():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import arc_body
+from conftest import arc_body, graph_from_edges
 
 from pierce.errors import ConditionNotSatisfiedError
 from pierce.geometry import UNIT_CIRCLE
@@ -15,8 +15,7 @@ from pierce.meetgraph import (
 )
 
 
-def make_graph(n, edges):
-    return ColorGraph(n, frozenset(tuple(e) for e in edges))
+make_graph = graph_from_edges
 
 
 def clique_edges(vertices):
@@ -30,30 +29,40 @@ def random_graph(rng, n, prob):
 
 def independent_oracle(graph, size):
     for sub in itertools.combinations(range(graph.n), size):
-        if not any(graph.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
+        if not any(graph.adj[u, v] for u, v in itertools.combinations(sub, 2)):
             return True
     return False
 
 
 def test_color_graph_validation():
     g = make_graph(4, {(2, 0), (1, 3)})
-    assert g.has_edge(0, 2) and g.has_edge(3, 1)
-    assert g.edge_count == 2
-    with pytest.raises(ValueError):
+    assert g.adj[0, 2] and g.adj[2, 0] and g.adj[3, 1] and g.adj[1, 3]
+    assert g.n == 4 and g.edge_count == 2
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
         make_graph(3, {(1, 1)})
+    with pytest.raises(ValueError, match="square"):
+        ColorGraph(np.zeros((2, 3), dtype=bool))
+    one_way = np.zeros((3, 3), dtype=bool)
+    one_way[0, 2] = True
+    with pytest.raises(ValueError, match="symmetric"):
+        ColorGraph(one_way)
+    # The graph keeps its own read-only copy.
+    src = g.adj.copy()
+    kept = ColorGraph(src)
+    src[0, 1] = src[1, 0] = True
+    assert not kept.adj[0, 1]
     with pytest.raises(ValueError):
-        make_graph(3, {(0, 3)})
-    with pytest.raises(ValueError):
-        ColorGraph(-1)
+        kept.adj[0, 1] = True
+    assert ColorGraph(np.zeros((0, 0), dtype=bool)).n == 0
 
 
 def test_color_graph_accessors():
     g = make_graph(5, {(0, 1), (0, 2), (3, 4)})
-    assert g.neighbors(0) == [1, 2]
-    assert g.degree(0) == 2 and g.degree(4) == 1
-    comp = g.complement()
+    assert np.flatnonzero(g.adj[0]).tolist() == [1, 2]
+    assert g.adj.sum(axis=1).tolist() == [2, 1, 1, 1, 1]
+    comp = ColorGraph(~g.adj ^ np.eye(5, dtype=bool))
     assert comp.edge_count == 10 - 3
-    assert not comp.has_edge(0, 1) and comp.has_edge(1, 2)
+    assert not comp.adj[0, 1] and comp.adj[1, 2]
 
 
 def test_build_meet_graph_complete():
@@ -73,7 +82,8 @@ def test_build_meet_graph_two_clusters():
     cluster_a = [arc_body(i, 0.4 + 0.02 * i, 0.9 + 0.02 * i) for i in range(3)]
     cluster_b = [arc_body(3 + i, 3.4 + 0.02 * i, 3.9 + 0.02 * i) for i in range(3)]
     g = build_meet_graph(cluster_a + cluster_b, UNIT_CIRCLE)
-    assert g.edges == frozenset(clique_edges({0, 1, 2}) | clique_edges({3, 4, 5}))
+    want = make_graph(6, clique_edges({0, 1, 2}) | clique_edges({3, 4, 5}))
+    assert np.array_equal(g.adj, want.adj)
 
 
 def test_verify_p2_examples():
@@ -105,10 +115,9 @@ def test_verify_p2_complement_clique_consistency():
     for _ in range(100):
         n = int(rng.integers(3, 11))
         g = random_graph(rng, n, 0.5)
-        comp = g.complement()
         p = int(rng.integers(2, n + 1))
         has_clique = any(
-            all(comp.has_edge(u, v) for u, v in itertools.combinations(sub, 2))
+            all(not g.adj[u, v] for u, v in itertools.combinations(sub, 2))
             for sub in itertools.combinations(range(n), p)
         )
         assert verify_p2(g, p) == (not has_clique)
@@ -163,26 +172,42 @@ def test_turan_bound_edge_of_regime():
         assert ok, (p, meets, bound)
 
 
+def neighbor_degree_sums(graph):
+    """Degrees and g(v) = sum of deg(w) over the neighbors w of v, by plain loops."""
+    n = graph.n
+    nbrs = [[w for w in range(n) if graph.adj[v, w]] for v in range(n)]
+    deg = [len(a) for a in nbrs]
+    return deg, [sum(deg[w] for w in a) for a in nbrs]
+
+
+def reference_max_neighbor_degree_sum(graph):
+    """The vertex with the largest g, the smallest index among equals, and its g."""
+    g = neighbor_degree_sums(graph)[1]
+    best = max(range(graph.n), key=lambda v: (g[v], -v))
+    return best, g[best]
+
+
 def test_max_neighbor_degree_sum_examples():
     cycle = make_graph(4, {(0, 1), (1, 2), (2, 3), (3, 0)})
     v, g = max_neighbor_degree_sum(cycle)
-    assert g == 4
+    assert (v, g) == (0, 4)
     assert g == 4 * cycle.edge_count**2 / cycle.n**2
 
-    star = make_graph(5, {(0, 1), (0, 2), (0, 3), (0, 4)})
+    # Every vertex of the star has g = 4; the tie goes to the smallest index.
+    star = make_graph(5, {(1, 0), (1, 2), (1, 3), (1, 4)})
     v, g = max_neighbor_degree_sum(star)
-    assert g == 4
+    assert (v, g) == (0, 4)
     assert 4 * star.edge_count**2 / star.n**2 == pytest.approx(2.56)
 
     with pytest.raises(ValueError):
-        max_neighbor_degree_sum(ColorGraph(0))
+        max_neighbor_degree_sum(make_graph(0, ()))
 
 
 def test_max_neighbor_degree_sum_bound_random():
-    rng = np.random.default_rng(11)
     for seed in range(100):
         g = random_graph(np.random.default_rng(seed), 20, 0.3)
-        _, best = max_neighbor_degree_sum(g)
+        v, best = max_neighbor_degree_sum(g)
+        assert (v, best) == reference_max_neighbor_degree_sum(g)
         assert best >= 4 * g.edge_count**2 / g.n**2 - 1e-12
 
 
@@ -191,6 +216,6 @@ def test_neighbor_degree_sum_identity():
     for _ in range(60):
         n = int(rng.integers(1, 16))
         g = random_graph(rng, n, float(rng.uniform(0, 1)))
-        deg = [g.degree(v) for v in range(n)]
-        gsum = [sum(deg[w] for w in g.neighbors(v)) for v in range(n)]
+        assert max_neighbor_degree_sum(g) == reference_max_neighbor_degree_sum(g)
+        deg, gsum = neighbor_degree_sums(g)
         assert sum(gsum) == sum(d * d for d in deg)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,10 +39,15 @@ def box(body_id: int, cx: float, cy: float, r: float = 0.4) -> ConvexBody:
 # ---------------------------------------------------------------- classes
 
 
+def signatures(classes):
+    """Each class's body set, in class order."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in classes.matrix()]
+
+
 def test_candidate_classes_disjoint():
     bodies = [box(0, -2.0, 0.0), box(1, 2.0, 0.0)]
     cc = candidate_classes(bodies)
-    assert sorted(sorted(s) for s in cc.signatures) == [[0], [1]]
+    assert sorted(sorted(s) for s in signatures(cc)) == [[0], [1]]
     assert len(cc.points) == 2
 
 
@@ -51,7 +57,7 @@ def test_candidate_classes_nested_signature_dominated():
     cc = candidate_classes([outer, inner])
     # every point of the inner square lies in the outer one, so the lone
     # maximal class is {0,1} and one point covers both bodies
-    assert cc.signatures == (frozenset({0, 1}),)
+    assert cc.matrix().tolist() == [[True, True]]
     assert len(greedy_transversal(candidate_classes([outer, inner]))) == 1
 
 
@@ -74,11 +80,11 @@ def test_vertex_candidates_find_every_maximal_class(shapes):
     step = NUDGE_EPS / math.sqrt(2.0)
     nudged = base + [(x + sx * step, y + sy * step)
                      for x, y in base for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
-    got = set(candidate_classes(bodies).signatures)
-    assert got == set(candidate_classes(bodies, candidates=nudged).signatures)
+    got = set(signatures(candidate_classes(bodies)))
+    assert got == set(signatures(candidate_classes(bodies, candidates=nudged)))
     # An eighth-unit grid over the shapes' range reaches cells no vertex is near.
     sample = [(i / 8, j / 8) for i in range(57) for j in range(57)]
-    assert got == set(candidate_classes(bodies, candidates=nudged + sample).signatures)
+    assert got == set(signatures(candidate_classes(bodies, candidates=nudged + sample)))
 
 
 def reference_classes(bodies):
@@ -103,8 +109,9 @@ def test_candidate_classes_packed_dedup_matches_frozensets(n):
         cc = candidate_classes(bodies)
         want = reference_classes(bodies)
         assert list(cc.points) == [pt for pt, _ in want]
-        assert list(cc.signatures) == [sig for _, sig in want]
-        assert n < 9 or any(max(sig) >= 8 for sig in cc.signatures)
+        assert signatures(cc) == [sig for _, sig in want]
+        assert n < 9 or any(max(sig) >= 8 for sig in signatures(cc))
+        assert cc.matrix().dtype == bool and not cc.matrix().flags.writeable
 
 
 def test_maximal_rows_against_bruteforce():
@@ -176,10 +183,63 @@ def test_rationalize_validation():
 def test_rationalize_repairs_infeasible_sum():
     # both weights 0.6 at a shared candidate exceed the packing constraint;
     # the repair must land on an exactly feasible integer pair
-    sigs = (frozenset({0, 1}),)
-    m, d = rationalize((0.6, 0.6), 10, signatures=sigs)
+    m, d = rationalize((0.6, 0.6), 10, class_rows=[[True, True]])
     assert m[0] + m[1] <= d
     assert min(m) >= 0
+
+
+def reference_rationalize(weights, max_denominator, signatures):
+    """rationalize over frozenset classes, with a plain loop for the repair;
+    also returns how many decrements the repair made."""
+    w = [min(1.0, max(0.0, float(v))) for v in weights]
+
+    def floored(d):
+        return [int(math.floor(v * d + 1e-6)) for v in w]
+
+    fracs = [Fraction(v).limit_denominator(max_denominator) for v in w]
+    denom = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
+    if denom <= max_denominator:
+        m, d = [int(f * denom) for f in fracs], denom
+    else:
+        d = max_denominator
+        m = floored(d)
+    if any(sum(m[i] for i in sig) > d for sig in signatures):
+        d = max_denominator
+        m = floored(d)
+    repairs = 0
+    while True:
+        worst, excess = None, 0
+        for sig in signatures:
+            over = sum(m[i] for i in sig) - d
+            if over > excess:
+                worst, excess = sig, over
+        if worst is None:
+            break
+        m[max(worst, key=lambda i: (m[i], -i))] -= 1
+        repairs += 1
+    return tuple(m), d, repairs
+
+
+def test_rationalize_matches_the_signature_reference():
+    rng = np.random.default_rng(12)
+    repaired = 0
+    for trial in range(300):
+        k, n = int(rng.integers(0, 12)), int(rng.integers(1, 10))
+        rows = rng.random((k, n)) < rng.uniform(0.2, 0.9)
+        if trial % 3 == 0:
+            weights = np.full(n, 0.6)  # every pair of members overloads its class
+        elif trial % 3 == 1:
+            weights = rng.choice([0.0, 0.25, 1 / 3, 0.5, 0.6, 0.7], n)  # tied m values
+        else:
+            weights = rng.uniform(0.0, 1.0, n)
+        d_cap = int(rng.choice([1, 6, 10, 60, 500]))
+        sigs = [frozenset(np.flatnonzero(row).tolist()) for row in rows]
+        m, d, repairs = reference_rationalize(weights, d_cap, sigs)
+        got = rationalize(weights, d_cap, class_rows=rows)
+        assert got == (m, d)
+        assert all(type(v) is int for v in got[0]) and type(got[1]) is int
+        repaired += repairs > 0
+    assert repaired >= 100
 
 
 def test_rationalize_stays_feasible_on_lp_outputs():
@@ -187,9 +247,9 @@ def test_rationalize_stays_feasible_on_lp_outputs():
         inst = gen_clustered(3, 8, seed=seed)
         cc = candidate_classes(inst.bodies)
         fp = solve_lp_pair(cc)[1]
-        m, d = rationalize(fp.weights, 200, signatures=cc.signatures)
+        m, d = rationalize(fp.weights, 200, class_rows=cc.matrix())
         assert d <= 200
-        for sig in cc.signatures:
+        for sig in signatures(cc):
             total = sum(m[i] for i in sig)
             assert isinstance(total, int)
             assert total <= d
@@ -350,14 +410,14 @@ def test_tau_star_and_classes_do_not_depend_on_body_order(name):
     inst = gen_clustered(4, 16, seed=0) if name == "clustered" else _guard_instance(name)
     n = len(inst.bodies)
     tau_star = run_pipeline(inst.bodies, inst.curve, inst.p).tau_star
-    signatures = set(candidate_classes(inst.bodies).signatures)
+    classes = set(signatures(candidate_classes(inst.bodies)))
     for order in (list(range(n))[::-1], np.random.default_rng(0).permutation(n).tolist()):
         bodies = [inst.bodies[i] for i in order]
         report = run_pipeline(bodies, inst.curve, inst.p)
         assert report.tau_star == pytest.approx(tau_star, abs=1e-9)
         relabelled = {frozenset(order[j] for j in sig)
-                      for sig in candidate_classes(bodies).signatures}
-        assert relabelled == signatures
+                      for sig in signatures(candidate_classes(bodies))}
+        assert relabelled == classes
 
 
 def test_run_pipeline_filters_off_curve_bodies():

@@ -218,18 +218,45 @@ def test_verify_report_fails_on_a_report_that_is_not_an_object(gallery_run):
 
 def test_verify_report_fails_on_wrong_types(gallery_run):
     inst, report = gallery_run
-    cases = {
-        "D": (None, "D is not a finite number"),
-        "tau_star": (float("nan"), "tau_star is not a finite number"),
-        "m": ("abc", "m is not a list of numbers"),
-        "transversal": ([[1.0]], "transversal is not a list of points"),
-        "lp": (None, "lp is not a JSON object"),
-    }
-    for key, (value, failure) in cases.items():
+    cov = report["coverage"]
+    # The non-integer counts each passed when they were read through int().
+    cases = [
+        ("D", None, "D is not an integer"),
+        ("D", report["D"] + 0.9, "D is not an integer"),
+        ("D", True, "D is not an integer"),
+        ("tau_star", float("nan"), "tau_star is not a finite number"),
+        ("m", "abc", "m is not a list of integers"),
+        ("m", [v + 0.5 for v in report["m"]], "m is not a list of integers"),
+        ("p_effective", report["p_effective"] + 0.5, "p_effective is not an integer"),
+        ("coverage", dict(cov, count=cov["count"] + 0.7), "coverage.count is not an integer"),
+        ("coverage", dict(cov, multiset_size=cov["multiset_size"] + 0.7),
+         "coverage.multiset_size is not an integer"),
+        ("filtered", [0.0], "filtered is not a list of integers"),
+        ("transversal", [[1.0]], "transversal is not a list of points"),
+        ("lp", None, "lp is not a JSON object"),
+    ]
+    for key, value, failure in cases:
         assert verify_report(inst, dict(report, **{key: value})) == [failure]
     lp = dict(report["lp"], cover_weights=[True] * len(report["lp"]["cover_weights"]))
     assert verify_report(inst, dict(report, lp=lp)) == [
         "lp.cover_weights is not a list of numbers"]
+
+
+def test_verify_report_fails_on_multiplicities_past_int64(gallery_run):
+    inst, report = gallery_run
+    # 2**62 + 1 copies of each of bodies 3-6 load their class with 2**64 + 4,
+    # far above D, but int64 sums read that load as 4, and every other row
+    # as at most D; at the class point, every claim then checked out.
+    classes = candidate_classes(inst.bodies)
+    k = next(j for j, row in enumerate(classes.matrix())
+             if np.flatnonzero(row).tolist() == [3, 4, 5, 6])
+    m = [0, 0, 0] + [2**62 + 1] * 4
+    forged = dict(report, m=m, D=2**62 + 1, z=list(classes.points[k]), coverage={
+        "count": 4, "epsilon": 4 / sum(m), "multiset_size": sum(m)})
+    assert verify_report(inst, forged) == ["multiplicities sum past 2**63 - 1"]
+    # 10**30 does not fit int64 at all, which raised OverflowError.
+    huge = dict(report, m=[10**30] * 7)
+    assert verify_report(inst, huge)[-1] == "multiplicities sum past 2**63 - 1"
 
 
 def test_one_simplex_per_run_and_none_in_verify(monkeypatch):
