@@ -119,20 +119,27 @@ def _segments_to_intervals(segs: list[tuple[float, float]]) -> list[AngularInter
     return sorted(out, key=lambda iv: iv.start)
 
 
+def _clip_segments(segs_a: list[tuple[float, float]],
+                   segs_b: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    # Linear pieces of the intersection: pairwise overlaps, plus the point 0
+    # when both sides touch it (at 0 or at 2*pi). Pieces may touch or repeat.
+    hits = []
+    for a0, a1 in segs_a:
+        for b0, b1 in segs_b:
+            lo = b0 if b0 > a0 else a0  # max(a0, b0), without the call
+            hi = b1 if b1 < a1 else a1  # min(a1, b1)
+            if lo <= hi:
+                hits.append((lo, hi))
+    if _covers_origin(segs_b) and _covers_origin(segs_a):
+        hits.append((0.0, 0.0))
+    return hits
+
+
 def intersect_arcs(a: list[AngularInterval], b: list[AngularInterval]) -> list[AngularInterval]:
     """Intersection of two arc sets, returned sorted by start angle."""
     segs_a = [s for iv in a for s in _interval_segments(iv)]
     segs_b = [s for iv in b for s in _interval_segments(iv)]
-    hits = []
-    for a0, a1 in segs_a:
-        for b0, b1 in segs_b:
-            lo = max(a0, b0)
-            hi = min(a1, b1)
-            if lo <= hi:
-                hits.append((lo, hi))
-    if _covers_origin(segs_a) and _covers_origin(segs_b):
-        hits.append((0.0, 0.0))
-    return _segments_to_intervals(hits)
+    return _segments_to_intervals(_clip_segments(segs_a, segs_b))
 
 
 @dataclass(frozen=True)
@@ -249,9 +256,17 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel, tol: float = TOL_GEOM) 
     """Arcs of the curve lying inside the body, under the same tol as body_contains.
 
     Each polygon edge constrains the angle theta through
-    cos(theta - phi) <= c, an arc complement, and the result is the running
-    intersection over all edges. Returned intervals are sorted by start angle.
-    Point and segment bodies yield zero-length arcs at their touch angles.
+    cos(theta - phi) <= c, an arc complement, and the result is the
+    intersection over all edges. Returned intervals are sorted by start
+    angle. Point and segment bodies yield zero-length arcs at their touch
+    angles.
+
+    The running intersection is kept as linear pieces of [0, 2*pi], clipped
+    edge by edge with intersect_arcs' clipping, and reassembled into arcs
+    once at the end. This is bit-identical to the per-edge reference
+    (intersect_arcs with each edge's arc): clipping only takes max and min
+    of piece ends, so both hold the same point set of the circle, and
+    _segments_to_intervals returns the same arcs for it.
     """
     m = body.vertices.shape[0]
     cx, cy = curve.center
@@ -264,19 +279,19 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel, tol: float = TOL_GEOM) 
         return []
     if m == 2:
         return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve, tol)
-    arcs = [FULL_CIRCLE]
-    for n, off in zip(body.normals, body.offsets):
-        c = (off - (n[0] * cx + n[1] * cy) + tol) / r
+    segs = [(0.0, TWO_PI)]
+    for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
+        c = (off - (nx * cx + ny * cy) + tol) / r
         if c >= 1.0:
             continue
         if c <= -1.0:
             return []
         delta = math.acos(c)
-        phi = math.atan2(n[1], n[0])
-        arcs = intersect_arcs(arcs, [make_arc(phi + delta, phi + TWO_PI - delta)])
-        if not arcs:
+        phi = math.atan2(ny, nx)
+        segs = _clip_segments(segs, _interval_segments(make_arc(phi + delta, phi + TWO_PI - delta)))
+        if not segs:
             return []
-    return arcs
+    return _segments_to_intervals(segs)
 
 
 def _segment_curve_touch_arcs(a, b, curve: CurveModel, tol: float) -> list[AngularInterval]:
@@ -487,20 +502,80 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Po
     return out
 
 
+# Cells (stacked edge rows or segment bodies, times points) one containment
+# block holds; each float64 temporary of a block stays near 512 KiB.
+_CELLS = 1 << 16
+
+
 def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
                        tol: float = TOL_GEOM) -> np.ndarray:
-    """Bool matrix of shape (len(points), len(bodies)): membership per pair."""
+    """Bool matrix of shape (len(points), len(bodies)): membership per pair.
+
+    One batched kernel, bit-identical to the per-body reference (a polygon's
+    column is all(pts @ normals.T <= offsets + tol, axis=1), a segment or
+    point body's column is body_contains per point). Every polygon's edge
+    normals are stacked in one (bodies * width, 2) array, each body padded
+    to the family's widest (width edges) with rows that always pass: normal
+    0, offset +inf. For a block of points, normals @ pts.T compared with
+    offsets + tol is an (edges, points) bool array; reshaped to (bodies,
+    width, points), its AND along the middle axis is the block's
+    membership, transposed into the result. The product is the same matmul
+    as the reference's, so it rounds the same way. Segment and point bodies
+    take body_contains' point-to-segment distance for a whole block at once
+    (see _segment_distances). Points go in blocks of about _CELLS / rows, so
+    every temporary stays near _CELLS cells whatever the point count.
+    """
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
-    if not points:
+    if not points or not bodies:
         return inside
     pts = np.asarray(points, dtype=float)
-    for k, body in enumerate(bodies):
-        m = body.vertices.shape[0]
-        if m >= 3:
-            inside[:, k] = np.all(pts @ body.normals.T <= body.offsets + tol, axis=1)
-        else:
-            inside[:, k] = [body_contains(body, (p[0], p[1]), tol) for p in pts]
+    n_edges = np.array([len(body.offsets) for body in bodies])
+    poly, thin = np.flatnonzero(n_edges), np.flatnonzero(n_edges == 0)
+    width = int(n_edges.max())
+    counts = n_edges[poly]
+    # Edge e of polygon j sits in row j * width + e of the stacked arrays.
+    slot = np.arange(counts.sum()) + np.repeat(
+        np.arange(poly.size) * width - (np.cumsum(counts) - counts), counts)
+    normals = np.zeros((poly.size * width, 2))
+    limits = np.full((poly.size * width, 1), np.inf)
+    if poly.size:
+        normals[slot] = np.concatenate([bodies[k].normals for k in poly])
+        limits[slot, 0] = np.concatenate([bodies[k].offsets for k in poly]) + tol
+    ends = np.array([(bodies[k].vertices[0], bodies[k].vertices[-1]) for k in thin])
+    step = max(1, _CELLS // (normals.shape[0] + thin.size))
+    for lo in range(0, len(pts), step):
+        block = pts[lo:lo + step]
+        if poly.size:
+            below = (normals @ block.T <= limits).reshape(poly.size, width, -1)
+            inside[lo:lo + step, poly] = below.all(axis=1).T
+        if thin.size:
+            near = _segment_distances(block, ends[:, 0], ends[:, 1], tol) <= tol
+            inside[lo:lo + step, thin] = near.T
     return inside
+
+
+def _segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       tol: float) -> np.ndarray:
+    """_point_segment_distance from every point to every segment a[k]b[k].
+
+    Returns a (segments, points) array with the scalar function's operations
+    in its order, so each entry equals it, except that np.hypot and
+    math.hypot may round apart in the last place: entries within a few ulps
+    of tol are taken from math.hypot, so comparisons with tol match
+    body_contains. A point body is the segment from its vertex to itself.
+    """
+    ax, ay = a[:, :1], a[:, 1:]
+    dx, dy = b[:, :1] - ax, b[:, 1:] - ay
+    den = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((pts[:, 0] - ax) * dx + (pts[:, 1] - ay) * dy) / den
+    t = np.where(den == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    ex = pts[:, 0] - (ax + t * dx)
+    ey = pts[:, 1] - (ay + t * dy)
+    dist = np.hypot(ex, ey)
+    for k, j in zip(*np.nonzero(np.abs(dist - tol) <= 4 * np.spacing(tol))):
+        dist[k, j] = math.hypot(ex[k, j], ey[k, j])
+    return dist
 
 
 def brute_min_transversal(bodies: list[ConvexBody], candidates: list[Point2],

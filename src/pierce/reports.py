@@ -128,17 +128,27 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
             f"multiset size {cov['multiset_size']} != sum of multiplicities {total}"
         )
 
-    transversal = [tuple(float(v) for v in pt) for pt in report["transversal"]]
+    transversal = _points(report["transversal"])
+    cover_points = _points(report["lp"]["cover_points"])
+    candidates = candidate_points(active)
+    z = report["z"]
+    heavy = [] if z is None else _points([z])
+    # One containment call for every point checked: the transversal against
+    # all bodies, the rest read on the active bodies' columns.
+    inside = containment_matrix(bodies, transversal + candidates + cover_points + heavy, TOL_GEOM)
+    hit, rows, cover_rows, z_row = np.split(
+        inside, np.cumsum([len(transversal), len(candidates), len(cover_points)]))
+    on_active = np.flatnonzero(meets)
+    rows, cover_rows, z_row = rows[:, on_active], cover_rows[:, on_active], z_row[:, on_active]
+
     if not transversal:
         failures.append("empty transversal")
     else:
-        inside = containment_matrix(bodies, transversal, TOL_GEOM)
-        missed = [bodies[i].id for i in range(len(bodies)) if not inside[:, i].any()]
+        missed = [bodies[i].id for i in np.flatnonzero(~hit.any(axis=0))]
         if missed:
             failures.append(f"transversal misses bodies {missed}")
 
-    rows = containment_matrix(active, candidate_points(active), TOL_GEOM)
-    failures += _lp_certificate_failures(active, report["lp"], rows, tau_star)
+    failures += _lp_certificate_failures(active, report["lp"], cover_rows, rows, tau_star)
 
     weights = np.asarray(m, dtype=np.int64)
     loads = rows @ weights
@@ -152,7 +162,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     if z is None:
         failures.append("missing heavy point")
     else:
-        recount = int(containment_matrix(active, [(float(z[0]), float(z[1]))])[0] @ weights)
+        recount = int(z_row[0] @ weights)
         if recount != cov["count"]:
             failures.append(
                 f"heavy point covers {recount} copies, report says {cov['count']}"
@@ -201,15 +211,19 @@ def _shape_failures(report) -> list[str]:
     return failures
 
 
-def _lp_certificate_failures(active, lp: dict, class_rows: np.ndarray, tau_star: float):
-    """The report's cover and packing, checked as a certificate for tau_star."""
-    points = [tuple(float(v) for v in pt) for pt in lp["cover_points"]]
+def _points(values) -> list[tuple[float, float]]:
+    return [(float(x), float(y)) for x, y in values]
+
+
+def _lp_certificate_failures(active, lp: dict, cover_rows: np.ndarray, class_rows: np.ndarray,
+                             tau_star: float):
+    """The report's cover and packing, checked as a certificate for tau_star;
+    cover_rows are the active bodies containing each cover point."""
     weights = [float(w) for w in lp["cover_weights"]]
     packing = [float(w) for w in lp["packing"]]
-    if len(weights) != len(points):
-        return [f"lp has {len(weights)} cover weights for {len(points)} cover points"]
+    if len(weights) != len(cover_rows):
+        return [f"lp has {len(weights)} cover weights for {len(cover_rows)} cover points"]
     if len(packing) != len(active):
         return [f"lp packing has {len(packing)} entries for {len(active)} active bodies"]
-    cover_rows = containment_matrix(active, points, TOL_GEOM)
     ids = [b.id for b in active]
     return certificate_failures(ids, cover_rows, weights, class_rows, packing, tau_star)

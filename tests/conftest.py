@@ -6,7 +6,21 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from pierce.geometry import TWO_PI, ConvexBody, Point2, _point_segment_distance
+from pierce.geometry import (
+    FULL_CIRCLE,
+    TOL_GEOM,
+    TWO_PI,
+    AngularInterval,
+    ConvexBody,
+    CurveModel,
+    Point2,
+    _point_segment_distance,
+    _segment_curve_touch_arcs,
+    body_contains,
+    intersect_arcs,
+    make_arc,
+    normalize_angle,
+)
 from pierce.meetgraph import ColorGraph
 from pierce.witness import WitnessList, WitnessPoint
 
@@ -121,3 +135,49 @@ def face_census(bodies: list[ConvexBody], candidates: list[Point2],
         if sig not in reps:
             reps[sig] = pt
     return reps
+
+
+def reference_containment_matrix(bodies: list[ConvexBody], points: list[Point2],
+                                 tol: float = TOL_GEOM) -> np.ndarray:
+    """containment_matrix as a loop over bodies: each polygon's column from its
+    own half-planes, each segment or point body's from body_contains per point."""
+    inside = np.zeros((len(points), len(bodies)), dtype=bool)
+    if not points:
+        return inside
+    pts = np.asarray(points, dtype=float)
+    for k, body in enumerate(bodies):
+        m = body.vertices.shape[0]
+        if m >= 3:
+            inside[:, k] = np.all(pts @ body.normals.T <= body.offsets + tol, axis=1)
+        else:
+            inside[:, k] = [body_contains(body, (p[0], p[1]), tol) for p in pts]
+    return inside
+
+
+def reference_body_curve_arcs(body: ConvexBody, curve: CurveModel,
+                              tol: float = TOL_GEOM) -> list[AngularInterval]:
+    """body_curve_arcs with one intersect_arcs call per cutting edge."""
+    m = body.vertices.shape[0]
+    cx, cy = curve.center
+    r = curve.radius
+    if m == 1:
+        v = body.vertices[0]
+        if abs(math.hypot(v[0] - cx, v[1] - cy) - r) <= tol:
+            t = normalize_angle(math.atan2(v[1] - cy, v[0] - cx))
+            return [AngularInterval(t, t)]
+        return []
+    if m == 2:
+        return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve, tol)
+    arcs = [FULL_CIRCLE]
+    for n, off in zip(body.normals, body.offsets):
+        c = (off - (n[0] * cx + n[1] * cy) + tol) / r
+        if c >= 1.0:
+            continue
+        if c <= -1.0:
+            return []
+        delta = math.acos(c)
+        phi = math.atan2(n[1], n[0])
+        arcs = intersect_arcs(arcs, [make_arc(phi + delta, phi + TWO_PI - delta)])
+        if not arcs:
+            return []
+    return arcs

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from pierce.geometry import (
     body_curve_arcs,
     brute_min_transversal,
     candidate_points,
+    containment_matrix,
     intersect_arcs,
     make_arc,
     normalize_angle,
@@ -29,7 +31,15 @@ from pierce.geometry import (
 )
 from pierce.instances import gallery7, gen_pairwise
 
-from conftest import containment_margin, face_census, grid, grid_square, grid_triangle
+from conftest import (
+    containment_margin,
+    face_census,
+    grid,
+    grid_square,
+    grid_triangle,
+    reference_body_curve_arcs,
+    reference_containment_matrix,
+)
 
 
 def square(body_id, x0, y0, side=1.0):
@@ -366,6 +376,172 @@ def test_candidate_points_golden(instance, count, digest):
     cands = candidate_points(instance().bodies)
     assert len(cands) == count
     assert hashlib.sha256(np.asarray(cands).tobytes()).hexdigest() == digest
+
+
+def _ngon(k, cx, cy, radius, phase, stretch=1.0):
+    return [(cx + stretch * radius * math.cos(phase + TWO_PI * j / k),
+             cy + radius * math.sin(phase + TWO_PI * j / k)) for j in range(k)]
+
+
+_coord = st.one_of(grid, st.floats(-3.0, 3.0))
+_ngon_vertices = st.builds(
+    _ngon, st.integers(3, 16), _coord, _coord, st.one_of(st.just(0.5), st.floats(0.01, 3.0)),
+    st.floats(0.0, TWO_PI), st.sampled_from([1.0, 0.25, 3.0]))
+_mixed_shape = st.one_of(
+    _ngon_vertices, grid_square, grid_triangle,
+    st.lists(st.tuples(_coord, _coord), min_size=2, max_size=2, unique=True),  # segment
+    st.tuples(_coord, _coord).map(lambda v: [v]),  # point
+)
+
+
+def _probe_points(bodies):
+    """Vertices and edge crossings, points at exactly offset + tol of every
+    axis-aligned edge and one ulp past it, and points within TOL_GEOM +- 1e-12
+    of every edge and segment."""
+    tol = geometry.TOL_GEOM
+    points = candidate_points(bodies)
+    for body in bodies:
+        verts = [np.asarray(v) for v in body.vertices]
+        if len(body.offsets):
+            for (nx, ny), off, v in zip(body.normals.tolist(), body.offsets.tolist(), verts):
+                if abs(nx) == 1.0 and ny == 0.0:
+                    for at in (off + tol, math.nextafter(off + tol, math.inf)):
+                        points.append((nx * at, float(v[1])))
+                if abs(ny) == 1.0 and nx == 0.0:
+                    for at in (off + tol, math.nextafter(off + tol, math.inf)):
+                        points.append((float(v[0]), ny * at))
+                for d in (tol - 1e-12, tol + 1e-12):
+                    points.append(tuple((v + d * np.array([nx, ny])).tolist()))
+        else:
+            a, b = verts[0], verts[-1]
+            u = (b - a) / (np.hypot(*(b - a)) or 1.0)
+            for d in (tol - 1e-12, tol + 1e-12):
+                for base in (a, 0.5 * (a + b)):
+                    points.append(tuple((base + d * np.array([-u[1], u[0]])).tolist()))
+                points.append(tuple((a - d * u).tolist()))
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_mixed_shape, max_size=8), st.sampled_from([1, 7, geometry._CELLS]))
+@example([], geometry._CELLS)
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0.5, 0.5), (3, 0.5)], [(1, 1)]], 1)
+@example([_ngon(16, 0, 0, 1, 0.1), _ngon(3, 0.5, 0, 1, 0.2), [(0, 0), (0, 0.5)]], 7)
+def test_containment_matrix_is_the_per_body_reference(shapes, cells):
+    # cells sets the cells per block: 1 and 7 put each block at one point.
+    bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
+    points = _probe_points(bodies)
+    with mock.patch.object(geometry, "_CELLS", cells):
+        for pts in (points, []):
+            got = containment_matrix(bodies, pts)
+            assert got.dtype == bool and got.shape == (len(pts), len(bodies))
+            assert np.array_equal(got, reference_containment_matrix(bodies, pts))
+
+
+# np.hypot puts the first offset past TOL_GEOM and the second within it;
+# math.hypot, which body_contains uses, rounds each the other way.
+_HYPOT_SPLIT = [(9.824850838718029e-10, 1.8634124602303368e-10),
+                (9.87105043854672e-10, 1.6007383420367777e-10)]
+
+
+def test_segment_and_point_columns_match_body_contains():
+    tol = geometry.TOL_GEOM
+    rng = np.random.default_rng(5)
+    shapes, points = [[(0.0, 0.0)], [(0.0, 0.0), (-1.0, 0.0)]], list(_HYPOT_SPLIT)
+    for _ in range(30):
+        a = rng.uniform(-2.0, 2.0, 2)
+        b = a + rng.uniform(-1.0, 1.0, 2) * rng.choice([1.0, 1e-3])
+        shapes += [[tuple(a), tuple(b)], [tuple(b)]]
+        u = (b - a) / np.hypot(*(b - a))
+        for d in (0.0, tol - 1e-12, tol + 1e-12, float(rng.uniform(0.0, 2 * tol))):
+            for s in (-0.25, 0.0, 0.4, 1.0, 1.5):
+                points.append(tuple(a + s * (b - a) + d * np.array([-u[1], u[0]])))
+            points += [tuple(a - d * u), tuple(b + d * u)]
+        points += [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(10)]
+    bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
+    points = [(float(x), float(y)) for x, y in points]
+    want = [[body_contains(body, p) for body in bodies] for p in points]
+    assert np.array_equal(containment_matrix(bodies, points), np.array(want))
+    assert [np.hypot(*p) <= tol for p in _HYPOT_SPLIT] == [False, True]
+    assert [want[0][0], want[1][0]] == [True, False]
+
+
+def test_containment_matrix_memory_stays_within_a_block_budget():
+    # About 106k candidates against 100 bodies of up to 16 edges: an
+    # unblocked (edges, points) product would take about 1.4 GB.
+    bodies = gen_pairwise(100).bodies
+    points = candidate_points(bodies)
+    assert len(points) > 100_000
+    tracemalloc.start()
+    try:
+        inside = containment_matrix(bodies, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Converting the point list to an array peaks near 4.9 MB here; one
+    # block's temporaries take under 1 MB.
+    budget = 8 << 20
+    assert peak < inside.nbytes + budget
+
+
+def _box(x0, x1, y0, y1, turn=0):
+    """Axis box turned by turn quarter turns about the origin (exactly)."""
+    pts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    for _ in range(turn):
+        pts = [(-y, x) for x, y in pts]
+    return pts
+
+
+def _tangent_ngon(k, inradius, phase):
+    # Every edge lies at distance inradius from the origin, up to rounding.
+    return _ngon(k, 0.0, 0.0, inradius / math.cos(math.pi / k), phase)
+
+
+_TOL = geometry.TOL_GEOM
+_arc_shape = st.one_of(
+    _ngon_vertices,
+    # edges with c near 1: tangent from inside the circle
+    st.builds(_tangent_ngon, st.integers(3, 16),
+              st.sampled_from([1.0, 1.0 - _TOL, 1.0 + _TOL, 1.0 - 2 * _TOL, 1.0 - 1e-12]),
+              st.floats(0.0, TWO_PI)),
+    # edges with c near -1: a box outside the circle on the tangent line x = 1
+    st.builds(lambda gap, w, turn: _box(1.0 + gap, 1.5, -w, w, turn),
+              st.sampled_from([0.0, 1e-12, -1e-12, _TOL, 2 * _TOL, -_TOL]),
+              st.floats(0.01, 1.0), st.integers(0, 3)),
+    # an edge on y = +-tol has c = 0 and an arc ending at exactly 0 or 2*pi
+    st.builds(lambda x0, x1, side, turn: _box(x0, x1, _TOL, 2.0, turn) if side
+              else _box(x0, x1, -2.0, -_TOL, turn),
+              st.floats(-2.0, 0.5), st.floats(0.6, 2.0), st.booleans(), st.integers(0, 3)),
+    st.builds(lambda h: _box(-h, h, -h, h), st.floats(1.5, 4.0)),  # the full circle
+    st.lists(st.tuples(_coord, _coord), min_size=2, max_size=2, unique=True),  # segment
+    st.builds(lambda t: [_on_circle(t)], _angle),  # point on the curve
+)
+
+
+@pytest.mark.parametrize("shape, check", [
+    (_box(-2.0, 2.0, _TOL, 2.0), lambda arcs: arcs[0].start == 0.0),
+    (_box(-2.0, 2.0, -2.0, -_TOL), lambda arcs: arcs[-1].wraps and arcs[-1].end == 0.0),
+    (_box(-3.0, 3.0, -3.0, 3.0), lambda arcs: arcs == [FULL_CIRCLE]),
+    (_box(1.0, 1.5, -0.5, 0.5), lambda arcs: len(arcs) == 1 and arcs[0].wraps),
+    (_box(1.0 + _TOL, 1.5, -0.5, 0.5), lambda arcs: arcs == []),  # c rounds to -1
+    (_tangent_ngon(4, 1.0, 0.0), lambda arcs: arcs == [FULL_CIRCLE]),
+    (_tangent_ngon(8, 1.0 - 2 * _TOL, 0.3), lambda arcs: len(arcs) == 8),
+    ([(0.0, -2.0), (0.0, 2.0)], lambda arcs: len(arcs) == 2),
+    ([(1.0, 0.0)], lambda arcs: arcs == [AngularInterval(0.0, 0.0)]),
+], ids=["ends-at-0", "ends-at-2pi", "full", "c-near-minus-1", "c-at-minus-1",
+        "tangent", "tangent-slivers", "chord", "point"])
+def test_body_curve_arcs_edge_cases(shape, check):
+    body = ConvexBody.from_vertices(0, shape)
+    arcs = body_curve_arcs(body, UNIT_CIRCLE)
+    assert arcs == reference_body_curve_arcs(body, UNIT_CIRCLE)
+    assert check(arcs), arcs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arc_shape, st.sampled_from([UNIT_CIRCLE, CurveModel("circle", (0.25, -0.5), 1.75)]))
+def test_body_curve_arcs_is_the_per_edge_reference(shape, curve):
+    body = ConvexBody.from_vertices(0, shape)
+    assert body_curve_arcs(body, curve) == reference_body_curve_arcs(body, curve)
 
 
 def test_face_census_two_squares():
