@@ -503,27 +503,35 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Po
 
 
 # Cells (stacked edge rows or segment bodies, times points) one containment
-# block holds; each float64 temporary of a block stays near 512 KiB.
-_CELLS = 1 << 16
+# block holds: an eighth of the result's cells, so that a float64 temporary
+# takes no more bytes than the bool result, but at least _MIN_CELLS (64 KiB;
+# smaller blocks cost more in numpy calls than they save) and at most _CELLS
+# (512 KiB).
+_MIN_CELLS, _CELLS = 1 << 13, 1 << 16
 
 
 def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
                        tol: float = TOL_GEOM) -> np.ndarray:
     """Bool matrix of shape (len(points), len(bodies)): membership per pair.
 
-    One batched kernel, bit-identical to the per-body reference (a polygon's
-    column is all(pts @ normals.T <= offsets + tol, axis=1), a segment or
-    point body's column is body_contains per point). Every polygon's edge
+    One batched kernel for the per-body reference (a polygon's column is
+    all(pts @ normals.T <= offsets + tol, axis=1), a segment or point
+    body's column is body_contains per point). Every polygon's edge
     normals are stacked in one (bodies * width, 2) array, each body padded
     to the family's widest (width edges) with rows that always pass: normal
     0, offset +inf. For a block of points, normals @ pts.T compared with
     offsets + tol is an (edges, points) bool array; reshaped to (bodies,
     width, points), its AND along the middle axis is the block's
-    membership, transposed into the result. The product is the same matmul
-    as the reference's, so it rounds the same way. Segment and point bodies
-    take body_contains' point-to-segment distance for a whole block at once
-    (see _segment_distances). Points go in blocks of about _CELLS / rows, so
-    every temporary stays near _CELLS cells whatever the point count.
+    membership, transposed into the result. Each product entry is the same
+    two-term dot product as the reference's, but BLAS may pick its kernel
+    by matrix shape, so bit-identity with the reference is what the oracle
+    tests check on the BLAS they run with, not a guarantee for every BLAS
+    build. Segment and point bodies take body_contains' point-to-segment
+    distance for a whole block at once (see _segment_distances). A block
+    holds about cells / rows points, cells being an eighth of the result's
+    cells, within _MIN_CELLS and _CELLS, so a float64 temporary is no
+    larger than the result for all but the smallest calls, and never past
+    512 KiB whatever the point count.
     """
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
     if not points or not bodies:
@@ -542,7 +550,8 @@ def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
         normals[slot] = np.concatenate([bodies[k].normals for k in poly])
         limits[slot, 0] = np.concatenate([bodies[k].offsets for k in poly]) + tol
     ends = np.array([(bodies[k].vertices[0], bodies[k].vertices[-1]) for k in thin])
-    step = max(1, _CELLS // (normals.shape[0] + thin.size))
+    cells = min(_CELLS, max(_MIN_CELLS, inside.size // 8))
+    step = max(1, cells // (normals.shape[0] + thin.size))
     for lo in range(0, len(pts), step):
         block = pts[lo:lo + step]
         if poly.size:

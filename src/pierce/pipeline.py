@@ -256,8 +256,7 @@ def rationalize(
     feasibility class_rows @ m <= D is enforced exactly: if the small
     denominator breaks it, m is floored at max_denominator, and while a row
     is still over D, the first heaviest row's member with the largest m
-    (the lowest index among equals) loses one.  _repair takes those units
-    in bulk.
+    (the lowest index among equals) loses one.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
@@ -276,101 +275,18 @@ def rationalize(
         m = floored(d)
 
     if class_rows is not None:
-        rows = np.asarray(class_rows, dtype=bool)
-        if (rows @ np.array(m, dtype=np.int64) > d).any():
+        rows = np.asarray(class_rows, dtype=np.int64)
+        loads = rows @ np.array(m, dtype=np.int64)
+        if (loads > d).any():
             d = max_denominator
             m = floored(d)
-        m = _repair(rows, m, d)
+            loads = rows @ np.array(m, dtype=np.int64)
+        while (loads > d).any():
+            worst = np.flatnonzero(rows[int(np.argmax(loads))]).tolist()
+            top = max(worst, key=lambda i: (m[i], -i))
+            m[top] -= 1
+            loads -= rows[:, top]
     return tuple(m), d
-
-
-def _repair(rows: np.ndarray, m: list[int], d: int) -> list[int]:
-    """rationalize's repair loop, with repeating stretches taken in bulk.
-
-    The unit loop: while a row of rows (bool, classes x weights) sums past
-    d, the first heaviest row's member with the largest m, the lowest index
-    among equals, loses one.  Each unit's choice rests on comparisons only:
-    its row's load against every other load and against d, and its
-    member's m against the row's other members.  When the last P units
-    made the same choices as the P before them, further periods of those P
-    units make the same choices again as long as every one of those
-    comparisons, moved by what a period takes from each load and each m,
-    comes out the same way.  The moves are linear in the number of
-    periods, so _periods finds the largest number for which all hold, and
-    they are taken at once.  A row lowering its members like a water level,
-    tied rows taking units in turn, and rows with no member in common all
-    repeat this way.
-    """
-    m = list(m)
-    if not (rows.astype(np.int64) @ np.array(m, dtype=np.int64) > d).any():
-        return m
-    members = [np.flatnonzero(row).tolist() for row in rows]
-    holders = [np.flatnonzero(col).tolist() for col in rows.T]
-    loads = [sum(m[i] for i in row) for row in members]
-    steps: list[tuple[int, int]] = []
-    last: dict[tuple[int, int], int] = {}
-    while max(loads) > d:
-        r = loads.index(max(loads))
-        t = max(members[r], key=lambda i: (m[i], -i))
-        m[t] -= 1
-        for k in holders[t]:
-            loads[k] -= 1
-        seen = last.get((r, t))
-        last[(r, t)] = len(steps)
-        steps.append((r, t))
-        if seen is None:
-            continue
-        p = len(steps) - 1 - seen
-        if 2 * p <= len(steps) and steps[-p:] == steps[-2 * p:-p]:
-            n, per, drop = _periods(rows, m, loads, steps[-p:], d)
-            m = [v - n * c for v, c in zip(m, per)]
-            loads = [v - n * c for v, c in zip(loads, drop)]
-            steps.clear()
-            last.clear()
-    return m
-
-
-def _periods(rows: np.ndarray, m: list[int], loads: list[int],
-             period: list[tuple[int, int]], d: int) -> tuple[int, list[int], list[int]]:
-    """How many more times the period's units make the same choices, and
-    what one period takes from each m and from each load (see _repair).
-
-    The period's (row, member) units have just been taken, leaving m and
-    loads.  Every comparison a unit made has a margin that moves by a fixed
-    rate per period and must stay at least 1 where it is strict (the other
-    row or member has the lower index, so a tie would go to it) and at
-    least 0 otherwise; one with rate < 0 holds for (margin - strict) //
-    -rate more periods.  The chosen row always loses load, so its
-    comparison with d always binds.
-    """
-    rs, ts = (np.array(v) for v in zip(*period))
-    q = np.arange(len(period))
-    took = np.zeros((len(period), len(m)), dtype=np.int64)
-    took[q, ts] = 1
-    weight = rows.astype(np.int64)
-    per = took.sum(axis=0)
-    drop = weight @ per
-    before = np.cumsum(took, axis=0) - took
-    m_at = np.array(m) + per - before  # m before each unit of the period
-    load_at = np.array(loads) + drop - before @ weight.T
-    row_ids, member_ids = np.arange(len(loads)), np.arange(len(m))
-    comparisons = (
-        # (margin, rate per period, strict, compared): the chosen row's
-        # load against each other load, against d, and the chosen member's
-        # m against the other members of its row
-        (load_at[q, rs][:, None] - load_at, drop[None, :] - drop[rs][:, None],
-         row_ids[None, :] < rs[:, None], row_ids[None, :] != rs[:, None]),
-        (load_at[q, rs] - d, -drop[rs], True, True),
-        (m_at[q, ts][:, None] - m_at, per[None, :] - per[ts][:, None],
-         member_ids[None, :] < ts[:, None], rows[rs] & (member_ids[None, :] != ts[:, None])),
-    )
-    limits = []
-    for margin, rate, strict, compared in comparisons:
-        margin, rate, strict, compared = np.broadcast_arrays(margin, rate, strict, compared)
-        binding = compared & (rate < 0)
-        if binding.any():
-            limits.append(int(((margin - strict)[binding] // -rate[binding]).min()))
-    return min(limits), per.tolist(), drop.tolist()
 
 
 def greedy_transversal(classes: CandidateClasses) -> list[Point2]:

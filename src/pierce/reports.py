@@ -158,7 +158,6 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         members = [active[i].id for i in np.flatnonzero(rows[top])]
         failures.append(f"multiplicity sum {best_load} > D={d} at class {members}")
 
-    z = report["z"]
     if z is None:
         failures.append("missing heavy point")
     else:

