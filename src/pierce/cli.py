@@ -162,7 +162,7 @@ def _cmd_stats(args) -> int:
         1 for color in range(n_bodies) if len(q) and is_spread_out(q, color, args.alpha)
     )
     graph = build_meet_graph(instance.bodies, instance.curve)
-    meets, bound, ok = turan_pair_check(graph, instance.p, check=False)
+    meets, bound, ok = turan_pair_check(graph, instance.p)
     print(f"bodies={n_bodies} p={instance.p}")
     print(f"witnesses N={len(q)}")
     print(f"spread_out {spread}/{n_bodies} at alpha={args.alpha}")

@@ -21,10 +21,6 @@ class IncompleteCandidatesError(PierceError):
     """Raised when some body contains none of the supplied candidate points."""
 
 
-class ConditionNotSatisfiedError(PierceError):
-    """Raised when an operation requires the p-subset meeting condition and it fails."""
-
-
 class GenerationError(PierceError):
     """Raised when an instance generator fails its post-check after retries."""
 

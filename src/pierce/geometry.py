@@ -426,8 +426,9 @@ def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
 _CHUNK = 1 << 15
 
 
-def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Point2]:
-    """Body vertices and pairwise edge crossings: the arrangement's vertices.
+def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> np.ndarray:
+    """Body vertices and pairwise edge crossings: the arrangement's vertices,
+    as the rows of a (points, 2) float array.
 
     A maximal containment class (one whose body set no other class's set
     contains) is the whole intersection of its closed convex bodies, since a
@@ -445,9 +446,8 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Po
     repeat; callers merge them by containment signature.
     """
     if not bodies:
-        return []
+        return np.empty((0, 2))
     verts = np.concatenate([body.vertices for body in bodies])
-    out = list(zip(verts[:, 0].tolist(), verts[:, 1].tolist()))
     # Edge k of a body runs from its vertex k to vertex k + 1 (mod m); a
     # segment body has one edge and a point body none.
     nv = np.array([body.vertices.shape[0] for body in bodies])
@@ -476,7 +476,7 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Po
     bi, bj = bi[~apart], bj[~apart]
     size = ne[bi] * ne[bj]
     end = np.cumsum(size)
-    xs, ys = [], []
+    out = [verts]
     lo = 0
     while lo < bi.size:
         first = end[lo] - size[lo]  # edge pairs before this block
@@ -495,11 +495,8 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Po
         u = (ex * dy[a] - ey * dx[a]) / den
         hit = (t >= -pad[a]) & (t <= 1.0 + pad[a]) & (u >= -pad[b]) & (u <= 1.0 + pad[b])
         a, t = a[hit], t[hit]
-        xs.append(sx[a] + t * dx[a])
-        ys.append(sy[a] + t * dy[a])
-    if xs:
-        out.extend(zip(np.concatenate(xs).tolist(), np.concatenate(ys).tolist()))
-    return out
+        out.append(np.stack([sx[a] + t * dx[a], sy[a] + t * dy[a]], axis=1))
+    return np.concatenate(out)
 
 
 # Cells (stacked edge rows or segment bodies, times points) one containment
@@ -510,9 +507,10 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> list[Po
 _MIN_CELLS, _CELLS = 1 << 13, 1 << 16
 
 
-def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
-                       tol: float = TOL_GEOM) -> np.ndarray:
+def containment_matrix(bodies: list[ConvexBody], points, tol: float = TOL_GEOM) -> np.ndarray:
     """Bool matrix of shape (len(points), len(bodies)): membership per pair.
+
+    points is a (points, 2) array or a sequence of (x, y) pairs.
 
     One batched kernel for the per-body reference (a polygon's column is
     all(pts @ normals.T <= offsets + tol, axis=1), a segment or point
@@ -534,7 +532,7 @@ def containment_matrix(bodies: list[ConvexBody], points: list[Point2],
     512 KiB whatever the point count.
     """
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
-    if not points or not bodies:
+    if not len(points) or not bodies:
         return inside
     pts = np.asarray(points, dtype=float)
     n_edges = np.array([len(body.offsets) for body in bodies])
@@ -587,8 +585,8 @@ def _segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
     return dist
 
 
-def brute_min_transversal(bodies: list[ConvexBody], candidates: list[Point2],
-                          k_max: int, tol: float = TOL_GEOM) -> list[Point2] | None:
+def brute_min_transversal(bodies: list[ConvexBody], candidates, k_max: int,
+                          tol: float = TOL_GEOM) -> list[Point2] | None:
     """Smallest subset of candidates hitting every body, up to size k_max.
 
     Exact search: candidates collapse to distinct containment signatures,
@@ -601,10 +599,10 @@ def brute_min_transversal(bodies: list[ConvexBody], candidates: list[Point2],
         return []
     inside = containment_matrix(bodies, candidates, tol)
     best_rep: dict[frozenset[int], Point2] = {}
-    for pt, row in zip(candidates, inside):
+    for pt, row in zip(np.asarray(candidates).tolist(), inside):
         sig = frozenset(np.flatnonzero(row))
         if sig and sig not in best_rep:
-            best_rep[sig] = pt
+            best_rep[sig] = tuple(pt)
     uniq = sorted(best_rep, key=lambda s: (-len(s), sorted(s)))
     atoms: list[frozenset[int]] = []
     for s in uniq:

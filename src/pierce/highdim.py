@@ -7,19 +7,18 @@ cos(d/2 t)), circularly ordered.  Separator tuples grow from the planar
 quadruple to a size determined only by the dimension, and the spread-out /
 short-cover dichotomy carries over with the tuple size in place of four.
 
-Crossing counts for the moment curve are exact: the float data, dyadic
-rationals, are scaled to an integer polynomial, and a Sturm chain of integer
-pseudo-remainders counts its distinct real roots, with each member's sign at
-+-infinity read from its leading coefficient and degree.  The closed curve
-falls back to dense sign sampling, vectorized over the sample grid.
+Crossing counts are exact on both curves: the float data, dyadic rationals,
+are scaled to an integer polynomial (on the closed curve, in u = tan(t/2)),
+and a Sturm chain of integer pseudo-remainders counts its distinct real
+roots, with each member's sign at +-infinity read from its leading
+coefficient and degree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .witness import (
     IndexInterval,
@@ -67,14 +66,10 @@ def separator_tuple_size(d: int) -> int:
 
 
 def curve_point(spec: CurveSpecD, t: float) -> PointD:
-    """Point of the curve at parameter t; for an array t, coordinate arrays."""
+    """Point of the curve at parameter t."""
     if spec.kind == MOMENT:
         return tuple(t**k for k in range(1, spec.d + 1))
-    out: list[float] = []
-    for k in range(1, spec.d // 2 + 1):
-        out.append(np.sin(k * t))
-        out.append(np.cos(k * t))
-    return tuple(out)
+    return tuple(f(k * t) for k in range(1, spec.d // 2 + 1) for f in (math.sin, math.cos))
 
 
 # ----------------------------------------------------------------- Sturm
@@ -151,6 +146,8 @@ def _variations(signs: list[int]) -> int:
 
 def _distinct_roots(p: IntPoly, window: tuple[float, float] | None) -> int:
     """Distinct real roots of p on the whole line, or in (lo, hi], exactly."""
+    if len(p) < 2:
+        return 0  # a nonzero constant
     chain = _sturm_chain(p)
     if window is None:
         lo = [_sign_at_infinity(q, False) for q in chain]
@@ -163,12 +160,41 @@ def _distinct_roots(p: IntPoly, window: tuple[float, float] | None) -> int:
     return _variations(lo) - _variations(hi)
 
 
-def _moment_poly(coeffs: list[float], offset: float) -> IntPoly:
-    # -offset + sum coeffs[k-1] t^k, scaled to integers by the common
-    # power-of-two denominator of its (dyadic) float coefficients
-    ratios = [c.as_integer_ratio() for c in [-offset, *coeffs]]
+def _dyadic_integers(values: list[float]) -> list[int]:
+    # The floats times their common power-of-two denominator: integers in the
+    # same ratios, exactly.
+    ratios = [v.as_integer_ratio() for v in values]
     scale = max(den for _, den in ratios)
-    return _trim([num * (scale // den) for num, den in ratios])
+    return [num * (scale // den) for num, den in ratios]
+
+
+@functools.cache
+def _closed_basis(d: int) -> tuple[tuple[int, ...], ...]:
+    """(1 + u^2)^(d/2) times 1, sin t, cos t, ..., sin(d/2 t), cos(d/2 t).
+
+    Each row holds the coefficients, constant term first, of a polynomial of
+    degree at most d in u = tan(t/2): since e^(it) = (1 + iu)^2 / (1 + u^2),
+    sin kt and cos kt are the imaginary and real parts of (1 + iu)^(2k)
+    over (1 + u^2)^k.
+    """
+    half = d // 2
+
+    def times_circle(p: list[int], power: int) -> tuple[int, ...]:
+        # p times (1 + u^2)^power
+        out = [0] * (d + 1)
+        for i, c in enumerate(p):
+            for j in range(power + 1):
+                out[i + 2 * j] += c * math.comb(power, j)
+        return tuple(out)
+
+    rows = [times_circle([1], half)]
+    for k in range(1, half + 1):
+        # coefficient of u^j in (1 + iu)^(2k) is comb(2k, j) i^j
+        binom = [math.comb(2 * k, j) for j in range(2 * k + 1)]
+        real = [c * (1, 0, -1, 0)[j % 4] for j, c in enumerate(binom)]
+        imag = [c * (0, 1, 0, -1)[j % 4] for j, c in enumerate(binom)]
+        rows += [times_circle(imag, half - k), times_circle(real, half - k)]
+    return tuple(rows)
 
 
 def hyperplane_crossings(
@@ -176,19 +202,24 @@ def hyperplane_crossings(
     normal,
     offset: float,
     t_range: tuple[float, float] | None = None,
-    samples: int = 4096,
 ) -> int:
-    """How often the curve crosses the hyperplane normal . x = offset.
+    """Distinct points the curve shares with the hyperplane normal . x = offset.
 
-    Moment curve: the composition is a polynomial of degree at most d, and
-    the count is its number of distinct real roots (whole line by default,
-    or restricted to (lo, hi]).  It is exact: the float data are dyadic
-    rationals, scaled to an integer polynomial whose Sturm chain is built
-    from integer pseudo-remainders; whole-line counts read each member's
-    sign at +-infinity from its leading coefficient and degree, and window
-    counts evaluate the chain at the endpoints with integer Horner.
-    Closed curve: sign changes of the composition over a dense circular
-    sample (linear when an explicit t_range is given).
+    This is what the paper's "meets every hyperplane at most d times"
+    counts: a point where the curve only touches the hyperplane counts once,
+    like a crossing.  The count is exact.  The float data are dyadic
+    rationals, scaled to an integer polynomial whose distinct real roots a
+    Sturm chain of integer pseudo-remainders counts; whole-line counts read
+    each member's sign at +-infinity from its leading coefficient and degree.
+
+    Moment curve: the polynomial is the composition, of degree at most d in
+    t, counted on the whole line by default or in (lo, hi] when t_range is
+    given, by evaluating the chain at the endpoints with integer Horner.
+    Closed curve: with u = tan(t/2), the composition times (1 + u^2)^(d/2)
+    is a polynomial of degree at most d in u, whose real roots are the
+    points with t in (-pi, pi).  Its u^d coefficient is the composition at
+    t = pi (u = infinity), so that point is common exactly when the degree
+    drops.  The closed curve takes no t_range.
 
     The normal, offset and t_range must be finite, with lo < hi.
     """
@@ -211,21 +242,14 @@ def hyperplane_crossings(
             raise ValueError("t_range must satisfy lo < hi")
 
     if spec.kind == MOMENT:
-        return _distinct_roots(_moment_poly(coeffs, offset), window)
+        return _distinct_roots(_trim(_dyadic_integers([-offset, *coeffs])), window)
 
-    if samples < 8:
-        raise ValueError("need at least 8 samples")
-    lo, hi = (0.0, 2.0 * math.pi) if window is None else window
-    step = (hi - lo) / samples
-    t = lo + step * np.arange(samples if window is None else samples + 1)
-    values = sum(c * v for c, v in zip(coeffs, curve_point(spec, t))) - offset
-    positive = values[values != 0.0] > 0.0
-    if len(positive) < 2:
-        return 0
-    changes = np.count_nonzero(positive[1:] != positive[:-1])
-    if window is None:
-        changes += positive[-1] != positive[0]
-    return int(changes)
+    if window is not None:
+        raise ValueError("the closed curve takes no t_range")
+    weights = _dyadic_integers([-offset, *coeffs])
+    poly = _trim([sum(w * c for w, c in zip(weights, column))
+                  for column in zip(*_closed_basis(spec.d))])
+    return _distinct_roots(poly, None) + (len(poly) <= spec.d)
 
 
 # ------------------------------------------------------- spread dichotomy

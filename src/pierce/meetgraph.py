@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionNotSatisfiedError
 from .geometry import ConvexBody, CurveModel, body_curve_arcs, meet_angles
 
 EXACT_INDEPENDENCE_CAP = 40
@@ -115,19 +114,12 @@ def verify_p2(graph: ColorGraph, p: int, max_exact: int = EXACT_INDEPENDENCE_CAP
     return not _has_independent_set(graph, p)
 
 
-def turan_pair_check(
-    graph: ColorGraph, p: int, check: bool = True
-) -> tuple[int, float, bool]:
+def turan_pair_check(graph: ColorGraph, p: int) -> tuple[int, float, bool]:
     """Count meeting pairs against the n^2/(2p) lower bound.
 
-    With check=True the p-subset condition is verified first and its
-    failure raises; pass check=False to skip that (e.g. for graphs past
-    the exact-search cap) and just report the counts.
+    The bound holds when the p-subset condition does (verify_p2) and
+    n >= p(p-1); this only reports the counts.
     """
-    if check and not verify_p2(graph, p):
-        raise ConditionNotSatisfiedError(
-            f"some {p} vertices span no edge; pair-count bound does not apply"
-        )
     meets = graph.edge_count
     bound = graph.n * graph.n / (2 * p)
     return meets, bound, meets >= bound

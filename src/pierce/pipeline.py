@@ -117,12 +117,11 @@ class TransversalReport:
         }
 
 
-def candidate_classes(
-    bodies: list[ConvexBody], candidates: list[Point2] | None = None
-) -> CandidateClasses:
-    """Deduplicate candidates into maximal containment classes."""
-    if candidates is None:
-        candidates = candidate_points(bodies)
+def candidate_classes(bodies: list[ConvexBody], candidates=None) -> CandidateClasses:
+    """Deduplicate candidates (a (points, 2) array or (x, y) pairs, by default
+    candidate_points) into maximal containment classes."""
+    candidates = (candidate_points(bodies) if candidates is None
+                  else np.asarray(candidates, dtype=float))
     inside = containment_matrix(bodies, candidates)
     covered = inside.any(axis=0)
     if not covered.all():
@@ -137,7 +136,7 @@ def candidate_classes(
     first = np.unique(rows, return_index=True)[1]
     uniq = inside[first]
     chosen = np.sort(first[_maximal_rows(uniq)])
-    points = tuple(candidates[k] for k in keep[chosen].tolist())
+    points = tuple(map(tuple, candidates[keep[chosen]].tolist()))
     members = inside[chosen]
     members.setflags(write=False)
     return CandidateClasses(points, members)

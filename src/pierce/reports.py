@@ -135,7 +135,9 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     heavy = [] if z is None else _points([z])
     # One containment call for every point checked: the transversal against
     # all bodies, the rest read on the active bodies' columns.
-    inside = containment_matrix(bodies, transversal + candidates + cover_points + heavy, TOL_GEOM)
+    points = np.concatenate([np.reshape(part, (-1, 2)) for part in
+                             (transversal, candidates, cover_points, heavy)])
+    inside = containment_matrix(bodies, points, TOL_GEOM)
     hit, rows, cover_rows, z_row = np.split(
         inside, np.cumsum([len(transversal), len(candidates), len(cover_points)]))
     on_active = np.flatnonzero(meets)

@@ -1,5 +1,6 @@
 """Shared fixtures and builders for the test suite."""
 
+import functools
 import itertools
 import math
 
@@ -82,17 +83,20 @@ def graph_from_edges(n: int, edges) -> ColorGraph:
     return ColorGraph(adj)
 
 
-def synthetic_list(n: int, target_positions=(), extra_colors=None) -> WitnessList:
+@functools.cache
+def _synthetic_points(n: int) -> tuple[tuple[WitnessPoint, ...], tuple[WitnessPoint, ...]]:
+    # Entry k of an n-entry synthetic list, with and without color 0, built
+    # once per n: the subset loops make tens of thousands of lists.
+    marked = tuple(WitnessPoint(TWO_PI * k / n, (0, 10_000 + k)) for k in range(n))
+    plain = tuple(WitnessPoint(TWO_PI * k / n, (10_000 + k, 20_000 + k)) for k in range(n))
+    return marked, plain
+
+
+def synthetic_list(n: int, target_positions=()) -> WitnessList:
     """N entries at evenly spaced angles; color 0 occupies target_positions."""
     target = set(target_positions)
-    entries = []
-    for k in range(n):
-        if k in target:
-            colors = (0, 10_000 + k)
-        else:
-            colors = (10_000 + k, 20_000 + k)
-        entries.append(WitnessPoint(TWO_PI * k / n, colors))
-    return WitnessList.from_entries(entries)
+    marked, plain = _synthetic_points(n)
+    return WitnessList.from_entries([marked[k] if k in target else plain[k] for k in range(n)])
 
 
 def random_pair_list(rng, n: int, universe: int) -> WitnessList:

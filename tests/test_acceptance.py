@@ -203,7 +203,7 @@ def test_criterion_06_turan_suite():
             # so run the condition check separately with the cap raised
             if not verify_p2(g, p, max_exact=n):
                 ok = False
-            meets, bound, enough = turan_pair_check(g, p, check=False)
+            meets, bound, enough = turan_pair_check(g, p)
             if not enough or meets < bound:
                 ok = False
             if inst.meta["clusters"] != p - 1:

@@ -309,7 +309,8 @@ def test_candidate_points_two_squares():
     base = {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
             (0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5),
             (1.0, 0.5), (0.5, 1.0)}
-    assert set(cands) == base
+    assert cands.shape == (10, 2)
+    assert set(map(tuple, cands.tolist())) == base
 
 
 def _edges(body):
@@ -362,8 +363,8 @@ def test_candidate_points_match_reference(shapes, chunk):
     with mock.patch.object(geometry, "_CHUNK", chunk):
         got = candidate_points(bodies)
     want = reference_candidates(bodies)
-    assert [tuple(map(float, p)) for p in want] == got
-    assert all(type(c) is float for p in got for c in p)
+    assert got.dtype == np.float64 and got.shape == (len(want), 2)
+    assert [list(map(float, p)) for p in want] == got.tolist()
 
 
 @pytest.mark.parametrize("instance, count, digest", [
@@ -399,7 +400,7 @@ def _probe_points(bodies):
     axis-aligned edge and one ulp past it, and points within TOL_GEOM +- 1e-12
     of every edge and segment."""
     tol = geometry.TOL_GEOM
-    points = candidate_points(bodies)
+    points = candidate_points(bodies).tolist()
     for body in bodies:
         verts = [np.asarray(v) for v in body.vertices]
         if len(body.offsets):

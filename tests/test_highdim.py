@@ -77,6 +77,9 @@ def test_hyperplane_crossings_validation():
         ]:
             with pytest.raises(ValueError, match=bad):
                 hyperplane_crossings(spec, normal, offset, t_range=t_range)
+    # windows are counted on the moment curve only
+    with pytest.raises(ValueError, match="t_range"):
+        hyperplane_crossings(CurveSpecD(CARATHEODORY, 2), (1.0, 0.0), 0.0, t_range=(0.0, 1.0))
 
 
 def test_moment_crossings_simple():
@@ -195,42 +198,78 @@ def test_moment_crossings_match_sympy(case):
         assert got == _sympy_roots(coeffs, window)
 
 
-def _closed_crossings_reference(spec, normal, offset, t_range, samples=4096) -> int:
-    # one sample at a time, with the math module's sin and cos
-    closed = t_range is None
-    lo, hi = (0.0, 2.0 * math.pi) if closed else t_range
-    step = (hi - lo) / samples
-    values = []
-    for k in range(samples if closed else samples + 1):
-        t = lo + step * k
-        pt = [f(j * t) for j in range(1, spec.d // 2 + 1) for f in (math.sin, math.cos)]
-        values.append(sum(c * v for c, v in zip(normal, pt)) - offset)
-    signs = [1 if v > 0 else -1 for v in values if v != 0.0]
-    if len(signs) < 2:
-        return 0
-    pairs = zip(signs, signs[1:] + ([signs[0]] if closed else []))
-    return sum(1 for a, b in pairs if a != b)
+U = sympy.Symbol("u", real=True)
 
 
-def test_closed_curve_counts_match_the_sampled_reference():
+def _sympy_closed_count(d, normal, offset) -> int:
+    """Distinct common points of the closed curve and the hyperplane, by sympy:
+    real roots of the composition in u = tan(t/2), cleared of (1 + u^2)^(d/2),
+    plus one when t = pi (u = infinity) lies on the hyperplane."""
+    a = [sympy.Rational(c) for c in normal]
+    b = sympy.Rational(offset)
+    f = -b
+    for k in range(1, d // 2 + 1):
+        # e^(ikt) = (1 + iu)^(2k) / (1 + u^2)^k
+        re, im = sympy.expand((1 + sympy.I * U) ** (2 * k)).as_real_imag()
+        f += (a[2 * k - 2] * im + a[2 * k - 1] * re) / (1 + U**2) ** k
+    poly = sympy.Poly(sympy.numer(sympy.together(f)), U)
+    roots = int(poly.count_roots()) if poly.degree() > 0 else 0
+    at_pi = -b + sum(a[2 * k - 1] * sympy.cos(k * sympy.pi) for k in range(1, d // 2 + 1))
+    return roots + int(at_pi == 0)
+
+
+@st.composite
+def closed_inputs(draw):
+    """Dimension 2, 4 or 6, a nonzero normal and an offset.
+
+    Small values like 1 and 0.5 make tangencies and the point t = pi common;
+    a third of the offsets are the composition's value at t = pi, so the
+    u-polynomial drops degree.
+    """
+    d = draw(st.sampled_from([2, 4, 6]))
+    value = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 0.1]) | st.floats(
+        -4, 4, allow_nan=False, allow_subnormal=False)
+    normal = draw(st.lists(value, min_size=d, max_size=d))
+    assume(any(c != 0.0 for c in normal))
+    at_pi = sum(normal[2 * k - 1] * (-1) ** k for k in range(1, d // 2 + 1))
+    offset = draw(value | st.just(at_pi))
+    return d, normal, offset
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_inputs())
+@example((2, [0.0, 1.0], -1.0))  # cos t = -1: the constant 2, common at t = pi only
+@example((4, [0.0, 0.0, 1.0, 0.0], 0.0))  # sin 2t = 0, degree drop
+def test_closed_curve_counts_match_sympy(case):
+    d, normal, offset = case
+    spec = CurveSpecD(CARATHEODORY, d)
+    assert hyperplane_crossings(spec, normal, offset) == _sympy_closed_count(d, normal, offset)
+
+
+def test_closed_curve_close_pair_of_crossings():
+    # the chord at offset 0.9999999 cuts an arc of 8.9e-4 rad, shorter than
+    # 2 pi / 4096: a 4096-point sign sample missed it at 44 of these angles
     circle = CurveSpecD(CARATHEODORY, 2)
-    # sin t is exactly zero at the first sample
-    cases = [(circle, [1.0, 0.0], 0.0, None), (circle, [1.0, 0.0], 0.0, (0.0, math.pi))]
-    rng = np.random.default_rng(29)
-    for d in (2, 4, 6):
-        spec = CurveSpecD(CARATHEODORY, d)
-        for _ in range(20):
-            normal = rng.normal(size=d).tolist()
-            offset = float(rng.uniform(-1.0, 1.0))
-            lo = float(rng.uniform(-4.0, 4.0))
-            window = (lo, lo + float(rng.uniform(0.1, 7.0)))
-            cases += [(spec, normal, offset, None), (spec, normal, offset, window)]
-    counts = []
-    for spec, normal, offset, window in cases:
-        count = hyperplane_crossings(spec, normal, offset, t_range=window)
-        assert count == _closed_crossings_reference(spec, normal, offset, window)
-        counts.append(count)
-    assert len(set(counts)) > 2  # the inputs reach several counts
+    angles = [0.7 + 0.0001 * k for k in range(100)]
+    counts = [hyperplane_crossings(circle, (math.sin(a), math.cos(a)), 0.9999999)
+              for a in angles]
+    assert counts == [2] * 100
+
+
+def test_closed_curve_exact_cases():
+    circle = CurveSpecD(CARATHEODORY, 2)
+    # sin t = 0 at t = 0 and t = pi; the second is u = infinity
+    assert hyperplane_crossings(circle, (1.0, 0.0), 0.0) == 2
+    # cos t = +-1 touches once: at t = 0 (a double root in u), at t = pi (a constant)
+    assert hyperplane_crossings(circle, (0.0, 1.0), 1.0) == 1
+    assert hyperplane_crossings(circle, (0.0, 1.0), -1.0) == 1
+    # degree drops at d = 4 and 6, t = pi among the common points
+    four, six = CurveSpecD(CARATHEODORY, 4), CurveSpecD(CARATHEODORY, 6)
+    assert hyperplane_crossings(four, (0.0, 0.0, 1.0, 0.0), 0.0) == 4  # sin 2t = 0
+    assert hyperplane_crossings(four, (0.0, 0.0, 0.0, 1.0), 1.0) == 2  # cos 2t = 1
+    assert hyperplane_crossings(four, (1.0, 0.0, 1.0, 0.0), 0.0) == 4  # sin t (1 + 2 cos t) = 0
+    assert hyperplane_crossings(six, (0.0, 0.0, 0.0, 0.0, 1.0, 0.0), 0.0) == 6  # sin 3t = 0
+    assert hyperplane_crossings(six, (0.0, 0.0, 0.0, 0.0, 0.0, 1.0), -1.0) == 3  # cos 3t = -1
 
 
 def test_closed_curve_crossings():

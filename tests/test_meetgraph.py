@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from conftest import arc_body, graph_from_edges
 
-from pierce.errors import ConditionNotSatisfiedError
 from pierce.geometry import UNIT_CIRCLE
 from pierce.meetgraph import (
     ColorGraph,
@@ -134,9 +133,7 @@ def test_turan_pair_check_examples():
     assert bound == pytest.approx(100 / 6)
     assert ok
 
-    with pytest.raises(ConditionNotSatisfiedError):
-        turan_pair_check(make_graph(5, set()), 3)
-    meets, bound, ok = turan_pair_check(make_graph(5, set()), 3, check=False)
+    meets, bound, ok = turan_pair_check(make_graph(5, set()), 3)
     assert meets == 0 and not ok
 
 

@@ -76,7 +76,7 @@ def test_candidate_classes_incomplete():
 @example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(2, 1), (3, 0), (3, 2)]])  # corner on an edge
 def test_vertex_candidates_find_every_maximal_class(shapes):
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
-    base = candidate_points(bodies)
+    base = candidate_points(bodies).tolist()
     step = NUDGE_EPS / math.sqrt(2.0)
     nudged = base + [(x + sx * step, y + sy * step)
                      for x, y in base for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
@@ -91,7 +91,7 @@ def reference_classes(bodies):
     """First point of each nonempty signature, dominated ones dropped."""
     cands = candidate_points(bodies)
     reps = {}
-    for pt, row in zip(cands, containment_matrix(bodies, cands)):
+    for pt, row in zip(map(tuple, cands.tolist()), containment_matrix(bodies, cands)):
         sig = frozenset(np.flatnonzero(row).tolist())
         if sig and sig not in reps:
             reps[sig] = pt  # dicts keep first-occurrence order
