@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import PierceError
-from .geometry import brute_min_transversal, candidate_points
+from .geometry import candidate_points
 from .instances import (
     Instance,
     gallery7,
@@ -24,7 +24,7 @@ from .instances import (
     save_instance,
 )
 from .meetgraph import build_meet_graph, turan_pair_check
-from .pipeline import run_pipeline
+from .pipeline import brute_min_transversal, run_pipeline
 from .reports import load_report, save_report, verify_report
 from .svg import render_svg
 from .witness import build_witness_list, is_spread_out

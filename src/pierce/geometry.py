@@ -584,57 +584,3 @@ def _segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
         dist[k, j] = math.hypot(ex[k, j], ey[k, j])
     return dist
 
-
-def brute_min_transversal(bodies: list[ConvexBody], candidates, k_max: int,
-                          tol: float = TOL_GEOM) -> list[Point2] | None:
-    """Smallest subset of candidates hitting every body, up to size k_max.
-
-    Exact search: candidates collapse to distinct containment signatures,
-    dominated signatures are dropped, then a depth-first cover search runs at
-    increasing sizes. Returns None when no hitting set of size <= k_max exists
-    within the candidate set.
-    """
-    n = len(bodies)
-    if n == 0:
-        return []
-    inside = containment_matrix(bodies, candidates, tol)
-    best_rep: dict[frozenset[int], Point2] = {}
-    for pt, row in zip(np.asarray(candidates).tolist(), inside):
-        sig = frozenset(np.flatnonzero(row))
-        if sig and sig not in best_rep:
-            best_rep[sig] = tuple(pt)
-    uniq = sorted(best_rep, key=lambda s: (-len(s), sorted(s)))
-    atoms: list[frozenset[int]] = []
-    for s in uniq:
-        if not any(s < t for t in uniq):
-            atoms.append(s)
-    covered_union = frozenset().union(*atoms) if atoms else frozenset()
-    if len(covered_union) < n:
-        return None
-
-    full = frozenset(range(n))
-
-    def search(uncovered: frozenset[int], budget: int, chosen: list[frozenset[int]]) -> list[frozenset[int]] | None:
-        if not uncovered:
-            return list(chosen)
-        if budget == 0:
-            return None
-        gain = max(len(a & uncovered) for a in atoms)
-        if gain * budget < len(uncovered):
-            return None
-        pivot = min(uncovered, key=lambda b: sum(1 for a in atoms if b in a))
-        options = [a for a in atoms if pivot in a]
-        options.sort(key=lambda a: -len(a & uncovered))
-        for a in options:
-            chosen.append(a)
-            got = search(uncovered - a, budget - 1, chosen)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    for k in range(0, k_max + 1):
-        got = search(full, k, [])
-        if got is not None:
-            return [best_rep[s] for s in got]
-    return None

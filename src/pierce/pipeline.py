@@ -119,7 +119,19 @@ class TransversalReport:
 
 def candidate_classes(bodies: list[ConvexBody], candidates=None) -> CandidateClasses:
     """Deduplicate candidates (a (points, 2) array or (x, y) pairs, by default
-    candidate_points) into maximal containment classes."""
+    candidate_points) into maximal containment classes.
+
+    Each candidate inside some body has a signature, the set of bodies
+    containing it, packed by _signature_words into ceil(n / 64) uint64
+    words for n bodies. Equal signatures are merged by np.unique over the
+    lone word when n <= 64 (an integer sort), over a void view of the
+    words otherwise; its stable sort keeps each signature's first
+    occurrence. _maximal_rows then drops dominated signatures, testing
+    blocks of at most 512 KiB at a time, and the classes are listed in the
+    order of their representatives among the candidates, so the same
+    candidates always give the same classes, points and order. Raises
+    IncompleteCandidatesError when some body contains no candidate.
+    """
     candidates = (candidate_points(bodies) if candidates is None
                   else np.asarray(candidates, dtype=float))
     inside = containment_matrix(bodies, candidates)
@@ -129,49 +141,72 @@ def candidate_classes(bodies: list[ConvexBody], candidates=None) -> CandidateCla
         raise IncompleteCandidatesError(f"no candidate inside bodies {missing}")
     keep = np.flatnonzero(inside.any(axis=1))
     inside = inside[keep]
-    # One void scalar per bit-packed row: np.unique sorts bytes, not bools,
-    # and its stable sort returns each signature's first occurrence.
-    packed = np.packbits(inside, axis=1)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    first = np.unique(rows, return_index=True)[1]
-    uniq = inside[first]
-    chosen = np.sort(first[_maximal_rows(uniq)])
+    words = _signature_words(inside)
+    keys = (words[:, 0] if words.shape[1] == 1
+            else words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel())
+    first = np.unique(keys, return_index=True)[1]
+    chosen = np.sort(first[_maximal_rows(words[first])])
     points = tuple(map(tuple, candidates[keep[chosen]].tolist()))
     members = inside[chosen]
     members.setflags(write=False)
     return CandidateClasses(points, members)
 
 
-def _maximal_rows(uniq: np.ndarray) -> np.ndarray:
+def _signature_words(rows: np.ndarray) -> np.ndarray:
+    """Bool rows packed into little-endian uint64 words, ceil(columns / 64) per row.
+
+    Bit j of word w holds column 64 * w + j; the bits past the last column are 0.
+    """
+    k, n = rows.shape
+    packed = np.zeros((k, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+# Words (uint64) one subset-test block of _maximal_rows holds: 512 KiB, the
+# size of containment_matrix's largest block.
+_BLOCK_WORDS = 1 << 16
+
+
+def _maximal_rows(words: np.ndarray) -> np.ndarray:
     """Mask of rows not strictly contained in another row (rows are unique).
 
-    A row can only be dominated by one with a larger popcount, and domination
-    by any superset implies domination by some maximal superset, so rows are
-    processed in decreasing popcount groups against the maximals found so far,
-    bit-packed to keep the pairwise subset test cheap.
+    words is a (rows, words) uint64 array of signatures as _signature_words
+    packs them. A row can only be dominated by one with a larger popcount,
+    and domination by any superset implies domination by some maximal
+    superset, so the popcount groups are visited once, in decreasing order,
+    each against one growing array of the maximal rows kept so far: row r
+    lies in kept row s when r & ~s is 0 in every word. The test runs on
+    blocks of group rows times kept rows whose (rows, rows, words)
+    temporaries hold at most _BLOCK_WORDS words, or one row's words when a
+    row is longer.
     """
-    k = uniq.shape[0]
-    out = np.ones(k, dtype=bool)
+    k, w = words.shape
     if k <= 1:
-        return out
-    packed = np.packbits(uniq, axis=1)
-    pop = uniq.sum(axis=1)
-    maximal_chunks: list[np.ndarray] = []
-    for value in sorted(set(pop.tolist()), reverse=True):
-        idx = np.flatnonzero(pop == value)
-        group = packed[idx]
-        dominated = np.zeros(len(idx), dtype=bool)
-        for block in maximal_chunks:
-            for lo in range(0, block.shape[0], 2048):
-                sup = block[lo : lo + 2048]
-                hit = ((group[:, None, :] & ~sup[None, :, :]) == 0).all(axis=2)
-                dominated |= hit.any(axis=1)
-            if dominated.all():
-                break
-        out[idx[dominated]] = False
-        survivors = group[~dominated]
-        if survivors.size:
-            maximal_chunks.append(survivors)
+        return np.ones(k, dtype=bool)
+    pop = np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+    order = np.argsort(-pop, kind="stable")
+    ranked, pop = words[order], pop[order]
+    bounds = [0, *(np.flatnonzero(pop[1:] != pop[:-1]) + 1).tolist(), k]
+    dominated = np.zeros(k, dtype=bool)
+    outside = np.empty_like(words)  # ~s for each kept row s
+    n_kept = 0
+    for start, stop in zip(bounds, bounds[1:]):
+        group, gone = ranked[start:stop], dominated[start:stop]
+        rows = max(1, min(stop - start, math.isqrt(_BLOCK_WORDS // w)))
+        step = max(1, _BLOCK_WORDS // (rows * w))
+        kept = outside[:n_kept]
+        for lo in range(0, stop - start, rows):
+            part, hit = group[lo:lo + rows, None, :], gone[lo:lo + rows]
+            for top in range(0, n_kept, step):
+                hit |= ((part & kept[top:top + step]) == 0).all(axis=2).any(axis=1)
+                if hit.all():
+                    break
+        survivors = group[~gone]
+        outside[n_kept:n_kept + len(survivors)] = ~survivors
+        n_kept += len(survivors)
+    out = np.empty(k, dtype=bool)
+    out[order] = ~dominated
     return out
 
 
@@ -301,6 +336,51 @@ def greedy_transversal(classes: CandidateClasses) -> list[Point2]:
         picks.append(classes.points[best])
         unhit &= ~mat[best]
     return picks
+
+
+def brute_min_transversal(bodies: list[ConvexBody], candidates,
+                          k_max: int) -> list[Point2] | None:
+    """Smallest subset of candidates hitting every body, up to size k_max.
+
+    Exact search over the maximal classes of candidate_classes(bodies,
+    candidates), each standing for its representative point: a depth-first
+    cover search at increasing sizes, trying the classes in order of
+    decreasing size, then sorted members. Returns None when no hitting set
+    of size <= k_max exists within the candidate set.
+    """
+    try:
+        classes = candidate_classes(bodies, candidates)
+    except IncompleteCandidatesError:
+        return None
+    rep = {frozenset(np.flatnonzero(row).tolist()): pt
+           for row, pt in zip(classes.matrix(), classes.points)}
+    atoms = sorted(rep, key=lambda s: (-len(s), sorted(s)))
+
+    def search(uncovered: frozenset[int], budget: int, chosen: list[frozenset[int]]) -> list[frozenset[int]] | None:
+        if not uncovered:
+            return list(chosen)
+        if budget == 0:
+            return None
+        gain = max(len(a & uncovered) for a in atoms)
+        if gain * budget < len(uncovered):
+            return None
+        pivot = min(uncovered, key=lambda b: sum(1 for a in atoms if b in a))
+        options = [a for a in atoms if pivot in a]
+        options.sort(key=lambda a: -len(a & uncovered))
+        for a in options:
+            chosen.append(a)
+            got = search(uncovered - a, budget - 1, chosen)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    full = frozenset(range(len(bodies)))
+    for k in range(0, k_max + 1):
+        got = search(full, k, [])
+        if got is not None:
+            return [rep[s] for s in got]
+    return None
 
 
 def _interior_point(body: ConvexBody) -> Point2:

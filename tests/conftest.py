@@ -59,6 +59,19 @@ def arc_body(body_id: int, lo: float, hi: float) -> ConvexBody:
     return ConvexBody.from_vertices(body_id, pts)
 
 
+def pg22_twice() -> list[ConvexBody]:
+    """Two copies of PG(2,2), one inscribed triangle per line; the second is
+    turned by half a spacing and has its seven points in another order."""
+    lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+    bodies = []
+    for turn, place in ((0.0, (0, 1, 2, 3, 4, 5, 6)), (math.pi / 7, (0, 1, 2, 4, 5, 3, 6))):
+        for line in lines:
+            angles = [turn + TWO_PI * place[v] / 7 for v in line]
+            bodies.append(ConvexBody.from_vertices(
+                len(bodies), [(math.cos(a), math.sin(a)) for a in angles]))
+    return bodies
+
+
 def containment_margin(body: ConvexBody, pt: Point2) -> float:
     """Signed clearance of pt: positive inside, negative outside.
 

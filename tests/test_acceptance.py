@@ -15,7 +15,6 @@ import numpy as np
 from conftest import face_census, graph_from_edges, synthetic_list
 from pierce.geometry import (
     body_contains,
-    brute_min_transversal,
     candidate_points,
     containment_matrix,
     TOL_GEOM,
@@ -35,6 +34,7 @@ from pierce.meetgraph import (
     verify_p2,
 )
 from pierce.pipeline import (
+    brute_min_transversal,
     candidate_classes,
     rationalize,
     run_pipeline,

@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pierce.cli import cli_run
-from pierce.instances import gen_pairwise, load_instance
+from pierce.instances import Instance, gallery7, gen_pairwise, load_instance, save_instance
+
+from conftest import pg22_twice
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -18,6 +20,28 @@ def test_gen_oracle_gallery(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
     assert cli_run(["oracle", inst_path, "--kmax", "2"]) == 0
     assert capsys.readouterr().out.strip() == "none"
+
+
+# pierce oracle's size and points on two families, pinned so that a change in
+# the classes, their representatives or the search order shows.
+ORACLE_POINTS = {
+    "gallery7": ["point -0.222520934 0.974927912", "point -0.077891593 -0.246021722",
+                 "point 0.212620072 -0.454173807"],
+    "pg22x2": ["point -0.692021472 0.000000000", "point 0.153989264 -0.674671049",
+               "point 0.079416802 0.347947743"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POINTS))
+def test_oracle_size_and_points_are_pinned(name, tmp_path, monkeypatch, capsys, caplog):
+    inst = gallery7() if name == "gallery7" else Instance(pg22_twice())
+    inst_path = str(tmp_path / "i.json")
+    save_instance(inst, inst_path)
+    monkeypatch.setenv("PIERCE_LOG_LEVEL", "info")
+    assert cli_run(["oracle", inst_path]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    points = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
+    assert points == ORACLE_POINTS[name]
 
 
 def test_solve_then_verify(tmp_path, capsys):

@@ -21,7 +21,6 @@ from pierce.geometry import (
     arcs_common_point,
     body_contains,
     body_curve_arcs,
-    brute_min_transversal,
     candidate_points,
     containment_matrix,
     intersect_arcs,
@@ -30,6 +29,7 @@ from pierce.geometry import (
     segment_intersection,
 )
 from pierce.instances import gallery7, gen_pairwise
+from pierce.pipeline import brute_min_transversal
 
 from conftest import (
     containment_margin,

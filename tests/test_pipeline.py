@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from pierce.pipeline import (
     run_pipeline,
     solve_lp_pair,
     _maximal_rows,
+    _signature_words,
 )
 from pierce.reports import verify_report
 
@@ -98,10 +100,10 @@ def reference_classes(bodies):
     return [(pt, sig) for sig, pt in reps.items() if not any(sig < s for s in reps)]
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 63, 64, 65, 129])
 def test_candidate_classes_packed_dedup_matches_frozensets(n):
     # 7, 8, 9 and 17 bodies put the last signature bit just inside, at, and
-    # past a byte of np.packbits padding.
+    # past a byte; 63, 64, 65 and 129 just inside, at, and past a 64-bit word.
     rng = np.random.default_rng(n)
     for _ in range(5):
         bodies = [box(i, *(rng.integers(0, 9, size=2) / 2), r=float(rng.integers(1, 5)) / 2)
@@ -110,17 +112,22 @@ def test_candidate_classes_packed_dedup_matches_frozensets(n):
         want = reference_classes(bodies)
         assert list(cc.points) == [pt for pt, _ in want]
         assert signatures(cc) == [sig for _, sig in want]
-        assert n < 9 or any(max(sig) >= 8 for sig in signatures(cc))
+        assert any(n - 1 in sig for sig in signatures(cc))
         assert cc.matrix().dtype == bool and not cc.matrix().flags.writeable
 
 
 def test_maximal_rows_against_bruteforce():
+    # Column c is bit c % 64 of word c // 64; the bits past the last column are 0.
+    words = _signature_words(np.eye(130, dtype=bool))
+    assert words.dtype == np.dtype("<u8") and words.shape == (130, 3)
+    assert words.tolist() == [[1 << (c % 64) if w == c // 64 else 0 for w in range(3)]
+                              for c in range(130)]
     rng = np.random.default_rng(4)
     for _ in range(120):
         k = int(rng.integers(1, 40))
-        n = int(rng.integers(1, 12))
-        rows = np.unique(rng.random((k, n)) < 0.4, axis=0)
-        got = _maximal_rows(rows)
+        n = int(rng.integers(1, 131))
+        rows = np.unique(rng.random((k, n)) < rng.uniform(0.2, 0.8), axis=0)
+        got = _maximal_rows(_signature_words(rows))
         for i in range(rows.shape[0]):
             dominated = any(
                 j != i and (rows[i] <= rows[j]).all() for j in range(rows.shape[0])
@@ -128,7 +135,29 @@ def test_maximal_rows_against_bruteforce():
             assert got[i] == (not dominated)
 
 
-# ---------------------------------------------------------------- dual pair
+def test_maximal_rows_memory_stays_within_a_block_budget():
+    # 2048 rows with 64 of 128 bits set, then 2048 with 32: every row of the
+    # second group is tested against the 2048 kept rows of the first. An
+    # unblocked (rows, kept, words) uint64 temporary would take 64 MiB.
+    rng = np.random.default_rng(9)
+    rows = np.zeros((4096, 128), dtype=bool)
+    for i, size in enumerate([64] * 2048 + [32] * 2048):
+        rows[i, rng.permutation(128)[:size]] = True
+    # Even rows of the second group are halves of rows of the first.
+    rows[2048::2] = rows[:2048:2] & (np.cumsum(rows[:2048:2], axis=1) <= 32)
+    words = _signature_words(rows)
+    assert len(np.unique(words, axis=0)) == 4096
+    tracemalloc.start()
+    try:
+        got = _maximal_rows(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [True] * 2048 + [False, True] * 1024
+    # One block's temporaries take about 576 KiB and the sorted and kept
+    # copies of the rows 64 KiB each: the peak is near 0.85 MiB.
+    budget = 2 << 20
+    assert peak < budget
 
 
 def test_fractional_sizes_trivial():

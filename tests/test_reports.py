@@ -1,7 +1,6 @@
 """The independent recheck of a finished report."""
 
 import copy
-import math
 import re
 
 import numpy as np
@@ -11,13 +10,13 @@ import pierce.lp
 import pierce.pipeline
 import pierce.reports
 from pierce.geometry import (
-    TWO_PI, ConvexBody, body_contains, candidate_points, containment_matrix,
+    ConvexBody, body_contains, candidate_points, containment_matrix,
 )
 from pierce.instances import Instance, gallery7, gen_pairwise
 from pierce.pipeline import candidate_classes, run_pipeline
 from pierce.reports import verify_report
 
-from conftest import arc_body
+from conftest import arc_body, pg22_twice
 
 
 def test_verify_report_accepts_a_run():
@@ -60,19 +59,6 @@ def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):
     assert max(loads) < len(at_z)
     assert [f for f in failures if "best class load" in f] == [
         f"heavy coverage {len(at_z)} exceeds the best class load {max(loads)}"]
-
-
-def pg22_twice() -> list[ConvexBody]:
-    """Two copies of PG(2,2), one inscribed triangle per line; the second is
-    turned by half a spacing and has its seven points in another order."""
-    lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
-    bodies = []
-    for turn, place in ((0.0, (0, 1, 2, 3, 4, 5, 6)), (math.pi / 7, (0, 1, 2, 4, 5, 3, 6))):
-        for line in lines:
-            angles = [turn + TWO_PI * place[v] / 7 for v in line]
-            bodies.append(ConvexBody.from_vertices(
-                len(bodies), [(math.cos(a), math.sin(a)) for a in angles]))
-    return bodies
 
 
 @pytest.mark.parametrize("bodies", [gallery7().bodies, pg22_twice()], ids=["gallery7", "pg22x2"])
