@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import PierceError
-from .geometry import candidate_points
+from .geometry import body_curve_arcs, candidate_points, meet_angles
 from .instances import (
     Instance,
     gallery7,
@@ -27,7 +27,7 @@ from .meetgraph import build_meet_graph, turan_pair_check
 from .pipeline import brute_min_transversal, run_pipeline
 from .reports import load_report, save_report, verify_report
 from .svg import render_svg
-from .witness import build_witness_list, is_spread_out
+from .witness import _multiset_witness_list, is_spread_out
 
 logger = logging.getLogger("pierce")
 
@@ -156,12 +156,13 @@ def _cmd_plot(args) -> int:
 
 def _cmd_stats(args) -> int:
     instance = load_instance(args.instance)
-    q = build_witness_list(instance.bodies, instance.curve)
     n_bodies = len(instance.bodies)
+    angles = meet_angles([body_curve_arcs(b, instance.curve) for b in instance.bodies])
+    q = _multiset_witness_list(angles, [1] * n_bodies)
     spread = sum(
         1 for color in range(n_bodies) if len(q) and is_spread_out(q, color, args.alpha)
     )
-    graph = build_meet_graph(instance.bodies, instance.curve)
+    graph = build_meet_graph(instance.bodies, instance.curve, angles=angles)
     meets, bound, ok = turan_pair_check(graph, instance.p)
     print(f"bodies={n_bodies} p={instance.p}")
     print(f"witnesses N={len(q)}")

@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .lp import packing_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
-from .witness import WeightedWitnessList, find_heavy_point
+from .witness import _multiset_witness_list, find_heavy_point
 
 DUALITY_TOL = 1e-6
 MAX_DENOMINATOR = 10_000
@@ -386,21 +386,6 @@ def brute_min_transversal(bodies: list[ConvexBody], candidates,
 def _interior_point(body: ConvexBody) -> Point2:
     c = body.vertices.mean(axis=0)
     return (float(c[0]), float(c[1]))
-
-
-def _multiset_witness_list(angles: np.ndarray, m) -> WeightedWitnessList:
-    """Witness list of the multiset with m[i] copies of body i, as weighted colors.
-
-    angles is the bodies' meet_angles table. The entries are the meeting
-    pairs of bodies with m > 0, and each body with m >= 2 paired with itself
-    at its diagonal angle, where its copies meet each other.
-    """
-    weights = np.asarray(m, dtype=np.int64)
-    used = weights > 0
-    meets = ~np.isnan(angles) & used[:, None] & used[None, :]
-    meets[np.diag_indices_from(meets)] &= weights >= 2
-    i, j = np.nonzero(np.triu(meets))
-    return WeightedWitnessList(angles[i, j], np.stack([i, j], axis=1), weights)
 
 
 def run_pipeline(

@@ -1,13 +1,15 @@
 """Circular witness lists, spread-out colors, and separator quadruples.
 
-A witness list records, for every pair of bodies that meet on the curve, one
-curve angle where they do, tagged with the two body indices as colors. The
-paper's combinatorics (spread-out colors, interval covers, quadruples that
-pierce a color and their counts) run on entry indices of the sorted list;
-distances there are circular index distances, never angles. The heavy-point
-search, find_heavy_point, instead pins its separators at the list's distinct
-angles and weighs each color, so one search serves a plain list (unit
-weights) and the weighted list of a multiset.
+A witness list is the circular list of meeting points of a multiset of
+bodies, held as one weighted color per distinct body: for every pair of
+colors that meet on the curve, one curve angle where they do. One rule,
+_multiset_witness_list, builds it from a meet_angles table and the
+weights: unit weights for build_witness_list, the rounded multiplicities
+for run_pipeline. The paper's combinatorics (spread-out colors, interval
+covers, quadruples that pierce a color and their counts) run on entry
+indices of the sorted list; distances there are circular index distances,
+never angles. The heavy-point search, find_heavy_point, instead pins its
+separators at the list's distinct angles and weighs each color.
 """
 
 import itertools
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import DegenerateQuadrupleError, InsufficientWitnessesError
 from .geometry import (
     TOL_GEOM,
+    TWO_PI,
     ConvexBody,
     CurveModel,
     Point2,
@@ -33,83 +36,83 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class WitnessPoint:
-    """One meeting angle on the curve, colored by the two body indices."""
-
-    angle: float
-    colors: tuple[int, int]
-
-    def __post_init__(self):
-        i, j = self.colors
-        if i == j:
-            raise ValueError("witness colors must be distinct")
-        if i > j:
-            object.__setattr__(self, "colors", (j, i))
-        object.__setattr__(self, "angle", normalize_angle(self.angle))
-
-
-@dataclass
-class WitnessList:
-    """Witness points in weakly increasing angle order, ties by color pair."""
-
-    entries: tuple[WitnessPoint, ...]
-    _occ: dict[int, list[int]] = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def from_entries(cls, entries) -> "WitnessList":
-        ordered = tuple(sorted(entries, key=lambda w: (w.angle, w.colors)))
-        pairs = [w.colors for w in ordered]
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("a color pair may witness at most once")
-        occ: dict[int, list[int]] = {}
-        for idx, w in enumerate(ordered):
-            for c in w.colors:
-                occ.setdefault(c, []).append(idx)
-        return cls(entries=ordered, _occ=occ)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def angles(self) -> list[float]:
-        return [w.angle for w in self.entries]
-
-    def occurrences(self, color: int) -> list[int]:
-        """Sorted entry indices carrying the color; empty when absent."""
-        return self._occ.get(color, [])
-
-    @property
-    def colors(self) -> list[int]:
-        return sorted(self._occ)
-
-
-def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessList:
-    """One witness per body pair whose curve arcs share a point."""
-    angles = meet_angles([body_curve_arcs(b, curve) for b in bodies])
-    i, j = np.nonzero(np.triu(~np.isnan(angles), 1))
-    return WitnessList.from_entries(
-        WitnessPoint(float(angles[a, b]), (a, b)) for a, b in zip(i.tolist(), j.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
-class WeightedWitnessList:
-    """The witness list of a multiset, one color per distinct body.
+class WitnessList:
+    """The circular witness list of a multiset, one color per distinct body.
 
-    Color i stands for weights[i] identical copies of body i. Copies share
-    their arcs, so every copy of i meets every copy of j at the same angle,
-    and copies of i meet each other at one angle of i's own arcs. The
-    entries are therefore the meeting pairs (i, j), i < j, of colors with
-    positive weight, plus (i, i) for each color of weight two or more;
-    len() counts these entries.
+    Color i stands for weights[i] identical copies of body i; a list built
+    by build_witness_list has weight 1 for every body. Copies share their
+    arcs, so every copy of i meets every copy of j at the same angle, and
+    copies of i meet each other at one angle of i's own arcs. Entry k is the
+    color pair pairs[k] = (i, j), i <= j, meeting at angles[k] in [0, 2*pi).
+
+    Construction checks, once, that each pair's colors index weights; that
+    entries are in (angle, pair) order, which fixes the entry indices the
+    lemmas count in; and that each pair occurs at most once. len() counts
+    the entries.
     """
 
-    angles: np.ndarray   # (E,) meet angle of each entry, in [0, 2*pi)
-    pairs: np.ndarray    # (E, 2) the entry's two colors, i <= j
+    angles: np.ndarray   # (E,) meet angle of each entry
+    pairs: np.ndarray    # (E, 2) the entry's two colors
     weights: np.ndarray  # weight of each color, indexed like the bodies
+    _occ: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        angles = np.asarray(self.angles, dtype=float)
+        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
+        weights = np.asarray(self.weights, dtype=np.int64)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "weights", weights)
+        if angles.shape != (len(pairs),) or weights.ndim != 1 or np.count_nonzero(weights < 0):
+            raise ValueError("a witness list needs one angle per pair and nonnegative weights")
+        if not len(pairs):
+            return
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        # Read as unsigned, a negative color is out of range too.
+        if np.count_nonzero(pairs.view(np.uintp) >= len(weights)) or np.count_nonzero(lo > hi):
+            raise ValueError("witness pairs must be colors (i, j), i <= j, indexing the weights")
+        key = lo * len(weights) + hi
+        if (np.count_nonzero(np.lexsort((key, angles)) != np.arange(len(key)))
+                or not 0.0 <= angles[0] or not angles[-1] < TWO_PI):
+            raise ValueError("witness entries must be in (angle, pair) order within [0, 2*pi)")
+        key.sort()
+        if np.count_nonzero(key[1:] == key[:-1]):
+            raise ValueError("a color pair may witness at most once")
 
     def __len__(self) -> int:
         return len(self.angles)
+
+    def occurrences(self, color: int) -> list[int]:
+        """Sorted entry indices carrying the color; empty when absent."""
+        if color not in self._occ:
+            hit = (self.pairs[:, 0] == color) | (self.pairs[:, 1] == color)
+            self._occ[color] = hit.nonzero()[0].tolist()
+        return self._occ[color]
+
+
+def _multiset_witness_list(angles: np.ndarray, m) -> WitnessList:
+    """Witness list of the multiset with m[i] copies of body i, as weighted colors.
+
+    angles is the bodies' meet_angles table. The entries are the meeting
+    pairs of bodies with m > 0, and each body with m >= 2 paired with itself
+    at its diagonal angle, where its copies meet each other.
+    """
+    weights = np.asarray(m, dtype=np.int64)
+    used = weights > 0
+    meets = ~np.isnan(angles) & used[:, None] & used[None, :]
+    meets[np.diag_indices_from(meets)] &= weights >= 2
+    i, j = np.nonzero(np.triu(meets))
+    at = angles[i, j]
+    # nonzero lists (i, j) in order, so a stable sort by angle gives (angle, pair) order.
+    order = np.argsort(at, kind="stable")
+    return WitnessList(at[order], np.stack([i, j], axis=1)[order], weights)
+
+
+def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessList:
+    """One witness per body pair whose curve arcs share a point: the list at weight 1."""
+    return _multiset_witness_list(meet_angles([body_curve_arcs(b, curve) for b in bodies]),
+                                  np.ones(len(bodies), dtype=np.int64))
 
 
 def circ_distance(a: int, b: int, n: int) -> int:
@@ -393,7 +396,7 @@ def expected_pierced(q: WitnessList) -> float:
     n = len(q)
     if n < 4:
         return 0.0
-    total = sum(piercing_count_exact(q.occurrences(c), n) for c in q.colors)
+    total = sum(piercing_count_exact(q.occurrences(c), n) for c in range(len(q.weights)))
     return float(Fraction(total, math.comb(n, 4)))
 
 
@@ -415,14 +418,13 @@ class HeavyPointResult:
 EXHAUSTIVE_LIMIT = 60
 
 
-def find_heavy_point(q: WitnessList | WeightedWitnessList, bodies: list[ConvexBody],
+def find_heavy_point(q: WitnessList, bodies: list[ConvexBody],
                      curve: CurveModel) -> HeavyPointResult:
     """Heaviest point of a witness list: separators pinned at meet angles.
 
-    A plain WitnessList is searched as a weighted list with weight 1 for
-    every body, so its colors must be indices into bodies; ValueError names
-    the first color that is not. An empty plain list raises
-    InsufficientWitnessesError, since its bodies need not meet the curve.
+    Color i of the list is bodies[i], so q.weights needs one weight per body;
+    ValueError names the first color that is not a body index, or the first
+    body without a color.
 
     The A distinct angles of the entries (merged within TOL_GEOM by
     _angle_runs) are the only separator positions, and every
@@ -435,8 +437,12 @@ def find_heavy_point(q: WitnessList | WeightedWitnessList, bodies: list[ConvexBo
     the first whose chords cross is recounted as the weight of the bodies
     containing it. The result is that point or, when it covers more, the
     best point of the curve at a distinct angle, scored the same way; pierced
-    is then the angle's occurrence weight and quad None. An empty weighted
-    list gives a point of the heaviest body's arcs.
+    is then the angle's occurrence weight and quad None. The result does
+    not depend on the order of the entries.
+
+    An empty list gives a point of the heaviest body's arcs. It raises
+    InsufficientWitnessesError when no color has positive weight, or when
+    that body meets the curve nowhere.
 
     Separators in the gaps between distinct angles are left out: a
     separator pinned at either neighbouring angle closes both arcs beside it
@@ -446,15 +452,10 @@ def find_heavy_point(q: WitnessList | WeightedWitnessList, bodies: list[ConvexBo
     Cost: O(C(min(A, EXHAUSTIVE_LIMIT), 4)) table lookups in numpy, and one
     containment_matrix call for the A angle points.
     """
-    if isinstance(q, WitnessList):
-        if len(q) == 0:
-            raise InsufficientWitnessesError("empty witness list")
-        foreign = [c for c in q.colors if not 0 <= c < len(bodies)]
-        if foreign:
-            raise ValueError(f"witness color {foreign[0]} is not an index into bodies")
-        pairs = np.array([w.colors for w in q.entries], dtype=np.intp).reshape(-1, 2)
-        q = WeightedWitnessList(np.array(q.angles, dtype=float), pairs,
-                                np.ones(len(bodies), dtype=np.int64))
+    if len(q.weights) > len(bodies):
+        raise ValueError(f"witness color {len(bodies)} is not an index into bodies")
+    if len(q.weights) < len(bodies):
+        raise ValueError(f"body {len(q.weights)} has no witness color")
     if not q.weights.any():
         raise InsufficientWitnessesError("no color has positive weight")
     if len(q) == 0:
@@ -462,6 +463,8 @@ def find_heavy_point(q: WitnessList | WeightedWitnessList, bodies: list[ConvexBo
         # them, and a point of the heaviest body's arcs is the best one.
         i = int(np.argmax(q.weights))
         arcs = body_curve_arcs(bodies[i], curve)
+        if not arcs:
+            raise InsufficientWitnessesError(f"the heaviest body, {i}, meets the curve nowhere")
         z = curve.point_at(arcs_common_point(arcs, arcs))
         count = int(containment_matrix(bodies, [z])[0] @ q.weights)
         return HeavyPointResult(point=z, covered=count, pierced=int(q.weights[i]), quad=None)
@@ -492,7 +495,7 @@ def find_heavy_point(q: WitnessList | WeightedWitnessList, bodies: list[ConvexBo
     return best
 
 
-def _occurrences(q: WeightedWitnessList) -> tuple[list[float], np.ndarray]:
+def _occurrences(q: WitnessList) -> tuple[list[float], np.ndarray]:
     """The list's distinct angles, and whether each color occurs at each one."""
     distinct, run = _angle_runs(q.angles.tolist())
     present = np.zeros((len(q.weights), len(distinct)), dtype=bool)
@@ -536,18 +539,19 @@ def _all_quadruples(n: int) -> np.ndarray:
 
 def _angle_runs(angles: list[float],
                 tol: float = TOL_GEOM) -> tuple[list[float], np.ndarray]:
-    """Distinct angles, and the index of the one each input angle merges into.
+    """Distinct angles of sorted angles, and the index of the one each merges into.
 
-    In sorted order an angle within tol of the current run's first angle
-    joins that run, which its first angle represents; a last run within tol
-    of the first one across 2*pi joins the first.
+    An angle within tol of the current run's first angle joins that run,
+    which its first angle represents; a last run within tol of the first one
+    across 2*pi joins the first.
     """
     out: list[float] = []
-    run = np.empty(len(angles), dtype=np.intp)
-    for k in sorted(range(len(angles)), key=angles.__getitem__):
-        if not out or angles[k] - out[-1] > tol:
-            out.append(angles[k])
-        run[k] = len(out) - 1
+    owner: list[int] = []
+    for t in angles:
+        if not out or t - out[-1] > tol:
+            out.append(t)
+        owner.append(len(out) - 1)
+    run = np.array(owner, dtype=np.intp)
     if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= tol:
         out.pop()
         run[run == len(out)] = 0

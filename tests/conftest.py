@@ -23,7 +23,7 @@ from pierce.geometry import (
     normalize_angle,
 )
 from pierce.meetgraph import ColorGraph
-from pierce.witness import WitnessList, WitnessPoint
+from pierce.witness import WitnessList
 
 NUDGE_EPS = 1e-6
 
@@ -97,28 +97,31 @@ def graph_from_edges(n: int, edges) -> ColorGraph:
 
 
 @functools.cache
-def _synthetic_points(n: int) -> tuple[tuple[WitnessPoint, ...], tuple[WitnessPoint, ...]]:
-    # Entry k of an n-entry synthetic list, with and without color 0, built
-    # once per n: the subset loops make tens of thousands of lists.
-    marked = tuple(WitnessPoint(TWO_PI * k / n, (0, 10_000 + k)) for k in range(n))
-    plain = tuple(WitnessPoint(TWO_PI * k / n, (10_000 + k, 20_000 + k)) for k in range(n))
-    return marked, plain
+def _synthetic_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Angles, pairs without color 0 and weights of an n-entry synthetic
+    # list, built once per n: the subset loops make tens of thousands of
+    # lists. Entry k is (1 + k, n + 1 + k), or (0, n + 1 + k) when marked.
+    k = np.arange(n)
+    return TWO_PI * k / n, np.stack([1 + k, n + 1 + k], axis=1), np.ones(2 * n + 1, dtype=np.int64)
 
 
 def synthetic_list(n: int, target_positions=()) -> WitnessList:
-    """N entries at evenly spaced angles; color 0 occupies target_positions."""
-    target = set(target_positions)
-    marked, plain = _synthetic_points(n)
-    return WitnessList.from_entries([marked[k] if k in target else plain[k] for k in range(n)])
+    """N entries at evenly spaced angles; color 0 occupies target_positions.
+
+    Each other color occurs at most once.
+    """
+    angles, plain, weights = _synthetic_arrays(n)
+    pairs = plain.copy()
+    pairs[list(target_positions), 0] = 0
+    return WitnessList(angles, pairs, weights)
 
 
 def random_pair_list(rng, n: int, universe: int) -> WitnessList:
     """N entries at evenly spaced angles with distinct random color pairs."""
     assert n <= universe * (universe - 1) // 2
-    pairs = list(itertools.combinations(range(universe), 2))
+    pairs = np.array(list(itertools.combinations(range(universe), 2)), dtype=np.intp)
     picks = rng.choice(len(pairs), size=n, replace=False)
-    entries = [WitnessPoint(TWO_PI * k / n, pairs[p]) for k, p in enumerate(picks)]
-    return WitnessList.from_entries(entries)
+    return WitnessList(TWO_PI * np.arange(n) / n, pairs[picks], np.ones(universe, dtype=np.int64))
 
 
 def face_census(bodies: list[ConvexBody], candidates: list[Point2],

@@ -12,10 +12,12 @@ from pierce.geometry import (
     TWO_PI,
     UNIT_CIRCLE,
     ConvexBody,
+    arcs_common_point,
     body_contains,
     body_curve_arcs,
     meet_angles,
 )
+from pierce.instances import gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import _multiset_witness_list
 from pierce.witness import (
     EXHAUSTIVE_LIMIT,
@@ -23,9 +25,7 @@ from pierce.witness import (
     _all_quadruples,
     _occurrences,
     _weighted_scores,
-    WeightedWitnessList,
     WitnessList,
-    WitnessPoint,
     build_witness_list,
     circ_distance,
     cover_is_valid,
@@ -55,29 +55,54 @@ def spread_oracle(occ, n, alpha):
     return False
 
 
-def test_witness_point_normalization():
-    w = WitnessPoint(-math.pi / 2, (3, 1))
-    assert w.angle == pytest.approx(1.5 * math.pi)
-    assert w.colors == (1, 3)
-    with pytest.raises(ValueError):
-        WitnessPoint(0.0, (2, 2))
-
-
 def test_witness_list_sorting_and_occurrences():
-    entries = [
-        WitnessPoint(2.0, (0, 2)),
-        WitnessPoint(1.0, (1, 2)),
-        WitnessPoint(2.0, (0, 1)),
-    ]
-    q = WitnessList.from_entries(entries)
-    assert [w.angle for w in q.entries] == [1.0, 2.0, 2.0]
-    # Angle tie broken by lexicographic color pair.
-    assert q.entries[1].colors == (0, 1)
+    ones = np.ones(3, dtype=np.int64)
+    q = WitnessList([1.0, 2.0, 2.0], [(1, 2), (0, 1), (0, 2)], ones)
+    assert q.angles.tolist() == [1.0, 2.0, 2.0]
     assert q.occurrences(2) == [0, 2]
     assert q.occurrences(0) == [1, 2]
     assert q.occurrences(9) == []
+    # Angle tie broken by lexicographic color pair.
+    with pytest.raises(ValueError, match="order"):
+        WitnessList([1.0, 2.0, 2.0], [(1, 2), (0, 2), (0, 1)], ones)
+    with pytest.raises(ValueError, match="order"):
+        WitnessList([2.0, 1.0], [(0, 1), (1, 2)], ones)
+    with pytest.raises(ValueError, match="at most once"):
+        WitnessList([0.1, 0.2], [(0, 1), (0, 1)], ones)
+
+
+@pytest.mark.parametrize("angles, pairs", [
+    ([0.5], [(1, 0)]),             # colors out of order
+    ([0.5], [(0, 3)]),             # no weight for color 3
+    ([0.5], [(-1, 0)]),            # negative color
+    ([-0.5], [(0, 1)]),            # angle below 0
+    ([TWO_PI], [(0, 1)]),          # angle at 2*pi
+    ([0.5, math.nan], [(0, 1), (0, 2)]),
+    ([0.5, 0.6], [(0, 1)]),        # one angle too many
+])
+def test_witness_list_rejects_malformed_entries(angles, pairs):
     with pytest.raises(ValueError):
-        WitnessList.from_entries([WitnessPoint(0.1, (0, 1)), WitnessPoint(0.2, (1, 0))])
+        WitnessList(angles, pairs, np.ones(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("family", [
+    lambda: gallery7().bodies,
+    lambda: gen_pairwise(12, seed=3).bodies,
+    lambda: gen_clustered(4, 16).bodies,
+])
+def test_unit_multiset_list_is_the_plain_list(family):
+    bodies = family()
+    arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
+    q = build_witness_list(bodies, UNIT_CIRCLE)
+    unit = _multiset_witness_list(meet_angles(arcs), np.ones(len(bodies)))
+    for name in ("angles", "pairs", "weights"):
+        np.testing.assert_array_equal(getattr(unit, name), getattr(q, name))
+    # One entry per meeting pair i < j, in (angle, pair) order.
+    ref = sorted((arcs_common_point(arcs[i], arcs[j]), i, j)
+                 for i, j in itertools.combinations(range(len(bodies)), 2)
+                 if arcs_common_point(arcs[i], arcs[j]) is not None)
+    assert len(ref) > 0
+    assert [(t, i, j) for t, (i, j) in zip(q.angles.tolist(), q.pairs.tolist())] == ref
 
 
 def test_build_witness_list_single_meeting():
@@ -85,8 +110,8 @@ def test_build_witness_list_single_meeting():
     b = arc_body(1, math.pi / 2, math.pi)
     q = build_witness_list([a, b], UNIT_CIRCLE)
     assert len(q) == 1
-    assert q.entries[0].angle == pytest.approx(0.75 * math.pi, abs=1e-6)
-    assert q.entries[0].colors == (0, 1)
+    assert q.angles[0] == pytest.approx(0.75 * math.pi, abs=1e-6)
+    assert q.pairs[0].tolist() == [0, 1]
 
 
 def test_build_witness_list_disjoint():
@@ -104,7 +129,7 @@ def test_build_witness_list_sorted_weakly():
     q = build_witness_list(bodies, UNIT_CIRCLE)
     angles = q.angles
     assert all(angles[k] <= angles[k + 1] for k in range(len(angles) - 1))
-    pairs = [w.colors for w in q.entries]
+    pairs = [tuple(p) for p in q.pairs.tolist()]
     assert len(set(pairs)) == len(pairs)
 
 
@@ -193,7 +218,7 @@ def test_dichotomy_property():
             continue
         q = random_pair_list(rng, n, universe)
         alpha = float(rng.uniform(0.03, 0.12))
-        for color in q.colors:
+        for color in range(universe):
             spread = is_spread_out(q, color, alpha)
             cover = three_interval_cover(q, color, alpha)
             if spread:
@@ -261,8 +286,8 @@ def test_separator_angles_midpoints():
 
 
 def test_piercing_point_symmetric():
-    entries = [WitnessPoint(math.pi / 4 + k * math.pi / 2, (k, k + 10)) for k in range(4)]
-    q = WitnessList.from_entries(entries)
+    q = WitnessList(math.pi / 4 + np.arange(4) * math.pi / 2, [(k, k + 4) for k in range(4)],
+                    np.ones(8, dtype=np.int64))
     z = piercing_point(UNIT_CIRCLE, q, (0, 1, 2, 3))
     assert z == pytest.approx((0.0, 0.0), abs=1e-12)
 
@@ -271,19 +296,19 @@ def test_piercing_point_chord_example():
     # Witness pairs hugging the target separators 0, pi/2, pi, 5pi/4.
     delta = 0.05
     targets = [0.0, math.pi / 2, math.pi, 1.25 * math.pi]
-    entries = []
+    angles, pairs = [], []
     for k, t in enumerate(targets):
-        entries.append(WitnessPoint(t - delta, (2 * k, 2 * k + 100)))
-        entries.append(WitnessPoint(t + delta, (2 * k + 1, 2 * k + 101)))
-    q = WitnessList.from_entries(entries)
+        angles += [(t - delta) % TWO_PI, t + delta]
+        pairs += [(2 * k, 2 * k + 8), (2 * k + 1, 2 * k + 9)]
+    # The first witness wraps to the end of the circle.
+    q = WitnessList(angles[1:] + angles[:1], pairs[1:] + pairs[:1], np.ones(16, dtype=np.int64))
     z = piercing_point(UNIT_CIRCLE, q, (0, 2, 4, 6))
     assert z == pytest.approx((1.0 - math.sqrt(2.0), 0.0), abs=1e-12)
     assert math.hypot(*z) < 1.0
 
 
 def test_piercing_point_degenerate():
-    entries = [WitnessPoint(1.0, (k, k + 10)) for k in range(4)]
-    q = WitnessList.from_entries(entries)
+    q = WitnessList([1.0] * 4, [(k, k + 4) for k in range(4)], np.ones(8, dtype=np.int64))
     with pytest.raises(DegenerateQuadrupleError):
         piercing_point(UNIT_CIRCLE, q, (0, 1, 2, 3))
 
@@ -302,7 +327,7 @@ def test_piercing_soundness_random_instances():
         if n < 4:
             continue
         for quad in itertools.combinations(range(n), 4):
-            hit = [c for c in q.colors if quadruple_pierces(q, quad, c)]
+            hit = [c for c in range(k) if quadruple_pierces(q, quad, c)]
             if not hit:
                 continue
             try:
@@ -342,7 +367,7 @@ def test_find_heavy_point_exhaustive_averaging():
         n = len(q)
         if n < 4:
             continue
-        total = sum(piercing_count_exact(q.occurrences(c), n) for c in q.colors)
+        total = sum(piercing_count_exact(q.occurrences(c), n) for c in range(k))
         mean_ceil = -((-total) // math.comb(n, 4))
         got = find_heavy_point(q, bodies, UNIT_CIRCLE)
         assert got.covered >= got.pierced
@@ -365,13 +390,19 @@ def test_find_heavy_point_sampled_matches_quality():
 
 def test_find_heavy_point_errors_and_fallback():
     with pytest.raises(InsufficientWitnessesError):
-        find_heavy_point(WitnessList.from_entries([]), [], UNIT_CIRCLE)
+        find_heavy_point(WitnessList([], [], []), [], UNIT_CIRCLE)
     off_curve = ConvexBody.from_vertices(0, [(5.0, 5.0), (6.0, 5.0), (6.0, 6.0)])
     with pytest.raises(InsufficientWitnessesError):
-        find_heavy_point(WitnessList.from_entries([]), [off_curve], UNIT_CIRCLE)
+        find_heavy_point(WitnessList([], [], [1]), [off_curve], UNIT_CIRCLE)
+    with pytest.raises(InsufficientWitnessesError):
+        find_heavy_point(WitnessList([], [], [0]), [arc_body(0, 1.0, 1.6)], UNIT_CIRCLE)
 
     a = arc_body(0, 1.0, 1.6)
     b = arc_body(1, 1.2, 1.9)
+    # No entry: the heaviest body's own arc gives the point.
+    got = find_heavy_point(WitnessList([], [], [1, 2]), [a, b], UNIT_CIRCLE)
+    assert (got.quad, got.pierced) == (None, 2)
+    assert body_contains(b, got.point, 1e-9)
     q = build_witness_list([a, b], UNIT_CIRCLE)
     assert len(q) == 1
     got = find_heavy_point(q, [a, b], UNIT_CIRCLE)
@@ -381,8 +412,10 @@ def test_find_heavy_point_errors_and_fallback():
 
 def test_find_heavy_point_rejects_colors_that_are_not_body_indices():
     q = synthetic_list(8, (0, 2, 4, 6))
-    with pytest.raises(ValueError, match="10000"):
+    with pytest.raises(ValueError, match="witness color 1 is not"):
         find_heavy_point(q, [arc_body(0, 0.0, 2.0)], UNIT_CIRCLE)
+    with pytest.raises(ValueError, match="body 17 has no"):
+        find_heavy_point(q, [arc_body(i, 0.0, 2.0) for i in range(18)], UNIT_CIRCLE)
 
 
 def test_find_heavy_point_unpierced_list_falls_back():
@@ -411,9 +444,9 @@ def _pierced_counts(q: WitnessList, quads: np.ndarray) -> np.ndarray:
     wrapping [d, a) holds an occurrence: k(a) < k(b) < k(c) < k(d) and
     either k(d) < m or k(a) > 0. Rows are compared in blocks.
     """
-    present = np.zeros((len(q.colors), len(q) + 1), dtype=np.int64)
-    for r, color in enumerate(q.colors):
-        present[r, np.asarray(q.occurrences(color)) + 1] = 1
+    present = np.zeros((len(q.weights), len(q) + 1), dtype=np.int64)
+    for color in range(len(q.weights)):
+        present[color, np.asarray(q.occurrences(color), dtype=np.intp) + 1] = 1
     k = np.cumsum(present, axis=1)
     m = k[:, -1:]
     totals = np.zeros(len(quads), dtype=np.int64)
@@ -440,11 +473,9 @@ def _pierce_case(draw, n_lo, n_hi):
     pairs = list(itertools.combinations(range(palette), 2))
     picks = draw(st.permutations(range(len(pairs))))
     lonely = draw(st.sets(st.integers(0, n - 1), max_size=6))
-    entries = []
-    for k in range(n):
-        colors = (k % palette, 1000 + k) if k in lonely else pairs[picks[k]]
-        entries.append(WitnessPoint(TWO_PI * k / n, colors))
-    q = WitnessList.from_entries(entries)
+    own = {k: palette + r for r, k in enumerate(sorted(lonely))}
+    colors = [(k % palette, own[k]) if k in own else pairs[picks[k]] for k in range(n)]
+    q = WitnessList(TWO_PI * np.arange(n) / n, colors, np.ones(palette + len(own), dtype=np.int64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if n <= EXHAUSTIVE_LIMIT:
         every = _all_quadruples(n)
@@ -462,7 +493,7 @@ def test_pierced_counts_match_quadruple_pierces(case):
     q, quads = case
     got = _pierced_counts(q, quads)
     for row, count in zip(quads.tolist(), got.tolist()):
-        assert count == sum(quadruple_pierces(q, row, c) for c in q.colors), row
+        assert count == sum(quadruple_pierces(q, row, c) for c in range(len(q.weights))), row
 
 
 @pytest.mark.parametrize("n", [4, 5, 13, 60])
@@ -487,10 +518,7 @@ def _replicated_list(angles: np.ndarray, m) -> WitnessList:
     this is the list the weighted search stands in for.
     """
     origin = [i for i, w in enumerate(m) for _ in range(w)]
-    entries = [WitnessPoint(float(angles[origin[a], origin[b]]), (a, b))
-               for a, b in itertools.combinations(range(len(origin)), 2)
-               if not np.isnan(angles[origin[a], origin[b]])]
-    return WitnessList.from_entries(entries)
+    return _multiset_witness_list(angles[np.ix_(origin, origin)], np.ones(len(origin)))
 
 
 @st.composite
@@ -554,10 +582,10 @@ def test_weighted_search_breaks_weight_ties_by_angle():
     # angle is the one left out. Every body holds the whole circle, so all
     # points tie on coverage and the best quadruple is returned.
     n = EXHAUSTIVE_LIMIT + 1
-    pairs = np.array([(k % 5, 5 + k % 7) for k in range(n)])
-    q = WeightedWitnessList(TWO_PI * np.arange(n) / n, pairs, np.ones(12, dtype=np.int64))
+    pairs = np.array([(k % 5, 5 + k % 13) for k in range(n)])
+    q = WitnessList(TWO_PI * np.arange(n) / n, pairs, np.ones(18, dtype=np.int64))
     square = [(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)]
-    bodies = [ConvexBody.from_vertices(i, square) for i in range(12)]
+    bodies = [ConvexBody.from_vertices(i, square) for i in range(18)]
     distinct, present = _occurrences(q)
     quads = _all_quadruples(EXHAUSTIVE_LIMIT)
 
@@ -569,7 +597,7 @@ def test_weighted_search_breaks_weight_ties_by_angle():
     assert low != high
     got = find_heavy_point(q, bodies, UNIT_CIRCLE)
     assert (got.quad, got.pierced) == low
-    assert got.covered == 12
+    assert got.covered == 18
 
 
 def test_coverage_rate_bound():
