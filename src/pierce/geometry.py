@@ -1,8 +1,9 @@
 """Planar primitives: convex polygon bodies, a reference circle, and arc math.
 
-Angles are radians normalized to [0, 2*pi). Arc sets on the circle are kept as
-sorted lists of AngularInterval values, where an interval may wrap through 0.
-All tolerances are absolute and expressed in coordinate units unless noted.
+Angles are radians normalized to [0, 2*pi). A body's arcs on the circle are
+kept as sorted (lo, hi) pieces of [0, 2*pi]; an arc through angle 0 is the
+two pieces (s, 2*pi) and (0, e). All tolerances are absolute and expressed
+in coordinate units unless noted, and all of them are TOL_GEOM.
 """
 
 import math
@@ -29,94 +30,8 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class AngularInterval:
-    """Closed arc [start, end] traversed counterclockwise.
-
-    When wraps is True the arc passes through angle 0, so the point set is
-    [start, 2*pi) united with [0, end]. A zero-length interval is a single
-    angle. The full circle is AngularInterval(0.0, 0.0, wraps=True).
-    """
-
-    start: float
-    end: float
-    wraps: bool = False
-
-    @property
-    def length(self) -> float:
-        if self.wraps:
-            return TWO_PI - self.start + self.end
-        return self.end - self.start
-
-    def contains(self, theta: float, tol: float = 0.0) -> bool:
-        t = normalize_angle(theta)
-        if self.wraps:
-            return t >= self.start - tol or t <= self.end + tol
-        return self.start - tol <= t <= self.end + tol
-
-    @property
-    def midpoint(self) -> float:
-        return normalize_angle(self.start + 0.5 * self.length)
-
-
-FULL_CIRCLE = AngularInterval(0.0, 0.0, wraps=True)
-
-
-def make_arc(lo: float, hi: float) -> AngularInterval:
-    """Arc from lo counterclockwise to hi; hi - lo must lie in [0, 2*pi]."""
-    span = hi - lo
-    if span < 0.0:
-        raise ValueError("arc span must be nonnegative")
-    if span >= TWO_PI:
-        return FULL_CIRCLE
-    s = normalize_angle(lo)
-    e = s + span
-    if e < TWO_PI:
-        return AngularInterval(s, e, wraps=False)
-    return AngularInterval(s, e - TWO_PI, wraps=True)
-
-
-def _interval_segments(iv: AngularInterval) -> list[tuple[float, float]]:
-    # Split into linear pieces inside [0, 2*pi] so intersection is interval math.
-    # A wrapping arc ending exactly at 0 keeps only its upper piece; the lone
-    # origin point is then represented by the closed endpoint at 2*pi.
-    if iv.wraps:
-        if iv.end == 0.0:
-            return [(iv.start, TWO_PI)]
-        return [(iv.start, TWO_PI), (0.0, iv.end)]
-    return [(iv.start, iv.end)]
-
-
 def _covers_origin(segs: list[tuple[float, float]]) -> bool:
     return any(a == 0.0 or b == TWO_PI for a, b in segs)
-
-
-def _segments_to_intervals(segs: list[tuple[float, float]]) -> list[AngularInterval]:
-    # Reassemble linear pieces, gluing across 0 when both sides touch it.
-    if not segs:
-        return []
-    ordered = sorted(set(segs))
-    merged = [list(ordered[0])]
-    for a, b in ordered[1:]:
-        if a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    if len(merged) == 1 and merged[0][0] == 0.0 and merged[0][1] == TWO_PI:
-        return [FULL_CIRCLE]
-    head = merged[0] if merged[0][0] == 0.0 else None
-    tail = merged[-1] if merged[-1][1] == TWO_PI else None
-    out = []
-    middle = merged
-    if head is not None and tail is not None and head is not tail:
-        middle = merged[1:-1]
-        out.append(AngularInterval(tail[0], head[1], wraps=True))
-    for a, b in middle:
-        if b == TWO_PI:
-            out.append(AngularInterval(a, 0.0, wraps=True) if a > 0.0 else FULL_CIRCLE)
-        else:
-            out.append(AngularInterval(a, b, wraps=False))
-    return sorted(out, key=lambda iv: iv.start)
 
 
 def _clip_segments(segs_a: list[tuple[float, float]],
@@ -133,13 +48,6 @@ def _clip_segments(segs_a: list[tuple[float, float]],
     if _covers_origin(segs_b) and _covers_origin(segs_a):
         hits.append((0.0, 0.0))
     return hits
-
-
-def intersect_arcs(a: list[AngularInterval], b: list[AngularInterval]) -> list[AngularInterval]:
-    """Intersection of two arc sets, returned sorted by start angle."""
-    segs_a = [s for iv in a for s in _interval_segments(iv)]
-    segs_b = [s for iv in b for s in _interval_segments(iv)]
-    return _segments_to_intervals(_clip_segments(segs_a, segs_b))
 
 
 @dataclass(frozen=True)
@@ -182,13 +90,13 @@ class ConvexBody:
     offsets: np.ndarray
 
     @classmethod
-    def from_vertices(cls, body_id: int, vertices, tol: float = TOL_GEOM) -> "ConvexBody":
+    def from_vertices(cls, body_id: int, vertices) -> "ConvexBody":
         arr = np.asarray(vertices, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise InvalidBodyError("vertices must be an (m, 2) array with m >= 1")
         if not np.all(np.isfinite(arr)):
             raise InvalidBodyError("vertices must be finite")
-        arr = _dedup_ring(arr, tol)
+        arr = _dedup_ring(arr)
         m = arr.shape[0]
         if m >= 3:
             area2 = _signed_area2(arr)
@@ -197,7 +105,7 @@ class ConvexBody:
             edges = _next(arr) - arr
             turn = _next(edges)
             cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
-            if np.any(cross < -tol):
+            if np.any(cross < -TOL_GEOM):
                 raise InvalidBodyError("vertices do not describe a convex polygon")
             lengths = np.hypot(edges[:, 0], edges[:, 1])
             normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
@@ -213,13 +121,13 @@ def _next(arr: np.ndarray) -> np.ndarray:
     return np.concatenate((arr[1:], arr[:1]))
 
 
-def _dedup_ring(arr: np.ndarray, tol: float) -> np.ndarray:
+def _dedup_ring(arr: np.ndarray) -> np.ndarray:
     rows = arr.tolist()
     keep = [rows[0]]
     for row in rows[1:]:
-        if math.hypot(row[0] - keep[-1][0], row[1] - keep[-1][1]) > tol:
+        if math.hypot(row[0] - keep[-1][0], row[1] - keep[-1][1]) > TOL_GEOM:
             keep.append(row)
-    if len(keep) > 1 and math.hypot(keep[0][0] - keep[-1][0], keep[0][1] - keep[-1][1]) <= tol:
+    if len(keep) > 1 and math.hypot(keep[0][0] - keep[-1][0], keep[0][1] - keep[-1][1]) <= TOL_GEOM:
         keep.pop()
     return np.array(keep, dtype=float)
 
@@ -229,16 +137,16 @@ def _signed_area2(arr: np.ndarray) -> float:
     return float(np.sum(arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]))
 
 
-def body_contains(body: ConvexBody, pt: Point2, tol: float = TOL_GEOM) -> bool:
-    """Half-plane membership test with an absolute slack of tol."""
+def body_contains(body: ConvexBody, pt: Point2) -> bool:
+    """Half-plane membership test with an absolute slack of TOL_GEOM."""
     m = body.vertices.shape[0]
     if m >= 3:
         p = np.asarray(pt, dtype=float)
-        return bool(np.all(body.normals @ p <= body.offsets + tol))
+        return bool(np.all(body.normals @ p <= body.offsets + TOL_GEOM))
     if m == 2:
-        return _point_segment_distance(pt, body.vertices[0], body.vertices[1]) <= tol
+        return _point_segment_distance(pt, body.vertices[0], body.vertices[1]) <= TOL_GEOM
     v = body.vertices[0]
-    return math.hypot(pt[0] - v[0], pt[1] - v[1]) <= tol
+    return math.hypot(pt[0] - v[0], pt[1] - v[1]) <= TOL_GEOM
 
 
 def _point_segment_distance(pt, a, b) -> float:
@@ -252,50 +160,64 @@ def _point_segment_distance(pt, a, b) -> float:
     return math.hypot(pt[0] - (ax + t * dx), pt[1] - (ay + t * dy))
 
 
-def body_curve_arcs(body: ConvexBody, curve: CurveModel, tol: float = TOL_GEOM) -> list[AngularInterval]:
-    """Arcs of the curve lying inside the body, under the same tol as body_contains.
+def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, float]]:
+    """The curve's points inside the body, as sorted pieces (lo, hi) of [0, 2*pi].
+
+    Membership is body_contains', with its slack of TOL_GEOM. The pieces
+    have 0 <= lo <= hi <= 2*pi, and each lo is greater than the hi before
+    it, so touching pieces are merged. An arc through angle 0 is the two
+    pieces (s, 2*pi) and (0, e), and a lone (0, 0) is dropped when a piece
+    ends at 2*pi, since 0 and 2*pi are the same point. No pieces means the
+    body misses the curve.
 
     Each polygon edge constrains the angle theta through
-    cos(theta - phi) <= c, an arc complement, and the result is the
-    intersection over all edges. Returned intervals are sorted by start
-    angle. Point and segment bodies yield zero-length arcs at their touch
-    angles.
-
-    The running intersection is kept as linear pieces of [0, 2*pi], clipped
-    edge by edge with intersect_arcs' clipping, and reassembled into arcs
-    once at the end. This is bit-identical to the per-edge reference
-    (intersect_arcs with each edge's arc): clipping only takes max and min
-    of piece ends, so both hold the same point set of the circle, and
-    _segments_to_intervals returns the same arcs for it.
+    cos(theta - phi) <= c, an arc complement. Its pieces clip the running
+    pieces, which start as (0, 2*pi), and the clipped pieces merge once at
+    the end. Point and segment bodies yield zero-length pieces at their
+    touch angles.
     """
     m = body.vertices.shape[0]
     cx, cy = curve.center
     r = curve.radius
     if m == 1:
         v = body.vertices[0]
-        if abs(math.hypot(v[0] - cx, v[1] - cy) - r) <= tol:
+        if abs(math.hypot(v[0] - cx, v[1] - cy) - r) <= TOL_GEOM:
             t = normalize_angle(math.atan2(v[1] - cy, v[0] - cx))
-            return [AngularInterval(t, t)]
+            return [(t, t)]
         return []
     if m == 2:
-        return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve, tol)
+        return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve)
     segs = [(0.0, TWO_PI)]
     for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
-        c = (off - (nx * cx + ny * cy) + tol) / r
+        c = (off - (nx * cx + ny * cy) + TOL_GEOM) / r
         if c >= 1.0:
             continue
         if c <= -1.0:
             return []
         delta = math.acos(c)
         phi = math.atan2(ny, nx)
-        segs = _clip_segments(segs, _interval_segments(make_arc(phi + delta, phi + TWO_PI - delta)))
+        # The edge's arc runs from phi + delta counterclockwise to
+        # phi + 2*pi - delta, a span under 2*pi since delta > 0.
+        s = normalize_angle(phi + delta)
+        e = s + ((phi + TWO_PI - delta) - (phi + delta))
+        segs = _clip_segments(segs, [(s, e)] if e <= TWO_PI else [(s, TWO_PI), (0.0, e - TWO_PI)])
         if not segs:
             return []
-    return _segments_to_intervals(segs)
+    out = []
+    for lo, hi in sorted(segs):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    if len(out) > 1 and out[0] == (0.0, 0.0) and out[-1][1] == TWO_PI:
+        del out[0]
+    return out
 
 
-def _segment_curve_touch_arcs(a, b, curve: CurveModel, tol: float) -> list[AngularInterval]:
-    # Solve |a + t(b-a) - center| = r for t in [0, 1]; each root is a touch angle.
+def _segment_curve_touch_arcs(a, b, curve: CurveModel) -> list[tuple[float, float]]:
+    # Solve |a + t(b-a) - center| = r for t in [0, 1]; each root is a touch
+    # angle. A segment missing the circle by at most TOL_GEOM touches it at
+    # its point nearest the center, which body_contains puts inside.
     cx, cy = curve.center
     dx, dy = b[0] - a[0], b[1] - a[1]
     fx, fy = a[0] - cx, a[1] - cy
@@ -306,58 +228,50 @@ def _segment_curve_touch_arcs(a, b, curve: CurveModel, tol: float) -> list[Angul
         return []
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0.0:
-        return []
-    root = math.sqrt(max(disc, 0.0))
+        t = min(1.0, max(0.0, -qb / (2.0 * qa)))
+        px, py = fx + t * dx, fy + t * dy
+        if math.hypot(px, py) - curve.radius > TOL_GEOM:
+            return []
+        theta = normalize_angle(math.atan2(py, px))
+        return [(theta, theta)]
+    root = math.sqrt(disc)
     seg_len = math.sqrt(qa)
-    out = []
-    for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
-        if -tol / seg_len <= t <= 1.0 + tol / seg_len:
-            px, py = a[0] + t * dx, a[1] + t * dy
-            theta = normalize_angle(math.atan2(py - cy, px - cx))
-            out.append(AngularInterval(theta, theta))
-    uniq = []
-    for iv in sorted(out, key=lambda iv: iv.start):
-        if not uniq or abs(uniq[-1].start - iv.start) > 1e-15:
-            uniq.append(iv)
-    return uniq
+    touch = sorted(
+        normalize_angle(math.atan2(a[1] + t * dy - cy, a[0] + t * dx - cx))
+        for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
+        if -TOL_GEOM / seg_len <= t <= 1.0 + TOL_GEOM / seg_len
+    )
+    return [(t, t) for k, t in enumerate(touch) if k == 0 or t - touch[k - 1] > 1e-15]
 
 
-def arcs_common_point(a: list[AngularInterval], b: list[AngularInterval]) -> float | None:
-    """Midpoint angle of the earliest common sub-arc of two arc sets, or None."""
-    common = intersect_arcs(a, b)
-    if not common:
-        return None
-    best = min(common, key=lambda iv: iv.start)
-    return best.midpoint
-
-
-def meet_angles(arcs: list[list[AngularInterval]]) -> np.ndarray:
-    """Symmetric table of arcs_common_point over all pairs of arc sets.
+def meet_angles(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
+    """Where each pair of bodies meets on the curve, from their body_curve_arcs.
 
     Entry [i, j] is where bodies i and j meet on the curve, NaN when they do
     not; the diagonal [i, i] is a point of body i's own arcs, NaN when it has
     none. One table serves the meet graph and the witness lists.
 
-    All pairs are computed at once, bit-identical to arcs_common_point. Each
-    set's _interval_segments pieces are padded to one (n, S) array (a pad
-    piece is [inf, -inf], which hits nothing), so the pieces' pairwise
-    overlaps [max(lo), min(hi)] form an (n, n, S*S) array, plus one column
-    for the point 0 when both sets touch it. Sorted by start, the overlaps
-    merge into the components of their union, as _segments_to_intervals
-    merges them. The earliest common sub-arc is the first component, unless
-    the union touches both 0 and 2*pi in two or more components: then the
-    first and last glue into one arc through 0, which is the earliest when
-    there are only two, and the second component is earliest otherwise. The
-    midpoint takes the adds of AngularInterval.midpoint and normalize_angle.
+    The rule for one pair: the pieces' pairwise overlaps, plus the point 0
+    when both lists touch 0 or 2*pi, merge into the components of their
+    union. When that union touches both 0 and 2*pi in two or more
+    components, the first and last glue into one arc through 0. The meet is
+    the midpoint of the arc with the earliest start.
+
+    All pairs are computed at once. The lists are padded to one (n, S)
+    array (a pad piece is [inf, -inf], which hits nothing), so the pieces'
+    pairwise overlaps [max(lo), min(hi)] form an (n, n, S*S) array, plus one
+    column for the point 0. Sorted by start, the overlaps merge into
+    components. The earliest arc is the first component, unless the ends
+    glue: then the glued arc is the earliest when there are only two
+    components, and the second component is earliest otherwise.
     """
     n = len(arcs)
     if n == 0:
         return np.empty((0, 0))
-    segs = [[s for iv in body for s in _interval_segments(iv)] for body in arcs]
-    width = max((len(s) for s in segs), default=0)
+    width = max((len(body) for body in arcs), default=0)
     lo = np.full((n, width), np.inf)
     hi = np.full((n, width), -np.inf)
-    for k, body in enumerate(segs):
+    for k, body in enumerate(arcs):
         if body:
             lo[k, : len(body)], hi[k, : len(body)] = zip(*body)
     origin = ((lo == 0.0) | (hi == TWO_PI)).any(axis=1)
@@ -398,8 +312,7 @@ def meet_angles(arcs: list[list[AngularInterval]]) -> np.ndarray:
     return mid
 
 
-def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
-                         tol: float = TOL_GEOM) -> Point2 | None:
+def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> Point2 | None:
     """Intersection point of two closed segments, or None.
 
     Endpoint touches count as intersections. Parallel segments return None
@@ -410,13 +323,13 @@ def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
     den = d1x * d2y - d1y * d2x
     n1 = math.hypot(d1x, d1y)
     n2 = math.hypot(d2x, d2y)
-    if n1 == 0.0 or n2 == 0.0 or abs(den) <= tol * n1 * n2:
+    if n1 == 0.0 or n2 == 0.0 or abs(den) <= TOL_GEOM * n1 * n2:
         return None
     ex, ey = b1[0] - a1[0], b1[1] - a1[1]
     t = (ex * d2y - ey * d2x) / den
     u = (ex * d1y - ey * d1x) / den
-    pad_t = tol / n1
-    pad_u = tol / n2
+    pad_t = TOL_GEOM / n1
+    pad_u = TOL_GEOM / n2
     if -pad_t <= t <= 1.0 + pad_t and -pad_u <= u <= 1.0 + pad_u:
         return (a1[0] + t * d1x, a1[1] + t * d1y)
     return None
@@ -426,7 +339,7 @@ def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
 _CHUNK = 1 << 15
 
 
-def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> np.ndarray:
+def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     """Body vertices and pairwise edge crossings: the arrangement's vertices,
     as the rows of a (points, 2) float array.
 
@@ -437,7 +350,8 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> np.ndar
     and each of its vertices is a body vertex or an edge crossing. So every
     maximal class has a point here, and any hitting set can be moved onto
     this list, which is what the exact oracle and the linear programs rely
-    on. Body pairs whose bounding boxes are more than tol apart are skipped.
+    on. Body pairs whose bounding boxes are more than TOL_GEOM apart are
+    skipped.
 
     Order: every body's vertices, body by body; then the crossings of each
     body pair i < j in (i, j) order, within a pair by i's edge, then j's
@@ -460,7 +374,7 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> np.ndar
     sx, sy = verts[head].T
     dx, dy = (verts[tail] - verts[head]).T
     norm = np.hypot(dx, dy)
-    slack, pad = tol * norm, tol / norm
+    slack, pad = TOL_GEOM * norm, TOL_GEOM / norm
 
     x0, x1, y0, y1 = (
         f.reduceat(verts[:, c], vstart)
@@ -468,10 +382,10 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> np.ndar
     )
     bi, bj = np.triu_indices(len(bodies), 1)
     apart = (
-        (x1[bi] < x0[bj] - tol)
-        | (x1[bj] < x0[bi] - tol)
-        | (y1[bi] < y0[bj] - tol)
-        | (y1[bj] < y0[bi] - tol)
+        (x1[bi] < x0[bj] - TOL_GEOM)
+        | (x1[bj] < x0[bi] - TOL_GEOM)
+        | (y1[bi] < y0[bj] - TOL_GEOM)
+        | (y1[bj] < y0[bi] - TOL_GEOM)
     )
     bi, bj = bi[~apart], bj[~apart]
     size = ne[bi] * ne[bj]
@@ -507,19 +421,19 @@ def candidate_points(bodies: list[ConvexBody], tol: float = TOL_GEOM) -> np.ndar
 _MIN_CELLS, _CELLS = 1 << 13, 1 << 16
 
 
-def containment_matrix(bodies: list[ConvexBody], points, tol: float = TOL_GEOM) -> np.ndarray:
+def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
     """Bool matrix of shape (len(points), len(bodies)): membership per pair.
 
     points is a (points, 2) array or a sequence of (x, y) pairs.
 
     One batched kernel for the per-body reference (a polygon's column is
-    all(pts @ normals.T <= offsets + tol, axis=1), a segment or point
+    all(pts @ normals.T <= offsets + TOL_GEOM, axis=1), a segment or point
     body's column is body_contains per point). Every polygon's edge
     normals are stacked in one (bodies * width, 2) array, each body padded
     to the family's widest (width edges) with rows that always pass: normal
     0, offset +inf. For a block of points, normals @ pts.T compared with
-    offsets + tol is an (edges, points) bool array; reshaped to (bodies,
-    width, points), its AND along the middle axis is the block's
+    offsets + TOL_GEOM is an (edges, points) bool array; reshaped to
+    (bodies, width, points), its AND along the middle axis is the block's
     membership, transposed into the result. Each product entry is the same
     two-term dot product as the reference's, but BLAS may pick its kernel
     by matrix shape, so bit-identity with the reference is what the oracle
@@ -546,7 +460,7 @@ def containment_matrix(bodies: list[ConvexBody], points, tol: float = TOL_GEOM) 
     limits = np.full((poly.size * width, 1), np.inf)
     if poly.size:
         normals[slot] = np.concatenate([bodies[k].normals for k in poly])
-        limits[slot, 0] = np.concatenate([bodies[k].offsets for k in poly]) + tol
+        limits[slot, 0] = np.concatenate([bodies[k].offsets for k in poly]) + TOL_GEOM
     ends = np.array([(bodies[k].vertices[0], bodies[k].vertices[-1]) for k in thin])
     cells = min(_CELLS, max(_MIN_CELLS, inside.size // 8))
     step = max(1, cells // (normals.shape[0] + thin.size))
@@ -556,20 +470,19 @@ def containment_matrix(bodies: list[ConvexBody], points, tol: float = TOL_GEOM) 
             below = (normals @ block.T <= limits).reshape(poly.size, width, -1)
             inside[lo:lo + step, poly] = below.all(axis=1).T
         if thin.size:
-            near = _segment_distances(block, ends[:, 0], ends[:, 1], tol) <= tol
+            near = _segment_distances(block, ends[:, 0], ends[:, 1]) <= TOL_GEOM
             inside[lo:lo + step, thin] = near.T
     return inside
 
 
-def _segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       tol: float) -> np.ndarray:
+def _segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_point_segment_distance from every point to every segment a[k]b[k].
 
     Returns a (segments, points) array with the scalar function's operations
     in its order, so each entry equals it, except that np.hypot and
     math.hypot may round apart in the last place: entries within a few ulps
-    of tol are taken from math.hypot, so comparisons with tol match
-    body_contains. A point body is the segment from its vertex to itself.
+    of TOL_GEOM are taken from math.hypot, so comparisons with TOL_GEOM
+    match body_contains. A point body is the segment from its vertex to itself.
     """
     ax, ay = a[:, :1], a[:, 1:]
     dx, dy = b[:, :1] - ax, b[:, 1:] - ay
@@ -580,7 +493,7 @@ def _segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
     ex = pts[:, 0] - (ax + t * dx)
     ey = pts[:, 1] - (ay + t * dy)
     dist = np.hypot(ex, ey)
-    for k, j in zip(*np.nonzero(np.abs(dist - tol) <= 4 * np.spacing(tol))):
+    for k, j in zip(*np.nonzero(np.abs(dist - TOL_GEOM) <= 4 * np.spacing(TOL_GEOM))):
         dist[k, j] = math.hypot(ex[k, j], ey[k, j])
     return dist
 

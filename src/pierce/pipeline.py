@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import IncompleteCandidatesError, PipelineError
 from .geometry import (
-    TOL_GEOM,
     UNIT_CIRCLE,
     ConvexBody,
     CurveModel,
@@ -472,7 +471,7 @@ def run_pipeline(
         len(picks) <= tau_star * (1 + math.log(max(len(active), 1))) + 1
     )
     transversal = list(picks) + [_interior_point(bodies[i]) for i in filtered]
-    inside = containment_matrix(bodies, transversal, TOL_GEOM)
+    inside = containment_matrix(bodies, transversal)
     flags["all_bodies_hit"] = bool(inside.any(axis=0).all())
     timings["greedy"] = time.perf_counter() - t0
 

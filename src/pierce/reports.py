@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .geometry import TOL_GEOM, body_curve_arcs, candidate_points, containment_matrix
+from .geometry import body_curve_arcs, candidate_points, containment_matrix
 from .instances import Instance
 from .pipeline import TransversalReport, certificate_failures
 
@@ -137,7 +137,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     # all bodies, the rest read on the active bodies' columns.
     points = np.concatenate([np.reshape(part, (-1, 2)) for part in
                              (transversal, candidates, cover_points, heavy)])
-    inside = containment_matrix(bodies, points, TOL_GEOM)
+    inside = containment_matrix(bodies, points)
     hit, rows, cover_rows, z_row = np.split(
         inside, np.cumsum([len(transversal), len(candidates), len(cover_points)]))
     on_active = np.flatnonzero(meets)

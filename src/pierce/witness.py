@@ -27,7 +27,6 @@ from .geometry import (
     ConvexBody,
     CurveModel,
     Point2,
-    arcs_common_point,
     body_curve_arcs,
     containment_matrix,
     meet_angles,
@@ -440,9 +439,9 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody],
     is then the angle's occurrence weight and quad None. The result does
     not depend on the order of the entries.
 
-    An empty list gives a point of the heaviest body's arcs. It raises
-    InsufficientWitnessesError when no color has positive weight, or when
-    that body meets the curve nowhere.
+    An empty list gives a point of the arcs of the heaviest body that meets
+    the curve, ties to the lower index. It raises InsufficientWitnessesError
+    when no color has positive weight, or when no such body meets the curve.
 
     Separators in the gaps between distinct angles are left out: a
     separator pinned at either neighbouring angle closes both arcs beside it
@@ -460,14 +459,15 @@ def find_heavy_point(q: WitnessList, bodies: list[ConvexBody],
         raise InsufficientWitnessesError("no color has positive weight")
     if len(q) == 0:
         # No two copies meet on the curve, so no curve point lies in two of
-        # them, and a point of the heaviest body's arcs is the best one.
-        i = int(np.argmax(q.weights))
-        arcs = body_curve_arcs(bodies[i], curve)
-        if not arcs:
-            raise InsufficientWitnessesError(f"the heaviest body, {i}, meets the curve nowhere")
-        z = curve.point_at(arcs_common_point(arcs, arcs))
-        count = int(containment_matrix(bodies, [z])[0] @ q.weights)
-        return HeavyPointResult(point=z, covered=count, pierced=int(q.weights[i]), quad=None)
+        # them, and a point of the heaviest body meeting the curve is the best one.
+        order = np.argsort(-q.weights, kind="stable")
+        for i in order[q.weights[order] > 0].tolist():
+            arcs = body_curve_arcs(bodies[i], curve)
+            if arcs:
+                z = curve.point_at(meet_angles([arcs])[0, 0])
+                count = int(containment_matrix(bodies, [z])[0] @ q.weights)
+                return HeavyPointResult(point=z, covered=count, pierced=int(q.weights[i]), quad=None)
+        raise InsufficientWitnessesError("no body of positive weight meets the curve")
     distinct, present = _occurrences(q)
     at_angle = q.weights @ present
     points = [curve.point_at(t) for t in distinct]
@@ -537,22 +537,21 @@ def _all_quadruples(n: int) -> np.ndarray:
     return quads
 
 
-def _angle_runs(angles: list[float],
-                tol: float = TOL_GEOM) -> tuple[list[float], np.ndarray]:
+def _angle_runs(angles: list[float]) -> tuple[list[float], np.ndarray]:
     """Distinct angles of sorted angles, and the index of the one each merges into.
 
-    An angle within tol of the current run's first angle joins that run,
-    which its first angle represents; a last run within tol of the first one
-    across 2*pi joins the first.
+    An angle within TOL_GEOM of the current run's first angle joins that
+    run, which its first angle represents; a last run within TOL_GEOM of the
+    first one across 2*pi joins the first.
     """
     out: list[float] = []
     owner: list[int] = []
     for t in angles:
-        if not out or t - out[-1] > tol:
+        if not out or t - out[-1] > TOL_GEOM:
             out.append(t)
         owner.append(len(out) - 1)
     run = np.array(owner, dtype=np.intp)
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= tol:
+    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= TOL_GEOM:
         out.pop()
         run[run == len(out)] = 0
     return out, run

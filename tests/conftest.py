@@ -8,18 +8,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pierce.geometry import (
-    FULL_CIRCLE,
     TOL_GEOM,
     TWO_PI,
-    AngularInterval,
     ConvexBody,
     CurveModel,
     Point2,
     _point_segment_distance,
     _segment_curve_touch_arcs,
     body_contains,
-    intersect_arcs,
-    make_arc,
     normalize_angle,
 )
 from pierce.meetgraph import ColorGraph
@@ -157,8 +153,7 @@ def face_census(bodies: list[ConvexBody], candidates: list[Point2],
     return reps
 
 
-def reference_containment_matrix(bodies: list[ConvexBody], points: list[Point2],
-                                 tol: float = TOL_GEOM) -> np.ndarray:
+def reference_containment_matrix(bodies: list[ConvexBody], points: list[Point2]) -> np.ndarray:
     """containment_matrix as a loop over bodies: each polygon's column from its
     own half-planes, each segment or point body's from body_contains per point."""
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
@@ -168,36 +163,91 @@ def reference_containment_matrix(bodies: list[ConvexBody], points: list[Point2],
     for k, body in enumerate(bodies):
         m = body.vertices.shape[0]
         if m >= 3:
-            inside[:, k] = np.all(pts @ body.normals.T <= body.offsets + tol, axis=1)
+            inside[:, k] = np.all(pts @ body.normals.T <= body.offsets + TOL_GEOM, axis=1)
         else:
-            inside[:, k] = [body_contains(body, (p[0], p[1]), tol) for p in pts]
+            inside[:, k] = [body_contains(body, (p[0], p[1])) for p in pts]
     return inside
 
 
-def reference_body_curve_arcs(body: ConvexBody, curve: CurveModel,
-                              tol: float = TOL_GEOM) -> list[AngularInterval]:
-    """body_curve_arcs with one intersect_arcs call per cutting edge."""
+def arc_pieces(lo: float, hi: float) -> list[tuple[float, float]]:
+    """Pieces of [0, 2*pi] of the arc from lo counterclockwise to hi, where
+    hi - lo lies in [0, 2*pi]: two pieces when the arc passes angle 0."""
+    span = hi - lo
+    if span >= TWO_PI:
+        return [(0.0, TWO_PI)]
+    s = normalize_angle(lo)
+    e = s + span
+    if e < TWO_PI:
+        return [(s, e)]
+    return [(s, TWO_PI), (0.0, e - TWO_PI)] if e > TWO_PI else [(s, TWO_PI)]
+
+
+def reference_intersection(a: list[tuple[float, float]],
+                           b: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Common points of two piece lists, in body_curve_arcs' form.
+
+    The pieces' pairwise overlaps, plus the point 0 when both lists touch 0
+    or 2*pi, sorted and merged where they touch; a lone (0, 0) goes when a
+    piece ends at 2*pi.
+    """
+    def touches_origin(pieces):
+        return any(lo == 0.0 or hi == TWO_PI for lo, hi in pieces)
+
+    hits = [(max(a0, b0), min(a1, b1)) for a0, a1 in a for b0, b1 in b
+            if max(a0, b0) <= min(a1, b1)]
+    if touches_origin(a) and touches_origin(b):
+        hits.append((0.0, 0.0))
+    merged: list[tuple[float, float]] = []
+    for lo, hi in sorted(hits):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    if len(merged) > 1 and merged[0] == (0.0, 0.0) and merged[-1][1] == TWO_PI:
+        merged.pop(0)
+    return merged
+
+
+def reference_meet_angle(a: list[tuple[float, float]],
+                         b: list[tuple[float, float]]) -> float | None:
+    """meet_angles for one pair, as a scalar rule: intersect, glue the first
+    and last arcs of the intersection into one arc through 0 when they touch
+    0 and 2*pi, and take the midpoint of the arc with the earliest start.
+    None when the lists share no point."""
+    common = reference_intersection(a, b)
+    if not common:
+        return None
+    arcs = [(lo, hi - lo) for lo, hi in common]  # (start, length)
+    if len(common) > 1 and common[0][0] == 0.0 and common[-1][1] == TWO_PI:
+        start, end = common[-1][0], common[0][1]
+        arcs = [(start, (TWO_PI - start) + end)] + arcs[1:-1]
+    start, length = min(arcs)
+    return normalize_angle(start + 0.5 * length)
+
+
+def reference_body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, float]]:
+    """body_curve_arcs with one reference_intersection per cutting edge."""
     m = body.vertices.shape[0]
     cx, cy = curve.center
     r = curve.radius
     if m == 1:
         v = body.vertices[0]
-        if abs(math.hypot(v[0] - cx, v[1] - cy) - r) <= tol:
+        if abs(math.hypot(v[0] - cx, v[1] - cy) - r) <= TOL_GEOM:
             t = normalize_angle(math.atan2(v[1] - cy, v[0] - cx))
-            return [AngularInterval(t, t)]
+            return [(t, t)]
         return []
     if m == 2:
-        return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve, tol)
-    arcs = [FULL_CIRCLE]
+        return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve)
+    arcs = [(0.0, TWO_PI)]
     for n, off in zip(body.normals, body.offsets):
-        c = (off - (n[0] * cx + n[1] * cy) + tol) / r
+        c = (off - (n[0] * cx + n[1] * cy) + TOL_GEOM) / r
         if c >= 1.0:
             continue
         if c <= -1.0:
             return []
         delta = math.acos(c)
         phi = math.atan2(n[1], n[0])
-        arcs = intersect_arcs(arcs, [make_arc(phi + delta, phi + TWO_PI - delta)])
+        arcs = reference_intersection(arcs, arc_pieces(phi + delta, phi + TWO_PI - delta))
         if not arcs:
             return []
     return arcs

@@ -17,7 +17,6 @@ from pierce.geometry import (
     body_contains,
     candidate_points,
     containment_matrix,
-    TOL_GEOM,
 )
 from pierce.highdim import (
     CurveSpecD,
@@ -113,7 +112,7 @@ def test_criterion_03_piercing_soundness():
                 continue
             hits += 1
             z = piercing_point(inst.curve, q, quad)
-            if not body_contains(inst.bodies[color], z, tol=TOL_GEOM):
+            if not body_contains(inst.bodies[color], z):
                 violations += 1
     ok = triples >= 1000 and hits >= 100 and violations == 0
     _verdict(3, "every pierced color contains its separator point", ok)

@@ -12,19 +12,15 @@ from hypothesis import strategies as st
 from pierce import geometry
 from pierce.errors import InvalidBodyError
 from pierce.geometry import (
-    FULL_CIRCLE,
     TWO_PI,
-    AngularInterval,
     ConvexBody,
     CurveModel,
     UNIT_CIRCLE,
-    arcs_common_point,
     body_contains,
     body_curve_arcs,
     candidate_points,
     containment_matrix,
-    intersect_arcs,
-    make_arc,
+    meet_angles,
     normalize_angle,
     segment_intersection,
 )
@@ -32,6 +28,7 @@ from pierce.instances import gallery7, gen_pairwise
 from pierce.pipeline import brute_min_transversal
 
 from conftest import (
+    arc_pieces,
     containment_margin,
     face_census,
     grid,
@@ -39,6 +36,8 @@ from conftest import (
     grid_triangle,
     reference_body_curve_arcs,
     reference_containment_matrix,
+    reference_intersection,
+    reference_meet_angle,
 )
 
 
@@ -55,7 +54,8 @@ def regular_polygon(body_id, m, radius, center, phase=0.0):
 
 
 def arc_set_contains(arcs, theta, tol=0.0):
-    return any(iv.contains(theta, tol) for iv in arcs)
+    t = normalize_angle(theta)
+    return any(lo - tol <= t <= hi + tol or (hi == TWO_PI and t <= tol) for lo, hi in arcs)
 
 
 def test_normalize_angle_range():
@@ -68,51 +68,40 @@ def test_normalize_angle_range():
 
 
 def test_interval_basics():
-    iv = make_arc(1.0, 2.5)
-    assert not iv.wraps
-    assert iv.length == pytest.approx(1.5)
-    assert iv.contains(1.0) and iv.contains(2.5) and iv.contains(1.7)
-    assert not iv.contains(2.51)
-    assert iv.midpoint == pytest.approx(1.75)
-
-    wrap = make_arc(6.0, 6.0 + 1.0)
-    assert wrap.wraps
-    assert wrap.contains(6.1) and wrap.contains(0.3)
-    assert not wrap.contains(3.0)
-    assert wrap.length == pytest.approx(1.0)
-    assert wrap.midpoint == pytest.approx(normalize_angle(6.5))
-
-    assert FULL_CIRCLE.length == pytest.approx(TWO_PI)
-    assert FULL_CIRCLE.contains(0.0) and FULL_CIRCLE.contains(4.2)
-
-    point = make_arc(2.0, 2.0)
-    assert point.length == 0.0
-    assert point.contains(2.0) and not point.contains(2.0001)
+    # A plain arc, an arc through 0 as two pieces, the full circle and a
+    # point: the angles each holds, and the midpoint where it meets itself.
+    wrap = arc_pieces(6.0, 6.0 + 1.0)
+    assert wrap == [(6.0, TWO_PI), (0.0, pytest.approx(7.0 - TWO_PI))]
+    cases = [
+        (arc_pieces(1.0, 2.5), [1.0, 2.5, 1.7], [2.51, 0.0], 1.75),
+        (wrap, [6.1, 0.3, 0.0, TWO_PI], [3.0], normalize_angle(6.5)),
+        (arc_pieces(0.0, TWO_PI), [0.0, 4.2], [], math.pi),
+        (arc_pieces(2.0, 2.0), [2.0], [2.0001], 2.0),
+    ]
+    for arcs, inside, outside, mid in cases:
+        assert all(arc_set_contains(arcs, t) for t in inside)
+        assert not any(arc_set_contains(arcs, t) for t in outside)
+        assert reference_meet_angle(arcs, arcs) == pytest.approx(mid)
+        assert meet_angles([arcs])[0, 0] == reference_meet_angle(arcs, arcs)
 
 
 def test_intersect_arcs_known_cases():
-    got = intersect_arcs([make_arc(0.0, math.pi)], [make_arc(math.pi / 2, 1.5 * math.pi)])
-    assert len(got) == 1
-    assert got[0].start == pytest.approx(math.pi / 2)
-    assert got[0].end == pytest.approx(math.pi)
+    got = reference_intersection([(0.0, math.pi)], [(math.pi / 2, 1.5 * math.pi)])
+    assert got == [(math.pi / 2, math.pi)]
 
-    got = intersect_arcs([FULL_CIRCLE], [make_arc(1.0, 2.0)])
-    assert len(got) == 1 and got[0].start == pytest.approx(1.0) and got[0].end == pytest.approx(2.0)
+    assert reference_intersection([(0.0, TWO_PI)], [(1.0, 2.0)]) == [(1.0, 2.0)]
 
-    assert intersect_arcs([make_arc(0.1, 0.2)], [make_arc(3.0, 3.1)]) == []
+    assert reference_intersection([(0.1, 0.2)], [(3.0, 3.1)]) == []
 
-    # Two wrapping arcs overlap on both sides of zero.
-    got = intersect_arcs([make_arc(5.0, 5.0 + 3.0)], [make_arc(5.5, 5.5 + 3.0)])
-    assert len(got) == 1
-    assert got[0].wraps
-    assert got[0].start == pytest.approx(5.5)
-    assert got[0].end == pytest.approx(normalize_angle(8.0))
+    # Two arcs through 0 overlap on both sides of it: the common arc is the
+    # pieces (5.5, 2*pi) and (0, 8 - 2*pi).
+    got = reference_intersection(arc_pieces(5.0, 5.0 + 3.0), arc_pieces(5.5, 5.5 + 3.0))
+    assert got == [(0.0, pytest.approx(8.0 - TWO_PI)), (5.5, TWO_PI)]
 
     # Touching only at the origin seam.
-    got = intersect_arcs([make_arc(5.5, TWO_PI)], [make_arc(0.0, 0.3)])
-    assert len(got) == 1
-    assert got[0].length == 0.0
-    assert got[0].contains(0.0)
+    assert reference_intersection([(5.5, TWO_PI)], [(0.0, 0.3)]) == [(0.0, 0.0)]
+    # A lone (0, 0) goes when a piece ends at 2*pi, the same point.
+    assert reference_intersection([(0.0, 0.0), (5.0, TWO_PI)], [(0.0, TWO_PI)]) == [(5.0, TWO_PI)]
 
 
 def test_intersect_arcs_random_against_sampling():
@@ -123,13 +112,12 @@ def test_intersect_arcs_random_against_sampling():
             arcs = []
             for _ in range(int(rng.integers(1, 3))):
                 lo = float(rng.uniform(0.0, TWO_PI))
-                span = float(rng.uniform(0.0, TWO_PI))
-                arcs.append(make_arc(lo, lo + span))
+                arcs += arc_pieces(lo, lo + float(rng.uniform(0.0, TWO_PI)))
             return arcs
 
         sa, sb = random_set(), random_set()
-        got = intersect_arcs(sa, sb)
-        bounds = [iv.start for iv in sa + sb + got] + [iv.end for iv in sa + sb + got]
+        got = reference_intersection(sa, sb)
+        bounds = [t for lo, hi in sa + sb + got for t in (lo, hi)]
         for t in thetas:
             t = float(t)
             if any(abs(normalize_angle(t - b)) < 1e-9 or abs(normalize_angle(b - t)) < 1e-9
@@ -137,6 +125,11 @@ def test_intersect_arcs_random_against_sampling():
                 continue
             expect = arc_set_contains(sa, t) and arc_set_contains(sb, t)
             assert arc_set_contains(got, t) == expect
+        # Where the two sets meet lies in both.
+        meet = meet_angles([sa, sb])[0, 1]
+        assert np.isnan(meet) == (got == [])
+        if got:
+            assert arc_set_contains(sa, meet, 1e-12) and arc_set_contains(sb, meet, 1e-12)
 
 
 def test_body_validation():
@@ -164,8 +157,8 @@ def test_body_contains_tolerance():
     sq = square(0, 0.0, 0.0)
     assert body_contains(sq, (0.5, 0.5))
     assert body_contains(sq, (1.0, 1.0))
-    assert body_contains(sq, (1.0 + 0.5e-9, 0.5), tol=1e-9)
-    assert not body_contains(sq, (1.0 + 1e-8, 0.5), tol=1e-9)
+    assert body_contains(sq, (1.0 + 0.5e-9, 0.5))
+    assert not body_contains(sq, (1.0 + 1e-8, 0.5))
     assert not body_contains(sq, (1.5, 0.5))
 
 
@@ -179,14 +172,12 @@ def test_containment_margin_signs():
 def test_body_curve_arcs_slab():
     slab = ConvexBody.from_vertices(0, [(-2, -0.5), (2, -0.5), (2, 0.5), (-2, 0.5)])
     arcs = body_curve_arcs(slab, UNIT_CIRCLE)
-    assert len(arcs) == 2
-    first, second = arcs
-    assert first.start == pytest.approx(5 * math.pi / 6, abs=1e-6)
-    assert first.end == pytest.approx(7 * math.pi / 6, abs=1e-6)
-    assert not first.wraps
-    assert second.wraps
-    assert second.start == pytest.approx(11 * math.pi / 6, abs=1e-6)
-    assert second.end == pytest.approx(math.pi / 6, abs=1e-6)
+    # The arc through 0 is the first and the last piece.
+    want = [(0.0, math.pi / 6), (5 * math.pi / 6, 7 * math.pi / 6), (11 * math.pi / 6, TWO_PI)]
+    assert len(arcs) == 3
+    for got, (lo, hi) in zip(arcs, want):
+        assert got == (pytest.approx(lo, abs=1e-6), pytest.approx(hi, abs=1e-6))
+    assert arcs[0][0] == 0.0 and arcs[-1][1] == TWO_PI
 
 
 def test_body_curve_arcs_extremes():
@@ -194,9 +185,7 @@ def test_body_curve_arcs_extremes():
     assert body_curve_arcs(far, UNIT_CIRCLE) == []
 
     big = square(1, -3.0, -3.0, side=6.0)
-    arcs = body_curve_arcs(big, UNIT_CIRCLE)
-    assert len(arcs) == 1
-    assert arcs[0].length == pytest.approx(TWO_PI)
+    assert body_curve_arcs(big, UNIT_CIRCLE) == [(0.0, TWO_PI)]
 
     # A chord-shaped sliver completely off the circle yields nothing.
     outside = ConvexBody.from_vertices(2, [(1.2, -0.1), (1.4, -0.1), (1.4, 0.1), (1.2, 0.1)])
@@ -221,28 +210,36 @@ def test_body_curve_arcs_against_sampling():
 
 
 def test_arcs_common_point_cases():
-    a = [make_arc(0.0, math.pi)]
-    b = [make_arc(math.pi / 2, 1.5 * math.pi)]
-    assert arcs_common_point(a, b) == pytest.approx(0.75 * math.pi)
-
-    assert arcs_common_point([FULL_CIRCLE], [make_arc(1.0, 2.0)]) == pytest.approx(1.5)
-
-    assert arcs_common_point([make_arc(0.0, 0.5)], [make_arc(2.0, 2.5)]) is None
-
-    # Zero-length overlap still yields its angle.
-    assert arcs_common_point([make_arc(1.0, 2.0)], [make_arc(2.0, 3.0)]) == pytest.approx(2.0)
+    cases = [
+        ([(0.0, math.pi)], [(math.pi / 2, 1.5 * math.pi)], 0.75 * math.pi),
+        ([(0.0, TWO_PI)], [(1.0, 2.0)], 1.5),
+        ([(0.0, 0.5)], [(2.0, 2.5)], None),
+        # Zero-length overlap still yields its angle.
+        ([(1.0, 2.0)], [(2.0, 3.0)], 2.0),
+        # Meeting only at the seam: at 0.
+        ([(5.0, TWO_PI)], [(0.0, 1.0)], 0.0),
+    ]
+    for a, b, want in cases:
+        got = reference_meet_angle(a, b)
+        assert got == (None if want is None else pytest.approx(want))
+        table = meet_angles([a, b])
+        assert np.isnan(table[0, 1]) if want is None else table[0, 1] == got
 
 
 _angle = st.one_of(st.sampled_from([0.0, 1.0, math.pi, TWO_PI - 1.0]),
                    st.floats(0.0, TWO_PI, exclude_max=True))
+# Pieces of [0, 2*pi]: arcs (two pieces when through 0), pieces ending at
+# 2*pi, zero-length pieces, (0, 0) and the full circle. A list may overlap
+# or repeat pieces, which meet_angles takes as their union.
 _arc = st.one_of(
-    st.builds(lambda lo, span: make_arc(lo, lo + span), _angle,
+    st.builds(lambda lo, span: arc_pieces(lo, lo + span), _angle,
               st.one_of(st.just(0.0), st.floats(0.0, TWO_PI))),
-    st.builds(lambda s: AngularInterval(s, 0.0, wraps=True), _angle),  # ends at 0
-    st.builds(lambda s: AngularInterval(s, TWO_PI), _angle),  # ends at 2*pi
-    st.builds(lambda t: AngularInterval(t, t), _angle),
-    st.just(FULL_CIRCLE),
+    st.builds(lambda s: [(s, TWO_PI)], _angle),
+    st.builds(lambda t: [(t, t)], _angle),
+    st.just([(0.0, 0.0)]),
+    st.just([(0.0, TWO_PI)]),
 )
+_pieces = st.lists(_arc, max_size=4).map(lambda arcs: [p for arc in arcs for p in arc])
 
 
 def _on_circle(t):
@@ -263,20 +260,20 @@ def _pairwise_meets(arcs):
     n = len(arcs)
     out = np.full((n, n), np.nan)
     for i, j in itertools.product(range(n), repeat=2):
-        angle = arcs_common_point(arcs[i], arcs[j])
+        angle = reference_meet_angle(arcs[i], arcs[j])
         if angle is not None:
             out[i, j] = angle
     return out
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.one_of(st.lists(_arc, max_size=4), _touch_arcs), max_size=6))
-@example([[AngularInterval(5.0, 0.0, wraps=True)], [make_arc(0.0, 1.0)]])  # meet only at 0
-@example([[AngularInterval(5.0, TWO_PI)], [AngularInterval(0.0, 0.0)]])
-@example([[FULL_CIRCLE], [make_arc(0.0, 1.0), make_arc(2.0, 3.0), make_arc(5.0, TWO_PI)]])
-@example([[FULL_CIRCLE], [make_arc(5.0, TWO_PI + 1.0)], [], [FULL_CIRCLE]])
+@given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6))
+@example([[(5.0, TWO_PI)], [(0.0, 1.0)]])  # meet only at 0
+@example([[(5.0, TWO_PI)], [(0.0, 0.0)]])
+@example([[(0.0, TWO_PI)], [(0.0, 1.0), (2.0, 3.0), (5.0, TWO_PI)]])
+@example([[(0.0, TWO_PI)], arc_pieces(5.0, TWO_PI + 1.0), [], [(0.0, TWO_PI)]])
 def test_meet_angles_is_the_pairwise_table_bitwise(arcs):
-    table = geometry.meet_angles(arcs)
+    table = meet_angles(arcs)
     assert table.shape == (len(arcs), len(arcs))
     assert table.tobytes() == _pairwise_meets(arcs).tobytes()
 
@@ -286,7 +283,7 @@ def test_meet_angles_bitwise_on_bench_families():
     families = [inst.bodies, gen_pairwise(12, 3).bodies]
     for bodies in families:
         arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
-        assert geometry.meet_angles(arcs).tobytes() == _pairwise_meets(arcs).tobytes()
+        assert meet_angles(arcs).tobytes() == _pairwise_meets(arcs).tobytes()
 
 
 def test_segment_intersection_cases():
@@ -326,15 +323,15 @@ def _apart(a, b, tol):
     return ax1 < bx0 - tol or bx1 < ax0 - tol or ay1 < by0 - tol or by1 < ay0 - tol
 
 
-def reference_candidates(bodies, tol=geometry.TOL_GEOM):
+def reference_candidates(bodies):
     """Vertices, then segment_intersection over (i, j, edge of i, edge of j)."""
     out = [(float(x), float(y)) for body in bodies for x, y in body.vertices]
     for a, b in itertools.combinations(bodies, 2):
-        if _apart(a, b, tol):
+        if _apart(a, b, geometry.TOL_GEOM):
             continue
         for a1, a2 in _edges(a):
             for b1, b2 in _edges(b):
-                pt = segment_intersection(a1, a2, b1, b2, tol)
+                pt = segment_intersection(a1, a2, b1, b2)
                 if pt is not None:
                     out.append(pt)
     return out
@@ -519,23 +516,57 @@ _arc_shape = st.one_of(
 )
 
 
-@pytest.mark.parametrize("shape, check", [
-    (_box(-2.0, 2.0, _TOL, 2.0), lambda arcs: arcs[0].start == 0.0),
-    (_box(-2.0, 2.0, -2.0, -_TOL), lambda arcs: arcs[-1].wraps and arcs[-1].end == 0.0),
-    (_box(-3.0, 3.0, -3.0, 3.0), lambda arcs: arcs == [FULL_CIRCLE]),
-    (_box(1.0, 1.5, -0.5, 0.5), lambda arcs: len(arcs) == 1 and arcs[0].wraps),
-    (_box(1.0 + _TOL, 1.5, -0.5, 0.5), lambda arcs: arcs == []),  # c rounds to -1
-    (_tangent_ngon(4, 1.0, 0.0), lambda arcs: arcs == [FULL_CIRCLE]),
-    (_tangent_ngon(8, 1.0 - 2 * _TOL, 0.3), lambda arcs: len(arcs) == 8),
-    ([(0.0, -2.0), (0.0, 2.0)], lambda arcs: len(arcs) == 2),
-    ([(1.0, 0.0)], lambda arcs: arcs == [AngularInterval(0.0, 0.0)]),
-], ids=["ends-at-0", "ends-at-2pi", "full", "c-near-minus-1", "c-at-minus-1",
-        "tangent", "tangent-slivers", "chord", "point"])
+def _check_pieces(arcs):
+    # body_curve_arcs' form: pieces of [0, 2*pi], sorted, apart, and no lone
+    # (0, 0) beside a piece ending at 2*pi.
+    for lo, hi in arcs:
+        assert 0.0 <= lo <= hi <= TWO_PI, arcs
+    for (_, hi), (lo, _) in zip(arcs, arcs[1:]):
+        assert lo > hi, arcs
+    if arcs and arcs[-1][1] == TWO_PI:
+        assert arcs[0] != (0.0, 0.0), arcs
+
+
+_EDGE_CASES = {
+    "ends-at-0": (_box(-2.0, 2.0, _TOL, 2.0), lambda arcs: arcs[0][0] == 0.0),
+    "ends-at-2pi": (_box(-2.0, 2.0, -2.0, -_TOL), lambda arcs: arcs[-1][1] == TWO_PI),
+    "full": (_box(-3.0, 3.0, -3.0, 3.0), lambda arcs: arcs == [(0.0, TWO_PI)]),
+    # a short arc through 0: its first and last piece
+    "c-near-minus-1": (_box(1.0, 1.5, -0.5, 0.5),
+                       lambda arcs: len(arcs) == 2 and arcs[0][0] == 0.0 and arcs[1][1] == TWO_PI),
+    "c-at-minus-1": (_box(1.0 + _TOL, 1.5, -0.5, 0.5), lambda arcs: arcs == []),  # c rounds to -1
+    "tangent": (_tangent_ngon(4, 1.0, 0.0), lambda arcs: arcs == [(0.0, TWO_PI)]),
+    # eight arcs between the edges' tangent points, one of them through 0
+    "tangent-slivers": (_tangent_ngon(8, 1.0 - 2 * _TOL, 0.3),
+                        lambda arcs: len(arcs) == 9 and arcs[0][0] == 0.0 and arcs[-1][1] == TWO_PI),
+    "chord": ([(0.0, -2.0), (0.0, 2.0)], lambda arcs: len(arcs) == 2),
+    "point": ([(1.0, 0.0)], lambda arcs: arcs == [(0.0, 0.0)]),
+    # a segment missing the circle by half the tolerance touches it
+    "segment-tangent": ([(-1.0, 1.0 + 0.5 * _TOL), (1.0, 1.0 + 0.5 * _TOL)],
+                        lambda arcs: arcs == [(math.pi / 2, math.pi / 2)]),
+    "segment-apart": ([(-1.0, 1.0 + 2 * _TOL), (1.0, 1.0 + 2 * _TOL)], lambda arcs: arcs == []),
+}
+
+
+@pytest.mark.parametrize("shape, check", _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
 def test_body_curve_arcs_edge_cases(shape, check):
     body = ConvexBody.from_vertices(0, shape)
     arcs = body_curve_arcs(body, UNIT_CIRCLE)
     assert arcs == reference_body_curve_arcs(body, UNIT_CIRCLE)
+    _check_pieces(arcs)
     assert check(arcs), arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_arc_shape, st.sampled_from([shape for shape, _ in _EDGE_CASES.values()])),
+       st.sampled_from([UNIT_CIRCLE, CurveModel("circle", (0.25, -0.5), 1.75)]))
+def test_body_curve_arcs_are_sorted_apart_pieces(shape, curve):
+    body = ConvexBody.from_vertices(0, shape)
+    arcs = body_curve_arcs(body, curve)
+    _check_pieces(arcs)
+    # Each piece's ends are curve points in the body, up to rounding.
+    for t in {t for piece in arcs for t in piece}:
+        assert containment_margin(body, curve.point_at(t)) >= -2 * _TOL
 
 
 @settings(max_examples=400, deadline=None)
@@ -607,15 +638,11 @@ def test_brute_min_transversal_against_exhaustive():
 
 def test_point_and_segment_bodies_on_curve():
     on_curve = ConvexBody.from_vertices(0, [(1.0, 0.0)])
-    arcs = body_curve_arcs(on_curve, UNIT_CIRCLE)
-    assert len(arcs) == 1 and arcs[0].length == 0.0 and arcs[0].start == pytest.approx(0.0)
+    assert body_curve_arcs(on_curve, UNIT_CIRCLE) == [(0.0, 0.0)]
 
     chord = ConvexBody.from_vertices(1, [(0.0, -2.0), (0.0, 2.0)])
     arcs = body_curve_arcs(chord, UNIT_CIRCLE)
-    assert len(arcs) == 2
-    angles = sorted(iv.start for iv in arcs)
-    assert angles[0] == pytest.approx(math.pi / 2)
-    assert angles[1] == pytest.approx(1.5 * math.pi)
+    assert arcs == [(pytest.approx(math.pi / 2),) * 2, (pytest.approx(1.5 * math.pi),) * 2]
 
 
 def test_curve_model_validation():

@@ -495,6 +495,23 @@ def test_run_pipeline_filters_off_curve_bodies():
     assert inside.any(axis=0).all()
 
 
+def test_run_pipeline_keeps_a_segment_within_tolerance_of_the_curve():
+    # The segment misses the circle by half of TOL_GEOM, so body_contains
+    # puts the curve point (0, 1) in it, as in the triangle on the same line
+    # and the square: that one point hits all three.
+    y = 1.0 + 5e-10
+    seg = ConvexBody.from_vertices(0, [(-1.0, y), (1.0, y)])
+    tri = ConvexBody.from_vertices(1, [(-1.0, y), (1.0, y), (0.0, 2.0)])
+    sq = box(2, 0.0, 1.0, 0.5)
+    bodies = [seg, tri, sq]
+    assert containment_matrix(bodies, [UNIT_CIRCLE.point_at(math.pi / 2)]).all()
+    report = run_pipeline(bodies)
+    assert report.filtered == ()
+    assert len(report.transversal) == 1
+    assert containment_matrix(bodies, list(report.transversal)).all()
+    assert verify_report(Instance(bodies), report.to_dict()) == []
+
+
 def test_run_pipeline_errors():
     with pytest.raises(PipelineError):
         run_pipeline([])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import arc_body, random_pair_list, synthetic_list
+from conftest import arc_body, random_pair_list, reference_meet_angle, synthetic_list
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from pierce.geometry import (
     TWO_PI,
     UNIT_CIRCLE,
     ConvexBody,
-    arcs_common_point,
     body_contains,
     body_curve_arcs,
     meet_angles,
@@ -98,9 +97,9 @@ def test_unit_multiset_list_is_the_plain_list(family):
     for name in ("angles", "pairs", "weights"):
         np.testing.assert_array_equal(getattr(unit, name), getattr(q, name))
     # One entry per meeting pair i < j, in (angle, pair) order.
-    ref = sorted((arcs_common_point(arcs[i], arcs[j]), i, j)
+    ref = sorted((reference_meet_angle(arcs[i], arcs[j]), i, j)
                  for i, j in itertools.combinations(range(len(bodies)), 2)
-                 if arcs_common_point(arcs[i], arcs[j]) is not None)
+                 if reference_meet_angle(arcs[i], arcs[j]) is not None)
     assert len(ref) > 0
     assert [(t, i, j) for t, (i, j) in zip(q.angles.tolist(), q.pairs.tolist())] == ref
 
@@ -335,7 +334,7 @@ def test_piercing_soundness_random_instances():
             except DegenerateQuadrupleError:
                 continue
             for color in hit:
-                assert body_contains(bodies[color], z, 1e-9)
+                assert body_contains(bodies[color], z)
                 checked += 1
     assert checked >= 1000
 
@@ -402,7 +401,14 @@ def test_find_heavy_point_errors_and_fallback():
     # No entry: the heaviest body's own arc gives the point.
     got = find_heavy_point(WitnessList([], [], [1, 2]), [a, b], UNIT_CIRCLE)
     assert (got.quad, got.pierced) == (None, 2)
-    assert body_contains(b, got.point, 1e-9)
+    assert body_contains(b, got.point)
+    # The heaviest body misses the curve: the next heaviest meeting it gives
+    # the point, ties to the lower index.
+    got = find_heavy_point(WitnessList([], [], [2, 1]), [off_curve, a], UNIT_CIRCLE)
+    assert (got.quad, got.pierced, got.covered) == (None, 1, 1)
+    assert body_contains(a, got.point)
+    got = find_heavy_point(WitnessList([], [], [3, 1, 1]), [off_curve, b, a], UNIT_CIRCLE)
+    assert body_contains(b, got.point) and got.pierced == 1
     q = build_witness_list([a, b], UNIT_CIRCLE)
     assert len(q) == 1
     got = find_heavy_point(q, [a, b], UNIT_CIRCLE)
