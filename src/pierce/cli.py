@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import PierceError
-from .geometry import body_curve_arcs, candidate_points, meet_angles
+from .geometry import body_curve_arcs, meet_angles
 from .instances import (
     Instance,
     gallery7,
@@ -121,9 +121,8 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     instance = load_instance(args.instance)
     k_max = args.kmax if args.kmax > 0 else len(instance.bodies)
-    candidates = candidate_points(instance.bodies)
-    logger.info("searching %d candidates up to size %d", len(candidates), k_max)
-    best = brute_min_transversal(instance.bodies, candidates, k_max)
+    logger.info("searching transversals up to size %d", k_max)
+    best = brute_min_transversal(instance.bodies, k_max)
     if best is None:
         print("none")
     else:
@@ -159,9 +158,8 @@ def _cmd_stats(args) -> int:
     n_bodies = len(instance.bodies)
     angles = meet_angles([body_curve_arcs(b, instance.curve) for b in instance.bodies])
     q = _multiset_witness_list(angles, [1] * n_bodies)
-    spread = sum(
-        1 for color in range(n_bodies) if len(q) and is_spread_out(q, color, args.alpha)
-    )
+    spread = sum(1 for color in range(n_bodies)
+                 if len(q) and is_spread_out(q.occurrences(color), len(q), args.alpha))
     graph = build_meet_graph(instance.bodies, instance.curve, angles=angles)
     meets, bound, ok = turan_pair_check(graph, instance.p)
     print(f"bodies={n_bodies} p={instance.p}")

@@ -216,8 +216,10 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
 
 def _segment_curve_touch_arcs(a, b, curve: CurveModel) -> list[tuple[float, float]]:
     # Solve |a + t(b-a) - center| = r for t in [0, 1]; each root is a touch
-    # angle. A segment missing the circle by at most TOL_GEOM touches it at
-    # its point nearest the center, which body_contains puts inside.
+    # angle. A segment with no root there lies wholly outside or inside the
+    # circle; when its point nearest the circle (the point nearest the
+    # center, or an endpoint) is within TOL_GEOM of it, it touches there,
+    # and body_contains puts that curve point inside.
     cx, cy = curve.center
     dx, dy = b[0] - a[0], b[1] - a[1]
     fx, fy = a[0] - cx, a[1] - cy
@@ -227,20 +229,22 @@ def _segment_curve_touch_arcs(a, b, curve: CurveModel) -> list[tuple[float, floa
     if qa == 0.0:
         return []
     disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        t = min(1.0, max(0.0, -qb / (2.0 * qa)))
-        px, py = fx + t * dx, fy + t * dy
-        if math.hypot(px, py) - curve.radius > TOL_GEOM:
+    touch = []
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        pad = TOL_GEOM / math.sqrt(qa)
+        touch = sorted(
+            normalize_angle(math.atan2(a[1] + t * dy - cy, a[0] + t * dx - cx))
+            for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
+            if -pad <= t <= 1.0 + pad
+        )
+    if not touch:
+        near = min(1.0, max(0.0, -qb / (2.0 * qa)))
+        px, py = min(((fx + t * dx, fy + t * dy) for t in (near, 0.0, 1.0)),
+                     key=lambda p: abs(math.hypot(*p) - curve.radius))
+        if abs(math.hypot(px, py) - curve.radius) > TOL_GEOM:
             return []
-        theta = normalize_angle(math.atan2(py, px))
-        return [(theta, theta)]
-    root = math.sqrt(disc)
-    seg_len = math.sqrt(qa)
-    touch = sorted(
-        normalize_angle(math.atan2(a[1] + t * dy - cy, a[0] + t * dx - cx))
-        for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
-        if -TOL_GEOM / seg_len <= t <= 1.0 + TOL_GEOM / seg_len
-    )
+        touch = [normalize_angle(math.atan2(py, px))]
     return [(t, t) for k, t in enumerate(touch) if k == 0 or t - touch[k - 1] > 1e-15]
 
 

@@ -1,11 +1,10 @@
-"""Convex curves in d dimensions and the generalized spread condition.
+"""Convex curves in d dimensions and their exact hyperplane crossing counts.
 
 A convex curve meets every hyperplane at most d times.  The two workhorses
 are the moment curve (t, t^2, ..., t^d), open and linearly ordered, and for
 even d the closed trigonometric curve (sin t, cos t, ..., sin(d/2 t),
-cos(d/2 t)), circularly ordered.  Separator tuples grow from the planar
-quadruple to a size determined only by the dimension, and the spread-out /
-short-cover dichotomy carries over with the tuple size in place of four.
+cos(d/2 t)), circularly ordered.  The spread-out / short-cover dichotomy
+on these curves' witness lists lives in pierce.witness.
 
 Crossing counts are exact on both curves: the float data, dyadic rationals,
 are scaled to an integer polynomial (on the closed curve, in u = tan(t/2)),
@@ -19,14 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-from .witness import (
-    IndexInterval,
-    _spread_chain,
-    cover_width,
-    min_circular_cover,
-    spread_threshold,
-)
 
 MOMENT = "moment"
 CARATHEODORY = "caratheodory"
@@ -46,23 +37,6 @@ class CurveSpecD:
             raise ValueError("dimension must be at least 2")
         if self.kind == CARATHEODORY and self.d % 2 != 0:
             raise ValueError("the closed trigonometric curve needs even dimension")
-
-    @property
-    def closed(self) -> bool:
-        return self.kind == CARATHEODORY
-
-
-def separator_tuple_size(d: int) -> int:
-    """Points per separator tuple in dimension d: (d^2+d+2)/2 even, (d^2+1)/2 odd.
-
-    Both numerators are even for their parity, so the division is exact.
-    d=2 gives 4, the planar quadruple.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if d % 2 == 0:
-        return (d * d + d + 2) // 2
-    return (d * d + 1) // 2
 
 
 def curve_point(spec: CurveSpecD, t: float) -> PointD:
@@ -250,91 +224,3 @@ def hyperplane_crossings(
     poly = _trim([sum(w * c for w, c in zip(weights, column))
                   for column in zip(*_closed_basis(spec.d))])
     return _distinct_roots(poly, None) + (len(poly) <= spec.d)
-
-
-# ------------------------------------------------------- spread dichotomy
-
-
-def _linear_spread(occ: list[int], t: int, want: int) -> bool:
-    # greedy left-to-right selection is optimal on a line
-    if len(occ) < want:
-        return False
-    count = 1
-    last = occ[0]
-    for pos in occ[1:]:
-        if pos - last >= t:
-            count += 1
-            last = pos
-            if count == want:
-                return True
-    return count >= want
-
-
-def spread_out_general(occurrences, n: int, alpha: float, d: int) -> bool:
-    """True when enough occurrences sit pairwise >= ceil(alpha*n) apart.
-
-    The required count is the separator tuple size plus one for odd d
-    (linear distances) or the tuple size itself for even d (circular
-    distances).  d=2 coincides with the planar four-point test.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("list size must be positive")
-    occ = sorted(int(v) for v in occurrences)
-    if any(v < 0 or v >= n for v in occ):
-        raise ValueError("occurrence indices must lie in [0, n)")
-    j = separator_tuple_size(d)
-    want = j + 1 if d % 2 == 1 else j
-    if len(occ) < want:
-        return False
-    t = spread_threshold(alpha, n)
-    if d % 2 == 1:
-        return _linear_spread(occ, t, want)
-    return _spread_chain(occ, n, t, want)
-
-
-def _linear_cover(occ: list[int], width: int) -> list[IndexInterval]:
-    # fewest intervals of the given width: start each at the first uncovered
-    # occurrence
-    cover: list[IndexInterval] = []
-    k = 0
-    while k < len(occ):
-        start = occ[k]
-        end = start
-        while k < len(occ) and occ[k] - start <= width:
-            end = occ[k]
-            k += 1
-        cover.append((start, end))
-    return cover
-
-
-def interval_cover_general(
-    occurrences, n: int, alpha: float, d: int
-) -> list[IndexInterval] | None:
-    """Short-interval cover of the occurrences, or None when spread out.
-
-    Complements spread_out_general with intervals of index width
-    floor(alpha*n), at most j of them for odd d (linear) or j-1 for even d
-    (circular), where j is the separator tuple size.  Intervals are
-    (first, last) occurrence pairs.
-
-    For odd d the two sides are exact complements at every alpha.  For even
-    d they complement each other whenever j*ceil(alpha*n) <= n; beyond that
-    the spread side cannot fire (j points pairwise that far apart do not fit
-    on the cycle) while a cover may still need j or more intervals, and None
-    is returned for that case too.
-    """
-    if spread_out_general(occurrences, n, alpha, d):
-        return None
-    occ = sorted(int(v) for v in occurrences)
-    j = separator_tuple_size(d)
-    limit = j if d % 2 == 1 else j - 1
-    width = cover_width(alpha, n)
-    if not occ:
-        return []
-    if d % 2 == 1:
-        cover = _linear_cover(occ, width)
-        return cover if len(cover) <= limit else None
-    return min_circular_cover(occ, n, width, limit)
-

@@ -337,18 +337,17 @@ def greedy_transversal(classes: CandidateClasses) -> list[Point2]:
     return picks
 
 
-def brute_min_transversal(bodies: list[ConvexBody], candidates,
-                          k_max: int) -> list[Point2] | None:
-    """Smallest subset of candidates hitting every body, up to size k_max.
+def brute_min_transversal(bodies: list[ConvexBody], k_max: int) -> list[Point2] | None:
+    """Smallest set of candidate points hitting every body, up to size k_max.
 
-    Exact search over the maximal classes of candidate_classes(bodies,
-    candidates), each standing for its representative point: a depth-first
-    cover search at increasing sizes, trying the classes in order of
-    decreasing size, then sorted members. Returns None when no hitting set
-    of size <= k_max exists within the candidate set.
+    Exact search over the maximal classes of candidate_classes(bodies),
+    each standing for its representative point: a depth-first cover search
+    at increasing sizes, trying the classes in order of decreasing size,
+    then sorted members. Returns None when no hitting set of size <= k_max
+    exists among the candidate points.
     """
     try:
-        classes = candidate_classes(bodies, candidates)
+        classes = candidate_classes(bodies)
     except IncompleteCandidatesError:
         return None
     rep = {frozenset(np.flatnonzero(row).tolist()): pt

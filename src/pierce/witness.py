@@ -7,9 +7,13 @@ _multiset_witness_list, builds it from a meet_angles table and the
 weights: unit weights for build_witness_list, the rounded multiplicities
 for run_pipeline. The paper's combinatorics (spread-out colors, interval
 covers, quadruples that pierce a color and their counts) run on entry
-indices of the sorted list; distances there are circular index distances,
-never angles. The heavy-point search, find_heavy_point, instead pins its
-separators at the list's distinct angles and weighs each color.
+indices of the sorted list; distances there are index distances, never
+angles. The spread-out / short-cover dichotomy, is_spread_out and
+interval_cover, takes one color's occurrence indices and the list size for
+every dimension d: circular on the plane's circle and on the closed curves
+of even d, linear on the open curves of odd d, with the separator tuple
+size in place of four. The heavy-point search, find_heavy_point, instead
+pins its separators at the list's distinct angles and weighs each color.
 """
 
 import itertools
@@ -114,14 +118,6 @@ def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessLi
                                   np.ones(len(bodies), dtype=np.int64))
 
 
-def circ_distance(a: int, b: int, n: int) -> int:
-    """Shorter walking distance between two entry indices on a cycle of n."""
-    if n <= 0:
-        raise ValueError("cycle size must be positive")
-    d = (b - a) % n
-    return min(d, n - d)
-
-
 def spread_threshold(alpha: float, n: int) -> int:
     """Smallest integer distance t with t >= alpha*n, guarded against float fuzz."""
     return max(1, math.ceil(round(alpha * n, 9)))
@@ -132,169 +128,104 @@ def cover_width(alpha: float, n: int) -> int:
     return math.floor(round(alpha * n, 9))
 
 
-def _spread_chain(occ: list[int], n: int, t: int, want: int) -> bool:
-    # Anchored greedy: fix the first chosen occurrence, then always take the
-    # earliest occurrence at distance >= t from the previous one; finally the
-    # wrap gap back to the anchor must also be >= t. Trying every anchor makes
-    # the sweep exact.
-    m = len(occ)
-    if m < want or want * t > n:
-        return False
-    if t <= 1:
-        return True
-    for s in range(m):
-        base = occ[s]
-        last = base
-        count = 1
-        for k in range(1, m):
-            pos = occ[(s + k) % m]
-            unwrapped = pos if pos >= base else pos + n
-            if unwrapped - last >= t:
-                count += 1
-                last = unwrapped
-                if count == want:
-                    break
-        if count == want and base + n - last >= t:
-            return True
-    return False
+def separator_tuple_size(d: int) -> int:
+    """Points per separator tuple in dimension d: (d^2+d+2)/2 even, (d^2+1)/2 odd.
 
-
-def is_spread_out(q: WitnessList, color: int, alpha: float) -> bool:
-    """True when four occurrences of color sit pairwise >= ceil(alpha*N) apart.
-
-    Four points on a cycle are pairwise far exactly when all four consecutive
-    gaps between them are large, so the greedy chain test is exact.
+    Both numerators are even for their parity, so the division is exact.
+    d=2 gives 4, the planar quadruple.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    n = len(q)
-    occ = q.occurrences(color)
-    if n == 0 or len(occ) < 4:
-        return False
-    return _spread_chain(occ, n, spread_threshold(alpha, n), want=4)
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    if d % 2 == 0:
+        return (d * d + d + 2) // 2
+    return (d * d + 1) // 2
 
 
 IndexInterval = tuple[int, int]
 
 
-def interval_length(iv: IndexInterval, n: int) -> int:
-    return (iv[1] - iv[0]) % n
-
-
-def interval_covers(iv: IndexInterval, idx: int, n: int) -> bool:
-    return (idx - iv[0]) % n <= interval_length(iv, n)
-
-
-def cover_is_valid(q: WitnessList, color: int, alpha: float,
-                   cover: list[IndexInterval]) -> bool:
-    """Check a candidate cover: at most three intervals, each short, all hit."""
-    n = len(q)
-    if len(cover) > 3:
-        return False
-    width = cover_width(alpha, n)
-    if any(interval_length(iv, n) > width for iv in cover):
-        return False
-    return all(any(interval_covers(iv, o, n) for iv in cover) for o in q.occurrences(color))
-
-
-def min_circular_cover(occ: list[int], n: int, width: int,
-                       limit: int) -> list[IndexInterval] | None:
-    """Fewest circular intervals of length <= width covering occ, if <= limit.
-
-    Some optimal cover has every interval starting at a covered occurrence, so
-    anchoring the first interval at each occurrence in turn and sweeping
-    greedily is exact.
-    """
-    if not occ:
-        return []
-    m = len(occ)
-    best = None
-    for s in range(m):
-        base = occ[s]
-        unwrapped = [(occ[(s + k) % m] - base) % n for k in range(m)]
-        intervals = []
-        k = 0
-        ok = True
-        while k < m:
-            start = unwrapped[k]
-            end = start
-            while k < m and unwrapped[k] - start <= width:
-                end = unwrapped[k]
-                k += 1
-            intervals.append(((base + start) % n, (base + end) % n))
-            if len(intervals) > limit:
-                ok = False
-                break
-        if ok and (best is None or len(intervals) < len(best)):
-            best = intervals
-            if len(best) == 1:
-                break
-    return best
-
-
-def three_interval_cover(q: WitnessList, color: int,
-                         alpha: float) -> list[IndexInterval] | None:
-    """Cover of all occurrences by at most three short circular intervals.
-
-    Returns None when the color is spread out. Otherwise the cover follows the
-    dichotomy proof: anchor at the longest occurrence-free stretch, grow one
-    short run leftward from its left edge and one rightward from its right
-    edge, and put whatever remains into a third interval. That third interval
-    is provably short whenever alpha < 1/8; beyond that regime an exact
-    anchored search still finds a valid cover whenever one exists, and None is
-    returned when none does.
-    """
+def _dichotomy_input(occ, n: int, alpha: float) -> list[int]:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if is_spread_out(q, color, alpha):
+    if n < 1:
+        raise ValueError("list size must be positive")
+    occ = sorted(int(v) for v in occ)
+    if occ and (occ[0] < 0 or occ[-1] >= n):
+        raise ValueError("occurrence indices must lie in [0, n)")
+    return occ
+
+
+def _unwrapped(occ: list[int], n: int, circular: bool):
+    # The linear order, or on the cycle each rotation that starts at an
+    # occurrence, unwrapped past n; some optimal chain or cover starts at one.
+    if not circular:
+        yield occ
+        return
+    for s in range(len(occ)):
+        yield occ[s:] + [v + n for v in occ[:s]]
+
+
+def is_spread_out(occ, n: int, alpha: float, d: int = 2) -> bool:
+    """True when enough occurrences sit pairwise >= ceil(alpha*n) apart.
+
+    occ are one color's entry indices in a list of n entries. Even d reads
+    circular distances and needs j = separator_tuple_size(d) occurrences,
+    four at d = 2; odd d reads linear distances and needs j + 1. The greedy
+    chain (the first occurrence, then each earliest one at distance >= t
+    from the last) is exact on a line; on the cycle it runs from every
+    anchor and also needs the wrap gap back to the anchor >= t, since
+    points are pairwise far exactly when their consecutive gaps are.
+    """
+    occ = _dichotomy_input(occ, n, alpha)
+    circular = d % 2 == 0
+    j = separator_tuple_size(d)
+    want = j if circular else j + 1
+    t = spread_threshold(alpha, n)
+    for seq in _unwrapped(occ, n, circular):
+        chain = seq[:1]
+        for v in seq[1:]:
+            if v - chain[-1] >= t:
+                chain.append(v)
+                if len(chain) == want:
+                    break
+        if len(chain) == want and (not circular or chain[0] + n - chain[-1] >= t):
+            return True
+    return False
+
+
+def interval_cover(occ, n: int, alpha: float, d: int = 2) -> list[IndexInterval] | None:
+    """Fewest intervals of index width <= floor(alpha*n) covering occ, or None.
+
+    The complement of is_spread_out: None when the color is spread out, or
+    when the fewest intervals exceed the limit, j = separator_tuple_size(d)
+    for odd d (linear) or j - 1 for even d (circular), three at d = 2.
+    Intervals are (first, last) occurrence pairs. The greedy cover (each
+    interval starts at the first uncovered occurrence) is exact on a line;
+    on the cycle it runs from every anchor, and the first fewest wins.
+
+    For odd d the two sides are exact complements at every alpha. For even
+    d they are whenever j*ceil(alpha*n) <= n; beyond that the spread side
+    cannot fire while a cover may still need j or more intervals, and None
+    is returned for that case too.
+    """
+    if is_spread_out(occ, n, alpha, d):
         return None
-    n = len(q)
-    occ = q.occurrences(color)
-    if not occ:
-        return []
+    occ = _dichotomy_input(occ, n, alpha)
+    circular = d % 2 == 0
     width = cover_width(alpha, n)
-    m = len(occ)
-
-    gaps = [((occ[(k + 1) % m] - occ[k]) % n) for k in range(m)]
-    k_star = max(range(m), key=lambda k: (gaps[k], -k))
-    left_edge = k_star            # occurrence just before the free stretch
-    right_edge = (k_star + 1) % m  # occurrence just after it
-
-    taken = [False] * m
-    run_a = [left_edge]
-    taken[left_edge] = True
-    for step in range(1, m):
-        k = (left_edge - step) % m
-        if taken[k] or (occ[left_edge] - occ[k]) % n > width:
-            break
-        taken[k] = True
-        run_a.append(k)
-    cover = [(occ[run_a[-1]], occ[left_edge])]
-
-    if not all(taken):
-        run_b = [right_edge]
-        taken[right_edge] = True
-        for step in range(1, m):
-            k = (right_edge + step) % m
-            if taken[k] or (occ[k] - occ[right_edge]) % n > width:
-                break
-            taken[k] = True
-            run_b.append(k)
-        cover.append((occ[right_edge], occ[run_b[-1]]))
-
-    if not all(taken):
-        rest = [k for k in range(m) if not taken[k]]
-        # Remaining occurrences are circularly contiguous between the two runs.
-        first = min(rest, key=lambda k: (occ[k] - occ[right_edge]) % n)
-        last = max(rest, key=lambda k: (occ[k] - occ[right_edge]) % n)
-        cover.append((occ[first], occ[last]))
-
-    if cover_is_valid(q, color, alpha, cover):
-        return cover
-    fallback = min_circular_cover(occ, n, width, limit=3)
-    if fallback is not None and cover_is_valid(q, color, alpha, fallback):
-        return fallback
-    return None
+    best: list[IndexInterval] = []
+    for seq in _unwrapped(occ, n, circular):
+        cover: list[IndexInterval] = []
+        for v in seq:
+            if cover and v - cover[-1][0] <= width:
+                cover[-1] = (cover[-1][0], v)
+            else:
+                cover.append((v, v))
+        if not best or len(cover) < len(best):
+            best = cover
+    j = separator_tuple_size(d)
+    limit = j - 1 if circular else j
+    return [(lo % n, hi % n) for lo, hi in best] if len(best) <= limit else None
 
 
 def _quad_indices(quad) -> tuple[int, int, int, int]:

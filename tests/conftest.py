@@ -19,7 +19,7 @@ from pierce.geometry import (
     normalize_angle,
 )
 from pierce.meetgraph import ColorGraph
-from pierce.witness import WitnessList
+from pierce.witness import WitnessList, cover_width, separator_tuple_size, spread_threshold
 
 NUDGE_EPS = 1e-6
 
@@ -110,6 +110,44 @@ def synthetic_list(n: int, target_positions=()) -> WitnessList:
     pairs = plain.copy()
     pairs[list(target_positions), 0] = 0
     return WitnessList(angles, pairs, weights)
+
+
+def circ_distance(a: int, b: int, n: int) -> int:
+    """Shorter walking distance between two entry indices on a cycle of n."""
+    if n <= 0:
+        raise ValueError("cycle size must be positive")
+    k = (b - a) % n
+    return min(k, n - k)
+
+
+def brute_spread(occ, n: int, alpha: float, d: int = 2) -> bool:
+    """is_spread_out by enumeration: some separator_tuple_size(d) occurrences
+    (one more for odd d) pairwise >= spread_threshold(alpha, n) apart, in
+    circular distance for even d and linear distance for odd d."""
+    j = separator_tuple_size(d)
+    want = j if d % 2 == 0 else j + 1
+    t = spread_threshold(alpha, n)
+    dist = (lambda a, b: circ_distance(a, b, n)) if d % 2 == 0 else (lambda a, b: abs(a - b))
+    return any(all(dist(a, b) >= t for a, b in itertools.combinations(pick, 2))
+               for pick in itertools.combinations(occ, want))
+
+
+def cover_is_valid(occ, n: int, alpha: float, cover, d: int = 2) -> bool:
+    """Whether cover is an interval_cover answer for occ: at most j - 1
+    circular intervals for even d, or j linear ones for odd d (j =
+    separator_tuple_size(d)), each (lo, hi) of index length at most
+    cover_width(alpha, n), together holding every occurrence."""
+    j = separator_tuple_size(d)
+    circular = d % 2 == 0
+    width = cover_width(alpha, n)
+
+    def length(lo, hi):
+        return (hi - lo) % n if circular else hi - lo
+
+    return (len(cover) <= (j - 1 if circular else j)
+            and all(0 <= length(lo, hi) <= width for lo, hi in cover)
+            and all(any(length(lo, v) <= length(lo, hi) and (circular or lo <= v)
+                        for lo, hi in cover) for v in occ))
 
 
 def random_pair_list(rng, n: int, universe: int) -> WitnessList:

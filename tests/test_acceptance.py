@@ -12,19 +12,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import face_census, graph_from_edges, synthetic_list
+from conftest import (
+    brute_spread,
+    circ_distance,
+    cover_is_valid,
+    face_census,
+    graph_from_edges,
+    synthetic_list,
+)
 from pierce.geometry import (
     body_contains,
     candidate_points,
     containment_matrix,
 )
-from pierce.highdim import (
-    CurveSpecD,
-    MOMENT,
-    hyperplane_crossings,
-    separator_tuple_size,
-    spread_out_general,
-)
+from pierce.highdim import CurveSpecD, MOMENT, hyperplane_crossings
 from pierce.instances import gallery7, gen_clustered, gen_pairwise
 from pierce.meetgraph import (
     build_meet_graph,
@@ -41,18 +42,17 @@ from pierce.pipeline import (
 )
 from pierce.witness import (
     build_witness_list,
-    circ_distance,
-    cover_is_valid,
     coverage_rate_bound,
     cover_width,
     expected_pierced,
     find_heavy_point,
+    interval_cover,
     is_spread_out,
     piercing_count_exact,
     piercing_point,
     quadruple_pierces,
+    separator_tuple_size,
     spread_threshold,
-    three_interval_cover,
 )
 
 DUALITY_TOL = 1e-6
@@ -67,8 +67,8 @@ def test_criterion_01_gallery_reproduction():
     t0 = time.perf_counter()
     inst = gallery7()
     cands = candidate_points(inst.bodies)
-    best = brute_min_transversal(inst.bodies, cands, k_max=3)
-    none2 = brute_min_transversal(inst.bodies, cands, k_max=2)
+    best = brute_min_transversal(inst.bodies, k_max=3)
+    none2 = brute_min_transversal(inst.bodies, k_max=2)
     census = face_census(inst.bodies, cands)
     depths = [len(sig) for sig in census if sig]
     elapsed = time.perf_counter() - t0
@@ -151,13 +151,6 @@ def test_criterion_04_spread_quadruple_rate():
     _verdict(4, "spread colors are pierced at the cubic rate", ok)
 
 
-def _brute_spread(occ, n, t):
-    return any(
-        all(circ_distance(a, b, n) >= t for a, b in itertools.combinations(quad, 2))
-        for quad in itertools.combinations(occ, 4)
-    )
-
-
 def _brute_cover3(occ, n, w):
     if len(occ) <= 3:
         return True
@@ -175,20 +168,16 @@ def test_criterion_05_dichotomy_suite():
         m = min(int(rng.integers(1, 13)), n)
         occ = sorted(int(v) for v in rng.choice(n, size=m, replace=False))
         alpha = float(rng.uniform(0.02, 0.124))
-        q = synthetic_list(n, occ)
-        spread = is_spread_out(q, 0, alpha)
-        cover = three_interval_cover(q, 0, alpha)
+        spread = is_spread_out(occ, n, alpha)
+        cover = interval_cover(occ, n, alpha)
         if spread == (cover is not None):
             ok = False
-        if spread != _brute_spread(occ, n, spread_threshold(alpha, n)):
+        if spread != brute_spread(occ, n, alpha):
             ok = False
-        if not spread:
-            if cover is None or len(cover) > 3:
-                ok = False
-            elif not cover_is_valid(q, 0, alpha, cover):
-                ok = False
-            if not _brute_cover3(occ, n, cover_width(alpha, n)):
-                ok = False
+        if (cover is not None) != _brute_cover3(occ, n, cover_width(alpha, n)):
+            ok = False
+        if cover is not None and not cover_is_valid(occ, n, alpha, cover):
+            ok = False
     _verdict(5, "spread-out or three short intervals, never both", ok)
 
 
@@ -308,17 +297,14 @@ def test_criterion_10_higher_dimension_formulas():
 
     for n in (10, 18, 30):
         for occ in itertools.combinations(range(n), 4):
-            q = synthetic_list(n, occ)
             for alpha in (0.06, 0.15):
-                lhs = spread_out_general(list(occ), n, alpha, d=2)
-                if lhs != is_spread_out(q, 0, alpha):
+                if is_spread_out(occ, n, alpha) != brute_spread(occ, n, alpha):
                     ok = False
     for _ in range(400):
         n = int(rng.integers(4, 31))
         m = min(int(rng.integers(1, 16)), n)
         occ = sorted(int(v) for v in rng.choice(n, size=m, replace=False))
         alpha = float(rng.uniform(0.02, 0.3))
-        q = synthetic_list(n, occ)
-        if spread_out_general(occ, n, alpha, d=2) != is_spread_out(q, 0, alpha):
+        if is_spread_out(occ, n, alpha) != brute_spread(occ, n, alpha):
             ok = False
     _verdict(10, "curve-degree formulas hold beyond the plane", ok)

@@ -527,6 +527,15 @@ def _check_pieces(arcs):
         assert arcs[0] != (0.0, 0.0), arcs
 
 
+def _segment_near_circle(radius: float, along: float, inward: float):
+    # Segment ending at radius * rho(0.3), its other end `along` back along
+    # the tangent there and `inward` toward the center.
+    th = 0.3
+    tau, rho = (-math.sin(th), math.cos(th)), (math.cos(th), math.sin(th))
+    b = (radius * rho[0], radius * rho[1])
+    return [(b[0] - along * tau[0] - inward * rho[0], b[1] - along * tau[1] - inward * rho[1]), b]
+
+
 _EDGE_CASES = {
     "ends-at-0": (_box(-2.0, 2.0, _TOL, 2.0), lambda arcs: arcs[0][0] == 0.0),
     "ends-at-2pi": (_box(-2.0, 2.0, -2.0, -_TOL), lambda arcs: arcs[-1][1] == TWO_PI),
@@ -545,6 +554,12 @@ _EDGE_CASES = {
     "segment-tangent": ([(-1.0, 1.0 + 0.5 * _TOL), (1.0, 1.0 + 0.5 * _TOL)],
                         lambda arcs: arcs == [(math.pi / 2, math.pi / 2)]),
     "segment-apart": ([(-1.0, 1.0 + 2 * _TOL), (1.0, 1.0 + 2 * _TOL)], lambda arcs: arcs == []),
+    # segments ending within the tolerance outside or inside the circle,
+    # whose lines meet it farther on than the roots' padding reaches
+    "segment-end-outside": (_segment_near_circle(1.0 + 0.5 * _TOL, 0.5, -1e-3),
+                            lambda arcs: arcs == [(pytest.approx(0.3, abs=1e-12),) * 2]),
+    "segment-end-inside": (_segment_near_circle(1.0 - 0.5 * _TOL, 1e-3, 1e-5),
+                           lambda arcs: arcs == [(pytest.approx(0.3, abs=1e-12),) * 2]),
 }
 
 
@@ -590,18 +605,17 @@ def test_face_census_two_squares():
 
 def test_brute_min_transversal_examples():
     disjoint = [square(i, 3.0 * i, 0.0) for i in range(3)]
-    cands = candidate_points(disjoint)
-    got = brute_min_transversal(disjoint, cands, k_max=3)
+    got = brute_min_transversal(disjoint, k_max=3)
     assert got is not None and len(got) == 3
-    assert brute_min_transversal(disjoint, cands, k_max=2) is None
+    assert brute_min_transversal(disjoint, k_max=2) is None
 
     overlapping = [square(0, 0.0, 0.0), square(1, 0.5, 0.5)]
-    got = brute_min_transversal(overlapping, candidate_points(overlapping), k_max=3)
+    got = brute_min_transversal(overlapping, k_max=3)
     assert got is not None and len(got) == 1
     assert all(body_contains(b, got[0]) for b in overlapping)
 
     nested = [square(0, 0.0, 0.0, side=4.0), square(1, 1.0, 1.0)]
-    got = brute_min_transversal(nested, candidate_points(nested), k_max=2)
+    got = brute_min_transversal(nested, k_max=2)
     assert got is not None and len(got) == 1
 
 
@@ -615,7 +629,7 @@ def test_brute_min_transversal_against_exhaustive():
             side = float(rng.uniform(0.6, 1.6))
             bodies.append(square(i, float(cx), float(cy), side))
         cands = candidate_points(bodies)
-        got = brute_min_transversal(bodies, cands, k_max=3)
+        got = brute_min_transversal(bodies, k_max=3)
 
         # Exhaustive oracle over raw candidate subsets of size <= 3.
         best = None

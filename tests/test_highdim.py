@@ -1,4 +1,5 @@
-"""Higher-dimensional curves: tuple sizes, crossing counts, generalized spread."""
+"""Higher-dimensional curves: tuple sizes, crossing counts, and the spread /
+cover dichotomy beyond the plane."""
 
 import math
 from fractions import Fraction
@@ -15,13 +16,10 @@ from pierce.highdim import (
     CurveSpecD,
     curve_point,
     hyperplane_crossings,
-    interval_cover_general,
-    separator_tuple_size,
-    spread_out_general,
 )
-from pierce.witness import cover_width, interval_covers, is_spread_out
+from pierce.witness import interval_cover, is_spread_out, separator_tuple_size
 
-from conftest import synthetic_list
+from conftest import cover_is_valid
 
 
 def test_separator_tuple_size_table():
@@ -289,39 +287,23 @@ def test_closed_curve_crossings():
             assert count % 2 == 0  # a closed curve leaves as often as it enters
 
 
-def test_spread_out_general_matches_planar():
-    rng = np.random.default_rng(19)
-    checked = 0
-    for _ in range(300):
-        n = int(rng.integers(8, 31))
-        count = int(rng.integers(1, n + 1))
-        positions = sorted(rng.choice(n, size=count, replace=False).tolist())
-        alpha = float(rng.uniform(0.02, 0.3))
-        q = synthetic_list(n, target_positions=positions)
-        planar = is_spread_out(q, 0, alpha)
-        general = spread_out_general(positions, n, alpha, d=2)
-        assert planar == general
-        checked += 1
-    assert checked == 300
-
-
 def test_spread_out_general_linear_examples():
     # d=3: tuple size 5, so six linearly separated occurrences are needed
     occ = [0, 10, 20, 30, 40, 50]
-    assert spread_out_general(occ, 60, 0.1, d=3)
-    assert not spread_out_general(occ[:5], 60, 0.1, d=3)
+    assert is_spread_out(occ, 60, 0.1, d=3)
+    assert not is_spread_out(occ[:5], 60, 0.1, d=3)
     # circular wrap helps even d but not odd d
     ends = [0, 1, 2, 3, 4, 59]
-    assert not spread_out_general(ends, 60, 0.08, d=3)
+    assert not is_spread_out(ends, 60, 0.08, d=3)
 
 
 def test_spread_out_general_validation():
     with pytest.raises(ValueError):
-        spread_out_general([0], 10, 0.0, d=2)
+        is_spread_out([0], 10, 0.0, d=2)
     with pytest.raises(ValueError):
-        spread_out_general([10], 10, 0.1, d=2)
+        is_spread_out([10], 10, 0.1, d=2)
     with pytest.raises(ValueError):
-        spread_out_general([0], 0, 0.1, d=2)
+        is_spread_out([0], 0, 0.1, d=2)
 
 
 def test_general_dichotomy_small_instances():
@@ -331,7 +313,6 @@ def test_general_dichotomy_small_instances():
     rng = np.random.default_rng(23)
     for d in (2, 3, 4):
         j = separator_tuple_size(d)
-        limit = j if d % 2 == 1 else j - 1
         for _ in range(250):
             n = int(rng.integers(6, 31))
             count = int(rng.integers(1, n + 1))
@@ -343,22 +324,11 @@ def test_general_dichotomy_small_instances():
                 if alpha_hi <= 0.02:
                     continue
             alpha = float(rng.uniform(0.02, alpha_hi))
-            spread = spread_out_general(occ, n, alpha, d)
-            cover = interval_cover_general(occ, n, alpha, d)
+            spread = is_spread_out(occ, n, alpha, d)
+            cover = interval_cover(occ, n, alpha, d)
             assert spread == (cover is None)
             if cover is not None:
-                assert len(cover) <= limit
-                width = cover_width(alpha, n)
-                for lo, hi in cover:
-                    span = (hi - lo) % n if d % 2 == 0 else hi - lo
-                    assert 0 <= span <= width
-                for pos in occ:
-                    assert any(
-                        interval_covers(iv, pos, n)
-                        if d % 2 == 0
-                        else iv[0] <= pos <= iv[1]
-                        for iv in cover
-                    )
+                assert cover_is_valid(occ, n, alpha, cover, d)
 
 
 def test_dichotomy_breaks_outside_regime():
@@ -367,6 +337,6 @@ def test_dichotomy_breaks_outside_regime():
     # the cover probe reports None rather than inventing a wide cover
     occ = [1, 2, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19]
     alpha = 0.2381
-    assert not spread_out_general(occ, 22, alpha, d=2)
-    assert interval_cover_general(occ, 22, alpha, d=2) is None
+    assert not is_spread_out(occ, 22, alpha, d=2)
+    assert interval_cover(occ, 22, alpha, d=2) is None
 

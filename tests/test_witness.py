@@ -3,7 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import arc_body, random_pair_list, reference_meet_angle, synthetic_list
+from conftest import (
+    arc_body,
+    brute_spread,
+    circ_distance,
+    cover_is_valid,
+    random_pair_list,
+    reference_meet_angle,
+    synthetic_list,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,32 +34,19 @@ from pierce.witness import (
     _weighted_scores,
     WitnessList,
     build_witness_list,
-    circ_distance,
-    cover_is_valid,
     cover_width,
     coverage_rate_bound,
     expected_pierced,
     find_heavy_point,
+    interval_cover,
     is_spread_out,
-    min_circular_cover,
     non_spread_ratio_bound,
     piercing_count_exact,
     piercing_point,
     quadruple_pierces,
     separator_angles,
     spread_threshold,
-    three_interval_cover,
 )
-
-
-def spread_oracle(occ, n, alpha):
-    t = spread_threshold(alpha, n)
-    if len(occ) < 4:
-        return False
-    for four in itertools.combinations(occ, 4):
-        if all(circ_distance(a, b, n) >= t for a, b in itertools.combinations(four, 2)):
-            return True
-    return False
 
 
 def test_witness_list_sorting_and_occurrences():
@@ -151,26 +146,18 @@ def test_thresholds_avoid_float_fuzz():
 
 
 def test_is_spread_out_examples():
-    q = synthetic_list(40, (0, 10, 20, 30))
-    assert is_spread_out(q, 0, 0.2)
-
-    q3 = synthetic_list(40, (0, 10, 20))
-    assert not is_spread_out(q3, 0, 0.2)
-
-    cluster = synthetic_list(100, (0, 1, 2, 3))
-    assert not is_spread_out(cluster, 0, 0.1)
-
-    assert not is_spread_out(cluster, 777, 0.1)
-
+    assert is_spread_out([0, 10, 20, 30], 40, 0.2)
+    assert not is_spread_out([0, 10, 20], 40, 0.2)
+    assert not is_spread_out([0, 1, 2, 3], 100, 0.1)
+    assert not is_spread_out([], 100, 0.1)
     with pytest.raises(ValueError):
-        is_spread_out(cluster, 0, 0.0)
+        is_spread_out([0, 1, 2, 3], 100, 0.0)
 
 
 def test_is_spread_out_threshold_regression():
     # Minimum pairwise distance is exactly 3 = ceil(0.1 * 30); a naive
     # ceil(0.1 * 30) in floats would demand 4 and reject this.
-    q = synthetic_list(30, (0, 3, 10, 20))
-    assert is_spread_out(q, 0, 0.1)
+    assert is_spread_out([0, 3, 10, 20], 30, 0.1)
 
 
 def test_is_spread_out_against_exhaustive():
@@ -180,32 +167,34 @@ def test_is_spread_out_against_exhaustive():
         m = int(rng.integers(0, min(n, 12) + 1))
         occ = sorted(rng.choice(n, size=m, replace=False).tolist())
         alpha = float(rng.uniform(0.02, 0.45))
-        q = synthetic_list(n, occ)
-        assert is_spread_out(q, 0, alpha) == spread_oracle(occ, n, alpha)
+        assert is_spread_out(occ, n, alpha) == brute_spread(occ, n, alpha)
+    # d = 3: six occurrences pairwise far apart on a line.
+    for _ in range(200):
+        n = int(rng.integers(6, 17))
+        occ = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        alpha = float(rng.uniform(0.02, 0.25))
+        assert is_spread_out(occ, n, alpha, d=3) == brute_spread(occ, n, alpha, d=3)
 
 
 def test_three_interval_cover_cluster():
-    q = synthetic_list(100, (0, 1, 2, 3))
-    cover = three_interval_cover(q, 0, 0.1)
+    cover = interval_cover([0, 1, 2, 3], 100, 0.1)
     assert cover == [(0, 3)]
-    assert cover_is_valid(q, 0, 0.1, cover)
+    assert cover_is_valid([0, 1, 2, 3], 100, 0.1, cover)
 
 
 def test_three_interval_cover_spread_returns_none():
-    q = synthetic_list(40, (0, 10, 20, 30))
-    assert three_interval_cover(q, 0, 0.2) is None
+    assert interval_cover([0, 10, 20, 30], 40, 0.2) is None
 
 
 def test_three_interval_cover_empty_color():
-    q = synthetic_list(10, ())
-    assert three_interval_cover(q, 0, 0.1) == []
+    assert interval_cover([], 10, 0.1) == []
 
 
 def test_three_interval_cover_wraps():
-    q = synthetic_list(60, (57, 58, 59, 0, 1, 29, 30, 31))
-    cover = three_interval_cover(q, 0, 0.1)
+    occ = [57, 58, 59, 0, 1, 29, 30, 31]
+    cover = interval_cover(occ, 60, 0.1)
     assert cover is not None
-    assert cover_is_valid(q, 0, 0.1, cover)
+    assert cover_is_valid(occ, 60, 0.1, cover)
 
 
 def test_dichotomy_property():
@@ -218,21 +207,21 @@ def test_dichotomy_property():
         q = random_pair_list(rng, n, universe)
         alpha = float(rng.uniform(0.03, 0.12))
         for color in range(universe):
-            spread = is_spread_out(q, color, alpha)
-            cover = three_interval_cover(q, color, alpha)
+            occ = q.occurrences(color)
+            spread = is_spread_out(occ, len(q), alpha)
+            cover = interval_cover(occ, len(q), alpha)
             if spread:
                 assert cover is None
             else:
                 assert cover is not None
-                assert cover_is_valid(q, color, alpha, cover)
+                assert cover_is_valid(occ, len(q), alpha, cover)
 
 
-def test_min_circular_cover_exact():
-    # Occurrences split into two tight groups; one interval cannot reach both.
-    got = min_circular_cover([0, 1, 10, 11], 20, width=3, limit=3)
-    assert got is not None and len(got) == 2
-    assert min_circular_cover([0, 1, 10, 11], 20, width=3, limit=1) is None
-    assert min_circular_cover([], 20, width=3, limit=3) == []
+def test_interval_cover_takes_the_fewest_intervals():
+    # Two tight groups that one interval of width 3 cannot both reach; in
+    # the second, only the cover anchored at 10 joins 19 and 2 across the wrap.
+    assert interval_cover([0, 1, 10, 11], 20, 0.15) == [(0, 1), (10, 11)]
+    assert interval_cover([2, 10, 11, 19], 20, 0.15) == [(10, 11), (19, 2)]
 
 
 def test_quadruple_pierces_enumeration():
