@@ -344,24 +344,39 @@ _CHUNK = 1 << 15
 
 
 def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
-    """Body vertices and pairwise edge crossings: the arrangement's vertices,
-    as the rows of a (points, 2) float array.
+    """Body vertices and pairwise edge crossings that can be the lowest
+    vertex of a cell of the arrangement, as the rows of a (points, 2) float
+    array.
 
     A maximal containment class (one whose body set no other class's set
     contains) is the whole intersection of its closed convex bodies, since a
     point of that intersection inside another body would make a larger
     class. That intersection is a nonempty convex polygon, segment or point,
-    and each of its vertices is a body vertex or an edge crossing. So every
-    maximal class has a point here, and any hitting set can be moved onto
+    and at its lowest vertex v (least y, then least x) -e_y lies in the cone
+    of the outward normals of the edges through v (Farkas' lemma). By
+    Caratheodory's theorem in the plane two of those edges suffice: two
+    edges of one body meeting at its vertex v, or edges a and b of two
+    bodies crossing at v. The outward normal of an edge (dx, dy) of a
+    counterclockwise polygon is (dy, -dx), and -e_y lies in the cone of n_a
+    and n_b when, with den = dx_a dy_b - dy_a dx_b, a falls and b rises if
+    den > 0, or a rises and b falls otherwise. An edge rises when
+    dy >= -TOL_GEOM * |edge| and falls when dy <= TOL_GEOM * |edge|, so a
+    level edge does both. The list keeps a polygon's vertex k when its edge
+    k - 1 falls and edge k rises (every polygon keeps its own lowest
+    vertex), a crossing of two polygon edges when the cone test passes, and
+    every vertex and crossing of a segment or point body, whose edge has no
+    outward side. So every maximal class whose bodies share a point has a
+    point here, its lowest vertex, and any hitting set can be moved onto
     this list, which is what the exact oracle and the linear programs rely
-    on. Body pairs whose bounding boxes are more than TOL_GEOM apart are
-    skipped.
+    on. Bodies that only come within TOL_GEOM of a common point have no
+    common cell: body_contains' slack alone makes them a class, and this
+    list may miss it. Body pairs whose bounding boxes are more than
+    TOL_GEOM apart are skipped.
 
-    Order: every body's vertices, body by body; then the crossings of each
+    Order: the kept vertices, body by body; then the kept crossings of each
     body pair i < j in (i, j) order, within a pair by i's edge, then j's
-    edge. Class representatives are first occurrences in this list. A
-    crossing is segment_intersection's point for the two edges. Points may
-    repeat; callers merge them by containment signature.
+    edge. A crossing is segment_intersection's point for the two edges.
+    Points may repeat; callers merge them by containment signature.
     """
     if not bodies:
         return np.empty((0, 2))
@@ -379,6 +394,12 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     dx, dy = (verts[tail] - verts[head]).T
     norm = np.hypot(dx, dy)
     slack, pad = TOL_GEOM * norm, TOL_GEOM / norm
+    rises, falls = dy >= -slack, dy <= slack
+    thin = nv[owner] < 3  # the edge of a segment body
+    # A polygon's vertex k is the head of its edge k, after edge k - 1.
+    prev = estart[owner] + (k - 1) % ne[owner]
+    lowest = np.ones(len(verts), dtype=bool)
+    lowest[head[~thin]] = (falls[prev] & rises)[~thin]
 
     x0, x1, y0, y1 = (
         f.reduceat(verts[:, c], vstart)
@@ -394,7 +415,7 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     bi, bj = bi[~apart], bj[~apart]
     size = ne[bi] * ne[bj]
     end = np.cumsum(size)
-    out = [verts]
+    out = [verts[lowest]]
     lo = 0
     while lo < bi.size:
         first = end[lo] - size[lo]  # edge pairs before this block
@@ -404,9 +425,11 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
         a = estart[bi[pair]] + rank // ne[bj[pair]]
         b = estart[bj[pair]] + rank % ne[bj[pair]]
         lo = hi
-        # The formulas of segment_intersection, term by term.
+        # The formulas of segment_intersection, term by term, on the edge
+        # pairs that pass the lowest-vertex test.
         den = dx[a] * dy[b] - dy[a] * dx[b]
-        usable = np.abs(den) > slack[a] * norm[b]
+        usable = (np.abs(den) > slack[a] * norm[b]) & (
+            thin[a] | thin[b] | np.where(den > 0, falls[a] & rises[b], rises[a] & falls[b]))
         a, b, den = a[usable], b[usable], den[usable]
         ex, ey = sx[b] - sx[a], sy[b] - sy[a]
         t = (ex * dy[b] - ey * dx[b]) / den

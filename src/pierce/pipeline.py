@@ -50,9 +50,11 @@ class CandidateClasses:
     A class whose body set is contained in another's is dominated for both
     programs: the cover can move its weight to the larger class, and the
     packing constraint at the smaller class is implied by the larger one.
-    Only maximal classes are kept, one representative point each.  The
-    classes are stored as a read-only (classes x bodies) bool matrix whose
-    row j holds the bodies that contain points[j].
+    Only maximal classes are kept, each with its lowest candidate (least y,
+    then least x) as its representative, in the order of their body sets
+    read as binary numbers (see candidate_classes).  The classes are stored
+    as a read-only (classes x bodies) bool matrix whose row j holds the
+    bodies that contain points[j].
     """
 
     points: tuple[Point2, ...]
@@ -116,23 +118,25 @@ class TransversalReport:
         }
 
 
-def candidate_classes(bodies: list[ConvexBody], candidates=None) -> CandidateClasses:
-    """Deduplicate candidates (a (points, 2) array or (x, y) pairs, by default
-    candidate_points) into maximal containment classes.
+def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
+    """The maximal containment classes of candidate_points(bodies).
 
     Each candidate inside some body has a signature, the set of bodies
     containing it, packed by _signature_words into ceil(n / 64) uint64
-    words for n bodies. Equal signatures are merged by np.unique over the
-    lone word when n <= 64 (an integer sort), over a void view of the
-    words otherwise; its stable sort keeps each signature's first
-    occurrence. _maximal_rows then drops dominated signatures, testing
-    blocks of at most 512 KiB at a time, and the classes are listed in the
-    order of their representatives among the candidates, so the same
-    candidates always give the same classes, points and order. Raises
+    words for n bodies. The candidates are sorted by (y, x) first, so that
+    np.unique's stable sort keeps each signature's lowest candidate (least
+    y, then least x) as its representative. It merges equal signatures over
+    the lone word when n <= 64 (an integer sort), over a void view of the
+    words, most significant first and big-endian, otherwise; both sort the
+    signatures as the binary numbers sum(2**i for body i in the set).
+    _maximal_rows then drops dominated signatures, testing blocks of at most
+    512 KiB at a time. The classes keep that signature order, so neither
+    their order nor their points depend on the candidates' order, and a
+    turned family has its classes in the same order. Raises
     IncompleteCandidatesError when some body contains no candidate.
     """
-    candidates = (candidate_points(bodies) if candidates is None
-                  else np.asarray(candidates, dtype=float))
+    candidates = candidate_points(bodies)
+    candidates = candidates[np.lexsort((candidates[:, 0], candidates[:, 1]))]
     inside = containment_matrix(bodies, candidates)
     covered = inside.any(axis=0)
     if not covered.all():
@@ -141,10 +145,13 @@ def candidate_classes(bodies: list[ConvexBody], candidates=None) -> CandidateCla
     keep = np.flatnonzero(inside.any(axis=1))
     inside = inside[keep]
     words = _signature_words(inside)
-    keys = (words[:, 0] if words.shape[1] == 1
-            else words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel())
+    if words.shape[1] == 1:
+        keys = words[:, 0]
+    else:
+        big = np.ascontiguousarray(words[:, ::-1], dtype=">u8")
+        keys = big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
     first = np.unique(keys, return_index=True)[1]
-    chosen = np.sort(first[_maximal_rows(words[first])])
+    chosen = first[_maximal_rows(words[first])]
     points = tuple(map(tuple, candidates[keep[chosen]].tolist()))
     members = inside[chosen]
     members.setflags(write=False)
@@ -341,10 +348,11 @@ def brute_min_transversal(bodies: list[ConvexBody], k_max: int) -> list[Point2] 
     """Smallest set of candidate points hitting every body, up to size k_max.
 
     Exact search over the maximal classes of candidate_classes(bodies),
-    each standing for its representative point: a depth-first cover search
-    at increasing sizes, trying the classes in order of decreasing size,
-    then sorted members. Returns None when no hitting set of size <= k_max
-    exists among the candidate points.
+    each standing for its representative point, its lowest candidate: a
+    depth-first cover search at increasing sizes, trying the classes in
+    order of decreasing size, then sorted members. Returns None when no
+    hitting set of size <= k_max exists among the candidate points, which
+    hold the lowest vertex of every cell (see candidate_points).
     """
     try:
         classes = candidate_classes(bodies)

@@ -84,13 +84,17 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
 
     Class loads are read off the candidate rows, row k holding the bodies
     that contain candidate point k, and no classes are built.  That gives
-    the same heaviest load as the maximal classes: every maximal class is a
-    candidate row (candidate_points has a point of each), and every row is
-    a subset of some maximal class, so for nonnegative weights the heaviest
-    row weighs as much as the heaviest class.  This holds for the packing,
-    which certificate_failures clips at 0, and for m >= 0.  A negative m
-    fails on its own, so the extra rows can only add lines to a report
-    that fails already."""
+    the same heaviest load as the maximal classes that run_pipeline builds
+    from the same points: each of its classes is a candidate row, and every
+    row is a subset of some maximal class, so for nonnegative weights the
+    heaviest row weighs as much as the heaviest class.  This holds for the
+    packing, which certificate_failures clips at 0, and for m >= 0.  A
+    negative m fails on its own, so the extra rows can only add lines to a
+    report that fails already.  The classes are those of the whole
+    arrangement, since candidate_points keeps the lowest vertex of each
+    class's cell (Farkas' lemma, and Caratheodory's theorem in the plane),
+    save classes of bodies that meet only within TOL_GEOM (see its
+    docstring)."""
     failures = _shape_failures(report)
     if failures:
         return failures

@@ -16,7 +16,9 @@ from pierce.geometry import (
     _point_segment_distance,
     _segment_curve_touch_arcs,
     body_contains,
+    containment_matrix,
     normalize_angle,
+    segment_intersection,
 )
 from pierce.meetgraph import ColorGraph
 from pierce.witness import WitnessList, cover_width, separator_tuple_size, spread_threshold
@@ -162,13 +164,13 @@ def face_census(bodies: list[ConvexBody], candidates: list[Point2],
                 clearance: float = 1e-7) -> dict[frozenset[int], Point2]:
     """Distinct containment signatures next to candidates, clear of all boundaries.
 
-    Candidates from candidate_points lie on body boundaries, so each one is
-    nudged NUDGE_EPS along the four diagonals, in order, and the nudged
-    points are what get classified. A nudged point within clearance of any
-    body boundary is skipped, so each kept signature corresponds to an open
-    cell of the arrangement and the map value is one interior
-    representative. Convexity makes cells with equal signature connected,
-    so the count per depth is a face count.
+    Arrangement vertices (reference_candidates) lie on body boundaries, so
+    each one is nudged NUDGE_EPS along the four diagonals, in order, and
+    the nudged points are what get classified. A nudged point within
+    clearance of any body boundary is skipped, so each kept signature
+    corresponds to an open cell of the arrangement and the map value is one
+    interior representative. Convexity makes cells with equal signature
+    connected, so the count per depth is a face count.
     """
     nudged = [(x + dx * NUDGE_EPS, y + dy * NUDGE_EPS)
               for x, y in candidates for dx, dy in _NUDGE_DIRS]
@@ -189,6 +191,81 @@ def face_census(bodies: list[ConvexBody], candidates: list[Point2],
         if sig not in reps:
             reps[sig] = pt
     return reps
+
+
+def _edges(body: ConvexBody) -> list[tuple[Point2, Point2]]:
+    vs = [(float(x), float(y)) for x, y in body.vertices]
+    if len(vs) < 3:  # a segment body has one edge, a point body none
+        return list(zip(vs[:-1], vs[1:]))
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
+def _apart(a: ConvexBody, b: ConvexBody) -> bool:
+    (ax0, ay0), (ax1, ay1) = a.vertices.min(axis=0), a.vertices.max(axis=0)
+    (bx0, by0), (bx1, by1) = b.vertices.min(axis=0), b.vertices.max(axis=0)
+    return (ax1 < bx0 - TOL_GEOM or bx1 < ax0 - TOL_GEOM
+            or ay1 < by0 - TOL_GEOM or by1 < ay0 - TOL_GEOM)
+
+
+def _rises(edge) -> bool:
+    (x0, y0), (x1, y1) = edge
+    return y1 - y0 >= -TOL_GEOM * math.hypot(x1 - x0, y1 - y0)
+
+
+def _falls(edge) -> bool:
+    (x0, y0), (x1, y1) = edge
+    return y1 - y0 <= TOL_GEOM * math.hypot(x1 - x0, y1 - y0)
+
+
+def _lowest_crossing(ea, eb) -> bool:
+    # -e_y lies in the cone of the two edges' outward normals.
+    (a1, a2), (b1, b2) = ea, eb
+    den = (a2[0] - a1[0]) * (b2[1] - b1[1]) - (a2[1] - a1[1]) * (b2[0] - b1[0])
+    return _falls(ea) and _rises(eb) if den > 0 else _rises(ea) and _falls(eb)
+
+
+def reference_candidates(bodies: list[ConvexBody], lowest: bool = False) -> list[Point2]:
+    """The whole arrangement in candidate_points' order, in plain Python:
+    every body's vertices, then segment_intersection over (i, j, edge of i,
+    edge of j) for the body pairs whose bounding boxes are within TOL_GEOM.
+
+    With lowest=True, only the points that pass candidate_points'
+    lowest-vertex test, checked edge by edge: a polygon's vertex k when its
+    edge k - 1 falls and edge k rises, a crossing of two polygon edges when
+    -e_y lies in the cone of their outward normals, and every vertex and
+    crossing of a segment or point body.
+    """
+    out = []
+    for body in bodies:
+        edges = _edges(body)
+        for k, (x, y) in enumerate(body.vertices.tolist()):
+            if not lowest or len(edges) < 3 or (_falls(edges[k - 1]) and _rises(edges[k])):
+                out.append((x, y))
+    for a, b in itertools.combinations(bodies, 2):
+        if _apart(a, b):
+            continue
+        thin = len(a.vertices) < 3 or len(b.vertices) < 3
+        for ea in _edges(a):
+            for eb in _edges(b):
+                pt = segment_intersection(*ea, *eb)
+                if pt is not None and (not lowest or thin or _lowest_crossing(ea, eb)):
+                    out.append(pt)
+    return out
+
+
+def reference_classes(bodies: list[ConvexBody], points) -> list[tuple[frozenset[int], Point2]]:
+    """candidate_classes over the given points, with frozensets: each
+    nonempty containment signature (read off containment_matrix) with its
+    lowest point (least y, then least x), dominated signatures dropped, in
+    the order of the key sum(2**i for body i in the signature)."""
+    points = [(float(x), float(y)) for x, y in points]
+    reps: dict[frozenset[int], Point2] = {}
+    for pt, row in zip(points, containment_matrix(bodies, points)):
+        sig = frozenset(np.flatnonzero(row).tolist())
+        if sig and (sig not in reps or (pt[1], pt[0]) < (reps[sig][1], reps[sig][0])):
+            reps[sig] = pt
+    kept = [sig for sig in reps if not any(sig < other for other in reps)]
+    return [(sig, reps[sig]) for sig in sorted(kept, key=lambda s: sum(1 << i for i in s))]
 
 
 def reference_containment_matrix(bodies: list[ConvexBody], points: list[Point2]) -> np.ndarray:

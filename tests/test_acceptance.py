@@ -18,11 +18,11 @@ from conftest import (
     cover_is_valid,
     face_census,
     graph_from_edges,
+    reference_candidates,
     synthetic_list,
 )
 from pierce.geometry import (
     body_contains,
-    candidate_points,
     containment_matrix,
 )
 from pierce.highdim import CurveSpecD, MOMENT, hyperplane_crossings
@@ -66,10 +66,9 @@ def _verdict(num: int, label: str, ok: bool) -> None:
 def test_criterion_01_gallery_reproduction():
     t0 = time.perf_counter()
     inst = gallery7()
-    cands = candidate_points(inst.bodies)
     best = brute_min_transversal(inst.bodies, k_max=3)
     none2 = brute_min_transversal(inst.bodies, k_max=2)
-    census = face_census(inst.bodies, cands)
+    census = face_census(inst.bodies, reference_candidates(inst.bodies))
     depths = [len(sig) for sig in census if sig]
     elapsed = time.perf_counter() - t0
     ok = (

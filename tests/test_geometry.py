@@ -25,7 +25,7 @@ from pierce.geometry import (
     segment_intersection,
 )
 from pierce.instances import gallery7, gen_pairwise
-from pierce.pipeline import brute_min_transversal
+from pierce.pipeline import brute_min_transversal, candidate_classes
 
 from conftest import (
     arc_pieces,
@@ -34,7 +34,10 @@ from conftest import (
     grid,
     grid_square,
     grid_triangle,
+    pg22_twice,
     reference_body_curve_arcs,
+    reference_candidates,
+    reference_classes,
     reference_containment_matrix,
     reference_intersection,
     reference_meet_angle,
@@ -301,40 +304,18 @@ def test_segment_intersection_cases():
 def test_candidate_points_two_squares():
     a = square(0, 0.0, 0.0)
     b = square(1, 0.5, 0.5)
+    # The arrangement: 8 vertices plus 2 proper crossings, and nothing else.
+    assert set(reference_candidates([a, b])) == {
+        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+        (0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5),
+        (1.0, 0.5), (0.5, 1.0)}
+    # Each square's bottom corners, whose edge before falls (or is level)
+    # and edge after rises (or is level), and the crossing (1, 0.5) of a's
+    # rising right edge with b's level bottom edge; (0.5, 1) is the top
+    # left corner of the overlap, where a's top edge meets b's falling left
+    # edge.
     cands = candidate_points([a, b])
-    # 8 vertices plus 2 proper crossings, and nothing else.
-    base = {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
-            (0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5),
-            (1.0, 0.5), (0.5, 1.0)}
-    assert cands.shape == (10, 2)
-    assert set(map(tuple, cands.tolist())) == base
-
-
-def _edges(body):
-    vs = [(float(x), float(y)) for x, y in body.vertices]
-    if len(vs) < 3:  # a segment body has one edge, a point body none
-        return list(zip(vs[:-1], vs[1:]))
-    return list(zip(vs, vs[1:] + vs[:1]))
-
-
-def _apart(a, b, tol):
-    (ax0, ay0), (ax1, ay1) = a.vertices.min(axis=0), a.vertices.max(axis=0)
-    (bx0, by0), (bx1, by1) = b.vertices.min(axis=0), b.vertices.max(axis=0)
-    return ax1 < bx0 - tol or bx1 < ax0 - tol or ay1 < by0 - tol or by1 < ay0 - tol
-
-
-def reference_candidates(bodies):
-    """Vertices, then segment_intersection over (i, j, edge of i, edge of j)."""
-    out = [(float(x), float(y)) for body in bodies for x, y in body.vertices]
-    for a, b in itertools.combinations(bodies, 2):
-        if _apart(a, b, geometry.TOL_GEOM):
-            continue
-        for a1, a2 in _edges(a):
-            for b1, b2 in _edges(b):
-                pt = segment_intersection(a1, a2, b1, b2)
-                if pt is not None:
-                    out.append(pt)
-    return out
+    assert cands.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.5, 0.5], [1.0, 0.5]]
 
 
 _grid_point = st.tuples(grid, grid).map(lambda v: [v])
@@ -359,21 +340,29 @@ def test_candidate_points_match_reference(shapes, chunk):
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
     with mock.patch.object(geometry, "_CHUNK", chunk):
         got = candidate_points(bodies)
-    want = reference_candidates(bodies)
+    want = reference_candidates(bodies, lowest=True)
     assert got.dtype == np.float64 and got.shape == (len(want), 2)
     assert [list(map(float, p)) for p in want] == got.tolist()
 
 
-@pytest.mark.parametrize("instance, count, digest", [
-    (gallery7, 140, "3565b0659cdddd0ac61f5499a914e700d99323682624a08e65d481a4bf4b4001"),
-    (lambda: gen_pairwise(12, 3), 1482,
-     "d4bea6232305ded6c5ccf2ae042535dc25dee21480c9f1746dc4cfbe1626a679"),
+@pytest.mark.parametrize("instance, count, digest, full, full_digest", [
+    (gallery7, 34, "3b6ebf84e326f4cb7d3d868427ddbbab52868c3ef18193f9d76870fcdc8ad620",
+     140, "3565b0659cdddd0ac61f5499a914e700d99323682624a08e65d481a4bf4b4001"),
+    (lambda: gen_pairwise(12, 3), 74,
+     "3d795ddcf07e06768a4c6c62f3270124f61c56b3ba46cc0b6bcbfe69b778cde9",
+     1482, "d4bea6232305ded6c5ccf2ae042535dc25dee21480c9f1746dc4cfbe1626a679"),
 ], ids=["gallery7", "pairwise12"])
-def test_candidate_points_golden(instance, count, digest):
-    # Class representatives are first occurrences, so the order is pinned too.
-    cands = candidate_points(instance().bodies)
+def test_candidate_points_golden(instance, count, digest, full, full_digest):
+    # The points and their order are pinned; the full arrangement keeps the
+    # digest that candidate_points had before it dropped the points that
+    # cannot be a cell's lowest vertex.
+    bodies = instance().bodies
+    cands = candidate_points(bodies)
     assert len(cands) == count
     assert hashlib.sha256(np.asarray(cands).tobytes()).hexdigest() == digest
+    arrangement = np.array(reference_candidates(bodies))
+    assert len(arrangement) == full
+    assert hashlib.sha256(arrangement.tobytes()).hexdigest() == full_digest
 
 
 def _ngon(k, cx, cy, radius, phase, stretch=1.0):
@@ -392,12 +381,96 @@ _mixed_shape = st.one_of(
 )
 
 
+_TOL = geometry.TOL_GEOM
+# Offsets of a shifted copy: half the tolerance either way, and twice it.
+_SHIFTS = [(_TOL / 2, 0.0), (-_TOL / 2, 0.0), (0.0, _TOL / 2), (0.0, -_TOL / 2),
+           (2 * _TOL, 0.0), (0.0, 2 * _TOL), (-2 * _TOL, 2 * _TOL)]
+_shifted_family = st.lists(
+    st.tuples(_mixed_shape, st.none() | st.sampled_from(_SHIFTS)), min_size=1, max_size=5,
+).map(lambda items: [copy for shape, shift in items for copy in (
+    [shape] if shift is None else [shape, [(x + shift[0], y + shift[1]) for x, y in shape]])])
+
+
+def _pg_lines(q):
+    # PG(2, q): normalized nonzero vectors of F_q^3; line l holds the points p with l.p = 0.
+    pts = [v for v in itertools.product(range(q), repeat=3)
+           if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1]
+    return len(pts), [[i for i, p in enumerate(pts) if sum(a * b for a, b in zip(line, p)) % q == 0]
+                      for line in pts]
+
+
+def _pg_union(q, copies):
+    """Inscribed PG(2, q) copies, each turned and with its points placed on the circle
+    in its own order: many edges through shared circle points."""
+    size, lines = _pg_lines(q)
+    return [[(math.cos(a), math.sin(a))
+             for a in sorted((turn + TWO_PI * place[v] / size) % TWO_PI for v in line)]
+            for turn, place in copies for line in lines]
+
+
+_pg_family = st.one_of(
+    st.lists(st.tuples(st.floats(0.0, TWO_PI), st.permutations(range(7))), min_size=1, max_size=3)
+    .map(lambda copies: _pg_union(2, copies)),
+    st.lists(st.tuples(st.floats(0.0, TWO_PI), st.permutations(range(13))), min_size=1, max_size=2)
+    .map(lambda copies: _pg_union(3, copies)),
+)
+
+
+def _classes_match_the_arrangement(bodies):
+    """candidate_classes against the classes of the whole arrangement.
+
+    The lowest-vertex lemma covers a class whose bodies share a point: the
+    lowest vertex of their common cell is kept, so the class is found. Here
+    that is a class with an arrangement vertex in all its bodies without
+    the tolerance (containment_margin >= 0). A class whose bodies only come
+    within TOL_GEOM of a common point has no cell, and the arrangement may
+    witness it only at points the lowest-vertex test drops; then only
+    subsets of it may stand in its place. Points are not compared: such a
+    witness may lie far below a class's cell.
+    """
+    found = [frozenset(np.flatnonzero(row).tolist()) for row in candidate_classes(bodies).matrix()]
+    full = reference_candidates(bodies)
+    want = [sig for sig, _ in reference_classes(bodies, full)]
+    rows = containment_matrix(bodies, full)
+    pts = np.array(full)
+    # containment_margin of every point (rows) in every body (columns)
+    margins = np.array([(body.offsets - pts @ body.normals.T).min(axis=1) if len(body.offsets)
+                        else [containment_margin(body, pt) for pt in full] for body in bodies]).T
+    exact = {frozenset(np.flatnonzero(row).tolist())
+             for row, margin in zip(rows, np.where(rows, margins, np.inf).min(axis=1))
+             if row.any() and margin >= 0.0}
+    lost = set(want) - set(found)
+    assert not lost & exact
+    assert all(sig in want or any(sig < other for other in lost) for sig in found)
+    if not lost:
+        assert found == want  # the same classes in the same order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(_mixed_shape, min_size=1, max_size=8), _shifted_family, _pg_family))
+@example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]])  # shared vertex
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 0), (2, 0), (2, 1), (1, 1)]])  # shared edge
+@example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(2, 1), (3, 0), (3, 2)]])  # corner on an edge
+@example([[(0, 0), (2, 0), (2, 1), (0, 1)], [(1, 0.5), (3, 0.5), (3, 2), (1, 2)]])  # level edges
+@example([[(0, 0), (2, 0), (1, 2)], [(0, 1), (2, 1), (1, 3)]])  # lowest vertex at a crossing
+@example([[(0, 0), (2, 0), (1, 2)], [(2, 1), (0, 1)]])  # a chord: kept by the segment rule
+@example(_pg_union(2, [(0.0, range(7)), (1e-5, range(7)), (1.2e-7, [0, 1, 2, 3, 5, 4, 6])]))
+def test_lowest_candidates_keep_every_class(shapes):
+    _classes_match_the_arrangement([ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)])
+
+
+def test_lowest_candidates_keep_every_class_of_pg_unions():
+    _classes_match_the_arrangement([ConvexBody.from_vertices(i, v) for i, v in enumerate(
+        _pg_union(3, [(0.0, range(13)), (0.1, [5, 0, 7, 1, 12, 3, 2, 9, 4, 11, 6, 10, 8])]))])
+    _classes_match_the_arrangement(pg22_twice())
+
+
 def _probe_points(bodies):
     """Vertices and edge crossings, points at exactly offset + tol of every
     axis-aligned edge and one ulp past it, and points within TOL_GEOM +- 1e-12
     of every edge and segment."""
     tol = geometry.TOL_GEOM
-    points = candidate_points(bodies).tolist()
+    points = reference_candidates(bodies)
     for body in bodies:
         verts = [np.asarray(v) for v in body.vertices]
         if len(body.offsets):
@@ -465,10 +538,10 @@ def test_segment_and_point_columns_match_body_contains():
 
 
 def test_containment_matrix_memory_stays_within_a_block_budget():
-    # About 106k candidates against 100 bodies of up to 16 edges: an
-    # unblocked (edges, points) product would take about 1.4 GB.
+    # The arrangement's 106k vertices against 100 bodies of up to 16 edges:
+    # an unblocked (edges, points) product would take about 1.4 GB.
     bodies = gen_pairwise(100).bodies
-    points = candidate_points(bodies)
+    points = np.array(reference_candidates(bodies))
     assert len(points) > 100_000
     tracemalloc.start()
     try:
@@ -476,8 +549,8 @@ def test_containment_matrix_memory_stays_within_a_block_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Converting the point list to an array peaks near 4.9 MB here; one
-    # block's temporaries take under 1 MB.
+    # Past the result, one block's temporaries take under 1 MB; a list of
+    # points instead of this array would add about 4.4 MB for its conversion.
     budget = 8 << 20
     assert peak < inside.nbytes + budget
 
@@ -495,7 +568,6 @@ def _tangent_ngon(k, inradius, phase):
     return _ngon(k, 0.0, 0.0, inradius / math.cos(math.pi / k), phase)
 
 
-_TOL = geometry.TOL_GEOM
 _arc_shape = st.one_of(
     _ngon_vertices,
     # edges with c near 1: tangent from inside the circle
@@ -594,7 +666,7 @@ def test_body_curve_arcs_is_the_per_edge_reference(shape, curve):
 def test_face_census_two_squares():
     a = square(0, 0.0, 0.0)
     b = square(1, 0.5, 0.5)
-    census = face_census([a, b], candidate_points([a, b]))
+    census = face_census([a, b], reference_candidates([a, b]))
     depth2 = [sig for sig in census if len(sig) == 2]
     depth1 = [sig for sig in census if len(sig) == 1]
     assert depth2 == [frozenset({0, 1})]
@@ -628,10 +700,10 @@ def test_brute_min_transversal_against_exhaustive():
             cx, cy = rng.uniform(-1.0, 1.0, size=2)
             side = float(rng.uniform(0.6, 1.6))
             bodies.append(square(i, float(cx), float(cy), side))
-        cands = candidate_points(bodies)
+        cands = reference_candidates(bodies)
         got = brute_min_transversal(bodies, k_max=3)
 
-        # Exhaustive oracle over raw candidate subsets of size <= 3.
+        # Exhaustive oracle over subsets of the arrangement's vertices of size <= 3.
         best = None
         for k in range(0, 4):
             for combo in itertools.combinations(range(len(cands)), k):

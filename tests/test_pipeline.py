@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pierce.pipeline
 from pierce.errors import IncompleteCandidatesError, PipelineError
 from pierce.geometry import (
+    TOL_GEOM,
     TWO_PI,
     ConvexBody,
     UNIT_CIRCLE,
@@ -30,7 +32,14 @@ from pierce.pipeline import (
 )
 from pierce.reports import verify_report
 
-from conftest import NUDGE_EPS, arc_body, grid_square, grid_triangle
+from conftest import (
+    NUDGE_EPS,
+    arc_body,
+    grid_square,
+    grid_triangle,
+    reference_candidates,
+    reference_classes,
+)
 
 
 def box(body_id: int, cx: float, cy: float, r: float = 0.4) -> ConvexBody:
@@ -63,10 +72,13 @@ def test_candidate_classes_nested_signature_dominated():
     assert len(greedy_transversal(candidate_classes([outer, inner]))) == 1
 
 
-def test_candidate_classes_incomplete():
+def test_candidate_classes_incomplete(monkeypatch):
+    # candidate_points keeps each polygon's lowest vertex, so only a
+    # foreign candidate list leaves a body without a candidate.
     bodies = [box(0, 0.0, 0.0), box(1, 5.0, 0.0)]
-    with pytest.raises(IncompleteCandidatesError):
-        candidate_classes(bodies, candidates=[(0.0, 0.0)])
+    monkeypatch.setattr(pierce.pipeline, "candidate_points", lambda _: np.zeros((1, 2)))
+    with pytest.raises(IncompleteCandidatesError, match=r"bodies \[1\]"):
+        candidate_classes(bodies)
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,40 +90,32 @@ def test_candidate_classes_incomplete():
 @example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(2, 1), (3, 0), (3, 2)]])  # corner on an edge
 def test_vertex_candidates_find_every_maximal_class(shapes):
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
-    base = candidate_points(bodies).tolist()
+    base = reference_candidates(bodies)
     step = NUDGE_EPS / math.sqrt(2.0)
     nudged = base + [(x + sx * step, y + sy * step)
                      for x, y in base for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
-    got = set(signatures(candidate_classes(bodies)))
-    assert got == set(signatures(candidate_classes(bodies, candidates=nudged)))
+    got = signatures(candidate_classes(bodies))
+    assert got == [sig for sig, _ in reference_classes(bodies, nudged)]
     # An eighth-unit grid over the shapes' range reaches cells no vertex is near.
     sample = [(i / 8, j / 8) for i in range(57) for j in range(57)]
-    assert got == set(signatures(candidate_classes(bodies, candidates=nudged + sample)))
-
-
-def reference_classes(bodies):
-    """First point of each nonempty signature, dominated ones dropped."""
-    cands = candidate_points(bodies)
-    reps = {}
-    for pt, row in zip(map(tuple, cands.tolist()), containment_matrix(bodies, cands)):
-        sig = frozenset(np.flatnonzero(row).tolist())
-        if sig and sig not in reps:
-            reps[sig] = pt  # dicts keep first-occurrence order
-    return [(pt, sig) for sig, pt in reps.items() if not any(sig < s for s in reps)]
+    assert got == [sig for sig, _ in reference_classes(bodies, nudged + sample)]
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 63, 64, 65, 129])
 def test_candidate_classes_packed_dedup_matches_frozensets(n):
     # 7, 8, 9 and 17 bodies put the last signature bit just inside, at, and
-    # past a byte; 63, 64, 65 and 129 just inside, at, and past a 64-bit word.
+    # past a byte; 63, 64, 65 and 129 just inside, at, and past a 64-bit
+    # word, where the one-word integer sort gives way to the void view.
+    # Both must list the classes by the plain integer key of their body
+    # sets, each at its lowest candidate.
     rng = np.random.default_rng(n)
     for _ in range(5):
         bodies = [box(i, *(rng.integers(0, 9, size=2) / 2), r=float(rng.integers(1, 5)) / 2)
                   for i in range(n)]
         cc = candidate_classes(bodies)
-        want = reference_classes(bodies)
-        assert list(cc.points) == [pt for pt, _ in want]
-        assert signatures(cc) == [sig for _, sig in want]
+        want = reference_classes(bodies, candidate_points(bodies))
+        assert list(cc.points) == [pt for _, pt in want]
+        assert signatures(cc) == [sig for sig, _ in want]
         assert any(n - 1 in sig for sig in signatures(cc))
         assert cc.matrix().dtype == bool and not cc.matrix().flags.writeable
 
@@ -430,20 +434,22 @@ def test_run_pipeline_heavy_point_with_no_meeting_copies():
 
 # Pinned transversal, tau_star, m and D of each family. The heavy point
 # feeds none of them, so a change to its search must leave them as they are.
+# The transversal points are class representatives, each class's lowest
+# candidate.
 GUARD = {
     "gallery7": (
-        ((-0.07789159301375048, -0.24602172220539184), (1.0, 0.0),
-         (-0.22252093395631434, 0.9749279121818236)),
+        ((-0.2997260998466961, -0.5711134774505473), (1.0, 0.0),
+         (-0.5990311320975807, 0.19309642971379398)),
         2.142857142857143, (3, 3, 2, 2, 2, 2, 1), 7),
     "three_bodies": (
-        ((0.955336489125606, 0.29552020666133955), (-0.9874797699088649, -0.1577456941432482)),
+        ((0.9772788820250906, 0.07345119753531304), (-0.9371861618578371, -0.18944487717882913)),
         2.0, (0, 1, 1), 1),
     "fano": (
-        ((1.0, 0.0), (-0.6920214716300959, 1.1102230246251565e-16),
-         (0.6234898018587336, 0.7818314824680298)),
+        ((-0.22252093395631423, 0.27903242548088025), (0.15398926418495196, -0.6746710485213225),
+         (0.07941680184852384, 0.34794774335047157)),
         2.3333333333333335, (1, 1, 1, 1, 1, 1, 1), 3),
     "fano_reordered": (
-        ((0.3215520660538953, 0.15485131363667792), (-0.9009688679024191, -0.433883739117558)),
+        ((0.246979603717467, 0.0), (-0.9009688679024191, -0.433883739117558)),
         2.0, (0, 1, 1, 1, 0, 1, 0), 2),
 }
 
@@ -470,18 +476,24 @@ def test_run_pipeline_pins_the_rounding_outputs(name):
 @pytest.mark.parametrize("name", ["clustered", "fano", "fano_reordered", "gallery7"])
 def test_tau_star_and_classes_do_not_depend_on_body_order(name):
     # D, m, z and the transversal may move with the order: the LP vertex and
-    # greedy's ties follow the body indices. tau* and the classes may not.
+    # greedy's ties follow the body indices. tau* and the classes may not,
+    # nor a class's representative, its lowest candidate, beyond the
+    # rounding of a crossing computed from the other body's edge.
     inst = gen_clustered(4, 16, seed=0) if name == "clustered" else _guard_instance(name)
     n = len(inst.bodies)
     tau_star = run_pipeline(inst.bodies, inst.curve, inst.p).tau_star
-    classes = set(signatures(candidate_classes(inst.bodies)))
+    cc = candidate_classes(inst.bodies)
+    classes = dict(zip(signatures(cc), cc.points))
     for order in (list(range(n))[::-1], np.random.default_rng(0).permutation(n).tolist()):
         bodies = [inst.bodies[i] for i in order]
         report = run_pipeline(bodies, inst.curve, inst.p)
         assert report.tau_star == pytest.approx(tau_star, abs=1e-9)
-        relabelled = {frozenset(order[j] for j in sig)
-                      for sig in signatures(candidate_classes(bodies))}
-        assert relabelled == classes
+        cc = candidate_classes(bodies)
+        relabelled = {frozenset(order[j] for j in sig): pt
+                      for sig, pt in zip(signatures(cc), cc.points)}
+        assert relabelled.keys() == classes.keys()
+        for sig, pt in relabelled.items():
+            assert np.allclose(pt, classes[sig], rtol=0.0, atol=TOL_GEOM), sig
 
 
 def test_run_pipeline_filters_off_curve_bodies():
