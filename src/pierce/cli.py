@@ -1,8 +1,8 @@
 """Command-line driver: generate, solve, certify, inspect, and draw.
 
 Exit codes: 0 success, 1 a check failed or the run could not complete,
-2 usage or input-file problems.  PIERCE_LOG_LEVEL (error, info, debug)
-controls verbosity on stderr.
+2 usage or input-file problems, an invalid body included.
+PIERCE_LOG_LEVEL (error, info, debug) controls verbosity on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from .errors import PierceError
+from .errors import InvalidBodyError, PierceError
 from .geometry import body_curve_arcs, meet_angles
 from .instances import (
     Instance,
@@ -194,7 +194,7 @@ def cli_run(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed input file: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, InvalidBodyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PierceError as exc:

@@ -76,12 +76,13 @@ UNIT_CIRCLE = CurveModel("circle", (0.0, 0.0), 1.0)
 
 @dataclass(eq=False)
 class ConvexBody:
-    """Convex polygon with counterclockwise vertices and cached edge data.
+    """Convex polygon with interior, counterclockwise vertices and cached edge data.
 
     normals[i] is the outward unit normal of the edge from vertices[i] to
     vertices[i+1], and offsets[i] = normals[i] . vertices[i], so a point x is
-    inside exactly when normals @ x <= offsets holds row by row. Bodies with
-    one or two vertices carry no edge data and are handled as special cases.
+    inside exactly when normals @ x <= offsets holds row by row. Every body
+    has at least three vertices and a width above TOL_GEOM (from_vertices
+    rejects the rest).
     """
 
     id: int
@@ -91,28 +92,40 @@ class ConvexBody:
 
     @classmethod
     def from_vertices(cls, body_id: int, vertices) -> "ConvexBody":
+        """The body with these vertices, in either orientation.
+
+        Raises InvalidBodyError, naming the body id, when the vertices are
+        not a finite (m, 2) array, when fewer than three remain after
+        repeated ones (within TOL_GEOM) are merged, when they do not turn
+        one way, or when the polygon's width is at most TOL_GEOM: segments,
+        points and collinear rings are not convex bodies. The width of a
+        convex polygon is the least, over its edges, of the farthest
+        vertex's depth behind that edge: its offset minus the least
+        projection of a vertex on its normal.
+        """
         arr = np.asarray(vertices, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-            raise InvalidBodyError("vertices must be an (m, 2) array with m >= 1")
+            raise InvalidBodyError(f"body {body_id}: vertices must be an (m, 2) array")
         if not np.all(np.isfinite(arr)):
-            raise InvalidBodyError("vertices must be finite")
+            raise InvalidBodyError(f"body {body_id}: vertices must be finite")
         arr = _dedup_ring(arr)
-        m = arr.shape[0]
-        if m >= 3:
-            area2 = _signed_area2(arr)
-            if area2 < 0.0:
-                arr = arr[::-1].copy()
-            edges = _next(arr) - arr
-            turn = _next(edges)
-            cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
-            if np.any(cross < -TOL_GEOM):
-                raise InvalidBodyError("vertices do not describe a convex polygon")
-            lengths = np.hypot(edges[:, 0], edges[:, 1])
-            normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
-            offsets = np.einsum("ij,ij->i", normals, arr)
-        else:
-            normals = np.empty((0, 2))
-            offsets = np.empty((0,))
+        if arr.shape[0] < 3:
+            raise InvalidBodyError(
+                f"body {body_id}: {arr.shape[0]} distinct vertices; a body needs at least 3")
+        if _signed_area2(arr) < 0.0:
+            arr = arr[::-1].copy()
+        edges = _next(arr) - arr
+        turn = _next(edges)
+        cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
+        if np.any(cross < -TOL_GEOM):
+            raise InvalidBodyError(f"body {body_id}: vertices do not describe a convex polygon")
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
+        offsets = np.einsum("ij,ij->i", normals, arr)
+        width = (offsets - (normals @ arr.T).min(axis=1)).min()
+        if width <= TOL_GEOM:
+            raise InvalidBodyError(
+                f"body {body_id}: width {width:.3g} is at most TOL_GEOM; a body needs interior")
         return cls(id=body_id, vertices=arr, normals=normals, offsets=offsets)
 
 
@@ -138,26 +151,13 @@ def _signed_area2(arr: np.ndarray) -> float:
 
 
 def body_contains(body: ConvexBody, pt: Point2) -> bool:
-    """Half-plane membership test with an absolute slack of TOL_GEOM."""
-    m = body.vertices.shape[0]
-    if m >= 3:
-        p = np.asarray(pt, dtype=float)
-        return bool(np.all(body.normals @ p <= body.offsets + TOL_GEOM))
-    if m == 2:
-        return _point_segment_distance(pt, body.vertices[0], body.vertices[1]) <= TOL_GEOM
-    v = body.vertices[0]
-    return math.hypot(pt[0] - v[0], pt[1] - v[1]) <= TOL_GEOM
+    """Half-plane membership test with an absolute slack of TOL_GEOM.
 
-
-def _point_segment_distance(pt, a, b) -> float:
-    ax, ay = a[0], a[1]
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    den = dx * dx + dy * dy
-    if den == 0.0:
-        return math.hypot(pt[0] - ax, pt[1] - ay)
-    t = ((pt[0] - ax) * dx + (pt[1] - ay) * dy) / den
-    t = min(1.0, max(0.0, t))
-    return math.hypot(pt[0] - (ax + t * dx), pt[1] - (ay + t * dy))
+    The slack is per edge, so past a vertex of angle a it reaches about
+    TOL_GEOM / sin(a) beyond the body.
+    """
+    p = np.asarray(pt, dtype=float)
+    return bool(np.all(body.normals @ p <= body.offsets + TOL_GEOM))
 
 
 def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, float]]:
@@ -173,20 +173,10 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     Each polygon edge constrains the angle theta through
     cos(theta - phi) <= c, an arc complement. Its pieces clip the running
     pieces, which start as (0, 2*pi), and the clipped pieces merge once at
-    the end. Point and segment bodies yield zero-length pieces at their
-    touch angles.
+    the end.
     """
-    m = body.vertices.shape[0]
     cx, cy = curve.center
     r = curve.radius
-    if m == 1:
-        v = body.vertices[0]
-        if abs(math.hypot(v[0] - cx, v[1] - cy) - r) <= TOL_GEOM:
-            t = normalize_angle(math.atan2(v[1] - cy, v[0] - cx))
-            return [(t, t)]
-        return []
-    if m == 2:
-        return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve)
     segs = [(0.0, TWO_PI)]
     for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
         c = (off - (nx * cx + ny * cy) + TOL_GEOM) / r
@@ -212,40 +202,6 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     if len(out) > 1 and out[0] == (0.0, 0.0) and out[-1][1] == TWO_PI:
         del out[0]
     return out
-
-
-def _segment_curve_touch_arcs(a, b, curve: CurveModel) -> list[tuple[float, float]]:
-    # Solve |a + t(b-a) - center| = r for t in [0, 1]; each root is a touch
-    # angle. A segment with no root there lies wholly outside or inside the
-    # circle; when its point nearest the circle (the point nearest the
-    # center, or an endpoint) is within TOL_GEOM of it, it touches there,
-    # and body_contains puts that curve point inside.
-    cx, cy = curve.center
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    fx, fy = a[0] - cx, a[1] - cy
-    qa = dx * dx + dy * dy
-    qb = 2.0 * (fx * dx + fy * dy)
-    qc = fx * fx + fy * fy - curve.radius ** 2
-    if qa == 0.0:
-        return []
-    disc = qb * qb - 4.0 * qa * qc
-    touch = []
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        pad = TOL_GEOM / math.sqrt(qa)
-        touch = sorted(
-            normalize_angle(math.atan2(a[1] + t * dy - cy, a[0] + t * dx - cx))
-            for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
-            if -pad <= t <= 1.0 + pad
-        )
-    if not touch:
-        near = min(1.0, max(0.0, -qb / (2.0 * qa)))
-        px, py = min(((fx + t * dx, fy + t * dy) for t in (near, 0.0, 1.0)),
-                     key=lambda p: abs(math.hypot(*p) - curve.radius))
-        if abs(math.hypot(px, py) - curve.radius) > TOL_GEOM:
-            return []
-        touch = [normalize_angle(math.atan2(py, px))]
-    return [(t, t) for k, t in enumerate(touch) if k == 0 or t - touch[k - 1] > 1e-15]
 
 
 def meet_angles(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
@@ -361,17 +317,15 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     and n_b when, with den = dx_a dy_b - dy_a dx_b, a falls and b rises if
     den > 0, or a rises and b falls otherwise. An edge rises when
     dy >= -TOL_GEOM * |edge| and falls when dy <= TOL_GEOM * |edge|, so a
-    level edge does both. The list keeps a polygon's vertex k when its edge
-    k - 1 falls and edge k rises (every polygon keeps its own lowest
-    vertex), a crossing of two polygon edges when the cone test passes, and
-    every vertex and crossing of a segment or point body, whose edge has no
-    outward side. So every maximal class whose bodies share a point has a
-    point here, its lowest vertex, and any hitting set can be moved onto
-    this list, which is what the exact oracle and the linear programs rely
-    on. Bodies that only come within TOL_GEOM of a common point have no
-    common cell: body_contains' slack alone makes them a class, and this
-    list may miss it. Body pairs whose bounding boxes are more than
-    TOL_GEOM apart are skipped.
+    level edge does both. The list keeps a body's vertex k when its edge
+    k - 1 falls and edge k rises (every body keeps its own lowest vertex),
+    and a crossing of two bodies' edges when the cone test passes. So every
+    maximal class whose bodies share a point has a point here, its lowest
+    vertex, and any hitting set can be moved onto this list, which is what
+    the exact oracle and the linear programs rely on. Bodies that only come
+    within TOL_GEOM of a common point have no common cell: body_contains'
+    slack alone makes them a class, and this list may miss it. Body pairs
+    whose bounding boxes are more than TOL_GEOM apart are skipped.
 
     Order: the kept vertices, body by body; then the kept crossings of each
     body pair i < j in (i, j) order, within a pair by i's edge, then j's
@@ -381,25 +335,20 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     if not bodies:
         return np.empty((0, 2))
     verts = np.concatenate([body.vertices for body in bodies])
-    # Edge k of a body runs from its vertex k to vertex k + 1 (mod m); a
-    # segment body has one edge and a point body none.
+    # Edge k of a body runs from its vertex k to vertex k + 1 (mod m), so
+    # edges and vertices share their indices.
     nv = np.array([body.vertices.shape[0] for body in bodies])
     vstart = np.concatenate(([0], np.cumsum(nv)[:-1]))
-    ne = np.where(nv >= 3, nv, nv - 1)
-    estart = np.concatenate(([0], np.cumsum(ne)[:-1]))
-    owner = np.repeat(np.arange(len(bodies)), ne)
-    k = np.arange(owner.size) - estart[owner]
-    head, tail = vstart[owner] + k, vstart[owner] + (k + 1) % nv[owner]
-    sx, sy = verts[head].T
-    dx, dy = (verts[tail] - verts[head]).T
+    owner = np.repeat(np.arange(len(bodies)), nv)
+    k = np.arange(owner.size) - vstart[owner]
+    tail = vstart[owner] + (k + 1) % nv[owner]
+    sx, sy = verts.T
+    dx, dy = (verts[tail] - verts).T
     norm = np.hypot(dx, dy)
     slack, pad = TOL_GEOM * norm, TOL_GEOM / norm
     rises, falls = dy >= -slack, dy <= slack
-    thin = nv[owner] < 3  # the edge of a segment body
-    # A polygon's vertex k is the head of its edge k, after edge k - 1.
-    prev = estart[owner] + (k - 1) % ne[owner]
-    lowest = np.ones(len(verts), dtype=bool)
-    lowest[head[~thin]] = (falls[prev] & rises)[~thin]
+    # A body's vertex k is the head of its edge k, after edge k - 1.
+    lowest = falls[vstart[owner] + (k - 1) % nv[owner]] & rises
 
     x0, x1, y0, y1 = (
         f.reduceat(verts[:, c], vstart)
@@ -413,7 +362,7 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
         | (y1[bj] < y0[bi] - TOL_GEOM)
     )
     bi, bj = bi[~apart], bj[~apart]
-    size = ne[bi] * ne[bj]
+    size = nv[bi] * nv[bj]
     end = np.cumsum(size)
     out = [verts[lowest]]
     lo = 0
@@ -422,14 +371,14 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
         hi = max(lo + 1, int(np.searchsorted(end, first + _CHUNK, "right")))
         pair = np.repeat(np.arange(lo, hi), size[lo:hi])
         rank = np.arange(first, end[hi - 1]) - (end[pair] - size[pair])
-        a = estart[bi[pair]] + rank // ne[bj[pair]]
-        b = estart[bj[pair]] + rank % ne[bj[pair]]
+        a = vstart[bi[pair]] + rank // nv[bj[pair]]
+        b = vstart[bj[pair]] + rank % nv[bj[pair]]
         lo = hi
         # The formulas of segment_intersection, term by term, on the edge
         # pairs that pass the lowest-vertex test.
         den = dx[a] * dy[b] - dy[a] * dx[b]
-        usable = (np.abs(den) > slack[a] * norm[b]) & (
-            thin[a] | thin[b] | np.where(den > 0, falls[a] & rises[b], rises[a] & falls[b]))
+        usable = (np.abs(den) > slack[a] * norm[b]) & np.where(
+            den > 0, falls[a] & rises[b], rises[a] & falls[b])
         a, b, den = a[usable], b[usable], den[usable]
         ex, ey = sx[b] - sx[a], sy[b] - sy[a]
         t = (ex * dy[b] - ey * dx[b]) / den
@@ -440,10 +389,10 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     return np.concatenate(out)
 
 
-# Cells (stacked edge rows or segment bodies, times points) one containment
-# block holds: an eighth of the result's cells, so that a float64 temporary
-# takes no more bytes than the bool result, but at least _MIN_CELLS (64 KiB;
-# smaller blocks cost more in numpy calls than they save) and at most _CELLS
+# Cells (stacked edge rows times points) one containment block holds: an
+# eighth of the result's cells, so that a float64 temporary takes no more
+# bytes than the bool result, but at least _MIN_CELLS (64 KiB; smaller
+# blocks cost more in numpy calls than they save) and at most _CELLS
 # (512 KiB).
 _MIN_CELLS, _CELLS = 1 << 13, 1 << 16
 
@@ -453,9 +402,8 @@ def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
 
     points is a (points, 2) array or a sequence of (x, y) pairs.
 
-    One batched kernel for the per-body reference (a polygon's column is
-    all(pts @ normals.T <= offsets + TOL_GEOM, axis=1), a segment or point
-    body's column is body_contains per point). Every polygon's edge
+    One batched kernel for the per-body reference (a body's column is
+    all(pts @ normals.T <= offsets + TOL_GEOM, axis=1)). Every body's edge
     normals are stacked in one (bodies * width, 2) array, each body padded
     to the family's widest (width edges) with rows that always pass: normal
     0, offset +inf. For a block of points, normals @ pts.T compared with
@@ -465,62 +413,28 @@ def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
     two-term dot product as the reference's, but BLAS may pick its kernel
     by matrix shape, so bit-identity with the reference is what the oracle
     tests check on the BLAS they run with, not a guarantee for every BLAS
-    build. Segment and point bodies take body_contains' point-to-segment
-    distance for a whole block at once (see _segment_distances). A block
-    holds about cells / rows points, cells being an eighth of the result's
-    cells, within _MIN_CELLS and _CELLS, so a float64 temporary is no
-    larger than the result for all but the smallest calls, and never past
-    512 KiB whatever the point count.
+    build. A block holds about cells / rows points, cells being an eighth
+    of the result's cells, within _MIN_CELLS and _CELLS, so a float64
+    temporary is no larger than the result for all but the smallest calls,
+    and never past 512 KiB whatever the point count.
     """
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
     if not len(points) or not bodies:
         return inside
     pts = np.asarray(points, dtype=float)
-    n_edges = np.array([len(body.offsets) for body in bodies])
-    poly, thin = np.flatnonzero(n_edges), np.flatnonzero(n_edges == 0)
-    width = int(n_edges.max())
-    counts = n_edges[poly]
-    # Edge e of polygon j sits in row j * width + e of the stacked arrays.
+    counts = np.array([len(body.offsets) for body in bodies])
+    width = int(counts.max())
+    # Edge e of body j sits in row j * width + e of the stacked arrays.
     slot = np.arange(counts.sum()) + np.repeat(
-        np.arange(poly.size) * width - (np.cumsum(counts) - counts), counts)
-    normals = np.zeros((poly.size * width, 2))
-    limits = np.full((poly.size * width, 1), np.inf)
-    if poly.size:
-        normals[slot] = np.concatenate([bodies[k].normals for k in poly])
-        limits[slot, 0] = np.concatenate([bodies[k].offsets for k in poly]) + TOL_GEOM
-    ends = np.array([(bodies[k].vertices[0], bodies[k].vertices[-1]) for k in thin])
+        np.arange(len(bodies)) * width - (np.cumsum(counts) - counts), counts)
+    normals = np.zeros((len(bodies) * width, 2))
+    limits = np.full((len(bodies) * width, 1), np.inf)
+    normals[slot] = np.concatenate([body.normals for body in bodies])
+    limits[slot, 0] = np.concatenate([body.offsets for body in bodies]) + TOL_GEOM
     cells = min(_CELLS, max(_MIN_CELLS, inside.size // 8))
-    step = max(1, cells // (normals.shape[0] + thin.size))
+    step = max(1, cells // normals.shape[0])
     for lo in range(0, len(pts), step):
         block = pts[lo:lo + step]
-        if poly.size:
-            below = (normals @ block.T <= limits).reshape(poly.size, width, -1)
-            inside[lo:lo + step, poly] = below.all(axis=1).T
-        if thin.size:
-            near = _segment_distances(block, ends[:, 0], ends[:, 1]) <= TOL_GEOM
-            inside[lo:lo + step, thin] = near.T
+        below = (normals @ block.T <= limits).reshape(len(bodies), width, -1)
+        inside[lo:lo + step] = below.all(axis=1).T
     return inside
-
-
-def _segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_point_segment_distance from every point to every segment a[k]b[k].
-
-    Returns a (segments, points) array with the scalar function's operations
-    in its order, so each entry equals it, except that np.hypot and
-    math.hypot may round apart in the last place: entries within a few ulps
-    of TOL_GEOM are taken from math.hypot, so comparisons with TOL_GEOM
-    match body_contains. A point body is the segment from its vertex to itself.
-    """
-    ax, ay = a[:, :1], a[:, 1:]
-    dx, dy = b[:, :1] - ax, b[:, 1:] - ay
-    den = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((pts[:, 0] - ax) * dx + (pts[:, 1] - ay) * dy) / den
-    t = np.where(den == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    ex = pts[:, 0] - (ax + t * dx)
-    ey = pts[:, 1] - (ay + t * dy)
-    dist = np.hypot(ex, ey)
-    for k, j in zip(*np.nonzero(np.abs(dist - TOL_GEOM) <= 4 * np.spacing(TOL_GEOM))):
-        dist[k, j] = math.hypot(ex[k, j], ey[k, j])
-    return dist
-

@@ -39,7 +39,6 @@ from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
 from .witness import _multiset_witness_list, find_heavy_point
 
 DUALITY_TOL = 1e-6
-MAX_DENOMINATOR = 10_000
 MULTISET_BUDGET = 500
 
 
@@ -285,7 +284,7 @@ def certificate_failures(
 
 def rationalize(
     weights,
-    max_denominator: int = MAX_DENOMINATOR,
+    max_denominator: int,
     class_rows=None,
 ) -> tuple[tuple[int, ...], int]:
     """Integer multiplicities m and denominator D with m/D near the weights.
@@ -449,7 +448,7 @@ def run_pipeline(
     timings["lps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    d_cap = min(MAX_DENOMINATOR, max(1, int(MULTISET_BUDGET / max(tau_star, 1.0))))
+    d_cap = max(1, int(MULTISET_BUDGET / max(tau_star, 1.0)))
     m, d = rationalize(fp.weights, d_cap, class_rows=mat)
     if sum(m) == 0:
         m = list(m)

@@ -13,9 +13,6 @@ from pierce.geometry import (
     ConvexBody,
     CurveModel,
     Point2,
-    _point_segment_distance,
-    _segment_curve_touch_arcs,
-    body_contains,
     containment_matrix,
     normalize_angle,
     segment_intersection,
@@ -73,17 +70,11 @@ def pg22_twice() -> list[ConvexBody]:
 def containment_margin(body: ConvexBody, pt: Point2) -> float:
     """Signed clearance of pt: positive inside, negative outside.
 
-    For polygons this is the smallest half-plane slack, which understates the
-    true exterior distance near corners but has the correct sign everywhere.
+    This is the smallest half-plane slack, which understates the true
+    exterior distance near corners but has the correct sign everywhere.
     """
-    m = body.vertices.shape[0]
-    if m >= 3:
-        p = np.asarray(pt, dtype=float)
-        return float(np.min(body.offsets - body.normals @ p))
-    if m == 2:
-        return -_point_segment_distance(pt, body.vertices[0], body.vertices[1])
-    v = body.vertices[0]
-    return -math.hypot(pt[0] - v[0], pt[1] - v[1])
+    p = np.asarray(pt, dtype=float)
+    return float(np.min(body.offsets - body.normals @ p))
 
 
 def graph_from_edges(n: int, edges) -> ColorGraph:
@@ -195,8 +186,6 @@ def face_census(bodies: list[ConvexBody], candidates: list[Point2],
 
 def _edges(body: ConvexBody) -> list[tuple[Point2, Point2]]:
     vs = [(float(x), float(y)) for x, y in body.vertices]
-    if len(vs) < 3:  # a segment body has one edge, a point body none
-        return list(zip(vs[:-1], vs[1:]))
     return list(zip(vs, vs[1:] + vs[:1]))
 
 
@@ -230,25 +219,23 @@ def reference_candidates(bodies: list[ConvexBody], lowest: bool = False) -> list
     edge of j) for the body pairs whose bounding boxes are within TOL_GEOM.
 
     With lowest=True, only the points that pass candidate_points'
-    lowest-vertex test, checked edge by edge: a polygon's vertex k when its
-    edge k - 1 falls and edge k rises, a crossing of two polygon edges when
-    -e_y lies in the cone of their outward normals, and every vertex and
-    crossing of a segment or point body.
+    lowest-vertex test, checked edge by edge: a body's vertex k when its
+    edge k - 1 falls and edge k rises, and a crossing of two bodies' edges
+    when -e_y lies in the cone of their outward normals.
     """
     out = []
     for body in bodies:
         edges = _edges(body)
         for k, (x, y) in enumerate(body.vertices.tolist()):
-            if not lowest or len(edges) < 3 or (_falls(edges[k - 1]) and _rises(edges[k])):
+            if not lowest or (_falls(edges[k - 1]) and _rises(edges[k])):
                 out.append((x, y))
     for a, b in itertools.combinations(bodies, 2):
         if _apart(a, b):
             continue
-        thin = len(a.vertices) < 3 or len(b.vertices) < 3
         for ea in _edges(a):
             for eb in _edges(b):
                 pt = segment_intersection(*ea, *eb)
-                if pt is not None and (not lowest or thin or _lowest_crossing(ea, eb)):
+                if pt is not None and (not lowest or _lowest_crossing(ea, eb)):
                     out.append(pt)
     return out
 
@@ -269,18 +256,14 @@ def reference_classes(bodies: list[ConvexBody], points) -> list[tuple[frozenset[
 
 
 def reference_containment_matrix(bodies: list[ConvexBody], points: list[Point2]) -> np.ndarray:
-    """containment_matrix as a loop over bodies: each polygon's column from its
-    own half-planes, each segment or point body's from body_contains per point."""
+    """containment_matrix as a loop over bodies: each body's column from its
+    own half-planes."""
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
     if not points:
         return inside
     pts = np.asarray(points, dtype=float)
     for k, body in enumerate(bodies):
-        m = body.vertices.shape[0]
-        if m >= 3:
-            inside[:, k] = np.all(pts @ body.normals.T <= body.offsets + TOL_GEOM, axis=1)
-        else:
-            inside[:, k] = [body_contains(body, (p[0], p[1])) for p in pts]
+        inside[:, k] = np.all(pts @ body.normals.T <= body.offsets + TOL_GEOM, axis=1)
     return inside
 
 
@@ -342,17 +325,8 @@ def reference_meet_angle(a: list[tuple[float, float]],
 
 def reference_body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, float]]:
     """body_curve_arcs with one reference_intersection per cutting edge."""
-    m = body.vertices.shape[0]
     cx, cy = curve.center
     r = curve.radius
-    if m == 1:
-        v = body.vertices[0]
-        if abs(math.hypot(v[0] - cx, v[1] - cy) - r) <= TOL_GEOM:
-            t = normalize_angle(math.atan2(v[1] - cy, v[0] - cx))
-            return [(t, t)]
-        return []
-    if m == 2:
-        return _segment_curve_touch_arcs(body.vertices[0], body.vertices[1], curve)
     arcs = [(0.0, TWO_PI)]
     for n, off in zip(body.normals, body.offsets):
         c = (off - (n[0] * cx + n[1] * cy) + TOL_GEOM) / r

@@ -240,7 +240,7 @@ def test_criterion_08_lp_duality_and_exact_rounding():
         ft, fp = solve_lp_pair(classes)
         if abs(ft.size - fp.size) > DUALITY_TOL:
             ok = False
-        m, d = rationalize(fp.weights, class_rows=classes.matrix())
+        m, d = rationalize(fp.weights, 10_000, class_rows=classes.matrix())
         if not (isinstance(d, int) and all(isinstance(v, int) for v in m)):
             ok = False
         if any(sum(m[i] for i in np.flatnonzero(row)) > d for row in classes.matrix()):

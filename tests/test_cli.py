@@ -169,6 +169,21 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("vertices, reason", [
+    ([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]], "convex"),
+    ([[0, 0], [1, 1]], "at least 3"),
+    ([[-0.2, 0.5], [0, 0.5], [0.2, 0.5]], "width"),
+], ids=["non-convex", "too-few-vertices", "zero-width"])
+def test_invalid_body_is_an_input_error(tmp_path, capsys, vertices, reason):
+    data = gallery7().to_dict()
+    data["bodies"][3] = {"id": 41, "vertices": vertices}
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(data))
+    assert cli_run(["solve", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert "body 41" in err and reason in err
+
+
 def test_log_level_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PIERCE_LOG_LEVEL", "debug")
     inst_path = str(tmp_path / "g.json")

@@ -151,9 +151,27 @@ def test_body_validation():
     b = ConvexBody.from_vertices(2, [(0, 0), (0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
     assert b.vertices.shape == (4, 2)
 
-    single = ConvexBody.from_vertices(3, [(2.0, 3.0)])
-    assert body_contains(single, (2.0, 3.0))
-    assert not body_contains(single, (2.1, 3.0))
+    # A thin triangle is a body as long as its width is above TOL_GEOM.
+    thin = ConvexBody.from_vertices(3, [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)])
+    assert body_contains(thin, (0.5, 5e-7))
+    assert not body_contains(thin, (0.5, -1e-8))
+
+
+_TOL = geometry.TOL_GEOM
+
+
+@pytest.mark.parametrize("vertices", [
+    np.empty((0, 2)),
+    [(2.0, 3.0)],
+    [(0.0, 0.0), (1.0, 1.0)],
+    [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + _TOL / 2), (0.0, 0.0)],
+    # a chord strictly inside the unit circle, given with three vertices
+    [(-0.2, 0.5), (0.0, 0.5), (0.2, 0.5)],
+    [(0.0, 0.0), (1.0, 0.0), (0.5, _TOL / 2)],
+], ids=["empty", "one-vertex", "two-vertices", "duplicates-to-two", "collinear-chord", "sliver"])
+def test_from_vertices_rejects_bodies_without_interior(vertices):
+    with pytest.raises(InvalidBodyError, match="body 7"):
+        ConvexBody.from_vertices(7, vertices)
 
 
 def test_body_contains_tolerance():
@@ -245,18 +263,10 @@ _arc = st.one_of(
 _pieces = st.lists(_arc, max_size=4).map(lambda arcs: [p for arc in arcs for p in arc])
 
 
-def _on_circle(t):
-    return (math.cos(t), math.sin(t))
-
-
-# Zero-length arcs as point and segment bodies produce them: a point on the
-# curve touches it once, a chord through it twice.
-_touch_arcs = st.one_of(
-    st.builds(lambda t: body_curve_arcs(ConvexBody.from_vertices(0, [_on_circle(t)]), UNIT_CIRCLE),
-              _angle),
-    st.builds(lambda a, b: body_curve_arcs(
-        ConvexBody.from_vertices(0, [_on_circle(a), _on_circle(b)]), UNIT_CIRCLE), _angle, _angle),
-)
+# Lists of one or two zero-length pieces, sorted and apart: a curve touched
+# once, or a chord's two ends.
+_touch_arcs = st.lists(_angle, min_size=1, max_size=2, unique=True).map(
+    lambda ts: [(t, t) for t in sorted(ts)])
 
 
 def _pairwise_meets(arcs):
@@ -318,12 +328,8 @@ def test_candidate_points_two_squares():
     assert cands.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.5, 0.5], [1.0, 0.5]]
 
 
-_grid_point = st.tuples(grid, grid).map(lambda v: [v])
-_grid_segment = st.lists(st.tuples(grid, grid), min_size=2, max_size=2, unique=True)
 # A shape moved 10 units right has a bounding box apart from every unmoved one.
-_grid_shape = st.tuples(
-    st.one_of(grid_square, grid_triangle, _grid_segment, _grid_point), st.booleans()
-).map(lambda t: [(x + 10.0 * t[1], y) for x, y in t[0]])
+_grid_shape = st.tuples(st.one_of(grid_square, grid_triangle), st.booleans()).map(lambda t: [(x + 10.0 * t[1], y) for x, y in t[0]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,10 +337,13 @@ _grid_shape = st.tuples(
 @example([], geometry._CHUNK)
 @example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]], 1)  # shared vertex
 @example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 0), (2, 0), (2, 1), (1, 1)]], 5)  # shared edge
-@example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 0), (3, 0)], [(1, 1)]], 1)  # collinear edges
-@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 2), (1, 3)], [(0, 3), (1, 4)]], 64)  # parallel
-@example([[(0, 0), (1, 0), (0, 1)], [(10, 0), (11, 0), (10, 1)], [(0.5, 0.5)]], 1)  # apart
-@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (4, 1e-10)]], 1)  # parallel within tol
+@example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 0), (3, 0), (3, 1)],
+          [(1, 1), (1.5, 1), (1, 1.5)]], 1)  # collinear edges
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 2), (1, 3), (1, 3.5), (0, 2.5)],
+          [(0, 3), (1, 4), (1, 4.5), (0, 3.5)]], 64)  # parallel
+@example([[(0, 0), (1, 0), (0, 1)], [(10, 0), (11, 0), (10, 1)],
+          [(0.5, 0.5), (0.6, 0.5), (0.5, 0.6)]], 1)  # apart
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (4, 1e-10), (4, 1)]], 1)  # parallel within tol
 def test_candidate_points_match_reference(shapes, chunk):
     # chunk sets the edge pairs per numpy block; 1 and 5 split body pairs over blocks.
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
@@ -374,14 +383,9 @@ _coord = st.one_of(grid, st.floats(-3.0, 3.0))
 _ngon_vertices = st.builds(
     _ngon, st.integers(3, 16), _coord, _coord, st.one_of(st.just(0.5), st.floats(0.01, 3.0)),
     st.floats(0.0, TWO_PI), st.sampled_from([1.0, 0.25, 3.0]))
-_mixed_shape = st.one_of(
-    _ngon_vertices, grid_square, grid_triangle,
-    st.lists(st.tuples(_coord, _coord), min_size=2, max_size=2, unique=True),  # segment
-    st.tuples(_coord, _coord).map(lambda v: [v]),  # point
-)
+_mixed_shape = st.one_of(_ngon_vertices, grid_square, grid_triangle)
 
 
-_TOL = geometry.TOL_GEOM
 # Offsets of a shifted copy: half the tolerance either way, and twice it.
 _SHIFTS = [(_TOL / 2, 0.0), (-_TOL / 2, 0.0), (0.0, _TOL / 2), (0.0, -_TOL / 2),
            (2 * _TOL, 0.0), (0.0, 2 * _TOL), (-2 * _TOL, 2 * _TOL)]
@@ -434,8 +438,7 @@ def _classes_match_the_arrangement(bodies):
     rows = containment_matrix(bodies, full)
     pts = np.array(full)
     # containment_margin of every point (rows) in every body (columns)
-    margins = np.array([(body.offsets - pts @ body.normals.T).min(axis=1) if len(body.offsets)
-                        else [containment_margin(body, pt) for pt in full] for body in bodies]).T
+    margins = np.array([(body.offsets - pts @ body.normals.T).min(axis=1) for body in bodies]).T
     exact = {frozenset(np.flatnonzero(row).tolist())
              for row, margin in zip(rows, np.where(rows, margins, np.inf).min(axis=1))
              if row.any() and margin >= 0.0}
@@ -453,7 +456,7 @@ def _classes_match_the_arrangement(bodies):
 @example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(2, 1), (3, 0), (3, 2)]])  # corner on an edge
 @example([[(0, 0), (2, 0), (2, 1), (0, 1)], [(1, 0.5), (3, 0.5), (3, 2), (1, 2)]])  # level edges
 @example([[(0, 0), (2, 0), (1, 2)], [(0, 1), (2, 1), (1, 3)]])  # lowest vertex at a crossing
-@example([[(0, 0), (2, 0), (1, 2)], [(2, 1), (0, 1)]])  # a chord: kept by the segment rule
+@example([[(0, 0), (2, 0), (1, 2)], [(2, 1), (0, 1), (0, 1.001), (2, 1.001)]])  # a band across
 @example(_pg_union(2, [(0.0, range(7)), (1e-5, range(7)), (1.2e-7, [0, 1, 2, 3, 5, 4, 6])]))
 def test_lowest_candidates_keep_every_class(shapes):
     _classes_match_the_arrangement([ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)])
@@ -468,36 +471,29 @@ def test_lowest_candidates_keep_every_class_of_pg_unions():
 def _probe_points(bodies):
     """Vertices and edge crossings, points at exactly offset + tol of every
     axis-aligned edge and one ulp past it, and points within TOL_GEOM +- 1e-12
-    of every edge and segment."""
+    of every edge."""
     tol = geometry.TOL_GEOM
     points = reference_candidates(bodies)
     for body in bodies:
         verts = [np.asarray(v) for v in body.vertices]
-        if len(body.offsets):
-            for (nx, ny), off, v in zip(body.normals.tolist(), body.offsets.tolist(), verts):
-                if abs(nx) == 1.0 and ny == 0.0:
-                    for at in (off + tol, math.nextafter(off + tol, math.inf)):
-                        points.append((nx * at, float(v[1])))
-                if abs(ny) == 1.0 and nx == 0.0:
-                    for at in (off + tol, math.nextafter(off + tol, math.inf)):
-                        points.append((float(v[0]), ny * at))
-                for d in (tol - 1e-12, tol + 1e-12):
-                    points.append(tuple((v + d * np.array([nx, ny])).tolist()))
-        else:
-            a, b = verts[0], verts[-1]
-            u = (b - a) / (np.hypot(*(b - a)) or 1.0)
+        for (nx, ny), off, v in zip(body.normals.tolist(), body.offsets.tolist(), verts):
+            if abs(nx) == 1.0 and ny == 0.0:
+                for at in (off + tol, math.nextafter(off + tol, math.inf)):
+                    points.append((nx * at, float(v[1])))
+            if abs(ny) == 1.0 and nx == 0.0:
+                for at in (off + tol, math.nextafter(off + tol, math.inf)):
+                    points.append((float(v[0]), ny * at))
             for d in (tol - 1e-12, tol + 1e-12):
-                for base in (a, 0.5 * (a + b)):
-                    points.append(tuple((base + d * np.array([-u[1], u[0]])).tolist()))
-                points.append(tuple((a - d * u).tolist()))
+                points.append(tuple((v + d * np.array([nx, ny])).tolist()))
     return points
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_mixed_shape, max_size=8), st.sampled_from([1, 7, geometry._CELLS]))
 @example([], geometry._CELLS)
-@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0.5, 0.5), (3, 0.5)], [(1, 1)]], 1)
-@example([_ngon(16, 0, 0, 1, 0.1), _ngon(3, 0.5, 0, 1, 0.2), [(0, 0), (0, 0.5)]], 7)
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0.5, 0.5), (3, 0.5), (3, 1)],
+          [(1, 1), (1.5, 1), (1, 1.5)]], 1)
+@example([_ngon(16, 0, 0, 1, 0.1), _ngon(3, 0.5, 0, 1, 0.2), [(0, 0), (0.1, 0), (0, 0.5)]], 7)
 def test_containment_matrix_is_the_per_body_reference(shapes, cells):
     # cells sets the cells per block: 1 and 7 put each block at one point.
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
@@ -507,34 +503,6 @@ def test_containment_matrix_is_the_per_body_reference(shapes, cells):
             got = containment_matrix(bodies, pts)
             assert got.dtype == bool and got.shape == (len(pts), len(bodies))
             assert np.array_equal(got, reference_containment_matrix(bodies, pts))
-
-
-# np.hypot puts the first offset past TOL_GEOM and the second within it;
-# math.hypot, which body_contains uses, rounds each the other way.
-_HYPOT_SPLIT = [(9.824850838718029e-10, 1.8634124602303368e-10),
-                (9.87105043854672e-10, 1.6007383420367777e-10)]
-
-
-def test_segment_and_point_columns_match_body_contains():
-    tol = geometry.TOL_GEOM
-    rng = np.random.default_rng(5)
-    shapes, points = [[(0.0, 0.0)], [(0.0, 0.0), (-1.0, 0.0)]], list(_HYPOT_SPLIT)
-    for _ in range(30):
-        a = rng.uniform(-2.0, 2.0, 2)
-        b = a + rng.uniform(-1.0, 1.0, 2) * rng.choice([1.0, 1e-3])
-        shapes += [[tuple(a), tuple(b)], [tuple(b)]]
-        u = (b - a) / np.hypot(*(b - a))
-        for d in (0.0, tol - 1e-12, tol + 1e-12, float(rng.uniform(0.0, 2 * tol))):
-            for s in (-0.25, 0.0, 0.4, 1.0, 1.5):
-                points.append(tuple(a + s * (b - a) + d * np.array([-u[1], u[0]])))
-            points += [tuple(a - d * u), tuple(b + d * u)]
-        points += [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(10)]
-    bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
-    points = [(float(x), float(y)) for x, y in points]
-    want = [[body_contains(body, p) for body in bodies] for p in points]
-    assert np.array_equal(containment_matrix(bodies, points), np.array(want))
-    assert [np.hypot(*p) <= tol for p in _HYPOT_SPLIT] == [False, True]
-    assert [want[0][0], want[1][0]] == [True, False]
 
 
 def test_containment_matrix_memory_stays_within_a_block_budget():
@@ -583,8 +551,6 @@ _arc_shape = st.one_of(
               else _box(x0, x1, -2.0, -_TOL, turn),
               st.floats(-2.0, 0.5), st.floats(0.6, 2.0), st.booleans(), st.integers(0, 3)),
     st.builds(lambda h: _box(-h, h, -h, h), st.floats(1.5, 4.0)),  # the full circle
-    st.lists(st.tuples(_coord, _coord), min_size=2, max_size=2, unique=True),  # segment
-    st.builds(lambda t: [_on_circle(t)], _angle),  # point on the curve
 )
 
 
@@ -599,15 +565,6 @@ def _check_pieces(arcs):
         assert arcs[0] != (0.0, 0.0), arcs
 
 
-def _segment_near_circle(radius: float, along: float, inward: float):
-    # Segment ending at radius * rho(0.3), its other end `along` back along
-    # the tangent there and `inward` toward the center.
-    th = 0.3
-    tau, rho = (-math.sin(th), math.cos(th)), (math.cos(th), math.sin(th))
-    b = (radius * rho[0], radius * rho[1])
-    return [(b[0] - along * tau[0] - inward * rho[0], b[1] - along * tau[1] - inward * rho[1]), b]
-
-
 _EDGE_CASES = {
     "ends-at-0": (_box(-2.0, 2.0, _TOL, 2.0), lambda arcs: arcs[0][0] == 0.0),
     "ends-at-2pi": (_box(-2.0, 2.0, -2.0, -_TOL), lambda arcs: arcs[-1][1] == TWO_PI),
@@ -620,18 +577,14 @@ _EDGE_CASES = {
     # eight arcs between the edges' tangent points, one of them through 0
     "tangent-slivers": (_tangent_ngon(8, 1.0 - 2 * _TOL, 0.3),
                         lambda arcs: len(arcs) == 9 and arcs[0][0] == 0.0 and arcs[-1][1] == TWO_PI),
-    "chord": ([(0.0, -2.0), (0.0, 2.0)], lambda arcs: len(arcs) == 2),
-    "point": ([(1.0, 0.0)], lambda arcs: arcs == [(0.0, 0.0)]),
-    # a segment missing the circle by half the tolerance touches it
-    "segment-tangent": ([(-1.0, 1.0 + 0.5 * _TOL), (1.0, 1.0 + 0.5 * _TOL)],
-                        lambda arcs: arcs == [(math.pi / 2, math.pi / 2)]),
-    "segment-apart": ([(-1.0, 1.0 + 2 * _TOL), (1.0, 1.0 + 2 * _TOL)], lambda arcs: arcs == []),
-    # segments ending within the tolerance outside or inside the circle,
-    # whose lines meet it farther on than the roots' padding reaches
-    "segment-end-outside": (_segment_near_circle(1.0 + 0.5 * _TOL, 0.5, -1e-3),
-                            lambda arcs: arcs == [(pytest.approx(0.3, abs=1e-12),) * 2]),
-    "segment-end-inside": (_segment_near_circle(1.0 - 0.5 * _TOL, 1e-3, 1e-5),
-                           lambda arcs: arcs == [(pytest.approx(0.3, abs=1e-12),) * 2]),
+    # a thin box across the circle cuts it in two short arcs
+    "chord": (_box(-1e-3, 1e-3, -2.0, 2.0), lambda arcs: len(arcs) == 2),
+    # a box whose edge misses the circle by half the tolerance touches it,
+    # on a short arc around pi/2; at twice the tolerance it misses
+    "edge-tangent": (_box(-1.0, 1.0, 1.0 + 0.5 * _TOL, 2.0),
+                     lambda arcs: len(arcs) == 1 and arcs[0][0] < math.pi / 2 < arcs[0][1]
+                     and arcs[0][1] - arcs[0][0] < 1e-4),
+    "edge-apart": (_box(-1.0, 1.0, 1.0 + 2 * _TOL, 2.0), lambda arcs: arcs == []),
 }
 
 
@@ -720,15 +673,6 @@ def test_brute_min_transversal_against_exhaustive():
             assert got is not None
             assert len(got) == best
             assert all(any(body_contains(b, p) for p in got) for b in bodies)
-
-
-def test_point_and_segment_bodies_on_curve():
-    on_curve = ConvexBody.from_vertices(0, [(1.0, 0.0)])
-    assert body_curve_arcs(on_curve, UNIT_CIRCLE) == [(0.0, 0.0)]
-
-    chord = ConvexBody.from_vertices(1, [(0.0, -2.0), (0.0, 2.0)])
-    arcs = body_curve_arcs(chord, UNIT_CIRCLE)
-    assert arcs == [(pytest.approx(math.pi / 2),) * 2, (pytest.approx(1.5 * math.pi),) * 2]
 
 
 def test_curve_model_validation():

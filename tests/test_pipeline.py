@@ -203,9 +203,9 @@ def test_duality_on_generated_instances():
 
 
 def test_rationalize_exact_rationals():
-    assert rationalize((0.5, 0.5)) == ((1, 1), 2)
+    assert rationalize((0.5, 0.5), 10_000) == ((1, 1), 2)
     assert rationalize((1.0 / 3.0, 2.0 / 3.0), 100) == ((1, 2), 3)
-    assert rationalize((0.0, 1.0)) == ((0, 1), 1)
+    assert rationalize((0.0, 1.0), 10_000) == ((0, 1), 1)
 
 
 def test_rationalize_validation():
@@ -507,15 +507,14 @@ def test_run_pipeline_filters_off_curve_bodies():
     assert inside.any(axis=0).all()
 
 
-def test_run_pipeline_keeps_a_segment_within_tolerance_of_the_curve():
-    # The segment misses the circle by half of TOL_GEOM, so body_contains
-    # puts the curve point (0, 1) in it, as in the triangle on the same line
-    # and the square: that one point hits all three.
+def test_run_pipeline_keeps_a_body_within_tolerance_of_the_curve():
+    # The triangle's bottom edge misses the circle by half of TOL_GEOM, so
+    # body_contains puts the curve point (0, 1) in it, as in the square:
+    # that one point hits both.
     y = 1.0 + 5e-10
-    seg = ConvexBody.from_vertices(0, [(-1.0, y), (1.0, y)])
-    tri = ConvexBody.from_vertices(1, [(-1.0, y), (1.0, y), (0.0, 2.0)])
-    sq = box(2, 0.0, 1.0, 0.5)
-    bodies = [seg, tri, sq]
+    tri = ConvexBody.from_vertices(0, [(-1.0, y), (1.0, y), (0.0, 2.0)])
+    sq = box(1, 0.0, 1.0, 0.5)
+    bodies = [tri, sq]
     assert containment_matrix(bodies, [UNIT_CIRCLE.point_at(math.pi / 2)]).all()
     report = run_pipeline(bodies)
     assert report.filtered == ()
