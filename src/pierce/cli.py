@@ -27,7 +27,7 @@ from .meetgraph import build_meet_graph, turan_pair_check
 from .pipeline import brute_min_transversal, run_pipeline
 from .reports import load_report, save_report, verify_report
 from .svg import render_svg
-from .witness import _multiset_witness_list, is_spread_out
+from .witness import is_spread_out, witness_list_from_angles
 
 logger = logging.getLogger("pierce")
 
@@ -157,7 +157,7 @@ def _cmd_stats(args) -> int:
     instance = load_instance(args.instance)
     n_bodies = len(instance.bodies)
     angles = meet_angles([body_curve_arcs(b, instance.curve) for b in instance.bodies])
-    q = _multiset_witness_list(angles, [1] * n_bodies)
+    q = witness_list_from_angles(angles)
     spread = sum(1 for color in range(n_bodies)
                  if len(q) and is_spread_out(q.occurrences(color), len(q), args.alpha))
     graph = build_meet_graph(instance.bodies, instance.curve, angles=angles)

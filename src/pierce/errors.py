@@ -9,10 +9,6 @@ class InvalidBodyError(PierceError):
     """Raised when vertex input cannot be turned into a valid convex body."""
 
 
-class InsufficientWitnessesError(PierceError):
-    """Raised when a witness list is empty but a heavy point was requested."""
-
-
 class DegenerateQuadrupleError(PierceError):
     """Raised when all four separator angles collapse to a single direction."""
 

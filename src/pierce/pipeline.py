@@ -4,14 +4,15 @@ The chain: deduplicate candidate points into maximal containment classes,
 solve the fractional packing program and read the fractional transversal
 (its exact dual over the same 0/1 matrix) off the optimal tableau, check the
 pair as a weak-duality certificate for tau*, turn the packing weights into
-integer multiplicities m(S)/D, extract a heavy point from the witness list
-of the multiset with m(S) copies of each body S, and finish with a greedy
-verified hitting set.  Copies of a body share its arcs and meet angles, so
-the multiset is never built: its witness list is the bodies' meet angles
-with body S weighted by m(S).  Every stage's claim is re-checked and the
-outcome recorded in the report flags rather than trusted; the report
-carries the LP certificate so that verify_report can prove tau* without a
-solver.
+integer multiplicities m(S)/D, take the heavy point of the multiset with
+m(S) copies of each body S, and finish with a greedy verified hitting set.
+The heavy point is the point of the heaviest class: the class loads
+classes @ m count the copies containing each class's point, and the bodies
+containing any point lie within some maximal class (candidate_points keeps
+a vertex of every cell; see its docstring), so their maximum is the most
+copies any point covers.  Every stage's claim is re-checked and the outcome
+recorded in the report flags rather than trusted; the report carries the LP
+certificate so that verify_report can prove tau* without a solver.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .geometry import (
 )
 from .lp import packing_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
-from .witness import _multiset_witness_list, find_heavy_point
 
 DUALITY_TOL = 1e-6
 MULTISET_BUDGET = 500
@@ -454,16 +454,14 @@ def run_pipeline(
         m = list(m)
         m[int(np.argmax(fp.weights))] = 1
         m = tuple(m)
-    flags["rounding_feasible_exact"] = bool((mat @ np.array(m, dtype=np.int64) <= d).all())
+    loads = mat @ np.array(m, dtype=np.int64)
+    flags["rounding_feasible_exact"] = bool((loads <= d).all())
     timings["rationalize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    q_multi = _multiset_witness_list(angles, m)
-    timings["witnesses"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    heavy = find_heavy_point(q_multi, active, curve)
-    z, covered = heavy.point, heavy.covered
+    # Ties go to the lower class index.
+    k = int(np.argmax(loads))
+    z, covered = classes.points[k], int(loads[k])
     total = sum(m)
     epsilon = covered / total
     flags["coverage_le_denominator"] = covered <= d

@@ -4,13 +4,14 @@ A report is the JSON form of a TransversalReport.  verify_report loads one
 next to its instance and re-derives every claim from scratch: which bodies
 miss the curve, geometry of the output points, tau_star from the report's LP
 certificate, exact integer feasibility of the multiplicities, and the
-heavy-point accounting, whose recount may exceed neither D nor the heaviest
-load max(rows @ m) over the candidate rows, the bodies containing each
-candidate point.  The certificate is a cover (points with weights) and a
-packing (one weight per active body); verify_report proves tau_star by weak
-duality from containment and the candidate rows' loads alone, builds no
-classes and solves no linear program.  It trusts nothing in the file beyond
-the numbers it is checking.
+heavy-point accounting.  The report claims the heaviest point, so its
+recount must equal the heaviest load max(rows @ m) over the candidate rows,
+the bodies containing each candidate point, and may not exceed D.  The
+certificate is a cover (points with weights) and a packing (one weight per
+active body); verify_report proves tau_star by weak duality from
+containment and the candidate rows' loads alone, builds no classes and
+solves no linear program.  It trusts nothing in the file beyond the numbers
+it is checking.
 """
 
 from __future__ import annotations
@@ -177,6 +178,10 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         if recount > best_load:
             failures.append(
                 f"heavy coverage {recount} exceeds the best class load {best_load}"
+            )
+        elif recount < best_load:
+            failures.append(
+                f"heavy coverage {recount} is below the best class load {best_load}"
             )
         if total > 0:
             eps = recount / total

@@ -1,30 +1,30 @@
 """Circular witness lists, spread-out colors, and separator quadruples.
 
-A witness list is the circular list of meeting points of a multiset of
-bodies, held as one weighted color per distinct body: for every pair of
-colors that meet on the curve, one curve angle where they do. One rule,
-_multiset_witness_list, builds it from a meet_angles table and the
-weights: unit weights for build_witness_list, the rounded multiplicities
-for run_pipeline. The paper's combinatorics (spread-out colors, interval
-covers, quadruples that pierce a color and their counts) run on entry
-indices of the sorted list; distances there are index distances, never
-angles. The spread-out / short-cover dichotomy, is_spread_out and
-interval_cover, takes one color's occurrence indices and the list size for
-every dimension d: circular on the plane's circle and on the closed curves
-of even d, linear on the open curves of odd d, with the separator tuple
-size in place of four. The heavy-point search, find_heavy_point, instead
-pins its separators at the list's distinct angles and weighs each color.
+A witness list is the circular list of meeting points of a family of
+bodies, one color per body: for every pair of colors that meet on the
+curve, one curve angle where they do. witness_list_from_angles builds it
+from a meet_angles table; build_witness_list and pierce stats use it. The
+paper's combinatorics (spread-out colors, interval covers, quadruples that
+pierce a color and their counts) run on entry indices of the sorted list;
+distances there are index distances, never angles. The spread-out / short-
+cover dichotomy, is_spread_out and interval_cover, takes one color's
+occurrence indices and the list size for every dimension d: circular on
+the plane's circle and on the closed curves of even d, linear on the open
+curves of odd d, with the separator tuple size in place of four. The
+pipeline's heavy point does not come from here: it is the heaviest
+candidate class (see run_pipeline).
 """
 
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateQuadrupleError, InsufficientWitnessesError
+from .errors import DegenerateQuadrupleError
 from .geometry import (
     TOL_GEOM,
     TWO_PI,
@@ -32,7 +32,6 @@ from .geometry import (
     CurveModel,
     Point2,
     body_curve_arcs,
-    containment_matrix,
     meet_angles,
     normalize_angle,
     segment_intersection,
@@ -41,41 +40,38 @@ from .geometry import (
 
 @dataclass(frozen=True, eq=False)
 class WitnessList:
-    """The circular witness list of a multiset, one color per distinct body.
+    """The circular witness list of a family, one color per body.
 
-    Color i stands for weights[i] identical copies of body i; a list built
-    by build_witness_list has weight 1 for every body. Copies share their
-    arcs, so every copy of i meets every copy of j at the same angle, and
-    copies of i meet each other at one angle of i's own arcs. Entry k is the
-    color pair pairs[k] = (i, j), i <= j, meeting at angles[k] in [0, 2*pi).
+    Entry k is the color pair pairs[k] = (i, j), i < j, meeting at angles[k]
+    in [0, 2*pi); the colors are range(colors).
 
-    Construction checks, once, that each pair's colors index weights; that
-    entries are in (angle, pair) order, which fixes the entry indices the
-    lemmas count in; and that each pair occurs at most once. len() counts
-    the entries.
+    Construction checks, once, that each pair's colors are in that range and
+    in increasing order; that entries are in (angle, pair) order, which
+    fixes the entry indices the lemmas count in; and that each pair occurs
+    at most once. len() counts the entries.
     """
 
     angles: np.ndarray   # (E,) meet angle of each entry
     pairs: np.ndarray    # (E, 2) the entry's two colors
-    weights: np.ndarray  # weight of each color, indexed like the bodies
+    colors: int          # number of colors, one per body
     _occ: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
         pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
-        weights = np.asarray(self.weights, dtype=np.int64)
+        colors = operator.index(self.colors)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "weights", weights)
-        if angles.shape != (len(pairs),) or weights.ndim != 1 or np.count_nonzero(weights < 0):
-            raise ValueError("a witness list needs one angle per pair and nonnegative weights")
+        object.__setattr__(self, "colors", colors)
+        if angles.shape != (len(pairs),) or colors < 0:
+            raise ValueError("a witness list needs one angle per pair and a color count >= 0")
         if not len(pairs):
             return
         lo, hi = pairs[:, 0], pairs[:, 1]
         # Read as unsigned, a negative color is out of range too.
-        if np.count_nonzero(pairs.view(np.uintp) >= len(weights)) or np.count_nonzero(lo > hi):
-            raise ValueError("witness pairs must be colors (i, j), i <= j, indexing the weights")
-        key = lo * len(weights) + hi
+        if np.count_nonzero(pairs.view(np.uintp) >= colors) or np.count_nonzero(lo >= hi):
+            raise ValueError("witness pairs must be colors (i, j), i < j < colors")
+        key = lo * colors + hi
         if (np.count_nonzero(np.lexsort((key, angles)) != np.arange(len(key)))
                 or not 0.0 <= angles[0] or not angles[-1] < TWO_PI):
             raise ValueError("witness entries must be in (angle, pair) order within [0, 2*pi)")
@@ -94,28 +90,18 @@ class WitnessList:
         return self._occ[color]
 
 
-def _multiset_witness_list(angles: np.ndarray, m) -> WitnessList:
-    """Witness list of the multiset with m[i] copies of body i, as weighted colors.
-
-    angles is the bodies' meet_angles table. The entries are the meeting
-    pairs of bodies with m > 0, and each body with m >= 2 paired with itself
-    at its diagonal angle, where its copies meet each other.
-    """
-    weights = np.asarray(m, dtype=np.int64)
-    used = weights > 0
-    meets = ~np.isnan(angles) & used[:, None] & used[None, :]
-    meets[np.diag_indices_from(meets)] &= weights >= 2
-    i, j = np.nonzero(np.triu(meets))
+def witness_list_from_angles(angles: np.ndarray) -> WitnessList:
+    """The witness list of a meet_angles table: one entry per meeting pair i < j."""
+    i, j = np.nonzero(np.triu(~np.isnan(angles), 1))
     at = angles[i, j]
     # nonzero lists (i, j) in order, so a stable sort by angle gives (angle, pair) order.
     order = np.argsort(at, kind="stable")
-    return WitnessList(at[order], np.stack([i, j], axis=1)[order], weights)
+    return WitnessList(at[order], np.stack([i, j], axis=1)[order], len(angles))
 
 
 def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessList:
-    """One witness per body pair whose curve arcs share a point: the list at weight 1."""
-    return _multiset_witness_list(meet_angles([body_curve_arcs(b, curve) for b in bodies]),
-                                  np.ones(len(bodies), dtype=np.int64))
+    """One witness per body pair whose curve arcs share a point."""
+    return witness_list_from_angles(meet_angles([body_curve_arcs(b, curve) for b in bodies]))
 
 
 def spread_threshold(alpha: float, n: int) -> int:
@@ -280,13 +266,9 @@ def separator_angles(q: WitnessList, quad) -> tuple[float, float, float, float]:
 
 
 def piercing_point(curve: CurveModel, q: WitnessList, quad) -> Point2:
-    """Crossing of the two diagonal chords spanned by the four separators."""
-    return _chord_crossing(curve, separator_angles(q, quad))
-
-
-def _chord_crossing(curve: CurveModel, angles) -> Point2:
-    """Crossing of the chords ya-yc and yb-yd for separators (ya, yb, yc, yd)."""
-    ya, yb, yc, yd = angles
+    """Crossing of the two diagonal chords ya-yc and yb-yd spanned by the
+    four separators (ya, yb, yc, yd)."""
+    ya, yb, yc, yd = separator_angles(q, quad)
     spread = max(_angle_gap(x, y) for x, y in itertools.combinations((ya, yb, yc, yd), 2))
     if spread <= TOL_GEOM:
         raise DegenerateQuadrupleError("all separators collapse to one angle")
@@ -326,213 +308,8 @@ def expected_pierced(q: WitnessList) -> float:
     n = len(q)
     if n < 4:
         return 0.0
-    total = sum(piercing_count_exact(q.occurrences(c), n) for c in range(len(q.weights)))
+    total = sum(piercing_count_exact(q.occurrences(c), n) for c in range(q.colors))
     return float(Fraction(total, math.comb(n, 4)))
-
-
-@dataclass(frozen=True)
-class HeavyPointResult:
-    """A heavy point z, the weight of the bodies containing it, and its score.
-
-    quad holds four indices into the searched list's distinct angles, in
-    increasing order, when z is the crossing of their chords; it is None when
-    z is the curve point at one distinct angle, or a point of one body's arcs.
-    """
-
-    point: Point2
-    covered: int
-    pierced: int
-    quad: tuple[int, int, int, int] | None
-
-
-EXHAUSTIVE_LIMIT = 60
-
-
-def find_heavy_point(q: WitnessList, bodies: list[ConvexBody],
-                     curve: CurveModel) -> HeavyPointResult:
-    """Heaviest point of a witness list: separators pinned at meet angles.
-
-    Color i of the list is bodies[i], so q.weights needs one weight per body;
-    ValueError names the first color that is not a body index, or the first
-    body without a color.
-
-    The A distinct angles of the entries (merged within TOL_GEOM by
-    _angle_runs) are the only separator positions, and every
-    quadruple of them is scored: color i adds weights[i] when each closed
-    arc [a, b], [b, c], [c, d], [d, a] holds one of its angles, since its
-    copies then contain both chords' crossing. Past EXHAUSTIVE_LIMIT angles,
-    the EXHAUSTIVE_LIMIT with the most occurrence weight (the total weight of
-    the colors meeting there) are kept, ties to the smaller angle.
-    Quadruples are tried by decreasing score, ties in combinations order;
-    the first whose chords cross is recounted as the weight of the bodies
-    containing it. The result is that point or, when it covers more, the
-    best point of the curve at a distinct angle, scored the same way; pierced
-    is then the angle's occurrence weight and quad None. The result does
-    not depend on the order of the entries.
-
-    An empty list gives a point of the arcs of the heaviest body that meets
-    the curve, ties to the lower index. It raises InsufficientWitnessesError
-    when no color has positive weight, or when no such body meets the curve.
-
-    Separators in the gaps between distinct angles are left out: a
-    separator pinned at either neighbouring angle closes both arcs beside it
-    over a superset of occurrences, so it never pierces less, and only
-    pinned separators pierce bodies whose meets are all at their vertices.
-
-    Cost: O(C(min(A, EXHAUSTIVE_LIMIT), 4)) table lookups in numpy, and one
-    containment_matrix call for the A angle points.
-    """
-    if len(q.weights) > len(bodies):
-        raise ValueError(f"witness color {len(bodies)} is not an index into bodies")
-    if len(q.weights) < len(bodies):
-        raise ValueError(f"body {len(q.weights)} has no witness color")
-    if not q.weights.any():
-        raise InsufficientWitnessesError("no color has positive weight")
-    if len(q) == 0:
-        # No two copies meet on the curve, so no curve point lies in two of
-        # them, and a point of the heaviest body meeting the curve is the best one.
-        order = np.argsort(-q.weights, kind="stable")
-        for i in order[q.weights[order] > 0].tolist():
-            arcs = body_curve_arcs(bodies[i], curve)
-            if arcs:
-                z = curve.point_at(meet_angles([arcs])[0, 0])
-                count = int(containment_matrix(bodies, [z])[0] @ q.weights)
-                return HeavyPointResult(point=z, covered=count, pierced=int(q.weights[i]), quad=None)
-        raise InsufficientWitnessesError("no body of positive weight meets the curve")
-    distinct, present = _occurrences(q)
-    at_angle = q.weights @ present
-    points = [curve.point_at(t) for t in distinct]
-    covered = containment_matrix(bodies, points) @ q.weights
-    k = int(np.argmax(covered))
-    best = HeavyPointResult(point=points[k], covered=int(covered[k]),
-                            pierced=int(at_angle[k]), quad=None)
-
-    keep = np.arange(len(distinct))
-    if len(keep) > EXHAUSTIVE_LIMIT:
-        keep = np.sort(np.lexsort((distinct, -at_angle))[:EXHAUSTIVE_LIMIT])
-    if len(keep) < 4:
-        return best
-    quads = _all_quadruples(len(keep))
-    for value, rank in _by_decreasing_score(_weighted_scores(present[:, keep], q.weights, quads)):
-        quad = tuple(int(v) for v in keep[quads[rank]])
-        try:
-            z = _chord_crossing(curve, [distinct[v] for v in quad])
-        except DegenerateQuadrupleError:
-            continue
-        count = int(containment_matrix(bodies, [z])[0] @ q.weights)
-        if count >= best.covered:
-            best = HeavyPointResult(point=z, covered=count, pierced=value, quad=quad)
-        break
-    return best
-
-
-def _occurrences(q: WitnessList) -> tuple[list[float], np.ndarray]:
-    """The list's distinct angles, and whether each color occurs at each one."""
-    distinct, run = _angle_runs(q.angles.tolist())
-    present = np.zeros((len(q.weights), len(distinct)), dtype=bool)
-    present[q.pairs[:, 0], run] = True
-    present[q.pairs[:, 1], run] = True
-    return distinct, present
-
-
-def _by_decreasing_score(scores: np.ndarray):
-    """(score, row) pairs in the order of a stable argsort of -scores.
-
-    Made one score at a time: the first row usually gives a point, and the
-    rest are never sorted.
-    """
-    for value in np.flatnonzero(np.bincount(scores))[::-1]:
-        for rank in np.flatnonzero(scores == value):
-            yield int(value), int(rank)
-
-
-def _all_quadruples(n: int) -> np.ndarray:
-    """Every increasing quadruple of range(n), in itertools.combinations order.
-
-    Row (a, b, c, d) is the pair (a, b) followed by a pair (c, d) with c > b;
-    in the lexicographic pair list those pairs are a suffix, so each (a, b)
-    repeats once per pair of that suffix.
-    """
-    first, second = np.triu_indices(n, 1)
-    # start[s]: how many pairs have a first index below s.
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.arange(n - 1, -1, -1), out=start[1:])
-    lo = start[second + 1]
-    counts = len(first) - lo
-    tail = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    quads = np.empty((tail.size, 4), dtype=np.min_scalar_type(n - 1))
-    quads[:, 0] = np.repeat(first, counts)
-    quads[:, 1] = np.repeat(second, counts)
-    quads[:, 2] = first[tail]
-    quads[:, 3] = second[tail]
-    return quads
-
-
-def _angle_runs(angles: list[float]) -> tuple[list[float], np.ndarray]:
-    """Distinct angles of sorted angles, and the index of the one each merges into.
-
-    An angle within TOL_GEOM of the current run's first angle joins that
-    run, which its first angle represents; a last run within TOL_GEOM of the
-    first one across 2*pi joins the first.
-    """
-    out: list[float] = []
-    owner: list[int] = []
-    for t in angles:
-        if not out or t - out[-1] > TOL_GEOM:
-            out.append(t)
-        owner.append(len(out) - 1)
-    run = np.array(owner, dtype=np.intp)
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= TOL_GEOM:
-        out.pop()
-        run[run == len(out)] = 0
-    return out, run
-
-
-# Cells (colors x angle pairs, or quadruples) one scoring step holds at once.
-_CHUNK = 1 << 15
-
-
-def _weighted_scores(present: np.ndarray, weights: np.ndarray,
-                     quads: np.ndarray) -> np.ndarray:
-    """Pierced weight of each row (a, b, c, d), a < b < c < d < A, of quads.
-
-    present[i, x] says color i occurs at distinct angle x. Color i adds
-    weights[i] when each closed circular arc [a, b], [b, c], [c, d] and
-    [d, a] holds one of its occurrences; only colors at two or more angles
-    can. The arc presence is built once, as an A x A table of color bits
-    packed in bytes; each row ANDs four lookups, and every byte of the
-    result turns into weight through a 256-entry table of that byte's
-    colors.
-    """
-    n_angles = present.shape[1]
-    live = (weights > 0) & (present.sum(axis=1) >= 2)
-    present, weights = present[live], weights[live]
-    totals = np.zeros(quads.shape[0], dtype=np.int64)
-    if not len(weights) or not quads.shape[0]:
-        return totals
-    # k[i, x]: occurrences of color i below angle x.
-    k = np.zeros((len(weights), n_angles + 1), dtype=np.int64)
-    np.cumsum(present, axis=1, out=k[:, 1:])
-    wraps = np.arange(n_angles)[:, None] > np.arange(n_angles)[None, :]
-    table = np.zeros((n_angles * n_angles, -(-len(weights) // 8)), dtype=np.uint8)
-    step = 8 * max(1, _CHUNK // (8 * n_angles * n_angles))  # whole bytes of colors per block
-    for r0 in range(0, len(weights), step):
-        kb = k[r0:r0 + step]
-        # Occurrences in [x, y], or in [x, A) and [0, y] when the arc wraps.
-        count = kb[:, None, 1:] - kb[:, :-1, None] + np.where(wraps, kb[:, -1, None, None], 0)
-        packed = np.packbits(count > 0, axis=0, bitorder="little")
-        table[:, r0 // 8:r0 // 8 + packed.shape[0]] = packed.reshape(packed.shape[0], -1).T
-    padded = np.zeros(8 * table.shape[1], dtype=np.int64)
-    padded[:len(weights)] = weights
-    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    byte_weight = byte_bits.astype(np.int64) @ padded.reshape(-1, 8).T  # (value, byte)
-    byte = np.arange(table.shape[1])
-    for lo in range(0, quads.shape[0], _CHUNK):
-        a, b, c, d = quads[lo:lo + _CHUNK].T.astype(np.intp)
-        hit = (table[a * n_angles + b] & table[b * n_angles + c]
-               & table[c * n_angles + d] & table[d * n_angles + a])
-        totals[lo:lo + _CHUNK] = byte_weight[hit, byte].sum(axis=1)
-    return totals
 
 
 def coverage_rate_bound(alpha: float) -> float:

@@ -86,12 +86,12 @@ def graph_from_edges(n: int, edges) -> ColorGraph:
 
 
 @functools.cache
-def _synthetic_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Angles, pairs without color 0 and weights of an n-entry synthetic
-    # list, built once per n: the subset loops make tens of thousands of
-    # lists. Entry k is (1 + k, n + 1 + k), or (0, n + 1 + k) when marked.
+def _synthetic_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Angles and pairs without color 0 of an n-entry synthetic list, built
+    # once per n: the subset loops make tens of thousands of lists. Entry k
+    # is (1 + k, n + 1 + k), or (0, n + 1 + k) when marked.
     k = np.arange(n)
-    return TWO_PI * k / n, np.stack([1 + k, n + 1 + k], axis=1), np.ones(2 * n + 1, dtype=np.int64)
+    return TWO_PI * k / n, np.stack([1 + k, n + 1 + k], axis=1)
 
 
 def synthetic_list(n: int, target_positions=()) -> WitnessList:
@@ -99,10 +99,10 @@ def synthetic_list(n: int, target_positions=()) -> WitnessList:
 
     Each other color occurs at most once.
     """
-    angles, plain, weights = _synthetic_arrays(n)
+    angles, plain = _synthetic_arrays(n)
     pairs = plain.copy()
     pairs[list(target_positions), 0] = 0
-    return WitnessList(angles, pairs, weights)
+    return WitnessList(angles, pairs, 2 * n + 1)
 
 
 def circ_distance(a: int, b: int, n: int) -> int:
@@ -148,7 +148,7 @@ def random_pair_list(rng, n: int, universe: int) -> WitnessList:
     assert n <= universe * (universe - 1) // 2
     pairs = np.array(list(itertools.combinations(range(universe), 2)), dtype=np.intp)
     picks = rng.choice(len(pairs), size=n, replace=False)
-    return WitnessList(TWO_PI * np.arange(n) / n, pairs[picks], np.ones(universe, dtype=np.int64))
+    return WitnessList(TWO_PI * np.arange(n) / n, pairs[picks], universe)
 
 
 def face_census(bodies: list[ConvexBody], candidates: list[Point2],

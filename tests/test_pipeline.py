@@ -409,18 +409,27 @@ def fano(place) -> list[ConvexBody]:
 
 
 def three_bodies() -> Instance:
-    # m = (0, 1, 1): the two weighted bodies do not meet, so the multiset's
-    # witness list is empty, and body 0 carries no copy.
+    # m = (0, 1, 1): the two weighted bodies do not meet, so no point holds
+    # two copies, and body 0 carries no copy.
     return Instance([inscribed(0, (0.1, 0.3, 3.3, 5.0)), inscribed(1, (0.0, 0.3, 0.6)),
                      inscribed(2, (3.0, 3.3, 3.6))], p=3)
 
 
 def test_run_pipeline_heavy_point_covers_a_copy():
-    # PG(2,2) inscribed with its seven points reordered on the circle: no
-    # quadruple of separators in the gaps between meet angles pierces a color.
-    report = run_pipeline(fano((0, 1, 2, 4, 5, 3, 6)), UNIT_CIRCLE, 2)
+    # PG(2,2) inscribed with its seven points reordered on the circle.
+    bodies = fano((0, 1, 2, 4, 5, 3, 6))
+    report = run_pipeline(bodies, UNIT_CIRCLE, 2)
+    loads = candidate_classes(bodies).matrix() @ np.asarray(report.multiplicities)
     assert report.heavy_coverage > 0
+    assert report.heavy_coverage == loads.max()
     assert report.flags["tau_epsilon_consistent"]
+
+
+def test_run_pipeline_times_each_stage():
+    inst = gallery7()
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert list(report.timings) == [
+        "validate", "condition", "candidates", "lps", "rationalize", "heavy_point", "greedy"]
 
 
 def test_run_pipeline_heavy_point_with_no_meeting_copies():
@@ -433,7 +442,7 @@ def test_run_pipeline_heavy_point_with_no_meeting_copies():
 
 
 # Pinned transversal, tau_star, m and D of each family. The heavy point
-# feeds none of them, so a change to its search must leave them as they are.
+# feeds none of them, so a change to it must leave them as they are.
 # The transversal points are class representatives, each class's lowest
 # candidate.
 GUARD = {

@@ -28,9 +28,40 @@ def test_verify_report_accepts_a_run():
 def test_verify_report_rejects_heavy_point_covering_nothing():
     inst = gen_pairwise(6)
     report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    best = report["coverage"]["count"]
     report["z"] = [5.0, 5.0]
     report["coverage"] = dict(report["coverage"], count=0, epsilon=0.0)
-    assert verify_report(inst, report) == ["heavy point covers no copy"]
+    assert verify_report(inst, report) == [
+        f"heavy coverage 0 is below the best class load {best}", "heavy point covers no copy"]
+
+
+def test_verify_report_rejects_a_lighter_class_as_the_heavy_point():
+    inst = Instance(pg22_twice(), p=3)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    classes = candidate_classes(inst.bodies)
+    loads = classes.matrix() @ np.asarray(report["m"])
+    assert report["coverage"]["count"] == loads.max()
+    # The lightest class that holds a copy, with its count stated truthfully.
+    k = min(np.flatnonzero(loads > 0), key=lambda j: loads[j])
+    assert loads[k] < loads.max()
+    total = report["coverage"]["multiset_size"]
+    report.update(z=list(classes.points[k]), coverage=dict(
+        report["coverage"], count=int(loads[k]), epsilon=int(loads[k]) / total))
+    assert verify_report(inst, report) == [
+        f"heavy coverage {loads[k]} is below the best class load {loads.max()}"]
+
+
+def test_verify_report_rejects_a_heavy_point_outside_every_body():
+    inst = gallery7()
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    count, eps = report["coverage"]["count"], report["coverage"]["epsilon"]
+    report["z"] = [5.0, 5.0]
+    assert verify_report(inst, report) == [
+        f"heavy point covers 0 copies, report says {count}",
+        f"heavy coverage 0 is below the best class load {count}",
+        f"epsilon mismatch: 0.0 vs {eps}",
+        "heavy point covers no copy",
+    ]
 
 
 def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):

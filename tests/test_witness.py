@@ -15,29 +15,22 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pierce.errors import DegenerateQuadrupleError, InsufficientWitnessesError
+from pierce.errors import DegenerateQuadrupleError
 from pierce.geometry import (
     TWO_PI,
     UNIT_CIRCLE,
-    ConvexBody,
     body_contains,
     body_curve_arcs,
     meet_angles,
 )
 from pierce.instances import gallery7, gen_clustered, gen_pairwise
-from pierce.pipeline import _multiset_witness_list
+from pierce.pipeline import candidate_classes
 from pierce.witness import (
-    EXHAUSTIVE_LIMIT,
-    HeavyPointResult,
-    _all_quadruples,
-    _occurrences,
-    _weighted_scores,
     WitnessList,
     build_witness_list,
     cover_width,
     coverage_rate_bound,
     expected_pierced,
-    find_heavy_point,
     interval_cover,
     is_spread_out,
     non_spread_ratio_bound,
@@ -46,28 +39,29 @@ from pierce.witness import (
     quadruple_pierces,
     separator_angles,
     spread_threshold,
+    witness_list_from_angles,
 )
 
 
 def test_witness_list_sorting_and_occurrences():
-    ones = np.ones(3, dtype=np.int64)
-    q = WitnessList([1.0, 2.0, 2.0], [(1, 2), (0, 1), (0, 2)], ones)
+    q = WitnessList([1.0, 2.0, 2.0], [(1, 2), (0, 1), (0, 2)], 3)
     assert q.angles.tolist() == [1.0, 2.0, 2.0]
     assert q.occurrences(2) == [0, 2]
     assert q.occurrences(0) == [1, 2]
     assert q.occurrences(9) == []
     # Angle tie broken by lexicographic color pair.
     with pytest.raises(ValueError, match="order"):
-        WitnessList([1.0, 2.0, 2.0], [(1, 2), (0, 2), (0, 1)], ones)
+        WitnessList([1.0, 2.0, 2.0], [(1, 2), (0, 2), (0, 1)], 3)
     with pytest.raises(ValueError, match="order"):
-        WitnessList([2.0, 1.0], [(0, 1), (1, 2)], ones)
+        WitnessList([2.0, 1.0], [(0, 1), (1, 2)], 3)
     with pytest.raises(ValueError, match="at most once"):
-        WitnessList([0.1, 0.2], [(0, 1), (0, 1)], ones)
+        WitnessList([0.1, 0.2], [(0, 1), (0, 1)], 3)
 
 
 @pytest.mark.parametrize("angles, pairs", [
     ([0.5], [(1, 0)]),             # colors out of order
-    ([0.5], [(0, 3)]),             # no weight for color 3
+    ([0.5], [(1, 1)]),             # a color paired with itself
+    ([0.5], [(0, 3)]),             # color 3 of 3
     ([0.5], [(-1, 0)]),            # negative color
     ([-0.5], [(0, 1)]),            # angle below 0
     ([TWO_PI], [(0, 1)]),          # angle at 2*pi
@@ -76,7 +70,7 @@ def test_witness_list_sorting_and_occurrences():
 ])
 def test_witness_list_rejects_malformed_entries(angles, pairs):
     with pytest.raises(ValueError):
-        WitnessList(angles, pairs, np.ones(3, dtype=np.int64))
+        WitnessList(angles, pairs, 3)
 
 
 @pytest.mark.parametrize("family", [
@@ -88,8 +82,8 @@ def test_unit_multiset_list_is_the_plain_list(family):
     bodies = family()
     arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
     q = build_witness_list(bodies, UNIT_CIRCLE)
-    unit = _multiset_witness_list(meet_angles(arcs), np.ones(len(bodies)))
-    for name in ("angles", "pairs", "weights"):
+    unit = _replicated_list(meet_angles(arcs), [1] * len(bodies))
+    for name in ("angles", "pairs", "colors"):
         np.testing.assert_array_equal(getattr(unit, name), getattr(q, name))
     # One entry per meeting pair i < j, in (angle, pair) order.
     ref = sorted((reference_meet_angle(arcs[i], arcs[j]), i, j)
@@ -274,8 +268,7 @@ def test_separator_angles_midpoints():
 
 
 def test_piercing_point_symmetric():
-    q = WitnessList(math.pi / 4 + np.arange(4) * math.pi / 2, [(k, k + 4) for k in range(4)],
-                    np.ones(8, dtype=np.int64))
+    q = WitnessList(math.pi / 4 + np.arange(4) * math.pi / 2, [(k, k + 4) for k in range(4)], 8)
     z = piercing_point(UNIT_CIRCLE, q, (0, 1, 2, 3))
     assert z == pytest.approx((0.0, 0.0), abs=1e-12)
 
@@ -289,14 +282,14 @@ def test_piercing_point_chord_example():
         angles += [(t - delta) % TWO_PI, t + delta]
         pairs += [(2 * k, 2 * k + 8), (2 * k + 1, 2 * k + 9)]
     # The first witness wraps to the end of the circle.
-    q = WitnessList(angles[1:] + angles[:1], pairs[1:] + pairs[:1], np.ones(16, dtype=np.int64))
+    q = WitnessList(angles[1:] + angles[:1], pairs[1:] + pairs[:1], 16)
     z = piercing_point(UNIT_CIRCLE, q, (0, 2, 4, 6))
     assert z == pytest.approx((1.0 - math.sqrt(2.0), 0.0), abs=1e-12)
     assert math.hypot(*z) < 1.0
 
 
 def test_piercing_point_degenerate():
-    q = WitnessList([1.0] * 4, [(k, k + 4) for k in range(4)], np.ones(8, dtype=np.int64))
+    q = WitnessList([1.0] * 4, [(k, k + 4) for k in range(4)], 8)
     with pytest.raises(DegenerateQuadrupleError):
         piercing_point(UNIT_CIRCLE, q, (0, 1, 2, 3))
 
@@ -335,99 +328,10 @@ def test_expected_pierced_small():
     assert expected_pierced(tiny) == 0.0
 
 
-def test_find_heavy_point_total_overlap():
-    bodies = [arc_body(i, 0.8, 1.2) for i in range(6)]
-    q = build_witness_list(bodies, UNIT_CIRCLE)
-    assert len(q) == 15
-    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
-    assert got.covered == 6
-
-
-def test_find_heavy_point_exhaustive_averaging():
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        k = int(rng.integers(4, 8))
-        bodies = []
-        for i in range(k):
-            lo = float(rng.uniform(0, TWO_PI))
-            bodies.append(arc_body(i, lo, lo + float(rng.uniform(1.2, 2.8))))
-        q = build_witness_list(bodies, UNIT_CIRCLE)
-        n = len(q)
-        if n < 4:
-            continue
-        total = sum(piercing_count_exact(q.occurrences(c), n) for c in range(k))
-        mean_ceil = -((-total) // math.comb(n, 4))
-        got = find_heavy_point(q, bodies, UNIT_CIRCLE)
-        assert got.covered >= got.pierced
-        assert got.covered >= mean_ceil
-
-
-def test_find_heavy_point_sampled_matches_quality():
-    rng = np.random.default_rng(8)
-    bodies = []
-    for i in range(10):
-        lo = float(rng.uniform(0, TWO_PI))
-        bodies.append(arc_body(i, lo, lo + float(rng.uniform(1.5, 2.8))))
-    q = build_witness_list(bodies, UNIT_CIRCLE)
-    if len(q) >= 4:
-        got = find_heavy_point(q, bodies, UNIT_CIRCLE)
-        again = find_heavy_point(q, bodies, UNIT_CIRCLE)
-        assert got == again
-        assert got.covered >= got.pierced
-
-
-def test_find_heavy_point_errors_and_fallback():
-    with pytest.raises(InsufficientWitnessesError):
-        find_heavy_point(WitnessList([], [], []), [], UNIT_CIRCLE)
-    off_curve = ConvexBody.from_vertices(0, [(5.0, 5.0), (6.0, 5.0), (6.0, 6.0)])
-    with pytest.raises(InsufficientWitnessesError):
-        find_heavy_point(WitnessList([], [], [1]), [off_curve], UNIT_CIRCLE)
-    with pytest.raises(InsufficientWitnessesError):
-        find_heavy_point(WitnessList([], [], [0]), [arc_body(0, 1.0, 1.6)], UNIT_CIRCLE)
-
-    a = arc_body(0, 1.0, 1.6)
-    b = arc_body(1, 1.2, 1.9)
-    # No entry: the heaviest body's own arc gives the point.
-    got = find_heavy_point(WitnessList([], [], [1, 2]), [a, b], UNIT_CIRCLE)
-    assert (got.quad, got.pierced) == (None, 2)
-    assert body_contains(b, got.point)
-    # The heaviest body misses the curve: the next heaviest meeting it gives
-    # the point, ties to the lower index.
-    got = find_heavy_point(WitnessList([], [], [2, 1]), [off_curve, a], UNIT_CIRCLE)
-    assert (got.quad, got.pierced, got.covered) == (None, 1, 1)
-    assert body_contains(a, got.point)
-    got = find_heavy_point(WitnessList([], [], [3, 1, 1]), [off_curve, b, a], UNIT_CIRCLE)
-    assert body_contains(b, got.point) and got.pierced == 1
-    q = build_witness_list([a, b], UNIT_CIRCLE)
-    assert len(q) == 1
-    got = find_heavy_point(q, [a, b], UNIT_CIRCLE)
-    assert got.quad is None
-    assert got.covered == 2
-
-
-def test_find_heavy_point_rejects_colors_that_are_not_body_indices():
-    q = synthetic_list(8, (0, 2, 4, 6))
-    with pytest.raises(ValueError, match="witness color 1 is not"):
-        find_heavy_point(q, [arc_body(0, 0.0, 2.0)], UNIT_CIRCLE)
-    with pytest.raises(ValueError, match="body 17 has no"):
-        find_heavy_point(q, [arc_body(i, 0.0, 2.0) for i in range(18)], UNIT_CIRCLE)
-
-
-def test_find_heavy_point_unpierced_list_falls_back():
-    # Four lines of PG(2,2) inscribed as triangles on seven evenly spaced
-    # circle points: each pair shares one vertex, so every color occurs
-    # three times and no quadruple pierces any color.
-    lines = [(0, 1, 4), (1, 2, 5), (2, 3, 4), (4, 5, 6)]
-    bodies = [
-        ConvexBody.from_vertices(i, [(math.cos(TWO_PI * v / 7), math.sin(TWO_PI * v / 7))
-                                     for v in line])
-        for i, line in enumerate(lines)
-    ]
-    q = build_witness_list(bodies, UNIT_CIRCLE)
-    assert len(q) == 6
-    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
-    assert got.quad is None
-    assert got.covered >= 2
+def _quadruples(n: int) -> np.ndarray:
+    """Every increasing quadruple of range(n), in itertools.combinations order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 4))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, 4)
 
 
 def _pierced_counts(q: WitnessList, quads: np.ndarray) -> np.ndarray:
@@ -439,8 +343,8 @@ def _pierced_counts(q: WitnessList, quads: np.ndarray) -> np.ndarray:
     wrapping [d, a) holds an occurrence: k(a) < k(b) < k(c) < k(d) and
     either k(d) < m or k(a) > 0. Rows are compared in blocks.
     """
-    present = np.zeros((len(q.weights), len(q) + 1), dtype=np.int64)
-    for color in range(len(q.weights)):
+    present = np.zeros((q.colors, len(q) + 1), dtype=np.int64)
+    for color in range(q.colors):
         present[color, np.asarray(q.occurrences(color), dtype=np.intp) + 1] = 1
     k = np.cumsum(present, axis=1)
     m = k[:, -1:]
@@ -470,10 +374,10 @@ def _pierce_case(draw, n_lo, n_hi):
     lonely = draw(st.sets(st.integers(0, n - 1), max_size=6))
     own = {k: palette + r for r, k in enumerate(sorted(lonely))}
     colors = [(k % palette, own[k]) if k in own else pairs[picks[k]] for k in range(n)]
-    q = WitnessList(TWO_PI * np.arange(n) / n, colors, np.ones(palette + len(own), dtype=np.int64))
+    q = WitnessList(TWO_PI * np.arange(n) / n, colors, palette + len(own))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if n <= EXHAUSTIVE_LIMIT:
-        every = _all_quadruples(n)
+    if n <= 60:
+        every = _quadruples(n)
         rows = every[np.sort(rng.choice(len(every), min(len(every), n * n), replace=False))]
     else:
         rows = np.array([rng.choice(n, size=4, replace=False) for _ in range(200)])
@@ -488,32 +392,17 @@ def test_pierced_counts_match_quadruple_pierces(case):
     q, quads = case
     got = _pierced_counts(q, quads)
     for row, count in zip(quads.tolist(), got.tolist()):
-        assert count == sum(quadruple_pierces(q, row, c) for c in range(len(q.weights))), row
-
-
-@pytest.mark.parametrize("n", [4, 5, 13, 60])
-def test_all_quadruples_in_combinations_order(n):
-    got = _all_quadruples(n)
-    assert got.tolist() == [list(t) for t in itertools.combinations(range(n), 4)]
-
-
-def _arc_family(seed: int, k: int) -> list[ConvexBody]:
-    rng = np.random.default_rng(seed)
-    bodies = []
-    for i in range(k):
-        lo = float(rng.uniform(0, TWO_PI))
-        bodies.append(arc_body(i, lo, lo + float(rng.uniform(1.2, 2.9))))
-    return bodies
+        assert count == sum(quadruple_pierces(q, row, c) for c in range(q.colors)), row
 
 
 def _replicated_list(angles: np.ndarray, m) -> WitnessList:
     """The multiset's witness list with every copy a color of its own.
 
-    Copy a of body i and copy b of body j meet at the bodies' meet angle;
-    this is the list the weighted search stands in for.
+    Copy a of body i and copy b of body j meet at the bodies' meet angle,
+    and two copies of body i at its diagonal angle, a point of its own arcs.
     """
     origin = [i for i, w in enumerate(m) for _ in range(w)]
-    return _multiset_witness_list(angles[np.ix_(origin, origin)], np.ones(len(origin)))
+    return witness_list_from_angles(angles[np.ix_(origin, origin)])
 
 
 @st.composite
@@ -529,70 +418,19 @@ def _weighted_family(draw):
     return bodies, m
 
 
-def _best_weighted_score(q) -> int:
-    """Best score of the weighted search: a distinct angle's occurrence
-    weight, or a quadruple of distinct angles' pierced weight."""
-    distinct, present = _occurrences(q)
-    best = int((q.weights @ present).max())
-    if len(distinct) >= 4:
-        scores = _weighted_scores(present, q.weights, _all_quadruples(len(distinct)))
-        best = max(best, int(scores.max()))
-    return best
-
-
 @settings(max_examples=200, deadline=None)
 @given(_weighted_family())
-def test_weighted_search_dominates_the_replicated_list(case):
+def test_heaviest_class_dominates_the_replicated_list(case):
+    # Every copy a quadruple of the copies' list pierces contains the chords'
+    # crossing, so some class holds at least that many copies.
     bodies, m = case
     angles = meet_angles([body_curve_arcs(b, UNIT_CIRCLE) for b in bodies])
     ref = _replicated_list(angles, m)
-    assume(4 <= len(ref) <= EXHAUSTIVE_LIMIT)
+    assume(4 <= len(ref) <= 60)
     # Every quadruple of the copies' list, gap separators included.
-    old_best = int(_pierced_counts(ref, _all_quadruples(len(ref))).max())
-    q = _multiset_witness_list(angles, m)
-    best = _best_weighted_score(q)
-    assert best >= old_best
-    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
-    assert got.covered >= got.pierced
-    assert got.covered >= best
-
-
-def test_weighted_search_keeps_the_heaviest_angles():
-    bodies = _arc_family(44, 14)
-    m = [1 + i % 3 for i in range(len(bodies))]
-    q = _multiset_witness_list(meet_angles([body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]), m)
-    distinct, present = _occurrences(q)
-    assert len(distinct) == 68
-    weight = np.asarray(m) @ present
-    keep = sorted(sorted(range(68), key=lambda x: (-weight[x], distinct[x]))[:EXHAUSTIVE_LIMIT])
-    scores = _weighted_scores(present[:, keep], q.weights, _all_quadruples(len(keep)))
-    top = tuple(keep[v] for v in _all_quadruples(len(keep))[int(np.argmax(scores))])
-    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
-    assert (got.quad, got.pierced) == (top, int(scores.max()))
-    assert got.covered >= got.pierced
-
-
-def test_weighted_search_breaks_weight_ties_by_angle():
-    # 61 angles of one entry each, all of occurrence weight 2: the largest
-    # angle is the one left out. Every body holds the whole circle, so all
-    # points tie on coverage and the best quadruple is returned.
-    n = EXHAUSTIVE_LIMIT + 1
-    pairs = np.array([(k % 5, 5 + k % 13) for k in range(n)])
-    q = WitnessList(TWO_PI * np.arange(n) / n, pairs, np.ones(18, dtype=np.int64))
-    square = [(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)]
-    bodies = [ConvexBody.from_vertices(i, square) for i in range(18)]
-    distinct, present = _occurrences(q)
-    quads = _all_quadruples(EXHAUSTIVE_LIMIT)
-
-    def top(keep):
-        scores = _weighted_scores(present[:, keep], q.weights, quads)
-        return tuple(int(keep[v]) for v in quads[int(np.argmax(scores))]), int(scores.max())
-
-    low, high = top(np.arange(n - 1)), top(np.arange(1, n))
-    assert low != high
-    got = find_heavy_point(q, bodies, UNIT_CIRCLE)
-    assert (got.quad, got.pierced) == low
-    assert got.covered == 18
+    best_pierced = int(_pierced_counts(ref, _quadruples(len(ref))).max())
+    loads = candidate_classes(bodies).matrix() @ np.asarray(m)
+    assert loads.max() >= best_pierced
 
 
 def test_coverage_rate_bound():
