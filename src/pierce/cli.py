@@ -156,11 +156,11 @@ def _cmd_plot(args) -> int:
 def _cmd_stats(args) -> int:
     instance = load_instance(args.instance)
     n_bodies = len(instance.bodies)
-    angles = meet_angles([body_curve_arcs(b, instance.curve) for b in instance.bodies])
-    q = witness_list_from_angles(angles)
+    arcs = [body_curve_arcs(b, instance.curve) for b in instance.bodies]
+    q = witness_list_from_angles(meet_angles(arcs))
     spread = sum(1 for color in range(n_bodies)
                  if len(q) and is_spread_out(q.occurrences(color), len(q), args.alpha))
-    graph = build_meet_graph(instance.bodies, instance.curve, angles=angles)
+    graph = build_meet_graph(instance.bodies, instance.curve, arcs=arcs)
     meets, bound, ok = turan_pair_check(graph, instance.p)
     print(f"bodies={n_bodies} p={instance.p}")
     print(f"witnesses N={len(q)}")

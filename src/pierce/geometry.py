@@ -30,26 +30,6 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-def _covers_origin(segs: list[tuple[float, float]]) -> bool:
-    return any(a == 0.0 or b == TWO_PI for a, b in segs)
-
-
-def _clip_segments(segs_a: list[tuple[float, float]],
-                   segs_b: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    # Linear pieces of the intersection: pairwise overlaps, plus the point 0
-    # when both sides touch it (at 0 or at 2*pi). Pieces may touch or repeat.
-    hits = []
-    for a0, a1 in segs_a:
-        for b0, b1 in segs_b:
-            lo = b0 if b0 > a0 else a0  # max(a0, b0), without the call
-            hi = b1 if b1 < a1 else a1  # min(a1, b1)
-            if lo <= hi:
-                hits.append((lo, hi))
-    if _covers_origin(segs_b) and _covers_origin(segs_a):
-        hits.append((0.0, 0.0))
-    return hits
-
-
 @dataclass(frozen=True)
 class CurveModel:
     """The reference convex curve. Only circles are supported."""
@@ -171,13 +151,16 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     body misses the curve.
 
     Each polygon edge constrains the angle theta through
-    cos(theta - phi) <= c, an arc complement. Its pieces clip the running
-    pieces, which start as (0, 2*pi), and the clipped pieces merge once at
-    the end.
+    cos(theta - phi) <= c, an arc complement: one piece (s, e), or the two
+    (s, 2*pi) and (0, e - 2*pi) through 0. The running pieces, which start
+    as (0, 2*pi), become their overlaps with the edge's pieces, plus the
+    point 0 when both touch 0 or 2*pi (the seam). Pieces may touch or
+    repeat until they merge once at the end.
     """
     cx, cy = curve.center
     r = curve.radius
     segs = [(0.0, TWO_PI)]
+    seam = True  # whether a running piece starts at 0 or ends at 2*pi
     for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
         c = (off - (nx * cx + ny * cy) + TOL_GEOM) / r
         if c >= 1.0:
@@ -190,9 +173,33 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
         # phi + 2*pi - delta, a span under 2*pi since delta > 0.
         s = normalize_angle(phi + delta)
         e = s + ((phi + TWO_PI - delta) - (phi + delta))
-        segs = _clip_segments(segs, [(s, e)] if e <= TWO_PI else [(s, TWO_PI), (0.0, e - TWO_PI)])
-        if not segs:
+        # Every piece lies in [0, 2*pi], so an overlap with (s, 2*pi) ends
+        # at a1 and one with (0, e) starts at a0. An overlap starts at 0 or
+        # ends at 2*pi only where a running piece and an edge piece both do,
+        # so the new pieces touch the seam exactly when both sides did, and
+        # then they hold the point 0. An edge arc through 0 touches it.
+        hits = []
+        if e <= TWO_PI:
+            seam = seam and (s == 0.0 or e == TWO_PI)
+            for a0, a1 in segs:
+                lo = s if s > a0 else a0  # max(a0, s), without the call
+                hi = e if e < a1 else a1  # min(a1, e)
+                if lo <= hi:
+                    hits.append((lo, hi))
+        else:
+            e -= TWO_PI
+            for a0, a1 in segs:
+                lo = s if s > a0 else a0
+                if lo <= a1:
+                    hits.append((lo, a1))
+                hi = e if e < a1 else a1
+                if a0 <= hi:
+                    hits.append((a0, hi))
+        if seam:
+            hits.append((0.0, 0.0))
+        if not hits:
             return []
+        segs = hits
     out = []
     for lo, hi in sorted(segs):
         if out and lo <= out[-1][1]:
@@ -204,12 +211,56 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     return out
 
 
+def _padded_pieces(
+    arcs: list[list[tuple[float, float]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The piece lists as (n, S) arrays lo and hi, S the most pieces of any
+    list, padded with pieces [inf, -inf] that overlap nothing; and an (n,)
+    bool array saying whether each list touches the seam, with a piece
+    starting at 0 or ending at 2*pi."""
+    width = max((len(body) for body in arcs), default=0)
+    pad = [(math.inf, -math.inf)]
+    pieces = np.array([[*body, *pad * (width - len(body))] for body in arcs], dtype=float)
+    lo, hi = pieces.reshape(len(arcs), width, 2).transpose(2, 0, 1)
+    return lo, hi, ((lo == 0.0) | (hi == TWO_PI)).any(axis=1)
+
+
+# Cells (block bodies times bodies times piece pairs) one meet_matrix block
+# compares: 512 KiB per float64 temporary.
+_MEET_CELLS = 1 << 16
+
+
+def meet_matrix(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
+    """Whether each pair of bodies meets on the curve, from their body_curve_arcs.
+
+    A symmetric bool (n, n) matrix with a False diagonal. Bodies i and j
+    meet when some piece of i overlaps some piece of j (the larger lo is at
+    most the smaller hi), or when both touch the seam (see _padded_pieces).
+    These are the comparisons meet_angles makes before it sorts, so off the
+    diagonal this is ~isnan(meet_angles(arcs)), without the angles. The
+    rows go in blocks of bodies whose (rows, n, S, S) temporaries hold at
+    most _MEET_CELLS cells, or one body's row when that is larger.
+    """
+    n = len(arcs)
+    lo, hi, seam = _padded_pieces(arcs)
+    meet = seam[:, None] & seam[None, :]
+    step = max(1, _MEET_CELLS // max(1, n * lo.shape[1] ** 2))
+    for top in range(0, n, step):
+        rows = slice(top, top + step)
+        start = np.maximum(lo[rows, None, :, None], lo[None, :, None, :])
+        end = np.minimum(hi[rows, None, :, None], hi[None, :, None, :])
+        meet[rows] |= (start <= end).any(axis=(2, 3))
+    np.fill_diagonal(meet, False)
+    return meet
+
+
 def meet_angles(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     """Where each pair of bodies meets on the curve, from their body_curve_arcs.
 
     Entry [i, j] is where bodies i and j meet on the curve, NaN when they do
     not; the diagonal [i, i] is a point of body i's own arcs, NaN when it has
-    none. One table serves the meet graph and the witness lists.
+    none. The witness lists read it; whether two bodies meet at all is
+    meet_matrix's cheaper question.
 
     The rule for one pair: the pieces' pairwise overlaps, plus the point 0
     when both lists touch 0 or 2*pi, merge into the components of their
@@ -218,24 +269,19 @@ def meet_angles(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     the midpoint of the arc with the earliest start.
 
     All pairs are computed at once. The lists are padded to one (n, S)
-    array (a pad piece is [inf, -inf], which hits nothing), so the pieces'
-    pairwise overlaps [max(lo), min(hi)] form an (n, n, S*S) array, plus one
-    column for the point 0. Sorted by start, the overlaps merge into
-    components. The earliest arc is the first component, unless the ends
-    glue: then the glued arc is the earliest when there are only two
-    components, and the second component is earliest otherwise.
+    array (see _padded_pieces), so the pieces' pairwise overlaps
+    [max(lo), min(hi)] form an (n, n, S*S) array, plus one column for the
+    point 0. Sorted by start, the overlaps merge into components. The
+    earliest arc is the first component, unless the ends glue: then the
+    glued arc is the earliest when there are only two components, and the
+    second component is earliest otherwise.
     """
     n = len(arcs)
     if n == 0:
         return np.empty((0, 0))
-    width = max((len(body) for body in arcs), default=0)
-    lo = np.full((n, width), np.inf)
-    hi = np.full((n, width), -np.inf)
-    for k, body in enumerate(arcs):
-        if body:
-            lo[k, : len(body)], hi[k, : len(body)] = zip(*body)
-    origin = ((lo == 0.0) | (hi == TWO_PI)).any(axis=1)
-    both = origin[:, None] & origin[None, :]
+    lo, hi, seam = _padded_pieces(arcs)
+    width = lo.shape[1]
+    both = seam[:, None] & seam[None, :]
     # A hit [start, end] is the complex number start + end*j, so that one
     # sort orders hits by start; no hit is inf - inf*j, sorted last.
     hits = np.empty((n, n, width * width + 1), dtype=complex)

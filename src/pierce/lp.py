@@ -9,10 +9,21 @@ occur.  Problems here are tiny (at most a few hundred rows and columns), so
 no effort is spent on sparsity or factorization; the tableau is renormalized
 by direct pivoting.  The row duals, read off the slack columns of the
 optimal tableau, are the fractional cover of the classes.
+
+Each pivot's two scans, for the entering column and for the leaving row,
+are Python loops over Python floats: the reduced costs, the entering column
+and the rhs are each converted once per pivot with tolist(), since reading
+numpy scalars one by one costs more than the loop.  Vectorized numpy scans
+(flatnonzero for the entering column, a masked ratio minimum with the same
+tie rule) do not pay on matrices this small, where each numpy call's fixed
+cost dominates.  Over the bench's seed-1 class matrices on a 2-vCPU host,
+best of 15: pg-union 0.027 s with these scans, 0.037 s reading numpy
+scalars, 0.035 s with numpy scans; small-batch 0.0081, 0.0082 and 0.0127 s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +72,17 @@ def packing_solve(mat) -> LPSolution:
     while True:
         reduced = cost - cost[basis] @ tab[:, :k]
         entering = -1
-        for j in range(k):
-            if reduced[j] < -TOL_LP:
+        for j, rc in enumerate(reduced.tolist()):
+            if rc < -TOL_LP:
                 entering = j
                 break
         if entering < 0:
             break
-        ratio = np.inf
+        ratio = math.inf
         leaving = -1
-        for i in range(m):
-            a = tab[i, entering]
+        for i, (a, b) in enumerate(zip(tab[:, entering].tolist(), tab[:, k].tolist())):
             if a > PIVOT_TOL:
-                r = tab[i, k] / a
+                r = b / a
                 if r < ratio - PIVOT_TOL or (
                     abs(r - ratio) <= PIVOT_TOL
                     and (leaving < 0 or basis[i] < basis[leaving])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, CurveModel, body_curve_arcs, meet_angles
+from .geometry import ConvexBody, CurveModel, body_curve_arcs, meet_matrix
 
 EXACT_INDEPENDENCE_CAP = 40
 
@@ -51,17 +51,16 @@ class ColorGraph:
 def build_meet_graph(
     bodies: list[ConvexBody],
     curve: CurveModel,
-    angles: np.ndarray | None = None,
+    arcs: list[list[tuple[float, float]]] | None = None,
 ) -> ColorGraph:
     """Edge (i, j) whenever bodies i and j share a point of the curve.
 
-    angles is the bodies' meet_angles table when the caller already has it.
+    arcs is the bodies' body_curve_arcs when the caller already has them;
+    the edges are their meet_matrix.
     """
-    if angles is None:
-        angles = meet_angles([body_curve_arcs(b, curve) for b in bodies])
-    adj = ~np.isnan(angles)
-    np.fill_diagonal(adj, False)
-    return ColorGraph(adj)
+    if arcs is None:
+        arcs = [body_curve_arcs(b, curve) for b in bodies]
+    return ColorGraph(meet_matrix(arcs))
 
 
 def _has_independent_set(graph: ColorGraph, size: int) -> bool:

@@ -33,7 +33,6 @@ from .geometry import (
     body_curve_arcs,
     candidate_points,
     containment_matrix,
-    meet_angles,
 )
 from .lp import packing_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
@@ -417,10 +416,9 @@ def run_pipeline(
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    angles = meet_angles(arcs)
     # For p = 2 verify_p2 only counts edges, so the exact-search cap does not apply.
     if p_eff == 2 or len(active) <= EXACT_INDEPENDENCE_CAP:
-        graph = build_meet_graph(active, curve, angles=angles)
+        graph = build_meet_graph(active, curve, arcs=arcs)
         flags["condition_checked"] = True
         flags["condition_holds"] = verify_p2(graph, p_eff)
     else:

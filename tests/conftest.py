@@ -17,6 +17,8 @@ from pierce.geometry import (
     normalize_angle,
     segment_intersection,
 )
+from pierce import lp
+from pierce.lp import PIVOT_TOL, TOL_LP, LPSolution
 from pierce.meetgraph import ColorGraph
 from pierce.witness import WitnessList, cover_width, separator_tuple_size, spread_threshold
 
@@ -52,6 +54,16 @@ def arc_body(body_id: int, lo: float, hi: float) -> ConvexBody:
         pts.append((r_out * math.cos(t), r_out * math.sin(t)))
     pts.append((0.3 * math.cos(hi), 0.3 * math.sin(hi)))
     return ConvexBody.from_vertices(body_id, pts)
+
+
+def tangent_triangle(body_id: int, angle: float, turn: float) -> ConvexBody:
+    """A triangle inside the unit disk whose one point on the unit circle is
+    its vertex at angle: its other two vertices lie 0.6 from that vertex, at
+    turn and turn + 0.5 radians from the direction to the centre."""
+    vx, vy = math.cos(angle), math.sin(angle)
+    ends = [(vx - 0.6 * math.cos(angle + t), vy - 0.6 * math.sin(angle + t))
+            for t in (turn, turn + 0.5)]
+    return ConvexBody.from_vertices(body_id, [(vx, vy), *ends])
 
 
 def pg22_twice() -> list[ConvexBody]:
@@ -340,3 +352,55 @@ def reference_body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple
         if not arcs:
             return []
     return arcs
+
+
+def reference_packing_solve(mat) -> LPSolution:
+    """packing_solve with its scans as loops over numpy scalars, read from
+    the tableau entry by entry: the entering column is the first whose
+    reduced cost is below -TOL_LP, and the leaving row has the least ratio,
+    ties within PIVOT_TOL going to the basic variable of lowest index
+    (Bland's rule). It pivots through lp._pivot, so a test can count the
+    pivots of both."""
+    mat = np.asarray(mat, dtype=float)
+    m, n = mat.shape
+    k = n + m
+    tab = np.zeros((m, k + 1))
+    tab[:, :n] = mat
+    tab[:, n:k] = np.eye(m)
+    tab[:, k] = 1.0
+    basis = list(range(n, k))
+    cost = np.zeros(k)
+    cost[:n] = -1.0
+    while True:
+        reduced = cost - cost[basis] @ tab[:, :k]
+        entering = -1
+        for j in range(k):
+            if reduced[j] < -TOL_LP:
+                entering = j
+                break
+        if entering < 0:
+            break
+        ratio = np.inf
+        leaving = -1
+        for i in range(m):
+            a = tab[i, entering]
+            if a > PIVOT_TOL:
+                r = tab[i, k] / a
+                if r < ratio - PIVOT_TOL or (
+                    abs(r - ratio) <= PIVOT_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    ratio = r
+                    leaving = i
+        if leaving < 0:
+            raise ValueError(f"packing program is unbounded in column {entering}")
+        lp._pivot(tab, basis, leaving, entering)
+    x = np.zeros(k)
+    for i, bcol in enumerate(basis):
+        x[bcol] = tab[i, k]
+    values = x[:n]
+    if np.any(mat @ values > 1.0 + TOL_LP) or np.any(values < -TOL_LP):
+        raise ArithmeticError("simplex returned an infeasible optimum")
+    duals = reduced[n:]
+    objective = float(np.dot(np.ones(n), values))
+    return LPSolution(tuple(float(v) for v in values), objective, tuple(duals.tolist()))

@@ -21,6 +21,7 @@ from pierce.geometry import (
     candidate_points,
     containment_matrix,
     meet_angles,
+    meet_matrix,
     normalize_angle,
     segment_intersection,
 )
@@ -41,6 +42,7 @@ from conftest import (
     reference_containment_matrix,
     reference_intersection,
     reference_meet_angle,
+    tangent_triangle,
 )
 
 
@@ -297,6 +299,65 @@ def test_meet_angles_bitwise_on_bench_families():
     for bodies in families:
         arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
         assert meet_angles(arcs).tobytes() == _pairwise_meets(arcs).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6),
+       st.sampled_from([1, geometry._MEET_CELLS]))
+@example([[(5.0, TWO_PI)], [(0.0, 1.0)]], 1)  # meet only at 0
+@example([[(0.0, 0.0)], [(0.0, 0.0)], [(5.0, TWO_PI)], [(1.0, 2.0)]], 1)  # a lone (0, 0)
+@example([[(0.0, TWO_PI)], [(2.0, 2.0)], [], [(0.0, TWO_PI)]], geometry._MEET_CELLS)
+def test_meet_matrix_is_where_meet_angles_is_defined(arcs, cells):
+    # cells sets the cells per block: 1 puts each block at one body.
+    with mock.patch.object(geometry, "_MEET_CELLS", cells):
+        got = meet_matrix(arcs)
+    want = ~np.isnan(meet_angles(arcs))
+    np.fill_diagonal(want, False)
+    assert got.dtype == bool and got.shape == (len(arcs), len(arcs))
+    assert not got.diagonal().any()
+    assert np.array_equal(got, want)
+
+
+def test_meet_matrix_bitwise_on_bench_families():
+    for bodies in (gallery7().bodies, gen_pairwise(12, 3).bodies):
+        arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
+        meets = ~np.isnan(_pairwise_meets(arcs))
+        np.fill_diagonal(meets, False)
+        want = meets.tobytes()
+        assert meet_matrix(arcs).tobytes() == want
+        with mock.patch.object(geometry, "_MEET_CELLS", 1):
+            assert meet_matrix(arcs).tobytes() == want
+
+
+def test_meet_matrix_memory_stays_within_a_block_budget():
+    # 300 bodies of 12 pieces each, every pair overlapping: unblocked, the
+    # (n, n, S, S) overlaps would take 104 MB per float temporary.
+    arcs = [[(0.5 * k + 0.001 * j, 0.5 * k + 0.001 * j + 0.4) for k in range(12)]
+            for j in range(300)]
+    tracemalloc.start()
+    try:
+        meet = meet_matrix(arcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert meet.sum() == 300 * 299
+    assert peak < meet.nbytes + (4 << 20)
+
+
+@pytest.mark.parametrize("angle", [0.0, 1.0])
+def test_bodies_touching_the_curve_at_a_shared_vertex_meet_there(angle):
+    # Each triangle's only point on the circle is its vertex at angle, and
+    # the two share that vertex: their arcs are slivers within TOL_GEOM of
+    # it, through the seam when angle is 0.
+    a, b = tangent_triangle(0, angle, -0.25), tangent_triangle(1, angle, 0.5)
+    far = tangent_triangle(2, angle + 0.5, -0.25)
+    arcs = [body_curve_arcs(body, UNIT_CIRCLE) for body in (a, b, far)]
+    for pieces in arcs:
+        assert pieces and sum(hi - lo for lo, hi in pieces) < 1e-6
+    table = meet_angles(arcs)
+    assert np.array_equal(meet_matrix(arcs), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert np.array_equal(~np.isnan(table), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    assert abs(math.remainder(table[0, 1] - angle, TWO_PI)) < 1e-6
 
 
 def test_segment_intersection_cases():

@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from pierce import lp
 from pierce.lp import TOL_LP, _pivot, packing_solve
+
+from conftest import reference_packing_solve
 
 
 def highs(mat: np.ndarray):
@@ -160,3 +167,31 @@ def test_lp_duals_match_highs():
         else:
             degenerate += 1
     assert unique >= 50 and degenerate >= 50, (unique, degenerate)
+
+
+@st.composite
+def degenerate_packings(draw):
+    """A small 0/1 matrix with no zero column, with repeated rows and
+    columns, so that the ratio test ties and pivots are degenerate."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
+    mat = np.array(cells, dtype=bool).reshape(k, n)
+    mat[draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), np.arange(n)] = True
+    rows = draw(st.lists(st.integers(0, k - 1), max_size=3))
+    cols = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    mat = np.vstack([mat, mat[rows]])
+    return np.hstack([mat, mat[:, cols]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_packings())
+def test_packing_solve_is_the_loop_scan_reference(mat):
+    # Same entering and leaving choices: the same pivots, in the same
+    # number, and so the same solution to the bit.
+    got = []
+    for solve in (packing_solve, reference_packing_solve):
+        with mock.patch.object(lp, "_pivot", wraps=lp._pivot) as pivot:
+            got.append((solve(mat), pivot.call_count))
+    (sol, pivots), (want, want_pivots) = got
+    assert pivots == want_pivots
+    assert (sol.values, sol.objective, sol.duals) == (want.values, want.objective, want.duals)

@@ -39,6 +39,7 @@ from conftest import (
     grid_triangle,
     reference_candidates,
     reference_classes,
+    tangent_triangle,
 )
 
 
@@ -530,6 +531,21 @@ def test_run_pipeline_keeps_a_body_within_tolerance_of_the_curve():
     assert len(report.transversal) == 1
     assert containment_matrix(bodies, list(report.transversal)).all()
     assert verify_report(Instance(bodies), report.to_dict()) == []
+
+
+def test_run_pipeline_on_bodies_that_touch_the_curve_at_shared_vertices():
+    # Two fans of three triangles, each fan touching the circle only at its
+    # shared vertex and the triangles of a fan meeting only there: among any
+    # three bodies two share a fan, and two points pierce all six.
+    turns = (-1.0, -0.25, 0.5)
+    bodies = [tangent_triangle(3 * g + k, angle, turn)
+              for g, angle in enumerate((1.0, 1.0 + TWO_PI / 3)) for k, turn in enumerate(turns)]
+    report = run_pipeline(bodies, UNIT_CIRCLE, 3)
+    assert report.filtered == ()
+    assert report.flags["condition_checked"] and report.flags["condition_holds"]
+    assert report.tau_star == pytest.approx(2.0)
+    assert len(report.transversal) == 2
+    assert verify_report(Instance(bodies, 3), report.to_dict()) == []
 
 
 def test_run_pipeline_errors():
