@@ -268,10 +268,13 @@ def meet_angles(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     components, the first and last glue into one arc through 0. The meet is
     the midpoint of the arc with the earliest start.
 
-    All pairs are computed at once. The lists are padded to one (n, S)
-    array (see _padded_pieces), so the pieces' pairwise overlaps
-    [max(lo), min(hi)] form an (n, n, S*S) array, plus one column for the
-    point 0. Sorted by start, the overlaps merge into components. The
+    The pairs go in row blocks of bodies, as in meet_matrix. The lists are
+    padded to one (n, S) array (see _padded_pieces), so for a block of rows
+    the pieces' pairwise overlaps [max(lo), min(hi)] form a (rows, n, S*S)
+    array, plus one column for the point 0, and a block holds at most
+    _MEET_CELLS such cells, or one body's row when that is larger. Each
+    pair's entry depends on its own overlaps alone, so the blocks do not
+    change it. Sorted by start, the overlaps merge into components. The
     earliest arc is the first component, unless the ends glue: then the
     glued arc is the earliest when there are only two components, and the
     second component is earliest otherwise.
@@ -280,13 +283,24 @@ def meet_angles(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     if n == 0:
         return np.empty((0, 0))
     lo, hi, seam = _padded_pieces(arcs)
-    width = lo.shape[1]
-    both = seam[:, None] & seam[None, :]
+    out = np.empty((n, n))
+    step = max(1, _MEET_CELLS // (n * (lo.shape[1] ** 2 + 1)))
+    for top in range(0, n, step):
+        rows = slice(top, top + step)
+        out[rows] = _meet_block(lo, hi, seam, rows)
+    return out
+
+
+def _meet_block(lo: np.ndarray, hi: np.ndarray, seam: np.ndarray, rows: slice) -> np.ndarray:
+    """The rows of meet_angles for the bodies in rows, from _padded_pieces' arrays."""
+    n, width = lo.shape
+    both = seam[rows, None] & seam[None, :]
+    shape = (len(both), n, -1)
     # A hit [start, end] is the complex number start + end*j, so that one
     # sort orders hits by start; no hit is inf - inf*j, sorted last.
-    hits = np.empty((n, n, width * width + 1), dtype=complex)
-    hits.real[..., :-1] = np.maximum(lo[:, None, :, None], lo[None, :, None, :]).reshape(n, n, -1)
-    hits.imag[..., :-1] = np.minimum(hi[:, None, :, None], hi[None, :, None, :]).reshape(n, n, -1)
+    hits = np.empty((len(both), n, width * width + 1), dtype=complex)
+    hits.real[..., :-1] = np.maximum(lo[rows, None, :, None], lo[None, :, None, :]).reshape(shape)
+    hits.imag[..., :-1] = np.minimum(hi[rows, None, :, None], hi[None, :, None, :]).reshape(shape)
     hits.real[..., -1] = np.where(both, 0.0, np.inf)
     hits.imag[..., -1] = np.where(both, 0.0, -np.inf)
     hits[hits.real > hits.imag] = complex(np.inf, -np.inf)
@@ -341,8 +355,9 @@ def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> Poin
     return None
 
 
-# Edge pairs one crossing step holds at once.
-_CHUNK = 1 << 15
+# Cells (falling edges times rising edges) one crossing block holds: 512 KiB
+# per float64 temporary.
+_CROSS_CELLS = 1 << 16
 
 
 def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
@@ -377,6 +392,19 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     body pair i < j in (i, j) order, within a pair by i's edge, then j's
     edge. A crossing is segment_intersection's point for the two edges.
     Points may repeat; callers merge them by containment signature.
+
+    The crossings are found from the other side. Edges a (of body i) and b
+    (of body j > i) pass the cone test and segment_intersection's parallel
+    test, |den| > slack(a) |b| with slack(a) = TOL_GEOM |a|, exactly when,
+    with f the falling one and r the rising one, den(f, r) > slack(a) |b|:
+    den(f, r) is den(a, b) or its exact negation, and only one of den(f, r)
+    and den(r, f) is positive, so a level edge, which both falls and rises,
+    finds each pair once. So the crossings are enumerated over falling
+    edges times rising edges of different bodies with near boxes, in
+    blocks of at most _CROSS_CELLS cells. Each hit is turned so that a is
+    the edge of the lower-index body, its point comes from the formulas of
+    segment_intersection, term by term, and one lexsort on (i, j, a, b)
+    restores the order above.
     """
     if not bodies:
         return np.empty((0, 2))
@@ -384,55 +412,49 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     # Edge k of a body runs from its vertex k to vertex k + 1 (mod m), so
     # edges and vertices share their indices.
     nv = np.array([body.vertices.shape[0] for body in bodies])
-    vstart = np.concatenate(([0], np.cumsum(nv)[:-1]))
+    end = np.cumsum(nv)
+    start = end - nv
+    nxt = np.arange(1, end[-1] + 1)
+    nxt[end - 1] = start
+    prev = np.arange(-1, end[-1] - 1)
+    prev[start] = end - 1
     owner = np.repeat(np.arange(len(bodies)), nv)
-    k = np.arange(owner.size) - vstart[owner]
-    tail = vstart[owner] + (k + 1) % nv[owner]
     sx, sy = verts.T
-    dx, dy = (verts[tail] - verts).T
+    dx, dy = (verts[nxt] - verts).T
     norm = np.hypot(dx, dy)
     slack, pad = TOL_GEOM * norm, TOL_GEOM / norm
     rises, falls = dy >= -slack, dy <= slack
     # A body's vertex k is the head of its edge k, after edge k - 1.
-    lowest = falls[vstart[owner] + (k - 1) % nv[owner]] & rises
+    lowest = falls[prev] & rises
 
-    x0, x1, y0, y1 = (
-        f.reduceat(verts[:, c], vstart)
-        for f, c in ((np.minimum, 0), (np.maximum, 0), (np.minimum, 1), (np.maximum, 1))
-    )
-    bi, bj = np.triu_indices(len(bodies), 1)
-    apart = (
-        (x1[bi] < x0[bj] - TOL_GEOM)
-        | (x1[bj] < x0[bi] - TOL_GEOM)
-        | (y1[bi] < y0[bj] - TOL_GEOM)
-        | (y1[bj] < y0[bi] - TOL_GEOM)
-    )
-    bi, bj = bi[~apart], bj[~apart]
-    size = nv[bi] * nv[bj]
-    end = np.cumsum(size)
-    out = [verts[lowest]]
-    lo = 0
-    while lo < bi.size:
-        first = end[lo] - size[lo]  # edge pairs before this block
-        hi = max(lo + 1, int(np.searchsorted(end, first + _CHUNK, "right")))
-        pair = np.repeat(np.arange(lo, hi), size[lo:hi])
-        rank = np.arange(first, end[hi - 1]) - (end[pair] - size[pair])
-        a = vstart[bi[pair]] + rank // nv[bj[pair]]
-        b = vstart[bj[pair]] + rank % nv[bj[pair]]
-        lo = hi
-        # The formulas of segment_intersection, term by term, on the edge
-        # pairs that pass the lowest-vertex test.
-        den = dx[a] * dy[b] - dy[a] * dx[b]
-        usable = (np.abs(den) > slack[a] * norm[b]) & np.where(
-            den > 0, falls[a] & rises[b], rises[a] & falls[b])
-        a, b, den = a[usable], b[usable], den[usable]
+    low = np.minimum.reduceat(verts, start) - TOL_GEOM
+    high = np.maximum.reduceat(verts, start)
+    apart = (high[:, None, :] < low[None, :, :]).any(axis=2)
+    near = ~(apart | apart.T)
+    np.fill_diagonal(near, False)
+    fall, rise = np.flatnonzero(falls), np.flatnonzero(rises)
+    rows = max(1, _CROSS_CELLS // max(1, rise.size))
+    hits = []
+    for top in range(0, fall.size, rows):
+        f = fall[top:top + rows, None]
+        den = dx[f] * dy[rise] - dy[f] * dx[rise]
+        first = owner[f] < owner[rise]
+        limit = np.where(first, slack[f] * norm[rise], slack[rise] * norm[f])
+        i, j = np.nonzero(near[owner[f], owner[rise]] & (den > limit))
+        flip = ~first[i, j]
+        a, b, den = f[i, 0], rise[j], den[i, j]
+        a[flip], b[flip], den[flip] = b[flip], a[flip], -den[flip]
         ex, ey = sx[b] - sx[a], sy[b] - sy[a]
         t = (ex * dy[b] - ey * dx[b]) / den
         u = (ex * dy[a] - ey * dx[a]) / den
         hit = (t >= -pad[a]) & (t <= 1.0 + pad[a]) & (u >= -pad[b]) & (u <= 1.0 + pad[b])
-        a, t = a[hit], t[hit]
-        out.append(np.stack([sx[a] + t * dx[a], sy[a] + t * dy[a]], axis=1))
-    return np.concatenate(out)
+        hits.append((a[hit], b[hit], t[hit]))
+    # Every body has a falling edge, so there is at least one block.
+    a, b, t = (np.concatenate(v) for v in zip(*hits))
+    order = np.lexsort((b, a, owner[b], owner[a]))
+    a, t = a[order], t[order]
+    crossings = np.stack([sx[a] + t * dx[a], sy[a] + t * dy[a]], axis=1)
+    return np.concatenate((verts[lowest], crossings))
 
 
 # Cells (stacked edge rows times points) one containment block holds: an

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -176,41 +175,47 @@ def _maximal_rows(words: np.ndarray) -> np.ndarray:
     """Mask of rows not strictly contained in another row (rows are unique).
 
     words is a (rows, words) uint64 array of signatures as _signature_words
-    packs them. A row can only be dominated by one with a larger popcount,
-    and domination by any superset implies domination by some maximal
-    superset, so the popcount groups are visited once, in decreasing order,
-    each against one growing array of the maximal rows kept so far: row r
-    lies in kept row s when r & ~s is 0 in every word. The test runs on
-    blocks of group rows times kept rows whose (rows, rows, words)
-    temporaries hold at most _BLOCK_WORDS words, or one row's words when a
-    row is longer.
+    packs them. Row r lies in row s when r & ~s is 0 in every word, and
+    then s has the larger popcount, since the rows are unique. Domination
+    by any superset implies domination by some maximal superset, so one
+    pass over the rows in order of decreasing popcount, in blocks, keeps
+    every maximal row: each block is tested against the maximal rows kept
+    from earlier blocks, and then its survivors against each other, where
+    a row lies in itself once and in no other survivor unless dominated.
+    A block has at most isqrt(_BLOCK_WORDS / words) rows, so that its
+    (rows, rows, words) temporaries hold at most _BLOCK_WORDS words, and
+    the kept rows go in steps that keep the (rows, kept, words)
+    temporaries within the same budget, or at one row's words when a row
+    is longer.
     """
     k, w = words.shape
     if k <= 1:
         return np.ones(k, dtype=bool)
     pop = np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
     order = np.argsort(-pop, kind="stable")
-    ranked, pop = words[order], pop[order]
-    bounds = [0, *(np.flatnonzero(pop[1:] != pop[:-1]) + 1).tolist(), k]
-    dominated = np.zeros(k, dtype=bool)
-    outside = np.empty_like(words)  # ~s for each kept row s
+    ranked = words[order]
+    keep = np.zeros(k, dtype=bool)
+    outside = ~ranked  # ~s for each row s; the kept ones are packed to the front
     n_kept = 0
-    for start, stop in zip(bounds, bounds[1:]):
-        group, gone = ranked[start:stop], dominated[start:stop]
-        rows = max(1, min(stop - start, math.isqrt(_BLOCK_WORDS // w)))
-        step = max(1, _BLOCK_WORDS // (rows * w))
-        kept = outside[:n_kept]
-        for lo in range(0, stop - start, rows):
-            part, hit = group[lo:lo + rows, None, :], gone[lo:lo + rows]
-            for top in range(0, n_kept, step):
-                hit |= ((part & kept[top:top + step]) == 0).all(axis=2).any(axis=1)
-                if hit.all():
-                    break
-        survivors = group[~gone]
-        outside[n_kept:n_kept + len(survivors)] = ~survivors
-        n_kept += len(survivors)
+    rows = max(1, min(k, math.isqrt(_BLOCK_WORDS // w)))
+    step = max(1, _BLOCK_WORDS // (rows * w))
+    for lo in range(0, k, rows):
+        part = ranked[lo:lo + rows, None, :]
+        hit = np.zeros(len(part), dtype=bool)
+        for top in range(0, n_kept, step):
+            hit |= ((part & outside[top:min(top + step, n_kept)]) == 0).all(axis=2).any(axis=1)
+            if hit.all():
+                break
+        else:
+            # Some rows survived the kept ones: test them against each other.
+            live = np.flatnonzero(~hit)
+            inner = ((part[live] & outside[lo + live]) == 0).all(axis=2).sum(axis=1)
+            live = live[inner == 1]
+            keep[lo + live] = True
+            outside[n_kept:n_kept + len(live)] = outside[lo + live]
+            n_kept += len(live)
     out = np.empty(k, dtype=bool)
-    out[order] = ~dominated
+    out[order] = keep
     return out
 
 
@@ -303,10 +308,10 @@ def rationalize(
     def floored(d: int) -> list[int]:
         return [int(math.floor(v * d + 1e-6)) for v in w]
 
-    fracs = [Fraction(v).limit_denominator(max_denominator) for v in w]
-    denom = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
+    fracs = [_limit_denominator(v, max_denominator) for v in w]
+    denom = math.lcm(*[q for _, q in fracs])
     if denom <= max_denominator:
-        m = [int(f * denom) for f in fracs]
+        m = [p * (denom // q) for p, q in fracs]
         d = denom
     else:
         d = max_denominator
@@ -325,6 +330,35 @@ def rationalize(
             m[top] -= 1
             loads -= rows[:, top]
     return tuple(m), d
+
+
+def _limit_denominator(v: float, max_denominator: int) -> tuple[int, int]:
+    """Fraction(v).limit_denominator(max_denominator) as (numerator, denominator).
+
+    The same continued-fraction recurrence on the integers of
+    v.as_integer_ratio(), without building Fractions: the last convergent
+    p1/q1 with q1 <= max_denominator, or the semiconvergent beyond it when
+    that is strictly closer to v. The two lie on either side of v and
+    1 / (q1 * (q0 + k*q1)) apart, and p1/q1 is d / (q1 * den) from v, so
+    p1/q1 wins, ties included, exactly when 2 * d * (q0 + k*q1) <= den, the
+    choice the stdlib makes. Both results are in lowest terms.
+    """
+    num, den = v.as_integer_ratio()
+    if den <= max_denominator:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def greedy_transversal(classes: CandidateClasses) -> list[Point2]:

@@ -282,13 +282,17 @@ def _pairwise_meets(arcs):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6))
-@example([[(5.0, TWO_PI)], [(0.0, 1.0)]])  # meet only at 0
-@example([[(5.0, TWO_PI)], [(0.0, 0.0)]])
-@example([[(0.0, TWO_PI)], [(0.0, 1.0), (2.0, 3.0), (5.0, TWO_PI)]])
-@example([[(0.0, TWO_PI)], arc_pieces(5.0, TWO_PI + 1.0), [], [(0.0, TWO_PI)]])
-def test_meet_angles_is_the_pairwise_table_bitwise(arcs):
-    table = meet_angles(arcs)
+@given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6),
+       st.sampled_from([1, 40, geometry._MEET_CELLS]))
+@example([[(5.0, TWO_PI)], [(0.0, 1.0)]], 1)  # meet only at 0
+@example([[(5.0, TWO_PI)], [(0.0, 0.0)]], geometry._MEET_CELLS)
+@example([[(0.0, TWO_PI)], [(0.0, 1.0), (2.0, 3.0), (5.0, TWO_PI)]], 1)
+@example([[(0.0, TWO_PI)], arc_pieces(5.0, TWO_PI + 1.0), [], [(0.0, TWO_PI)]], 1)
+def test_meet_angles_is_the_pairwise_table_bitwise(arcs, cells):
+    # cells sets the cells per block: 1 puts each block at one body, and 40
+    # splits most lists of a few bodies into blocks of several.
+    with mock.patch.object(geometry, "_MEET_CELLS", cells):
+        table = meet_angles(arcs)
     assert table.shape == (len(arcs), len(arcs))
     assert table.tobytes() == _pairwise_meets(arcs).tobytes()
 
@@ -298,7 +302,10 @@ def test_meet_angles_bitwise_on_bench_families():
     families = [inst.bodies, gen_pairwise(12, 3).bodies]
     for bodies in families:
         arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
-        assert meet_angles(arcs).tobytes() == _pairwise_meets(arcs).tobytes()
+        want = _pairwise_meets(arcs).tobytes()
+        assert meet_angles(arcs).tobytes() == want
+        with mock.patch.object(geometry, "_MEET_CELLS", 1):
+            assert meet_angles(arcs).tobytes() == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -342,6 +349,24 @@ def test_meet_matrix_memory_stays_within_a_block_budget():
         tracemalloc.stop()
     assert meet.sum() == 300 * 299
     assert peak < meet.nbytes + (4 << 20)
+
+
+def test_meet_angles_memory_stays_within_a_block_budget():
+    # 300 bodies of 12 pieces each, every pair overlapping: unblocked, the
+    # (n, n, S*S + 1) complex overlaps would take 210 MB, and each of the
+    # float temporaries that merge them 105 MB.
+    arcs = [[(0.5 * k + 0.001 * j, 0.5 * k + 0.001 * j + 0.4) for k in range(12)]
+            for j in range(300)]
+    tracemalloc.start()
+    try:
+        table = meet_angles(arcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.isnan(table).any()
+    # One block holds at most _MEET_CELLS (64 Ki) overlaps, here one body's
+    # row of 43,500: the peak is near 2.5 MiB.
+    assert peak < table.nbytes + (4 << 20)
 
 
 @pytest.mark.parametrize("angle", [0.0, 1.0])
@@ -394,8 +419,8 @@ _grid_shape = st.tuples(st.one_of(grid_square, grid_triangle), st.booleans()).ma
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_grid_shape, max_size=7), st.sampled_from([1, 5, 64, geometry._CHUNK]))
-@example([], geometry._CHUNK)
+@given(st.lists(_grid_shape, max_size=7), st.sampled_from([1, 5, 64, geometry._CROSS_CELLS]))
+@example([], geometry._CROSS_CELLS)
 @example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]], 1)  # shared vertex
 @example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 0), (2, 0), (2, 1), (1, 1)]], 5)  # shared edge
 @example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 0), (3, 0), (3, 1)],
@@ -405,10 +430,11 @@ _grid_shape = st.tuples(st.one_of(grid_square, grid_triangle), st.booleans()).ma
 @example([[(0, 0), (1, 0), (0, 1)], [(10, 0), (11, 0), (10, 1)],
           [(0.5, 0.5), (0.6, 0.5), (0.5, 0.6)]], 1)  # apart
 @example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (4, 1e-10), (4, 1)]], 1)  # parallel within tol
-def test_candidate_points_match_reference(shapes, chunk):
-    # chunk sets the edge pairs per numpy block; 1 and 5 split body pairs over blocks.
+def test_candidate_points_match_reference(shapes, cells):
+    # cells sets the falling-by-rising edge pairs per numpy block; 1, 5 and 64
+    # split the falling edges over blocks.
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
-    with mock.patch.object(geometry, "_CHUNK", chunk):
+    with mock.patch.object(geometry, "_CROSS_CELLS", cells):
         got = candidate_points(bodies)
     want = reference_candidates(bodies, lowest=True)
     assert got.dtype == np.float64 and got.shape == (len(want), 2)
@@ -656,6 +682,20 @@ def test_body_curve_arcs_edge_cases(shape, check):
     assert arcs == reference_body_curve_arcs(body, UNIT_CIRCLE)
     _check_pieces(arcs)
     assert check(arcs), arcs
+
+
+def test_body_curve_arcs_keep_the_seam_point_of_an_arc_ending_at_two_pi():
+    # A wedge opening to the right whose apex lies about TOL_GEOM * sqrt(2)
+    # past (1, 0), so that with the slack each slanted edge cuts the circle
+    # at angle 0. The apex's last bits were searched so that, in floating
+    # point, the lower edge's arc starts at exactly 0 and the upper edge's
+    # arc ends at exactly 2*pi (one piece each, not through 0). The body
+    # meets the circle only there: the running pieces overlap in nothing,
+    # and the seam point survives only because both edges keep it.
+    apex = 1.000000001414213
+    body = ConvexBody.from_vertices(0, [(apex, 0.0), (apex + 1.0, -1.0), (apex + 1.0, 1.0)])
+    assert body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0)]
+    assert reference_body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0)]
 
 
 @settings(max_examples=300, deadline=None)

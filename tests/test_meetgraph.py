@@ -109,6 +109,46 @@ def test_verify_p2_against_exhaustive():
         assert verify_p2(g, p) == (not independent_oracle(g, p))
 
 
+def disjoint_cliques(rng, n, k):
+    """k disjoint cliques of random sizes (at least one vertex each) on n
+    shuffled vertices, plus the cliques' vertex lists."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+    labels = rng.permutation(n)
+    groups = [labels[lo:hi].tolist() for lo, hi in zip([0, *cuts], [*cuts, n])]
+    edges = set().union(*(clique_edges(g) for g in groups))
+    return make_graph(n, edges), groups
+
+
+def independence_number(graph):
+    """The largest independent set's size, by exhaustive include/exclude
+    recursion on the lowest vertex left, with no bound."""
+    neighbors = [sum(1 << v for v in np.flatnonzero(row).tolist()) for row in graph.adj]
+
+    def best(left):
+        if not left:
+            return 0
+        low = left & -left
+        v = low.bit_length() - 1
+        return max(best(left ^ low), 1 + best(left & ~low & ~neighbors[v]))
+
+    return best((1 << graph.n) - 1)
+
+
+def test_verify_p2_on_disjoint_cliques():
+    # k disjoint cliques have independence number k: any k + 1 vertices
+    # hold two of one clique. So p = k + 1 holds, which the clique-cover
+    # bound decides at the root, and p = k fails.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(3, 41))
+        k = int(rng.integers(2, min(n, 5) + 1))
+        g, groups = disjoint_cliques(rng, n, k)
+        assert len(groups) == k and sum(map(len, groups)) == n
+        assert independence_number(g) == k
+        assert verify_p2(g, k + 1)
+        assert not verify_p2(g, k)
+
+
 def test_verify_p2_complement_clique_consistency():
     rng = np.random.default_rng(4)
     for _ in range(100):

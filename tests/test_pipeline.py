@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pierce.pipeline import (
     rationalize,
     run_pipeline,
     solve_lp_pair,
+    _limit_denominator,
     _maximal_rows,
     _signature_words,
 )
@@ -128,16 +130,22 @@ def test_maximal_rows_against_bruteforce():
     assert words.tolist() == [[1 << (c % 64) if w == c // 64 else 0 for w in range(3)]
                               for c in range(130)]
     rng = np.random.default_rng(4)
-    for _ in range(120):
+    for trial in range(120):
         k = int(rng.integers(1, 40))
         n = int(rng.integers(1, 131))
         rows = np.unique(rng.random((k, n)) < rng.uniform(0.2, 0.8), axis=0)
-        got = _maximal_rows(_signature_words(rows))
-        for i in range(rows.shape[0]):
-            dominated = any(
-                j != i and (rows[i] <= rows[j]).all() for j in range(rows.shape[0])
-            )
-            assert got[i] == (not dominated)
+        if trial % 4 == 0:
+            # Rows and their halves: chains of equal and of distinct popcounts.
+            rows = np.unique(np.vstack([rows, rows & (np.cumsum(rows, axis=1) <= n // 2)]), axis=0)
+        want = [not any(j != i and (rows[i] <= rows[j]).all() for j in range(rows.shape[0]))
+                for i in range(rows.shape[0])]
+        # budget sets the words per block: 1 makes blocks of one row, 12 and
+        # 64 blocks of 2 to 8 rows, so that a block's survivors test each
+        # other and the kept rows go in several steps.
+        for budget in (1, 12, 64, pierce.pipeline._BLOCK_WORDS):
+            with mock.patch.object(pierce.pipeline, "_BLOCK_WORDS", budget):
+                got = _maximal_rows(_signature_words(rows))
+            assert got.tolist() == want, budget
 
 
 def test_maximal_rows_memory_stays_within_a_block_budget():
@@ -201,6 +209,40 @@ def test_duality_on_generated_instances():
 
 
 # ---------------------------------------------------------------- rationalize
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5, 5e-324, 2.2250738585072014e-308, 1 / 3]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1e-300),  # subnormals and their neighbours
+        st.builds(lambda j, e: j / 2 ** e, st.integers(0, 1 << 12), st.integers(0, 12))
+        .filter(lambda v: v <= 1.0),  # dyadics
+    ),
+    st.integers(1, 10_000),
+)
+@example(0.5, 1)  # midway between 0 and 1
+@example(0.25, 3)  # midway between 0 and 1/2
+@example(0.75, 3)
+def test_limit_denominator_is_the_fraction_method(v, max_denominator):
+    want = Fraction(v).limit_denominator(max_denominator)
+    assert _limit_denominator(v, max_denominator) == (want.numerator, want.denominator)
+
+
+def test_limit_denominator_breaks_ties_as_the_fraction_method():
+    # A dyadic v = j / 2**e can lie midway between two closest fractions
+    # with denominators up to d: want and its mirror 2v - want. Every v and
+    # d up to e = 8 is checked, and there are ties among them.
+    ties = 0
+    for e in range(1, 9):
+        for j in range(1, 2 ** e, 2):
+            v = j / 2 ** e
+            for d in range(1, 2 ** e):
+                want = Fraction(v).limit_denominator(d)
+                assert _limit_denominator(v, d) == (want.numerator, want.denominator)
+                ties += (2 * Fraction(v) - want).denominator <= d
+    assert ties >= 15
 
 
 def test_rationalize_exact_rationals():
