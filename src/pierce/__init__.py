@@ -5,7 +5,7 @@ from .instances import Instance, gallery7, gen_clustered, gen_pairwise
 from .instances import load_instance, save_instance
 from .pipeline import TransversalReport, run_pipeline
 from .reports import load_report, save_report, verify_report
-from .witness import WitnessList, build_witness_list
+from .witness import WitnessList
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,6 @@ __all__ = [
     "Instance",
     "TransversalReport",
     "WitnessList",
-    "build_witness_list",
     "gallery7",
     "gen_clustered",
     "gen_pairwise",

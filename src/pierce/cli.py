@@ -14,9 +14,8 @@ import os
 import sys
 
 from .errors import InvalidBodyError, PierceError
-from .geometry import body_curve_arcs, meet_angles
+from .geometry import body_curve_arcs
 from .instances import (
-    Instance,
     gallery7,
     gen_clustered,
     gen_pairwise,
@@ -27,7 +26,7 @@ from .meetgraph import build_meet_graph, turan_pair_check
 from .pipeline import brute_min_transversal, run_pipeline
 from .reports import load_report, save_report, verify_report
 from .svg import render_svg
-from .witness import is_spread_out, witness_list_from_angles
+from .witness import is_spread_out, witness_list
 
 logger = logging.getLogger("pierce")
 
@@ -157,10 +156,10 @@ def _cmd_stats(args) -> int:
     instance = load_instance(args.instance)
     n_bodies = len(instance.bodies)
     arcs = [body_curve_arcs(b, instance.curve) for b in instance.bodies]
-    q = witness_list_from_angles(meet_angles(arcs))
+    graph = build_meet_graph(instance.bodies, instance.curve, arcs=arcs)
+    q = witness_list(arcs, graph.adj)
     spread = sum(1 for color in range(n_bodies)
                  if len(q) and is_spread_out(q.occurrences(color), len(q), args.alpha))
-    graph = build_meet_graph(instance.bodies, instance.curve, arcs=arcs)
     meets, bound, ok = turan_pair_check(graph, instance.p)
     print(f"bodies={n_bodies} p={instance.p}")
     print(f"witnesses N={len(q)}")

@@ -9,10 +9,6 @@ class InvalidBodyError(PierceError):
     """Raised when vertex input cannot be turned into a valid convex body."""
 
 
-class DegenerateQuadrupleError(PierceError):
-    """Raised when all four separator angles collapse to a single direction."""
-
-
 class IncompleteCandidatesError(PierceError):
     """Raised when some body contains none of the supplied candidate points."""
 

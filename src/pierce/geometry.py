@@ -236,8 +236,8 @@ def meet_matrix(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     A symmetric bool (n, n) matrix with a False diagonal. Bodies i and j
     meet when some piece of i overlaps some piece of j (the larger lo is at
     most the smaller hi), or when both touch the seam (see _padded_pieces).
-    These are the comparisons meet_angles makes before it sorts, so off the
-    diagonal this is ~isnan(meet_angles(arcs)), without the angles. The
+    These are meet_angle's comparisons, so off the diagonal meet[i, j] says
+    whether meet_angle(arcs[i], arcs[j]) is not None, without the angle. The
     rows go in blocks of bodies whose (rows, n, S, S) temporaries hold at
     most _MEET_CELLS cells, or one body's row when that is larger.
     """
@@ -254,105 +254,42 @@ def meet_matrix(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     return meet
 
 
-def meet_angles(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
-    """Where each pair of bodies meets on the curve, from their body_curve_arcs.
+def meet_angle(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float | None:
+    """Where two bodies meet on the curve, from their body_curve_arcs; None
+    when the lists share no point.
 
-    Entry [i, j] is where bodies i and j meet on the curve, NaN when they do
-    not; the diagonal [i, i] is a point of body i's own arcs, NaN when it has
-    none. The witness lists read it; whether two bodies meet at all is
-    meet_matrix's cheaper question.
-
-    The rule for one pair: the pieces' pairwise overlaps, plus the point 0
-    when both lists touch 0 or 2*pi, merge into the components of their
-    union. When that union touches both 0 and 2*pi in two or more
-    components, the first and last glue into one arc through 0. The meet is
-    the midpoint of the arc with the earliest start.
-
-    The pairs go in row blocks of bodies, as in meet_matrix. The lists are
-    padded to one (n, S) array (see _padded_pieces), so for a block of rows
-    the pieces' pairwise overlaps [max(lo), min(hi)] form a (rows, n, S*S)
-    array, plus one column for the point 0, and a block holds at most
-    _MEET_CELLS such cells, or one body's row when that is larger. Each
-    pair's entry depends on its own overlaps alone, so the blocks do not
-    change it. Sorted by start, the overlaps merge into components. The
-    earliest arc is the first component, unless the ends glue: then the
-    glued arc is the earliest when there are only two components, and the
-    second component is earliest otherwise.
+    The pieces' pairwise overlaps, plus the point 0 when both lists touch
+    the seam (see _padded_pieces), merge into components. When these touch
+    both 0 and 2*pi in two or more components, the first and last glue into
+    one arc through 0. The meet is the midpoint of the arc with the earliest
+    start.
     """
-    n = len(arcs)
-    if n == 0:
-        return np.empty((0, 0))
-    lo, hi, seam = _padded_pieces(arcs)
-    out = np.empty((n, n))
-    step = max(1, _MEET_CELLS // (n * (lo.shape[1] ** 2 + 1)))
-    for top in range(0, n, step):
-        rows = slice(top, top + step)
-        out[rows] = _meet_block(lo, hi, seam, rows)
-    return out
-
-
-def _meet_block(lo: np.ndarray, hi: np.ndarray, seam: np.ndarray, rows: slice) -> np.ndarray:
-    """The rows of meet_angles for the bodies in rows, from _padded_pieces' arrays."""
-    n, width = lo.shape
-    both = seam[rows, None] & seam[None, :]
-    shape = (len(both), n, -1)
-    # A hit [start, end] is the complex number start + end*j, so that one
-    # sort orders hits by start; no hit is inf - inf*j, sorted last.
-    hits = np.empty((len(both), n, width * width + 1), dtype=complex)
-    hits.real[..., :-1] = np.maximum(lo[rows, None, :, None], lo[None, :, None, :]).reshape(shape)
-    hits.imag[..., :-1] = np.minimum(hi[rows, None, :, None], hi[None, :, None, :]).reshape(shape)
-    hits.real[..., -1] = np.where(both, 0.0, np.inf)
-    hits.imag[..., -1] = np.where(both, 0.0, -np.inf)
-    hits[hits.real > hits.imag] = complex(np.inf, -np.inf)
-    hits.sort(axis=2)
-    start, end = hits.real, hits.imag
-    # A hit starting past the reach of all earlier ones opens a component.
-    reach = np.maximum.accumulate(end, axis=2)
-    opens = start < np.inf
-    opens[..., 1:] &= start[..., 1:] > reach[..., :-1]
-    comp = np.cumsum(opens, axis=2) - 1
-    count = comp[..., -1] + 1
-
-    def part(c, values, pick, pad):
-        return pick.reduce(np.where(comp == c, values, pad), axis=2)
-
-    lo0, hi0 = start[..., 0], part(0, end, np.maximum, -np.inf)
-    lo1, hi1 = part(1, start, np.minimum, np.inf), part(1, end, np.maximum, -np.inf)
-    lo_last = part(count[..., None] - 1, start, np.minimum, np.inf)
-    glued = (lo0 == 0.0) & (reach[..., -1] == TWO_PI) & (count >= 2)
-    with np.errstate(invalid="ignore"):
-        mid = np.where(
-            glued & (count == 2),
-            lo_last + 0.5 * ((TWO_PI - lo_last) + hi0),
-            np.where(glued, lo1 + 0.5 * (hi1 - lo1), lo0 + 0.5 * (hi0 - lo0)),
-        )
-        # Starts and lengths are nonnegative, so this is normalize_angle.
-        mid = np.fmod(mid, TWO_PI)
-    mid[count == 0] = np.nan
-    return mid
-
-
-def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> Point2 | None:
-    """Intersection point of two closed segments, or None.
-
-    Endpoint touches count as intersections. Parallel segments return None
-    even when they overlap, since no single point is canonical there.
-    """
-    d1x, d1y = a2[0] - a1[0], a2[1] - a1[1]
-    d2x, d2y = b2[0] - b1[0], b2[1] - b1[1]
-    den = d1x * d2y - d1y * d2x
-    n1 = math.hypot(d1x, d1y)
-    n2 = math.hypot(d2x, d2y)
-    if n1 == 0.0 or n2 == 0.0 or abs(den) <= TOL_GEOM * n1 * n2:
+    # Each piece has lo <= hi, so two overlap when each starts before the other ends.
+    hits = [(max(a0, b0), min(a1, b1)) for a0, a1 in a for b0, b1 in b if a0 <= b1 and b0 <= a1]
+    if _touches_seam(a) and _touches_seam(b):
+        hits.append((0.0, 0.0))
+    comps = []
+    for lo, hi in sorted(hits):
+        if comps and lo <= comps[-1][1]:
+            comps[-1][1] = max(comps[-1][1], hi)
+        else:
+            comps.append([lo, hi])
+    if not comps:
         return None
-    ex, ey = b1[0] - a1[0], b1[1] - a1[1]
-    t = (ex * d2y - ey * d2x) / den
-    u = (ex * d1y - ey * d1x) / den
-    pad_t = TOL_GEOM / n1
-    pad_u = TOL_GEOM / n2
-    if -pad_t <= t <= 1.0 + pad_t and -pad_u <= u <= 1.0 + pad_u:
-        return (a1[0] + t * d1x, a1[1] + t * d1y)
-    return None
+    (lo, hi), last = comps[0], comps[-1][0]
+    if len(comps) >= 2 and lo == 0.0 and comps[-1][1] == TWO_PI:
+        if len(comps) == 2:
+            return normalize_angle(last + 0.5 * ((TWO_PI - last) + hi))
+        lo, hi = comps[1]
+    return normalize_angle(lo + 0.5 * (hi - lo))
+
+
+def _touches_seam(pieces: list[tuple[float, float]]) -> bool:
+    # A loop, not any() over a generator: this runs once or twice per body pair.
+    for lo, hi in pieces:
+        if lo == 0.0 or hi == TWO_PI:
+            return True
+    return False
 
 
 # Cells (falling edges times rising edges) one crossing block holds: 512 KiB
@@ -390,21 +327,24 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
 
     Order: the kept vertices, body by body; then the kept crossings of each
     body pair i < j in (i, j) order, within a pair by i's edge, then j's
-    edge. A crossing is segment_intersection's point for the two edges.
-    Points may repeat; callers merge them by containment signature.
+    edge. Edges a and b (from s_a along d_a, from s_b along d_b) cross at
+    s_a + t d_a, with t = (e x d_b) / den, u = (e x d_a) / den, e = s_b - s_a
+    and den = d_a x d_b, when |den| > TOL_GEOM |d_a| |d_b| (the parallel
+    test) and t and u lie in [0, 1], padded by TOL_GEOM over their edge's
+    length. Points may repeat; callers merge them by containment signature.
 
     The crossings are found from the other side. Edges a (of body i) and b
-    (of body j > i) pass the cone test and segment_intersection's parallel
-    test, |den| > slack(a) |b| with slack(a) = TOL_GEOM |a|, exactly when,
-    with f the falling one and r the rising one, den(f, r) > slack(a) |b|:
+    (of body j > i) pass the cone test and the parallel test,
+    |den| > slack(a) |b| with slack(a) = TOL_GEOM |a|, exactly when, with f
+    the falling one and r the rising one, den(f, r) > slack(a) |b|:
     den(f, r) is den(a, b) or its exact negation, and only one of den(f, r)
     and den(r, f) is positive, so a level edge, which both falls and rises,
     finds each pair once. So the crossings are enumerated over falling
     edges times rising edges of different bodies with near boxes, in
     blocks of at most _CROSS_CELLS cells. Each hit is turned so that a is
-    the edge of the lower-index body, its point comes from the formulas of
-    segment_intersection, term by term, and one lexsort on (i, j, a, b)
-    restores the order above.
+    the edge of the lower-index body, its point comes from the formulas
+    above, term by term, and one lexsort on (i, j, a, b) restores the order
+    above.
     """
     if not bodies:
         return np.empty((0, 2))

@@ -3,8 +3,10 @@
 A convex curve meets every hyperplane at most d times.  The two workhorses
 are the moment curve (t, t^2, ..., t^d), open and linearly ordered, and for
 even d the closed trigonometric curve (sin t, cos t, ..., sin(d/2 t),
-cos(d/2 t)), circularly ordered.  The spread-out / short-cover dichotomy
-on these curves' witness lists lives in pierce.witness.
+cos(d/2 t)), circularly ordered.  On these curves' witness lists the
+spread-out side of the spread-out / short-cover dichotomy, is_spread_out,
+lives in pierce.witness, and the short-cover side, interval_cover, beside
+its tests in tests/lemmas.py.
 
 Crossing counts are exact on both curves: the float data, dyadic rationals,
 are scaled to an integer polynomial (on the closed curve, in u = tan(t/2)),
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 MOMENT = "moment"
 CARATHEODORY = "caratheodory"
 
-PointD = tuple[float, ...]
-
 
 @dataclass(frozen=True)
 class CurveSpecD:
@@ -37,13 +37,6 @@ class CurveSpecD:
             raise ValueError("dimension must be at least 2")
         if self.kind == CARATHEODORY and self.d % 2 != 0:
             raise ValueError("the closed trigonometric curve needs even dimension")
-
-
-def curve_point(spec: CurveSpecD, t: float) -> PointD:
-    """Point of the curve at parameter t."""
-    if spec.kind == MOMENT:
-        return tuple(t**k for k in range(1, spec.d + 1))
-    return tuple(f(k * t) for k in range(1, spec.d // 2 + 1) for f in (math.sin, math.cos))
 
 
 # ----------------------------------------------------------------- Sturm

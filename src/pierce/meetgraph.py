@@ -122,13 +122,13 @@ def _has_independent_set(graph: ColorGraph, size: int) -> bool:
     return extend(0, (1 << graph.n) - 1)
 
 
-def verify_p2(graph: ColorGraph, p: int, max_exact: int = EXACT_INDEPENDENCE_CAP) -> bool:
+def verify_p2(graph: ColorGraph, p: int) -> bool:
     """True when every p vertices span at least one edge.
 
     Equivalently: the graph has no independent set of size p, i.e. the
-    complement has no p-clique.  Exact search, capped at max_exact vertices
-    (the problem is NP-hard in general); callers that know their graph is
-    easy may raise the cap, as the clustered-family acceptance check does.
+    complement has no p-clique.  For p > 2 the search is exact and capped
+    at EXACT_INDEPENDENCE_CAP vertices, read at call time (the problem is
+    NP-hard in general); above the cap it raises ValueError.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -136,8 +136,8 @@ def verify_p2(graph: ColorGraph, p: int, max_exact: int = EXACT_INDEPENDENCE_CAP
         return True
     if p == 2:
         return graph.edge_count == graph.n * (graph.n - 1) // 2
-    if graph.n > max_exact:
-        raise ValueError(f"exact independence check capped at n = {max_exact}")
+    if graph.n > EXACT_INDEPENDENCE_CAP:
+        raise ValueError(f"exact independence check capped at n = {EXACT_INDEPENDENCE_CAP}")
     return not _has_independent_set(graph, p)
 
 
@@ -150,17 +150,3 @@ def turan_pair_check(graph: ColorGraph, p: int) -> tuple[int, float, bool]:
     meets = graph.edge_count
     bound = graph.n * graph.n / (2 * p)
     return meets, bound, meets >= bound
-
-
-def max_neighbor_degree_sum(graph: ColorGraph) -> tuple[int, int]:
-    """Vertex maximizing g(v) = sum of deg(w) over neighbors w, with its g.
-
-    On any graph the maximum satisfies g >= 4|E|^2 / n^2; ties break toward
-    the smallest vertex index.
-    """
-    if graph.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    adj = graph.adj.astype(np.int64)
-    g = adj @ adj.sum(axis=1)
-    best = int(np.argmax(g))
-    return best, int(g[best])

@@ -1,41 +1,28 @@
-"""Circular witness lists, spread-out colors, and separator quadruples.
+"""Circular witness lists and spread-out colors.
 
 A witness list is the circular list of meeting points of a family of
 bodies, one color per body: for every pair of colors that meet on the
-curve, one curve angle where they do. witness_list_from_angles builds it
-from a meet_angles table; build_witness_list and pierce stats use it. The
-paper's combinatorics (spread-out colors, interval covers, quadruples that
-pierce a color and their counts) run on entry indices of the sorted list;
-distances there are index distances, never angles. The spread-out / short-
-cover dichotomy, is_spread_out and interval_cover, takes one color's
-occurrence indices and the list size for every dimension d: circular on
-the plane's circle and on the closed curves of even d, linear on the open
-curves of odd d, with the separator tuple size in place of four. The
-pipeline's heavy point does not come from here: it is the heaviest
-candidate class (see run_pipeline).
+curve, one curve angle where they do. witness_list builds it from the
+bodies' arcs and their meet_matrix, and pierce stats prints its size and
+how many colors are spread out. The paper's combinatorics run on entry
+indices of the sorted list; distances there are index distances, never
+angles. is_spread_out takes one color's occurrence indices and the list
+size for every dimension d: circular on the plane's circle and on the
+closed curves of even d, linear on the open curves of odd d, with the
+separator tuple size in place of four. The paper's other lemmas on the
+list (interval covers, separator quadruples and their counts, the rate
+bounds) bound the transversal but do not build it, so they live beside
+their tests, in tests/lemmas.py. The pipeline's heavy point does not come
+from here: it is the heaviest candidate class (see run_pipeline).
 """
 
-import itertools
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateQuadrupleError
-from .geometry import (
-    TOL_GEOM,
-    TWO_PI,
-    ConvexBody,
-    CurveModel,
-    Point2,
-    body_curve_arcs,
-    meet_angles,
-    normalize_angle,
-    segment_intersection,
-)
+from .geometry import TWO_PI, meet_angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,28 +77,20 @@ class WitnessList:
         return self._occ[color]
 
 
-def witness_list_from_angles(angles: np.ndarray) -> WitnessList:
-    """The witness list of a meet_angles table: one entry per meeting pair i < j."""
-    i, j = np.nonzero(np.triu(~np.isnan(angles), 1))
-    at = angles[i, j]
+def witness_list(arcs: list[list[tuple[float, float]]], meets: np.ndarray) -> WitnessList:
+    """The witness list with one entry, at its meet_angle, for each pair
+    i < j of these body_curve_arcs that meets (their meet_matrix) marks."""
+    i, j = np.nonzero(np.triu(meets, 1))
+    at = np.array([meet_angle(arcs[a], arcs[b]) for a, b in zip(i.tolist(), j.tolist())],
+                  dtype=float)
     # nonzero lists (i, j) in order, so a stable sort by angle gives (angle, pair) order.
     order = np.argsort(at, kind="stable")
-    return WitnessList(at[order], np.stack([i, j], axis=1)[order], len(angles))
-
-
-def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessList:
-    """One witness per body pair whose curve arcs share a point."""
-    return witness_list_from_angles(meet_angles([body_curve_arcs(b, curve) for b in bodies]))
+    return WitnessList(at[order], np.stack([i, j], axis=1)[order], len(arcs))
 
 
 def spread_threshold(alpha: float, n: int) -> int:
     """Smallest integer distance t with t >= alpha*n, guarded against float fuzz."""
     return max(1, math.ceil(round(alpha * n, 9)))
-
-
-def cover_width(alpha: float, n: int) -> int:
-    """Largest integer interval length not exceeding alpha*n."""
-    return math.floor(round(alpha * n, 9))
 
 
 def separator_tuple_size(d: int) -> int:
@@ -125,9 +104,6 @@ def separator_tuple_size(d: int) -> int:
     if d % 2 == 0:
         return (d * d + d + 2) // 2
     return (d * d + 1) // 2
-
-
-IndexInterval = tuple[int, int]
 
 
 def _dichotomy_input(occ, n: int, alpha: float) -> list[int]:
@@ -177,156 +153,3 @@ def is_spread_out(occ, n: int, alpha: float, d: int = 2) -> bool:
         if len(chain) == want and (not circular or chain[0] + n - chain[-1] >= t):
             return True
     return False
-
-
-def interval_cover(occ, n: int, alpha: float, d: int = 2) -> list[IndexInterval] | None:
-    """Fewest intervals of index width <= floor(alpha*n) covering occ, or None.
-
-    The complement of is_spread_out: None when the color is spread out, or
-    when the fewest intervals exceed the limit, j = separator_tuple_size(d)
-    for odd d (linear) or j - 1 for even d (circular), three at d = 2.
-    Intervals are (first, last) occurrence pairs. The greedy cover (each
-    interval starts at the first uncovered occurrence) is exact on a line;
-    on the cycle it runs from every anchor, and the first fewest wins.
-
-    For odd d the two sides are exact complements at every alpha. For even
-    d they are whenever j*ceil(alpha*n) <= n; beyond that the spread side
-    cannot fire while a cover may still need j or more intervals, and None
-    is returned for that case too.
-    """
-    if is_spread_out(occ, n, alpha, d):
-        return None
-    occ = _dichotomy_input(occ, n, alpha)
-    circular = d % 2 == 0
-    width = cover_width(alpha, n)
-    best: list[IndexInterval] = []
-    for seq in _unwrapped(occ, n, circular):
-        cover: list[IndexInterval] = []
-        for v in seq:
-            if cover and v - cover[-1][0] <= width:
-                cover[-1] = (cover[-1][0], v)
-            else:
-                cover.append((v, v))
-        if not best or len(cover) < len(best):
-            best = cover
-    j = separator_tuple_size(d)
-    limit = j - 1 if circular else j
-    return [(lo % n, hi % n) for lo, hi in best] if len(best) <= limit else None
-
-
-def _quad_indices(quad) -> tuple[int, int, int, int]:
-    idx = tuple(quad)
-    if len(idx) != 4:
-        raise ValueError("a separator quadruple needs exactly four indices")
-    a, b, c, d = idx
-    if not (0 <= a < b < c < d):
-        raise ValueError("separator indices must be distinct and increasing")
-    return (int(a), int(b), int(c), int(d))
-
-
-def _interval_has_occurrence(occ: list[int], lo: int, hi_excl: int, n: int) -> bool:
-    # Index interval [lo, hi_excl) on the cycle; assumes 0 <= lo, hi_excl <= n.
-    if lo < hi_excl:
-        return bisect_left(occ, lo) < bisect_left(occ, hi_excl)
-    return bisect_left(occ, lo) < len(occ) or bisect_left(occ, hi_excl) > 0
-
-
-def quadruple_pierces(q: WitnessList, quad, color: int) -> bool:
-    """True when each of the four separator-cut intervals holds the color."""
-    a, b, c, d = _quad_indices(quad)
-    n = len(q)
-    if d >= n:
-        raise ValueError("separator index out of range")
-    occ = q.occurrences(color)
-    if len(occ) == 0:
-        return False
-    return (_interval_has_occurrence(occ, a, b, n)
-            and _interval_has_occurrence(occ, b, c, n)
-            and _interval_has_occurrence(occ, c, d, n)
-            and _interval_has_occurrence(occ, d, a, n))
-
-
-def separator_angles(q: WitnessList, quad) -> tuple[float, float, float, float]:
-    """Angle of each separator: the midpoint of its entry gap.
-
-    Separator k sits weakly between entries k-1 and k, so its angle is the
-    middle of that angular gap; a zero gap pins it to the shared angle.
-    """
-    idx = _quad_indices(quad)
-    n = len(q)
-    if idx[3] >= n:
-        raise ValueError("separator index out of range")
-    angles = q.angles
-    out = []
-    for k in idx:
-        prev = angles[(k - 1) % n]
-        gap = (angles[k] - prev) % (2.0 * math.pi)
-        out.append(normalize_angle(prev + 0.5 * gap))
-    return tuple(out)
-
-
-def piercing_point(curve: CurveModel, q: WitnessList, quad) -> Point2:
-    """Crossing of the two diagonal chords ya-yc and yb-yd spanned by the
-    four separators (ya, yb, yc, yd)."""
-    ya, yb, yc, yd = separator_angles(q, quad)
-    spread = max(_angle_gap(x, y) for x, y in itertools.combinations((ya, yb, yc, yd), 2))
-    if spread <= TOL_GEOM:
-        raise DegenerateQuadrupleError("all separators collapse to one angle")
-    z = segment_intersection(curve.point_at(ya), curve.point_at(yc),
-                             curve.point_at(yb), curve.point_at(yd))
-    if z is None:
-        raise DegenerateQuadrupleError("separator chords do not cross")
-    return z
-
-
-def _angle_gap(x: float, y: float) -> float:
-    d = abs(x - y) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
-
-
-def piercing_count_exact(occ: list[int], n: int) -> int:
-    """Number of separator quadruples piercing a color, in closed form.
-
-    Cutting the cycle at the occurrences splits the n indices into one block
-    per occurrence; a quadruple pierces exactly when its four indices land in
-    four distinct blocks, so the count is the degree-4 elementary symmetric
-    polynomial of the block sizes.
-    """
-    m = len(occ)
-    if m == 0:
-        return 0
-    gaps = [((occ[(k + 1) % m] - occ[k]) % n) if m > 1 else n for k in range(m)]
-    e = [1, 0, 0, 0, 0]
-    for g in gaps:
-        for j in range(4, 0, -1):
-            e[j] += e[j - 1] * g
-    return e[4]
-
-
-def expected_pierced(q: WitnessList) -> float:
-    """Exact mean number of pierced colors over all separator quadruples."""
-    n = len(q)
-    if n < 4:
-        return 0.0
-    total = sum(piercing_count_exact(q.occurrences(c), n) for c in range(q.colors))
-    return float(Fraction(total, math.comb(n, 4)))
-
-
-def coverage_rate_bound(alpha: float) -> float:
-    """Guaranteed covered fraction of an all-pairs-meeting family.
-
-    The product of the piercing probability of a spread-out color,
-    24*alpha^3*(1-3*alpha), with the guaranteed fraction of spread-out colors,
-    1-3*sqrt(3*alpha). Near its maximum (alpha about 0.027) the value clears
-    1/15800.
-    """
-    if not 0.0 < alpha < 1.0 / 3.0:
-        raise ValueError("alpha must lie in (0, 1/3)")
-    return 24.0 * alpha ** 3 * (1.0 - 3.0 * alpha) * (1.0 - 3.0 * math.sqrt(3.0 * alpha))
-
-
-def non_spread_ratio_bound(gamma: float) -> float:
-    """Upper bound on the non-spread color fraction when gamma*n^2/2 pairs meet."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return (1.0 - gamma / 2.0) / (1.0 - 3.0 * gamma / 20.0)

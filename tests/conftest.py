@@ -15,12 +15,13 @@ from pierce.geometry import (
     Point2,
     containment_matrix,
     normalize_angle,
-    segment_intersection,
 )
 from pierce import lp
 from pierce.lp import PIVOT_TOL, TOL_LP, LPSolution
 from pierce.meetgraph import ColorGraph
-from pierce.witness import WitnessList, cover_width, separator_tuple_size, spread_threshold
+from pierce.witness import WitnessList, separator_tuple_size, spread_threshold
+
+from lemmas import cover_width, segment_intersection
 
 NUDGE_EPS = 1e-6
 

@@ -9,6 +9,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
@@ -21,6 +22,18 @@ from conftest import (
     reference_candidates,
     synthetic_list,
 )
+from lemmas import (
+    build_witness_list,
+    coverage_rate_bound,
+    cover_width,
+    expected_pierced,
+    interval_cover,
+    max_neighbor_degree_sum,
+    piercing_count_exact,
+    piercing_point,
+    quadruple_pierces,
+)
+from pierce import meetgraph
 from pierce.geometry import (
     body_contains,
     containment_matrix,
@@ -29,7 +42,6 @@ from pierce.highdim import CurveSpecD, MOMENT, hyperplane_crossings
 from pierce.instances import gallery7, gen_clustered, gen_pairwise
 from pierce.meetgraph import (
     build_meet_graph,
-    max_neighbor_degree_sum,
     turan_pair_check,
     verify_p2,
 )
@@ -41,15 +53,7 @@ from pierce.pipeline import (
     solve_lp_pair,
 )
 from pierce.witness import (
-    build_witness_list,
-    coverage_rate_bound,
-    cover_width,
-    expected_pierced,
-    interval_cover,
     is_spread_out,
-    piercing_count_exact,
-    piercing_point,
-    quadruple_pierces,
     separator_tuple_size,
     spread_threshold,
 )
@@ -187,15 +191,16 @@ def test_criterion_06_turan_suite():
             g = build_meet_graph(inst.bodies, inst.curve)
             # cluster graphs stay easy past the default exact-search cap,
             # so run the condition check separately with the cap raised
-            if not verify_p2(g, p, max_exact=n):
-                ok = False
-            meets, bound, enough = turan_pair_check(g, p)
-            if not enough or meets < bound:
-                ok = False
-            if inst.meta["clusters"] != p - 1:
-                ok = False
-            if p > 2 and verify_p2(g, p - 1, max_exact=n):
-                ok = False
+            with mock.patch.object(meetgraph, "EXACT_INDEPENDENCE_CAP", n):
+                if not verify_p2(g, p):
+                    ok = False
+                meets, bound, enough = turan_pair_check(g, p)
+                if not enough or meets < bound:
+                    ok = False
+                if inst.meta["clusters"] != p - 1:
+                    ok = False
+                if p > 2 and verify_p2(g, p - 1):
+                    ok = False
     _verdict(6, "clustered families clear the pair-count bound tightly", ok)
 
 

@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pierce.cli import cli_run
-from pierce.instances import Instance, gallery7, gen_pairwise, load_instance, save_instance
+from pierce.instances import (
+    Instance, gallery7, gen_clustered, gen_pairwise, load_instance, save_instance,
+)
 
 from conftest import pg22_twice
 
@@ -113,6 +115,40 @@ def test_stats_colors_by_list_index(tmp_path, capsys):
     inst_path.write_text(json.dumps(data))
     assert cli_run(["stats", str(inst_path)]) == 0
     assert "spread_out 12/12 " in capsys.readouterr().out
+
+
+# pierce stats' whole output on five families, pinned so that a change in the
+# witness list, the spread-out rule or the meet graph shows: the header, N,
+# the Turan line, and the spread-out count at each of STATS_ALPHAS.
+STATS_ALPHAS = ("0.027", "0.05", "0.1", "0.2")
+STATS_PINS = {
+    "gallery7": (gallery7, "bodies=7 p=2", 21, "meets=21 bound=12.25", (7, 5, 0, 0)),
+    "pairwise-12-3": (lambda: gen_pairwise(12, 3), "bodies=12 p=2", 66,
+                      "meets=66 bound=36.0", (12, 12, 10, 5)),
+    "clustered-4-20-1": (lambda: gen_clustered(4, 20, 1), "bodies=20 p=4", 57,
+                         "meets=57 bound=50.0", (17, 10, 0, 0)),
+    "pairwise-40-7": (lambda: gen_pairwise(40, 7), "bodies=40 p=2", 780,
+                      "meets=780 bound=400.0", (40, 40, 40, 18)),
+    "clustered-3-30-2": (lambda: gen_clustered(3, 30, 2), "bodies=30 p=3", 210,
+                         "meets=210 bound=150.0", (28, 27, 17, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATS_PINS))
+def test_stats_output_is_pinned(name, tmp_path, capsys):
+    make, head, size, turan, spread = STATS_PINS[name]
+    inst = make()
+    n = len(inst.bodies)
+    inst_path = str(tmp_path / "i.json")
+    save_instance(inst, inst_path)
+    for alpha, count in zip(STATS_ALPHAS, spread):
+        assert cli_run(["stats", inst_path, "--alpha", alpha]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            head,
+            f"witnesses N={size}",
+            f"spread_out {count}/{n} at alpha={alpha}",
+            f"turan {turan} ok=yes",
+        ]
 
 
 def test_gen_clustered_flags(tmp_path):

@@ -20,10 +20,9 @@ from pierce.geometry import (
     body_curve_arcs,
     candidate_points,
     containment_matrix,
-    meet_angles,
+    meet_angle,
     meet_matrix,
     normalize_angle,
-    segment_intersection,
 )
 from pierce.instances import gallery7, gen_pairwise
 from pierce.pipeline import brute_min_transversal, candidate_classes
@@ -44,6 +43,7 @@ from conftest import (
     reference_meet_angle,
     tangent_triangle,
 )
+from lemmas import segment_intersection
 
 
 def square(body_id, x0, y0, side=1.0):
@@ -87,7 +87,7 @@ def test_interval_basics():
         assert all(arc_set_contains(arcs, t) for t in inside)
         assert not any(arc_set_contains(arcs, t) for t in outside)
         assert reference_meet_angle(arcs, arcs) == pytest.approx(mid)
-        assert meet_angles([arcs])[0, 0] == reference_meet_angle(arcs, arcs)
+        assert meet_angle(arcs, arcs) == reference_meet_angle(arcs, arcs)
 
 
 def test_intersect_arcs_known_cases():
@@ -131,8 +131,8 @@ def test_intersect_arcs_random_against_sampling():
             expect = arc_set_contains(sa, t) and arc_set_contains(sb, t)
             assert arc_set_contains(got, t) == expect
         # Where the two sets meet lies in both.
-        meet = meet_angles([sa, sb])[0, 1]
-        assert np.isnan(meet) == (got == [])
+        meet = meet_angle(sa, sb)
+        assert (meet is None) == (got == [])
         if got:
             assert arc_set_contains(sa, meet, 1e-12) and arc_set_contains(sb, meet, 1e-12)
 
@@ -245,15 +245,14 @@ def test_arcs_common_point_cases():
     for a, b, want in cases:
         got = reference_meet_angle(a, b)
         assert got == (None if want is None else pytest.approx(want))
-        table = meet_angles([a, b])
-        assert np.isnan(table[0, 1]) if want is None else table[0, 1] == got
+        assert meet_angle(a, b) == got
 
 
 _angle = st.one_of(st.sampled_from([0.0, 1.0, math.pi, TWO_PI - 1.0]),
                    st.floats(0.0, TWO_PI, exclude_max=True))
 # Pieces of [0, 2*pi]: arcs (two pieces when through 0), pieces ending at
 # 2*pi, zero-length pieces, (0, 0) and the full circle. A list may overlap
-# or repeat pieces, which meet_angles takes as their union.
+# or repeat pieces, which meet_angle takes as their union.
 _arc = st.one_of(
     st.builds(lambda lo, span: arc_pieces(lo, lo + span), _angle,
               st.one_of(st.just(0.0), st.floats(0.0, TWO_PI))),
@@ -271,41 +270,33 @@ _touch_arcs = st.lists(_angle, min_size=1, max_size=2, unique=True).map(
     lambda ts: [(t, t) for t in sorted(ts)])
 
 
-def _pairwise_meets(arcs):
+def _pairwise_meets(arcs, rule=reference_meet_angle):
+    # rule for every ordered pair, the diagonal included; NaN where it is None.
     n = len(arcs)
     out = np.full((n, n), np.nan)
     for i, j in itertools.product(range(n), repeat=2):
-        angle = reference_meet_angle(arcs[i], arcs[j])
+        angle = rule(arcs[i], arcs[j])
         if angle is not None:
             out[i, j] = angle
     return out
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6),
-       st.sampled_from([1, 40, geometry._MEET_CELLS]))
-@example([[(5.0, TWO_PI)], [(0.0, 1.0)]], 1)  # meet only at 0
-@example([[(5.0, TWO_PI)], [(0.0, 0.0)]], geometry._MEET_CELLS)
-@example([[(0.0, TWO_PI)], [(0.0, 1.0), (2.0, 3.0), (5.0, TWO_PI)]], 1)
-@example([[(0.0, TWO_PI)], arc_pieces(5.0, TWO_PI + 1.0), [], [(0.0, TWO_PI)]], 1)
-def test_meet_angles_is_the_pairwise_table_bitwise(arcs, cells):
-    # cells sets the cells per block: 1 puts each block at one body, and 40
-    # splits most lists of a few bodies into blocks of several.
-    with mock.patch.object(geometry, "_MEET_CELLS", cells):
-        table = meet_angles(arcs)
-    assert table.shape == (len(arcs), len(arcs))
-    assert table.tobytes() == _pairwise_meets(arcs).tobytes()
+@given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6))
+@example([[(5.0, TWO_PI)], [(0.0, 1.0)]])  # meet only at 0
+@example([[(5.0, TWO_PI)], [(0.0, 0.0)]])
+@example([[(0.0, TWO_PI)], [(0.0, 1.0), (2.0, 3.0), (5.0, TWO_PI)]])
+@example([[(0.0, TWO_PI)], arc_pieces(5.0, TWO_PI + 1.0), [], [(0.0, TWO_PI)]])
+def test_meet_angle_is_the_reference_bitwise(arcs):
+    assert _pairwise_meets(arcs, meet_angle).tobytes() == _pairwise_meets(arcs).tobytes()
 
 
-def test_meet_angles_bitwise_on_bench_families():
+def test_meet_angle_bitwise_on_bench_families():
     inst = gallery7()
     families = [inst.bodies, gen_pairwise(12, 3).bodies]
     for bodies in families:
         arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
-        want = _pairwise_meets(arcs).tobytes()
-        assert meet_angles(arcs).tobytes() == want
-        with mock.patch.object(geometry, "_MEET_CELLS", 1):
-            assert meet_angles(arcs).tobytes() == want
+        assert _pairwise_meets(arcs, meet_angle).tobytes() == _pairwise_meets(arcs).tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -314,11 +305,11 @@ def test_meet_angles_bitwise_on_bench_families():
 @example([[(5.0, TWO_PI)], [(0.0, 1.0)]], 1)  # meet only at 0
 @example([[(0.0, 0.0)], [(0.0, 0.0)], [(5.0, TWO_PI)], [(1.0, 2.0)]], 1)  # a lone (0, 0)
 @example([[(0.0, TWO_PI)], [(2.0, 2.0)], [], [(0.0, TWO_PI)]], geometry._MEET_CELLS)
-def test_meet_matrix_is_where_meet_angles_is_defined(arcs, cells):
+def test_meet_matrix_is_where_meet_angle_is_defined(arcs, cells):
     # cells sets the cells per block: 1 puts each block at one body.
     with mock.patch.object(geometry, "_MEET_CELLS", cells):
         got = meet_matrix(arcs)
-    want = ~np.isnan(meet_angles(arcs))
+    want = ~np.isnan(_pairwise_meets(arcs, meet_angle))
     np.fill_diagonal(want, False)
     assert got.dtype == bool and got.shape == (len(arcs), len(arcs))
     assert not got.diagonal().any()
@@ -351,24 +342,6 @@ def test_meet_matrix_memory_stays_within_a_block_budget():
     assert peak < meet.nbytes + (4 << 20)
 
 
-def test_meet_angles_memory_stays_within_a_block_budget():
-    # 300 bodies of 12 pieces each, every pair overlapping: unblocked, the
-    # (n, n, S*S + 1) complex overlaps would take 210 MB, and each of the
-    # float temporaries that merge them 105 MB.
-    arcs = [[(0.5 * k + 0.001 * j, 0.5 * k + 0.001 * j + 0.4) for k in range(12)]
-            for j in range(300)]
-    tracemalloc.start()
-    try:
-        table = meet_angles(arcs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not np.isnan(table).any()
-    # One block holds at most _MEET_CELLS (64 Ki) overlaps, here one body's
-    # row of 43,500: the peak is near 2.5 MiB.
-    assert peak < table.nbytes + (4 << 20)
-
-
 @pytest.mark.parametrize("angle", [0.0, 1.0])
 def test_bodies_touching_the_curve_at_a_shared_vertex_meet_there(angle):
     # Each triangle's only point on the circle is its vertex at angle, and
@@ -379,7 +352,7 @@ def test_bodies_touching_the_curve_at_a_shared_vertex_meet_there(angle):
     arcs = [body_curve_arcs(body, UNIT_CIRCLE) for body in (a, b, far)]
     for pieces in arcs:
         assert pieces and sum(hi - lo for lo, hi in pieces) < 1e-6
-    table = meet_angles(arcs)
+    table = _pairwise_meets(arcs, meet_angle)
     assert np.array_equal(meet_matrix(arcs), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert np.array_equal(~np.isnan(table), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert abs(math.remainder(table[0, 1] - angle, TWO_PI)) < 1e-6

@@ -14,12 +14,12 @@ from pierce.highdim import (
     CARATHEODORY,
     MOMENT,
     CurveSpecD,
-    curve_point,
     hyperplane_crossings,
 )
-from pierce.witness import interval_cover, is_spread_out, separator_tuple_size
+from pierce.witness import is_spread_out, separator_tuple_size
 
 from conftest import cover_is_valid
+from lemmas import curve_point, interval_cover
 
 
 def test_separator_tuple_size_table():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pierce.instances import (
     load_instance,
     save_instance,
 )
+from pierce import meetgraph
 from pierce.meetgraph import build_meet_graph, verify_p2
 
 
@@ -74,7 +76,8 @@ def test_gen_clustered_condition_and_tightness():
 
     inst = gen_clustered(4, 60, seed=7)
     graph = build_meet_graph(inst.bodies, inst.curve)
-    assert verify_p2(graph, 4, max_exact=60)
+    with mock.patch.object(meetgraph, "EXACT_INDEPENDENCE_CAP", 60):
+        assert verify_p2(graph, 4)
     # one representative per cluster is pairwise non-meeting
     for a in range(3):
         for b in range(a + 1, 3):

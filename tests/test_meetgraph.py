@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 from conftest import arc_body, graph_from_edges
+from lemmas import max_neighbor_degree_sum
 
 from pierce.geometry import UNIT_CIRCLE
 from pierce.meetgraph import (
     ColorGraph,
     build_meet_graph,
-    max_neighbor_degree_sum,
     turan_pair_check,
     verify_p2,
 )

@@ -1,6 +1,7 @@
 """The independent recheck of a finished report."""
 
 import copy
+import json
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ import pierce.reports
 from pierce.geometry import (
     ConvexBody, body_contains, candidate_points, containment_matrix,
 )
-from pierce.instances import Instance, gallery7, gen_pairwise
+from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import candidate_classes, run_pipeline
 from pierce.reports import verify_report
 
@@ -23,6 +24,30 @@ def test_verify_report_accepts_a_run():
     inst = gen_pairwise(6)
     report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
     assert verify_report(inst, report) == []
+
+
+@pytest.mark.parametrize("family", [
+    lambda: gen_clustered(3, 12, 1),
+    lambda: gen_pairwise(12, 3),
+    lambda: Instance(pg22_twice(), p=3),
+], ids=["clustered", "pairwise", "pg22x2"])
+@pytest.mark.parametrize("renumber", [lambda k: 100 + 7 * k, lambda k: -1 - k],
+                         ids=["spaced", "negative"])
+def test_body_ids_other_than_positions_change_no_report(family, renumber):
+    # Reports name bodies by position, so after a JSON round trip with other
+    # ids the report is the 0..n-1 run's, and verify accepts it.
+    inst = family()
+    assert [b.id for b in inst.bodies] == list(range(len(inst.bodies)))
+    data = inst.to_dict()
+    for k, body in enumerate(data["bodies"]):
+        body["id"] = renumber(k)
+    renumbered = Instance.from_dict(json.loads(json.dumps(data)))
+    assert [b.id for b in renumbered.bodies] == [renumber(k) for k in range(len(inst.bodies))]
+    want = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    got = run_pipeline(renumbered.bodies, renumbered.curve, renumbered.p).to_dict()
+    del want["stages"], got["stages"]
+    assert got == want
+    assert verify_report(renumbered, got) == []
 
 
 def test_verify_report_rejects_heavy_point_covering_nothing():

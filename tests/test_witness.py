@@ -15,31 +15,33 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pierce.errors import DegenerateQuadrupleError
-from pierce.geometry import (
-    TWO_PI,
-    UNIT_CIRCLE,
-    body_contains,
-    body_curve_arcs,
-    meet_angles,
-)
-from pierce.instances import gallery7, gen_clustered, gen_pairwise
-from pierce.pipeline import candidate_classes
-from pierce.witness import (
-    WitnessList,
+from lemmas import (
+    DegenerateQuadrupleError,
     build_witness_list,
     cover_width,
     coverage_rate_bound,
     expected_pierced,
     interval_cover,
-    is_spread_out,
     non_spread_ratio_bound,
     piercing_count_exact,
     piercing_point,
     quadruple_pierces,
     separator_angles,
+)
+from pierce.geometry import (
+    TWO_PI,
+    UNIT_CIRCLE,
+    body_contains,
+    body_curve_arcs,
+    meet_matrix,
+)
+from pierce.instances import gallery7, gen_clustered, gen_pairwise
+from pierce.pipeline import candidate_classes
+from pierce.witness import (
+    WitnessList,
+    is_spread_out,
     spread_threshold,
-    witness_list_from_angles,
+    witness_list,
 )
 
 
@@ -82,7 +84,7 @@ def test_unit_multiset_list_is_the_plain_list(family):
     bodies = family()
     arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
     q = build_witness_list(bodies, UNIT_CIRCLE)
-    unit = _replicated_list(meet_angles(arcs), [1] * len(bodies))
+    unit = _replicated_list(arcs, [1] * len(bodies))
     for name in ("angles", "pairs", "colors"):
         np.testing.assert_array_equal(getattr(unit, name), getattr(q, name))
     # One entry per meeting pair i < j, in (angle, pair) order.
@@ -395,14 +397,15 @@ def test_pierced_counts_match_quadruple_pierces(case):
         assert count == sum(quadruple_pierces(q, row, c) for c in range(q.colors)), row
 
 
-def _replicated_list(angles: np.ndarray, m) -> WitnessList:
+def _replicated_list(arcs, m) -> WitnessList:
     """The multiset's witness list with every copy a color of its own.
 
     Copy a of body i and copy b of body j meet at the bodies' meet angle,
-    and two copies of body i at its diagonal angle, a point of its own arcs.
+    and two copies of body i at meet_angle(arcs[i], arcs[i]), a point of its
+    own arcs.
     """
-    origin = [i for i, w in enumerate(m) for _ in range(w)]
-    return witness_list_from_angles(angles[np.ix_(origin, origin)])
+    copies = [arcs[i] for i, w in enumerate(m) for _ in range(w)]
+    return witness_list(copies, meet_matrix(copies))
 
 
 @st.composite
@@ -424,8 +427,7 @@ def test_heaviest_class_dominates_the_replicated_list(case):
     # Every copy a quadruple of the copies' list pierces contains the chords'
     # crossing, so some class holds at least that many copies.
     bodies, m = case
-    angles = meet_angles([body_curve_arcs(b, UNIT_CIRCLE) for b in bodies])
-    ref = _replicated_list(angles, m)
+    ref = _replicated_list([body_curve_arcs(b, UNIT_CIRCLE) for b in bodies], m)
     assume(4 <= len(ref) <= 60)
     # Every quadruple of the copies' list, gap separators included.
     best_pierced = int(_pierced_counts(ref, _quadruples(len(ref))).max())
