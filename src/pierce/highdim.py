@@ -11,14 +11,18 @@ its tests in tests/lemmas.py.
 Crossing counts are exact on both curves: the float data, dyadic rationals,
 are scaled to an integer polynomial (on the closed curve, in u = tan(t/2)),
 and a Sturm chain of integer pseudo-remainders counts its distinct real
-roots, with each member's sign at +-infinity read from its leading
-coefficient and degree.
+roots.  A chain step whose degrees differ by one, the usual step, is one
+fused pass over the coefficients; other steps divide term by term.  A
+whole-line count reads each member's signs at +-infinity from its leading
+coefficient and degree, and counts the variations, in one loop over the
+chain.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 MOMENT = "moment"
@@ -55,7 +59,10 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
 
     The scale makes every quotient coefficient an integer, and being
     positive, it leaves q and r positive multiples of the quotient and
-    remainder of a by b over the rationals.
+    remainder of a by b over the rationals.  A Sturm chain step that needs
+    only r, with deg a = deg b + 1, takes the fused _pseudo_remainder
+    instead; this term-by-term division serves the other degree gaps and
+    dividing out a repeated-root gcd.
     """
     lead = b[-1]
     quo = [0] * (len(a) - len(b) + 1)
@@ -70,13 +77,37 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return quo, rem
 
 
+def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """_pseudo_divmod(a, b)[1], without building the quotient.
+
+    In the usual case, deg a = deg b + 1 (p by p', and every step of a chain
+    without degree gaps), the two division steps fuse: with beta = lc(b),
+    the quotient digits are c1 = beta a_top and c0 = beta a_top-1 - a_top
+    b_top-1, and r_i = beta^2 a_i - c1 b_i-1 - c0 b_i for i < deg b, where
+    b_-1 = 0.  These are the integers _pseudo_divmod computes.
+    """
+    n = len(b)
+    if len(a) != n + 1 or n < 2:
+        return _pseudo_divmod(a, b)[1]
+    beta, top = b[-1], a[-1]
+    scale, c1, c0 = beta * beta, beta * top, beta * a[-2] - top * b[-2]
+    rem = [scale * a[0] - c0 * b[0]]
+    rem += [scale * a[i] - c1 * b[i - 1] - c0 * b[i] for i in range(1, n - 1)]
+    return _trim(rem)
+
+
 def _sturm_chain(p: IntPoly) -> list[IntPoly]:
-    # p (degree >= 1), p', then negated remainders, each scaled by a positive
-    # integer (pseudo-division, then content removal) so the sign pattern is
-    # that of the rational chain, until a constant or a vanishing remainder.
-    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    """p (degree >= 1), p', then negated pseudo-remainders.
+
+    Each member is scaled by a positive integer (pseudo-division, then
+    content removal), so the sign pattern is that of the rational chain.
+    The chain ends at a constant or before a vanishing remainder.  Each
+    remainder comes from _pseudo_remainder, which fuses the usual step of
+    degree gap one into a single pass.
+    """
+    chain = [p, [k * p[k] for k in range(1, len(p))]]
     while len(chain[-1]) > 1:
-        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
         content = math.gcd(*rem)
@@ -101,11 +132,6 @@ def _sign_at(p: IntPoly, num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_at_infinity(p: IntPoly, positive: bool) -> int:
-    lead = 1 if p[-1] > 0 else -1
-    return lead if positive or len(p) % 2 == 1 else -lead
-
-
 def _variations(signs: list[int]) -> int:
     signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -117,13 +143,20 @@ def _distinct_roots(p: IntPoly, window: tuple[float, float] | None) -> int:
         return 0  # a nonzero constant
     chain = _sturm_chain(p)
     if window is None:
-        lo = [_sign_at_infinity(q, False) for q in chain]
-        hi = [_sign_at_infinity(q, True) for q in chain]
-    else:
-        # floats are dyadic rationals, so each endpoint is num/den exactly
-        lo_r, hi_r = (x.as_integer_ratio() for x in window)
-        lo = [_sign_at(q, *lo_r) for q in chain]
-        hi = [_sign_at(q, *hi_r) for q in chain]
+        # At +infinity a member has the sign of its leading coefficient, at
+        # -infinity that sign times (-1)^degree.  Neighbours whose degrees
+        # have the same parity vary at both ends or at neither; the others
+        # vary at -infinity alone when their leading signs agree, and at
+        # +infinity alone when they differ.
+        roots = 0
+        for q, r in zip(chain, chain[1:]):
+            if (len(q) ^ len(r)) & 1:
+                roots += 1 if (q[-1] > 0) == (r[-1] > 0) else -1
+        return roots
+    # floats are dyadic rationals, so each endpoint is num/den exactly
+    lo_r, hi_r = (x.as_integer_ratio() for x in window)
+    lo = [_sign_at(q, *lo_r) for q in chain]
+    hi = [_sign_at(q, *hi_r) for q in chain]
     return _variations(lo) - _variations(hi)
 
 
@@ -137,12 +170,14 @@ def _dyadic_integers(values: list[float]) -> list[int]:
 
 @functools.cache
 def _closed_basis(d: int) -> tuple[tuple[int, ...], ...]:
-    """(1 + u^2)^(d/2) times 1, sin t, cos t, ..., sin(d/2 t), cos(d/2 t).
+    """Columns of the rows (1 + u^2)^(d/2) times 1, sin t, cos t, ...,
+    sin(d/2 t), cos(d/2 t).
 
     Each row holds the coefficients, constant term first, of a polynomial of
     degree at most d in u = tan(t/2): since e^(it) = (1 + iu)^2 / (1 + u^2),
     sin kt and cos kt are the imaginary and real parts of (1 + iu)^(2k)
-    over (1 + u^2)^k.
+    over (1 + u^2)^k.  Column j holds the rows' u^j coefficients, so that a
+    weighted sum of rows is one dot product per column.
     """
     half = d // 2
 
@@ -161,7 +196,17 @@ def _closed_basis(d: int) -> tuple[tuple[int, ...], ...]:
         real = [c * (1, 0, -1, 0)[j % 4] for j, c in enumerate(binom)]
         imag = [c * (0, 1, 0, -1)[j % 4] for j, c in enumerate(binom)]
         rows += [times_circle(imag, half - k), times_circle(real, half - k)]
-    return tuple(rows)
+    return tuple(zip(*rows))
+
+
+def _finite_floats(values, what: str) -> list[float]:
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{what} must be finite")
+    return floats
 
 
 def hyperplane_crossings(
@@ -188,23 +233,21 @@ def hyperplane_crossings(
     t = pi (u = infinity), so that point is common exactly when the degree
     drops.  The closed curve takes no t_range.
 
-    The normal, offset and t_range must be finite, with lo < hi.
+    The normal, offset and t_range must be finite floats, t_range a pair
+    (lo, hi) with lo < hi; a ValueError naming the argument rejects any
+    other.
     """
-    coeffs = [float(c) for c in normal]
+    coeffs = _finite_floats(normal, "hyperplane normal")
     if len(coeffs) != spec.d:
         raise ValueError("normal length must match the dimension")
-    if not all(math.isfinite(c) for c in coeffs):
-        raise ValueError("hyperplane normal must be finite")
-    if not any(c != 0.0 for c in coeffs):
+    if not any(coeffs):
         raise ValueError("hyperplane normal must be nonzero")
-    offset = float(offset)
-    if not math.isfinite(offset):
-        raise ValueError("hyperplane offset must be finite")
+    (offset,) = _finite_floats((offset,), "hyperplane offset")
     window = None
     if t_range is not None:
-        window = (float(t_range[0]), float(t_range[1]))
-        if not all(math.isfinite(x) for x in window):
-            raise ValueError("t_range must be finite")
+        window = tuple(_finite_floats(t_range, "t_range"))
+        if len(window) != 2:
+            raise ValueError("t_range must be a pair (lo, hi)")
         if window[0] >= window[1]:
             raise ValueError("t_range must satisfy lo < hi")
 
@@ -214,6 +257,5 @@ def hyperplane_crossings(
     if window is not None:
         raise ValueError("the closed curve takes no t_range")
     weights = _dyadic_integers([-offset, *coeffs])
-    poly = _trim([sum(w * c for w, c in zip(weights, column))
-                  for column in zip(*_closed_basis(spec.d))])
+    poly = _trim([sum(map(operator.mul, weights, column)) for column in _closed_basis(spec.d)])
     return _distinct_roots(poly, None) + (len(poly) <= spec.d)

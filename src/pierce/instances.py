@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ class Instance:
             raise ValueError("instance needs at least one body")
         if self.p < 2:
             raise ValueError("p must be at least 2")
+        repeated = [i for i, k in Counter(b.id for b in self.bodies).items() if k > 1]
+        if repeated:
+            raise ValueError(f"body ids must be distinct; repeated: {repeated}")
 
     def to_dict(self) -> dict:
         return {

@@ -17,6 +17,7 @@ from pierce.geometry import (
     normalize_angle,
 )
 from pierce import lp
+from pierce.highdim import _pseudo_divmod
 from pierce.lp import PIVOT_TOL, TOL_LP, LPSolution
 from pierce.meetgraph import ColorGraph
 from pierce.witness import WitnessList, separator_tuple_size, spread_threshold
@@ -405,3 +406,21 @@ def reference_packing_solve(mat) -> LPSolution:
     duals = reduced[n:]
     objective = float(np.dot(np.ones(n), values))
     return LPSolution(tuple(float(v) for v in values), objective, tuple(duals.tolist()))
+
+
+def reference_sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain of p built on _pseudo_divmod alone: p, p', then each
+    negated pseudo-remainder over its content, until a constant or a
+    vanishing remainder; a non-constant last member, gcd(p, p'), is divided
+    out of every member."""
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        content = math.gcd(*rem)
+        chain.append([-c // content for c in rem])
+    gcd = chain[-1]
+    if len(gcd) > 1:
+        chain = [_pseudo_divmod(q, gcd)[0] for q in chain]
+    return chain

@@ -220,6 +220,16 @@ def test_invalid_body_is_an_input_error(tmp_path, capsys, vertices, reason):
     assert "body 41" in err and reason in err
 
 
+def test_repeated_body_ids_are_an_input_error(tmp_path, capsys):
+    data = gen_pairwise(12, 3).to_dict()
+    for body in data["bodies"]:
+        body["id"] = 5
+    inst_path = tmp_path / "twins.json"
+    inst_path.write_text(json.dumps(data))
+    assert cli_run(["solve", str(inst_path)]) == 2
+    assert "repeated: [5]" in capsys.readouterr().err
+
+
 def test_log_level_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PIERCE_LOG_LEVEL", "debug")
     inst_path = str(tmp_path / "g.json")

@@ -1,6 +1,7 @@
 """Higher-dimensional curves: tuple sizes, crossing counts, and the spread /
 cover dichotomy beyond the plane."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -14,11 +15,17 @@ from pierce.highdim import (
     CARATHEODORY,
     MOMENT,
     CurveSpecD,
+    _closed_basis,
+    _dyadic_integers,
+    _pseudo_divmod,
+    _pseudo_remainder,
+    _sturm_chain,
+    _trim,
     hyperplane_crossings,
 )
 from pierce.witness import is_spread_out, separator_tuple_size
 
-from conftest import cover_is_valid
+from conftest import cover_is_valid, reference_sturm_chain
 from lemmas import curve_point, interval_cover
 
 
@@ -59,6 +66,8 @@ def test_hyperplane_crossings_validation():
         hyperplane_crossings(spec, (0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         hyperplane_crossings(spec, (1.0, 0.0), 0.0)
+    with pytest.raises(ValueError, match="normal"):
+        hyperplane_crossings(spec, (10**400, 1, 1), 0.0)
     nan, inf = float("nan"), float("inf")
     for kind, d in ((MOMENT, 2), (CARATHEODORY, 2)):
         spec = CurveSpecD(kind, d)
@@ -72,6 +81,12 @@ def test_hyperplane_crossings_validation():
             ((1.0, 1.0), 0.0, (1.0, 1.0), "t_range"),
             ((1.0, 1.0), 0.0, (nan, 1.0), "t_range"),
             ((1.0, 1.0), 0.0, (0.0, inf), "t_range"),
+            # integers too large for a float
+            ((10**400, 1), 0.0, None, "normal"),
+            ((1.0, 1.0), 10**400, None, "offset"),
+            ((1.0, 1.0), 0.0, (0, 10**400), "t_range"),
+            ((1.0, 1.0), 0.0, (0.0,), "t_range"),
+            ((1.0, 1.0), 0.0, (0.0, 5.0, -9.0), "t_range"),
         ]:
             with pytest.raises(ValueError, match=bad):
                 hyperplane_crossings(spec, normal, offset, t_range=t_range)
@@ -242,6 +257,116 @@ def test_closed_curve_counts_match_sympy(case):
     d, normal, offset = case
     spec = CurveSpecD(CARATHEODORY, d)
     assert hyperplane_crossings(spec, normal, offset) == _sympy_closed_count(d, normal, offset)
+
+
+_coefficient = st.integers(-3, 3) | st.integers(-2**60, 2**60)
+
+
+@st.composite
+def remainder_pairs(draw):
+    """(a, b) with deg b 0-7 and deg a - deg b 0-3, half of them 1 (the
+    fused step), coefficients small (so that the top of a step cancels) or
+    up to 2^60, and leading coefficients of either sign."""
+    n = draw(st.integers(1, 8))
+    gap = draw(st.sampled_from([0, 1, 1, 1, 2, 3]))
+    lead = _coefficient.filter(bool)
+    b = draw(st.lists(_coefficient, min_size=n - 1, max_size=n - 1)) + [draw(lead)]
+    a = draw(st.lists(_coefficient, min_size=n + gap - 1, max_size=n + gap - 1)) + [draw(lead)]
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(remainder_pairs())
+@example(([1, 2, 1], [1, 1]))  # (t + 1)^2 by t + 1: no remainder
+@example(([5, 0, 1], [0, 1]))  # the first step's top cancels
+@example(([1, 0, 0, 0, 1], [0, 1]))  # a degree gap of 3
+@example(([-2**60, 3, -2**60], [2**60, -2**60]))
+def test_pseudo_remainder_is_pseudo_divmod(pair):
+    a, b = pair
+    assert _pseudo_remainder(a, b) == _pseudo_divmod(a, b)[1]
+
+
+def _chain_polys():
+    """2,000 seeded moment polynomials (d 2-8; half small integers, half
+    normal floats), 300 closed-curve polynomials in u (d 2, 4, 6) and
+    products of repeated roots such as t^2 (1 - 2t)."""
+    rng = np.random.default_rng(5)
+    polys = []
+    for j in range(2000):
+        d = 2 + j % 7
+        if j % 2:
+            data = [float(v) for v in rng.integers(-9, 10, size=d + 1)]
+        else:
+            data = rng.normal(size=d + 1).tolist()
+        polys.append(_trim(_dyadic_integers(data)))
+    for j in range(300):
+        d = (2, 4, 6)[j % 3]
+        weights = _dyadic_integers(rng.normal(size=d + 1).tolist())
+        polys.append(_trim([sum(w * c for w, c in zip(weights, column))
+                            for column in _closed_basis(d)]))
+    for roots in [(1, 1), (0, 0), (1, 1, 1, -2, -2), (0.5, 0.5, -3, -3, -3, 2), (2, 2, 2, 2)]:
+        poly = [Fraction(1)]
+        for r in roots:
+            poly = _times(poly, [Fraction(-r), Fraction(1)])
+        polys.append(_dyadic_integers([float(c) for c in poly]))
+    # t^2 (1 - 2t), t^2 (3 + t^4) and (1 + t^2)^2
+    polys += [[0, 0, 1, -2], [0, 0, 3, 0, 0, 0, 1], [1, 0, 2, 0, 1]]
+    return [p for p in polys if len(p) >= 2]
+
+
+def test_sturm_chain_is_the_reference_chain():
+    for p in _chain_polys():
+        assert _sturm_chain(p) == reference_sturm_chain(p)
+
+
+def _golden_crossing_inputs():
+    """3,010 moment inputs (d 2-8, every other one with a window) and 300
+    closed ones (d 2, 4, 6), seeded.
+
+    Two thirds of the moment data are small integers, which make repeated
+    roots, roots at half-integer window ends and degree gaps in the chain
+    common; the rest are normal floats.  A fifth of the closed offsets are
+    the composition at t = pi, so the u-polynomial drops degree.
+    """
+    rng = np.random.default_rng(25)
+    cases = []
+    for d in range(2, 9):
+        for j in range(430):
+            if j % 3:
+                normal = [int(v) for v in rng.integers(-9, 10, size=d)]
+                offset = int(rng.integers(-9, 10))
+            else:
+                normal, offset = rng.normal(size=d).tolist(), float(rng.normal())
+            if not any(normal):
+                normal[-1] = 1
+            window = None
+            if j % 2:
+                lo = int(rng.integers(-8, 8)) / 2
+                window = (lo, lo + int(rng.integers(1, 9)) / 2)
+            cases.append((CurveSpecD(MOMENT, d), normal, offset, window))
+    for d in (2, 4, 6):
+        for j in range(100):
+            if j % 2:
+                normal = rng.normal(size=d).tolist()
+            else:
+                normal = [float(v) for v in rng.integers(-2, 3, size=d)]
+            if not any(normal):
+                normal[0] = 1.0
+            offset = float(rng.uniform(-1.0, 1.0))
+            if j % 5 == 0:
+                offset = sum(normal[2 * k - 1] * (-1) ** k for k in range(1, d // 2 + 1))
+            cases.append((CurveSpecD(CARATHEODORY, d), normal, offset, None))
+    return cases
+
+
+def test_crossing_counts_golden():
+    # The counts of a fixed input set are pinned, so a faster kernel must
+    # give every count the one before it gave.
+    counts = [hyperplane_crossings(spec, normal, offset, t_range=window)
+              for spec, normal, offset, window in _golden_crossing_inputs()]
+    assert len(counts) == 3310
+    digest = "b23d590dc2aecbe71dd1c5afceeea8375c388516dc09b9526005e0897cacb044"
+    assert hashlib.sha256(bytes(counts)).hexdigest() == digest
 
 
 def test_closed_curve_close_pair_of_crossings():

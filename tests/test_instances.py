@@ -32,6 +32,23 @@ def test_instance_validation():
     assert inst.curve is UNIT_CIRCLE
 
 
+def test_repeated_body_ids_are_rejected(tmp_path):
+    ids = [0, 5, 7, 3, 4, 5, 6, 7, 8, 5, 10, 11]
+    twins = [ConvexBody.from_vertices(i, b.vertices)
+             for i, b in zip(ids, gen_pairwise(12, 3).bodies)]
+    with pytest.raises(ValueError, match=r"repeated: \[5, 7\]"):
+        Instance(twins)
+    data = gen_pairwise(12, 3).to_dict()
+    for body in data["bodies"]:
+        body["id"] = 5
+    with pytest.raises(ValueError, match=r"repeated: \[5\]"):
+        Instance.from_dict(data)
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="distinct"):
+        load_instance(str(path))
+
+
 def test_instance_round_trip_exact(tmp_path):
     inst = gen_pairwise(5, seed=3)
     path = tmp_path / "inst.json"
