@@ -6,12 +6,13 @@ miss the curve, geometry of the output points, tau_star from the report's LP
 certificate, exact integer feasibility of the multiplicities, and the
 heavy-point accounting.  The report claims the heaviest point, so its
 recount must equal the heaviest load max(rows @ m) over the candidate rows,
-the bodies containing each candidate point, and may not exceed D.  The
-certificate is a cover (points with weights) and a packing (one weight per
-active body); verify_report proves tau_star by weak duality from
-containment and the candidate rows' loads alone, builds no classes and
-solves no linear program.  It trusts nothing in the file beyond the numbers
-it is checking.
+the bodies containing each candidate point, and may not exceed D.  Only the
+bodies with a nonzero multiplicity or packing weight load a point, so the
+candidate points are those of that weighted sub-family.  The certificate is
+a cover (points with weights) and a packing (one weight per active body);
+verify_report proves tau_star by weak duality from containment and the
+candidate rows' loads alone, builds no classes and solves no linear
+program.  It trusts nothing in the file beyond the numbers it is checking.
 """
 
 from __future__ import annotations
@@ -83,19 +84,29 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     A report that cannot be read (not an object, a missing key, a value of
     the wrong type) fails with a description too, and raises nothing.
 
-    Class loads are read off the candidate rows, row k holding the bodies
-    that contain candidate point k, and no classes are built.  That gives
-    the same heaviest load as the maximal classes that run_pipeline builds
-    from the same points: each of its classes is a candidate row, and every
-    row is a subset of some maximal class, so for nonnegative weights the
-    heaviest row weighs as much as the heaviest class.  This holds for the
-    packing, which certificate_failures clips at 0, and for m >= 0.  A
-    negative m fails on its own, so the extra rows can only add lines to a
-    report that fails already.  The classes are those of the whole
-    arrangement, since candidate_points keeps the lowest vertex of each
-    class's cell (Farkas' lemma, and Caratheodory's theorem in the plane),
-    save classes of bodies that meet only within TOL_GEOM (see its
-    docstring)."""
+    Class loads are read off the candidate rows, row k holding the active
+    bodies that contain candidate point k, and no classes are built.  The
+    candidate points are those of the weighted bodies W: the active bodies
+    whose m entry, or whose packing entry when the packing has one per
+    active body, is nonzero.  A negative packing entry counts too, since
+    any superset of the weights' support will do.  When W is empty or m has
+    a negative entry, the candidates are every active body's.
+
+    With nonnegative weights supported on W, a point's load is the weight
+    of the W-bodies that contain it.  Those bodies lie in a maximal class
+    of the W sub-family, and candidate_points(W) keeps the lowest vertex of
+    that class's cell (Farkas' lemma, and Caratheodory's theorem in the
+    plane), a point in all of them.  So the heaviest row weighs as much as
+    the heaviest class of the whole arrangement, and no row weighs more,
+    save classes of bodies that meet only within TOL_GEOM (see
+    candidate_points' docstring).  This holds for the packing, which
+    certificate_failures clips at 0, and for m >= 0.  A negative m fails on
+    its own, so the rows that are no class can only add lines to a report
+    that fails already.  W's candidates are a subsequence of the whole
+    family's, with the same floats, so every row read here is one of the
+    full list's rows; where rows tie for the heaviest load, the one named
+    may differ from the full list's first.
+    """
     failures = _shape_failures(report)
     if failures:
         return failures
@@ -121,7 +132,8 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     if len(m) != len(active):
         failures.append(f"m has {len(m)} entries for {len(active)} active bodies")
         return failures
-    if d < 1 or any(v < 0 for v in m):
+    nonnegative = all(v >= 0 for v in m)
+    if d < 1 or not nonnegative:
         failures.append("multiplicities must be nonnegative with D >= 1")
     if sum(map(abs, m)) > np.iinfo(np.int64).max:
         # The loads below are int64 sums of entries of m, which could wrap.
@@ -133,29 +145,31 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
             f"multiset size {cov['multiset_size']} != sum of multiplicities {total}"
         )
 
-    transversal = _points(report["transversal"])
-    cover_points = _points(report["lp"]["cover_points"])
-    candidates = candidate_points(active)
+    # The weighted bodies' candidates carry the heaviest loads (see above).
+    lp = report["lp"]
+    packing = lp["packing"] if len(lp["packing"]) == len(active) else [0] * len(active)
+    weighted = [b for b, w, x in zip(active, m, packing) if w or x] if nonnegative else []
+    candidates = candidate_points(weighted or active)
     z = report["z"]
-    heavy = [] if z is None else _points([z])
+    given = report["transversal"] + lp["cover_points"] + ([] if z is None else [z])
     # One containment call for every point checked: the transversal against
     # all bodies, the rest read on the active bodies' columns.
-    points = np.concatenate([np.reshape(part, (-1, 2)) for part in
-                             (transversal, candidates, cover_points, heavy)])
-    inside = containment_matrix(bodies, points)
-    hit, rows, cover_rows, z_row = np.split(
-        inside, np.cumsum([len(transversal), len(candidates), len(cover_points)]))
-    on_active = np.flatnonzero(meets)
-    rows, cover_rows, z_row = rows[:, on_active], cover_rows[:, on_active], z_row[:, on_active]
+    inside = containment_matrix(
+        bodies, np.concatenate([np.asarray(given, dtype=float).reshape(-1, 2), candidates]))
+    ends = np.cumsum([len(report["transversal"]), len(lp["cover_points"]), z is not None])
+    hit = inside[:ends[0]]
+    if filtered:
+        inside = inside[:, meets]
+    cover_rows, z_row, rows = inside[ends[0]:ends[1]], inside[ends[1]:ends[2]], inside[ends[2]:]
 
-    if not transversal:
+    if not report["transversal"]:
         failures.append("empty transversal")
     else:
         missed = [bodies[i].id for i in np.flatnonzero(~hit.any(axis=0))]
         if missed:
             failures.append(f"transversal misses bodies {missed}")
 
-    failures += _lp_certificate_failures(active, report["lp"], cover_rows, rows, tau_star)
+    failures += _lp_certificate_failures(active, lp, cover_rows, rows, tau_star)
 
     weights = np.asarray(m, dtype=np.int64)
     loads = rows @ weights
@@ -219,10 +233,6 @@ def _shape_failures(report) -> list[str]:
         elif not ok(holder[key]):
             failures.append(f"{path} is not {what}")
     return failures
-
-
-def _points(values) -> list[tuple[float, float]]:
-    return [(float(x), float(y)) for x, y in values]
 
 
 def _lp_certificate_failures(active, lp: dict, cover_rows: np.ndarray, class_rows: np.ndarray,

@@ -294,13 +294,12 @@ def test_criterion_10_higher_dimension_formulas():
     rng = np.random.default_rng(100)
     for d in range(2, 7):
         spec = CurveSpecD(MOMENT, d)
-        for _ in range(10_000):
-            normal = rng.integers(-9, 10, size=d)
-            while not normal.any():
-                normal = rng.integers(-9, 10, size=d)
-            offset = int(rng.integers(-9, 10))
-            count = hyperplane_crossings(spec, [int(v) for v in normal], offset)
-            if count > d:
+        normals = rng.integers(-9, 10, size=(10_000, d))
+        offsets = rng.integers(-9, 10, size=10_000)
+        for normal, offset in zip(normals.tolist(), offsets.tolist()):
+            while not any(normal):
+                normal = rng.integers(-9, 10, size=d).tolist()
+            if hyperplane_crossings(spec, normal, offset) > d:
                 ok = False
 
     for n in (10, 18, 30):

@@ -109,7 +109,7 @@ def test_intersect_arcs_known_cases():
     assert reference_intersection([(0.0, 0.0), (5.0, TWO_PI)], [(0.0, TWO_PI)]) == [(5.0, TWO_PI)]
 
 
-def test_intersect_arcs_random_against_sampling():
+def test_reference_intersection_random_against_sampling():
     rng = np.random.default_rng(42)
     thetas = np.linspace(0.0, TWO_PI, 721, endpoint=False)
     for _ in range(300):

@@ -1,17 +1,20 @@
 """The independent recheck of a finished report."""
 
 import copy
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pierce.lp
 import pierce.pipeline
 import pierce.reports
 from pierce.geometry import (
-    ConvexBody, body_contains, candidate_points, containment_matrix,
+    TWO_PI, ConvexBody, body_contains, candidate_points, containment_matrix,
 )
 from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import candidate_classes, run_pipeline
@@ -91,6 +94,7 @@ def test_verify_report_rejects_a_heavy_point_outside_every_body():
 
 def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):
     inst = gallery7()
+    assert [b.id for b in inst.bodies] == list(range(len(inst.bodies)))
     report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
     assert verify_report(inst, report) == []
     # An optimal packing loads several classes fully, so put one copy on each
@@ -103,11 +107,14 @@ def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):
     loads = []
 
     def without_z(bodies):
+        # bodies is the sub-family verify passes in: its columns are
+        # bodies' ids, which are positions in the gallery family.
+        ids = np.array([b.id for b in bodies])
         full = candidate_points(bodies)
         rows = containment_matrix(bodies, full)
-        kept = [k for k, row in enumerate(rows) if not at_z <= set(np.flatnonzero(row))]
+        kept = [k for k, row in enumerate(rows) if not at_z <= set(ids[row].tolist())]
         assert len(kept) < len(full)
-        loads.extend(int(rows[k] @ m) for k in kept)
+        loads.extend(sum(m[i] for i in ids[rows[k]]) for k in kept)
         return [full[k] for k in kept]
 
     monkeypatch.setattr(pierce.reports, "candidate_points", without_z)
@@ -115,6 +122,22 @@ def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):
     assert max(loads) < len(at_z)
     assert [f for f in failures if "best class load" in f] == [
         f"heavy coverage {len(at_z)} exceeds the best class load {max(loads)}"]
+
+
+def _weighted_rows_reach_the_class_loads(bodies, rng, draws):
+    """The lemma verify_report leans on: for sparse nonnegative x and m, the
+    rows of the weighted bodies' candidate points reach the heaviest class
+    load of the whole family, exactly for integers."""
+    classes = candidate_classes(bodies).matrix()
+    n = len(bodies)
+    for _ in range(draws):
+        keep_x, keep_m = rng.choice([0.1, 0.3, 0.8], size=2)
+        x = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < keep_x)
+        m = rng.integers(0, 12, n) * (rng.uniform(size=n) < keep_m)
+        weighted = [b for b, xi, mi in zip(bodies, x, m) if xi or mi] or bodies
+        rows = containment_matrix(bodies, candidate_points(weighted))
+        assert (rows @ x).max() == pytest.approx((classes @ x).max(), rel=1e-12)
+        assert (rows @ m).max() == (classes @ m).max()
 
 
 @pytest.mark.parametrize("bodies", [gallery7().bodies, pg22_twice()], ids=["gallery7", "pg22x2"])
@@ -128,6 +151,26 @@ def test_candidate_rows_have_the_maximal_class_loads(bodies):
         m = rng.integers(0, 12, len(bodies))
         assert (rows @ x).max() == pytest.approx((classes @ x).max(), rel=1e-12)
         assert (rows @ m).max() == (classes @ m).max()
+    _weighted_rows_reach_the_class_loads(bodies, rng, 50)
+
+
+def _random_polygon(rng, body_id):
+    # Vertices at sorted random angles on a random ellipse: convex, and in
+    # general position with the other bodies, so no class of the family
+    # meets only within TOL_GEOM.
+    center = rng.uniform(-1.0, 1.0, 2)
+    axes = rng.uniform(0.3, 1.5, 2)
+    t = np.sort(rng.uniform(0.0, TWO_PI, int(rng.integers(3, 9))))
+    return ConvexBody.from_vertices(
+        body_id, center + axes * np.column_stack((np.cos(t), np.sin(t))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_weighted_candidate_rows_have_the_class_loads_of_random_families(n, seed):
+    rng = np.random.default_rng(seed)
+    bodies = [_random_polygon(rng, i) for i in range(n)]
+    _weighted_rows_reach_the_class_loads(bodies, rng, 10)
 
 
 def _gallery_report():
@@ -236,6 +279,74 @@ def test_verify_report_fails_on_zero_denominator(gallery_run):
     failures = verify_report(inst, dict(report, D=0))
     assert failures[0] == "multiplicities must be nonnegative with D >= 1"
     assert "heavy coverage 7 exceeds D=0" in failures
+
+
+def test_verify_report_without_weights_reads_every_active_body(gallery_run):
+    # No body is weighted, so verify reads every active body's candidates:
+    # the lines are those it gave when it always did.
+    inst, report = gallery_run
+    zero = [0] * len(report["m"])
+    unweighted = dict(report, m=zero, lp=dict(report["lp"], packing=[0.0] * len(zero)))
+    assert verify_report(inst, unweighted) == [
+        "multiset size 15 != sum of multiplicities 0",
+        "packing sum 0.000000000 != cover sum 2.142857143",
+        "tau_star 2.1428571428571423 > packing bound 0.000000000",
+        "heavy point covers 0 copies, report says 7",
+    ]
+    # A packing of the wrong length weights nothing either.
+    short = dict(report, m=zero, lp=dict(report["lp"], packing=report["lp"]["packing"][:-1]))
+    assert verify_report(inst, short) == [
+        "multiset size 15 != sum of multiplicities 0",
+        "lp packing has 6 entries for 7 active bodies",
+        "heavy point covers 0 copies, report says 7",
+    ]
+
+
+def test_verify_report_reads_the_candidates_of_every_body_with_a_weight():
+    # The run weights body 0 alone, and its candidates miss the point where
+    # all six bodies meet. A packing that weights the other five overloads
+    # that point, and a negative m must see the rows without body 0.
+    inst = gen_pairwise(6)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    assert report["m"] == [1, 0, 0, 0, 0, 0] and report["lp"]["packing"][1:] == [0.0] * 5
+    spread = dict(report["lp"], packing=[0.0] + [0.6] * 5)
+    assert verify_report(inst, dict(report, lp=spread)) == [
+        "class of bodies [0, 1, 2, 3, 4, 5] has packing load 3.000000000 > 1",
+        "packing sum 3.000000000 != cover sum 1.000000000",
+    ]
+    assert verify_report(inst, dict(report, m=[-1, 0, 0, 0, 0, 0])) == [
+        "multiplicities must be nonnegative with D >= 1",
+        "multiset size 1 != sum of multiplicities -1",
+        "heavy point covers -1 copies, report says 1",
+        "heavy coverage -1 is below the best class load 0",
+    ]
+
+
+def test_a_class_line_names_a_class_of_the_load_it_prints(gallery_run):
+    # With the packing of the wrong length, only m's support is weighted,
+    # and rows of equal load may name another class than the whole family's
+    # first heaviest. The class named must still carry the printed sum, the
+    # heaviest class load, and be the body set at a candidate point.
+    inst, report = gallery_run
+    bodies = inst.bodies
+    classes = candidate_classes(bodies).matrix()
+    rows = {frozenset(np.flatnonzero(row).tolist())
+            for row in containment_matrix(bodies, candidate_points(bodies))}
+    lp = dict(report["lp"], packing=[])
+    named = 0
+    for m in itertools.product([0, 1], repeat=len(bodies)):
+        lines = [f for f in verify_report(inst, dict(report, m=list(m), D=1, lp=lp))
+                 if "at class" in f]
+        best = int((classes @ m).max())
+        assert len(lines) == (best > 1)
+        for line in lines:
+            load, members = re.fullmatch(r"multiplicity sum (\d+) > D=1 at class \[(.*)\]",
+                                         line).groups()
+            members = [int(v) for v in members.split(", ")]
+            assert int(load) == best == sum(m[i] for i in members)
+            assert frozenset(members) in rows
+            named += 1
+    assert named > 100
 
 
 def test_verify_report_fails_on_empty_coverage(gallery_run):
