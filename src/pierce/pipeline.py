@@ -62,32 +62,22 @@ class CandidateClasses:
 
 
 @dataclass(frozen=True)
-class FractionalTransversal:
-    points: tuple[Point2, ...]
-    weights: tuple[float, ...]
-    size: float
-
-
-@dataclass(frozen=True)
-class FractionalPacking:
-    weights: tuple[float, ...]
-    size: float
-
-
-@dataclass(frozen=True)
 class TransversalReport:
+    """One run's results: to_dict writes the report, and reports.SHAPES lists what verify reads."""
+
     transversal: tuple[Point2, ...]
     tau_star: float
     multiplicities: tuple[int, ...]
     denominator: int
-    heavy_point: Point2 | None
+    heavy_point: Point2
     heavy_coverage: int
     epsilon: float
     multiset_size: int
     p_effective: int
     filtered: tuple[int, ...]
-    cover: FractionalTransversal
-    packing: FractionalPacking
+    cover_points: tuple[Point2, ...]
+    cover_weights: tuple[float, ...]
+    packing: tuple[float, ...]
     flags: dict[str, bool]
     timings: dict[str, float]
 
@@ -97,7 +87,7 @@ class TransversalReport:
             "tau_star": self.tau_star,
             "m": list(self.multiplicities),
             "D": self.denominator,
-            "z": list(self.heavy_point) if self.heavy_point is not None else None,
+            "z": list(self.heavy_point),
             "coverage": {
                 "count": self.heavy_coverage,
                 "epsilon": self.epsilon,
@@ -106,9 +96,9 @@ class TransversalReport:
             "p_effective": self.p_effective,
             "filtered": list(self.filtered),
             "lp": {
-                "cover_points": [list(pt) for pt in self.cover.points],
-                "cover_weights": list(self.cover.weights),
-                "packing": list(self.packing.weights),
+                "cover_points": [list(pt) for pt in self.cover_points],
+                "cover_weights": list(self.cover_weights),
+                "packing": list(self.packing),
             },
             "flags": dict(self.flags),
             "stages": dict(self.timings),
@@ -217,27 +207,6 @@ def _maximal_rows(words: np.ndarray) -> np.ndarray:
     out = np.empty(k, dtype=bool)
     out[order] = keep
     return out
-
-
-def solve_lp_pair(
-    classes: CandidateClasses,
-) -> tuple[FractionalTransversal, FractionalPacking]:
-    """The fractional transversal and packing over the class matrix, from one simplex.
-
-    The packing maximizes total body weight with every class loaded at most
-    once; the cover minimizes total point weight with every body hit at least
-    once.  They are an exact dual pair over the same 0/1 matrix, so only the
-    packing is solved, by packing_solve on the matrix itself, and the cover
-    weight of each class is the dual of its packing row, read off the optimal
-    tableau.
-    """
-    packing = packing_solve(classes.matrix())
-    ft = FractionalTransversal(classes.points, packing.duals, math.fsum(packing.duals))
-    return ft, FractionalPacking(_clip(packing.values), packing.objective)
-
-
-def _clip(values) -> tuple[float, ...]:
-    return tuple(min(1.0, max(0.0, v)) for v in values)
 
 
 def certificate_failures(
@@ -468,23 +437,21 @@ def run_pipeline(
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ft, fp = solve_lp_pair(classes)
-    tau_star = fp.size
     mat = classes.matrix()
+    lp = packing_solve(mat)
+    tau_star = lp.objective
+    packing = tuple(min(1.0, max(0.0, v)) for v in lp.values)
     ids = [b.id for b in active]
-    flags["duality_ok"] = not certificate_failures(ids, mat, ft.weights, mat, fp.weights, tau_star)
-    support = [j for j, w in enumerate(ft.weights) if w > 0.0]
-    cover = FractionalTransversal(
-        tuple(ft.points[j] for j in support), tuple(ft.weights[j] for j in support), ft.size
-    )
+    flags["duality_ok"] = not certificate_failures(ids, mat, lp.duals, mat, packing, tau_star)
+    support = [j for j, w in enumerate(lp.duals) if w > 0.0]
     timings["lps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     d_cap = max(1, int(MULTISET_BUDGET / max(tau_star, 1.0)))
-    m, d = rationalize(fp.weights, d_cap, class_rows=mat)
+    m, d = rationalize(packing, d_cap, class_rows=mat)
     if sum(m) == 0:
         m = list(m)
-        m[int(np.argmax(fp.weights))] = 1
+        m[int(np.argmax(packing))] = 1
         m = tuple(m)
     loads = mat @ np.array(m, dtype=np.int64)
     flags["rounding_feasible_exact"] = bool((loads <= d).all())
@@ -522,8 +489,9 @@ def run_pipeline(
         multiset_size=total,
         p_effective=p_eff,
         filtered=filtered,
-        cover=cover,
-        packing=fp,
+        cover_points=tuple(classes.points[j] for j in support),
+        cover_weights=tuple(lp.duals[j] for j in support),
+        packing=packing,
         flags=flags,
         timings=timings,
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -26,18 +27,13 @@ from .geometry import body_curve_arcs, candidate_points, containment_matrix
 from .instances import Instance
 from .pipeline import TransversalReport, certificate_failures
 
-REQUIRED_KEYS = (
-    "transversal", "tau_star", "m", "D", "z", "coverage", "p_effective", "filtered", "lp",
-    "flags",
-)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return math.isfinite(v) if isinstance(v, float) else _is_int(v) and abs(v) <= sys.float_info.max
 
 
 def _is_point(v) -> bool:
@@ -48,7 +44,8 @@ def _is_list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
-# What each value verify_report reads must be, by dotted key path.
+# What each value verify_report reads must be, by dotted key path.  A report
+# also needs each path's first key and "flags", and an object at each dot.
 SHAPES = {
     "transversal": ("a list of points", _is_list_of(_is_point)),
     "tau_star": ("a finite number", _is_number),
@@ -169,7 +166,14 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         if missed:
             failures.append(f"transversal misses bodies {missed}")
 
-    failures += _lp_certificate_failures(active, lp, cover_rows, rows, tau_star)
+    n_cover, n_packing = len(lp["cover_weights"]), len(lp["packing"])
+    if n_cover != len(cover_rows):
+        failures.append(f"lp has {n_cover} cover weights for {len(cover_rows)} cover points")
+    elif n_packing != len(active):
+        failures.append(f"lp packing has {n_packing} entries for {len(active)} active bodies")
+    else:
+        failures += certificate_failures([b.id for b in active], cover_rows, lp["cover_weights"],
+                                         rows, lp["packing"], tau_star)
 
     weights = np.asarray(m, dtype=np.int64)
     loads = rows @ weights
@@ -217,11 +221,12 @@ def _shape_failures(report) -> list[str]:
     """Why the report cannot be read at all: a missing key or a wrong type."""
     if not isinstance(report, dict):
         return ["report is not a JSON object"]
-    failures = [f"missing key {key!r}" for key in REQUIRED_KEYS if key not in report]
+    heads = dict.fromkeys([path.split(".")[0] for path in SHAPES])
+    failures = [f"missing key {key!r}" for key in [*heads, "flags"] if key not in report]
     failures += [
         f"{key} is not a JSON object"
-        for key in ("coverage", "lp")
-        if key in report and not isinstance(report[key], dict)
+        for key in heads
+        if key not in SHAPES and key in report and not isinstance(report[key], dict)
     ]
     if failures:
         return failures
@@ -234,16 +239,3 @@ def _shape_failures(report) -> list[str]:
             failures.append(f"{path} is not {what}")
     return failures
 
-
-def _lp_certificate_failures(active, lp: dict, cover_rows: np.ndarray, class_rows: np.ndarray,
-                             tau_star: float):
-    """The report's cover and packing, checked as a certificate for tau_star;
-    cover_rows are the active bodies containing each cover point."""
-    weights = [float(w) for w in lp["cover_weights"]]
-    packing = [float(w) for w in lp["packing"]]
-    if len(weights) != len(cover_rows):
-        return [f"lp has {len(weights)} cover weights for {len(cover_rows)} cover points"]
-    if len(packing) != len(active):
-        return [f"lp packing has {len(packing)} entries for {len(active)} active bodies"]
-    ids = [b.id for b in active]
-    return certificate_failures(ids, cover_rows, weights, class_rows, packing, tau_star)

@@ -40,6 +40,7 @@ from pierce.geometry import (
 )
 from pierce.highdim import CurveSpecD, MOMENT, hyperplane_crossings
 from pierce.instances import gallery7, gen_clustered, gen_pairwise
+from pierce.lp import packing_solve
 from pierce.meetgraph import (
     build_meet_graph,
     turan_pair_check,
@@ -50,7 +51,6 @@ from pierce.pipeline import (
     candidate_classes,
     rationalize,
     run_pipeline,
-    solve_lp_pair,
 )
 from pierce.witness import (
     is_spread_out,
@@ -241,10 +241,10 @@ def test_criterion_08_lp_duality_and_exact_rounding():
     ok = True
     for inst in instances:
         classes = candidate_classes(inst.bodies)
-        ft, fp = solve_lp_pair(classes)
-        if abs(ft.size - fp.size) > DUALITY_TOL:
+        lp = packing_solve(classes.matrix())
+        if abs(math.fsum(lp.duals) - lp.objective) > DUALITY_TOL:
             ok = False
-        m, d = rationalize(fp.weights, 10_000, class_rows=classes.matrix())
+        m, d = rationalize(lp.values, 10_000, class_rows=classes.matrix())
         if not (isinstance(d, int) and all(isinstance(v, int) for v in m)):
             ok = False
         if any(sum(m[i] for i in np.flatnonzero(row)) > d for row in classes.matrix()):

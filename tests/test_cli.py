@@ -77,8 +77,10 @@ def test_verify_catches_bad_multiplicities(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("change", [{"D": 0}, {"coverage": {}}, {"z": [0.1]}, "list"],
-                         ids=["zero-D", "empty-coverage", "short-z", "list"])
+@pytest.mark.parametrize(
+    "change",
+    [{"D": 0}, {"coverage": {}}, {"z": [0.1]}, "list", {"tau_star": 10**400}, {"z": [10**400, 0]}],
+    ids=["zero-D", "empty-coverage", "short-z", "list", "huge-tau", "huge-z"])
 def test_verify_fails_on_malformed_reports(tmp_path, capsys, change):
     inst_path = str(tmp_path / "g.json")
     rep_path = str(tmp_path / "r.json")

@@ -90,7 +90,7 @@ def test_interval_basics():
         assert meet_angle(arcs, arcs) == reference_meet_angle(arcs, arcs)
 
 
-def test_intersect_arcs_known_cases():
+def test_reference_intersection_known_cases():
     got = reference_intersection([(0.0, math.pi)], [(math.pi / 2, 1.5 * math.pi)])
     assert got == [(math.pi / 2, math.pi)]
 

@@ -22,12 +22,12 @@ from pierce.geometry import (
     containment_matrix,
 )
 from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
+from pierce.lp import packing_solve
 from pierce.pipeline import (
     candidate_classes,
     greedy_transversal,
     rationalize,
     run_pipeline,
-    solve_lp_pair,
     _limit_denominator,
     _maximal_rows,
     _signature_words,
@@ -175,37 +175,37 @@ def test_maximal_rows_memory_stays_within_a_block_budget():
 
 def test_fractional_sizes_trivial():
     tri = ConvexBody.from_vertices(0, [(0, 0), (1, 0), (0, 1)])
-    ft, fp = solve_lp_pair(candidate_classes([tri]))
-    assert ft.size == pytest.approx(1.0, abs=1e-9)
-    assert fp.size == pytest.approx(1.0, abs=1e-9)
+    lp = packing_solve(candidate_classes([tri]).matrix())
+    assert math.fsum(lp.duals) == pytest.approx(1.0, abs=1e-9)
+    assert lp.objective == pytest.approx(1.0, abs=1e-9)
 
     boxes = [box(i, 3.0 * i, 0.0) for i in range(4)]
-    ft, fp = solve_lp_pair(candidate_classes(boxes))
-    assert ft.size == pytest.approx(4.0, abs=1e-9)
-    assert fp.size == pytest.approx(4.0, abs=1e-9)
+    lp = packing_solve(candidate_classes(boxes).matrix())
+    assert math.fsum(lp.duals) == pytest.approx(4.0, abs=1e-9)
+    assert lp.objective == pytest.approx(4.0, abs=1e-9)
 
 
 def test_gallery_duality_and_value():
     bodies = gallery7().bodies
-    ft, fp = solve_lp_pair(candidate_classes(bodies))
-    assert abs(ft.size - fp.size) <= 1e-6
+    lp = packing_solve(candidate_classes(bodies).matrix())
+    assert abs(math.fsum(lp.duals) - lp.objective) <= 1e-6
     # the optimum splits weight over the five deep corners and two of the
     # three depth-4 faces; its exact value is 15/7 (frozen from the solver,
     # cross-checked against the scipy oracle in development)
-    assert ft.size == pytest.approx(15.0 / 7.0, abs=1e-9)
+    assert math.fsum(lp.duals) == pytest.approx(15.0 / 7.0, abs=1e-9)
 
 
 def test_duality_on_generated_instances():
     for seed in range(3):
         inst = gen_pairwise(7, seed=seed)
-        ft, fp = solve_lp_pair(candidate_classes(inst.bodies))
-        assert abs(ft.size - fp.size) <= 1e-6
-        assert ft.size <= 1.0 + 1e-9  # pairwise-meeting wedges share points
+        lp = packing_solve(candidate_classes(inst.bodies).matrix())
+        assert abs(math.fsum(lp.duals) - lp.objective) <= 1e-6
+        assert math.fsum(lp.duals) <= 1.0 + 1e-9  # pairwise-meeting wedges share points
     for seed in range(3):
         inst = gen_clustered(4, 9, seed=seed)
-        ft, fp = solve_lp_pair(candidate_classes(inst.bodies))
-        assert abs(ft.size - fp.size) <= 1e-6
-        assert ft.size <= 3.0 + 1e-9  # one point per cluster always covers
+        lp = packing_solve(candidate_classes(inst.bodies).matrix())
+        assert abs(math.fsum(lp.duals) - lp.objective) <= 1e-6
+        assert math.fsum(lp.duals) <= 3.0 + 1e-9  # one point per cluster always covers
 
 
 # ---------------------------------------------------------------- rationalize
@@ -357,8 +357,8 @@ def test_rationalize_stays_feasible_on_lp_outputs():
     for seed in (0, 1, 2, 5):
         inst = gen_clustered(3, 8, seed=seed)
         cc = candidate_classes(inst.bodies)
-        fp = solve_lp_pair(cc)[1]
-        m, d = rationalize(fp.weights, 200, class_rows=cc.matrix())
+        lp = packing_solve(cc.matrix())
+        m, d = rationalize(lp.values, 200, class_rows=cc.matrix())
         assert d <= 200
         for sig in signatures(cc):
             total = sum(m[i] for i in sig)
@@ -370,9 +370,9 @@ def test_fractional_transversal_covers_gallery():
     bodies = gallery7().bodies
     classes = candidate_classes(bodies)
     mat = classes.matrix()
-    ft = solve_lp_pair(classes)[0]
+    duals = packing_solve(mat).duals
     # every body carries at least one unit of point weight
-    assert (mat.T @ np.asarray(ft.weights) >= 1 - 1e-9).all()
+    assert (mat.T @ np.asarray(duals) >= 1 - 1e-9).all()
 
 
 # ---------------------------------------------------------------- greedy
@@ -588,6 +588,31 @@ def test_run_pipeline_on_bodies_that_touch_the_curve_at_shared_vertices():
     assert report.tau_star == pytest.approx(2.0)
     assert len(report.transversal) == 2
     assert verify_report(Instance(bodies, 3), report.to_dict()) == []
+
+
+# Axis-parallel rectangles: A and B share the edge x = 0, and C and D touch
+# only at the corner (0.5, 0.5), inside the circle, so their arcs are apart.
+RECTANGLES = {
+    "A": (-2.0, 0.0, -2.0, 2.0), "B": (0.0, 2.0, -2.0, 2.0),
+    "C": (0.5, 2.0, 0.5, 2.0), "D": (-2.0, 0.5, -2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("names, tau_star, transversal, holds", [
+    ("AB", 1.0, ((0.0, -2.0),), True),
+    ("CD", 1.0, ((0.5, 0.5),), False),
+    ("ABCD", 2.0, ((0.0, -2.0), (0.5, 0.5)), False),
+])
+def test_run_pipeline_on_bodies_that_share_an_edge_or_a_corner(names, tau_star, transversal,
+                                                               holds):
+    bodies = [ConvexBody.from_vertices(i, [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+              for i, (x0, x1, y0, y1) in enumerate(RECTANGLES[k] for k in names)]
+    report = run_pipeline(bodies)
+    assert report.tau_star == tau_star
+    assert report.transversal == transversal
+    assert report.flags["condition_holds"] is holds
+    assert report.flags["all_bodies_hit"]
+    assert verify_report(Instance(bodies), report.to_dict()) == []
 
 
 def test_run_pipeline_errors():

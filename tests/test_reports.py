@@ -378,6 +378,10 @@ def test_verify_report_fails_on_wrong_types(gallery_run):
         ("D", report["D"] + 0.9, "D is not an integer"),
         ("D", True, "D is not an integer"),
         ("tau_star", float("nan"), "tau_star is not a finite number"),
+        # JSON keeps integers beyond float range exact, and no float holds them.
+        ("tau_star", 10**400, "tau_star is not a finite number"),
+        ("tau_star", -10**400, "tau_star is not a finite number"),
+        ("z", [10**400, 0], "z is not a point or null"),
         ("m", "abc", "m is not a list of integers"),
         ("m", [v + 0.5 for v in report["m"]], "m is not a list of integers"),
         ("p_effective", report["p_effective"] + 0.5, "p_effective is not an integer"),
@@ -390,9 +394,26 @@ def test_verify_report_fails_on_wrong_types(gallery_run):
     ]
     for key, value, failure in cases:
         assert verify_report(inst, dict(report, **{key: value})) == [failure]
-    lp = dict(report["lp"], cover_weights=[True] * len(report["lp"]["cover_weights"]))
-    assert verify_report(inst, dict(report, lp=lp)) == [
-        "lp.cover_weights is not a list of numbers"]
+    weights = report["lp"]["cover_weights"]
+    for bad in ([True] * len(weights), [10**400, *weights[1:]]):
+        lp = dict(report["lp"], cover_weights=bad)
+        assert verify_report(inst, dict(report, lp=lp)) == [
+            "lp.cover_weights is not a list of numbers"]
+
+
+def test_the_report_writer_and_verify_read_the_same_keys(gallery_run):
+    # A key added to to_dict alone, or to SHAPES alone, fails here. flags and
+    # stages are objects that verify reads no key of.
+    _, report = gallery_run
+    leaves = set()
+    for key, value in report.items():
+        if key in ("flags", "stages"):
+            assert isinstance(value, dict)
+        elif isinstance(value, dict):
+            leaves.update(f"{key}.{sub}" for sub in value)
+        else:
+            leaves.add(key)
+    assert leaves == set(pierce.reports.SHAPES)
 
 
 def test_verify_report_fails_on_multiplicities_past_int64(gallery_run):
