@@ -24,7 +24,7 @@ from .instances import (
 )
 from .meetgraph import build_meet_graph, turan_pair_check
 from .pipeline import brute_min_transversal, run_pipeline
-from .reports import load_report, save_report, verify_report
+from .reports import SHAPES, load_report, save_report, verify_report
 from .svg import render_svg
 from .witness import is_spread_out, witness_list
 
@@ -147,12 +147,21 @@ def _cmd_plot(args) -> int:
     instance = load_instance(args.instance)
     points = None
     if args.report:
-        points = [tuple(pt) for pt in load_report(args.report)["transversal"]]
+        report = load_report(args.report)
+        if not isinstance(report, dict) or "transversal" not in report:
+            raise ValueError("report has no 'transversal' key")
+        what, ok = SHAPES["transversal"]
+        if not ok(report["transversal"]):
+            raise ValueError(f"report 'transversal' is not {what}")
+        points = [tuple(pt) for pt in report["transversal"]]
     _emit(render_svg(instance, points), args.output)
     return 0
 
 
 def _cmd_stats(args) -> int:
+    # is_spread_out checks alpha too, but runs only when some pair meets
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     instance = load_instance(args.instance)
     n_bodies = len(instance.bodies)
     arcs = [body_curve_arcs(b, instance.curve) for b in instance.bodies]

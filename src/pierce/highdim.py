@@ -12,10 +12,10 @@ Crossing counts are exact on both curves: the float data, dyadic rationals,
 are scaled to an integer polynomial (on the closed curve, in u = tan(t/2)),
 and a Sturm chain of integer pseudo-remainders counts its distinct real
 roots.  A chain step whose degrees differ by one, the usual step, is one
-fused pass over the coefficients; other steps divide term by term.  A
-whole-line count reads each member's signs at +-infinity from its leading
-coefficient and degree, and counts the variations, in one loop over the
-chain.
+fused pass over the coefficients; other steps divide term by term.  Counts
+cover the whole curve: they read each member's signs at +-infinity from its
+leading coefficient and degree, and count the variations, in one loop over
+the chain.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     positive, it leaves q and r positive multiples of the quotient and
     remainder of a by b over the rationals.  A Sturm chain step that needs
     only r, with deg a = deg b + 1, takes the fused _pseudo_remainder
-    instead; this term-by-term division serves the other degree gaps and
-    dividing out a repeated-root gcd.
+    instead; this term-by-term division serves the other degree gaps.
     """
     lead = b[-1]
     quo = [0] * (len(a) - len(b) + 1)
@@ -104,6 +103,12 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
     The chain ends at a constant or before a vanishing remainder.  Each
     remainder comes from _pseudo_remainder, which fuses the usual step of
     degree gap one into a single pass.
+
+    When p has multiple roots the last member is gcd(p, p') up to a
+    constant, and every member is it times a member of the square-free
+    part's chain.  At each of +-infinity that factor has one sign along the
+    whole chain, so it leaves the sign variations there, and the count of
+    distinct roots, as they are for the square-free part.
     """
     chain = [p, [k * p[k] for k in range(1, len(p))]]
     while len(chain[-1]) > 1:
@@ -112,52 +117,24 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
             break
         content = math.gcd(*rem)
         chain.append([-c // content for c in rem])
-    gcd = chain[-1]
-    if len(gcd) > 1:
-        # p has multiple roots and the chain stopped at gcd(p, p').  Dividing
-        # it out leaves a chain for the square-free part, so each root counts
-        # once, also at an endpoint that is a multiple root (where every
-        # undivided member vanishes).  Elsewhere the division multiplies all
-        # signs by the same sign and leaves the variations as they were.
-        chain = [_pseudo_divmod(q, gcd)[0] for q in chain]
     return chain
 
 
-def _sign_at(p: IntPoly, num: int, den: int) -> int:
-    # Sign of p(num/den) for den > 0: Horner on den^deg(p) p(num/den).
-    acc, power = 0, 1
-    for c in reversed(p):
-        acc = acc * num + c * power
-        power *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _distinct_roots(p: IntPoly, window: tuple[float, float] | None) -> int:
-    """Distinct real roots of p on the whole line, or in (lo, hi], exactly."""
+def _distinct_roots(p: IntPoly) -> int:
+    """Distinct real roots of p on the whole line, exactly."""
     if len(p) < 2:
         return 0  # a nonzero constant
     chain = _sturm_chain(p)
-    if window is None:
-        # At +infinity a member has the sign of its leading coefficient, at
-        # -infinity that sign times (-1)^degree.  Neighbours whose degrees
-        # have the same parity vary at both ends or at neither; the others
-        # vary at -infinity alone when their leading signs agree, and at
-        # +infinity alone when they differ.
-        roots = 0
-        for q, r in zip(chain, chain[1:]):
-            if (len(q) ^ len(r)) & 1:
-                roots += 1 if (q[-1] > 0) == (r[-1] > 0) else -1
-        return roots
-    # floats are dyadic rationals, so each endpoint is num/den exactly
-    lo_r, hi_r = (x.as_integer_ratio() for x in window)
-    lo = [_sign_at(q, *lo_r) for q in chain]
-    hi = [_sign_at(q, *hi_r) for q in chain]
-    return _variations(lo) - _variations(hi)
+    # At +infinity a member has the sign of its leading coefficient, at
+    # -infinity that sign times (-1)^degree.  Neighbours whose degrees have
+    # the same parity vary at both ends or at neither; the others vary at
+    # -infinity alone when their leading signs agree, and at +infinity alone
+    # when they differ.
+    roots = 0
+    for q, r in zip(chain, chain[1:]):
+        if (len(q) ^ len(r)) & 1:
+            roots += 1 if (q[-1] > 0) == (r[-1] > 0) else -1
+    return roots
 
 
 def _dyadic_integers(values: list[float]) -> list[int]:
@@ -209,33 +186,26 @@ def _finite_floats(values, what: str) -> list[float]:
     return floats
 
 
-def hyperplane_crossings(
-    spec: CurveSpecD,
-    normal,
-    offset: float,
-    t_range: tuple[float, float] | None = None,
-) -> int:
+def hyperplane_crossings(spec: CurveSpecD, normal, offset: float) -> int:
     """Distinct points the curve shares with the hyperplane normal . x = offset.
 
     This is what the paper's "meets every hyperplane at most d times"
     counts: a point where the curve only touches the hyperplane counts once,
-    like a crossing.  The count is exact.  The float data are dyadic
-    rationals, scaled to an integer polynomial whose distinct real roots a
-    Sturm chain of integer pseudo-remainders counts; whole-line counts read
-    each member's sign at +-infinity from its leading coefficient and degree.
+    like a crossing.  The count is exact and covers the whole curve.  The
+    float data are dyadic rationals, scaled to an integer polynomial whose
+    distinct real roots a Sturm chain of integer pseudo-remainders counts,
+    reading each member's sign at +-infinity from its leading coefficient
+    and degree.
 
     Moment curve: the polynomial is the composition, of degree at most d in
-    t, counted on the whole line by default or in (lo, hi] when t_range is
-    given, by evaluating the chain at the endpoints with integer Horner.
-    Closed curve: with u = tan(t/2), the composition times (1 + u^2)^(d/2)
-    is a polynomial of degree at most d in u, whose real roots are the
-    points with t in (-pi, pi).  Its u^d coefficient is the composition at
-    t = pi (u = infinity), so that point is common exactly when the degree
-    drops.  The closed curve takes no t_range.
+    t, over the whole line.  Closed curve: with u = tan(t/2), the
+    composition times (1 + u^2)^(d/2) is a polynomial of degree at most d in
+    u, whose real roots are the points with t in (-pi, pi).  Its u^d
+    coefficient is the composition at t = pi (u = infinity), so that point
+    is common exactly when the degree drops.
 
-    The normal, offset and t_range must be finite floats, t_range a pair
-    (lo, hi) with lo < hi; a ValueError naming the argument rejects any
-    other.
+    The normal and offset must be finite floats; a ValueError naming the
+    argument rejects any other.
     """
     coeffs = _finite_floats(normal, "hyperplane normal")
     if len(coeffs) != spec.d:
@@ -243,19 +213,9 @@ def hyperplane_crossings(
     if not any(coeffs):
         raise ValueError("hyperplane normal must be nonzero")
     (offset,) = _finite_floats((offset,), "hyperplane offset")
-    window = None
-    if t_range is not None:
-        window = tuple(_finite_floats(t_range, "t_range"))
-        if len(window) != 2:
-            raise ValueError("t_range must be a pair (lo, hi)")
-        if window[0] >= window[1]:
-            raise ValueError("t_range must satisfy lo < hi")
 
-    if spec.kind == MOMENT:
-        return _distinct_roots(_trim(_dyadic_integers([-offset, *coeffs])), window)
-
-    if window is not None:
-        raise ValueError("the closed curve takes no t_range")
     weights = _dyadic_integers([-offset, *coeffs])
+    if spec.kind == MOMENT:
+        return _distinct_roots(_trim(weights))
     poly = _trim([sum(map(operator.mul, weights, column)) for column in _closed_basis(spec.d)])
-    return _distinct_roots(poly, None) + (len(poly) <= spec.d)
+    return _distinct_roots(poly) + (len(poly) <= spec.d)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,6 +19,18 @@ import numpy as np
 from .errors import GenerationError
 from .geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, body_contains
 from .meetgraph import build_meet_graph
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return math.isfinite(v) if isinstance(v, float) else _is_int(v) and abs(v) <= sys.float_info.max
+
+
+def _is_point(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
 
 
 @dataclass
@@ -29,6 +43,10 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.bodies:
             raise ValueError("instance needs at least one body")
+        try:
+            self.p = operator.index(self.p)
+        except TypeError:
+            raise ValueError(f"p must be an integer, not {self.p!r}") from None
         if self.p < 2:
             raise ValueError("p must be at least 2")
         repeated = [i for i, k in Counter(b.id for b in self.bodies).items() if k > 1]
@@ -52,13 +70,43 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
-        c = data["curve"]
-        curve = CurveModel(c["type"], tuple(c["center"]), c["radius"])
-        bodies = [
-            ConvexBody.from_vertices(b["id"], [tuple(v) for v in b["vertices"]])
-            for b in data["bodies"]
-        ]
-        return cls(bodies, int(data["p"]), curve, dict(data.get("meta", {})))
+        """The instance that a parsed instance file describes.
+
+        Data that is not a JSON object, a missing key, or a value of the
+        wrong JSON type raises a ValueError that names the key.
+        """
+
+        def read(obj, key: str, where: str, what: str, ok):
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where} is not a JSON object")
+            if key not in obj:
+                raise ValueError(f"{where} has no {key!r} key")
+            if not ok(obj[key]):
+                raise ValueError(f"{where} {key!r} is not {what}")
+            return obj[key]
+
+        def is_dict(v) -> bool:
+            return isinstance(v, dict)
+
+        c = read(data, "curve", "instance", "an object", is_dict)
+        curve = CurveModel(
+            read(c, "type", "curve", "a string", lambda v: isinstance(v, str)),
+            tuple(read(c, "center", "curve", "a point", _is_point)),
+            read(c, "radius", "curve", "a finite number", _is_number),
+        )
+        bodies = []
+        for k, b in enumerate(read(data, "bodies", "instance", "a list",
+                                   lambda v: isinstance(v, list))):
+            where = f"bodies[{k}]"
+            body_id = read(b, "id", where, "a number or a string",
+                           lambda v: isinstance(v, (int, float, str)))
+            vertices = read(b, "vertices", where, "a list of points",
+                            lambda v: isinstance(v, list) and all(map(_is_point, v)))
+            bodies.append(ConvexBody.from_vertices(body_id, vertices))
+        meta = read(data, "meta", "instance", "an object", is_dict) if "meta" in data else {}
+        # p goes through as it is: Instance checks that it is an integer
+        p = read(data, "p", "instance", "a finite number", _is_number)
+        return cls(bodies, p, curve, dict(meta))
 
 
 def save_instance(instance: Instance, path: str) -> None:
@@ -72,13 +120,16 @@ def load_instance(path: str) -> Instance:
         return Instance.from_dict(json.load(fh))
 
 
-def _ring_points(lo: float, span: float, step_cap: float = 0.4) -> list[tuple[float, float]]:
+_RING_STEP = 0.4  # the widest arc, in radians, between two ring samples
+
+
+def _ring_points(lo: float, span: float) -> list[tuple[float, float]]:
     """Vertices of a convex hull that contains the circle arc [lo, lo+span].
 
     Samples the arc at radius just above 1 so sagging chords still clear the
     unit circle; the returned ring is in counterclockwise order.
     """
-    steps = max(2, math.ceil(span / step_cap))
+    steps = max(2, math.ceil(span / _RING_STEP))
     r_out = 1.05 / math.cos(span / (2 * steps))
     return [
         (

@@ -18,26 +18,12 @@ program.  It trusts nothing in the file beyond the numbers it is checking.
 from __future__ import annotations
 
 import json
-import math
-import sys
 
 import numpy as np
 
 from .geometry import body_curve_arcs, candidate_points, containment_matrix
-from .instances import Instance
+from .instances import Instance, _is_int, _is_number, _is_point
 from .pipeline import TransversalReport, certificate_failures
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return math.isfinite(v) if isinstance(v, float) else _is_int(v) and abs(v) <= sys.float_info.max
-
-
-def _is_point(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
 
 
 def _is_list_of(ok):

@@ -19,17 +19,14 @@ BODY_FILLS = (
     "#edc948",
     "#9c755f",
 )
+SIZE = 480  # side of the square canvas, in px
 
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}".rstrip("0").rstrip(".")
 
 
-def render_svg(
-    instance: Instance,
-    transversal=None,
-    size: int = 480,
-) -> str:
+def render_svg(instance: Instance, transversal=None) -> str:
     """Standalone SVG document for the instance, string-built."""
     bodies = instance.bodies
     curve = instance.curve
@@ -45,18 +42,18 @@ def render_svg(
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     pad = 0.06 * span
-    scale = size / (span + 2 * pad)
+    scale = SIZE / (span + 2 * pad)
 
     def sx(x: float) -> str:
         return _fmt((x - lo_x + pad) * scale)
 
     def sy(y: float) -> str:
-        return _fmt(size - (y - lo_y + pad) * scale)
+        return _fmt(SIZE - (y - lo_y + pad) * scale)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#fdfdfb"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="#fdfdfb"/>',
         f'<circle class="curve" cx="{sx(cx)}" cy="{sy(cy)}" '
         f'r="{_fmt(curve.radius * scale)}" fill="none" stroke="#999999" '
         f'stroke-width="1" stroke-dasharray="5 4"/>',

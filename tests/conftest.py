@@ -411,8 +411,7 @@ def reference_packing_solve(mat) -> LPSolution:
 def reference_sturm_chain(p: list[int]) -> list[list[int]]:
     """The Sturm chain of p built on _pseudo_divmod alone: p, p', then each
     negated pseudo-remainder over its content, until a constant or a
-    vanishing remainder; a non-constant last member, gcd(p, p'), is divided
-    out of every member."""
+    vanishing remainder."""
     chain = [p, [k * c for k, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
         rem = _pseudo_divmod(chain[-2], chain[-1])[1]
@@ -420,7 +419,4 @@ def reference_sturm_chain(p: list[int]) -> list[list[int]]:
             break
         content = math.gcd(*rem)
         chain.append([-c // content for c in rem])
-    gcd = chain[-1]
-    if len(gcd) > 1:
-        chain = [_pseudo_divmod(q, gcd)[0] for q in chain]
     return chain

@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pierce.cli import cli_run
+from pierce.geometry import ConvexBody
 from pierce.instances import (
-    Instance, gallery7, gen_clustered, gen_pairwise, load_instance, save_instance,
+    Instance, _ring_points, gallery7, gen_clustered, gen_pairwise, load_instance, save_instance,
 )
 
 from conftest import pg22_twice
@@ -133,6 +134,10 @@ STATS_PINS = {
                       "meets=780 bound=400.0", (40, 40, 40, 18)),
     "clustered-3-30-2": (lambda: gen_clustered(3, 30, 2), "bodies=30 p=3", 210,
                          "meets=210 bound=150.0", (28, 27, 17, 0)),
+    # four copies of one body: six entries at one angle, three per color
+    "coincident-4": (lambda: Instance([ConvexBody.from_vertices(i, _ring_points(0.3, 2.0))
+                                       for i in range(4)]),
+                     "bodies=4 p=2", 6, "meets=6 bound=4.0", (0, 0, 0, 0)),
 }
 
 
@@ -230,6 +235,48 @@ def test_repeated_body_ids_are_an_input_error(tmp_path, capsys):
     inst_path.write_text(json.dumps(data))
     assert cli_run(["solve", str(inst_path)]) == 2
     assert "repeated: [5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda d: {k: v for k, v in d.items() if k != "bodies"}, "instance has no 'bodies' key"),
+    (lambda d: [d], "instance is not a JSON object"),
+    (lambda d: {**d, "curve": {**d["curve"], "radius": "1"}},
+     "curve 'radius' is not a finite number"),
+    (lambda d: {**d, "bodies": d["bodies"][:2] + [{"id": 2, "vertices": [[0, 0], [1, "x"]]}]},
+     "bodies[2] 'vertices' is not a list of points"),
+    (lambda d: {**d, "p": 2.9}, "p must be an integer, not 2.9"),
+], ids=["no-bodies", "a-list", "string-radius", "string-vertex", "fractional-p"])
+def test_malformed_instance_file_is_an_input_error(edit, error, tmp_path, capsys):
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(edit(gallery7().to_dict())))
+    assert cli_run(["solve", str(inst_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_plot_rejects_a_report_without_a_transversal(tmp_path, capsys):
+    inst_path, rep_path = str(tmp_path / "g.json"), tmp_path / "r.json"
+    assert cli_run(["gen", "gallery", "-o", inst_path]) == 0
+    for report, error in [({"tau_star": 3.0}, "report has no 'transversal' key"),
+                          ([], "report has no 'transversal' key"),
+                          ({"transversal": [[0.0, "x"]]},
+                           "report 'transversal' is not a list of points")]:
+        rep_path.write_text(json.dumps(report))
+        assert cli_run(["plot", inst_path, str(rep_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_stats_rejects_alpha_when_no_pair_meets(tmp_path, capsys):
+    # no two bodies meet, so the witness list is empty and is_spread_out,
+    # which checks alpha too, never runs
+    bodies = [ConvexBody.from_vertices(i, _ring_points(lo, 0.5)) for i, lo in enumerate((0.0, 3.0))]
+    inst_path = str(tmp_path / "apart.json")
+    save_instance(Instance(bodies), inst_path)
+    assert cli_run(["stats", inst_path, "--alpha", "0.1"]) == 0
+    assert "witnesses N=0" in capsys.readouterr().out
+    for alpha in ("2", "0", "-0.5", "1"):
+        assert cli_run(["stats", inst_path, "--alpha", alpha]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: alpha must lie in (0, 1)\n"
 
 
 def test_log_level_env(tmp_path, monkeypatch, capsys):

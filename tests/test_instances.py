@@ -30,6 +30,19 @@ def test_instance_validation():
         Instance([tri], p=1)
     inst = Instance([tri], p=2, meta={"kind": "adhoc"})
     assert inst.curve is UNIT_CIRCLE
+    # p is an integer, also a numpy one; from_dict passes it through
+    assert type(Instance([tri], p=np.int64(3)).p) is int
+    for p in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            Instance([tri], p=p)
+    data = inst.to_dict()
+    for p in (2.9, 2.0):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            Instance.from_dict({**data, "p": p})
+    for p in ("3", None, [3], True):
+        with pytest.raises(ValueError, match="'p' is not a finite number"):
+            Instance.from_dict({**data, "p": p})
+    assert Instance.from_dict({**data, "p": 5}).p == 5
 
 
 def test_repeated_body_ids_are_rejected(tmp_path):

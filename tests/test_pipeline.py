@@ -21,7 +21,7 @@ from pierce.geometry import (
     candidate_points,
     containment_matrix,
 )
-from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
+from pierce.instances import Instance, _ring_points, gallery7, gen_clustered, gen_pairwise
 from pierce.lp import packing_solve
 from pierce.pipeline import (
     candidate_classes,
@@ -43,6 +43,7 @@ from conftest import (
     reference_classes,
     tangent_triangle,
 )
+from lemmas import build_witness_list
 
 
 def box(body_id: int, cx: float, cy: float, r: float = 0.4) -> ConvexBody:
@@ -612,6 +613,18 @@ def test_run_pipeline_on_bodies_that_share_an_edge_or_a_corner(names, tau_star, 
     assert report.transversal == transversal
     assert report.flags["condition_holds"] is holds
     assert report.flags["all_bodies_hit"]
+    assert verify_report(Instance(bodies), report.to_dict()) == []
+
+
+def test_identical_bodies_witness_at_one_angle():
+    # four copies of one body: every pair meets at the same curve angle
+    bodies = [ConvexBody.from_vertices(i, _ring_points(0.3, 2.0)) for i in range(4)]
+    q = build_witness_list(bodies, UNIT_CIRCLE)
+    assert len(q) == 6 and len(set(q.angles.tolist())) == 1
+    assert q.pairs.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    report = run_pipeline(bodies)
+    assert report.tau_star == 1.0
+    assert len(report.transversal) == 1
     assert verify_report(Instance(bodies), report.to_dict()) == []
 
 
