@@ -30,6 +30,20 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
+def _finite_floats(values, what: str) -> list[float]:
+    """values as floats; a ValueError naming what rejects any value that is
+    not a finite number within float range."""
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be numbers") from None
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{what} must be finite")
+    return floats
+
+
 @dataclass(frozen=True)
 class CurveModel:
     """The reference convex curve. Only circles are supported."""
@@ -41,8 +55,14 @@ class CurveModel:
     def __post_init__(self):
         if self.kind != "circle":
             raise ValueError(f"unsupported curve kind {self.kind!r}")
-        if not (self.radius > 0.0) or not math.isfinite(self.radius):
-            raise ValueError("curve radius must be positive and finite")
+        center = _finite_floats(self.center, "curve center")
+        if len(center) != 2:
+            raise ValueError("curve center must be two numbers")
+        (radius,) = _finite_floats((self.radius,), "curve radius")
+        if not radius > 0.0:
+            raise ValueError("curve radius must be positive")
+        object.__setattr__(self, "center", tuple(center))
+        object.__setattr__(self, "radius", radius)
 
     def point_at(self, theta: float) -> Point2:
         return (
@@ -83,7 +103,10 @@ class ConvexBody:
         vertex's depth behind that edge: its offset minus the least
         projection of a vertex on its normal.
         """
-        arr = np.asarray(vertices, dtype=float)
+        try:
+            arr = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidBodyError(f"body {body_id}: vertices are not floats: {exc}") from None
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise InvalidBodyError(f"body {body_id}: vertices must be an (m, 2) array")
         if not np.all(np.isfinite(arr)):

@@ -25,6 +25,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .geometry import _finite_floats
+
 MOMENT = "moment"
 CARATHEODORY = "caratheodory"
 
@@ -174,16 +176,6 @@ def _closed_basis(d: int) -> tuple[tuple[int, ...], ...]:
         imag = [c * (0, 1, 0, -1)[j % 4] for j, c in enumerate(binom)]
         rows += [times_circle(imag, half - k), times_circle(real, half - k)]
     return tuple(zip(*rows))
-
-
-def _finite_floats(values, what: str) -> list[float]:
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"{what} must be finite")
-    return floats
 
 
 def hyperplane_crossings(spec: CurveSpecD, normal, offset: float) -> int:

@@ -7,28 +7,18 @@ is feasible and a single phase of primal simplex reaches the optimum.
 Bland's rule picks the entering and leaving variables, so cycling cannot
 occur.  Problems here are tiny (at most a few hundred rows and columns), so
 no effort is spent on sparsity or factorization; the tableau is renormalized
-by direct pivoting.  The row duals, read off the slack columns of the
-optimal tableau, are the fractional cover of the classes.
+by direct pivoting.
 
-Each pivot's two scans, for the entering column and for the leaving row,
-are Python loops over Python floats: the reduced costs, the entering column
-and the rhs are each converted once per pivot with tolist(), since reading
-numpy scalars one by one costs more than the loop.  Vectorized numpy scans
-(flatnonzero for the entering column, a masked ratio minimum with the same
-tie rule) do not pay on matrices this small, where each numpy call's fixed
-cost dominates.  Over the bench's seed-1 class matrices on a 2-vCPU host,
-best of 15: pg-union 0.027 s with these scans, 0.037 s reading numpy
-scalars, 0.035 s with numpy scans; small-batch 0.0081, 0.0082 and 0.0127 s.
-Nor does a ratio loop over only the rows that flatnonzero finds positive in
-the entering column: over the seed 1-3 class matrices, best of 21, it
-matched the full loop on pg-union and was 15% slower on small-batch.
+The cost row rides in the tableau as its last row, and each pivot's rank-1
+update keeps it equal to the reduced costs, so the entering column is the
+row's first entry below -TOL_LP.  The row duals, the reduced costs of the
+slack columns, are the fractional cover of the classes; they are computed
+once from the final basis, so the rounding the cost row gathers over the
+pivots does not reach them.
 
-The rest of a pivot's fixed cost is kept low by carrying state instead of
-rebuilding it: the basis costs cb are an array updated at the leaving row
-after each pivot (not cost[basis] gathered from the list), the tableau's
-coefficient and rhs views are taken once, and the rank-1 update is a
-broadcast product, the same products as np.outer.  On the 84 seed 1-3
-pg-union class matrices (3,150 pivots) a pivot then costs about 25 us.
+The ratio test is a loop over the entering column and the rhs, each
+converted to Python floats once per pivot with tolist(), since reading
+numpy scalars one by one costs more than the loop.
 """
 
 from __future__ import annotations
@@ -63,32 +53,30 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
 def packing_solve(mat) -> LPSolution:
     """max sum(x) subject to mat @ x <= 1, x >= 0, for a 0/1 matrix mat.
 
-    The program is minimized as -sum(x) on the tableau [mat | I | 1], from
-    the slack basis.  The reduced-cost row is recomputed via the basis cost
-    instead of being carried, trading a little arithmetic for simpler
-    invariants.  Raises ValueError when the program is unbounded, which for
-    a 0/1 matrix means a zero column: a body in no class.
+    The program is minimized as -sum(x) on the tableau [mat | I | 1] over
+    the cost row [-1 | 0 | 0], from the slack basis.  The pivots keep the
+    cost row equal to the reduced costs, and the entering column is its
+    first entry below -TOL_LP.  At the optimum the duals are computed once
+    from the final basis.  Raises ValueError when the program is unbounded,
+    which for a 0/1 matrix means a zero column: a body in no class.
     """
     mat = np.asarray(mat, dtype=float)
     m, n = mat.shape
     k = n + m
-    tab = np.zeros((m, k + 1))
-    tab[:, :n] = mat
-    tab[:, n:k] = np.eye(m)
-    tab[:, k] = 1.0
+    if not k:
+        return LPSolution((), 0.0, ())
+    tab = np.zeros((m + 1, k + 1))
+    tab[:m, :n] = mat
+    tab[:m, n:k] = np.eye(m)
+    tab[:m, k] = 1.0
+    tab[m, :n] = -1.0
     basis = list(range(n, k))
-    cost = np.zeros(k)
-    cost[:n] = -1.0
-    cb = np.zeros(m)
-    lhs, rhs = tab[:, :k], tab[:, k]
+    cost = tab[m, :k].copy()
+    lhs, rhs, reduced = tab[:m, :k], tab[:m, k], tab[m, :k]
     while True:
-        reduced = cost - cb @ lhs
-        entering = -1
-        for j, rc in enumerate(reduced.tolist()):
-            if rc < -TOL_LP:
-                entering = j
-                break
-        if entering < 0:
+        below = reduced < -TOL_LP
+        entering = int(below.argmax())
+        if not below[entering]:
             break
         ratio = math.inf
         leaving = -1
@@ -104,7 +92,6 @@ def packing_solve(mat) -> LPSolution:
         if leaving < 0:
             raise ValueError(f"packing program is unbounded in column {entering}")
         _pivot(tab, basis, leaving, entering)
-        cb[leaving] = cost[entering]
 
     x = np.zeros(k)
     x[basis] = rhs
@@ -113,6 +100,6 @@ def packing_solve(mat) -> LPSolution:
         raise ArithmeticError("simplex returned an infeasible optimum")
     # The reduced cost of row i's slack column is the row price of the
     # minimized program negated, which is the dual of the maximized one.
-    duals = reduced[n:]
+    duals = (cost - cost[basis] @ lhs)[n:]
     objective = float(np.dot(np.ones(n), values))
     return LPSolution(tuple(float(v) for v in values), objective, tuple(duals.tolist()))

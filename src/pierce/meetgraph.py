@@ -21,23 +21,16 @@ EXACT_INDEPENDENCE_CAP = 40
 class ColorGraph:
     """Undirected simple graph on vertices 0..n-1.
 
-    adj is its adjacency matrix: square, symmetric, with a False diagonal,
-    and adj[u, v] says whether u and v are joined.  It is stored read-only.
+    adj is its adjacency matrix: a square, symmetric bool array with a
+    False diagonal, as meet_matrix builds it, and adj[u, v] says whether u
+    and v are joined.  The graph keeps the given array, not a copy, and
+    makes it read-only.
     """
 
     adj: np.ndarray
 
     def __post_init__(self) -> None:
-        adj = np.array(self.adj, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
-        loops = np.flatnonzero(adj.diagonal())
-        if loops.size:
-            raise ValueError(f"self-loop at vertex {loops[0]}")
-        if (adj != adj.T).any():
-            raise ValueError("adjacency must be symmetric")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adj", adj)
+        self.adj.setflags(write=False)
 
     @property
     def n(self) -> int:

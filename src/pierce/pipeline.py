@@ -33,7 +33,7 @@ from .geometry import (
     candidate_points,
     containment_matrix,
 )
-from .lp import packing_solve
+from .lp import TOL_LP, packing_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
 
 DUALITY_TOL = 1e-6
@@ -443,7 +443,8 @@ def run_pipeline(
     packing = tuple(min(1.0, max(0.0, v)) for v in lp.values)
     ids = [b.id for b in active]
     flags["duality_ok"] = not certificate_failures(ids, mat, lp.duals, mat, packing, tau_star)
-    support = [j for j, w in enumerate(lp.duals) if w > 0.0]
+    # Duals within the solver's optimality tolerance of zero are rounding.
+    support = [j for j, w in enumerate(lp.duals) if w > TOL_LP]
     timings["lps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

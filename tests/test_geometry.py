@@ -757,3 +757,32 @@ def test_curve_model_validation():
     c = CurveModel("circle", (1.0, 2.0), 3.0)
     assert c.point_at(0.0) == pytest.approx((4.0, 2.0))
     assert c.point_at(math.pi / 2) == pytest.approx((1.0, 5.0))
+    # Integers are stored as floats, the center as a pair.
+    c = CurveModel("circle", [1, 2], 3)
+    assert c.center == (1.0, 2.0) and type(c.center[0]) is float
+    assert type(c.radius) is float
+
+
+@pytest.mark.parametrize("center, radius, message", [
+    ((float("nan"), 0.0), 1.0, "curve center must be finite"),
+    ((float("inf"), 0.0), 1.0, "curve center must be finite"),
+    ((10**400, 0.0), 1.0, "curve center is too large for a float"),
+    (("a", 0.0), 1.0, "curve center must be numbers"),
+    ((0.0,), 1.0, "curve center must be two numbers"),
+    ((0.0, 0.0), 10**400, "curve radius is too large for a float"),
+    ((0.0, 0.0), float("nan"), "curve radius must be finite"),
+    ((0.0, 0.0), -1.0, "curve radius must be positive"),
+])
+def test_curve_model_rejects_bad_numbers(center, radius, message):
+    with pytest.raises(ValueError, match=message):
+        CurveModel("circle", center, radius)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([(10**400, 0), (1, 0), (0, 1)], "int too large"),
+    ([("a", 0), (1, 0), (0, 1)], "could not convert"),
+    ([(0, 0), (1, 0, 2), (0, 1)], "inhomogeneous"),
+])
+def test_body_rejects_vertices_that_are_not_floats(vertices, message):
+    with pytest.raises(InvalidBodyError, match=f"body 5: vertices are not floats: .*{message}"):
+        ConvexBody.from_vertices(5, vertices)

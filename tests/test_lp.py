@@ -8,8 +8,9 @@ from scipy.optimize import linprog
 
 from pierce import lp
 from pierce.lp import TOL_LP, _pivot, packing_solve
+from pierce.pipeline import candidate_classes
 
-from conftest import reference_packing_solve
+from conftest import pg22_twice, reference_packing_solve
 
 
 def highs(mat: np.ndarray):
@@ -78,6 +79,7 @@ def test_pivot_matches_row_loop():
 def test_lp_examples():
     one = packing_solve(np.ones((1, 1)))
     assert (one.values, one.objective, one.duals) == ((1.0,), 1.0, (1.0,))
+    assert packing_solve(np.zeros((0, 0))) == lp.LPSolution((), 0.0, ())
     eye = packing_solve(np.eye(4, dtype=bool))
     assert eye.objective == 4.0 and eye.values == eye.duals == (1.0,) * 4
     full = packing_solve(np.ones((3, 5)))
@@ -112,6 +114,29 @@ def test_bland_tie_break_on_degenerate_ties():
     assert got.objective == pytest.approx(2.0)
     assert got.duals == (1.0, 0.0, 1.0)
     assert_optimal(twins, got)
+
+
+def test_cost_row_carries_the_reduced_costs():
+    # The tableau's last row starts as the costs and rides through every
+    # pivot; after each one it must equal the reduced costs recomputed from
+    # the basis, cost - cost[basis] @ lhs, up to rounding.
+    rng = np.random.default_rng(29)
+    mats = [random_packing(rng) for _ in range(200)]
+    mats.append(candidate_classes(pg22_twice()).matrix())
+    for mat in mats:
+        m, n = mat.shape
+        cost = np.zeros(n + m)
+        cost[:n] = -1.0
+        drift = []
+
+        def check(tab, basis, row, col):
+            _pivot(tab, basis, row, col)
+            want = cost - cost[basis] @ tab[:m, : n + m]
+            drift.append(np.abs(tab[m, : n + m] - want).max())
+
+        with mock.patch.object(lp, "_pivot", check):
+            packing_solve(mat)
+        assert drift and max(drift) <= 1e-12
 
 
 def test_zero_column_raises():

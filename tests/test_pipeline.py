@@ -22,7 +22,7 @@ from pierce.geometry import (
     containment_matrix,
 )
 from pierce.instances import Instance, _ring_points, gallery7, gen_clustered, gen_pairwise
-from pierce.lp import packing_solve
+from pierce.lp import TOL_LP, packing_solve
 from pierce.pipeline import (
     candidate_classes,
     greedy_transversal,
@@ -39,6 +39,7 @@ from conftest import (
     arc_body,
     grid_square,
     grid_triangle,
+    pg22_twice,
     reference_candidates,
     reference_classes,
     tangent_triangle,
@@ -194,6 +195,19 @@ def test_gallery_duality_and_value():
     # three depth-4 faces; its exact value is 15/7 (frozen from the solver,
     # cross-checked against the scipy oracle in development)
     assert math.fsum(lp.duals) == pytest.approx(15.0 / 7.0, abs=1e-9)
+
+
+def test_cover_leaves_out_duals_that_are_rounding():
+    # Two of pg22_twice's class duals are zero up to rounding; the cover
+    # keeps only the classes whose dual exceeds TOL_LP.
+    inst = Instance(pg22_twice())
+    duals = packing_solve(candidate_classes(inst.bodies).matrix()).duals
+    assert any(0.0 < w <= TOL_LP for w in duals)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert report.cover_weights and min(report.cover_weights) > TOL_LP
+    assert len(report.cover_weights) == sum(w > TOL_LP for w in duals)
+    assert report.flags["duality_ok"]
+    assert verify_report(inst, report.to_dict()) == []
 
 
 def test_duality_on_generated_instances():
