@@ -1,9 +1,10 @@
 """Planar primitives: convex polygon bodies, a reference circle, and arc math.
 
 Angles are radians normalized to [0, 2*pi). A body's arcs on the circle are
-kept as sorted (lo, hi) pieces of [0, 2*pi]; an arc through angle 0 is the
-two pieces (s, 2*pi) and (0, e). All tolerances are absolute and expressed
-in coordinate units unless noted, and all of them are TOL_GEOM.
+kept as sorted (lo, hi) pieces of [0, 2*pi], and a list that holds angle 0
+holds it at both ends, with a piece starting at 0 and a piece ending at
+2*pi. All tolerances are absolute and expressed in coordinate units unless
+noted, and all of them are TOL_GEOM.
 """
 
 import math
@@ -30,14 +31,24 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
+# The values that count as numbers: Python's ints and floats, by exact type
+# so that bools (an int subclass) are not, and numpy's; strings that float()
+# would parse are not. The exact-type test comes first, as it is the cheaper.
+_PY_REALS = frozenset((int, float))
+_NP_REALS = (np.integer, np.floating)
+
+
 def _finite_floats(values, what: str) -> list[float]:
-    """values as floats; a ValueError naming what rejects any value that is
-    not a finite number within float range."""
+    """A sequence of values as floats; a ValueError naming what rejects any
+    value that is not an int or float (see _PY_REALS), finite and within
+    float range."""
     try:
-        floats = [float(v) for v in values]
+        floats = [float(v) for v in values if type(v) in _PY_REALS or isinstance(v, _NP_REALS)]
+        if len(floats) != len(values):
+            raise TypeError
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
-    except (TypeError, ValueError):
+    except TypeError:
         raise ValueError(f"{what} must be numbers") from None
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"{what} must be finite")
@@ -95,13 +106,13 @@ class ConvexBody:
         """The body with these vertices, in either orientation.
 
         Raises InvalidBodyError, naming the body id, when the vertices are
-        not a finite (m, 2) array, when fewer than three remain after
-        repeated ones (within TOL_GEOM) are merged, when they do not turn
-        one way, or when the polygon's width is at most TOL_GEOM: segments,
-        points and collinear rings are not convex bodies. The width of a
-        convex polygon is the least, over its edges, of the farthest
-        vertex's depth behind that edge: its offset minus the least
-        projection of a vertex on its normal.
+        not a finite (m, 2) array of ints and floats (see _PY_REALS), when
+        fewer than three remain after repeated ones (within TOL_GEOM) are
+        merged, when they do not turn one way, or when the polygon's width
+        is at most TOL_GEOM: segments, points and collinear rings are not
+        convex bodies. The width of a convex polygon is the least, over its
+        edges, of the farthest vertex's depth behind that edge: its offset
+        minus the least projection of a vertex on its normal.
         """
         try:
             arr = np.asarray(vertices, dtype=float)
@@ -109,6 +120,10 @@ class ConvexBody:
             raise InvalidBodyError(f"body {body_id}: vertices are not floats: {exc}") from None
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise InvalidBodyError(f"body {body_id}: vertices must be an (m, 2) array")
+        if not (isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iuf"
+                or all(type(v) in _PY_REALS or isinstance(v, _NP_REALS)
+                       for row in vertices for v in row)):
+            raise InvalidBodyError(f"body {body_id}: vertices must be numbers")
         if not np.all(np.isfinite(arr)):
             raise InvalidBodyError(f"body {body_id}: vertices must be finite")
         arr = _dedup_ring(arr)
@@ -168,22 +183,25 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
 
     Membership is body_contains', with its slack of TOL_GEOM. The pieces
     have 0 <= lo <= hi <= 2*pi, and each lo is greater than the hi before
-    it, so touching pieces are merged. An arc through angle 0 is the two
-    pieces (s, 2*pi) and (0, e), and a lone (0, 0) is dropped when a piece
-    ends at 2*pi, since 0 and 2*pi are the same point. No pieces means the
-    body misses the curve.
+    it, so touching pieces are merged. Since 0 and 2*pi are the same point,
+    a list that holds angle 0 has a piece starting at 0 and a piece ending
+    at 2*pi: an arc through 0 is the pieces (0, e) and (s, 2*pi), and the
+    point 0 alone is (0, 0) and (2*pi, 2*pi). No pieces means the body
+    misses the curve.
 
     Each polygon edge constrains the angle theta through
-    cos(theta - phi) <= c, an arc complement: one piece (s, e), or the two
-    (s, 2*pi) and (0, e - 2*pi) through 0. The running pieces, which start
-    as (0, 2*pi), become their overlaps with the edge's pieces, plus the
-    point 0 when both touch 0 or 2*pi (the seam). Pieces may touch or
-    repeat until they merge once at the end.
+    cos(theta - phi) <= c, an arc complement from s to e, cut into pieces
+    that hold 0 at both ends when they hold it at all: (s, 2*pi) and
+    (0, e - 2*pi) through 0, (0, e) and (2*pi, 2*pi) when s is 0,
+    (0, 0) and (s, 2*pi) when e is 2*pi, and (s, e) otherwise. The running
+    pieces, which start as (0, 2*pi), become their overlaps with the edge's
+    pieces. An overlap starts at 0, or ends at 2*pi, only when both of its
+    pieces do, so the overlaps keep the rule. Pieces may touch or repeat
+    until they merge once at the end.
     """
     cx, cy = curve.center
     r = curve.radius
     segs = [(0.0, TWO_PI)]
-    seam = True  # whether a running piece starts at 0 or ends at 2*pi
     for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
         c = (off - (nx * cx + ny * cy) + TOL_GEOM) / r
         if c >= 1.0:
@@ -196,30 +214,21 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
         # phi + 2*pi - delta, a span under 2*pi since delta > 0.
         s = normalize_angle(phi + delta)
         e = s + ((phi + TWO_PI - delta) - (phi + delta))
-        # Every piece lies in [0, 2*pi], so an overlap with (s, 2*pi) ends
-        # at a1 and one with (0, e) starts at a0. An overlap starts at 0 or
-        # ends at 2*pi only where a running piece and an edge piece both do,
-        # so the new pieces touch the seam exactly when both sides did, and
-        # then they hold the point 0. An edge arc through 0 touches it.
+        if e > TWO_PI:
+            cut = ((s, TWO_PI), (0.0, e - TWO_PI))
+        elif s == 0.0:
+            cut = ((0.0, e), (TWO_PI, TWO_PI))
+        elif e == TWO_PI:
+            cut = ((0.0, 0.0), (s, TWO_PI))
+        else:
+            cut = ((s, e),)
         hits = []
-        if e <= TWO_PI:
-            seam = seam and (s == 0.0 or e == TWO_PI)
-            for a0, a1 in segs:
-                lo = s if s > a0 else a0  # max(a0, s), without the call
-                hi = e if e < a1 else a1  # min(a1, e)
+        for a0, a1 in segs:
+            for b0, b1 in cut:
+                lo = b0 if b0 > a0 else a0  # max(a0, b0), without the call
+                hi = b1 if b1 < a1 else a1  # min(a1, b1)
                 if lo <= hi:
                     hits.append((lo, hi))
-        else:
-            e -= TWO_PI
-            for a0, a1 in segs:
-                lo = s if s > a0 else a0
-                if lo <= a1:
-                    hits.append((lo, a1))
-                hi = e if e < a1 else a1
-                if a0 <= hi:
-                    hits.append((a0, hi))
-        if seam:
-            hits.append((0.0, 0.0))
         if not hits:
             return []
         segs = hits
@@ -229,23 +238,17 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
-    if len(out) > 1 and out[0] == (0.0, 0.0) and out[-1][1] == TWO_PI:
-        del out[0]
     return out
 
 
-def _padded_pieces(
-    arcs: list[list[tuple[float, float]]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _padded_pieces(arcs: list[list[tuple[float, float]]]) -> tuple[np.ndarray, np.ndarray]:
     """The piece lists as (n, S) arrays lo and hi, S the most pieces of any
-    list, padded with pieces [inf, -inf] that overlap nothing; and an (n,)
-    bool array saying whether each list touches the seam, with a piece
-    starting at 0 or ending at 2*pi."""
+    list, padded with pieces [inf, -inf] that overlap nothing."""
     width = max((len(body) for body in arcs), default=0)
     pad = [(math.inf, -math.inf)]
     pieces = np.array([[*body, *pad * (width - len(body))] for body in arcs], dtype=float)
     lo, hi = pieces.reshape(len(arcs), width, 2).transpose(2, 0, 1)
-    return lo, hi, ((lo == 0.0) | (hi == TWO_PI)).any(axis=1)
+    return lo, hi
 
 
 # Cells (block bodies times bodies times piece pairs) one meet_matrix block
@@ -258,21 +261,22 @@ def meet_matrix(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
 
     A symmetric bool (n, n) matrix with a False diagonal. Bodies i and j
     meet when some piece of i overlaps some piece of j (the larger lo is at
-    most the smaller hi), or when both touch the seam (see _padded_pieces).
-    These are meet_angle's comparisons, so off the diagonal meet[i, j] says
-    whether meet_angle(arcs[i], arcs[j]) is not None, without the angle. The
-    rows go in blocks of bodies whose (rows, n, S, S) temporaries hold at
-    most _MEET_CELLS cells, or one body's row when that is larger.
+    most the smaller hi); two lists that both hold angle 0 overlap at their
+    pieces starting at 0. These are meet_angle's comparisons, so off the
+    diagonal meet[i, j] says whether meet_angle(arcs[i], arcs[j]) is not
+    None, without the angle. The rows go in blocks of bodies whose
+    (rows, n, S, S) temporaries hold at most _MEET_CELLS cells, or one
+    body's row when that is larger.
     """
     n = len(arcs)
-    lo, hi, seam = _padded_pieces(arcs)
-    meet = seam[:, None] & seam[None, :]
+    lo, hi = _padded_pieces(arcs)
+    meet = np.zeros((n, n), dtype=bool)
     step = max(1, _MEET_CELLS // max(1, n * lo.shape[1] ** 2))
     for top in range(0, n, step):
         rows = slice(top, top + step)
         start = np.maximum(lo[rows, None, :, None], lo[None, :, None, :])
         end = np.minimum(hi[rows, None, :, None], hi[None, :, None, :])
-        meet[rows] |= (start <= end).any(axis=(2, 3))
+        meet[rows] = (start <= end).any(axis=(2, 3))
     np.fill_diagonal(meet, False)
     return meet
 
@@ -281,16 +285,14 @@ def meet_angle(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> fl
     """Where two bodies meet on the curve, from their body_curve_arcs; None
     when the lists share no point.
 
-    The pieces' pairwise overlaps, plus the point 0 when both lists touch
-    the seam (see _padded_pieces), merge into components. When these touch
-    both 0 and 2*pi in two or more components, the first and last glue into
-    one arc through 0. The meet is the midpoint of the arc with the earliest
-    start.
+    The pieces' pairwise overlaps merge into components. A last component
+    (2*pi, 2*pi) is the point 0, which the first component holds, and is
+    dropped. When the rest touch both 0 and 2*pi in two or more components,
+    the first and last glue into one arc through 0. The meet is the
+    midpoint of the arc with the earliest start.
     """
     # Each piece has lo <= hi, so two overlap when each starts before the other ends.
     hits = [(max(a0, b0), min(a1, b1)) for a0, a1 in a for b0, b1 in b if a0 <= b1 and b0 <= a1]
-    if _touches_seam(a) and _touches_seam(b):
-        hits.append((0.0, 0.0))
     comps = []
     for lo, hi in sorted(hits):
         if comps and lo <= comps[-1][1]:
@@ -299,20 +301,14 @@ def meet_angle(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> fl
             comps.append([lo, hi])
     if not comps:
         return None
+    if len(comps) >= 2 and comps[-1][0] == TWO_PI:
+        del comps[-1]
     (lo, hi), last = comps[0], comps[-1][0]
     if len(comps) >= 2 and lo == 0.0 and comps[-1][1] == TWO_PI:
         if len(comps) == 2:
             return normalize_angle(last + 0.5 * ((TWO_PI - last) + hi))
         lo, hi = comps[1]
     return normalize_angle(lo + 0.5 * (hi - lo))
-
-
-def _touches_seam(pieces: list[tuple[float, float]]) -> bool:
-    # A loop, not any() over a generator: this runs once or twice per body pair.
-    for lo, hi in pieces:
-        if lo == 0.0 or hi == TWO_PI:
-            return True
-    return False
 
 
 # Cells (falling edges times rising edges) one crossing block holds: 512 KiB

@@ -110,17 +110,17 @@ def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
 
     Each candidate inside some body has a signature, the set of bodies
     containing it, packed by _signature_words into ceil(n / 64) uint64
-    words for n bodies. The candidates are sorted by (y, x) first, so that
-    np.unique's stable sort keeps each signature's lowest candidate (least
-    y, then least x) as its representative. It merges equal signatures over
-    the lone word when n <= 64 (an integer sort), over a void view of the
-    words, most significant first and big-endian, otherwise; both sort the
-    signatures as the binary numbers sum(2**i for body i in the set).
-    _maximal_rows then drops dominated signatures, testing blocks of at most
-    512 KiB at a time. The classes keep that signature order, so neither
-    their order nor their points depend on the candidates' order, and a
-    turned family has its classes in the same order. Raises
-    IncompleteCandidatesError when some body contains no candidate.
+    words for n bodies. The candidates are sorted by (y, x) first, and one
+    stable lexsort on the words, the most significant word as the primary
+    key, sorts the signatures as the binary numbers sum(2**i for body i in
+    the set) and keeps the candidates of equal signatures in (y, x) order,
+    so the first of each run of equal signatures is its lowest candidate
+    (least y, then least x), the representative. _maximal_rows then drops
+    dominated signatures, testing blocks of at most 512 KiB at a time. The
+    classes keep that signature order, so neither their order nor their
+    points depend on the candidates' order, and a turned family has its
+    classes in the same order. Raises IncompleteCandidatesError when some
+    body contains no candidate.
     """
     candidates = candidate_points(bodies)
     candidates = candidates[np.lexsort((candidates[:, 0], candidates[:, 1]))]
@@ -132,12 +132,11 @@ def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
     keep = np.flatnonzero(inside.any(axis=1))
     inside = inside[keep]
     words = _signature_words(inside)
-    if words.shape[1] == 1:
-        keys = words[:, 0]
-    else:
-        big = np.ascontiguousarray(words[:, ::-1], dtype=">u8")
-        keys = big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
-    first = np.unique(keys, return_index=True)[1]
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    run = np.ones(len(order), dtype=bool)
+    run[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[run]
     chosen = first[_maximal_rows(words[first])]
     points = tuple(map(tuple, candidates[keep[chosen]].tolist()))
     members = inside[chosen]
@@ -146,12 +145,13 @@ def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
 
 
 def _signature_words(rows: np.ndarray) -> np.ndarray:
-    """Bool rows packed into little-endian uint64 words, ceil(columns / 64) per row.
+    """Bool rows packed into little-endian uint64 words, ceil(columns / 64)
+    per row and at least one, so that a lexsort has a key.
 
     Bit j of word w holds column 64 * w + j; the bits past the last column are 0.
     """
     k, n = rows.shape
-    packed = np.zeros((k, -(-n // 64) * 8), dtype=np.uint8)
+    packed = np.zeros((k, max(1, -(-n // 64)) * 8), dtype=np.uint8)
     packed[:, :-(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
     return packed.view("<u8")
 
@@ -262,42 +262,31 @@ def rationalize(
 ) -> tuple[tuple[int, ...], int]:
     """Integer multiplicities m and denominator D with m/D near the weights.
 
-    Tries a common small denominator via continued fractions first; falls
-    back to flooring at D = max_denominator.  When class_rows (a 0/1 matrix,
+    The weights' continued fractions give a common denominator D, kept
+    when it is at most max_denominator and, if class_rows (a 0/1 matrix,
     one row per class, one column per weight) is supplied, the packing
-    feasibility class_rows @ m <= D is enforced exactly: if the small
-    denominator breaks it, m is floored at max_denominator, and while a row
-    is still over D, the first heaviest row's member with the largest m
-    (the lowest index among equals) loses one.
+    feasibility class_rows @ m <= D holds.  Otherwise m is floored once at
+    D = max_denominator, and while a row of class_rows is over D, the first
+    heaviest row's member with the largest m (the lowest index among
+    equals) loses one.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     w = [min(1.0, max(0.0, float(v))) for v in weights]
-
-    def floored(d: int) -> list[int]:
-        return [int(math.floor(v * d + 1e-6)) for v in w]
-
     fracs = [_limit_denominator(v, max_denominator) for v in w]
-    denom = math.lcm(*[q for _, q in fracs])
-    if denom <= max_denominator:
-        m = [p * (denom // q) for p, q in fracs]
-        d = denom
-    else:
+    d = math.lcm(*[q for _, q in fracs])
+    m = [p * (d // q) for p, q in fracs] if d <= max_denominator else None
+    rows = None if class_rows is None else np.asarray(class_rows, dtype=np.int64)
+    if m is None or (rows is not None and (rows @ np.array(m, dtype=np.int64) > d).any()):
         d = max_denominator
-        m = floored(d)
-
-    if class_rows is not None:
-        rows = np.asarray(class_rows, dtype=np.int64)
-        loads = rows @ np.array(m, dtype=np.int64)
-        if (loads > d).any():
-            d = max_denominator
-            m = floored(d)
+        m = [int(math.floor(v * d + 1e-6)) for v in w]
+        if rows is not None:
             loads = rows @ np.array(m, dtype=np.int64)
-        while (loads > d).any():
-            worst = np.flatnonzero(rows[int(np.argmax(loads))]).tolist()
-            top = max(worst, key=lambda i: (m[i], -i))
-            m[top] -= 1
-            loads -= rows[:, top]
+            while (loads > d).any():
+                worst = np.flatnonzero(rows[int(np.argmax(loads))]).tolist()
+                top = max(worst, key=lambda i: (m[i], -i))
+                m[top] -= 1
+                loads -= rows[:, top]
     return tuple(m), d
 
 
@@ -441,10 +430,12 @@ def run_pipeline(
     lp = packing_solve(mat)
     tau_star = lp.objective
     packing = tuple(min(1.0, max(0.0, v)) for v in lp.values)
-    ids = [b.id for b in active]
-    flags["duality_ok"] = not certificate_failures(ids, mat, lp.duals, mat, packing, tau_star)
     # Duals within the solver's optimality tolerance of zero are rounding.
     support = [j for j, w in enumerate(lp.duals) if w > TOL_LP]
+    cover_weights = tuple(lp.duals[j] for j in support)
+    # The certificate the report carries, as verify_report reads it.
+    flags["duality_ok"] = not certificate_failures(
+        [b.id for b in active], mat[support], cover_weights, mat, packing, tau_star)
     timings["lps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -491,7 +482,7 @@ def run_pipeline(
         p_effective=p_eff,
         filtered=filtered,
         cover_points=tuple(classes.points[j] for j in support),
-        cover_weights=tuple(lp.duals[j] for j in support),
+        cover_weights=cover_weights,
         packing=packing,
         flags=flags,
         timings=timings,

@@ -283,52 +283,50 @@ def reference_containment_matrix(bodies: list[ConvexBody], points: list[Point2])
 
 def arc_pieces(lo: float, hi: float) -> list[tuple[float, float]]:
     """Pieces of [0, 2*pi] of the arc from lo counterclockwise to hi, where
-    hi - lo lies in [0, 2*pi]: two pieces when the arc passes angle 0."""
+    hi - lo lies in [0, 2*pi]. An arc that holds angle 0 holds it at both
+    ends: (s, 2*pi) and (0, e - 2*pi) through 0, (0, e) and (2*pi, 2*pi)
+    from 0, and (0, 0) and (s, 2*pi) up to 2*pi."""
     span = hi - lo
     if span >= TWO_PI:
         return [(0.0, TWO_PI)]
     s = normalize_angle(lo)
     e = s + span
-    if e < TWO_PI:
-        return [(s, e)]
-    return [(s, TWO_PI), (0.0, e - TWO_PI)] if e > TWO_PI else [(s, TWO_PI)]
+    if e > TWO_PI:
+        return [(s, TWO_PI), (0.0, e - TWO_PI)]
+    if s == 0.0:
+        return [(0.0, e), (TWO_PI, TWO_PI)]
+    if e == TWO_PI:
+        return [(0.0, 0.0), (s, TWO_PI)]
+    return [(s, e)]
 
 
 def reference_intersection(a: list[tuple[float, float]],
                            b: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Common points of two piece lists, in body_curve_arcs' form.
-
-    The pieces' pairwise overlaps, plus the point 0 when both lists touch 0
-    or 2*pi, sorted and merged where they touch; a lone (0, 0) goes when a
-    piece ends at 2*pi.
-    """
-    def touches_origin(pieces):
-        return any(lo == 0.0 or hi == TWO_PI for lo, hi in pieces)
-
+    """Common points of two piece lists, in body_curve_arcs' form: the
+    pieces' pairwise overlaps, sorted and merged where they touch."""
     hits = [(max(a0, b0), min(a1, b1)) for a0, a1 in a for b0, b1 in b
             if max(a0, b0) <= min(a1, b1)]
-    if touches_origin(a) and touches_origin(b):
-        hits.append((0.0, 0.0))
     merged: list[tuple[float, float]] = []
     for lo, hi in sorted(hits):
         if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
-    if len(merged) > 1 and merged[0] == (0.0, 0.0) and merged[-1][1] == TWO_PI:
-        merged.pop(0)
     return merged
 
 
 def reference_meet_angle(a: list[tuple[float, float]],
                          b: list[tuple[float, float]]) -> float | None:
-    """meet_angles for one pair, as a scalar rule: intersect, glue the first
-    and last arcs of the intersection into one arc through 0 when they touch
-    0 and 2*pi, and take the midpoint of the arc with the earliest start.
-    None when the lists share no point."""
+    """meet_angles for one pair, as a scalar rule: intersect, drop a last
+    (2*pi, 2*pi), which is the point 0 again, glue the first and last arcs
+    of the intersection into one arc through 0 when they touch 0 and 2*pi,
+    and take the midpoint of the arc with the earliest start. None when the
+    lists share no point."""
     common = reference_intersection(a, b)
     if not common:
         return None
+    if len(common) > 1 and common[-1] == (TWO_PI, TWO_PI):
+        common.pop()
     arcs = [(lo, hi - lo) for lo, hi in common]  # (start, length)
     if len(common) > 1 and common[0][0] == 0.0 and common[-1][1] == TWO_PI:
         start, end = common[-1][0], common[0][1]

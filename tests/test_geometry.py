@@ -60,7 +60,7 @@ def regular_polygon(body_id, m, radius, center, phase=0.0):
 
 def arc_set_contains(arcs, theta, tol=0.0):
     t = normalize_angle(theta)
-    return any(lo - tol <= t <= hi + tol or (hi == TWO_PI and t <= tol) for lo, hi in arcs)
+    return any(lo - tol <= t <= hi + tol for lo, hi in arcs)
 
 
 def test_normalize_angle_range():
@@ -103,10 +103,12 @@ def test_reference_intersection_known_cases():
     got = reference_intersection(arc_pieces(5.0, 5.0 + 3.0), arc_pieces(5.5, 5.5 + 3.0))
     assert got == [(0.0, pytest.approx(8.0 - TWO_PI)), (5.5, TWO_PI)]
 
-    # Touching only at the origin seam.
-    assert reference_intersection([(5.5, TWO_PI)], [(0.0, 0.3)]) == [(0.0, 0.0)]
-    # A lone (0, 0) goes when a piece ends at 2*pi, the same point.
-    assert reference_intersection([(0.0, 0.0), (5.0, TWO_PI)], [(0.0, TWO_PI)]) == [(5.0, TWO_PI)]
+    # Arcs ending at 2*pi and starting at 0 hold angle 0 at both ends, and
+    # share only that point: (0, 0) and (2*pi, 2*pi).
+    up_to_0, from_0 = arc_pieces(5.5, TWO_PI), arc_pieces(0.0, 0.3)
+    assert up_to_0 == [(0.0, 0.0), (5.5, TWO_PI)] and from_0 == [(0.0, 0.3), (TWO_PI, TWO_PI)]
+    assert reference_intersection(up_to_0, from_0) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
+    assert reference_intersection(up_to_0, [(0.0, TWO_PI)]) == up_to_0
 
 
 def test_reference_intersection_random_against_sampling():
@@ -239,8 +241,8 @@ def test_arcs_common_point_cases():
         ([(0.0, 0.5)], [(2.0, 2.5)], None),
         # Zero-length overlap still yields its angle.
         ([(1.0, 2.0)], [(2.0, 3.0)], 2.0),
-        # Meeting only at the seam: at 0.
-        ([(5.0, TWO_PI)], [(0.0, 1.0)], 0.0),
+        # Meeting only at angle 0, which both hold at both ends.
+        ([(0.0, 0.0), (5.0, TWO_PI)], [(0.0, 1.0), (TWO_PI, TWO_PI)], 0.0),
     ]
     for a, b, want in cases:
         got = reference_meet_angle(a, b)
@@ -248,17 +250,33 @@ def test_arcs_common_point_cases():
         assert meet_angle(a, b) == got
 
 
+@pytest.mark.parametrize("a, b, want", [
+    # Floats pinned from the rule that held the point 0 at one end only:
+    # lists that hold only 0, arcs from exactly 0, arcs to exactly 2*pi,
+    # and arcs through 0.
+    (arc_pieces(0.0, 0.0), arc_pieces(0.0, 0.0), 0.0),
+    (arc_pieces(0.0, 1.3), arc_pieces(0.0, 0.7), 0.35),
+    (arc_pieces(0.0, 0.4), [(0.0, 0.0), (5.5, TWO_PI)], 0.0),
+    ([(0.0, 0.0), (5.0, TWO_PI)], [(0.0, 0.0), (4.1, TWO_PI)], 5.641592653589793),
+    ([(0.0, 1.0), (5.0, TWO_PI)], arc_pieces(0.0, 0.5), 0.25),
+    ([(0.0, 1.0), (5.0, TWO_PI)], [(0.0, 0.0), (5.5, TWO_PI)], 5.891592653589793),
+])
+def test_meet_angle_at_the_point_0(a, b, want):
+    assert meet_angle(a, b) == meet_angle(b, a) == reference_meet_angle(a, b) == want
+
+
 _angle = st.one_of(st.sampled_from([0.0, 1.0, math.pi, TWO_PI - 1.0]),
                    st.floats(0.0, TWO_PI, exclude_max=True))
-# Pieces of [0, 2*pi]: arcs (two pieces when through 0), pieces ending at
-# 2*pi, zero-length pieces, (0, 0) and the full circle. A list may overlap
-# or repeat pieces, which meet_angle takes as their union.
+# Pieces of [0, 2*pi] that hold angle 0 at both ends when they hold it:
+# arcs (two pieces when through 0), arcs ending at 2*pi, zero-length arcs,
+# the point 0 and the full circle. A list may overlap or repeat pieces,
+# which meet_angle takes as their union.
 _arc = st.one_of(
     st.builds(lambda lo, span: arc_pieces(lo, lo + span), _angle,
               st.one_of(st.just(0.0), st.floats(0.0, TWO_PI))),
-    st.builds(lambda s: [(s, TWO_PI)], _angle),
-    st.builds(lambda t: [(t, t)], _angle),
-    st.just([(0.0, 0.0)]),
+    st.builds(lambda s: [(0.0, 0.0), (s, TWO_PI)], _angle),
+    st.builds(lambda t: arc_pieces(t, t), _angle),
+    st.just(arc_pieces(0.0, 0.0)),
     st.just([(0.0, TWO_PI)]),
 )
 _pieces = st.lists(_arc, max_size=4).map(lambda arcs: [p for arc in arcs for p in arc])
@@ -267,7 +285,7 @@ _pieces = st.lists(_arc, max_size=4).map(lambda arcs: [p for arc in arcs for p i
 # Lists of one or two zero-length pieces, sorted and apart: a curve touched
 # once, or a chord's two ends.
 _touch_arcs = st.lists(_angle, min_size=1, max_size=2, unique=True).map(
-    lambda ts: [(t, t) for t in sorted(ts)])
+    lambda ts: sorted(p for t in ts for p in arc_pieces(t, t)))
 
 
 def _pairwise_meets(arcs, rule=reference_meet_angle):
@@ -283,8 +301,8 @@ def _pairwise_meets(arcs, rule=reference_meet_angle):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6))
-@example([[(5.0, TWO_PI)], [(0.0, 1.0)]])  # meet only at 0
-@example([[(5.0, TWO_PI)], [(0.0, 0.0)]])
+@example([arc_pieces(5.0, TWO_PI), arc_pieces(0.0, 1.0)])  # meet only at 0
+@example([arc_pieces(5.0, TWO_PI), arc_pieces(0.0, 0.0)])
 @example([[(0.0, TWO_PI)], [(0.0, 1.0), (2.0, 3.0), (5.0, TWO_PI)]])
 @example([[(0.0, TWO_PI)], arc_pieces(5.0, TWO_PI + 1.0), [], [(0.0, TWO_PI)]])
 def test_meet_angle_is_the_reference_bitwise(arcs):
@@ -302,8 +320,9 @@ def test_meet_angle_bitwise_on_bench_families():
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6),
        st.sampled_from([1, geometry._MEET_CELLS]))
-@example([[(5.0, TWO_PI)], [(0.0, 1.0)]], 1)  # meet only at 0
-@example([[(0.0, 0.0)], [(0.0, 0.0)], [(5.0, TWO_PI)], [(1.0, 2.0)]], 1)  # a lone (0, 0)
+@example([arc_pieces(5.0, TWO_PI), arc_pieces(0.0, 1.0)], 1)  # meet only at 0
+@example([arc_pieces(0.0, 0.0), arc_pieces(0.0, 0.0), arc_pieces(5.0, TWO_PI), [(1.0, 2.0)]],
+         1)  # the point 0 alone
 @example([[(0.0, TWO_PI)], [(2.0, 2.0)], [], [(0.0, TWO_PI)]], geometry._MEET_CELLS)
 def test_meet_matrix_is_where_meet_angle_is_defined(arcs, cells):
     # cells sets the cells per block: 1 puts each block at one body.
@@ -346,7 +365,7 @@ def test_meet_matrix_memory_stays_within_a_block_budget():
 def test_bodies_touching_the_curve_at_a_shared_vertex_meet_there(angle):
     # Each triangle's only point on the circle is its vertex at angle, and
     # the two share that vertex: their arcs are slivers within TOL_GEOM of
-    # it, through the seam when angle is 0.
+    # it, through 0 when angle is 0.
     a, b = tangent_triangle(0, angle, -0.25), tangent_triangle(1, angle, 0.5)
     far = tangent_triangle(2, angle + 0.5, -0.25)
     arcs = [body_curve_arcs(body, UNIT_CIRCLE) for body in (a, b, far)]
@@ -615,19 +634,23 @@ _arc_shape = st.one_of(
 
 
 def _check_pieces(arcs):
-    # body_curve_arcs' form: pieces of [0, 2*pi], sorted, apart, and no lone
-    # (0, 0) beside a piece ending at 2*pi.
+    # body_curve_arcs' form: pieces of [0, 2*pi], sorted, apart, and one
+    # starting at 0 exactly when one ends at 2*pi.
     for lo, hi in arcs:
         assert 0.0 <= lo <= hi <= TWO_PI, arcs
     for (_, hi), (lo, _) in zip(arcs, arcs[1:]):
         assert lo > hi, arcs
-    if arcs and arcs[-1][1] == TWO_PI:
-        assert arcs[0] != (0.0, 0.0), arcs
+    if arcs:
+        assert (arcs[0][0] == 0.0) == (arcs[-1][1] == TWO_PI), arcs
 
 
 _EDGE_CASES = {
-    "ends-at-0": (_box(-2.0, 2.0, _TOL, 2.0), lambda arcs: arcs[0][0] == 0.0),
-    "ends-at-2pi": (_box(-2.0, 2.0, -2.0, -_TOL), lambda arcs: arcs[-1][1] == TWO_PI),
+    # the upper and the lower half circle: an arc from exactly 0 and one to
+    # exactly 2*pi, each holding 0 at both ends
+    "ends-at-0": (_box(-2.0, 2.0, _TOL, 2.0),
+                  lambda arcs: arcs == [(0.0, arcs[0][1]), (TWO_PI, TWO_PI)]),
+    "ends-at-2pi": (_box(-2.0, 2.0, -2.0, -_TOL),
+                    lambda arcs: arcs == [(0.0, 0.0), (arcs[1][0], TWO_PI)]),
     "full": (_box(-3.0, 3.0, -3.0, 3.0), lambda arcs: arcs == [(0.0, TWO_PI)]),
     # a short arc through 0: its first and last piece
     "c-near-minus-1": (_box(1.0, 1.5, -0.5, 0.5),
@@ -663,12 +686,12 @@ def test_body_curve_arcs_keep_the_seam_point_of_an_arc_ending_at_two_pi():
     # at angle 0. The apex's last bits were searched so that, in floating
     # point, the lower edge's arc starts at exactly 0 and the upper edge's
     # arc ends at exactly 2*pi (one piece each, not through 0). The body
-    # meets the circle only there: the running pieces overlap in nothing,
-    # and the seam point survives only because both edges keep it.
+    # meets the circle only there, and the point 0 survives at both ends,
+    # as (0, 0) and (2*pi, 2*pi), since both edges hold it at both ends.
     apex = 1.000000001414213
     body = ConvexBody.from_vertices(0, [(apex, 0.0), (apex + 1.0, -1.0), (apex + 1.0, 1.0)])
-    assert body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0)]
-    assert reference_body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0)]
+    assert body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
+    assert reference_body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -772,6 +795,10 @@ def test_curve_model_validation():
     ((0.0, 0.0), 10**400, "curve radius is too large for a float"),
     ((0.0, 0.0), float("nan"), "curve radius must be finite"),
     ((0.0, 0.0), -1.0, "curve radius must be positive"),
+    # Strings that float() parses and bools are not numbers.
+    (("1", "2"), "3", "curve center must be numbers"),
+    ((True, False), True, "curve center must be numbers"),
+    ((0.0, 0.0), "3", "curve radius must be numbers"),
 ])
 def test_curve_model_rejects_bad_numbers(center, radius, message):
     with pytest.raises(ValueError, match=message):
@@ -786,3 +813,22 @@ def test_curve_model_rejects_bad_numbers(center, radius, message):
 def test_body_rejects_vertices_that_are_not_floats(vertices, message):
     with pytest.raises(InvalidBodyError, match=f"body 5: vertices are not floats: .*{message}"):
         ConvexBody.from_vertices(5, vertices)
+
+
+@pytest.mark.parametrize("vertices", [
+    [("0", "0"), ("1", "0"), ("0", "1")],
+    [(True, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    np.array([(0, 0), (1, 0), (0, 1)]).astype(str),
+    np.array([(1, 0), (1, 1), (0, 1)], dtype=bool),
+])
+def test_body_rejects_strings_and_bools(vertices):
+    # float() parses each of these, but they are not numbers.
+    with pytest.raises(InvalidBodyError, match="body 5: vertices must be numbers"):
+        ConvexBody.from_vertices(5, vertices)
+
+
+def test_body_takes_python_and_numpy_numbers():
+    want = ConvexBody.from_vertices(0, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]).vertices
+    for vertices in ([(0, 0), (1, 0), (0, 1)], np.array([(0, 0), (1, 0), (0, 1)]),
+                     [(np.int64(0), np.float32(0)), np.array([1.0, 0.0]), (0, 1)]):
+        assert np.array_equal(ConvexBody.from_vertices(0, vertices).vertices, want)

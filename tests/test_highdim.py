@@ -85,6 +85,18 @@ def test_hyperplane_crossings_validation():
                 hyperplane_crossings(spec, normal, offset)
 
 
+@pytest.mark.parametrize("normal, offset, bad", [
+    (("1", "0"), "0", "normal"),
+    ((1, 0), "0", "offset"),
+    ((True, 0), 0, "normal"),
+    ((1, 0), False, "offset"),
+])
+def test_hyperplane_crossings_reject_strings_and_bools(normal, offset, bad):
+    # float() parses each of these, but they are not numbers.
+    with pytest.raises(ValueError, match=f"hyperplane {bad} must be numbers"):
+        hyperplane_crossings(CurveSpecD(MOMENT, 2), normal, offset)
+
+
 def test_moment_crossings_simple():
     spec = CurveSpecD(MOMENT, 3)
     # first coordinate zero: the polynomial is t, one simple root

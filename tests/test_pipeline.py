@@ -110,9 +110,9 @@ def test_vertex_candidates_find_every_maximal_class(shapes):
 def test_candidate_classes_packed_dedup_matches_frozensets(n):
     # 7, 8, 9 and 17 bodies put the last signature bit just inside, at, and
     # past a byte; 63, 64, 65 and 129 just inside, at, and past a 64-bit
-    # word, where the one-word integer sort gives way to the void view.
-    # Both must list the classes by the plain integer key of their body
-    # sets, each at its lowest candidate.
+    # word, where the signatures take a second word. Each must list the
+    # classes by the plain integer key of their body sets, each at its
+    # lowest candidate.
     rng = np.random.default_rng(n)
     for _ in range(5):
         bodies = [box(i, *(rng.integers(0, 9, size=2) / 2), r=float(rng.integers(1, 5)) / 2)
@@ -123,6 +123,35 @@ def test_candidate_classes_packed_dedup_matches_frozensets(n):
         assert signatures(cc) == [sig for sig, _ in want]
         assert any(n - 1 in sig for sig in signatures(cc))
         assert cc.matrix().dtype == bool and not cc.matrix().flags.writeable
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_candidate_classes_sort_by_the_integer_key_of_their_body_sets(monkeypatch, n):
+    # Forty signatures of four bodies each, so that none holds another,
+    # each drawn at two points, and every body alone at one more: the
+    # classes must come in the order of the Python int sum(2**i for body i
+    # in the set), each at its lowest point (least y, then least x),
+    # wherever in the 64-bit words the bits fall.
+    rng = np.random.default_rng(n)
+    rows = np.zeros((80 + n, n), dtype=bool)
+    for r in range(40):
+        rows[np.ix_([r, 40 + r], rng.choice(n, 4, replace=False))] = True
+    rows[80:] = np.eye(n, dtype=bool)
+    pts = np.column_stack([rng.permutation(len(rows)), rng.integers(0, 7, len(rows))]) / 2
+    table = {tuple(pt): row for pt, row in zip(pts.tolist(), rows)}
+    monkeypatch.setattr(pierce.pipeline, "candidate_points", lambda _: pts)
+    monkeypatch.setattr(pierce.pipeline, "containment_matrix",
+                        lambda _, cands: np.array([table[tuple(pt)] for pt in cands.tolist()]))
+    cc = candidate_classes(list(range(n)))
+
+    lowest: dict[int, tuple[float, float]] = {}
+    for (x, y), row in zip(pts.tolist(), rows):
+        key = sum(1 << i for i in np.flatnonzero(row).tolist())
+        if key not in lowest or (y, x) < lowest[key][::-1]:
+            lowest[key] = (x, y)
+    want = sorted(key for key in lowest if not any(key != o and key & o == key for o in lowest))
+    assert [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in cc.members] == want
+    assert list(cc.points) == [lowest[key] for key in want]
 
 
 def test_maximal_rows_against_bruteforce():
