@@ -50,10 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a generated instance")
     gen.add_argument("kind", choices=("pairwise", "clustered", "gallery"))
     gen.add_argument("-o", "--output", help="instance file (default stdout)")
-    gen.add_argument("--n", type=int, default=8, help="number of bodies")
-    gen.add_argument("--p", type=int, default=3, help="meeting condition size")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--delta", type=float, default=0.3, help="gallery corner nudge")
+    gen.add_argument("--n", type=int, help="number of bodies (pairwise, clustered; default 8)")
+    gen.add_argument("--p", type=int, help="meeting condition size (clustered; default 3)")
+    gen.add_argument("--seed", type=int, help="generator seed (pairwise, clustered; default 0)")
+    gen.add_argument("--delta", type=float, help="corner nudge (gallery; default 0.3)")
 
     solve = sub.add_parser("solve", help="run the full rounding pipeline")
     solve.add_argument("instance")
@@ -88,12 +88,24 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
+    # The options each kind reads, with their defaults; it rejects the others.
+    reads = {
+        "pairwise": {"n": 8, "seed": 0},
+        "clustered": {"n": 8, "p": 3, "seed": 0},
+        "gallery": {"delta": 0.3},
+    }[args.kind]
+    given = {name: getattr(args, name) for name in ("n", "p", "seed", "delta")
+             if getattr(args, name) is not None}
+    ignored = [f"--{name}" for name in given if name not in reads]
+    if ignored:
+        raise ValueError(f"gen {args.kind} does not read {', '.join(ignored)}")
+    opt = reads | given
     if args.kind == "pairwise":
-        instance = gen_pairwise(args.n, seed=args.seed)
+        instance = gen_pairwise(opt["n"], seed=opt["seed"])
     elif args.kind == "clustered":
-        instance = gen_clustered(args.p, args.n, seed=args.seed)
+        instance = gen_clustered(opt["p"], opt["n"], seed=opt["seed"])
     else:
-        instance = gallery7(delta=args.delta)
+        instance = gallery7(delta=opt["delta"])
     logger.info("generated %s with %d bodies", args.kind, len(instance.bodies))
     if args.output:
         save_instance(instance, args.output)

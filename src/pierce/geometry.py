@@ -341,8 +341,7 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     vertex, and any hitting set can be moved onto this list, which is what
     the exact oracle and the linear programs rely on. Bodies that only come
     within TOL_GEOM of a common point have no common cell: body_contains'
-    slack alone makes them a class, and this list may miss it. Body pairs
-    whose bounding boxes are more than TOL_GEOM apart are skipped.
+    slack alone makes them a class, and this list may miss it.
 
     Order: the kept vertices, body by body; then the kept crossings of each
     body pair i < j in (i, j) order, within a pair by i's edge, then j's
@@ -359,11 +358,11 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     den(f, r) is den(a, b) or its exact negation, and only one of den(f, r)
     and den(r, f) is positive, so a level edge, which both falls and rises,
     finds each pair once. So the crossings are enumerated over falling
-    edges times rising edges of different bodies with near boxes, in
-    blocks of at most _CROSS_CELLS cells. Each hit is turned so that a is
-    the edge of the lower-index body, its point comes from the formulas
-    above, term by term, and one lexsort on (i, j, a, b) restores the order
-    above.
+    edges times rising edges of different bodies, in blocks of at most
+    _CROSS_CELLS cells; the t and u tests reject the pairs of far bodies.
+    Each hit is turned so that a is the edge of the lower-index body, its
+    point comes from the formulas above, term by term, and one lexsort on
+    (i, j, a, b) restores the order above.
     """
     if not bodies:
         return np.empty((0, 2))
@@ -386,11 +385,6 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     # A body's vertex k is the head of its edge k, after edge k - 1.
     lowest = falls[prev] & rises
 
-    low = np.minimum.reduceat(verts, start) - TOL_GEOM
-    high = np.maximum.reduceat(verts, start)
-    apart = (high[:, None, :] < low[None, :, :]).any(axis=2)
-    near = ~(apart | apart.T)
-    np.fill_diagonal(near, False)
     fall, rise = np.flatnonzero(falls), np.flatnonzero(rises)
     rows = max(1, _CROSS_CELLS // max(1, rise.size))
     hits = []
@@ -399,7 +393,7 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
         den = dx[f] * dy[rise] - dy[f] * dx[rise]
         first = owner[f] < owner[rise]
         limit = np.where(first, slack[f] * norm[rise], slack[rise] * norm[f])
-        i, j = np.nonzero(near[owner[f], owner[rise]] & (den > limit))
+        i, j = np.nonzero((owner[f] != owner[rise]) & (den > limit))
         flip = ~first[i, j]
         a, b, den = f[i, 0], rise[j], den[i, j]
         a[flip], b[flip], den[flip] = b[flip], a[flip], -den[flip]
@@ -431,19 +425,20 @@ def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
 
     One batched kernel for the per-body reference (a body's column is
     all(pts @ normals.T <= offsets + TOL_GEOM, axis=1)). Every body's edge
-    normals are stacked in one (bodies * width, 2) array, each body padded
-    to the family's widest (width edges) with rows that always pass: normal
-    0, offset +inf. For a block of points, normals @ pts.T compared with
-    offsets + TOL_GEOM is an (edges, points) bool array; reshaped to
-    (bodies, width, points), its AND along the middle axis is the block's
-    membership, transposed into the result. Each product entry is the same
-    two-term dot product as the reference's, but BLAS may pick its kernel
-    by matrix shape, so bit-identity with the reference is what the oracle
-    tests check on the BLAS they run with, not a guarantee for every BLAS
-    build. A block holds about cells / rows points, cells being an eighth
-    of the result's cells, within _MIN_CELLS and _CELLS, so a float64
-    temporary is no larger than the result for all but the smallest calls,
-    and never past 512 KiB whatever the point count.
+    normals fill the first slots of its row of a (bodies, width) grid,
+    width being the family's most edges, and the other slots hold rows
+    that always pass: normal 0, offset +inf. The grid is flattened to one
+    (bodies * width, 2) array. For a block of points, normals @ pts.T
+    compared with offsets + TOL_GEOM is an (edges, points) bool array;
+    reshaped to (bodies, width, points), its AND along the middle axis is
+    the block's membership, transposed into the result. Each product entry
+    is the same two-term dot product as the reference's, but BLAS may pick
+    its kernel by matrix shape, so bit-identity with the reference is what
+    the oracle tests check on the BLAS they run with, not a guarantee for
+    every BLAS build. A block holds about cells / rows points, cells being
+    an eighth of the result's cells, within _MIN_CELLS and _CELLS, so a
+    float64 temporary is no larger than the result for all but the
+    smallest calls, and never past 512 KiB whatever the point count.
     """
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
     if not len(points) or not bodies:
@@ -452,12 +447,12 @@ def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
     counts = np.array([len(body.offsets) for body in bodies])
     width = int(counts.max())
     # Edge e of body j sits in row j * width + e of the stacked arrays.
-    slot = np.arange(counts.sum()) + np.repeat(
-        np.arange(len(bodies)) * width - (np.cumsum(counts) - counts), counts)
-    normals = np.zeros((len(bodies) * width, 2))
-    limits = np.full((len(bodies) * width, 1), np.inf)
-    normals[slot] = np.concatenate([body.normals for body in bodies])
-    limits[slot, 0] = np.concatenate([body.offsets for body in bodies]) + TOL_GEOM
+    real = np.arange(width) < counts[:, None]
+    normals = np.zeros((len(bodies), width, 2))
+    limits = np.full((len(bodies), width), np.inf)
+    normals[real] = np.concatenate([body.normals for body in bodies])
+    limits[real] = np.concatenate([body.offsets for body in bodies]) + TOL_GEOM
+    normals, limits = normals.reshape(-1, 2), limits.reshape(-1, 1)
     cells = min(_CELLS, max(_MIN_CELLS, inside.size // 8))
     step = max(1, cells // normals.shape[0])
     for lo in range(0, len(pts), step):

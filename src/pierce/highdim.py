@@ -39,6 +39,8 @@ class CurveSpecD:
     def __post_init__(self) -> None:
         if self.kind not in (MOMENT, CARATHEODORY):
             raise ValueError(f"unknown curve kind {self.kind!r}")
+        if type(self.d) is not int:
+            raise ValueError(f"d must be an integer, not {self.d!r}")
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
         if self.kind == CARATHEODORY and self.d % 2 != 0:

@@ -108,37 +108,36 @@ class TransversalReport:
 def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
     """The maximal containment classes of candidate_points(bodies).
 
-    Each candidate inside some body has a signature, the set of bodies
-    containing it, packed by _signature_words into ceil(n / 64) uint64
-    words for n bodies. The candidates are sorted by (y, x) first, and one
-    stable lexsort on the words, the most significant word as the primary
-    key, sorts the signatures as the binary numbers sum(2**i for body i in
-    the set) and keeps the candidates of equal signatures in (y, x) order,
-    so the first of each run of equal signatures is its lowest candidate
-    (least y, then least x), the representative. _maximal_rows then drops
-    dominated signatures, testing blocks of at most 512 KiB at a time. The
+    Each candidate has a signature, the set of bodies containing it,
+    packed by _signature_words into ceil(n / 64) uint64 words for n
+    bodies. One stable lexsort, on the words with the most significant
+    word as the primary key and then on y and x, sorts the signatures as
+    the binary numbers sum(2**i for body i in the set) and the candidates
+    of equal signatures in (y, x) order, so the first of each run of equal
+    signatures is its lowest candidate (least y, then least x), the
+    representative. _maximal_rows then drops dominated signatures, testing
+    blocks of at most 512 KiB at a time. That drops the empty signature of
+    candidates inside no body too: every body contains a candidate, so
+    some other signature exists, and the empty one lies inside it. The
     classes keep that signature order, so neither their order nor their
     points depend on the candidates' order, and a turned family has its
     classes in the same order. Raises IncompleteCandidatesError when some
     body contains no candidate.
     """
     candidates = candidate_points(bodies)
-    candidates = candidates[np.lexsort((candidates[:, 0], candidates[:, 1]))]
     inside = containment_matrix(bodies, candidates)
     covered = inside.any(axis=0)
     if not covered.all():
         missing = [bodies[i].id for i in np.flatnonzero(~covered)]
         raise IncompleteCandidatesError(f"no candidate inside bodies {missing}")
-    keep = np.flatnonzero(inside.any(axis=1))
-    inside = inside[keep]
     words = _signature_words(inside)
-    order = np.lexsort(words.T)
+    order = np.lexsort((candidates[:, 0], candidates[:, 1], *words.T))
     ranked = words[order]
     run = np.ones(len(order), dtype=bool)
     run[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     first = order[run]
     chosen = first[_maximal_rows(words[first])]
-    points = tuple(map(tuple, candidates[keep[chosen]].tolist()))
+    points = tuple(map(tuple, candidates[chosen].tolist()))
     members = inside[chosen]
     members.setflags(write=False)
     return CandidateClasses(points, members)
@@ -146,7 +145,7 @@ def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
 
 def _signature_words(rows: np.ndarray) -> np.ndarray:
     """Bool rows packed into little-endian uint64 words, ceil(columns / 64)
-    per row and at least one, so that a lexsort has a key.
+    per row and at least one, since _maximal_rows divides by the count.
 
     Bit j of word w holds column 64 * w + j; the bits past the last column are 0.
     """
@@ -179,8 +178,6 @@ def _maximal_rows(words: np.ndarray) -> np.ndarray:
     is longer.
     """
     k, w = words.shape
-    if k <= 1:
-        return np.ones(k, dtype=bool)
     pop = np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
     order = np.argsort(-pop, kind="stable")
     ranked = words[order]
@@ -398,12 +395,10 @@ def run_pipeline(
     t0 = time.perf_counter()
     arcs_all = [body_curve_arcs(b, curve) for b in bodies]
     filtered = tuple(i for i, arcs in enumerate(arcs_all) if not arcs)
-    skip = set(filtered)
-    active_idx = [i for i in range(len(bodies)) if i not in skip]
-    if not active_idx:
+    met = [(body, arcs) for body, arcs in zip(bodies, arcs_all) if arcs]
+    if not met:
         raise PipelineError("validate: no body meets the curve")
-    active = [bodies[i] for i in active_idx]
-    arcs = [arcs_all[i] for i in active_idx]
+    active, arcs = (list(column) for column in zip(*met))
     p_eff = max(2, p - len(filtered))
     timings["validate"] = time.perf_counter() - t0
 

@@ -203,13 +203,6 @@ def _edges(body: ConvexBody) -> list[tuple[Point2, Point2]]:
     return list(zip(vs, vs[1:] + vs[:1]))
 
 
-def _apart(a: ConvexBody, b: ConvexBody) -> bool:
-    (ax0, ay0), (ax1, ay1) = a.vertices.min(axis=0), a.vertices.max(axis=0)
-    (bx0, by0), (bx1, by1) = b.vertices.min(axis=0), b.vertices.max(axis=0)
-    return (ax1 < bx0 - TOL_GEOM or bx1 < ax0 - TOL_GEOM
-            or ay1 < by0 - TOL_GEOM or by1 < ay0 - TOL_GEOM)
-
-
 def _rises(edge) -> bool:
     (x0, y0), (x1, y1) = edge
     return y1 - y0 >= -TOL_GEOM * math.hypot(x1 - x0, y1 - y0)
@@ -230,7 +223,7 @@ def _lowest_crossing(ea, eb) -> bool:
 def reference_candidates(bodies: list[ConvexBody], lowest: bool = False) -> list[Point2]:
     """The whole arrangement in candidate_points' order, in plain Python:
     every body's vertices, then segment_intersection over (i, j, edge of i,
-    edge of j) for the body pairs whose bounding boxes are within TOL_GEOM.
+    edge of j) for every body pair i < j.
 
     With lowest=True, only the points that pass candidate_points'
     lowest-vertex test, checked edge by edge: a body's vertex k when its
@@ -244,8 +237,6 @@ def reference_candidates(bodies: list[ConvexBody], lowest: bool = False) -> list
             if not lowest or (_falls(edges[k - 1]) and _rises(edges[k])):
                 out.append((x, y))
     for a, b in itertools.combinations(bodies, 2):
-        if _apart(a, b):
-            continue
         for ea in _edges(a):
             for eb in _edges(b):
                 pt = segment_intersection(*ea, *eb)

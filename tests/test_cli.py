@@ -175,6 +175,18 @@ def test_gen_to_stdout(capsys):
     assert len(data["bodies"]) == 7
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["pairwise", "--p", "5", "--n", "3"], "--p"),
+    (["clustered", "--n", "9", "--delta", "0.1"], "--delta"),
+    (["gallery", "--n", "3", "--p", "7", "--seed", "4"], "--n, --p, --seed"),
+], ids=["pairwise", "clustered", "gallery"])
+def test_gen_rejects_the_options_its_kind_does_not_read(tmp_path, capsys, argv, named):
+    out = tmp_path / "x.json"
+    assert cli_run(["gen", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: gen {argv[0]} does not read {named}"]
+    assert not out.exists()
+
+
 def test_plot_outputs_svg(tmp_path):
     inst_path = str(tmp_path / "g.json")
     rep_path = str(tmp_path / "r.json")

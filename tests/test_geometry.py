@@ -406,7 +406,7 @@ def test_candidate_points_two_squares():
     assert cands.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.5, 0.5], [1.0, 0.5]]
 
 
-# A shape moved 10 units right has a bounding box apart from every unmoved one.
+# A shape moved 10 units right is far from every unmoved one.
 _grid_shape = st.tuples(st.one_of(grid_square, grid_triangle), st.booleans()).map(lambda t: [(x + 10.0 * t[1], y) for x, y in t[0]])
 
 
@@ -422,6 +422,8 @@ _grid_shape = st.tuples(st.one_of(grid_square, grid_triangle), st.booleans()).ma
 @example([[(0, 0), (1, 0), (0, 1)], [(10, 0), (11, 0), (10, 1)],
           [(0.5, 0.5), (0.6, 0.5), (0.5, 0.6)]], 1)  # apart
 @example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (4, 1e-10), (4, 1)]], 1)  # parallel within tol
+@example([[(-1, -0.1), (0, 0), (-1, 0.1)],
+          [(1 + 1.5 * _TOL, 0.1), (1.5 * _TOL, 0), (1 + 1.5 * _TOL, -0.1)]], 1)  # tips 1.5 tol apart
 def test_candidate_points_match_reference(shapes, cells):
     # cells sets the falling-by-rising edge pairs per numpy block; 1, 5 and 64
     # split the falling edges over blocks.

@@ -52,6 +52,16 @@ def test_curve_spec_validation():
         CurveSpecD("spiral", 2)
 
 
+@pytest.mark.parametrize("kind, d", [
+    (CARATHEODORY, 4.0), (MOMENT, 3.0), (MOMENT, "3"), (CARATHEODORY, "4"), (MOMENT, True),
+])
+def test_curve_spec_takes_an_integer_dimension(kind, d):
+    # A float d would reach _closed_basis and fail there with a bare
+    # TypeError; a str d would fail the comparison with one.
+    with pytest.raises(ValueError, match=r"^d must be an integer, not "):
+        CurveSpecD(kind, d)
+
+
 def test_curve_point_examples():
     assert curve_point(CurveSpecD(MOMENT, 3), 2.0) == (2.0, 4.0, 8.0)
     x, y = curve_point(CurveSpecD(CARATHEODORY, 2), math.pi / 2)

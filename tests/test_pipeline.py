@@ -77,6 +77,20 @@ def test_candidate_classes_nested_signature_dominated():
     assert len(greedy_transversal(candidate_classes([outer, inner]))) == 1
 
 
+def test_candidate_classes_join_tips_within_the_tolerance():
+    # b's tip lies 1.5 TOL_GEOM right of a's tip (0, 0), so the bodies'
+    # bounding boxes are apart, yet b contains a's tip within its slack.
+    # Their edges cross within the t and u padding, and that crossing is
+    # the lowest point of the one class {0, 1}.
+    a = ConvexBody.from_vertices(0, [(-1, -0.1), (0, 0), (-1, 0.1)])
+    b = ConvexBody.from_vertices(1, [(1 + 1.5 * TOL_GEOM, 0.1), (1.5 * TOL_GEOM, 0),
+                                     (1 + 1.5 * TOL_GEOM, -0.1)])
+    assert containment_matrix([a, b], [(0.0, 0.0)]).tolist() == [[True, True]]
+    cc = candidate_classes([a, b])
+    assert signatures(cc) == [frozenset({0, 1})]
+    assert cc.points == ((7.499998400106733e-10, 7.499997844995221e-11),)
+
+
 def test_candidate_classes_incomplete(monkeypatch):
     # candidate_points keeps each polygon's lowest vertex, so only a
     # foreign candidate list leaves a body without a candidate.
