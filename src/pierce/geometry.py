@@ -20,6 +20,12 @@ TOL_GEOM = 1e-9
 
 Point2 = tuple[float, float]
 
+# The block budget of the blocked numpy kernels (candidate_points,
+# meet_matrix, containment_matrix and pipeline._maximal_rows): a block's
+# largest temporary holds at most BLOCK_CELLS cells, 512 KiB as float64, or
+# one row's cells when a single row is larger.
+BLOCK_CELLS = 1 << 16
+
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to the canonical range [0, 2*pi)."""
@@ -57,15 +63,12 @@ def _finite_floats(values, what: str) -> list[float]:
 
 @dataclass(frozen=True)
 class CurveModel:
-    """The reference convex curve. Only circles are supported."""
+    """The reference convex curve: the circle of this center and radius."""
 
-    kind: str
     center: Point2
     radius: float
 
     def __post_init__(self):
-        if self.kind != "circle":
-            raise ValueError(f"unsupported curve kind {self.kind!r}")
         center = _finite_floats(self.center, "curve center")
         if len(center) != 2:
             raise ValueError("curve center must be two numbers")
@@ -82,7 +85,7 @@ class CurveModel:
         )
 
 
-UNIT_CIRCLE = CurveModel("circle", (0.0, 0.0), 1.0)
+UNIT_CIRCLE = CurveModel((0.0, 0.0), 1.0)
 
 
 @dataclass(eq=False)
@@ -197,7 +200,7 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     pieces, which start as (0, 2*pi), become their overlaps with the edge's
     pieces. An overlap starts at 0, or ends at 2*pi, only when both of its
     pieces do, so the overlaps keep the rule. Pieces may touch or repeat
-    until they merge once at the end.
+    until _merged merges them once at the end.
     """
     cx, cy = curve.center
     r = curve.radius
@@ -232,10 +235,17 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
         if not hits:
             return []
         segs = hits
+    return _merged(segs)
+
+
+def _merged(pieces) -> list[tuple[float, float]]:
+    """The (lo, hi) pieces sorted, each merged into the one before when it
+    starts at or before that one's end."""
     out = []
-    for lo, hi in sorted(segs):
+    for lo, hi in sorted(pieces):
         if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
         else:
             out.append((lo, hi))
     return out
@@ -251,11 +261,6 @@ def _padded_pieces(arcs: list[list[tuple[float, float]]]) -> tuple[np.ndarray, n
     return lo, hi
 
 
-# Cells (block bodies times bodies times piece pairs) one meet_matrix block
-# compares: 512 KiB per float64 temporary.
-_MEET_CELLS = 1 << 16
-
-
 def meet_matrix(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     """Whether each pair of bodies meets on the curve, from their body_curve_arcs.
 
@@ -265,13 +270,13 @@ def meet_matrix(arcs: list[list[tuple[float, float]]]) -> np.ndarray:
     pieces starting at 0. These are meet_angle's comparisons, so off the
     diagonal meet[i, j] says whether meet_angle(arcs[i], arcs[j]) is not
     None, without the angle. The rows go in blocks of bodies whose
-    (rows, n, S, S) temporaries hold at most _MEET_CELLS cells, or one
+    (rows, n, S, S) temporaries hold at most BLOCK_CELLS cells, or one
     body's row when that is larger.
     """
     n = len(arcs)
     lo, hi = _padded_pieces(arcs)
     meet = np.zeros((n, n), dtype=bool)
-    step = max(1, _MEET_CELLS // max(1, n * lo.shape[1] ** 2))
+    step = max(1, BLOCK_CELLS // max(1, n * lo.shape[1] ** 2))
     for top in range(0, n, step):
         rows = slice(top, top + step)
         start = np.maximum(lo[rows, None, :, None], lo[None, :, None, :])
@@ -285,20 +290,15 @@ def meet_angle(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> fl
     """Where two bodies meet on the curve, from their body_curve_arcs; None
     when the lists share no point.
 
-    The pieces' pairwise overlaps merge into components. A last component
-    (2*pi, 2*pi) is the point 0, which the first component holds, and is
-    dropped. When the rest touch both 0 and 2*pi in two or more components,
-    the first and last glue into one arc through 0. The meet is the
-    midpoint of the arc with the earliest start.
+    The pieces' pairwise overlaps merge into components (_merged). A last
+    component (2*pi, 2*pi) is the point 0, which the first component
+    holds, and is dropped. When the rest touch both 0 and 2*pi in two or
+    more components, the first and last glue into one arc through 0. The
+    meet is the midpoint of the arc with the earliest start.
     """
     # Each piece has lo <= hi, so two overlap when each starts before the other ends.
-    hits = [(max(a0, b0), min(a1, b1)) for a0, a1 in a for b0, b1 in b if a0 <= b1 and b0 <= a1]
-    comps = []
-    for lo, hi in sorted(hits):
-        if comps and lo <= comps[-1][1]:
-            comps[-1][1] = max(comps[-1][1], hi)
-        else:
-            comps.append([lo, hi])
+    comps = _merged([(max(a0, b0), min(a1, b1))
+                     for a0, a1 in a for b0, b1 in b if a0 <= b1 and b0 <= a1])
     if not comps:
         return None
     if len(comps) >= 2 and comps[-1][0] == TWO_PI:
@@ -309,11 +309,6 @@ def meet_angle(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> fl
             return normalize_angle(last + 0.5 * ((TWO_PI - last) + hi))
         lo, hi = comps[1]
     return normalize_angle(lo + 0.5 * (hi - lo))
-
-
-# Cells (falling edges times rising edges) one crossing block holds: 512 KiB
-# per float64 temporary.
-_CROSS_CELLS = 1 << 16
 
 
 def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
@@ -359,7 +354,8 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     and den(r, f) is positive, so a level edge, which both falls and rises,
     finds each pair once. So the crossings are enumerated over falling
     edges times rising edges of different bodies, in blocks of at most
-    _CROSS_CELLS cells; the t and u tests reject the pairs of far bodies.
+    BLOCK_CELLS pairs, or one falling edge's row when that is larger; the t
+    and u tests reject the pairs of far bodies.
     Each hit is turned so that a is the edge of the lower-index body, its
     point comes from the formulas above, term by term, and one lexsort on
     (i, j, a, b) restores the order above.
@@ -386,7 +382,7 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     lowest = falls[prev] & rises
 
     fall, rise = np.flatnonzero(falls), np.flatnonzero(rises)
-    rows = max(1, _CROSS_CELLS // max(1, rise.size))
+    rows = max(1, BLOCK_CELLS // max(1, rise.size))
     hits = []
     for top in range(0, fall.size, rows):
         f = fall[top:top + rows, None]
@@ -410,14 +406,6 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     return np.concatenate((verts[lowest], crossings))
 
 
-# Cells (stacked edge rows times points) one containment block holds: an
-# eighth of the result's cells, so that a float64 temporary takes no more
-# bytes than the bool result, but at least _MIN_CELLS (64 KiB; smaller
-# blocks cost more in numpy calls than they save) and at most _CELLS
-# (512 KiB).
-_MIN_CELLS, _CELLS = 1 << 13, 1 << 16
-
-
 def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
     """Bool matrix of shape (len(points), len(bodies)): membership per pair.
 
@@ -435,10 +423,10 @@ def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
     is the same two-term dot product as the reference's, but BLAS may pick
     its kernel by matrix shape, so bit-identity with the reference is what
     the oracle tests check on the BLAS they run with, not a guarantee for
-    every BLAS build. A block holds about cells / rows points, cells being
-    an eighth of the result's cells, within _MIN_CELLS and _CELLS, so a
-    float64 temporary is no larger than the result for all but the
-    smallest calls, and never past 512 KiB whatever the point count.
+    every BLAS build. A block holds BLOCK_CELLS // (bodies * width) points,
+    and at least one, so its (edges, points) temporaries hold at most
+    BLOCK_CELLS cells, or one point's column when that is larger, whatever
+    the point count.
     """
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
     if not len(points) or not bodies:
@@ -453,8 +441,7 @@ def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
     normals[real] = np.concatenate([body.normals for body in bodies])
     limits[real] = np.concatenate([body.offsets for body in bodies]) + TOL_GEOM
     normals, limits = normals.reshape(-1, 2), limits.reshape(-1, 1)
-    cells = min(_CELLS, max(_MIN_CELLS, inside.size // 8))
-    step = max(1, cells // normals.shape[0])
+    step = max(1, BLOCK_CELLS // normals.shape[0])
     for lo in range(0, len(pts), step):
         block = pts[lo:lo + step]
         below = (normals @ block.T <= limits).reshape(len(bodies), width, -1)

@@ -56,7 +56,7 @@ class Instance:
     def to_dict(self) -> dict:
         return {
             "curve": {
-                "type": self.curve.kind,
+                "type": "circle",
                 "center": list(self.curve.center),
                 "radius": self.curve.radius,
             },
@@ -72,8 +72,9 @@ class Instance:
     def from_dict(cls, data: dict) -> "Instance":
         """The instance that a parsed instance file describes.
 
-        Data that is not a JSON object, a missing key, or a value of the
-        wrong JSON type raises a ValueError that names the key.
+        Data that is not a JSON object, a missing key, a value of the
+        wrong JSON type, or a curve whose "type" is not "circle" raises a
+        ValueError that names the key.
         """
 
         def read(obj, key: str, where: str, what: str, ok):
@@ -89,8 +90,8 @@ class Instance:
             return isinstance(v, dict)
 
         c = read(data, "curve", "instance", "an object", is_dict)
+        read(c, "type", "curve", '"circle"', lambda v: v == "circle")
         curve = CurveModel(
-            read(c, "type", "curve", "a string", lambda v: isinstance(v, str)),
             tuple(read(c, "center", "curve", "a point", _is_point)),
             read(c, "radius", "curve", "a finite number", _is_number),
         )
@@ -150,10 +151,19 @@ def _wedge_points(anchor: float, w_lo: float, w_hi: float) -> list[tuple[float, 
     return pts
 
 
+def _check_seed(seed) -> None:
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+
+
 def gen_pairwise(n: int, seed: int = 0) -> Instance:
-    """n bodies whose circle arcs all exceed half the circle, hence K_n."""
+    """n bodies whose circle arcs all exceed half the circle, hence K_n.
+
+    seed is a non-negative int; anything else raises a ValueError.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
+    _check_seed(seed)
     for attempt in range(10):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         bodies = []
@@ -175,12 +185,14 @@ def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:
     instance satisfies the p-subset condition by construction; picking one
     body per cluster gives an independent set of size p-1 (tightness).  The
     self-check is that pigeonhole certificate, linear in n: every body holds
-    the circle point at its cluster's anchor.
+    the circle point at its cluster's anchor.  seed is a non-negative int;
+    anything else raises a ValueError.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     if n < p:
         raise ValueError("need at least p bodies for the condition to bite")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     k = p - 1
     half_gap = math.pi / k

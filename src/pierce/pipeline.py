@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import IncompleteCandidatesError, PipelineError
 from .geometry import (
+    BLOCK_CELLS,
     UNIT_CIRCLE,
     ConvexBody,
     CurveModel,
@@ -49,16 +50,16 @@ class CandidateClasses:
     packing constraint at the smaller class is implied by the larger one.
     Only maximal classes are kept, each with its lowest candidate (least y,
     then least x) as its representative, in the order of their body sets
-    read as binary numbers (see candidate_classes).  The classes are stored
-    as a read-only (classes x bodies) bool matrix whose row j holds the
-    bodies that contain points[j].
+    read as binary numbers (see candidate_classes).  matrix() is the
+    classes as a read-only (classes x bodies) bool matrix whose row j holds
+    the bodies that contain points[j].
     """
 
     points: tuple[Point2, ...]
-    members: np.ndarray
+    _matrix: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        return self.members
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,8 @@ def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
     the binary numbers sum(2**i for body i in the set) and the candidates
     of equal signatures in (y, x) order, so the first of each run of equal
     signatures is its lowest candidate (least y, then least x), the
-    representative. _maximal_rows then drops dominated signatures, testing
-    blocks of at most 512 KiB at a time. That drops the empty signature of
+    representative. _maximal_rows then drops dominated signatures, in
+    blocks within BLOCK_CELLS words. That drops the empty signature of
     candidates inside no body too: every body contains a candidate, so
     some other signature exists, and the empty one lies inside it. The
     classes keep that signature order, so neither their order nor their
@@ -138,9 +139,9 @@ def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
     first = order[run]
     chosen = first[_maximal_rows(words[first])]
     points = tuple(map(tuple, candidates[chosen].tolist()))
-    members = inside[chosen]
-    members.setflags(write=False)
-    return CandidateClasses(points, members)
+    matrix = inside[chosen]
+    matrix.setflags(write=False)
+    return CandidateClasses(points, matrix)
 
 
 def _signature_words(rows: np.ndarray) -> np.ndarray:
@@ -155,11 +156,6 @@ def _signature_words(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-# Words (uint64) one subset-test block of _maximal_rows holds: 512 KiB, the
-# size of containment_matrix's largest block.
-_BLOCK_WORDS = 1 << 16
-
-
 def _maximal_rows(words: np.ndarray) -> np.ndarray:
     """Mask of rows not strictly contained in another row (rows are unique).
 
@@ -171,11 +167,10 @@ def _maximal_rows(words: np.ndarray) -> np.ndarray:
     every maximal row: each block is tested against the maximal rows kept
     from earlier blocks, and then its survivors against each other, where
     a row lies in itself once and in no other survivor unless dominated.
-    A block has at most isqrt(_BLOCK_WORDS / words) rows, so that its
-    (rows, rows, words) temporaries hold at most _BLOCK_WORDS words, and
-    the kept rows go in steps that keep the (rows, kept, words)
-    temporaries within the same budget, or at one row's words when a row
-    is longer.
+    The blocks, and the steps over the kept rows, have one size,
+    isqrt(BLOCK_CELLS // words) rows and at least one, so that the
+    (rows, rows, words) temporaries hold at most BLOCK_CELLS words, or one
+    row's words when a row is longer.
     """
     k, w = words.shape
     pop = np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
@@ -184,13 +179,12 @@ def _maximal_rows(words: np.ndarray) -> np.ndarray:
     keep = np.zeros(k, dtype=bool)
     outside = ~ranked  # ~s for each row s; the kept ones are packed to the front
     n_kept = 0
-    rows = max(1, min(k, math.isqrt(_BLOCK_WORDS // w)))
-    step = max(1, _BLOCK_WORDS // (rows * w))
+    rows = max(1, math.isqrt(BLOCK_CELLS // w))
     for lo in range(0, k, rows):
         part = ranked[lo:lo + rows, None, :]
         hit = np.zeros(len(part), dtype=bool)
-        for top in range(0, n_kept, step):
-            hit |= ((part & outside[top:min(top + step, n_kept)]) == 0).all(axis=2).any(axis=1)
+        for top in range(0, n_kept, rows):
+            hit |= ((part & outside[top:min(top + rows, n_kept)]) == 0).all(axis=2).any(axis=1)
             if hit.all():
                 break
         else:
@@ -259,13 +253,13 @@ def rationalize(
 ) -> tuple[tuple[int, ...], int]:
     """Integer multiplicities m and denominator D with m/D near the weights.
 
-    The weights' continued fractions give a common denominator D, kept
-    when it is at most max_denominator and, if class_rows (a 0/1 matrix,
-    one row per class, one column per weight) is supplied, the packing
-    feasibility class_rows @ m <= D holds.  Otherwise m is floored once at
-    D = max_denominator, and while a row of class_rows is over D, the first
-    heaviest row's member with the largest m (the lowest index among
-    equals) loses one.
+    class_rows is a 0/1 matrix, one row per class and one column per
+    weight; None means no rows.  The weights' continued fractions give a
+    common denominator D, kept when it is at most max_denominator and the
+    packing feasibility class_rows @ m <= D holds.  Otherwise m is floored
+    once at D = max_denominator, and while a row of class_rows is over D,
+    the first heaviest row's member with the largest m (the lowest index
+    among equals) loses one.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
@@ -273,17 +267,16 @@ def rationalize(
     fracs = [_limit_denominator(v, max_denominator) for v in w]
     d = math.lcm(*[q for _, q in fracs])
     m = [p * (d // q) for p, q in fracs] if d <= max_denominator else None
-    rows = None if class_rows is None else np.asarray(class_rows, dtype=np.int64)
-    if m is None or (rows is not None and (rows @ np.array(m, dtype=np.int64) > d).any()):
+    rows = np.asarray(np.zeros((0, len(w))) if class_rows is None else class_rows, dtype=np.int64)
+    if m is None or (rows @ np.array(m, dtype=np.int64) > d).any():
         d = max_denominator
         m = [int(math.floor(v * d + 1e-6)) for v in w]
-        if rows is not None:
-            loads = rows @ np.array(m, dtype=np.int64)
-            while (loads > d).any():
-                worst = np.flatnonzero(rows[int(np.argmax(loads))]).tolist()
-                top = max(worst, key=lambda i: (m[i], -i))
-                m[top] -= 1
-                loads -= rows[:, top]
+        loads = rows @ np.array(m, dtype=np.int64)
+        while (loads > d).any():
+            worst = np.flatnonzero(rows[int(np.argmax(loads))]).tolist()
+            top = max(worst, key=lambda i: (m[i], -i))
+            m[top] -= 1
+            loads -= rows[:, top]
     return tuple(m), d
 
 

@@ -30,8 +30,20 @@ def _is_list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
+def _is_flags(v) -> bool:
+    # The booleans run_pipeline writes; condition_holds is there exactly
+    # when condition_checked is true, as a skipped check observes no outcome.
+    if not (isinstance(v, dict) and all(type(flag) is bool for flag in v.values())):
+        return False
+    keys = {"condition_checked", "duality_ok", "rounding_feasible_exact", "coverage_le_denominator",
+            "tau_epsilon_consistent", "greedy_within_log_bound", "all_bodies_hit"}
+    if v.get("condition_checked"):
+        keys.add("condition_holds")
+    return v.keys() == keys
+
+
 # What each value verify_report reads must be, by dotted key path.  A report
-# also needs each path's first key and "flags", and an object at each dot.
+# also needs each path's first key, and an object at each dot.
 SHAPES = {
     "transversal": ("a list of points", _is_list_of(_is_point)),
     "tau_star": ("a finite number", _is_number),
@@ -46,6 +58,7 @@ SHAPES = {
     "lp.cover_points": ("a list of points", _is_list_of(_is_point)),
     "lp.cover_weights": ("a list of numbers", _is_list_of(_is_number)),
     "lp.packing": ("a list of numbers", _is_list_of(_is_number)),
+    "flags": ("an object of the booleans run_pipeline writes", _is_flags),
 }
 
 
@@ -208,7 +221,7 @@ def _shape_failures(report) -> list[str]:
     if not isinstance(report, dict):
         return ["report is not a JSON object"]
     heads = dict.fromkeys([path.split(".")[0] for path in SHAPES])
-    failures = [f"missing key {key!r}" for key in [*heads, "flags"] if key not in report]
+    failures = [f"missing key {key!r}" for key in heads if key not in report]
     failures += [
         f"{key} is not a JSON object"
         for key in heads

@@ -187,6 +187,15 @@ def test_gen_rejects_the_options_its_kind_does_not_read(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["pairwise", "clustered"])
+def test_gen_names_a_bad_seed(tmp_path, capsys, kind):
+    out = tmp_path / "x.json"
+    assert cli_run(["gen", kind, "--seed", "-1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: seed must be a non-negative integer, not -1"]
+    assert not out.exists()
+
+
 def test_plot_outputs_svg(tmp_path):
     inst_path = str(tmp_path / "g.json")
     rep_path = str(tmp_path / "r.json")
@@ -257,7 +266,9 @@ def test_repeated_body_ids_are_an_input_error(tmp_path, capsys):
     (lambda d: {**d, "bodies": d["bodies"][:2] + [{"id": 2, "vertices": [[0, 0], [1, "x"]]}]},
      "bodies[2] 'vertices' is not a list of points"),
     (lambda d: {**d, "p": 2.9}, "p must be an integer, not 2.9"),
-], ids=["no-bodies", "a-list", "string-radius", "string-vertex", "fractional-p"])
+    (lambda d: {**d, "curve": {**d["curve"], "type": "ellipse"}},
+     "curve 'type' is not \"circle\""),
+], ids=["no-bodies", "a-list", "string-radius", "string-vertex", "fractional-p", "ellipse"])
 def test_malformed_instance_file_is_an_input_error(edit, error, tmp_path, capsys):
     inst_path = tmp_path / "bad.json"
     inst_path.write_text(json.dumps(edit(gallery7().to_dict())))

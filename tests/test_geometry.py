@@ -319,14 +319,14 @@ def test_meet_angle_bitwise_on_bench_families():
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.one_of(_pieces, _touch_arcs), max_size=6),
-       st.sampled_from([1, geometry._MEET_CELLS]))
+       st.sampled_from([1, geometry.BLOCK_CELLS]))
 @example([arc_pieces(5.0, TWO_PI), arc_pieces(0.0, 1.0)], 1)  # meet only at 0
 @example([arc_pieces(0.0, 0.0), arc_pieces(0.0, 0.0), arc_pieces(5.0, TWO_PI), [(1.0, 2.0)]],
          1)  # the point 0 alone
-@example([[(0.0, TWO_PI)], [(2.0, 2.0)], [], [(0.0, TWO_PI)]], geometry._MEET_CELLS)
+@example([[(0.0, TWO_PI)], [(2.0, 2.0)], [], [(0.0, TWO_PI)]], geometry.BLOCK_CELLS)
 def test_meet_matrix_is_where_meet_angle_is_defined(arcs, cells):
     # cells sets the cells per block: 1 puts each block at one body.
-    with mock.patch.object(geometry, "_MEET_CELLS", cells):
+    with mock.patch.object(geometry, "BLOCK_CELLS", cells):
         got = meet_matrix(arcs)
     want = ~np.isnan(_pairwise_meets(arcs, meet_angle))
     np.fill_diagonal(want, False)
@@ -342,7 +342,7 @@ def test_meet_matrix_bitwise_on_bench_families():
         np.fill_diagonal(meets, False)
         want = meets.tobytes()
         assert meet_matrix(arcs).tobytes() == want
-        with mock.patch.object(geometry, "_MEET_CELLS", 1):
+        with mock.patch.object(geometry, "BLOCK_CELLS", 1):
             assert meet_matrix(arcs).tobytes() == want
 
 
@@ -411,8 +411,8 @@ _grid_shape = st.tuples(st.one_of(grid_square, grid_triangle), st.booleans()).ma
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_grid_shape, max_size=7), st.sampled_from([1, 5, 64, geometry._CROSS_CELLS]))
-@example([], geometry._CROSS_CELLS)
+@given(st.lists(_grid_shape, max_size=7), st.sampled_from([1, 5, 64, geometry.BLOCK_CELLS]))
+@example([], geometry.BLOCK_CELLS)
 @example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]], 1)  # shared vertex
 @example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 0), (2, 0), (2, 1), (1, 1)]], 5)  # shared edge
 @example([[(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 0), (3, 0), (3, 1)],
@@ -428,11 +428,26 @@ def test_candidate_points_match_reference(shapes, cells):
     # cells sets the falling-by-rising edge pairs per numpy block; 1, 5 and 64
     # split the falling edges over blocks.
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
-    with mock.patch.object(geometry, "_CROSS_CELLS", cells):
+    with mock.patch.object(geometry, "BLOCK_CELLS", cells):
         got = candidate_points(bodies)
     want = reference_candidates(bodies, lowest=True)
     assert got.dtype == np.float64 and got.shape == (len(want), 2)
     assert [list(map(float, p)) for p in want] == got.tolist()
+
+
+def test_candidate_points_memory_stays_within_a_block_budget():
+    # 200 bodies of up to 16 edges, about 1,300 falling and 1,300 rising:
+    # unblocked, the crossing tests' temporaries would take about 85 MB.
+    bodies = gen_pairwise(200).bodies
+    tracemalloc.start()
+    try:
+        cands = candidate_points(bodies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cands) > 15_000
+    # Past the result, one block's temporaries take about 5 MB.
+    assert peak < cands.nbytes + (8 << 20)
 
 
 @pytest.mark.parametrize("instance, count, digest, full, full_digest", [
@@ -570,16 +585,17 @@ def _probe_points(bodies):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_mixed_shape, max_size=8), st.sampled_from([1, 7, geometry._CELLS]))
-@example([], geometry._CELLS)
+@given(st.lists(_mixed_shape, max_size=8), st.sampled_from([1, 7, geometry.BLOCK_CELLS]))
+@example([], geometry.BLOCK_CELLS)
 @example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(0.5, 0.5), (3, 0.5), (3, 1)],
           [(1, 1), (1.5, 1), (1, 1.5)]], 1)
 @example([_ngon(16, 0, 0, 1, 0.1), _ngon(3, 0.5, 0, 1, 0.2), [(0, 0), (0.1, 0), (0, 0.5)]], 7)
 def test_containment_matrix_is_the_per_body_reference(shapes, cells):
-    # cells sets the cells per block: 1 and 7 put each block at one point.
+    # cells sets the cells per block: 1 puts each block at one point, and 7
+    # at one or two.
     bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
     points = _probe_points(bodies)
-    with mock.patch.object(geometry, "_CELLS", cells):
+    with mock.patch.object(geometry, "BLOCK_CELLS", cells):
         for pts in (points, []):
             got = containment_matrix(bodies, pts)
             assert got.dtype == bool and got.shape == (len(pts), len(bodies))
@@ -698,7 +714,7 @@ def test_body_curve_arcs_keep_the_seam_point_of_an_arc_ending_at_two_pi():
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_arc_shape, st.sampled_from([shape for shape, _ in _EDGE_CASES.values()])),
-       st.sampled_from([UNIT_CIRCLE, CurveModel("circle", (0.25, -0.5), 1.75)]))
+       st.sampled_from([UNIT_CIRCLE, CurveModel((0.25, -0.5), 1.75)]))
 def test_body_curve_arcs_are_sorted_apart_pieces(shape, curve):
     body = ConvexBody.from_vertices(0, shape)
     arcs = body_curve_arcs(body, curve)
@@ -709,7 +725,7 @@ def test_body_curve_arcs_are_sorted_apart_pieces(shape, curve):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_arc_shape, st.sampled_from([UNIT_CIRCLE, CurveModel("circle", (0.25, -0.5), 1.75)]))
+@given(_arc_shape, st.sampled_from([UNIT_CIRCLE, CurveModel((0.25, -0.5), 1.75)]))
 def test_body_curve_arcs_is_the_per_edge_reference(shape, curve):
     body = ConvexBody.from_vertices(0, shape)
     assert body_curve_arcs(body, curve) == reference_body_curve_arcs(body, curve)
@@ -776,14 +792,12 @@ def test_brute_min_transversal_against_exhaustive():
 
 def test_curve_model_validation():
     with pytest.raises(ValueError):
-        CurveModel("ellipse", (0.0, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        CurveModel("circle", (0.0, 0.0), 0.0)
-    c = CurveModel("circle", (1.0, 2.0), 3.0)
+        CurveModel((0.0, 0.0), 0.0)
+    c = CurveModel((1.0, 2.0), 3.0)
     assert c.point_at(0.0) == pytest.approx((4.0, 2.0))
     assert c.point_at(math.pi / 2) == pytest.approx((1.0, 5.0))
     # Integers are stored as floats, the center as a pair.
-    c = CurveModel("circle", [1, 2], 3)
+    c = CurveModel([1, 2], 3)
     assert c.center == (1.0, 2.0) and type(c.center[0]) is float
     assert type(c.radius) is float
 
@@ -804,7 +818,7 @@ def test_curve_model_validation():
 ])
 def test_curve_model_rejects_bad_numbers(center, radius, message):
     with pytest.raises(ValueError, match=message):
-        CurveModel("circle", center, radius)
+        CurveModel(center, radius)
 
 
 @pytest.mark.parametrize("vertices, message", [

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,17 @@ def test_instance_validation():
         with pytest.raises(ValueError, match="'p' is not a finite number"):
             Instance.from_dict({**data, "p": p})
     assert Instance.from_dict({**data, "p": 5}).p == 5
+
+
+def test_instance_reader_takes_only_circles():
+    data = gallery7().to_dict()
+    assert data["curve"]["type"] == "circle"
+    for kind in ("ellipse", "Circle", None, 1):
+        with pytest.raises(ValueError, match="^curve 'type' is not \"circle\"$"):
+            Instance.from_dict({**data, "curve": {**data["curve"], "type": kind}})
+    curve = {k: v for k, v in data["curve"].items() if k != "type"}
+    with pytest.raises(ValueError, match="^curve has no 'type' key$"):
+        Instance.from_dict({**data, "curve": curve})
 
 
 def test_repeated_body_ids_are_rejected(tmp_path):
@@ -128,6 +140,16 @@ def test_gen_clustered_validation():
         gen_clustered(1, 5)
     with pytest.raises(ValueError):
         gen_clustered(3, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, True, False, 1.0, "3", None, np.int64(3)])
+def test_generators_take_only_a_non_negative_int_seed(seed):
+    # numpy would take True as 1 and reject -1 without naming the seed.
+    error = re.escape(f"seed must be a non-negative integer, not {seed!r}")
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        gen_pairwise(4, seed=seed)
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        gen_clustered(3, 4, seed=seed)
 
 
 def test_gallery7_shape():

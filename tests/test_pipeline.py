@@ -164,7 +164,7 @@ def test_candidate_classes_sort_by_the_integer_key_of_their_body_sets(monkeypatc
         if key not in lowest or (y, x) < lowest[key][::-1]:
             lowest[key] = (x, y)
     want = sorted(key for key in lowest if not any(key != o and key & o == key for o in lowest))
-    assert [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in cc.members] == want
+    assert [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in cc.matrix()] == want
     assert list(cc.points) == [lowest[key] for key in want]
 
 
@@ -187,8 +187,8 @@ def test_maximal_rows_against_bruteforce():
         # budget sets the words per block: 1 makes blocks of one row, 12 and
         # 64 blocks of 2 to 8 rows, so that a block's survivors test each
         # other and the kept rows go in several steps.
-        for budget in (1, 12, 64, pierce.pipeline._BLOCK_WORDS):
-            with mock.patch.object(pierce.pipeline, "_BLOCK_WORDS", budget):
+        for budget in (1, 12, 64, pierce.pipeline.BLOCK_CELLS):
+            with mock.patch.object(pierce.pipeline, "BLOCK_CELLS", budget):
                 got = _maximal_rows(_signature_words(rows))
             assert got.tolist() == want, budget
 

@@ -402,18 +402,53 @@ def test_verify_report_fails_on_wrong_types(gallery_run):
 
 
 def test_the_report_writer_and_verify_read_the_same_keys(gallery_run):
-    # A key added to to_dict alone, or to SHAPES alone, fails here. flags and
-    # stages are objects that verify reads no key of.
+    # A key added to to_dict alone, or to SHAPES alone, fails here. stages
+    # is an object that verify reads no key of; flags is read whole.
     _, report = gallery_run
     leaves = set()
     for key, value in report.items():
-        if key in ("flags", "stages"):
+        if key == "stages":
             assert isinstance(value, dict)
-        elif isinstance(value, dict):
+        elif isinstance(value, dict) and key != "flags":
             leaves.update(f"{key}.{sub}" for sub in value)
         else:
             leaves.add(key)
     assert leaves == set(pierce.reports.SHAPES)
+    # A flag added to run_pipeline alone, or to the flags' shape alone, fails
+    # here too: the shape takes the flags of a run that checks the condition
+    # and of one that skips it, and no fewer.
+    _, is_flags = pierce.reports.SHAPES["flags"]
+    skipped = gen_clustered(3, 42, seed=1)
+    skipped = run_pipeline(skipped.bodies, skipped.curve, skipped.p).flags
+    assert report["flags"]["condition_checked"] and not skipped["condition_checked"]
+    for flags in (report["flags"], skipped):
+        assert is_flags(flags)
+        for key in flags:
+            assert not is_flags({k: v for k, v in flags.items() if k != key}), key
+
+
+@pytest.mark.parametrize("edit", [
+    lambda good: {},
+    lambda good: "nonsense",
+    lambda good: None,
+    lambda good: {"all_bodies_hit": False},
+    lambda good: {**good, "bogus": 3},
+    lambda good: {k: v for k, v in good.items() if k != "duality_ok"},
+    lambda good: {**good, "duality_ok": 1},
+    lambda good: {**good, "duality_ok": np.bool_(True)},
+    lambda good: {**good, "condition_checked": False},
+], ids=["empty", "a-string", "null", "one-flag", "extra-key", "missing-flag", "an-int",
+        "numpy-bool", "holds-without-check"])
+def test_verify_report_fails_on_malformed_flags(gallery_run, edit):
+    inst, report = gallery_run
+    assert verify_report(inst, dict(report, flags=edit(report["flags"]))) == [
+        "flags is not an object of the booleans run_pipeline writes"]
+
+
+def test_verify_report_fails_without_flags(gallery_run):
+    inst, report = gallery_run
+    no_flags = {k: v for k, v in report.items() if k != "flags"}
+    assert verify_report(inst, no_flags) == ["missing key 'flags'"]
 
 
 def test_verify_report_fails_on_multiplicities_past_int64(gallery_run):
