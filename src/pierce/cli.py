@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a check failed or the run could not complete,
 2 usage or input-file problems, an invalid body included.
-PIERCE_LOG_LEVEL (error, info, debug) controls verbosity on stderr.
+PIERCE_LOG_LEVEL (error, info, debug) controls verbosity on stderr; any
+other value is named in one warning line and taken as error.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ _LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
 def _setup_logging() -> None:
-    name = os.environ.get("PIERCE_LOG_LEVEL", "error").strip().lower()
-    level = _LEVELS.get(name, logging.ERROR)
+    name = os.environ.get("PIERCE_LOG_LEVEL") or "error"
+    if (level := _LEVELS.get(name.strip().lower())) is None:
+        print(f"warning: PIERCE_LOG_LEVEL {name!r} is not error, info or debug", file=sys.stderr)
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    logger.setLevel(level)
+    logger.setLevel(level or logging.ERROR)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exact minimum transversal by search")
     oracle.add_argument("instance")
-    oracle.add_argument("--kmax", type=int, default=0, help="size cap (default: n)")
+    oracle.add_argument("--kmax", type=int, default=0, help="size cap (default 0: n)")
 
     verify = sub.add_parser("verify", help="recheck a report against its instance")
     verify.add_argument("instance")
@@ -130,6 +132,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.kmax < 0:
+        raise ValueError(f"--kmax must be at least 0 (0 means n), not {args.kmax}")
     instance = load_instance(args.instance)
     k_max = args.kmax if args.kmax > 0 else len(instance.bodies)
     logger.info("searching transversals up to size %d", k_max)

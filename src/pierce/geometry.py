@@ -9,6 +9,7 @@ noted, and all of them are TOL_GEOM.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -205,6 +206,7 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     cx, cy = curve.center
     r = curve.radius
     segs = [(0.0, TWO_PI)]
+    # Scalar libm acos and atan2: numpy's differ in the last bit on some inputs.
     for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
         c = (off - (nx * cx + ny * cy) + TOL_GEOM) / r
         if c >= 1.0:
@@ -311,7 +313,62 @@ def meet_angle(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> fl
     return normalize_angle(lo + 0.5 * (hi - lo))
 
 
-def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
+class Family(tuple):
+    """A family of bodies, packed: the tuple of its bodies, with their
+    stacked arrays. pack makes one; the kernels take either a Family or a
+    sequence of bodies, which they pack. Each array group is built on first
+    use and kept, so a family is stacked once however many kernel calls
+    read it, and a group no call reads is never built (verify's containment
+    over all bodies needs no edges). The kernels do not write to them.
+
+    edges is (verts, nxt, prev, owner). verts stacks the bodies' vertices,
+    body by body. Edge k of a body runs from its vertex k to vertex k + 1
+    (mod m), so edges and vertices share their indices: edge r runs from
+    verts[r] to verts[nxt[r]], prev[r] is the edge before it in its body,
+    and owner[r] is its body's position in the family.
+
+    rows is (normals, limits), the bodies' half-planes on one grid. Every
+    body's edge normals fill the first slots of its row of a (bodies, width)
+    grid, width being the family's most edges, and the other slots hold
+    rows that always pass: normal 0, limit +inf. Flattened, edge e of body
+    j is row j * width + e of normals, (bodies * width, 2), and of limits,
+    (bodies * width, 1), which holds its offset + TOL_GEOM. A point x lies
+    in body j, with body_contains' slack, when normals @ x <= limits holds
+    on all of j's rows.
+    """
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        verts = np.concatenate([body.vertices for body in self])
+        nv = np.array([body.vertices.shape[0] for body in self])
+        end = np.cumsum(nv)
+        start = end - nv
+        nxt = np.arange(1, end[-1] + 1)
+        nxt[end - 1] = start
+        prev = np.arange(-1, end[-1] - 1)
+        prev[start] = end - 1
+        owner = np.repeat(np.arange(len(self)), nv)
+        return verts, nxt, prev, owner
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.array([len(body.offsets) for body in self])
+        width = int(counts.max())
+        real = np.arange(width) < counts[:, None]
+        normals = np.zeros((len(self), width, 2))
+        limits = np.full((len(self), width), np.inf)
+        normals[real] = np.concatenate([body.normals for body in self])
+        limits[real] = np.concatenate([body.offsets for body in self]) + TOL_GEOM
+        return normals.reshape(-1, 2), limits.reshape(-1, 1)
+
+
+def pack(bodies) -> Family:
+    """The bodies as a Family: bodies itself when it is one, so that its
+    arrays are kept, else a new Family of them."""
+    return bodies if isinstance(bodies, Family) else Family(bodies)
+
+
+def candidate_points(bodies: Family | list[ConvexBody]) -> np.ndarray:
     """Body vertices and pairwise edge crossings that can be the lowest
     vertex of a cell of the arrangement, as the rows of a (points, 2) float
     array.
@@ -338,6 +395,8 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     within TOL_GEOM of a common point have no common cell: body_contains'
     slack alone makes them a class, and this list may miss it.
 
+    The vertices and edges are the family's packed edges (see Family), so
+    a body's vertex k is the head of its edge k, after edge k - 1.
     Order: the kept vertices, body by body; then the kept crossings of each
     body pair i < j in (i, j) order, within a pair by i's edge, then j's
     edge. Edges a and b (from s_a along d_a, from s_b along d_b) cross at
@@ -362,23 +421,12 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     """
     if not bodies:
         return np.empty((0, 2))
-    verts = np.concatenate([body.vertices for body in bodies])
-    # Edge k of a body runs from its vertex k to vertex k + 1 (mod m), so
-    # edges and vertices share their indices.
-    nv = np.array([body.vertices.shape[0] for body in bodies])
-    end = np.cumsum(nv)
-    start = end - nv
-    nxt = np.arange(1, end[-1] + 1)
-    nxt[end - 1] = start
-    prev = np.arange(-1, end[-1] - 1)
-    prev[start] = end - 1
-    owner = np.repeat(np.arange(len(bodies)), nv)
+    verts, nxt, prev, owner = pack(bodies).edges
     sx, sy = verts.T
     dx, dy = (verts[nxt] - verts).T
     norm = np.hypot(dx, dy)
     slack, pad = TOL_GEOM * norm, TOL_GEOM / norm
     rises, falls = dy >= -slack, dy <= slack
-    # A body's vertex k is the head of its edge k, after edge k - 1.
     lowest = falls[prev] & rises
 
     fall, rise = np.flatnonzero(falls), np.flatnonzero(rises)
@@ -406,44 +454,33 @@ def candidate_points(bodies: list[ConvexBody]) -> np.ndarray:
     return np.concatenate((verts[lowest], crossings))
 
 
-def containment_matrix(bodies: list[ConvexBody], points) -> np.ndarray:
+def containment_matrix(bodies: Family | list[ConvexBody], points) -> np.ndarray:
     """Bool matrix of shape (len(points), len(bodies)): membership per pair.
 
     points is a (points, 2) array or a sequence of (x, y) pairs.
 
     One batched kernel for the per-body reference (a body's column is
-    all(pts @ normals.T <= offsets + TOL_GEOM, axis=1)). Every body's edge
-    normals fill the first slots of its row of a (bodies, width) grid,
-    width being the family's most edges, and the other slots hold rows
-    that always pass: normal 0, offset +inf. The grid is flattened to one
-    (bodies * width, 2) array. For a block of points, normals @ pts.T
-    compared with offsets + TOL_GEOM is an (edges, points) bool array;
-    reshaped to (bodies, width, points), its AND along the middle axis is
-    the block's membership, transposed into the result. Each product entry
-    is the same two-term dot product as the reference's, but BLAS may pick
-    its kernel by matrix shape, so bit-identity with the reference is what
-    the oracle tests check on the BLAS they run with, not a guarantee for
-    every BLAS build. A block holds BLOCK_CELLS // (bodies * width) points,
-    and at least one, so its (edges, points) temporaries hold at most
-    BLOCK_CELLS cells, or one point's column when that is larger, whatever
-    the point count.
+    all(pts @ normals.T <= offsets + TOL_GEOM, axis=1)) on the family's
+    packed grid of half-plane rows (see Family). For a block of points,
+    normals @ pts.T <= limits is an (edges, points) bool array; reshaped to
+    (bodies, width, points), its AND along the middle axis is the block's
+    membership, transposed into the result. Each product entry is the same
+    two-term dot product as the reference's, but BLAS may pick its kernel
+    by matrix shape, so bit-identity with the reference is what the oracle
+    tests check on the BLAS they run with, not a guarantee for every BLAS
+    build. A block holds BLOCK_CELLS // (bodies * width) points, and at
+    least one, so its (edges, points) temporaries hold at most BLOCK_CELLS
+    cells, or one point's column when that is larger, whatever the point
+    count.
     """
     inside = np.zeros((len(points), len(bodies)), dtype=bool)
     if not len(points) or not bodies:
         return inside
     pts = np.asarray(points, dtype=float)
-    counts = np.array([len(body.offsets) for body in bodies])
-    width = int(counts.max())
-    # Edge e of body j sits in row j * width + e of the stacked arrays.
-    real = np.arange(width) < counts[:, None]
-    normals = np.zeros((len(bodies), width, 2))
-    limits = np.full((len(bodies), width), np.inf)
-    normals[real] = np.concatenate([body.normals for body in bodies])
-    limits[real] = np.concatenate([body.offsets for body in bodies]) + TOL_GEOM
-    normals, limits = normals.reshape(-1, 2), limits.reshape(-1, 1)
+    normals, limits = pack(bodies).rows
     step = max(1, BLOCK_CELLS // normals.shape[0])
     for lo in range(0, len(pts), step):
         block = pts[lo:lo + step]
-        below = (normals @ block.T <= limits).reshape(len(bodies), width, -1)
+        below = (normals @ block.T <= limits).reshape(len(bodies), -1, len(block))
         inside[lo:lo + step] = below.all(axis=1).T
     return inside

@@ -33,6 +33,7 @@ from .geometry import (
     body_curve_arcs,
     candidate_points,
     containment_matrix,
+    pack,
 )
 from .lp import TOL_LP, packing_solve
 from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
@@ -369,36 +370,31 @@ def brute_min_transversal(bodies: list[ConvexBody], k_max: int) -> list[Point2] 
     return None
 
 
-def _interior_point(body: ConvexBody) -> Point2:
-    c = body.vertices.mean(axis=0)
-    return (float(c[0]), float(c[1]))
-
-
 def run_pipeline(
     bodies: list[ConvexBody],
     curve: CurveModel = UNIT_CIRCLE,
     p: int = 2,
 ) -> TransversalReport:
     """Full rounding chain from a family to a verified integer transversal."""
-    if not bodies:
-        raise PipelineError("validate: no bodies supplied")
     timings: dict[str, float] = {}
     flags: dict[str, bool] = {}
 
     t0 = time.perf_counter()
-    arcs_all = [body_curve_arcs(b, curve) for b in bodies]
+    # The candidate stage reads active and the final containment family:
+    # one packed object, stacked once, when every body meets the curve.
+    family = pack(bodies)
+    arcs_all = [body_curve_arcs(b, curve) for b in family]
     filtered = tuple(i for i, arcs in enumerate(arcs_all) if not arcs)
-    met = [(body, arcs) for body, arcs in zip(bodies, arcs_all) if arcs]
-    if not met:
+    if not any(arcs_all):  # an empty family included
         raise PipelineError("validate: no body meets the curve")
-    active, arcs = (list(column) for column in zip(*met))
+    active = pack(b for b, a in zip(family, arcs_all) if a) if filtered else family
     p_eff = max(2, p - len(filtered))
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # For p = 2 verify_p2 only counts edges, so the exact-search cap does not apply.
     if p_eff == 2 or len(active) <= EXACT_INDEPENDENCE_CAP:
-        graph = build_meet_graph(active, curve, arcs=arcs)
+        graph = build_meet_graph(active, curve, arcs=[a for a in arcs_all if a])
         flags["condition_checked"] = True
         flags["condition_holds"] = verify_p2(graph, p_eff)
     else:
@@ -453,8 +449,9 @@ def run_pipeline(
     flags["greedy_within_log_bound"] = (
         len(picks) <= tau_star * (1 + math.log(max(len(active), 1))) + 1
     )
-    transversal = list(picks) + [_interior_point(bodies[i]) for i in filtered]
-    inside = containment_matrix(bodies, transversal)
+    # A filtered body gets its vertex mean, a point inside it.
+    transversal = list(picks) + [tuple(family[i].vertices.mean(axis=0).tolist()) for i in filtered]
+    inside = containment_matrix(family, transversal)
     flags["all_bodies_hit"] = bool(inside.any(axis=0).all())
     timings["greedy"] = time.perf_counter() - t0
 

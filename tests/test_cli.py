@@ -309,3 +309,32 @@ def test_log_level_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PIERCE_LOG_LEVEL", "not-a-level")
     assert cli_run(["oracle", inst_path, "--kmax", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kmax", ["-3", "-1"])
+def test_oracle_rejects_a_negative_kmax(tmp_path, capsys, kmax):
+    inst_path = str(tmp_path / "g.json")
+    save_instance(gallery7(), inst_path)
+    assert cli_run(["oracle", inst_path, "--kmax", kmax]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: --kmax must be at least 0 (0 means n), not {kmax}"]
+    # 0 keeps meaning n.
+    assert cli_run(["oracle", inst_path, "--kmax", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize("value", ["verbose", "WARN", "0"])
+def test_an_unknown_log_level_is_named_in_one_warning(tmp_path, monkeypatch, capsys, value):
+    inst_path = str(tmp_path / "g.json")
+    save_instance(gallery7(), inst_path)
+    monkeypatch.setenv("PIERCE_LOG_LEVEL", value)
+    assert cli_run(["oracle", inst_path]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == "3"
+    assert err.splitlines() == [
+        f"warning: PIERCE_LOG_LEVEL '{value}' is not error, info or debug"]
+    for known in ("error", " Info", "DEBUG", ""):
+        monkeypatch.setenv("PIERCE_LOG_LEVEL", known)
+        assert cli_run(["oracle", inst_path]) == 0
+        assert "warning" not in capsys.readouterr().err

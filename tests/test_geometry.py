@@ -15,6 +15,7 @@ from pierce.geometry import (
     TWO_PI,
     ConvexBody,
     CurveModel,
+    Family,
     UNIT_CIRCLE,
     body_contains,
     body_curve_arcs,
@@ -23,6 +24,7 @@ from pierce.geometry import (
     meet_angle,
     meet_matrix,
     normalize_angle,
+    pack,
 )
 from pierce.instances import gallery7, gen_pairwise
 from pierce.pipeline import brute_min_transversal, candidate_classes
@@ -618,6 +620,62 @@ def test_containment_matrix_memory_stays_within_a_block_budget():
     # points instead of this array would add about 4.4 MB for its conversion.
     budget = 8 << 20
     assert peak < inside.nbytes + budget
+
+
+def _same_on_a_list_and_its_family(bodies):
+    # The kernels pack a list themselves, so a list and its Family must give
+    # the same bits.
+    family = pack(bodies)
+    assert type(family) is Family and pack(family) is family
+    assert list(family) == list(bodies)
+    got, want = candidate_points(family), candidate_points(bodies)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for pts in (want, _probe_points(bodies)):
+        assert np.array_equal(containment_matrix(family, pts), containment_matrix(bodies, pts))
+    a, b = candidate_classes(family), candidate_classes(bodies)
+    assert a.points == b.points and np.array_equal(a.matrix(), b.matrix())
+
+
+@pytest.mark.parametrize("bodies", [
+    gallery7().bodies,
+    [ConvexBody.from_vertices(i, v) for i, v in enumerate(
+        _pg_union(3, [(0.0, range(13)), (0.1, [5, 0, 7, 1, 12, 3, 2, 9, 4, 11, 6, 10, 8])]))],
+], ids=["gallery7", "pg-union"])
+def test_kernels_read_a_list_and_its_family_alike(bodies):
+    _same_on_a_list_and_its_family(bodies)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_mixed_shape, min_size=1, max_size=6))
+def test_kernels_read_a_drawn_list_and_its_family_alike(shapes):
+    _same_on_a_list_and_its_family([ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)])
+
+
+def test_a_family_stacks_its_bodies_in_order():
+    bodies = gallery7().bodies
+    family = pack(bodies)
+    verts, nxt, prev, owner = family.edges
+    assert family.edges is family.edges
+    assert verts.tolist() == [v for body in bodies for v in body.vertices.tolist()]
+    # Edge r runs from verts[r] to verts[nxt[r]] within its body, after edge prev[r].
+    for r in range(len(verts)):
+        body = bodies[owner[r]]
+        k = r - int(np.flatnonzero(owner == owner[r])[0])
+        m = len(body.vertices)
+        assert verts[nxt[r]].tolist() == body.vertices[(k + 1) % m].tolist()
+        assert nxt[prev[r]] == r
+    normals, limits = family.rows
+    width = max(len(body.offsets) for body in bodies)
+    assert normals.shape == (len(bodies) * width, 2) and limits.shape == (len(bodies) * width, 1)
+    for j, body in enumerate(bodies):
+        rows = slice(j * width, j * width + len(body.offsets))
+        assert normals[rows].tolist() == body.normals.tolist()
+        assert limits[rows, 0].tolist() == (body.offsets + geometry.TOL_GEOM).tolist()
+        assert (normals[rows.stop:(j + 1) * width] == 0).all()
+        assert (limits[rows.stop:(j + 1) * width] == np.inf).all()
+    empty = pack([])
+    assert candidate_points(empty).shape == (0, 2)
+    assert containment_matrix(empty, [(0.0, 0.0)]).shape == (1, 0)
 
 
 def _box(x0, x1, y0, y1, turn=0):

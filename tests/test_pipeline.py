@@ -1,5 +1,6 @@
 """Rounding chain: classes, dual programs, rationalization, heavy point, greedy."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from pierce.geometry import (
     TOL_GEOM,
     TWO_PI,
     ConvexBody,
+    Family,
     UNIT_CIRCLE,
     candidate_points,
     containment_matrix,
@@ -166,6 +168,32 @@ def test_candidate_classes_sort_by_the_integer_key_of_their_body_sets(monkeypatc
     want = sorted(key for key in lowest if not any(key != o and key & o == key for o in lowest))
     assert [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in cc.matrix()] == want
     assert list(cc.points) == [lowest[key] for key in want]
+
+
+def test_a_solve_and_its_verify_stack_each_family_once(monkeypatch):
+    # Count the builds of each packed array group.
+    built = []
+    for name in ("edges", "rows"):
+        def build(family, name=name, stack=getattr(Family, name).func):
+            built.append(name)
+            return stack(family)
+        counted = functools.cached_property(build)
+        counted.__set_name__(Family, name)
+        monkeypatch.setattr(Family, name, counted)
+    inst = gallery7()
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert report.filtered == () and sorted(built) == ["edges", "rows"]
+    # Verify stacks the weighted bodies' edges and every body's rows.
+    built.clear()
+    assert verify_report(inst, report.to_dict()) == []
+    assert sorted(built) == ["edges", "rows"]
+    # A body that misses the curve: the active bodies are packed apart from
+    # the whole family, whose rows the final containment reads.
+    built.clear()
+    far = ConvexBody.from_vertices(len(inst.bodies), [(5, 5), (6, 5), (5, 6)])
+    report = run_pipeline([*inst.bodies, far], inst.curve, inst.p)
+    assert report.filtered == (len(inst.bodies),) and report.flags["all_bodies_hit"]
+    assert sorted(built) == ["edges", "rows", "rows"]
 
 
 def test_maximal_rows_against_bruteforce():
