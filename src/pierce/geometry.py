@@ -3,8 +3,16 @@
 Angles are radians normalized to [0, 2*pi). A body's arcs on the circle are
 kept as sorted (lo, hi) pieces of [0, 2*pi], and a list that holds angle 0
 holds it at both ends, with a piece starting at 0 and a piece ending at
-2*pi. All tolerances are absolute and expressed in coordinate units unless
-noted, and all of them are TOL_GEOM.
+2*pi.
+
+The kernels run in the curve's frame, where the curve is the unit circle:
+CurveModel.to_unit maps a family there once, where the pipeline and verify
+take it, and from_unit maps output points back. So the one tolerance,
+TOL_GEOM, is read in units of the curve's radius, and an answer does not
+depend on where the family sits or how large it is, as long as the input
+carries the bits the tolerance needs (CurveModel.check_range, which
+Instance runs). from_vertices, which sees no curve, applies it in the
+input's units.
 """
 
 import math
@@ -84,6 +92,51 @@ class CurveModel:
             self.center[0] + self.radius * math.cos(theta),
             self.center[1] + self.radius * math.sin(theta),
         )
+
+    def check_range(self, bodies) -> None:
+        """Raise a ValueError, in one line naming the coordinate, its ulp
+        and TOL_GEOM * radius, when the largest coordinate of the bodies'
+        vertices and the center has an ulp above TOL_GEOM * radius / 8.
+
+        The kernels read TOL_GEOM in units of the radius (to_unit), and no
+        map restores bits the input lacks: past this bound a coordinate's
+        rounding alone is over an eighth of the tolerance, and a solve and
+        its verify can read one point's containment apart. The eighth is a
+        margin: on the benchmark's families, shifted far from the origin,
+        no answer moved at an ulp of 0.93 TOL_GEOM * radius, and some did
+        at 1.86.
+        """
+        coords = np.concatenate([self.center, *(b.vertices.ravel() for b in bodies)])
+        top = float(coords[np.argmax(np.abs(coords))])
+        if math.ulp(top) > TOL_GEOM * self.radius / 8:
+            raise ValueError(f"coordinate {top!r} has an ulp of {math.ulp(top):.3g}, over an "
+                             f"eighth of TOL_GEOM*r = {TOL_GEOM * self.radius:.3g}")
+
+    def to_unit(self, bodies) -> list["ConvexBody"]:
+        """The bodies in the curve's frame, where the curve is the unit
+        circle: each vertex v becomes (v - center) / radius. A shift and a
+        uniform scale keep the normals, so a body keeps them and needs no
+        new checks, and offsets[i] = normals[i] . vertices[i] again. The
+        unit circle's frame is the input's own, so bodies come back as
+        they are."""
+        if self == UNIT_CIRCLE:
+            return bodies
+        units = [(b, self.to_unit_points(b.vertices)) for b in bodies]
+        return [ConvexBody(b.id, u, b.normals, np.einsum("ij,ij->i", b.normals, u))
+                for b, u in units]
+
+    def to_unit_points(self, points: np.ndarray) -> np.ndarray:
+        """A (k, 2) float array of points in the curve's frame, as to_unit
+        maps vertices."""
+        return points if self == UNIT_CIRCLE else (points - self.center) / self.radius
+
+    def from_unit(self, points) -> list[Point2]:
+        """Points of the curve's frame back in the input's: u becomes
+        center + radius * u. The unit circle's come back as they are."""
+        if self == UNIT_CIRCLE:
+            return list(points)
+        (cx, cy), r = self.center, self.radius
+        return [(cx + r * x, cy + r * y) for x, y in points]
 
 
 UNIT_CIRCLE = CurveModel((0.0, 0.0), 1.0)
@@ -173,7 +226,8 @@ def _signed_area2(arr: np.ndarray) -> float:
 
 
 def body_contains(body: ConvexBody, pt: Point2) -> bool:
-    """Half-plane membership test with an absolute slack of TOL_GEOM.
+    """Half-plane membership test with a slack of TOL_GEOM in the body's
+    coordinates: in units of the radius for a body in the curve's frame.
 
     The slack is per edge, so past a vertex of angle a it reaches about
     TOL_GEOM / sin(a) beyond the body.
@@ -182,8 +236,9 @@ def body_contains(body: ConvexBody, pt: Point2) -> bool:
     return bool(np.all(body.normals @ p <= body.offsets + TOL_GEOM))
 
 
-def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, float]]:
-    """The curve's points inside the body, as sorted pieces (lo, hi) of [0, 2*pi].
+def body_curve_arcs(body: ConvexBody) -> list[tuple[float, float]]:
+    """The unit circle's points inside the body, as sorted pieces (lo, hi)
+    of [0, 2*pi]: the body is in the curve's frame (CurveModel.to_unit).
 
     Membership is body_contains', with its slack of TOL_GEOM. The pieces
     have 0 <= lo <= hi <= 2*pi, and each lo is greater than the hi before
@@ -193,8 +248,9 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     point 0 alone is (0, 0) and (2*pi, 2*pi). No pieces means the body
     misses the curve.
 
-    Each polygon edge constrains the angle theta through
-    cos(theta - phi) <= c, an arc complement from s to e, cut into pieces
+    Each polygon edge, of normal (cos phi, sin phi) and offset off,
+    constrains the angle theta through cos(theta - phi) <= c, with
+    c = off + TOL_GEOM, an arc complement from s to e, cut into pieces
     that hold 0 at both ends when they hold it at all: (s, 2*pi) and
     (0, e - 2*pi) through 0, (0, e) and (2*pi, 2*pi) when s is 0,
     (0, 0) and (s, 2*pi) when e is 2*pi, and (s, e) otherwise. The running
@@ -203,12 +259,10 @@ def body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, fl
     pieces do, so the overlaps keep the rule. Pieces may touch or repeat
     until _merged merges them once at the end.
     """
-    cx, cy = curve.center
-    r = curve.radius
     segs = [(0.0, TWO_PI)]
     # Scalar libm acos and atan2: numpy's differ in the last bit on some inputs.
     for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
-        c = (off - (nx * cx + ny * cy) + TOL_GEOM) / r
+        c = off + TOL_GEOM
         if c >= 1.0:
             continue
         if c <= -1.0:

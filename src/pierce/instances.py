@@ -52,6 +52,7 @@ class Instance:
         repeated = [i for i, k in Counter(b.id for b in self.bodies).items() if k > 1]
         if repeated:
             raise ValueError(f"body ids must be distinct; repeated: {repeated}")
+        self.curve.check_range(self.bodies)
 
     def to_dict(self) -> dict:
         return {
@@ -171,7 +172,7 @@ def gen_pairwise(n: int, seed: int = 0) -> Instance:
             lo = float(rng.uniform(0.0, TWO_PI))
             span = float(rng.uniform(math.pi + 0.05, TWO_PI - 0.3))
             bodies.append(ConvexBody.from_vertices(i, _ring_points(lo, span)))
-        graph = build_meet_graph(bodies, UNIT_CIRCLE)
+        graph = build_meet_graph(bodies)
         if graph.edge_count == n * (n - 1) // 2:
             meta = {"kind": "pairwise", "n": n, "seed": seed}
             return Instance(bodies, 2, UNIT_CIRCLE, meta)

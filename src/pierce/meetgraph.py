@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, CurveModel, body_curve_arcs, meet_matrix
+from .geometry import UNIT_CIRCLE, ConvexBody, CurveModel, body_curve_arcs, meet_matrix
 
 EXACT_INDEPENDENCE_CAP = 40
 
@@ -43,16 +43,17 @@ class ColorGraph:
 
 def build_meet_graph(
     bodies: list[ConvexBody],
-    curve: CurveModel,
+    curve: CurveModel = UNIT_CIRCLE,
     arcs: list[list[tuple[float, float]]] | None = None,
 ) -> ColorGraph:
     """Edge (i, j) whenever bodies i and j share a point of the curve.
 
-    arcs is the bodies' body_curve_arcs when the caller already has them;
-    the edges are their meet_matrix.
+    The edges are the meet_matrix of the bodies' body_curve_arcs in the
+    curve's frame (CurveModel.to_unit); arcs is those lists when the
+    caller already has them.
     """
     if arcs is None:
-        arcs = [body_curve_arcs(b, curve) for b in bodies]
+        arcs = [body_curve_arcs(b) for b in curve.to_unit(bodies)]
     return ColorGraph(meet_matrix(arcs))
 
 

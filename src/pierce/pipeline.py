@@ -12,7 +12,10 @@ containing any point lie within some maximal class (candidate_points keeps
 a vertex of every cell; see its docstring), so their maximum is the most
 copies any point covers.  Every stage's claim is re-checked and the outcome
 recorded in the report flags rather than trusted; the report carries the LP
-certificate so that verify_report can prove tau* without a solver.
+certificate so that verify_report can prove tau* without a solver.  The
+chain runs in the curve's frame, which validate, the step that
+verify_report shares, sets up; the report's points are mapped back to the
+input's coordinates.
 """
 
 from __future__ import annotations
@@ -370,31 +373,47 @@ def brute_min_transversal(bodies: list[ConvexBody], k_max: int) -> list[Point2] 
     return None
 
 
+def validate(bodies: list[ConvexBody], curve: CurveModel, p: int):
+    """The step that solve and verify share: (family, filtered, active,
+    arcs, p_eff).
+
+    family is the bodies in the curve's frame (CurveModel.to_unit),
+    packed; filtered the indices of the bodies that miss the curve; active
+    the others, packed, and arcs their body_curve_arcs; p_eff is p less
+    one per filtered body, and at least 2. The candidate stage reads active
+    and the final containment family: one packed object, stacked once,
+    when every body meets the curve.
+    """
+    family = pack(curve.to_unit(bodies))
+    arcs = [body_curve_arcs(b) for b in family]
+    filtered = tuple(i for i, a in enumerate(arcs) if not a)
+    active = pack(b for b, a in zip(family, arcs) if a) if filtered else family
+    return family, filtered, active, [a for a in arcs if a], max(2, p - len(filtered))
+
+
 def run_pipeline(
     bodies: list[ConvexBody],
     curve: CurveModel = UNIT_CIRCLE,
     p: int = 2,
 ) -> TransversalReport:
-    """Full rounding chain from a family to a verified integer transversal."""
+    """Full rounding chain from a family to a verified integer transversal.
+
+    Every stage runs in the curve's frame (see validate), and the report's
+    points are mapped back to the input's (CurveModel.from_unit).
+    """
     timings: dict[str, float] = {}
     flags: dict[str, bool] = {}
 
     t0 = time.perf_counter()
-    # The candidate stage reads active and the final containment family:
-    # one packed object, stacked once, when every body meets the curve.
-    family = pack(bodies)
-    arcs_all = [body_curve_arcs(b, curve) for b in family]
-    filtered = tuple(i for i, arcs in enumerate(arcs_all) if not arcs)
-    if not any(arcs_all):  # an empty family included
+    family, filtered, active, arcs, p_eff = validate(bodies, curve, p)
+    if not active:  # an empty family included
         raise PipelineError("validate: no body meets the curve")
-    active = pack(b for b, a in zip(family, arcs_all) if a) if filtered else family
-    p_eff = max(2, p - len(filtered))
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # For p = 2 verify_p2 only counts edges, so the exact-search cap does not apply.
     if p_eff == 2 or len(active) <= EXACT_INDEPENDENCE_CAP:
-        graph = build_meet_graph(active, curve, arcs=[a for a in arcs_all if a])
+        graph = build_meet_graph(active, arcs=arcs)
         flags["condition_checked"] = True
         flags["condition_holds"] = verify_p2(graph, p_eff)
     else:
@@ -455,18 +474,20 @@ def run_pipeline(
     flags["all_bodies_hit"] = bool(inside.any(axis=0).all())
     timings["greedy"] = time.perf_counter() - t0
 
+    # The report's points, back in the input's frame. A transversal is a
+    # set, so a point repeated, here or by the map, is kept once.
     return TransversalReport(
-        transversal=tuple(transversal),
+        transversal=tuple(dict.fromkeys(curve.from_unit(transversal))),
         tau_star=tau_star,
         multiplicities=m,
         denominator=d,
-        heavy_point=z,
+        heavy_point=curve.from_unit([z])[0],
         heavy_coverage=covered,
         epsilon=epsilon,
         multiset_size=total,
         p_effective=p_eff,
         filtered=filtered,
-        cover_points=tuple(classes.points[j] for j in support),
+        cover_points=tuple(curve.from_unit(classes.points[j] for j in support)),
         cover_weights=cover_weights,
         packing=packing,
         flags=flags,

@@ -18,12 +18,13 @@ program.  It trusts nothing in the file beyond the numbers it is checking.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 
-from .geometry import body_curve_arcs, candidate_points, containment_matrix
+from .geometry import candidate_points, containment_matrix
 from .instances import Instance, _is_int, _is_number, _is_point
-from .pipeline import TransversalReport, certificate_failures
+from .pipeline import TransversalReport, certificate_failures, validate
 
 
 def _is_list_of(ok):
@@ -102,24 +103,25 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     family's, with the same floats, so every row read here is one of the
     full list's rows; where rows tie for the heaviest load, the one named
     may differ from the full list's first.
+
+    Like solve, verify runs in the curve's frame: pipeline.validate maps
+    the instance's bodies there, and CurveModel.to_unit_points the report's
+    points, which are in the input's frame. A transversal is a set, so one
+    that repeats a point fails.
     """
     failures = _shape_failures(report)
     if failures:
         return failures
     tau_star = float(report["tau_star"])
 
-    bodies = instance.bodies
-    meets = [bool(body_curve_arcs(b, instance.curve)) for b in bodies]
-    filtered = [i for i, ok in enumerate(meets) if not ok]
-    claimed = report["filtered"]
+    bodies, filtered, active, _, p_eff = validate(instance.bodies, instance.curve, instance.p)
+    claimed, filtered = report["filtered"], list(filtered)
     if claimed != filtered:
         failures.append(f"filtered {claimed}, but the bodies missing the curve are {filtered}")
-    p_eff = max(2, instance.p - len(filtered))
     if report["p_effective"] != p_eff:
         failures.append(
             f"p_effective {report['p_effective']} != max(2, p - {len(filtered)}) = {p_eff}"
         )
-    active = [b for b, ok in zip(bodies, meets) if ok]
     if not active:
         return failures + ["no body meets the curve"]
 
@@ -148,14 +150,15 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     candidates = candidate_points(weighted or active)
     z = report["z"]
     given = report["transversal"] + lp["cover_points"] + ([] if z is None else [z])
-    # One containment call for every point checked: the transversal against
-    # all bodies, the rest read on the active bodies' columns.
-    inside = containment_matrix(
-        bodies, np.concatenate([np.asarray(given, dtype=float).reshape(-1, 2), candidates]))
+    # One containment call for every point checked, in the curve's frame:
+    # the transversal against all bodies, the rest read on the active
+    # bodies' columns.
+    given = instance.curve.to_unit_points(np.asarray(given, dtype=float).reshape(-1, 2))
+    inside = containment_matrix(bodies, np.concatenate([given, candidates]))
     ends = np.cumsum([len(report["transversal"]), len(lp["cover_points"]), z is not None])
     hit = inside[:ends[0]]
     if filtered:
-        inside = inside[:, meets]
+        inside = np.delete(inside, filtered, axis=1)
     cover_rows, z_row, rows = inside[ends[0]:ends[1]], inside[ends[1]:ends[2]], inside[ends[2]:]
 
     if not report["transversal"]:
@@ -164,6 +167,10 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         missed = [bodies[i].id for i in np.flatnonzero(~hit.any(axis=0))]
         if missed:
             failures.append(f"transversal misses bodies {missed}")
+        points = list(map(tuple, report["transversal"]))
+        if len(set(points)) < len(points):
+            repeated = [list(pt) for pt, k in Counter(points).items() if k > 1]
+            failures.append(f"transversal repeats points {repeated}")
 
     n_cover, n_packing = len(lp["cover_weights"]), len(lp["packing"])
     if n_cover != len(cover_rows):

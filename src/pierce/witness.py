@@ -7,12 +7,11 @@ bodies' arcs and their meet_matrix, and pierce stats prints its size and
 how many colors are spread out. The paper's combinatorics run on entry
 indices of the sorted list; distances there are index distances, never
 angles. is_spread_out takes one color's occurrence indices and the list
-size for every dimension d: circular on the plane's circle and on the
-closed curves of even d, linear on the open curves of odd d, with the
-separator tuple size in place of four. The paper's other lemmas on the
-list (interval covers, separator quadruples and their counts, the rate
-bounds) bound the transversal but do not build it, so they live beside
-their tests, in tests/lemmas.py. The pipeline's heavy point does not come
+size, and reads circular distances, as on the plane's circle. The paper's
+other lemmas on the list (interval covers, separator quadruples and their
+counts, the rate bounds, and the spread-out test of dimension d) bound the
+transversal but do not build it, so they live beside their tests, in
+tests/lemmas.py. The pipeline's heavy point does not come
 from here: it is the heaviest candidate class (see run_pipeline).
 """
 
@@ -93,19 +92,6 @@ def spread_threshold(alpha: float, n: int) -> int:
     return max(1, math.ceil(round(alpha * n, 9)))
 
 
-def separator_tuple_size(d: int) -> int:
-    """Points per separator tuple in dimension d: (d^2+d+2)/2 even, (d^2+1)/2 odd.
-
-    Both numerators are even for their parity, so the division is exact.
-    d=2 gives 4, the planar quadruple.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if d % 2 == 0:
-        return (d * d + d + 2) // 2
-    return (d * d + 1) // 2
-
-
 def _dichotomy_input(occ, n: int, alpha: float) -> list[int]:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -117,39 +103,28 @@ def _dichotomy_input(occ, n: int, alpha: float) -> list[int]:
     return occ
 
 
-def _unwrapped(occ: list[int], n: int, circular: bool):
-    # The linear order, or on the cycle each rotation that starts at an
-    # occurrence, unwrapped past n; some optimal chain or cover starts at one.
-    if not circular:
-        yield occ
-        return
-    for s in range(len(occ)):
-        yield occ[s:] + [v + n for v in occ[:s]]
+def is_spread_out(occ, n: int, alpha: float) -> bool:
+    """True when four occurrences, the planar separator quadruple, sit
+    pairwise >= ceil(alpha*n) apart on the cycle.
 
-
-def is_spread_out(occ, n: int, alpha: float, d: int = 2) -> bool:
-    """True when enough occurrences sit pairwise >= ceil(alpha*n) apart.
-
-    occ are one color's entry indices in a list of n entries. Even d reads
-    circular distances and needs j = separator_tuple_size(d) occurrences,
-    four at d = 2; odd d reads linear distances and needs j + 1. The greedy
-    chain (the first occurrence, then each earliest one at distance >= t
-    from the last) is exact on a line; on the cycle it runs from every
+    occ are one color's entry indices in a list of n entries, and the
+    distances are circular. The greedy chain (the first occurrence, then
+    each earliest one at distance >= t from the last) runs from every
     anchor and also needs the wrap gap back to the anchor >= t, since
     points are pairwise far exactly when their consecutive gaps are.
     """
     occ = _dichotomy_input(occ, n, alpha)
-    circular = d % 2 == 0
-    j = separator_tuple_size(d)
-    want = j if circular else j + 1
     t = spread_threshold(alpha, n)
-    for seq in _unwrapped(occ, n, circular):
+    # Each rotation of the cycle that starts at an occurrence, unwrapped
+    # past n; some optimal chain starts at one.
+    for s in range(len(occ)):
+        seq = occ[s:] + [v + n for v in occ[:s]]
         chain = seq[:1]
         for v in seq[1:]:
             if v - chain[-1] >= t:
                 chain.append(v)
-                if len(chain) == want:
+                if len(chain) == 4:
                     break
-        if len(chain) == want and (not circular or chain[0] + n - chain[-1] >= t):
+        if len(chain) == 4 and chain[0] + n - chain[-1] >= t:
             return True
     return False

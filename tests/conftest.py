@@ -11,7 +11,6 @@ from pierce.geometry import (
     TOL_GEOM,
     TWO_PI,
     ConvexBody,
-    CurveModel,
     Point2,
     containment_matrix,
     normalize_angle,
@@ -20,9 +19,9 @@ from pierce import lp
 from pierce.highdim import _pseudo_divmod
 from pierce.lp import PIVOT_TOL, TOL_LP, LPSolution
 from pierce.meetgraph import ColorGraph
-from pierce.witness import WitnessList, separator_tuple_size, spread_threshold
+from pierce.witness import WitnessList, spread_threshold
 
-from lemmas import cover_width, segment_intersection
+from lemmas import cover_width, segment_intersection, separator_tuple_size
 
 NUDGE_EPS = 1e-6
 
@@ -128,7 +127,7 @@ def circ_distance(a: int, b: int, n: int) -> int:
 
 
 def brute_spread(occ, n: int, alpha: float, d: int = 2) -> bool:
-    """is_spread_out by enumeration: some separator_tuple_size(d) occurrences
+    """is_spread_out_d by enumeration: some separator_tuple_size(d) occurrences
     (one more for odd d) pairwise >= spread_threshold(alpha, n) apart, in
     circular distance for even d and linear distance for odd d."""
     j = separator_tuple_size(d)
@@ -326,13 +325,11 @@ def reference_meet_angle(a: list[tuple[float, float]],
     return normalize_angle(start + 0.5 * length)
 
 
-def reference_body_curve_arcs(body: ConvexBody, curve: CurveModel) -> list[tuple[float, float]]:
+def reference_body_curve_arcs(body: ConvexBody) -> list[tuple[float, float]]:
     """body_curve_arcs with one reference_intersection per cutting edge."""
-    cx, cy = curve.center
-    r = curve.radius
     arcs = [(0.0, TWO_PI)]
     for n, off in zip(body.normals, body.offsets):
-        c = (off - (n[0] * cx + n[1] * cy) + TOL_GEOM) / r
+        c = off + TOL_GEOM
         if c >= 1.0:
             continue
         if c <= -1.0:

@@ -6,8 +6,9 @@ quadruple pierces, its piercing point, exact piercing counts and their
 mean), the short-interval side of the spread-out dichotomy, the rate
 bounds, the neighbor-degree observation on the meet graph, points of the
 higher-dimensional curves, and the segment crossing that the reference
-candidates use. pierce.witness keeps the witness list and is_spread_out,
-which pierce stats prints.
+candidates use. pierce.witness keeps the witness list and the planar
+is_spread_out, which pierce stats prints; is_spread_out_d, its form for
+dimension d, lives here with separator_tuple_size.
 """
 
 import itertools
@@ -29,14 +30,7 @@ from pierce.geometry import (
 )
 from pierce.highdim import MOMENT, CurveSpecD
 from pierce.meetgraph import ColorGraph
-from pierce.witness import (
-    WitnessList,
-    _dichotomy_input,
-    _unwrapped,
-    is_spread_out,
-    separator_tuple_size,
-    witness_list,
-)
+from pierce.witness import WitnessList, _dichotomy_input, spread_threshold, witness_list
 
 
 class DegenerateQuadrupleError(PierceError):
@@ -91,9 +85,63 @@ def max_neighbor_degree_sum(graph: ColorGraph) -> tuple[int, int]:
 
 
 def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessList:
-    """One witness per body pair whose curve arcs share a point."""
-    arcs = [body_curve_arcs(b, curve) for b in bodies]
+    """One witness per body pair whose curve arcs share a point, in the
+    curve's frame."""
+    arcs = [body_curve_arcs(b) for b in curve.to_unit(bodies)]
     return witness_list(arcs, meet_matrix(arcs))
+
+
+def separator_tuple_size(d: int) -> int:
+    """Points per separator tuple in dimension d: (d^2+d+2)/2 even, (d^2+1)/2 odd.
+
+    Both numerators are even for their parity, so the division is exact.
+    d=2 gives 4, the planar quadruple.
+    """
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    if d % 2 == 0:
+        return (d * d + d + 2) // 2
+    return (d * d + 1) // 2
+
+
+def _unwrapped(occ: list[int], n: int, circular: bool):
+    # The linear order, or on the cycle each rotation that starts at an
+    # occurrence, unwrapped past n; some optimal chain or cover starts at one.
+    if not circular:
+        yield occ
+        return
+    for s in range(len(occ)):
+        yield occ[s:] + [v + n for v in occ[:s]]
+
+
+def is_spread_out_d(occ, n: int, alpha: float, d: int = 2) -> bool:
+    """pierce.witness.is_spread_out in dimension d: True when enough
+    occurrences sit pairwise >= ceil(alpha*n) apart.
+
+    occ are one color's entry indices in a list of n entries. Even d reads
+    circular distances, on the closed curves of even d, and needs
+    j = separator_tuple_size(d) occurrences, four at d = 2; odd d reads
+    linear distances, on the open curves of odd d, and needs j + 1. The
+    greedy chain (the first occurrence, then each earliest one at distance
+    >= t from the last) is exact on a line; on the cycle it runs from every
+    anchor and also needs the wrap gap back to the anchor >= t, since
+    points are pairwise far exactly when their consecutive gaps are.
+    """
+    occ = _dichotomy_input(occ, n, alpha)
+    circular = d % 2 == 0
+    j = separator_tuple_size(d)
+    want = j if circular else j + 1
+    t = spread_threshold(alpha, n)
+    for seq in _unwrapped(occ, n, circular):
+        chain = seq[:1]
+        for v in seq[1:]:
+            if v - chain[-1] >= t:
+                chain.append(v)
+                if len(chain) == want:
+                    break
+        if len(chain) == want and (not circular or chain[0] + n - chain[-1] >= t):
+            return True
+    return False
 
 
 def cover_width(alpha: float, n: int) -> int:
@@ -107,7 +155,7 @@ IndexInterval = tuple[int, int]
 def interval_cover(occ, n: int, alpha: float, d: int = 2) -> list[IndexInterval] | None:
     """Fewest intervals of index width <= floor(alpha*n) covering occ, or None.
 
-    The complement of is_spread_out: None when the color is spread out, or
+    The complement of is_spread_out_d: None when the color is spread out, or
     when the fewest intervals exceed the limit, j = separator_tuple_size(d)
     for odd d (linear) or j - 1 for even d (circular), three at d = 2.
     Intervals are (first, last) occurrence pairs. The greedy cover (each
@@ -119,7 +167,7 @@ def interval_cover(occ, n: int, alpha: float, d: int = 2) -> list[IndexInterval]
     cannot fire while a cover may still need j or more intervals, and None
     is returned for that case too.
     """
-    if is_spread_out(occ, n, alpha, d):
+    if is_spread_out_d(occ, n, alpha, d):
         return None
     occ = _dichotomy_input(occ, n, alpha)
     circular = d % 2 == 0

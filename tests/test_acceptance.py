@@ -32,6 +32,7 @@ from lemmas import (
     piercing_count_exact,
     piercing_point,
     quadruple_pierces,
+    separator_tuple_size,
 )
 from pierce import meetgraph
 from pierce.geometry import (
@@ -54,7 +55,6 @@ from pierce.pipeline import (
 )
 from pierce.witness import (
     is_spread_out,
-    separator_tuple_size,
     spread_threshold,
 )
 

@@ -258,6 +258,25 @@ def test_repeated_body_ids_are_an_input_error(tmp_path, capsys):
     assert "repeated: [5]" in capsys.readouterr().err
 
 
+def test_solve_and_verify_reject_coordinates_past_the_range_bound(tmp_path, capsys):
+    # A report of the unshifted family, so that verify has one to read.
+    inst_path, rep_path = tmp_path / "far.json", str(tmp_path / "r.json")
+    save_instance(gallery7(), str(tmp_path / "g.json"))
+    assert cli_run(["solve", str(tmp_path / "g.json"), "-o", rep_path]) == 0
+    data = gallery7().to_dict()
+    data["curve"]["center"] = [1e7, 0.0]
+    for body in data["bodies"]:
+        body["vertices"] = [[x + 1e7, y] for x, y in body["vertices"]]
+    inst_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for argv in (["solve", str(inst_path)], ["verify", str(inst_path), rep_path]):
+        assert cli_run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: coordinate 10000001.0 has an ulp of 1.86e-09, over an "
+                              "eighth of TOL_GEOM*r = 1e-09")
+
+
 @pytest.mark.parametrize("edit, error", [
     (lambda d: {k: v for k, v in d.items() if k != "bodies"}, "instance has no 'bodies' key"),
     (lambda d: [d], "instance is not a JSON object"),

@@ -198,7 +198,7 @@ def test_containment_margin_signs():
 
 def test_body_curve_arcs_slab():
     slab = ConvexBody.from_vertices(0, [(-2, -0.5), (2, -0.5), (2, 0.5), (-2, 0.5)])
-    arcs = body_curve_arcs(slab, UNIT_CIRCLE)
+    arcs = body_curve_arcs(slab)
     # The arc through 0 is the first and the last piece.
     want = [(0.0, math.pi / 6), (5 * math.pi / 6, 7 * math.pi / 6), (11 * math.pi / 6, TWO_PI)]
     assert len(arcs) == 3
@@ -209,14 +209,14 @@ def test_body_curve_arcs_slab():
 
 def test_body_curve_arcs_extremes():
     far = ConvexBody.from_vertices(0, [(10, 10), (11, 10), (10.5, 11)])
-    assert body_curve_arcs(far, UNIT_CIRCLE) == []
+    assert body_curve_arcs(far) == []
 
     big = square(1, -3.0, -3.0, side=6.0)
-    assert body_curve_arcs(big, UNIT_CIRCLE) == [(0.0, TWO_PI)]
+    assert body_curve_arcs(big) == [(0.0, TWO_PI)]
 
     # A chord-shaped sliver completely off the circle yields nothing.
     outside = ConvexBody.from_vertices(2, [(1.2, -0.1), (1.4, -0.1), (1.4, 0.1), (1.2, 0.1)])
-    assert body_curve_arcs(outside, UNIT_CIRCLE) == []
+    assert body_curve_arcs(outside) == []
 
 
 def test_body_curve_arcs_against_sampling():
@@ -226,7 +226,7 @@ def test_body_curve_arcs_against_sampling():
         radius = float(rng.uniform(0.3, 2.2))
         center = (float(rng.uniform(-1.2, 1.2)), float(rng.uniform(-1.2, 1.2)))
         body = regular_polygon(trial, m, radius, center, phase=float(rng.uniform(0, TWO_PI)))
-        arcs = body_curve_arcs(body, UNIT_CIRCLE)
+        arcs = body_curve_arcs(body)
         for t in np.linspace(0.0, TWO_PI, 700, endpoint=False):
             t = float(t)
             pt = UNIT_CIRCLE.point_at(t)
@@ -315,7 +315,7 @@ def test_meet_angle_bitwise_on_bench_families():
     inst = gallery7()
     families = [inst.bodies, gen_pairwise(12, 3).bodies]
     for bodies in families:
-        arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
+        arcs = [body_curve_arcs(b) for b in bodies]
         assert _pairwise_meets(arcs, meet_angle).tobytes() == _pairwise_meets(arcs).tobytes()
 
 
@@ -339,7 +339,7 @@ def test_meet_matrix_is_where_meet_angle_is_defined(arcs, cells):
 
 def test_meet_matrix_bitwise_on_bench_families():
     for bodies in (gallery7().bodies, gen_pairwise(12, 3).bodies):
-        arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
+        arcs = [body_curve_arcs(b) for b in bodies]
         meets = ~np.isnan(_pairwise_meets(arcs))
         np.fill_diagonal(meets, False)
         want = meets.tobytes()
@@ -370,7 +370,7 @@ def test_bodies_touching_the_curve_at_a_shared_vertex_meet_there(angle):
     # it, through 0 when angle is 0.
     a, b = tangent_triangle(0, angle, -0.25), tangent_triangle(1, angle, 0.5)
     far = tangent_triangle(2, angle + 0.5, -0.25)
-    arcs = [body_curve_arcs(body, UNIT_CIRCLE) for body in (a, b, far)]
+    arcs = [body_curve_arcs(body) for body in (a, b, far)]
     for pieces in arcs:
         assert pieces and sum(hi - lo for lo, hi in pieces) < 1e-6
     table = _pairwise_meets(arcs, meet_angle)
@@ -750,8 +750,8 @@ _EDGE_CASES = {
 @pytest.mark.parametrize("shape, check", _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
 def test_body_curve_arcs_edge_cases(shape, check):
     body = ConvexBody.from_vertices(0, shape)
-    arcs = body_curve_arcs(body, UNIT_CIRCLE)
-    assert arcs == reference_body_curve_arcs(body, UNIT_CIRCLE)
+    arcs = body_curve_arcs(body)
+    assert arcs == reference_body_curve_arcs(body)
     _check_pieces(arcs)
     assert check(arcs), arcs
 
@@ -766,8 +766,8 @@ def test_body_curve_arcs_keep_the_seam_point_of_an_arc_ending_at_two_pi():
     # as (0, 0) and (2*pi, 2*pi), since both edges hold it at both ends.
     apex = 1.000000001414213
     body = ConvexBody.from_vertices(0, [(apex, 0.0), (apex + 1.0, -1.0), (apex + 1.0, 1.0)])
-    assert body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
-    assert reference_body_curve_arcs(body, UNIT_CIRCLE) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
+    assert body_curve_arcs(body) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
+    assert reference_body_curve_arcs(body) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -775,18 +775,19 @@ def test_body_curve_arcs_keep_the_seam_point_of_an_arc_ending_at_two_pi():
        st.sampled_from([UNIT_CIRCLE, CurveModel((0.25, -0.5), 1.75)]))
 def test_body_curve_arcs_are_sorted_apart_pieces(shape, curve):
     body = ConvexBody.from_vertices(0, shape)
-    arcs = body_curve_arcs(body, curve)
+    arcs = body_curve_arcs(*curve.to_unit([body]))
     _check_pieces(arcs)
-    # Each piece's ends are curve points in the body, up to rounding.
+    # Each piece's ends are curve points in the body, up to rounding, with
+    # the tolerance in units of the radius.
     for t in {t for piece in arcs for t in piece}:
-        assert containment_margin(body, curve.point_at(t)) >= -2 * _TOL
+        assert containment_margin(body, curve.point_at(t)) >= -2 * _TOL * curve.radius
 
 
 @settings(max_examples=400, deadline=None)
 @given(_arc_shape, st.sampled_from([UNIT_CIRCLE, CurveModel((0.25, -0.5), 1.75)]))
 def test_body_curve_arcs_is_the_per_edge_reference(shape, curve):
-    body = ConvexBody.from_vertices(0, shape)
-    assert body_curve_arcs(body, curve) == reference_body_curve_arcs(body, curve)
+    (body,) = curve.to_unit([ConvexBody.from_vertices(0, shape)])
+    assert body_curve_arcs(body) == reference_body_curve_arcs(body)
 
 
 def test_face_census_two_squares():
@@ -846,6 +847,29 @@ def test_brute_min_transversal_against_exhaustive():
             assert got is not None
             assert len(got) == best
             assert all(any(body_contains(b, p) for p in got) for b in bodies)
+
+
+def test_the_unit_circle_frame_is_the_input_itself():
+    bodies = [square(0, 0.0, 0.0), square(1, 0.5, 0.5)]
+    assert UNIT_CIRCLE.to_unit(bodies) is bodies
+    pts = np.array([[0.5, -0.25]])
+    assert UNIT_CIRCLE.to_unit_points(pts) is pts
+    assert UNIT_CIRCLE.from_unit([(0.5, -0.25)]) == [(0.5, -0.25)]
+
+
+def test_to_unit_maps_a_body_into_the_curve_frame():
+    curve = CurveModel((3.0, -2.0), 4.0)
+    body = ConvexBody.from_vertices(5, [(3.0, -2.0), (7.0, -2.0), (3.0, 2.0)])
+    (unit,) = curve.to_unit([body])
+    assert unit.id == 5 and unit.normals is body.normals
+    assert unit.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    # offsets[i] = normals[i] . vertices[i], as from_vertices makes them.
+    assert np.array_equal(unit.offsets, np.einsum("ij,ij->i", unit.normals, unit.vertices))
+    assert np.allclose(unit.offsets, ConvexBody.from_vertices(5, unit.vertices).offsets,
+                       rtol=0.0, atol=1e-15)
+    pts = np.array([(7.0, 2.0), (3.0, -4.0)])
+    assert curve.to_unit_points(pts).tolist() == [[1.0, 1.0], [0.0, -0.5]]
+    assert curve.from_unit([(1.0, 1.0), (0.0, -0.5)]) == [(7.0, 2.0), (3.0, -4.0)]
 
 
 def test_curve_model_validation():

@@ -23,10 +23,8 @@ from pierce.highdim import (
     _trim,
     hyperplane_crossings,
 )
-from pierce.witness import is_spread_out, separator_tuple_size
-
 from conftest import cover_is_valid, reference_sturm_chain
-from lemmas import curve_point, interval_cover
+from lemmas import curve_point, interval_cover, is_spread_out_d, separator_tuple_size
 
 
 def test_separator_tuple_size_table():
@@ -432,20 +430,20 @@ def test_closed_curve_crossings():
 def test_spread_out_general_linear_examples():
     # d=3: tuple size 5, so six linearly separated occurrences are needed
     occ = [0, 10, 20, 30, 40, 50]
-    assert is_spread_out(occ, 60, 0.1, d=3)
-    assert not is_spread_out(occ[:5], 60, 0.1, d=3)
+    assert is_spread_out_d(occ, 60, 0.1, d=3)
+    assert not is_spread_out_d(occ[:5], 60, 0.1, d=3)
     # circular wrap helps even d but not odd d
     ends = [0, 1, 2, 3, 4, 59]
-    assert not is_spread_out(ends, 60, 0.08, d=3)
+    assert not is_spread_out_d(ends, 60, 0.08, d=3)
 
 
 def test_spread_out_general_validation():
     with pytest.raises(ValueError):
-        is_spread_out([0], 10, 0.0, d=2)
+        is_spread_out_d([0], 10, 0.0, d=2)
     with pytest.raises(ValueError):
-        is_spread_out([10], 10, 0.1, d=2)
+        is_spread_out_d([10], 10, 0.1, d=2)
     with pytest.raises(ValueError):
-        is_spread_out([0], 0, 0.1, d=2)
+        is_spread_out_d([0], 0, 0.1, d=2)
 
 
 def test_general_dichotomy_small_instances():
@@ -466,7 +464,7 @@ def test_general_dichotomy_small_instances():
                 if alpha_hi <= 0.02:
                     continue
             alpha = float(rng.uniform(0.02, alpha_hi))
-            spread = is_spread_out(occ, n, alpha, d)
+            spread = is_spread_out_d(occ, n, alpha, d)
             cover = interval_cover(occ, n, alpha, d)
             assert spread == (cover is None)
             if cover is not None:
@@ -479,6 +477,6 @@ def test_dichotomy_breaks_outside_regime():
     # the cover probe reports None rather than inventing a wide cover
     occ = [1, 2, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19]
     alpha = 0.2381
-    assert not is_spread_out(occ, 22, alpha, d=2)
+    assert not is_spread_out_d(occ, 22, alpha, d=2)
     assert interval_cover(occ, 22, alpha, d=2) is None
 

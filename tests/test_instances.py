@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pierce.errors import GenerationError
-from pierce.geometry import UNIT_CIRCLE, ConvexBody, body_contains
+from pierce.geometry import UNIT_CIRCLE, ConvexBody, CurveModel, body_contains
 from pierce.instances import (
     GALLERY_TRIANGLES,
     Instance,
@@ -72,6 +72,24 @@ def test_repeated_body_ids_are_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="distinct"):
         load_instance(str(path))
+
+
+def test_instance_rejects_coordinates_past_the_range_bound():
+    # At radius 1 a coordinate below 2**20 has an ulp of 2**-33, under
+    # TOL_GEOM / 8, and one from 2**20 on an ulp of 2**-32, over it.
+    tri = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    Instance([ConvexBody.from_vertices(0, tri + (2.0**20 - 2))])
+    with pytest.raises(ValueError, match=re.escape(
+            "coordinate 1048577.0 has an ulp of 2.33e-10, over an eighth of TOL_GEOM*r = 1e-09")):
+        Instance([ConvexBody.from_vertices(0, tri + 2.0**20)])
+    # The bound scales with the radius, and the center's coordinates count.
+    Instance([ConvexBody.from_vertices(0, tri + 2.0**20)], curve=CurveModel((0.0, 0.0), 2.0))
+    with pytest.raises(ValueError, match=r"^coordinate -2097152\.0 has an ulp of 4\.66e-10,"):
+        Instance([ConvexBody.from_vertices(0, tri)], curve=CurveModel((-2.0**21, 0.0), 1.0))
+    data = gallery7().to_dict()
+    data["curve"]["center"] = [1e7, 0.0]
+    with pytest.raises(ValueError, match="^coordinate 10000000.0 has an ulp of 1.86e-09,"):
+        Instance.from_dict(data)
 
 
 def test_instance_round_trip_exact(tmp_path):

@@ -645,6 +645,17 @@ def test_run_pipeline_filters_off_curve_bodies():
     assert inside.any(axis=0).all()
 
 
+def test_run_pipeline_names_a_shared_point_of_off_curve_bodies_once():
+    # Two copies of one body off the curve share their vertex mean, and
+    # the transversal, a set, holds it once.
+    bodies = [arc_body(0, 0.2, 1.0), box(1, 9.0, 9.0, 0.5), box(2, 9.0, 9.0, 0.5)]
+    inst = Instance(bodies, 4)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert report.filtered == (1, 2)
+    assert report.transversal[1:] == ((9.0, 9.0),)
+    assert verify_report(inst, report.to_dict()) == []
+
+
 def test_run_pipeline_keeps_a_body_within_tolerance_of_the_curve():
     # The triangle's bottom edge misses the circle by half of TOL_GEOM, so
     # body_contains puts the curve point (0, 1) in it, as in the square:

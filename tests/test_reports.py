@@ -29,6 +29,16 @@ def test_verify_report_accepts_a_run():
     assert verify_report(inst, report) == []
 
 
+@pytest.mark.parametrize("inst", [gallery7(), gen_pairwise(10, 1)], ids=["gallery7", "pairwise-10-1"])
+def test_verify_report_rejects_a_repeated_transversal_point(inst):
+    # A transversal is a set: a repeat would inflate the size that
+    # greedy_within_log_bound reads.
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    first = report["transversal"][0]
+    report["transversal"].append(list(first))
+    assert verify_report(inst, report) == [f"transversal repeats points [{first}]"]
+
+
 @pytest.mark.parametrize("family", [
     lambda: gen_clustered(3, 12, 1),
     lambda: gen_pairwise(12, 3),

@@ -25,6 +25,7 @@ from lemmas import (
     non_spread_ratio_bound,
     piercing_count_exact,
     piercing_point,
+    is_spread_out_d,
     quadruple_pierces,
     separator_angles,
 )
@@ -82,7 +83,7 @@ def test_witness_list_rejects_malformed_entries(angles, pairs):
 ])
 def test_unit_multiset_list_is_the_plain_list(family):
     bodies = family()
-    arcs = [body_curve_arcs(b, UNIT_CIRCLE) for b in bodies]
+    arcs = [body_curve_arcs(b) for b in bodies]
     q = build_witness_list(bodies, UNIT_CIRCLE)
     unit = _replicated_list(arcs, [1] * len(bodies))
     for name in ("angles", "pairs", "colors"):
@@ -169,7 +170,7 @@ def test_is_spread_out_against_exhaustive():
         n = int(rng.integers(6, 17))
         occ = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
         alpha = float(rng.uniform(0.02, 0.25))
-        assert is_spread_out(occ, n, alpha, d=3) == brute_spread(occ, n, alpha, d=3)
+        assert is_spread_out_d(occ, n, alpha, d=3) == brute_spread(occ, n, alpha, d=3)
 
 
 def test_three_interval_cover_cluster():
@@ -427,7 +428,7 @@ def test_heaviest_class_dominates_the_replicated_list(case):
     # Every copy a quadruple of the copies' list pierces contains the chords'
     # crossing, so some class holds at least that many copies.
     bodies, m = case
-    ref = _replicated_list([body_curve_arcs(b, UNIT_CIRCLE) for b in bodies], m)
+    ref = _replicated_list([body_curve_arcs(b) for b in bodies], m)
     assume(4 <= len(ref) <= 60)
     # Every quadruple of the copies' list, gap separators included.
     best_pierced = int(_pierced_counts(ref, _quadruples(len(ref))).max())
