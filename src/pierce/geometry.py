@@ -11,8 +11,14 @@ take it, and from_unit maps output points back. So the one tolerance,
 TOL_GEOM, is read in units of the curve's radius, and an answer does not
 depend on where the family sits or how large it is, as long as the input
 carries the bits the tolerance needs (CurveModel.check_range, which
-Instance runs). from_vertices, which sees no curve, applies it in the
-input's units.
+Instance runs). from_vertices, which sees no curve, applies it relative to
+each body's extent, so it too judges a body alike at any scale.
+
+Membership is a family's half-plane rows, Family.rows, the one place
+TOL_GEOM enters it: containment_matrix reads them for points and
+body_curve_arcs for the points of the unit circle. There is no per-body
+test (no body_contains): one point against one body is
+containment_matrix([body], [point]).
 """
 
 import math
@@ -149,8 +155,8 @@ class ConvexBody:
     normals[i] is the outward unit normal of the edge from vertices[i] to
     vertices[i+1], and offsets[i] = normals[i] . vertices[i], so a point x is
     inside exactly when normals @ x <= offsets holds row by row. Every body
-    has at least three vertices and a width above TOL_GEOM (from_vertices
-    rejects the rest).
+    has at least three vertices and a width above TOL_GEOM times its
+    extent (from_vertices rejects the rest).
     """
 
     id: int
@@ -164,12 +170,17 @@ class ConvexBody:
 
         Raises InvalidBodyError, naming the body id, when the vertices are
         not a finite (m, 2) array of ints and floats (see _PY_REALS), when
-        fewer than three remain after repeated ones (within TOL_GEOM) are
-        merged, when they do not turn one way, or when the polygon's width
-        is at most TOL_GEOM: segments, points and collinear rings are not
-        convex bodies. The width of a convex polygon is the least, over its
-        edges, of the farthest vertex's depth behind that edge: its offset
-        minus the least projection of a vertex on its normal.
+        fewer than three remain after repeated ones are merged, when they do
+        not turn one way, or when the polygon's width is too small:
+        segments, points and collinear rings are not convex bodies. The
+        tests are relative, so a body passes them at any scale: with the
+        extent the diagonal of the vertices' bounding box, vertices within
+        TOL_GEOM * extent of the one before are repeats, a turn from edge a
+        to edge b goes the wrong way when a x b < -TOL_GEOM |a| |b|, and
+        the width must be above TOL_GEOM * extent. The width of a convex
+        polygon is the least, over its edges, of the farthest vertex's
+        depth behind that edge: its offset minus the least projection of a
+        vertex on its normal.
         """
         try:
             arr = np.asarray(vertices, dtype=float)
@@ -183,7 +194,8 @@ class ConvexBody:
             raise InvalidBodyError(f"body {body_id}: vertices must be numbers")
         if not np.all(np.isfinite(arr)):
             raise InvalidBodyError(f"body {body_id}: vertices must be finite")
-        arr = _dedup_ring(arr)
+        extent = math.hypot(*(arr.max(axis=0) - arr.min(axis=0)))
+        arr = _dedup_ring(arr, TOL_GEOM * extent)
         if arr.shape[0] < 3:
             raise InvalidBodyError(
                 f"body {body_id}: {arr.shape[0]} distinct vertices; a body needs at least 3")
@@ -192,15 +204,15 @@ class ConvexBody:
         edges = _next(arr) - arr
         turn = _next(edges)
         cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
-        if np.any(cross < -TOL_GEOM):
-            raise InvalidBodyError(f"body {body_id}: vertices do not describe a convex polygon")
         lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(cross < -TOL_GEOM * lengths * _next(lengths)):
+            raise InvalidBodyError(f"body {body_id}: vertices do not describe a convex polygon")
         normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, arr)
         width = (offsets - (normals @ arr.T).min(axis=1)).min()
-        if width <= TOL_GEOM:
-            raise InvalidBodyError(
-                f"body {body_id}: width {width:.3g} is at most TOL_GEOM; a body needs interior")
+        if width <= TOL_GEOM * extent:
+            raise InvalidBodyError(f"body {body_id}: width {width:.3g} is at most TOL_GEOM times "
+                                   f"its extent {extent:.3g}; a body needs interior")
         return cls(id=body_id, vertices=arr, normals=normals, offsets=offsets)
 
 
@@ -209,13 +221,15 @@ def _next(arr: np.ndarray) -> np.ndarray:
     return np.concatenate((arr[1:], arr[:1]))
 
 
-def _dedup_ring(arr: np.ndarray) -> np.ndarray:
+def _dedup_ring(arr: np.ndarray, tol: float) -> np.ndarray:
+    # The ring without each vertex within tol of the one kept before it,
+    # and without a last vertex within tol of the first.
     rows = arr.tolist()
     keep = [rows[0]]
     for row in rows[1:]:
-        if math.hypot(row[0] - keep[-1][0], row[1] - keep[-1][1]) > TOL_GEOM:
+        if math.hypot(row[0] - keep[-1][0], row[1] - keep[-1][1]) > tol:
             keep.append(row)
-    if len(keep) > 1 and math.hypot(keep[0][0] - keep[-1][0], keep[0][1] - keep[-1][1]) <= TOL_GEOM:
+    if len(keep) > 1 and math.hypot(keep[0][0] - keep[-1][0], keep[0][1] - keep[-1][1]) <= tol:
         keep.pop()
     return np.array(keep, dtype=float)
 
@@ -225,44 +239,104 @@ def _signed_area2(arr: np.ndarray) -> float:
     return float(np.sum(arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]))
 
 
-def body_contains(body: ConvexBody, pt: Point2) -> bool:
-    """Half-plane membership test with a slack of TOL_GEOM in the body's
-    coordinates: in units of the radius for a body in the curve's frame.
+class Family(tuple):
+    """A family of bodies, packed: the tuple of its bodies, with their
+    stacked arrays. pack makes one; the kernels take either a Family or a
+    sequence of bodies, which they pack. Each array group is built on first
+    use and kept, so a family is stacked once however many kernel calls
+    read it, and a group no call reads is never built (verify's containment
+    over all bodies needs no edges). The kernels do not write to them.
 
-    The slack is per edge, so past a vertex of angle a it reaches about
-    TOL_GEOM / sin(a) beyond the body.
+    edges is (verts, nxt, prev, owner). verts stacks the bodies' vertices,
+    body by body. Edge k of a body runs from its vertex k to vertex k + 1
+    (mod m), so edges and vertices share their indices: edge r runs from
+    verts[r] to verts[nxt[r]], prev[r] is the edge before it in its body,
+    and owner[r] is its body's position in the family.
+
+    rows is (normals, limits), the bodies' half-planes on one grid. Every
+    body's edge normals fill the first slots of its row of a (bodies, width)
+    grid, width being the family's most edges, and the other slots hold
+    rows that always pass: normal 0, limit +inf. Flattened, edge e of body
+    j is row j * width + e of normals, (bodies * width, 2), and of limits,
+    (bodies * width, 1), which holds its offset + TOL_GEOM. These rows are
+    membership, the one place the slack TOL_GEOM enters it: a point x lies
+    in body j when normals @ x <= limits holds on all of j's rows
+    (containment_matrix), and a point of the unit circle when its angle
+    passes them all (body_curve_arcs). The slack is per edge, so past a
+    vertex of angle a it reaches about TOL_GEOM / sin(a) beyond the body.
     """
-    p = np.asarray(pt, dtype=float)
-    return bool(np.all(body.normals @ p <= body.offsets + TOL_GEOM))
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        verts = np.concatenate([body.vertices for body in self])
+        nv = np.array([body.vertices.shape[0] for body in self])
+        end = np.cumsum(nv)
+        start = end - nv
+        nxt = np.arange(1, end[-1] + 1)
+        nxt[end - 1] = start
+        prev = np.arange(-1, end[-1] - 1)
+        prev[start] = end - 1
+        owner = np.repeat(np.arange(len(self)), nv)
+        return verts, nxt, prev, owner
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.array([len(body.offsets) for body in self])
+        width = int(counts.max())
+        real = np.arange(width) < counts[:, None]
+        normals = np.zeros((len(self), width, 2))
+        limits = np.full((len(self), width), np.inf)
+        normals[real] = np.concatenate([body.normals for body in self])
+        limits[real] = np.concatenate([body.offsets for body in self]) + TOL_GEOM
+        return normals.reshape(-1, 2), limits.reshape(-1, 1)
 
 
-def body_curve_arcs(body: ConvexBody) -> list[tuple[float, float]]:
-    """The unit circle's points inside the body, as sorted pieces (lo, hi)
-    of [0, 2*pi]: the body is in the curve's frame (CurveModel.to_unit).
+def pack(bodies) -> Family:
+    """The bodies as a Family: bodies itself when it is one, so that its
+    arrays are kept, else a new Family of them."""
+    return bodies if isinstance(bodies, Family) else Family(bodies)
 
-    Membership is body_contains', with its slack of TOL_GEOM. The pieces
-    have 0 <= lo <= hi <= 2*pi, and each lo is greater than the hi before
-    it, so touching pieces are merged. Since 0 and 2*pi are the same point,
-    a list that holds angle 0 has a piece starting at 0 and a piece ending
-    at 2*pi: an arc through 0 is the pieces (0, e) and (s, 2*pi), and the
-    point 0 alone is (0, 0) and (2*pi, 2*pi). No pieces means the body
-    misses the curve.
 
-    Each polygon edge, of normal (cos phi, sin phi) and offset off,
-    constrains the angle theta through cos(theta - phi) <= c, with
-    c = off + TOL_GEOM, an arc complement from s to e, cut into pieces
-    that hold 0 at both ends when they hold it at all: (s, 2*pi) and
-    (0, e - 2*pi) through 0, (0, e) and (2*pi, 2*pi) when s is 0,
-    (0, 0) and (s, 2*pi) when e is 2*pi, and (s, e) otherwise. The running
-    pieces, which start as (0, 2*pi), become their overlaps with the edge's
-    pieces. An overlap starts at 0, or ends at 2*pi, only when both of its
-    pieces do, so the overlaps keep the rule. Pieces may touch or repeat
-    until _merged merges them once at the end.
+def body_curve_arcs(bodies: Family | list[ConvexBody]) -> list[list[tuple[float, float]]]:
+    """Each body's points of the unit circle, as sorted pieces (lo, hi) of
+    [0, 2*pi], in the family's order: the bodies are in the curve's frame
+    (CurveModel.to_unit).
+
+    Membership is the family's half-plane rows (Family.rows), which
+    containment_matrix reads too: an edge of normal (cos phi, sin phi)
+    holds the angle theta when cos(theta - phi) <= c, c its row's limit,
+    and a pad row (limit +inf) holds every angle. The pieces have
+    0 <= lo <= hi <= 2*pi, and each lo is greater than the hi before it, so
+    touching pieces are merged. Since 0 and 2*pi are the same point, a list
+    that holds angle 0 has a piece starting at 0 and a piece ending at
+    2*pi: an arc through 0 is the pieces (0, e) and (s, 2*pi), and the point
+    0 alone is (0, 0) and (2*pi, 2*pi). No pieces means the body misses the
+    curve.
+
+    The angles an edge holds are one arc, from s = phi + acos(c), mod 2*pi,
+    to e = s + 2*pi - 2 acos(c), cut into pieces that hold 0 at both ends
+    when they hold it at all: (s, 2*pi) and (0, e - 2*pi) through 0, (0, e)
+    and (2*pi, 2*pi) when s is 0, (0, 0) and (s, 2*pi) when e is 2*pi, and
+    (s, e) otherwise. The running pieces, which start as (0, 2*pi), become
+    their overlaps with the edge's pieces. An overlap starts at 0, or ends
+    at 2*pi, only when both of its pieces do, so the overlaps keep the
+    rule. Pieces may touch or repeat until _merged merges them once at the
+    end.
     """
+    if not bodies:
+        return []
+    normals, limits = pack(bodies).rows
+    # Each body's row of the (bodies, width) grid, in two tolist calls:
+    # n holds its normals as nx, ny, nx, ny, ...
+    rows = zip(normals.reshape(len(bodies), -1).tolist(), limits.reshape(len(bodies), -1).tolist())
+    return [_curve_arcs(zip(n[::2], n[1::2], c)) for n, c in rows]
+
+
+def _curve_arcs(rows) -> list[tuple[float, float]]:
+    """One body's pieces, from its rows (nx, ny, limit)."""
     segs = [(0.0, TWO_PI)]
     # Scalar libm acos and atan2: numpy's differ in the last bit on some inputs.
-    for (nx, ny), off in zip(body.normals.tolist(), body.offsets.tolist()):
-        c = off + TOL_GEOM
+    for nx, ny, c in rows:
         if c >= 1.0:
             continue
         if c <= -1.0:
@@ -367,61 +441,6 @@ def meet_angle(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> fl
     return normalize_angle(lo + 0.5 * (hi - lo))
 
 
-class Family(tuple):
-    """A family of bodies, packed: the tuple of its bodies, with their
-    stacked arrays. pack makes one; the kernels take either a Family or a
-    sequence of bodies, which they pack. Each array group is built on first
-    use and kept, so a family is stacked once however many kernel calls
-    read it, and a group no call reads is never built (verify's containment
-    over all bodies needs no edges). The kernels do not write to them.
-
-    edges is (verts, nxt, prev, owner). verts stacks the bodies' vertices,
-    body by body. Edge k of a body runs from its vertex k to vertex k + 1
-    (mod m), so edges and vertices share their indices: edge r runs from
-    verts[r] to verts[nxt[r]], prev[r] is the edge before it in its body,
-    and owner[r] is its body's position in the family.
-
-    rows is (normals, limits), the bodies' half-planes on one grid. Every
-    body's edge normals fill the first slots of its row of a (bodies, width)
-    grid, width being the family's most edges, and the other slots hold
-    rows that always pass: normal 0, limit +inf. Flattened, edge e of body
-    j is row j * width + e of normals, (bodies * width, 2), and of limits,
-    (bodies * width, 1), which holds its offset + TOL_GEOM. A point x lies
-    in body j, with body_contains' slack, when normals @ x <= limits holds
-    on all of j's rows.
-    """
-
-    @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        verts = np.concatenate([body.vertices for body in self])
-        nv = np.array([body.vertices.shape[0] for body in self])
-        end = np.cumsum(nv)
-        start = end - nv
-        nxt = np.arange(1, end[-1] + 1)
-        nxt[end - 1] = start
-        prev = np.arange(-1, end[-1] - 1)
-        prev[start] = end - 1
-        owner = np.repeat(np.arange(len(self)), nv)
-        return verts, nxt, prev, owner
-
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.array([len(body.offsets) for body in self])
-        width = int(counts.max())
-        real = np.arange(width) < counts[:, None]
-        normals = np.zeros((len(self), width, 2))
-        limits = np.full((len(self), width), np.inf)
-        normals[real] = np.concatenate([body.normals for body in self])
-        limits[real] = np.concatenate([body.offsets for body in self]) + TOL_GEOM
-        return normals.reshape(-1, 2), limits.reshape(-1, 1)
-
-
-def pack(bodies) -> Family:
-    """The bodies as a Family: bodies itself when it is one, so that its
-    arrays are kept, else a new Family of them."""
-    return bodies if isinstance(bodies, Family) else Family(bodies)
-
-
 def candidate_points(bodies: Family | list[ConvexBody]) -> np.ndarray:
     """Body vertices and pairwise edge crossings that can be the lowest
     vertex of a cell of the arrangement, as the rows of a (points, 2) float
@@ -446,8 +465,8 @@ def candidate_points(bodies: Family | list[ConvexBody]) -> np.ndarray:
     maximal class whose bodies share a point has a point here, its lowest
     vertex, and any hitting set can be moved onto this list, which is what
     the exact oracle and the linear programs rely on. Bodies that only come
-    within TOL_GEOM of a common point have no common cell: body_contains'
-    slack alone makes them a class, and this list may miss it.
+    within TOL_GEOM of a common point have no common cell: the slack of
+    Family.rows alone makes them a class, and this list may miss it.
 
     The vertices and edges are the family's packed edges (see Family), so
     a body's vertex k is the head of its edge k, after edge k - 1.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, body_contains
+from .geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, containment_matrix
 from .meetgraph import build_meet_graph
 
 
@@ -185,8 +185,9 @@ def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:
     Among any p bodies two land in the same cluster and meet there, so the
     instance satisfies the p-subset condition by construction; picking one
     body per cluster gives an independent set of size p-1 (tightness).  The
-    self-check is that pigeonhole certificate, linear in n: every body holds
-    the circle point at its cluster's anchor.  seed is a non-negative int;
+    self-check is that pigeonhole certificate, one containment_matrix call
+    of the bodies against the p-1 anchors, linear in n: every body holds the
+    circle point at its cluster's anchor.  seed is a non-negative int;
     anything else raises a ValueError.
     """
     if p < 2:
@@ -198,16 +199,15 @@ def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:
     k = p - 1
     half_gap = math.pi / k
     w_cap = min(0.45, 0.8 * half_gap)
-    bodies = []
-    for i in range(n):
-        cluster = i % k
-        anchor = TWO_PI * cluster / k
-        w_lo = float(rng.uniform(0.1 * w_cap, w_cap))
-        w_hi = float(rng.uniform(0.1 * w_cap, w_cap))
-        body = ConvexBody.from_vertices(i, _wedge_points(anchor, w_lo, w_hi))
-        if not body_contains(body, UNIT_CIRCLE.point_at(anchor)):
-            raise GenerationError(f"clustered body {i} misses its cluster's anchor")
-        bodies.append(body)
+    anchors = [TWO_PI * cluster / k for cluster in range(k)]
+    # Body i's w_lo and w_hi, drawn in that order, body by body.
+    widths = rng.uniform(0.1 * w_cap, w_cap, (n, 2)).tolist()
+    bodies = [ConvexBody.from_vertices(i, _wedge_points(anchors[i % k], *widths[i]))
+              for i in range(n)]
+    inside = containment_matrix(bodies, [UNIT_CIRCLE.point_at(a) for a in anchors])
+    missed = np.flatnonzero(~inside[np.arange(n) % k, np.arange(n)])
+    if missed.size:
+        raise GenerationError(f"clustered body {missed[0]} misses its cluster's anchor")
     meta = {"kind": "clustered", "p": p, "n": n, "seed": seed, "clusters": k}
     return Instance(bodies, p, UNIT_CIRCLE, meta)
 

@@ -53,7 +53,7 @@ def build_meet_graph(
     caller already has them.
     """
     if arcs is None:
-        arcs = [body_curve_arcs(b) for b in curve.to_unit(bodies)]
+        arcs = body_curve_arcs(curve.to_unit(bodies))
     return ColorGraph(meet_matrix(arcs))
 
 

@@ -385,7 +385,7 @@ def validate(bodies: list[ConvexBody], curve: CurveModel, p: int):
     when every body meets the curve.
     """
     family = pack(curve.to_unit(bodies))
-    arcs = [body_curve_arcs(b) for b in family]
+    arcs = body_curve_arcs(family)
     filtered = tuple(i for i, a in enumerate(arcs) if not a)
     active = pack(b for b, a in zip(family, arcs) if a) if filtered else family
     return family, filtered, active, [a for a in arcs if a], max(2, p - len(filtered))

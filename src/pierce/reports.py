@@ -3,12 +3,13 @@
 A report is the JSON form of a TransversalReport.  verify_report loads one
 next to its instance and re-derives every claim from scratch: which bodies
 miss the curve, geometry of the output points, tau_star from the report's LP
-certificate, exact integer feasibility of the multiplicities, and the
-heavy-point accounting.  The report claims the heaviest point, so its
-recount must equal the heaviest load max(rows @ m) over the candidate rows,
-the bodies containing each candidate point, and may not exceed D.  Only the
-bodies with a nonzero multiplicity or packing weight load a point, so the
-candidate points are those of that weighted sub-family.  The certificate is
+certificate, exact integer feasibility of the multiplicities, the
+heavy-point accounting, and the three flags that state what those checks
+find.  The report claims the heaviest point, so its recount must equal the
+heaviest load max(rows @ m) over the candidate rows, the bodies containing
+each candidate point, and may not exceed D.  Only the bodies with a
+nonzero multiplicity or packing weight load a point, so the candidate
+points are those of that weighted sub-family.  The certificate is
 a cover (points with weights) and a packing (one weight per active body);
 verify_report proves tau_star by weak duality from containment and the
 candidate rows' loads alone, builds no classes and solves no linear
@@ -31,20 +32,22 @@ def _is_list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
+# The booleans run_pipeline writes, save condition_holds, which it writes
+# exactly when condition_checked is true, as a skipped check observes no
+# outcome.
+FLAGS = ("condition_checked", "duality_ok", "rounding_feasible_exact", "coverage_le_denominator",
+         "tau_epsilon_consistent", "greedy_within_log_bound", "all_bodies_hit")
+
+
 def _is_flags(v) -> bool:
-    # The booleans run_pipeline writes; condition_holds is there exactly
-    # when condition_checked is true, as a skipped check observes no outcome.
     if not (isinstance(v, dict) and all(type(flag) is bool for flag in v.values())):
         return False
-    keys = {"condition_checked", "duality_ok", "rounding_feasible_exact", "coverage_le_denominator",
-            "tau_epsilon_consistent", "greedy_within_log_bound", "all_bodies_hit"}
-    if v.get("condition_checked"):
-        keys.add("condition_holds")
-    return v.keys() == keys
+    return v.keys() == ({*FLAGS, "condition_holds"} if v.get("condition_checked") else set(FLAGS))
 
 
 # What each value verify_report reads must be, by dotted key path.  A report
-# also needs each path's first key, and an object at each dot.
+# also needs each path's first key, and an object at each dot, and has no
+# other top-level key but stages.
 SHAPES = {
     "transversal": ("a list of points", _is_list_of(_is_point)),
     "tau_star": ("a finite number", _is_number),
@@ -108,6 +111,11 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     the instance's bodies there, and CurveModel.to_unit_points the report's
     points, which are in the input's frame. A transversal is a set, so one
     that repeats a point fails.
+
+    Three flags state what these checks find, and each fails when its
+    value differs: all_bodies_hit (the transversal check),
+    rounding_feasible_exact (the heaviest load of m is at most D) and
+    coverage_le_denominator (the recount at z is at most D).
     """
     failures = _shape_failures(report)
     if failures:
@@ -161,10 +169,10 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         inside = np.delete(inside, filtered, axis=1)
     cover_rows, z_row, rows = inside[ends[0]:ends[1]], inside[ends[1]:ends[2]], inside[ends[2]:]
 
+    missed = [bodies[i].id for i in np.flatnonzero(~hit.any(axis=0))]
     if not report["transversal"]:
         failures.append("empty transversal")
     else:
-        missed = [bodies[i].id for i in np.flatnonzero(~hit.any(axis=0))]
         if missed:
             failures.append(f"transversal misses bodies {missed}")
         points = list(map(tuple, report["transversal"]))
@@ -220,6 +228,14 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
                         f"tau_star {tau_star:.6f} above 1/epsilon + slack "
                         f"{1.0 / eps + slack:.6f}"
                     )
+
+    # The flags whose truth the checks above found.
+    truth = {"all_bodies_hit": not missed, "rounding_feasible_exact": best_load <= d}
+    if z is not None:
+        truth["coverage_le_denominator"] = recount <= d
+    flags = report["flags"]
+    failures += [f"flag {flag} is {flags[flag]}, but verify finds {truth[flag]}"
+                 for flag in FLAGS if flag in truth and flags[flag] != truth[flag]]
     return failures
 
 
@@ -229,6 +245,7 @@ def _shape_failures(report) -> list[str]:
         return ["report is not a JSON object"]
     heads = dict.fromkeys([path.split(".")[0] for path in SHAPES])
     failures = [f"missing key {key!r}" for key in heads if key not in report]
+    failures += [f"unknown key {key!r}" for key in report if key not in heads and key != "stages"]
     failures += [
         f"{key} is not a JSON object"
         for key in heads

@@ -87,7 +87,7 @@ def max_neighbor_degree_sum(graph: ColorGraph) -> tuple[int, int]:
 def build_witness_list(bodies: list[ConvexBody], curve: CurveModel) -> WitnessList:
     """One witness per body pair whose curve arcs share a point, in the
     curve's frame."""
-    arcs = [body_curve_arcs(b) for b in curve.to_unit(bodies)]
+    arcs = body_curve_arcs(curve.to_unit(bodies))
     return witness_list(arcs, meet_matrix(arcs))
 
 

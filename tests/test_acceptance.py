@@ -36,7 +36,6 @@ from lemmas import (
 )
 from pierce import meetgraph
 from pierce.geometry import (
-    body_contains,
     containment_matrix,
 )
 from pierce.highdim import CurveSpecD, MOMENT, hyperplane_crossings
@@ -114,7 +113,7 @@ def test_criterion_03_piercing_soundness():
                 continue
             hits += 1
             z = piercing_point(inst.curve, q, quad)
-            if not body_contains(inst.bodies[color], z):
+            if not containment_matrix([inst.bodies[color]], [z])[0, 0]:
                 violations += 1
     ok = triples >= 1000 and hits >= 100 and violations == 0
     _verdict(3, "every pierced color contains its separator point", ok)

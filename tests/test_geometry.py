@@ -17,7 +17,6 @@ from pierce.geometry import (
     CurveModel,
     Family,
     UNIT_CIRCLE,
-    body_contains,
     body_curve_arcs,
     candidate_points,
     containment_matrix,
@@ -151,16 +150,16 @@ def test_body_validation():
 
     # Clockwise input is accepted and flipped to counterclockwise.
     cw = ConvexBody.from_vertices(1, [(0, 0), (0, 1), (1, 1), (1, 0)])
-    assert body_contains(cw, (0.5, 0.5))
+    assert containment_matrix([cw], [(0.5, 0.5)]).tolist() == [[True]]
 
     # Repeated vertices collapse; a ring closing on its first vertex is fine.
     b = ConvexBody.from_vertices(2, [(0, 0), (0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
     assert b.vertices.shape == (4, 2)
 
-    # A thin triangle is a body as long as its width is above TOL_GEOM.
+    # A thin triangle is a body as long as its width is above TOL_GEOM
+    # times its extent.
     thin = ConvexBody.from_vertices(3, [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)])
-    assert body_contains(thin, (0.5, 5e-7))
-    assert not body_contains(thin, (0.5, -1e-8))
+    assert containment_matrix([thin], [(0.5, 5e-7), (0.5, -1e-8)]).tolist() == [[True], [False]]
 
 
 _TOL = geometry.TOL_GEOM
@@ -180,13 +179,31 @@ def test_from_vertices_rejects_bodies_without_interior(vertices):
         ConvexBody.from_vertices(7, vertices)
 
 
-def test_body_contains_tolerance():
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-12, 13, 4)])
+def test_from_vertices_judges_a_shape_alike_at_any_scale(scale):
+    # Its tests are relative to the body's extent, so scaling moves no
+    # verdict: a turned square keeps its split edge's midpoint and loses a
+    # vertex repeated within a quarter of TOL_GEOM, a thin triangle is a
+    # body, and the shapes without interior, or not convex, are not.
+    def body(vertices):
+        return ConvexBody.from_vertices(0, np.asarray(vertices, dtype=float) * scale)
+
+    corners = _ngon(4, 0.1, 0.2, 1.0, 0.3)
+    split = [corners[0], tuple(0.5 * (np.array(corners[0]) + corners[1])), *corners[1:]]
+    repeat = (corners[2][0], corners[2][1] + _TOL / 4)
+    assert body([*split[:4], repeat, *split[4:]]).vertices.tolist() == body(split).vertices.tolist()
+    assert len(body(split).vertices) == 5
+    body([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)])
+    for shape in ([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)], [(-0.2, 0.5), (0.0, 0.5), (0.2, 0.5)],
+                  [(0.0, 0.0), (1.0, 0.0), (0.5, _TOL / 2)], [(0, 0), (1, 1), (1, 1 + _TOL / 2)]):
+        with pytest.raises(InvalidBodyError):
+            body(shape)
+
+
+def test_containment_matrix_tolerance():
     sq = square(0, 0.0, 0.0)
-    assert body_contains(sq, (0.5, 0.5))
-    assert body_contains(sq, (1.0, 1.0))
-    assert body_contains(sq, (1.0 + 0.5e-9, 0.5))
-    assert not body_contains(sq, (1.0 + 1e-8, 0.5))
-    assert not body_contains(sq, (1.5, 0.5))
+    points = [(0.5, 0.5), (1.0, 1.0), (1.0 + 0.5e-9, 0.5), (1.0 + 1e-8, 0.5), (1.5, 0.5)]
+    assert containment_matrix([sq], points)[:, 0].tolist() == [True, True, True, False, False]
 
 
 def test_containment_margin_signs():
@@ -198,7 +215,7 @@ def test_containment_margin_signs():
 
 def test_body_curve_arcs_slab():
     slab = ConvexBody.from_vertices(0, [(-2, -0.5), (2, -0.5), (2, 0.5), (-2, 0.5)])
-    arcs = body_curve_arcs(slab)
+    (arcs,) = body_curve_arcs([slab])
     # The arc through 0 is the first and the last piece.
     want = [(0.0, math.pi / 6), (5 * math.pi / 6, 7 * math.pi / 6), (11 * math.pi / 6, TWO_PI)]
     assert len(arcs) == 3
@@ -209,14 +226,11 @@ def test_body_curve_arcs_slab():
 
 def test_body_curve_arcs_extremes():
     far = ConvexBody.from_vertices(0, [(10, 10), (11, 10), (10.5, 11)])
-    assert body_curve_arcs(far) == []
-
     big = square(1, -3.0, -3.0, side=6.0)
-    assert body_curve_arcs(big) == [(0.0, TWO_PI)]
-
     # A chord-shaped sliver completely off the circle yields nothing.
     outside = ConvexBody.from_vertices(2, [(1.2, -0.1), (1.4, -0.1), (1.4, 0.1), (1.2, 0.1)])
-    assert body_curve_arcs(outside) == []
+    assert body_curve_arcs([far, big, outside]) == [[], [(0.0, TWO_PI)], []]
+    assert body_curve_arcs([]) == []
 
 
 def test_body_curve_arcs_against_sampling():
@@ -226,7 +240,7 @@ def test_body_curve_arcs_against_sampling():
         radius = float(rng.uniform(0.3, 2.2))
         center = (float(rng.uniform(-1.2, 1.2)), float(rng.uniform(-1.2, 1.2)))
         body = regular_polygon(trial, m, radius, center, phase=float(rng.uniform(0, TWO_PI)))
-        arcs = body_curve_arcs(body)
+        (arcs,) = body_curve_arcs([body])
         for t in np.linspace(0.0, TWO_PI, 700, endpoint=False):
             t = float(t)
             pt = UNIT_CIRCLE.point_at(t)
@@ -315,7 +329,7 @@ def test_meet_angle_bitwise_on_bench_families():
     inst = gallery7()
     families = [inst.bodies, gen_pairwise(12, 3).bodies]
     for bodies in families:
-        arcs = [body_curve_arcs(b) for b in bodies]
+        arcs = body_curve_arcs(bodies)
         assert _pairwise_meets(arcs, meet_angle).tobytes() == _pairwise_meets(arcs).tobytes()
 
 
@@ -339,7 +353,7 @@ def test_meet_matrix_is_where_meet_angle_is_defined(arcs, cells):
 
 def test_meet_matrix_bitwise_on_bench_families():
     for bodies in (gallery7().bodies, gen_pairwise(12, 3).bodies):
-        arcs = [body_curve_arcs(b) for b in bodies]
+        arcs = body_curve_arcs(bodies)
         meets = ~np.isnan(_pairwise_meets(arcs))
         np.fill_diagonal(meets, False)
         want = meets.tobytes()
@@ -370,7 +384,7 @@ def test_bodies_touching_the_curve_at_a_shared_vertex_meet_there(angle):
     # it, through 0 when angle is 0.
     a, b = tangent_triangle(0, angle, -0.25), tangent_triangle(1, angle, 0.5)
     far = tangent_triangle(2, angle + 0.5, -0.25)
-    arcs = [body_curve_arcs(body) for body in (a, b, far)]
+    arcs = body_curve_arcs([a, b, far])
     for pieces in arcs:
         assert pieces and sum(hi - lo for lo, hi in pieces) < 1e-6
     table = _pairwise_meets(arcs, meet_angle)
@@ -634,6 +648,7 @@ def _same_on_a_list_and_its_family(bodies):
         assert np.array_equal(containment_matrix(family, pts), containment_matrix(bodies, pts))
     a, b = candidate_classes(family), candidate_classes(bodies)
     assert a.points == b.points and np.array_equal(a.matrix(), b.matrix())
+    assert body_curve_arcs(family) == body_curve_arcs(bodies)
 
 
 @pytest.mark.parametrize("bodies", [
@@ -750,7 +765,7 @@ _EDGE_CASES = {
 @pytest.mark.parametrize("shape, check", _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
 def test_body_curve_arcs_edge_cases(shape, check):
     body = ConvexBody.from_vertices(0, shape)
-    arcs = body_curve_arcs(body)
+    (arcs,) = body_curve_arcs([body])
     assert arcs == reference_body_curve_arcs(body)
     _check_pieces(arcs)
     assert check(arcs), arcs
@@ -766,7 +781,7 @@ def test_body_curve_arcs_keep_the_seam_point_of_an_arc_ending_at_two_pi():
     # as (0, 0) and (2*pi, 2*pi), since both edges hold it at both ends.
     apex = 1.000000001414213
     body = ConvexBody.from_vertices(0, [(apex, 0.0), (apex + 1.0, -1.0), (apex + 1.0, 1.0)])
-    assert body_curve_arcs(body) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
+    assert body_curve_arcs([body]) == [[(0.0, 0.0), (TWO_PI, TWO_PI)]]
     assert reference_body_curve_arcs(body) == [(0.0, 0.0), (TWO_PI, TWO_PI)]
 
 
@@ -775,7 +790,7 @@ def test_body_curve_arcs_keep_the_seam_point_of_an_arc_ending_at_two_pi():
        st.sampled_from([UNIT_CIRCLE, CurveModel((0.25, -0.5), 1.75)]))
 def test_body_curve_arcs_are_sorted_apart_pieces(shape, curve):
     body = ConvexBody.from_vertices(0, shape)
-    arcs = body_curve_arcs(*curve.to_unit([body]))
+    (arcs,) = body_curve_arcs(curve.to_unit([body]))
     _check_pieces(arcs)
     # Each piece's ends are curve points in the body, up to rounding, with
     # the tolerance in units of the radius.
@@ -787,7 +802,23 @@ def test_body_curve_arcs_are_sorted_apart_pieces(shape, curve):
 @given(_arc_shape, st.sampled_from([UNIT_CIRCLE, CurveModel((0.25, -0.5), 1.75)]))
 def test_body_curve_arcs_is_the_per_edge_reference(shape, curve):
     (body,) = curve.to_unit([ConvexBody.from_vertices(0, shape)])
-    assert body_curve_arcs(body) == reference_body_curve_arcs(body)
+    assert body_curve_arcs([body]) == [reference_body_curve_arcs(body)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_arc_shape, min_size=1, max_size=6), st.integers(0, 6))
+@example([_box(-2.0, 2.0, _TOL, 2.0), _ngon(16, 0.0, 0.0, 1.2, 0.3)], 1)
+def test_the_family_arc_pass_is_the_per_body_reference(shapes, at):
+    # One pass over the family's rows gives each body the per-body
+    # reference's pieces, bit for bit: a triangle off the curve, which has
+    # none, sits at a drawn place among shapes of 3 to 16 vertices, so that
+    # the shorter bodies' rows are padded.
+    shapes.insert(at % (len(shapes) + 1), [(3.0, 3.0), (4.0, 3.0), (3.5, 4.0)])
+    bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
+    want = [reference_body_curve_arcs(body) for body in bodies]
+    assert [] in want
+    assert body_curve_arcs(bodies) == want
+    assert body_curve_arcs(pack(bodies)) == want
 
 
 def test_face_census_two_squares():
@@ -799,7 +830,7 @@ def test_face_census_two_squares():
     assert depth2 == [frozenset({0, 1})]
     assert sorted(depth1) == [frozenset({0}), frozenset({1})]
     rep = census[frozenset({0, 1})]
-    assert body_contains(a, rep) and body_contains(b, rep)
+    assert containment_matrix([a, b], [rep]).tolist() == [[True, True]]
 
 
 def test_brute_min_transversal_examples():
@@ -811,7 +842,7 @@ def test_brute_min_transversal_examples():
     overlapping = [square(0, 0.0, 0.0), square(1, 0.5, 0.5)]
     got = brute_min_transversal(overlapping, k_max=3)
     assert got is not None and len(got) == 1
-    assert all(body_contains(b, got[0]) for b in overlapping)
+    assert containment_matrix(overlapping, got[:1]).all()
 
     nested = [square(0, 0.0, 0.0, side=4.0), square(1, 1.0, 1.0)]
     got = brute_min_transversal(nested, k_max=2)
@@ -835,7 +866,7 @@ def test_brute_min_transversal_against_exhaustive():
         for k in range(0, 4):
             for combo in itertools.combinations(range(len(cands)), k):
                 pts = [cands[c] for c in combo]
-                if all(any(body_contains(b, p) for p in pts) for b in bodies):
+                if containment_matrix(bodies, pts).any(axis=0).all():
                     best = k
                     break
             if best is not None:
@@ -846,7 +877,7 @@ def test_brute_min_transversal_against_exhaustive():
         else:
             assert got is not None
             assert len(got) == best
-            assert all(any(body_contains(b, p) for p in got) for b in bodies)
+            assert containment_matrix(bodies, got).any(axis=0).all()
 
 
 def test_the_unit_circle_frame_is_the_input_itself():

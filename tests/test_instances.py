@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pierce.errors import GenerationError
-from pierce.geometry import UNIT_CIRCLE, ConvexBody, CurveModel, body_contains
+from pierce.geometry import UNIT_CIRCLE, ConvexBody, CurveModel, containment_matrix
 from pierce.instances import (
     GALLERY_TRIANGLES,
     Instance,
@@ -19,7 +19,7 @@ from pierce.instances import (
     load_instance,
     save_instance,
 )
-from pierce import meetgraph
+from pierce import instances, meetgraph
 from pierce.meetgraph import build_meet_graph, verify_p2
 
 
@@ -148,9 +148,23 @@ def test_gen_clustered_large_shares_anchors():
     # the generator's self-check is linear in n, so large families are cheap
     inst = gen_clustered(8, 80, seed=0)
     assert len(inst.bodies) == 80
-    for body in inst.bodies:
-        anchor = 2 * math.pi * (body.id % 7) / 7
-        assert body_contains(body, UNIT_CIRCLE.point_at(anchor))
+    anchors = [UNIT_CIRCLE.point_at(2 * math.pi * (body.id % 7) / 7) for body in inst.bodies]
+    assert containment_matrix(inst.bodies, anchors).diagonal().all()
+
+
+def test_gen_clustered_names_the_first_body_off_its_anchor():
+    wedge = instances._wedge_points
+    made = []
+
+    def moved(anchor, w_lo, w_hi):
+        # Bodies 2 and 5 are moved off the curve.
+        made.append(anchor)
+        shift = 5.0 if len(made) in (3, 6) else 0.0
+        return [(x + shift, y) for x, y in wedge(anchor, w_lo, w_hi)]
+
+    with mock.patch.object(instances, "_wedge_points", moved):
+        with pytest.raises(GenerationError, match="^clustered body 2 misses its cluster's anchor$"):
+            gen_clustered(3, 8, 0)
 
 
 def test_gen_clustered_validation():

@@ -6,9 +6,11 @@ radius with them, and the mapped instance must give the unmapped run's
 tau* (within DUALITY_TOL), D, flags, transversal size and class body sets,
 with verify passing on the mapped instance. Mirror images, reversed or
 rotated vertex lists, split edges, rotations, a translation and small
-scales hold by symmetry. Scale by 10**k for k in -8..8 and translations
-up to the range bound (CurveModel.check_range) hold because every kernel
-runs in the curve's frame, where TOL_GEOM reads in units of the radius.
+scales hold by symmetry. Scale by 10**k for k in -8..8, with or without a
+split edge, and translations up to the range bound
+(CurveModel.check_range) hold because every kernel runs in the curve's
+frame, where TOL_GEOM reads in units of the radius, and from_vertices'
+tests are relative to the body's extent.
 """
 
 import math
@@ -111,6 +113,9 @@ def test_a_mapped_family_has_the_same_answer(inst):
         _assert_same(_summary(_mapped(inst, vertices)), want)
     for scale, shift in FRAMES:
         _assert_same(_summary(_frame(inst, scale, shift)), want)
+    for k in range(-8, 9):
+        split = _mapped(inst, lambda v: _split_first_edge(v) * 10.0 ** k, 10.0 ** k)
+        _assert_same(_summary(split), want)
 
 
 def _random_polygon(rng, body_id: int) -> ConvexBody:
@@ -118,10 +123,8 @@ def _random_polygon(rng, body_id: int) -> ConvexBody:
     to 1.5, at angles 2 pi (j + jitter) / m with jitter within 0.3, so
     neighbouring angles are at least 0.8 pi / m apart and neighbouring
     vertices at least 2 * 0.5 * sin(0.05 pi) > 0.15 apart; the width is
-    over 0.39 in 200,000 draws. from_vertices reads TOL_GEOM in the
-    input's units, so at scale 1e-8 it merges vertices closer than 0.1 and
-    refuses bodies thinner than that: a polygon nearer those limits would
-    become another body in that frame, not the same body mapped."""
+    over 0.39 in 200,000 draws, far from from_vertices' limits, so that
+    every frame keeps the body as drawn."""
     center = rng.uniform(-1.0, 1.0, 2)
     axes = rng.uniform(0.5, 1.5, 2)
     m = int(rng.integers(3, 9))

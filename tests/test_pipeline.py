@@ -658,7 +658,7 @@ def test_run_pipeline_names_a_shared_point_of_off_curve_bodies_once():
 
 def test_run_pipeline_keeps_a_body_within_tolerance_of_the_curve():
     # The triangle's bottom edge misses the circle by half of TOL_GEOM, so
-    # body_contains puts the curve point (0, 1) in it, as in the square:
+    # its rows' slack puts the curve point (0, 1) in it, as in the square:
     # that one point hits both.
     y = 1.0 + 5e-10
     tri = ConvexBody.from_vertices(0, [(-1.0, y), (1.0, y), (0.0, 2.0)])

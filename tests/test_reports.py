@@ -14,7 +14,7 @@ import pierce.lp
 import pierce.pipeline
 import pierce.reports
 from pierce.geometry import (
-    TWO_PI, ConvexBody, body_contains, candidate_points, containment_matrix,
+    TWO_PI, ConvexBody, candidate_points, containment_matrix,
 )
 from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import candidate_classes, run_pipeline
@@ -109,7 +109,7 @@ def test_verify_report_rejects_coverage_above_the_best_class_load(monkeypatch):
     assert verify_report(inst, report) == []
     # An optimal packing loads several classes fully, so put one copy on each
     # body at z: the class holding z is then the one heaviest.
-    at_z = {i for i, b in enumerate(inst.bodies) if body_contains(b, tuple(report["z"]))}
+    at_z = set(np.flatnonzero(containment_matrix(inst.bodies, [report["z"]])[0]).tolist())
     m = [int(i in at_z) for i in range(len(inst.bodies))]
     report.update(m=m, coverage={"count": len(at_z), "epsilon": 1.0,
                                  "multiset_size": len(at_z)})
@@ -257,7 +257,8 @@ def test_verify_report_rederives_the_filtered_bodies():
     inst, report = _gallery_report()
     # Claim that only body 0 meets the curve: the LP over it alone is
     # tau* = 1, and every other claim is made consistent with that.
-    z = next(pt for pt in report["transversal"] if body_contains(inst.bodies[0], tuple(pt)))
+    in_first = containment_matrix(inst.bodies[:1], report["transversal"])[:, 0]
+    z = report["transversal"][int(np.flatnonzero(in_first)[0])]
     forged = dict(
         report, filtered=[1, 2, 3, 4, 5, 6], p_effective=2, tau_star=1.0, m=[1], D=1, z=z,
         coverage={"count": 1, "epsilon": 1.0, "multiset_size": 1},
@@ -282,6 +283,36 @@ def test_verify_report_rederives_the_filtered_bodies():
 def gallery_run():
     inst = gallery7()
     return inst, run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+
+
+@pytest.mark.parametrize("flag", ["all_bodies_hit", "rounding_feasible_exact",
+                                  "coverage_le_denominator"])
+@pytest.mark.parametrize("inst", [gallery7(), Instance(pg22_twice(), p=3)],
+                         ids=["gallery7", "pg22x2"])
+def test_verify_report_names_a_flipped_flag(inst, flag):
+    # verify finds each of these three flags' truth itself.
+    assert flag in pierce.reports.FLAGS
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    assert verify_report(inst, report) == [] and report["flags"][flag] is True
+    report["flags"][flag] = False
+    assert verify_report(inst, report) == [f"flag {flag} is False, but verify finds True"]
+
+
+def test_verify_report_names_a_flag_its_check_contradicts(gallery_run):
+    inst, report = gallery_run
+    short = dict(report, transversal=report["transversal"][:1])
+    missed = np.flatnonzero(~containment_matrix(inst.bodies, short["transversal"])[0]).tolist()
+    assert missed and report["flags"]["all_bodies_hit"]
+    assert verify_report(inst, short) == [
+        f"transversal misses bodies {missed}", "flag all_bodies_hit is True, but verify finds False"]
+
+
+def test_verify_report_fails_an_unknown_top_level_key(gallery_run):
+    # Every key but stages is one that verify reads.
+    inst, report = gallery_run
+    assert verify_report(inst, dict(report, extra=1)) == ["unknown key 'extra'"]
+    assert verify_report(inst, dict(report, stages="anything")) == []
+    assert verify_report(inst, {k: v for k, v in report.items() if k != "stages"}) == []
 
 
 def test_verify_report_fails_on_zero_denominator(gallery_run):

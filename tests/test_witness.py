@@ -32,8 +32,8 @@ from lemmas import (
 from pierce.geometry import (
     TWO_PI,
     UNIT_CIRCLE,
-    body_contains,
     body_curve_arcs,
+    containment_matrix,
     meet_matrix,
 )
 from pierce.instances import gallery7, gen_clustered, gen_pairwise
@@ -83,7 +83,7 @@ def test_witness_list_rejects_malformed_entries(angles, pairs):
 ])
 def test_unit_multiset_list_is_the_plain_list(family):
     bodies = family()
-    arcs = [body_curve_arcs(b) for b in bodies]
+    arcs = body_curve_arcs(bodies)
     q = build_witness_list(bodies, UNIT_CIRCLE)
     unit = _replicated_list(arcs, [1] * len(bodies))
     for name in ("angles", "pairs", "colors"):
@@ -318,9 +318,8 @@ def test_piercing_soundness_random_instances():
                 z = piercing_point(UNIT_CIRCLE, q, quad)
             except DegenerateQuadrupleError:
                 continue
-            for color in hit:
-                assert body_contains(bodies[color], z)
-                checked += 1
+            assert containment_matrix([bodies[color] for color in hit], [z]).all()
+            checked += len(hit)
     assert checked >= 1000
 
 
@@ -428,7 +427,7 @@ def test_heaviest_class_dominates_the_replicated_list(case):
     # Every copy a quadruple of the copies' list pierces contains the chords'
     # crossing, so some class holds at least that many copies.
     bodies, m = case
-    ref = _replicated_list([body_curve_arcs(b) for b in bodies], m)
+    ref = _replicated_list(body_curve_arcs(bodies), m)
     assume(4 <= len(ref) <= 60)
     # Every quadruple of the copies' list, gap separators included.
     best_pierced = int(_pierced_counts(ref, _quadruples(len(ref))).max())
