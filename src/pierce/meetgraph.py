@@ -116,13 +116,20 @@ def _has_independent_set(graph: ColorGraph, size: int) -> bool:
     return extend(0, (1 << graph.n) - 1)
 
 
+def decides_p2(p: int, n: int) -> bool:
+    """Whether verify_p2 decides the condition for p on n vertices: always
+    for p = 2, where it only counts edges, and otherwise up to
+    EXACT_INDEPENDENCE_CAP vertices, read at call time."""
+    return p == 2 or n <= EXACT_INDEPENDENCE_CAP
+
+
 def verify_p2(graph: ColorGraph, p: int) -> bool:
     """True when every p vertices span at least one edge.
 
     Equivalently: the graph has no independent set of size p, i.e. the
     complement has no p-clique.  For p > 2 the search is exact and capped
-    at EXACT_INDEPENDENCE_CAP vertices, read at call time (the problem is
-    NP-hard in general); above the cap it raises ValueError.
+    (decides_p2; the problem is NP-hard in general); past the cap it
+    raises ValueError.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -130,7 +137,7 @@ def verify_p2(graph: ColorGraph, p: int) -> bool:
         return True
     if p == 2:
         return graph.edge_count == graph.n * (graph.n - 1) // 2
-    if graph.n > EXACT_INDEPENDENCE_CAP:
+    if not decides_p2(p, graph.n):
         raise ValueError(f"exact independence check capped at n = {EXACT_INDEPENDENCE_CAP}")
     return not _has_independent_set(graph, p)
 

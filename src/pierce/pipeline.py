@@ -11,7 +11,8 @@ classes @ m count the copies containing each class's point, and the bodies
 containing any point lie within some maximal class (candidate_points keeps
 a vertex of every cell; see its docstring), so their maximum is the most
 copies any point covers.  Every stage's claim is re-checked and the outcome
-recorded in the report flags rather than trusted; the report carries the LP
+recorded in the report flags rather than trusted, each by its one rule in
+flag_values, which verify_report applies too; the report carries the LP
 certificate so that verify_report can prove tau* without a solver.  The
 chain runs in the curve's frame, which validate, the step that
 verify_report shares, sets up; the report's points are mapped back to the
@@ -39,7 +40,7 @@ from .geometry import (
     pack,
 )
 from .lp import TOL_LP, packing_solve
-from .meetgraph import EXACT_INDEPENDENCE_CAP, build_meet_graph, verify_p2
+from .meetgraph import build_meet_graph, decides_p2, verify_p2
 
 DUALITY_TOL = 1e-6
 MULTISET_BUDGET = 500
@@ -373,6 +374,42 @@ def brute_min_transversal(bodies: list[ConvexBody], k_max: int) -> list[Point2] 
     return None
 
 
+def flag_values(p_eff, n_active, holds, certified, best_load, recount, total, d, tau_star, size,
+                missed) -> dict[str, bool]:
+    """The report's flags, in the report's key order, each by its one rule.
+
+    run_pipeline passes the numbers its stages compute, and verify_report
+    the ones it re-derives, so a flag is written and rechecked alike:
+
+    - condition_checked: verify_p2 decides the condition for p_eff on the
+      n_active bodies (decides_p2). Only then is condition_holds written,
+      as holds, since a skipped check observes neither outcome; verify
+      passes None, taking it as given.
+    - duality_ok: certified, the verdict on the LP certificate.
+    - rounding_feasible_exact: best_load, the heaviest m-load of a class,
+      is at most D = d.
+    - coverage_le_denominator: recount, the m-load at the heavy point, is
+      at most d.
+    - tau_epsilon_consistent: epsilon = recount / total is positive, and
+      tau_star is at most 1/epsilon plus a slack of n_active/d + 1e-9.
+    - greedy_within_log_bound: size, the transversal's points less one per
+      filtered body, is at most tau_star * (1 + ln n_active) + 1.
+    - all_bodies_hit: missed, the bodies the transversal misses, is empty.
+    """
+    flags = {"condition_checked": decides_p2(p_eff, n_active)}
+    if flags["condition_checked"]:
+        flags["condition_holds"] = holds
+    flags["duality_ok"] = certified
+    flags["rounding_feasible_exact"] = best_load <= d
+    flags["coverage_le_denominator"] = recount <= d
+    epsilon = recount / total if total > 0 else 0.0
+    flags["tau_epsilon_consistent"] = (
+        epsilon > 0 and d >= 1 and tau_star <= 1.0 / epsilon + (n_active / d + 1e-9))
+    flags["greedy_within_log_bound"] = size <= tau_star * (1 + math.log(max(n_active, 1))) + 1
+    flags["all_bodies_hit"] = len(missed) == 0
+    return flags
+
+
 def validate(bodies: list[ConvexBody], curve: CurveModel, p: int):
     """The step that solve and verify share: (family, filtered, active,
     arcs, p_eff).
@@ -399,10 +436,12 @@ def run_pipeline(
     """Full rounding chain from a family to a verified integer transversal.
 
     Every stage runs in the curve's frame (see validate), and the report's
-    points are mapped back to the input's (CurveModel.from_unit).
+    points are mapped back to the input's (CurveModel.from_unit). The
+    flags are flag_values of the numbers the stages compute, the rules
+    verify_report rechecks them by; the condition stage runs verify_p2
+    only where flag_values' skip rule, decides_p2, checks the condition.
     """
     timings: dict[str, float] = {}
-    flags: dict[str, bool] = {}
 
     t0 = time.perf_counter()
     family, filtered, active, arcs, p_eff = validate(bodies, curve, p)
@@ -411,14 +450,8 @@ def run_pipeline(
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # For p = 2 verify_p2 only counts edges, so the exact-search cap does not apply.
-    if p_eff == 2 or len(active) <= EXACT_INDEPENDENCE_CAP:
-        graph = build_meet_graph(active, arcs=arcs)
-        flags["condition_checked"] = True
-        flags["condition_holds"] = verify_p2(graph, p_eff)
-    else:
-        # No condition_holds: a skipped check observed neither outcome.
-        flags["condition_checked"] = False
+    # A skipped check builds no meet graph, and flag_values writes no condition_holds.
+    holds = decides_p2(p_eff, len(active)) and verify_p2(build_meet_graph(active, arcs=arcs), p_eff)
     timings["condition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -437,7 +470,7 @@ def run_pipeline(
     support = [j for j, w in enumerate(lp.duals) if w > TOL_LP]
     cover_weights = tuple(lp.duals[j] for j in support)
     # The certificate the report carries, as verify_report reads it.
-    flags["duality_ok"] = not certificate_failures(
+    certified = not certificate_failures(
         [b.id for b in active], mat[support], cover_weights, mat, packing, tau_star)
     timings["lps"] = time.perf_counter() - t0
 
@@ -449,7 +482,6 @@ def run_pipeline(
         m[int(np.argmax(packing))] = 1
         m = tuple(m)
     loads = mat @ np.array(m, dtype=np.int64)
-    flags["rounding_feasible_exact"] = bool((loads <= d).all())
     timings["rationalize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -458,26 +490,20 @@ def run_pipeline(
     z, covered = classes.points[k], int(loads[k])
     total = sum(m)
     epsilon = covered / total
-    flags["coverage_le_denominator"] = covered <= d
-    slack = len(active) / d + 1e-9
-    flags["tau_epsilon_consistent"] = epsilon > 0 and tau_star <= 1.0 / epsilon + slack
     timings["heavy_point"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    picks = greedy_transversal(classes)
-    flags["greedy_within_log_bound"] = (
-        len(picks) <= tau_star * (1 + math.log(max(len(active), 1))) + 1
-    )
     # A filtered body gets its vertex mean, a point inside it.
-    transversal = list(picks) + [tuple(family[i].vertices.mean(axis=0).tolist()) for i in filtered]
-    inside = containment_matrix(family, transversal)
-    flags["all_bodies_hit"] = bool(inside.any(axis=0).all())
-    timings["greedy"] = time.perf_counter() - t0
-
+    transversal = greedy_transversal(classes) + [
+        tuple(family[i].vertices.mean(axis=0).tolist()) for i in filtered]
+    missed = np.flatnonzero(~containment_matrix(family, transversal).any(axis=0))
     # The report's points, back in the input's frame. A transversal is a
     # set, so a point repeated, here or by the map, is kept once.
+    transversal = tuple(dict.fromkeys(curve.from_unit(transversal)))
+    timings["greedy"] = time.perf_counter() - t0
+
     return TransversalReport(
-        transversal=tuple(dict.fromkeys(curve.from_unit(transversal))),
+        transversal=transversal,
         tau_star=tau_star,
         multiplicities=m,
         denominator=d,
@@ -490,6 +516,7 @@ def run_pipeline(
         cover_points=tuple(curve.from_unit(classes.points[j] for j in support)),
         cover_weights=cover_weights,
         packing=packing,
-        flags=flags,
+        flags=flag_values(p_eff, len(active), holds, certified, covered, covered, total, d, tau_star,
+                          len(transversal) - len(filtered), missed),
         timings=timings,
     )

@@ -4,13 +4,14 @@ A report is the JSON form of a TransversalReport.  verify_report loads one
 next to its instance and re-derives every claim from scratch: which bodies
 miss the curve, geometry of the output points, tau_star from the report's LP
 certificate, exact integer feasibility of the multiplicities, the
-heavy-point accounting, and the three flags that state what those checks
-find.  The report claims the heaviest point, so its recount must equal the
-heaviest load max(rows @ m) over the candidate rows, the bodies containing
-each candidate point, and may not exceed D.  Only the bodies with a
-nonzero multiplicity or packing weight load a point, so the candidate
-points are those of that weighted sub-family.  The certificate is
-a cover (points with weights) and a packing (one weight per active body);
+heavy-point accounting, and the flags, by the rules run_pipeline writes
+them with (pipeline.flag_values).  The report claims the heaviest point,
+so its recount must equal the heaviest load max(rows @ m) over the
+candidate rows, the bodies containing each candidate point, and may not
+exceed D.  Only the bodies with a nonzero multiplicity or packing weight
+load a point, so the candidate points are those of that weighted
+sub-family.  The certificate is a cover (points with weights) and a
+packing (one weight per active body);
 verify_report proves tau_star by weak duality from containment and the
 candidate rows' loads alone, builds no classes and solves no linear
 program.  It trusts nothing in the file beyond the numbers it is checking.
@@ -25,16 +26,16 @@ import numpy as np
 
 from .geometry import candidate_points, containment_matrix
 from .instances import Instance, _is_int, _is_number, _is_point
-from .pipeline import TransversalReport, certificate_failures, validate
+from .pipeline import TransversalReport, certificate_failures, flag_values, validate
 
 
 def _is_list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
-# The booleans run_pipeline writes, save condition_holds, which it writes
-# exactly when condition_checked is true, as a skipped check observes no
-# outcome.
+# The booleans run_pipeline writes (pipeline.flag_values), save
+# condition_holds, which it writes exactly when condition_checked is true,
+# as a skipped check observes no outcome.
 FLAGS = ("condition_checked", "duality_ok", "rounding_feasible_exact", "coverage_le_denominator",
          "tau_epsilon_consistent", "greedy_within_log_bound", "all_bodies_hit")
 
@@ -112,10 +113,18 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     points, which are in the input's frame. A transversal is a set, so one
     that repeats a point fails.
 
-    Three flags state what these checks find, and each fails when its
-    value differs: all_bodies_hit (the transversal check),
-    rounding_feasible_exact (the heaviest load of m is at most D) and
-    coverage_le_denominator (the recount at z is at most D).
+    The flags are rechecked by pipeline.flag_values, the rules solve
+    writes them with, on the numbers verify re-derives: the skip rule for
+    condition_checked, the certificate's verdict for duality_ok, the
+    heaviest m-load and the recount at z for rounding_feasible_exact and
+    coverage_le_denominator, sum(m), D and tau_star for
+    tau_epsilon_consistent, the transversal's size less the filtered
+    bodies for greedy_within_log_bound, and the missed bodies for
+    all_bodies_hit. Each flag whose value differs fails with a line naming
+    it, and the checks above read the same verdicts. condition_holds is
+    taken as given: rechecking it would cost the meet graph and verify_p2
+    on every checked family, about 30% more verify time on pg-union
+    families (README, Reports).
     """
     failures = _shape_failures(report)
     if failures:
@@ -150,6 +159,8 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         failures.append(
             f"multiset size {cov['multiset_size']} != sum of multiplicities {total}"
         )
+    if total == 0:
+        failures.append("multiset is empty: m sums to 0")
 
     # The weighted bodies' candidates carry the heaviest loads (see above).
     lp = report["lp"]
@@ -182,30 +193,34 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
 
     n_cover, n_packing = len(lp["cover_weights"]), len(lp["packing"])
     if n_cover != len(cover_rows):
-        failures.append(f"lp has {n_cover} cover weights for {len(cover_rows)} cover points")
+        certificate = [f"lp has {n_cover} cover weights for {len(cover_rows)} cover points"]
     elif n_packing != len(active):
-        failures.append(f"lp packing has {n_packing} entries for {len(active)} active bodies")
+        certificate = [f"lp packing has {n_packing} entries for {len(active)} active bodies"]
     else:
-        failures += certificate_failures([b.id for b in active], cover_rows, lp["cover_weights"],
-                                         rows, lp["packing"], tau_star)
+        certificate = certificate_failures([b.id for b in active], cover_rows,
+                                           lp["cover_weights"], rows, lp["packing"], tau_star)
+    failures += certificate
 
     weights = np.asarray(m, dtype=np.int64)
     loads = rows @ weights
     top = int(np.argmax(loads))
     best_load = int(loads[top])
-    if best_load > d:
+    recount = 0 if z is None else int(z_row[0] @ weights)
+    # None for condition_holds: verify takes it as given (see above).
+    found = flag_values(p_eff, len(active), None, not certificate, best_load, recount, total, d,
+                        tau_star, len(report["transversal"]) - len(filtered), missed)
+    if not found["rounding_feasible_exact"]:
         members = [active[i].id for i in np.flatnonzero(rows[top])]
         failures.append(f"multiplicity sum {best_load} > D={d} at class {members}")
 
     if z is None:
         failures.append("missing heavy point")
     else:
-        recount = int(z_row[0] @ weights)
         if recount != cov["count"]:
             failures.append(
                 f"heavy point covers {recount} copies, report says {cov['count']}"
             )
-        if recount > d:
+        if not found["coverage_le_denominator"]:
             failures.append(f"heavy coverage {recount} exceeds D={d}")
         if recount > best_load:
             failures.append(
@@ -221,21 +236,13 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
                 failures.append(f"epsilon mismatch: {eps} vs {cov['epsilon']}")
             if eps == 0:
                 failures.append("heavy point covers no copy")
-            elif d >= 1:  # D < 1 is reported above
-                slack = len(active) / d + 1e-9
-                if tau_star > 1.0 / eps + slack:
-                    failures.append(
-                        f"tau_star {tau_star:.6f} above 1/epsilon + slack "
-                        f"{1.0 / eps + slack:.6f}"
-                    )
+            elif d >= 1 and not found["tau_epsilon_consistent"]:  # D < 1 is reported above
+                failures.append(f"tau_star {tau_star:.6f} above 1/epsilon + slack, "
+                                f"epsilon = {eps:.6f} and D = {d}")
 
-    # The flags whose truth the checks above found.
-    truth = {"all_bodies_hit": not missed, "rounding_feasible_exact": best_load <= d}
-    if z is not None:
-        truth["coverage_le_denominator"] = recount <= d
     flags = report["flags"]
-    failures += [f"flag {flag} is {flags[flag]}, but verify finds {truth[flag]}"
-                 for flag in FLAGS if flag in truth and flags[flag] != truth[flag]]
+    failures += [f"flag {flag} is {flags[flag]}, but verify finds {value}"
+                 for flag, value in found.items() if value is not None and flags[flag] != value]
     return failures
 
 

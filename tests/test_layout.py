@@ -2,11 +2,14 @@
 in the package or the bench: a name read as code (a Name or an Attribute node
 in a load, not a string, a docstring or the assignment itself) in src/pierce
 or bench, or the console script's entry point. Dunder names such as __all__
-are exempt. The paper's lemmas that only tests run live in tests/lemmas.py."""
+are exempt. The paper's lemmas that only tests run live in tests/lemmas.py.
+And only pipeline.flag_values writes a report flag."""
 
 import ast
 import tomllib
 from pathlib import Path
+
+import pierce.reports
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "pierce").glob("*.py"))
@@ -49,3 +52,24 @@ def test_every_module_constant_in_src_is_read():
                and not (n.id.startswith("__") and n.id.endswith("__"))]
     assert ("geometry", "TOL_GEOM") in defined
     assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+
+
+def test_only_flag_values_writes_a_flag():
+    # Each flag's rule lives in pipeline.flag_values, which solve and verify
+    # both call, and reports.FLAGS lists the names. A rule is a write: a flag
+    # name as a dict key, or as the key of an assigned subscript. Elsewhere a
+    # name may only be listed or read (verify reads the verdicts, the CLI
+    # reads all_bodies_hit), so a second rule cannot creep back into
+    # run_pipeline or verify_report as a flags[...] line or a truth dict.
+    names = {*pierce.reports.FLAGS, "condition_holds"}
+    trees, writes = _trees(), []
+    for path in PACKAGE:
+        for top in trees[path].body:
+            for node in ast.walk(top):
+                keys = node.keys if isinstance(node, ast.Dict) else (
+                    [node.slice] if isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store) else [])
+                writes += [(path.stem, getattr(top, "name", None), key.value) for key in keys
+                           if isinstance(key, ast.Constant) and key.value in names]
+    assert {name for _, _, name in writes} == names
+    assert [w for w in writes if w[:2] != ("pipeline", "flag_values")] == []

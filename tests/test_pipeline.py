@@ -452,6 +452,37 @@ def test_rationalize_stays_feasible_on_lp_outputs():
             assert total <= d
 
 
+@st.composite
+def class_rows_and_weights(draw):
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=10))
+    # Exact small fractions take the continued-fraction path, random
+    # floats mostly the floor path.
+    weight = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.6, 2 / 3, 1.0]),
+                       st.floats(0.0, 1.0))
+    return np.array(rows, dtype=bool).reshape(len(rows), n), draw(st.lists(
+        weight, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_rows_and_weights(), st.integers(1, 60))
+@example((np.array([[True, False]]), [0.5, 0.25]), 60)  # fractions: D = 4
+@example((np.array([[True, True]]), [0.6, 0.6]), 10)  # 3/5 + 3/5 > 1: floor at D = 10
+@example((np.zeros((0, 3), bool), [0.001, 0.0, 0.002]), 7)  # floored to m = 0
+def test_rationalize_is_feasible_for_any_weights(rows_weights, cap):
+    """rounding_feasible_exact and coverage_le_denominator hold by
+    construction. rationalize keeps the continued fractions only when every
+    class load is at most D, and the floor path's repair ends when every
+    load is; the heavy point's count is one of those loads. When m sums to
+    0, run_pipeline gives one body a single copy, and a 0/1 row loads it at
+    most once, with D >= 1. So verify's rechecks of these two flags guard
+    against forged reports, not against solve."""
+    rows, weights = rows_weights
+    m, d = rationalize(weights, cap, class_rows=rows)
+    assert 1 <= d <= cap and all(type(v) is int and v >= 0 for v in m)
+    assert (rows.astype(np.int64) @ np.array(m, dtype=np.int64) <= d).all()
+
+
 def test_fractional_transversal_covers_gallery():
     bodies = gallery7().bodies
     classes = candidate_classes(bodies)

@@ -70,7 +70,8 @@ def test_verify_report_rejects_heavy_point_covering_nothing():
     report["z"] = [5.0, 5.0]
     report["coverage"] = dict(report["coverage"], count=0, epsilon=0.0)
     assert verify_report(inst, report) == [
-        f"heavy coverage 0 is below the best class load {best}", "heavy point covers no copy"]
+        f"heavy coverage 0 is below the best class load {best}", "heavy point covers no copy",
+        "flag tau_epsilon_consistent is True, but verify finds False"]
 
 
 def test_verify_report_rejects_a_lighter_class_as_the_heavy_point():
@@ -99,6 +100,7 @@ def test_verify_report_rejects_a_heavy_point_outside_every_body():
         f"heavy coverage 0 is below the best class load {count}",
         f"epsilon mismatch: 0.0 vs {eps}",
         "heavy point covers no copy",
+        "flag tau_epsilon_consistent is True, but verify finds False",
     ]
 
 
@@ -285,19 +287,6 @@ def gallery_run():
     return inst, run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
 
 
-@pytest.mark.parametrize("flag", ["all_bodies_hit", "rounding_feasible_exact",
-                                  "coverage_le_denominator"])
-@pytest.mark.parametrize("inst", [gallery7(), Instance(pg22_twice(), p=3)],
-                         ids=["gallery7", "pg22x2"])
-def test_verify_report_names_a_flipped_flag(inst, flag):
-    # verify finds each of these three flags' truth itself.
-    assert flag in pierce.reports.FLAGS
-    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
-    assert verify_report(inst, report) == [] and report["flags"][flag] is True
-    report["flags"][flag] = False
-    assert verify_report(inst, report) == [f"flag {flag} is False, but verify finds True"]
-
-
 def test_verify_report_names_a_flag_its_check_contradicts(gallery_run):
     inst, report = gallery_run
     short = dict(report, transversal=report["transversal"][:1])
@@ -330,16 +319,22 @@ def test_verify_report_without_weights_reads_every_active_body(gallery_run):
     unweighted = dict(report, m=zero, lp=dict(report["lp"], packing=[0.0] * len(zero)))
     assert verify_report(inst, unweighted) == [
         "multiset size 15 != sum of multiplicities 0",
+        "multiset is empty: m sums to 0",
         "packing sum 0.000000000 != cover sum 2.142857143",
         "tau_star 2.1428571428571423 > packing bound 0.000000000",
         "heavy point covers 0 copies, report says 7",
+        "flag duality_ok is True, but verify finds False",
+        "flag tau_epsilon_consistent is True, but verify finds False",
     ]
     # A packing of the wrong length weights nothing either.
     short = dict(report, m=zero, lp=dict(report["lp"], packing=report["lp"]["packing"][:-1]))
     assert verify_report(inst, short) == [
         "multiset size 15 != sum of multiplicities 0",
+        "multiset is empty: m sums to 0",
         "lp packing has 6 entries for 7 active bodies",
         "heavy point covers 0 copies, report says 7",
+        "flag duality_ok is True, but verify finds False",
+        "flag tau_epsilon_consistent is True, but verify finds False",
     ]
 
 
@@ -354,12 +349,14 @@ def test_verify_report_reads_the_candidates_of_every_body_with_a_weight():
     assert verify_report(inst, dict(report, lp=spread)) == [
         "class of bodies [0, 1, 2, 3, 4, 5] has packing load 3.000000000 > 1",
         "packing sum 3.000000000 != cover sum 1.000000000",
+        "flag duality_ok is True, but verify finds False",
     ]
     assert verify_report(inst, dict(report, m=[-1, 0, 0, 0, 0, 0])) == [
         "multiplicities must be nonnegative with D >= 1",
         "multiset size 1 != sum of multiplicities -1",
         "heavy point covers -1 copies, report says 1",
         "heavy coverage -1 is below the best class load 0",
+        "flag tau_epsilon_consistent is True, but verify finds False",
     ]
 
 
