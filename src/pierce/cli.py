@@ -180,8 +180,9 @@ def _cmd_stats(args) -> int:
         raise ValueError("alpha must lie in (0, 1)")
     instance = load_instance(args.instance)
     n_bodies = len(instance.bodies)
-    arcs = body_curve_arcs(instance.curve.to_unit(instance.bodies))
-    graph = build_meet_graph(instance.bodies, arcs=arcs)
+    bodies = instance.curve.to_unit(instance.bodies)
+    arcs = body_curve_arcs(bodies)
+    graph = build_meet_graph(bodies, arcs=arcs)
     q = witness_list(arcs, graph.adj)
     spread = sum(1 for color in range(n_bodies)
                  if len(q) and is_spread_out(q.occurrences(color), len(q), args.alpha))

@@ -8,14 +8,14 @@ spread-out side of the spread-out / short-cover dichotomy, is_spread_out,
 lives in pierce.witness, and the short-cover side, interval_cover, beside
 its tests in tests/lemmas.py.
 
-Crossing counts are exact on both curves: the float data, dyadic rationals,
-are scaled to an integer polynomial (on the closed curve, in u = tan(t/2)),
-and a Sturm chain of integer pseudo-remainders counts its distinct real
-roots.  A chain step whose degrees differ by one, the usual step, is one
-fused pass over the coefficients; other steps divide term by term.  Counts
-cover the whole curve: they read each member's signs at +-infinity from its
-leading coefficient and degree, and count the variations, in one loop over
-the chain.
+Crossing counts are exact on both curves.  One pass checks the caller's
+float data, dyadic rationals, and takes their exact ratios, scaled to an
+integer polynomial (on the closed curve, in u = tan(t/2)).  A streamed
+Sturm chain of integer pseudo-remainders counts its distinct real roots: a
+step whose degrees differ by one, the usual step, is one fused pass over
+the coefficients, and other steps divide term by term.  Counts cover the
+whole curve: they read each member's signs at +-infinity from its leading
+coefficient and degree, and count the variations as the members arrive.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .geometry import _finite_floats
+from .geometry import _NP_REALS, _PY_REALS, _finite_floats
 
 MOMENT = "moment"
 CARATHEODORY = "caratheodory"
@@ -63,9 +64,8 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
 
     The scale makes every quotient coefficient an integer, and being
     positive, it leaves q and r positive multiples of the quotient and
-    remainder of a by b over the rationals.  A Sturm chain step that needs
-    only r, with deg a = deg b + 1, takes the fused _pseudo_remainder
-    instead; this term-by-term division serves the other degree gaps.
+    remainder of a by b over the rationals.  _sturm_chain fuses the step of
+    degree gap one; this term-by-term division serves the other gaps.
     """
     lead = b[-1]
     quo = [0] * (len(a) - len(b) + 1)
@@ -80,33 +80,18 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return quo, rem
 
 
-def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
-    """_pseudo_divmod(a, b)[1], without building the quotient.
+def _sturm_chain(p: IntPoly) -> Iterator[IntPoly]:
+    """p (degree >= 1), p', then negated pseudo-remainders, one at a time.
 
-    In the usual case, deg a = deg b + 1 (p by p', and every step of a chain
+    Each member is scaled by a positive integer (pseudo-division, then
+    content removal), so the sign pattern is that of the rational chain.
+    The chain ends at a constant or before a vanishing remainder.
+
+    In the usual step, deg a = deg b + 1 (p by p', and every step of a chain
     without degree gaps), the two division steps fuse: with beta = lc(b),
     the quotient digits are c1 = beta a_top and c0 = beta a_top-1 - a_top
     b_top-1, and r_i = beta^2 a_i - c1 b_i-1 - c0 b_i for i < deg b, where
     b_-1 = 0.  These are the integers _pseudo_divmod computes.
-    """
-    n = len(b)
-    if len(a) != n + 1 or n < 2:
-        return _pseudo_divmod(a, b)[1]
-    beta, top = b[-1], a[-1]
-    scale, c1, c0 = beta * beta, beta * top, beta * a[-2] - top * b[-2]
-    rem = [scale * a[0] - c0 * b[0]]
-    rem += [scale * a[i] - c1 * b[i - 1] - c0 * b[i] for i in range(1, n - 1)]
-    return _trim(rem)
-
-
-def _sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """p (degree >= 1), p', then negated pseudo-remainders.
-
-    Each member is scaled by a positive integer (pseudo-division, then
-    content removal), so the sign pattern is that of the rational chain.
-    The chain ends at a constant or before a vanishing remainder.  Each
-    remainder comes from _pseudo_remainder, which fuses the usual step of
-    degree gap one into a single pass.
 
     When p has multiple roots the last member is gcd(p, p') up to a
     constant, and every member is it times a member of the square-free
@@ -114,39 +99,42 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
     whole chain, so it leaves the sign variations there, and the count of
     distinct roots, as they are for the square-free part.
     """
-    chain = [p, [k * p[k] for k in range(1, len(p))]]
-    while len(chain[-1]) > 1:
-        rem = _pseudo_remainder(chain[-2], chain[-1])
+    a, b = p, [k * p[k] for k in range(1, len(p))]
+    yield a
+    yield b
+    while (n := len(b)) > 1:
+        if len(a) == n + 1:
+            beta, top = b[-1], a[-1]
+            scale, c1, c0 = beta * beta, beta * top, beta * a[-2] - top * b[-2]
+            rem = [scale * a[0] - c0 * b[0]]
+            rem += [scale * a[i] - c1 * b[i - 1] - c0 * b[i] for i in range(1, n - 1)]
+            _trim(rem)
+        else:
+            rem = _pseudo_divmod(a, b)[1]
         if not rem:
-            break
+            return
         content = math.gcd(*rem)
-        chain.append([-c // content for c in rem])
-    return chain
+        a, b = b, [-c // content for c in rem]
+        yield b
 
 
 def _distinct_roots(p: IntPoly) -> int:
     """Distinct real roots of p on the whole line, exactly."""
     if len(p) < 2:
         return 0  # a nonzero constant
-    chain = _sturm_chain(p)
     # At +infinity a member has the sign of its leading coefficient, at
     # -infinity that sign times (-1)^degree.  Neighbours whose degrees have
     # the same parity vary at both ends or at neither; the others vary at
     # -infinity alone when their leading signs agree, and at +infinity alone
     # when they differ.
+    chain = _sturm_chain(p)
+    q = next(chain)
     roots = 0
-    for q, r in zip(chain, chain[1:]):
+    for r in chain:
         if (len(q) ^ len(r)) & 1:
             roots += 1 if (q[-1] > 0) == (r[-1] > 0) else -1
+        q = r
     return roots
-
-
-def _dyadic_integers(values: list[float]) -> list[int]:
-    # The floats times their common power-of-two denominator: integers in the
-    # same ratios, exactly.
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = max(den for _, den in ratios)
-    return [num * (scale // den) for num, den in ratios]
 
 
 @functools.cache
@@ -185,11 +173,9 @@ def hyperplane_crossings(spec: CurveSpecD, normal, offset: float) -> int:
 
     This is what the paper's "meets every hyperplane at most d times"
     counts: a point where the curve only touches the hyperplane counts once,
-    like a crossing.  The count is exact and covers the whole curve.  The
-    float data are dyadic rationals, scaled to an integer polynomial whose
-    distinct real roots a Sturm chain of integer pseudo-remainders counts,
-    reading each member's sign at +-infinity from its leading coefficient
-    and degree.
+    like a crossing.  The count is exact and covers the whole curve: the
+    float data, dyadic rationals, make an integer polynomial whose distinct
+    real roots a Sturm chain counts.
 
     Moment curve: the polynomial is the composition, of degree at most d in
     t, over the whole line.  Closed curve: with u = tan(t/2), the
@@ -198,17 +184,30 @@ def hyperplane_crossings(spec: CurveSpecD, normal, offset: float) -> int:
     coefficient is the composition at t = pi (u = infinity), so that point
     is common exactly when the degree drops.
 
-    The normal and offset must be finite floats; a ValueError naming the
-    argument rejects any other.
+    The normal and offset must be finite ints or floats (numpy's too; see
+    _finite_floats); a ValueError naming the argument rejects any other.
     """
-    coeffs = _finite_floats(normal, "hyperplane normal")
-    if len(coeffs) != spec.d:
-        raise ValueError("normal length must match the dimension")
-    if not any(coeffs):
-        raise ValueError("hyperplane normal must be nonzero")
-    (offset,) = _finite_floats((offset,), "hyperplane offset")
+    # One pass checks the values and takes their exact ratios.  It accepts what
+    # the checks below accept; they run on a reject alone, to name its fault.
+    try:
+        nums, dens = zip(*[float(v).as_integer_ratio() for v in (offset, *normal)
+                           if type(v) in _PY_REALS or isinstance(v, _NP_REALS)])
+        valid = len(nums) == len(normal) + 1 == spec.d + 1 and any(nums[1:])
+    except (OverflowError, TypeError, ValueError):  # past float range, inf, nan, no sequence
+        valid = False
+    if not valid:
+        coeffs = _finite_floats(normal, "hyperplane normal")
+        if len(coeffs) != spec.d:
+            raise ValueError("normal length must match the dimension")
+        if not any(coeffs):
+            raise ValueError("hyperplane normal must be nonzero")
+        _finite_floats((offset,), "hyperplane offset")
 
-    weights = _dyadic_integers([-offset, *coeffs])
+    # The floats times their common power-of-two denominator: integers in
+    # the same ratios, exactly, with the offset moved across.
+    scale = max(dens)
+    weights = [num * (scale // den) for num, den in zip(nums, dens)]
+    weights[0] = -weights[0]
     if spec.kind == MOMENT:
         return _distinct_roots(_trim(weights))
     poly = _trim([sum(map(operator.mul, weights, column)) for column in _closed_basis(spec.d)])

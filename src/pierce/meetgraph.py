@@ -118,9 +118,10 @@ def _has_independent_set(graph: ColorGraph, size: int) -> bool:
 
 def decides_p2(p: int, n: int) -> bool:
     """Whether verify_p2 decides the condition for p on n vertices: always
-    for p = 2, where it only counts edges, and otherwise up to
-    EXACT_INDEPENDENCE_CAP vertices, read at call time."""
-    return p == 2 or n <= EXACT_INDEPENDENCE_CAP
+    for p = 2, where it only counts edges, and when n < p, where no p
+    vertices exist, and otherwise up to EXACT_INDEPENDENCE_CAP vertices,
+    read at call time."""
+    return p == 2 or n < p or n <= EXACT_INDEPENDENCE_CAP
 
 
 def verify_p2(graph: ColorGraph, p: int) -> bool:

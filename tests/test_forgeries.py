@@ -7,12 +7,15 @@ is mutation analysis turned on the checker (DeMillo, Lipton and Sayward,
 Computer 11(4), 1978): a checker is only as good as the forgeries it
 rejects. Two false claims still pass, marked xfail(strict=True) with the
 ROADMAP item that closes each, so that the mark goes once they fail.
+The edits run on six fixed families and on hypothesis-drawn ones.
 """
 
 import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pierce.reports
 from pierce.geometry import TWO_PI, UNIT_CIRCLE, candidate_points, containment_matrix
@@ -132,6 +135,32 @@ def test_a_false_claim_fails_verify_naming_its_field(runs, family, edit, needle)
     inst, report = runs[family]
     failures = verify_report(inst, edit(inst, copy.deepcopy(report)))
     assert [f for f in failures if needle in f], failures
+
+
+_seeds = st.integers(0, 2**16)
+
+
+@st.composite
+def drawn_families(draw):
+    """gen_pairwise families of 2-12 bodies and gen_clustered families of
+    p - 1 = 1-4 clusters and p-20 bodies, with drawn seeds."""
+    if draw(st.booleans()):
+        return gen_pairwise(draw(st.integers(2, 12)), draw(_seeds))
+    p = draw(st.integers(2, 5))
+    return gen_clustered(p, draw(st.integers(p, 20)), draw(_seeds))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_families())
+def test_every_false_claim_fails_verify_on_drawn_families(inst):
+    # Every edit applies to these families; the xfail ones still pass verify.
+    report = run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
+    assert verify_report(inst, report) == []
+    for param in FALSE_CLAIMS:
+        if not param.marks:
+            edit, needle = param.values
+            failures = verify_report(inst, edit(inst, copy.deepcopy(report)))
+            assert [f for f in failures if needle in f], (param.id, failures)
 
 
 @pytest.mark.parametrize("edit", BENIGN)

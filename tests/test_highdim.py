@@ -11,14 +11,12 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pierce.geometry import _finite_floats
 from pierce.highdim import (
     CARATHEODORY,
     MOMENT,
     CurveSpecD,
     _closed_basis,
-    _dyadic_integers,
-    _pseudo_divmod,
-    _pseudo_remainder,
     _sturm_chain,
     _trim,
     hyperplane_crossings,
@@ -103,6 +101,68 @@ def test_hyperplane_crossings_reject_strings_and_bools(normal, offset, bad):
     # float() parses each of these, but they are not numbers.
     with pytest.raises(ValueError, match=f"hyperplane {bad} must be numbers"):
         hyperplane_crossings(CurveSpecD(MOMENT, 2), normal, offset)
+
+
+def _first_input_fault(d, normal, offset) -> str | None:
+    """The message of the first fault in a normal and offset, by
+    _finite_floats and the other checks, in the order the arguments are
+    checked: the normal's values, its length, that it is nonzero, then the
+    offset.  None when there is none."""
+    try:
+        coeffs = _finite_floats(normal, "hyperplane normal")
+        if len(coeffs) != d:
+            return "normal length must match the dimension"
+        if not any(coeffs):
+            return "hyperplane normal must be nonzero"
+        _finite_floats((offset,), "hyperplane offset")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Ints and floats of every kind, numpy's too, and what _finite_floats
+# rejects: bools, numeric strings, None, NaN, +-inf and ints past float range.
+_input_value = st.one_of(
+    st.integers(-9, 9),
+    st.floats(),
+    st.sampled_from([10**400, -10**400, True, False, "1", "nan", None,
+                     np.float64("inf"), np.float32("nan"), np.bool_(True)]),
+    st.builds(np.float64, st.floats(-1e3, 1e3)),
+    st.builds(np.float32, st.floats(-1e3, 1e3, width=32)),
+    st.builds(np.int64, st.integers(-9, 9)),
+)
+
+
+@st.composite
+def crossing_inputs(draw):
+    """d (2-4), a normal of d values, of d + 1 a tenth of the time, and an
+    offset; ints half the time, so that many inputs are valid."""
+    d = draw(st.integers(2, 4))
+    value = st.integers(-9, 9) | _input_value
+    size = d + draw(st.sampled_from([0] * 9 + [1]))
+    return d, draw(st.lists(value, min_size=size, max_size=size)), draw(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_inputs())
+@example((2, [float("nan"), "1"], 0.0))  # a wrong type is named before a non-finite value
+@example((2, ["1", 10**400], 0.0))  # and a value past float range before a wrong type
+@example((2, [0, 0.0], float("nan")))  # a zero normal is named before the offset
+@example((2, [1, 2, 3], "1"))  # as is a wrong length
+def test_hyperplane_crossings_take_what_finite_floats_takes(case):
+    # The one input pass accepts and rejects as the checks do, with their
+    # messages, and an accepted input counts as its floats do.
+    d, normal, offset = case
+    fault = _first_input_fault(d, normal, offset)
+    spec = CurveSpecD(MOMENT, d)
+    if fault is not None:
+        with pytest.raises(ValueError) as info:
+            hyperplane_crossings(spec, normal, offset)
+        assert str(info.value) == fault
+    else:
+        floats = [float(v) for v in normal]
+        assert hyperplane_crossings(spec, normal, offset) == hyperplane_crossings(
+            spec, floats, float(offset))
 
 
 def test_moment_crossings_simple():
@@ -279,27 +339,43 @@ _coefficient = st.integers(-3, 3) | st.integers(-2**60, 2**60)
 
 
 @st.composite
-def remainder_pairs(draw):
-    """(a, b) with deg b 0-7 and deg a - deg b 0-3, half of them 1 (the
-    fused step), coefficients small (so that the top of a step cancels) or
-    up to 2^60, and leading coefficients of either sign."""
-    n = draw(st.integers(1, 8))
-    gap = draw(st.sampled_from([0, 1, 1, 1, 2, 3]))
-    lead = _coefficient.filter(bool)
-    b = draw(st.lists(_coefficient, min_size=n - 1, max_size=n - 1)) + [draw(lead)]
-    a = draw(st.lists(_coefficient, min_size=n + gap - 1, max_size=n + gap - 1)) + [draw(lead)]
-    return a, b
+def integer_polys(draw):
+    """Integer polynomials of degree 1-8, leading coefficient of either sign.
+
+    Half have coefficients small (so that the top of a chain step cancels)
+    or up to 2^60.  The other half are products of t - r, t^2 + c and
+    t^k + 1, whose chains end at a non-constant gcd(p, p') or take steps
+    of degree gap two or more.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        return draw(st.lists(_coefficient, min_size=n, max_size=n)) + [draw(_coefficient.filter(bool))]
+    poly = [draw(st.sampled_from([1, -1, 2, -3]))]
+    factor = (st.builds(lambda r: [-r, 1], st.integers(-3, 3))
+              | st.builds(lambda c: [c, 0, 1], st.integers(-2, 2))
+              | st.builds(lambda k: [1] + [0] * (k - 1) + [1], st.integers(3, 5)))
+    for f in draw(st.lists(factor, min_size=1, max_size=4)):
+        poly = [int(c) for c in _times(poly, f)]
+    assume(len(poly) <= 9)
+    return poly
 
 
 @settings(max_examples=200, deadline=None)
-@given(remainder_pairs())
-@example(([1, 2, 1], [1, 1]))  # (t + 1)^2 by t + 1: no remainder
-@example(([5, 0, 1], [0, 1]))  # the first step's top cancels
-@example(([1, 0, 0, 0, 1], [0, 1]))  # a degree gap of 3
-@example(([-2**60, 3, -2**60], [2**60, -2**60]))
-def test_pseudo_remainder_is_pseudo_divmod(pair):
-    a, b = pair
-    assert _pseudo_remainder(a, b) == _pseudo_divmod(a, b)[1]
+@given(integer_polys())
+@example([1, 2, 1])  # (t + 1)^2 by p' = 2t + 2: no remainder
+@example([5, 0, 1])  # the first step's top cancels
+@example([1, 0, 0, 0, 1])  # t^4 + 1, whose first remainder is a constant
+@example([0, 1, 0, 0, 0, 1])  # t^5 + t: p' by the remainder -t, a degree gap of 3
+@example([-2**60, 3, -2**60])
+def test_sturm_chain_is_the_reference_chain_on_drawn_polynomials(p):
+    assert list(_sturm_chain(p)) == reference_sturm_chain(p)
+
+
+def _dyadic_integers(values: list[float]) -> list[int]:
+    # The floats times their common power-of-two denominator.
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
 
 
 def _chain_polys():
@@ -332,7 +408,7 @@ def _chain_polys():
 
 def test_sturm_chain_is_the_reference_chain():
     for p in _chain_polys():
-        assert _sturm_chain(p) == reference_sturm_chain(p)
+        assert list(_sturm_chain(p)) == reference_sturm_chain(p)
 
 
 def _golden_crossing_inputs():

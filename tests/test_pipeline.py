@@ -555,6 +555,15 @@ def test_run_pipeline_checks_pairwise_condition_past_exact_cap():
     assert report.flags["condition_holds"]
 
 
+def test_run_pipeline_checks_the_condition_when_p_exceeds_the_bodies():
+    # 42 bodies, past the exact cap, hold no 50 bodies at all, so the
+    # condition holds trivially and is checked.
+    inst = Instance(gen_clustered(3, 42, 1).bodies, p=50)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert report.flags["condition_checked"] and report.flags["condition_holds"]
+    assert verify_report(inst, report.to_dict()) == []
+
+
 def inscribed(body_id: int, angles) -> ConvexBody:
     return ConvexBody.from_vertices(body_id, [(math.cos(a), math.sin(a)) for a in angles])
 
