@@ -344,22 +344,45 @@ def _curve_arcs(rows) -> list[tuple[float, float]]:
         delta = math.acos(c)
         phi = math.atan2(ny, nx)
         # The edge's arc runs from phi + delta counterclockwise to
-        # phi + 2*pi - delta, a span under 2*pi since delta > 0.
-        s = normalize_angle(phi + delta)
+        # phi + 2*pi - delta, a span under 2*pi since delta > 0; s is
+        # normalize_angle(phi + delta). Each running piece (a0, a1) keeps
+        # its overlap with each of the edge's pieces, in one loop per kind
+        # of cut. Every piece lies in [0, 2*pi], so an overlap with a piece
+        # from 0 starts at a0, and one with a piece up to 2*pi ends at a1.
+        s = math.fmod(phi + delta, TWO_PI)
+        if s < 0.0:
+            s += TWO_PI
+        if s >= TWO_PI:
+            s = 0.0
         e = s + ((phi + TWO_PI - delta) - (phi + delta))
-        if e > TWO_PI:
-            cut = ((s, TWO_PI), (0.0, e - TWO_PI))
-        elif s == 0.0:
-            cut = ((0.0, e), (TWO_PI, TWO_PI))
-        elif e == TWO_PI:
-            cut = ((0.0, 0.0), (s, TWO_PI))
-        else:
-            cut = ((s, e),)
         hits = []
-        for a0, a1 in segs:
-            for b0, b1 in cut:
-                lo = b0 if b0 > a0 else a0  # max(a0, b0), without the call
-                hi = b1 if b1 < a1 else a1  # min(a1, b1)
+        if e > TWO_PI:  # through 0: (s, 2*pi) and (0, e - 2*pi)
+            e -= TWO_PI
+            for a0, a1 in segs:
+                lo = s if s > a0 else a0
+                if lo <= a1:
+                    hits.append((lo, a1))
+                hi = e if e < a1 else a1
+                if a0 <= hi:
+                    hits.append((a0, hi))
+        elif s == 0.0:  # from 0: (0, e) and (2*pi, 2*pi)
+            for a0, a1 in segs:
+                hi = e if e < a1 else a1
+                if a0 <= hi:
+                    hits.append((a0, hi))
+                if a1 == TWO_PI:
+                    hits.append((TWO_PI, TWO_PI))
+        elif e == TWO_PI:  # up to 2*pi: (0, 0) and (s, 2*pi)
+            for a0, a1 in segs:
+                if a0 == 0.0:
+                    hits.append((0.0, 0.0))
+                lo = s if s > a0 else a0
+                if lo <= a1:
+                    hits.append((lo, a1))
+        else:  # (s, e)
+            for a0, a1 in segs:
+                lo = s if s > a0 else a0
+                hi = e if e < a1 else a1
                 if lo <= hi:
                     hits.append((lo, hi))
         if not hits:
@@ -491,17 +514,25 @@ def candidate_points(bodies: Family | list[ConvexBody]) -> np.ndarray:
     Each hit is turned so that a is the edge of the lower-index body, its
     point comes from the formulas above, term by term, and one lexsort on
     (i, j, a, b) restores the order above.
+
+    A family of one body has no pair, so the list is its kept vertices,
+    and the crossing pass is not run: every falling-by-rising pair would
+    share its owner. verify_report meets this case whenever a report's
+    weights sit on one body.
     """
     if not bodies:
         return np.empty((0, 2))
     verts, nxt, prev, owner = pack(bodies).edges
-    sx, sy = verts.T
     dx, dy = (verts[nxt] - verts).T
     norm = np.hypot(dx, dy)
-    slack, pad = TOL_GEOM * norm, TOL_GEOM / norm
+    slack = TOL_GEOM * norm
     rises, falls = dy >= -slack, dy <= slack
     lowest = falls[prev] & rises
+    if len(bodies) < 2:
+        return verts[lowest]
 
+    sx, sy = verts.T
+    pad = TOL_GEOM / norm
     fall, rise = np.flatnonzero(falls), np.flatnonzero(rises)
     rows = max(1, BLOCK_CELLS // max(1, rise.size))
     hits = []

@@ -221,14 +221,16 @@ def certificate_failures(
     puts it within DUALITY_TOL of tau*.  Body weights, class loads, negative
     weights and the two sums are each checked against DUALITY_TOL too.
     """
-    y = np.asarray(cover_weights, dtype=float)
-    x = np.asarray(packing, dtype=float)
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+    # Python floats for the scalar checks: the weight lists are short, and
+    # numpy's per-call cost would outweigh them.
+    y = [float(v) for v in cover_weights]
+    x = [float(v) for v in packing]
+    if not (all(map(math.isfinite, y)) and all(map(math.isfinite, x))):
         return ["LP certificate weights are not finite"]
     failures = []
     for name, w in (("cover", y), ("packing", x)):
-        if w.size and w.min() < -DUALITY_TOL:
-            failures.append(f"negative {name} weight {w.min():.3e}")
+        if w and min(w) < -DUALITY_TOL:
+            failures.append(f"negative {name} weight {min(w):.3e}")
     y, x = np.maximum(y, 0.0), np.maximum(x, 0.0)
     hit = y @ cover_rows
     low = int(np.argmin(hit))
@@ -239,7 +241,7 @@ def certificate_failures(
     if loads[top] > 1.0 + DUALITY_TOL:
         members = [ids[i] for i in np.flatnonzero(class_rows[top])]
         failures.append(f"class of bodies {members} has packing load {loads[top]:.9f} > 1")
-    sum_y, sum_x = math.fsum(y), math.fsum(x)
+    sum_y, sum_x = math.fsum(y.tolist()), math.fsum(x.tolist())
     if abs(sum_x - sum_y) > DUALITY_TOL:
         failures.append(f"packing sum {sum_x:.9f} != cover sum {sum_y:.9f}")
     upper = sum_y / min(1.0, hit[low]) if hit[low] > 0 else math.inf

@@ -67,6 +67,13 @@ SHAPES = {
 }
 
 
+# SHAPES parsed once: its paths' first keys in order, those that hold
+# objects, and each path as (path, parent, key, what, ok).
+_HEADS = dict.fromkeys(path.split(".")[0] for path in SHAPES)
+_OBJECTS = [key for key in _HEADS if key not in SHAPES]
+_PATHS = [(path, *path.rpartition(".")[::2], what, ok) for path, (what, ok) in SHAPES.items()]
+
+
 def save_report(report: TransversalReport | dict, path: str) -> None:
     data = report.to_dict() if isinstance(report, TransversalReport) else report
     with open(path, "w", encoding="utf-8") as fh:
@@ -123,7 +130,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     all_bodies_hit. Each flag whose value differs fails with a line naming
     it, and the checks above read the same verdicts. condition_holds is
     taken as given: rechecking it would cost the meet graph and verify_p2
-    on every checked family, about 30% more verify time on pg-union
+    on every checked family, about 25% more verify time on pg-union
     families (README, Reports).
     """
     failures = _shape_failures(report)
@@ -150,7 +157,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     nonnegative = all(v >= 0 for v in m)
     if d < 1 or not nonnegative:
         failures.append("multiplicities must be nonnegative with D >= 1")
-    if sum(map(abs, m)) > np.iinfo(np.int64).max:
+    if sum(map(abs, m)) > 2**63 - 1:
         # The loads below are int64 sums of entries of m, which could wrap.
         return failures + ["multiplicities sum past 2**63 - 1"]
     total = sum(m)
@@ -174,11 +181,13 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     # bodies' columns.
     given = instance.curve.to_unit_points(np.asarray(given, dtype=float).reshape(-1, 2))
     inside = containment_matrix(bodies, np.concatenate([given, candidates]))
-    ends = np.cumsum([len(report["transversal"]), len(lp["cover_points"]), z is not None])
-    hit = inside[:ends[0]]
+    n_t = len(report["transversal"])
+    n_c = n_t + len(lp["cover_points"])
+    n_z = n_c + (z is not None)
+    hit = inside[:n_t]
     if filtered:
         inside = np.delete(inside, filtered, axis=1)
-    cover_rows, z_row, rows = inside[ends[0]:ends[1]], inside[ends[1]:ends[2]], inside[ends[2]:]
+    cover_rows, z_row, rows = inside[n_t:n_c], inside[n_c:n_z], inside[n_z:]
 
     missed = [bodies[i].id for i in np.flatnonzero(~hit.any(axis=0))]
     if not report["transversal"]:
@@ -250,22 +259,16 @@ def _shape_failures(report) -> list[str]:
     """Why the report cannot be read at all: a missing key or a wrong type."""
     if not isinstance(report, dict):
         return ["report is not a JSON object"]
-    heads = dict.fromkeys([path.split(".")[0] for path in SHAPES])
-    failures = [f"missing key {key!r}" for key in heads if key not in report]
-    failures += [f"unknown key {key!r}" for key in report if key not in heads and key != "stages"]
-    failures += [
-        f"{key} is not a JSON object"
-        for key in heads
-        if key not in SHAPES and key in report and not isinstance(report[key], dict)
-    ]
+    failures = [f"missing key {key!r}" for key in _HEADS if key not in report]
+    failures += [f"unknown key {key!r}" for key in report if key not in _HEADS and key != "stages"]
+    failures += [f"{key} is not a JSON object"
+                 for key in _OBJECTS if key in report and not isinstance(report[key], dict)]
     if failures:
         return failures
-    for path, (what, ok) in SHAPES.items():
-        parent, _, key = path.rpartition(".")
+    for path, parent, key, what, ok in _PATHS:
         holder = report[parent] if parent else report
         if key not in holder:
             failures.append(f"missing key {path!r}")
         elif not ok(holder[key]):
             failures.append(f"{path} is not {what}")
     return failures
-

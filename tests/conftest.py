@@ -219,22 +219,30 @@ def _lowest_crossing(ea, eb) -> bool:
     return _falls(ea) and _rises(eb) if den > 0 else _rises(ea) and _falls(eb)
 
 
+def reference_kept_vertices(body: ConvexBody) -> list[Point2]:
+    """The vertices of one body that candidate_points keeps, in a plain
+    loop: vertex k when its edge k - 1 falls and its edge k rises."""
+    edges = _edges(body)
+    out = []
+    for k, (x, y) in enumerate(body.vertices.tolist()):
+        if _falls(edges[k - 1]) and _rises(edges[k]):
+            out.append((x, y))
+    return out
+
+
 def reference_candidates(bodies: list[ConvexBody], lowest: bool = False) -> list[Point2]:
     """The whole arrangement in candidate_points' order, in plain Python:
     every body's vertices, then segment_intersection over (i, j, edge of i,
     edge of j) for every body pair i < j.
 
     With lowest=True, only the points that pass candidate_points'
-    lowest-vertex test, checked edge by edge: a body's vertex k when its
-    edge k - 1 falls and edge k rises, and a crossing of two bodies' edges
-    when -e_y lies in the cone of their outward normals.
+    lowest-vertex test, checked edge by edge: each body's
+    reference_kept_vertices, and a crossing of two bodies' edges when -e_y
+    lies in the cone of their outward normals.
     """
     out = []
     for body in bodies:
-        edges = _edges(body)
-        for k, (x, y) in enumerate(body.vertices.tolist()):
-            if not lowest or (_falls(edges[k - 1]) and _rises(edges[k])):
-                out.append((x, y))
+        out += reference_kept_vertices(body) if lowest else map(tuple, body.vertices.tolist())
     for a, b in itertools.combinations(bodies, 2):
         for ea in _edges(a):
             for eb in _edges(b):

@@ -41,6 +41,7 @@ from conftest import (
     reference_classes,
     reference_containment_matrix,
     reference_intersection,
+    reference_kept_vertices,
     reference_meet_angle,
     tangent_triangle,
 )
@@ -600,6 +601,28 @@ def _probe_points(bodies):
     return points
 
 
+# A box whose bottom edge climbs by rise times its width: level within
+# TOL_GEOM, so that both its ends are kept, when |rise| is under TOL_GEOM.
+_tilted_box = st.builds(
+    lambda x, y, w, rise: [(x, y), (x + w, y + rise * w), (x + w, y + 1.0), (x, y + 1.0)],
+    _coord, _coord, st.floats(0.1, 3.0),
+    st.sampled_from([0.0, 0.5 * _TOL, -0.5 * _TOL, 0.99 * _TOL, -0.99 * _TOL, 2 * _TOL, -2 * _TOL]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mixed_shape, _tilted_box))
+@example([(0, 0), (1, 0), (1, 1), (0, 1)])  # a level bottom edge: both its ends
+def test_candidate_points_of_one_body_are_its_kept_vertices(shape):
+    # One body has no pair, so the list is the vertices whose edge before
+    # falls and whose own edge rises, bit for bit, without a crossing pass.
+    body = ConvexBody.from_vertices(0, shape)
+    want = np.array(reference_kept_vertices(body), dtype=float).reshape(-1, 2)
+    for family in ([body], pack([body])):
+        got = candidate_points(family)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_mixed_shape, max_size=8), st.sampled_from([1, 7, geometry.BLOCK_CELLS]))
 @example([], geometry.BLOCK_CELLS)
@@ -759,6 +782,18 @@ _EDGE_CASES = {
                      lambda arcs: len(arcs) == 1 and arcs[0][0] < math.pi / 2 < arcs[0][1]
                      and arcs[0][1] - arcs[0][0] < 1e-4),
     "edge-apart": (_box(-1.0, 1.0, 1.0 + 2 * _TOL, 2.0), lambda arcs: arcs == []),
+    # The two seam cuts on running pieces that hold 0 at both ends: the edge
+    # x = 0.5 first cuts an arc through 0, then the edge on y = +-tol, last
+    # in the ring, cuts from exactly 0 (normal (0, -1), limit 0, so
+    # phi + delta is 0.0) or up to exactly 2*pi (normal (0, 1)). From 0,
+    # the piece ending at 2*pi leaves the point (2*pi, 2*pi); up to 2*pi,
+    # the piece starting at 0 leaves (0, 0).
+    "from-0-after-a-cut": ([(3.0, _TOL), (3.0, 3.0), (0.5, 3.0), (0.5, _TOL)],
+                           lambda arcs: arcs == [(0.0, arcs[0][1]), (TWO_PI, TWO_PI)]
+                           and 0.0 < arcs[0][1] < math.pi / 2),
+    "to-2pi-after-a-cut": ([(0.5, -_TOL), (0.5, -3.0), (3.0, -3.0), (3.0, -_TOL)],
+                           lambda arcs: arcs == [(0.0, 0.0), (arcs[1][0], TWO_PI)]
+                           and 3 * math.pi / 2 < arcs[1][0] < TWO_PI),
 }
 
 

@@ -27,6 +27,7 @@ from pierce.instances import Instance, _ring_points, gallery7, gen_clustered, ge
 from pierce.lp import TOL_LP, packing_solve
 from pierce.pipeline import (
     candidate_classes,
+    certificate_failures,
     greedy_transversal,
     rationalize,
     run_pipeline,
@@ -256,6 +257,42 @@ def test_fractional_sizes_trivial():
     lp = packing_solve(candidate_classes(boxes).matrix())
     assert math.fsum(lp.duals) == pytest.approx(4.0, abs=1e-9)
     assert lp.objective == pytest.approx(4.0, abs=1e-9)
+
+
+# Three bodies, ids 3, 5 and 8, whose pairs are the classes, each class
+# also a cover point: tau* = 1.5, from a half on every class.
+_TRIANGLE = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
+_HALVES = [0.5, 0.5, 0.5]
+_CERTIFICATES = {
+    "valid": (_HALVES, _HALVES, []),
+    "negative-cover-weight": ([1, 1, -0.25], _HALVES, [
+        "negative cover weight -2.500e-01",
+        "packing sum 1.500000000 != cover sum 2.000000000",
+        "tau_star 1.5 < cover bound 2.000000000"]),
+    "non-finite-packing": (_HALVES, [0.5, math.nan, 0.5], ["LP certificate weights are not finite"]),
+    "non-finite-cover": ([0.5, math.inf, 0.5], _HALVES, ["LP certificate weights are not finite"]),
+    "empty-cover": ([], _HALVES, [
+        "body 3 has cover weight 0.000000000 < 1",
+        "packing sum 1.500000000 != cover sum 0.000000000",
+        "tau_star 1.5 < cover bound inf"]),
+    "packing-load-over-1": (_HALVES, [1, 1, 0.5], [
+        "class of bodies [3, 5] has packing load 2.000000000 > 1",
+        "packing sum 2.500000000 != cover sum 1.500000000",
+        "tau_star 1.5 > packing bound 1.250000000"]),
+}
+
+
+@pytest.mark.parametrize("cover, packing, want", _CERTIFICATES.values(), ids=_CERTIFICATES.keys())
+def test_certificate_failures_read_weights_alike_in_any_container(cover, packing, want):
+    # Solve passes tuples of floats, verify the report's JSON lists (ints
+    # where the file has them), and a caller may pass numpy arrays: each
+    # gives the same lines.
+    cover_rows = _TRIANGLE[:len(cover)]
+    forms = [(tuple(map(float, cover)), tuple(map(float, packing))),
+             (json.loads(json.dumps(cover)), json.loads(json.dumps(packing))),
+             (np.array(cover, dtype=float), np.array(packing, dtype=float))]
+    for y, x in forms:
+        assert certificate_failures([3, 5, 8], cover_rows, y, _TRIANGLE, x, 1.5) == want
 
 
 def test_gallery_duality_and_value():
