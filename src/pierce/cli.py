@@ -137,12 +137,14 @@ def _cmd_oracle(args) -> int:
     instance = load_instance(args.instance)
     k_max = args.kmax if args.kmax > 0 else len(instance.bodies)
     logger.info("searching transversals up to size %d", k_max)
-    best = brute_min_transversal(instance.bodies, k_max)
+    # The search runs in the curve's frame, as solve does, and logs its
+    # points in the input's.
+    best = brute_min_transversal(instance.curve.to_unit(instance.bodies), k_max)
     if best is None:
         print("none")
     else:
         print(len(best))
-        for x, y in best:
+        for x, y in instance.curve.from_unit(best):
             logger.info("point %.9f %.9f", x, y)
     return 0
 

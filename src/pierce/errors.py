@@ -9,12 +9,8 @@ class InvalidBodyError(PierceError):
     """Raised when vertex input cannot be turned into a valid convex body."""
 
 
-class IncompleteCandidatesError(PierceError):
-    """Raised when some body contains none of the supplied candidate points."""
-
-
 class GenerationError(PierceError):
-    """Raised when an instance generator fails its post-check after retries."""
+    """Raised when an instance generator's output fails its self-check."""
 
 
 class PipelineError(PierceError):

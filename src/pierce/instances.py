@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, containment_matrix
-from .meetgraph import build_meet_graph
+from .geometry import (TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, body_curve_arcs,
+                       containment_matrix)
 
 
 def _is_int(v) -> bool:
@@ -160,23 +160,29 @@ def _check_seed(seed) -> None:
 def gen_pairwise(n: int, seed: int = 0) -> Instance:
     """n bodies whose circle arcs all exceed half the circle, hence K_n.
 
-    seed is a non-negative int; anything else raises a ValueError.
+    Body i is the hull of _ring_points(lo, span), which holds the circle
+    arc [lo, lo + span] with its chords at radius 1.05, and span exceeds
+    pi + 0.05. Two sets of the circle whose measures sum past 2*pi meet,
+    so every two bodies meet, and one draw from SeedSequence([seed, 0])
+    gives the family. The self-check is that certificate, linear in n:
+    the first body whose body_curve_arcs measure at most pi raises a
+    GenerationError naming it. seed is a non-negative int; anything else
+    raises a ValueError.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_seed(seed)
-    for attempt in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        bodies = []
-        for i in range(n):
-            lo = float(rng.uniform(0.0, TWO_PI))
-            span = float(rng.uniform(math.pi + 0.05, TWO_PI - 0.3))
-            bodies.append(ConvexBody.from_vertices(i, _ring_points(lo, span)))
-        graph = build_meet_graph(bodies)
-        if graph.edge_count == n * (n - 1) // 2:
-            meta = {"kind": "pairwise", "n": n, "seed": seed}
-            return Instance(bodies, 2, UNIT_CIRCLE, meta)
-    raise GenerationError(f"pairwise generator failed its meet check for n={n}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    bodies = []
+    for i in range(n):
+        lo = float(rng.uniform(0.0, TWO_PI))
+        span = float(rng.uniform(math.pi + 0.05, TWO_PI - 0.3))
+        bodies.append(ConvexBody.from_vertices(i, _ring_points(lo, span)))
+    for i, arcs in enumerate(body_curve_arcs(bodies)):
+        if sum(hi - lo for lo, hi in arcs) <= math.pi:
+            raise GenerationError(f"pairwise body {i} holds at most half the circle")
+    meta = {"kind": "pairwise", "n": n, "seed": seed}
+    return Instance(bodies, 2, UNIT_CIRCLE, meta)
 
 
 def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:

@@ -58,7 +58,8 @@ def build_meet_graph(
 
 
 def _has_independent_set(graph: ColorGraph, size: int) -> bool:
-    """Branch and bound for an independent set of the given size. Exact.
+    """Branch and bound for an independent set of the given size, which
+    verify_p2, the one caller, keeps within 3..n. Exact.
 
     Vertices are taken in order of increasing degree so branches close
     early; bit k of a mask stands for the k-th vertex in that order. A
@@ -71,10 +72,6 @@ def _has_independent_set(graph: ColorGraph, size: int) -> bool:
     disjoint cliques and a clustered family p - 1 pairwise-meeting
     clusters, so there the root closes at once.
     """
-    if size <= 0:
-        return True
-    if size > graph.n:
-        return False
     order = np.argsort(graph.adj.sum(axis=1), kind="stable")
     rows = np.packbits(graph.adj[np.ix_(order, order)], axis=1, bitorder="little")
     neighbors = [int.from_bytes(row.tobytes(), "little") for row in rows]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteCandidatesError, PipelineError
+from .errors import PipelineError
 from .geometry import (
     BLOCK_CELLS,
     UNIT_CIRCLE,
@@ -127,15 +127,15 @@ def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
     some other signature exists, and the empty one lies inside it. The
     classes keep that signature order, so neither their order nor their
     points depend on the candidates' order, and a turned family has its
-    classes in the same order. Raises IncompleteCandidatesError when some
-    body contains no candidate.
+    classes in the same order. Bodies that contain no candidate raise
+    PipelineError("candidates: no candidate inside bodies [ids]").
     """
     candidates = candidate_points(bodies)
     inside = containment_matrix(bodies, candidates)
     covered = inside.any(axis=0)
     if not covered.all():
         missing = [bodies[i].id for i in np.flatnonzero(~covered)]
-        raise IncompleteCandidatesError(f"no candidate inside bodies {missing}")
+        raise PipelineError(f"candidates: no candidate inside bodies {missing}")
     words = _signature_words(inside)
     order = np.lexsort((candidates[:, 0], candidates[:, 1], *words.T))
     ranked = words[order]
@@ -339,12 +339,11 @@ def brute_min_transversal(bodies: list[ConvexBody], k_max: int) -> list[Point2] 
     depth-first cover search at increasing sizes, trying the classes in
     order of decreasing size, then sorted members. Returns None when no
     hitting set of size <= k_max exists among the candidate points, which
-    hold the lowest vertex of every cell (see candidate_points).
+    hold the lowest vertex of every cell (see candidate_points). The bodies
+    are in the curve's frame (CurveModel.to_unit); a body without a
+    candidate raises candidate_classes' PipelineError.
     """
-    try:
-        classes = candidate_classes(bodies)
-    except IncompleteCandidatesError:
-        return None
+    classes = candidate_classes(bodies)
     rep = {frozenset(np.flatnonzero(row).tolist()): pt
            for row, pt in zip(classes.matrix(), classes.points)}
     atoms = sorted(rep, key=lambda s: (-len(s), sorted(s)))
@@ -457,10 +456,7 @@ def run_pipeline(
     timings["condition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
-        classes = candidate_classes(active)
-    except IncompleteCandidatesError as exc:
-        raise PipelineError(f"candidates: {exc}") from exc
+    classes = candidate_classes(active)
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

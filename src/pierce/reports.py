@@ -54,7 +54,7 @@ SHAPES = {
     "tau_star": ("a finite number", _is_number),
     "m": ("a list of integers", _is_list_of(_is_int)),
     "D": ("an integer", _is_int),
-    "z": ("a point or null", lambda v: v is None or _is_point(v)),
+    "z": ("a point", _is_point),
     "coverage.multiset_size": ("an integer", _is_int),
     "coverage.count": ("an integer", _is_int),
     "coverage.epsilon": ("a finite number", _is_number),
@@ -74,10 +74,9 @@ _OBJECTS = [key for key in _HEADS if key not in SHAPES]
 _PATHS = [(path, *path.rpartition(".")[::2], what, ok) for path, (what, ok) in SHAPES.items()]
 
 
-def save_report(report: TransversalReport | dict, path: str) -> None:
-    data = report.to_dict() if isinstance(report, TransversalReport) else report
+def save_report(report: TransversalReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
+        json.dump(report.to_dict(), fh, indent=1)
         fh.write("\n")
 
 
@@ -174,8 +173,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     packing = lp["packing"] if len(lp["packing"]) == len(active) else [0] * len(active)
     weighted = [b for b, w, x in zip(active, m, packing) if w or x] if nonnegative else []
     candidates = candidate_points(weighted or active)
-    z = report["z"]
-    given = report["transversal"] + lp["cover_points"] + ([] if z is None else [z])
+    given = report["transversal"] + lp["cover_points"] + [report["z"]]
     # One containment call for every point checked, in the curve's frame:
     # the transversal against all bodies, the rest read on the active
     # bodies' columns.
@@ -183,11 +181,10 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     inside = containment_matrix(bodies, np.concatenate([given, candidates]))
     n_t = len(report["transversal"])
     n_c = n_t + len(lp["cover_points"])
-    n_z = n_c + (z is not None)
     hit = inside[:n_t]
     if filtered:
         inside = np.delete(inside, filtered, axis=1)
-    cover_rows, z_row, rows = inside[n_t:n_c], inside[n_c:n_z], inside[n_z:]
+    cover_rows, z_row, rows = inside[n_t:n_c], inside[n_c], inside[n_c + 1:]
 
     missed = [bodies[i].id for i in np.flatnonzero(~hit.any(axis=0))]
     if not report["transversal"]:
@@ -214,7 +211,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
     loads = rows @ weights
     top = int(np.argmax(loads))
     best_load = int(loads[top])
-    recount = 0 if z is None else int(z_row[0] @ weights)
+    recount = int(z_row @ weights)
     # None for condition_holds: verify takes it as given (see above).
     found = flag_values(p_eff, len(active), None, not certificate, best_load, recount, total, d,
                         tau_star, len(report["transversal"]) - len(filtered), missed)
@@ -222,32 +219,23 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         members = [active[i].id for i in np.flatnonzero(rows[top])]
         failures.append(f"multiplicity sum {best_load} > D={d} at class {members}")
 
-    if z is None:
-        failures.append("missing heavy point")
-    else:
-        if recount != cov["count"]:
-            failures.append(
-                f"heavy point covers {recount} copies, report says {cov['count']}"
-            )
-        if not found["coverage_le_denominator"]:
-            failures.append(f"heavy coverage {recount} exceeds D={d}")
-        if recount > best_load:
-            failures.append(
-                f"heavy coverage {recount} exceeds the best class load {best_load}"
-            )
-        elif recount < best_load:
-            failures.append(
-                f"heavy coverage {recount} is below the best class load {best_load}"
-            )
-        if total > 0:
-            eps = recount / total
-            if abs(eps - float(cov["epsilon"])) > 1e-9:
-                failures.append(f"epsilon mismatch: {eps} vs {cov['epsilon']}")
-            if eps == 0:
-                failures.append("heavy point covers no copy")
-            elif d >= 1 and not found["tau_epsilon_consistent"]:  # D < 1 is reported above
-                failures.append(f"tau_star {tau_star:.6f} above 1/epsilon + slack, "
-                                f"epsilon = {eps:.6f} and D = {d}")
+    if recount != cov["count"]:
+        failures.append(f"heavy point covers {recount} copies, report says {cov['count']}")
+    if not found["coverage_le_denominator"]:
+        failures.append(f"heavy coverage {recount} exceeds D={d}")
+    if recount > best_load:
+        failures.append(f"heavy coverage {recount} exceeds the best class load {best_load}")
+    elif recount < best_load:
+        failures.append(f"heavy coverage {recount} is below the best class load {best_load}")
+    if total > 0:
+        eps = recount / total
+        if abs(eps - float(cov["epsilon"])) > 1e-9:
+            failures.append(f"epsilon mismatch: {eps} vs {cov['epsilon']}")
+        if eps == 0:
+            failures.append("heavy point covers no copy")
+        elif d >= 1 and not found["tau_epsilon_consistent"]:  # D < 1 is reported above
+            failures.append(f"tau_star {tau_star:.6f} above 1/epsilon + slack, "
+                            f"epsilon = {eps:.6f} and D = {d}")
 
     flags = report["flags"]
     failures += [f"flag {flag} is {flags[flag]}, but verify finds {value}"

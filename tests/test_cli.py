@@ -3,8 +3,10 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+import pierce.pipeline
 from pierce.cli import cli_run
 from pierce.geometry import ConvexBody
 from pierce.instances import (
@@ -45,6 +47,18 @@ def test_oracle_size_and_points_are_pinned(name, tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr().out.strip() == "3"
     points = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
     assert points == ORACLE_POINTS[name]
+
+
+def test_oracle_exits_1_naming_a_body_without_a_candidate(tmp_path, monkeypatch, capsys):
+    # The fault has one path: candidate_classes raises, and cli_run exits 1
+    # with its message, where the search once printed "none".
+    inst_path = str(tmp_path / "g.json")
+    save_instance(gallery7(), inst_path)
+    monkeypatch.setattr(pierce.pipeline, "candidate_points", lambda _: np.array([[1.0, 0.0]]))
+    assert cli_run(["oracle", inst_path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: candidates: no candidate inside bodies [1, 3, 5, 6]\n"
 
 
 def test_solve_then_verify(tmp_path, capsys):

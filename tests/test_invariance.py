@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pierce.cli import cli_run
 from pierce.errors import PipelineError
-from pierce.geometry import TOL_GEOM, ConvexBody, CurveModel
-from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
+from pierce.geometry import TOL_GEOM, ConvexBody, CurveModel, containment_matrix
+from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise, save_instance
 from pierce.pipeline import DUALITY_TOL, candidate_classes, run_pipeline, validate
 from pierce.reports import verify_report
 
@@ -160,3 +161,27 @@ def test_a_clustered_family_at_scale_1e8_finds_its_candidates():
     # "candidates: no candidate inside bodies [1]".
     inst = gen_clustered(3, 8, 0)
     _assert_same(_summary(_frame(inst, 1e8)), _summary(inst))
+
+
+@pytest.mark.parametrize("make", [gallery7, lambda: gen_clustered(3, 8, 0)],
+                         ids=["gallery7", "clustered"])
+def test_the_oracle_keeps_its_answer_at_any_scale(make, tmp_path, monkeypatch, capsys, caplog):
+    # pierce oracle searched the input's frame, where TOL_GEOM read in input
+    # units: gallery7 at scale 1e-8 gave 2 (its minimum is 3), and this
+    # clustered family at 1e8 gave none (its minimum is 2).
+    monkeypatch.setenv("PIERCE_LOG_LEVEL", "info")
+    sizes = []
+    for k in (0, -8, 8):
+        inst = _frame(make(), 10.0 ** k)
+        path = str(tmp_path / f"scale{k}.json")
+        save_instance(inst, path)
+        caplog.clear()
+        assert cli_run(["oracle", path]) == 0
+        sizes.append(int(capsys.readouterr().out))
+        # The logged points, as the floats the log line formats.
+        points = np.array([r.args for r in caplog.records if r.msg.startswith("point ")])
+        assert len(points) == sizes[-1]
+        inside = containment_matrix(inst.curve.to_unit(inst.bodies),
+                                    inst.curve.to_unit_points(points))
+        assert inside.any(axis=0).all()
+    assert sizes == [sizes[0]] * 3

@@ -3,12 +3,14 @@ in the package or the bench: a name read as code (a Name or an Attribute node
 in a load, not a string, a docstring or the assignment itself) in src/pierce
 or bench, or the console script's entry point. Dunder names such as __all__
 are exempt. The paper's lemmas that only tests run live in tests/lemmas.py.
-And only pipeline.flag_values writes a report flag."""
+Only pipeline.flag_values writes a report flag, and only cli.cli_run catches
+a package error."""
 
 import ast
 import tomllib
 from pathlib import Path
 
+import pierce.errors
 import pierce.reports
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,3 +75,25 @@ def test_only_flag_values_writes_a_flag():
                            if isinstance(key, ast.Constant) and key.value in names]
     assert {name for _, _, name in writes} == names
     assert [w for w in writes if w[:2] != ("pipeline", "flag_values")] == []
+
+
+def test_only_the_cli_catches_a_package_error():
+    # One path per fault: a pierce.errors class raised in a stage goes up to
+    # cli_run, which prints it and picks the exit code. An except clause
+    # elsewhere would re-wrap, retry or swallow it, as candidate_classes'
+    # fault was once re-wrapped by run_pipeline and turned into "none" by
+    # brute_min_transversal.
+    errors = {name for name, obj in vars(pierce.errors).items()
+              if isinstance(obj, type) and obj.__module__ == pierce.errors.__name__}
+    trees, catches = _trees(), []
+    for path in PACKAGE:
+        for top in trees[path].body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                             if isinstance(n, (ast.Name, ast.Attribute))}
+                    catches += [(path.stem, getattr(top, "name", None), name)
+                                for name in sorted(named & errors)]
+    assert "PierceError" in errors
+    assert ("cli", "cli_run", "PierceError") in catches
+    assert [c for c in catches if c[:2] != ("cli", "cli_run")] == []

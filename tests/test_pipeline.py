@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pierce.pipeline
-from pierce.errors import IncompleteCandidatesError, PipelineError
+from pierce.errors import PipelineError
 from pierce.geometry import (
     TOL_GEOM,
     TWO_PI,
@@ -99,7 +99,7 @@ def test_candidate_classes_incomplete(monkeypatch):
     # foreign candidate list leaves a body without a candidate.
     bodies = [box(0, 0.0, 0.0), box(1, 5.0, 0.0)]
     monkeypatch.setattr(pierce.pipeline, "candidate_points", lambda _: np.zeros((1, 2)))
-    with pytest.raises(IncompleteCandidatesError, match=r"bodies \[1\]"):
+    with pytest.raises(PipelineError, match=r"^candidates: no candidate inside bodies \[1\]$"):
         candidate_classes(bodies)
 
 
