@@ -15,16 +15,16 @@ import os
 import sys
 
 from .errors import InvalidBodyError, PierceError
-from .geometry import body_curve_arcs
 from .instances import (
     gallery7,
     gen_clustered,
     gen_pairwise,
     load_instance,
     save_instance,
+    write_text,
 )
 from .meetgraph import build_meet_graph, turan_pair_check
-from .pipeline import brute_min_transversal, run_pipeline
+from .pipeline import brute_min_transversal, run_pipeline, validate
 from .reports import SHAPES, load_report, save_report, verify_report
 from .svg import render_svg
 from .witness import is_spread_out, witness_list
@@ -49,13 +49,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="emit a generated instance")
-    gen.add_argument("kind", choices=("pairwise", "clustered", "gallery"))
-    gen.add_argument("-o", "--output", help="instance file (default stdout)")
-    gen.add_argument("--n", type=int, help="number of bodies (pairwise, clustered; default 8)")
-    gen.add_argument("--p", type=int, help="meeting condition size (clustered; default 3)")
-    gen.add_argument("--seed", type=int, help="generator seed (pairwise, clustered; default 0)")
-    gen.add_argument("--delta", type=float, help="corner nudge (gallery; default 0.3)")
+    # Each kind parses only the options it reads, so argparse rejects the others.
+    kinds = sub.add_parser("gen", help="emit a generated instance").add_subparsers(
+        dest="kind", required=True)
+    pairwise = kinds.add_parser("pairwise", help="bodies that meet pairwise")
+    clustered = kinds.add_parser("clustered", help="bodies in p - 1 clusters")
+    gallery = kinds.add_parser("gallery", help="the seven triangles")
+    for kind in (pairwise, clustered, gallery):
+        kind.add_argument("-o", "--output", help="instance file (default stdout)")
+    for kind in (pairwise, clustered):
+        kind.add_argument("--n", type=int, default=8, help="number of bodies (default 8)")
+        kind.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    clustered.add_argument("--p", type=int, default=3, help="meeting condition size (default 3)")
+    gallery.add_argument("--delta", type=float, default=0.3, help="corner nudge (default 0.3)")
 
     solve = sub.add_parser("solve", help="run the full rounding pipeline")
     solve.add_argument("instance")
@@ -81,38 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
 def _cmd_gen(args) -> int:
-    # The options each kind reads, with their defaults; it rejects the others.
-    reads = {
-        "pairwise": {"n": 8, "seed": 0},
-        "clustered": {"n": 8, "p": 3, "seed": 0},
-        "gallery": {"delta": 0.3},
-    }[args.kind]
-    given = {name: getattr(args, name) for name in ("n", "p", "seed", "delta")
-             if getattr(args, name) is not None}
-    ignored = [f"--{name}" for name in given if name not in reads]
-    if ignored:
-        raise ValueError(f"gen {args.kind} does not read {', '.join(ignored)}")
-    opt = reads | given
     if args.kind == "pairwise":
-        instance = gen_pairwise(opt["n"], seed=opt["seed"])
+        instance = gen_pairwise(args.n, seed=args.seed)
     elif args.kind == "clustered":
-        instance = gen_clustered(opt["p"], opt["n"], seed=opt["seed"])
+        instance = gen_clustered(args.p, args.n, seed=args.seed)
     else:
-        instance = gallery7(delta=opt["delta"])
+        instance = gallery7(delta=args.delta)
     logger.info("generated %s with %d bodies", args.kind, len(instance.bodies))
-    if args.output:
-        save_instance(instance, args.output)
-    else:
-        _emit(json.dumps(instance.to_dict(), indent=1), None)
+    save_instance(instance, args.output)
     return 0
 
 
@@ -121,10 +104,7 @@ def _cmd_solve(args) -> int:
     report = run_pipeline(instance.bodies, instance.curve, instance.p)
     for name, value in report.flags.items():
         logger.info("flag %s = %s", name, value)
-    if args.output:
-        save_report(report, args.output)
-    else:
-        _emit(json.dumps(report.to_dict(), indent=1), None)
+    save_report(report, args.output)
     if not report.flags.get("all_bodies_hit", False):
         logger.error("output transversal does not hit every body")
         return 1
@@ -138,14 +118,15 @@ def _cmd_oracle(args) -> int:
     k_max = args.kmax if args.kmax > 0 else len(instance.bodies)
     logger.info("searching transversals up to size %d", k_max)
     # The search runs in the curve's frame, as solve does, and logs its
-    # points in the input's.
-    best = brute_min_transversal(instance.curve.to_unit(instance.bodies), k_max)
+    # points in the input's, at full precision.
+    family = validate(instance.bodies, instance.curve, instance.p)[0]
+    best = brute_min_transversal(family, k_max)
     if best is None:
         print("none")
     else:
         print(len(best))
         for x, y in instance.curve.from_unit(best):
-            logger.info("point %.9f %.9f", x, y)
+            logger.info("point %r %r", x, y)
     return 0
 
 
@@ -172,7 +153,7 @@ def _cmd_plot(args) -> int:
         if not ok(report["transversal"]):
             raise ValueError(f"report 'transversal' is not {what}")
         points = [tuple(pt) for pt in report["transversal"]]
-    _emit(render_svg(instance, points), args.output)
+    write_text(render_svg(instance, points), args.output)
     return 0
 
 
@@ -182,9 +163,8 @@ def _cmd_stats(args) -> int:
         raise ValueError("alpha must lie in (0, 1)")
     instance = load_instance(args.instance)
     n_bodies = len(instance.bodies)
-    bodies = instance.curve.to_unit(instance.bodies)
-    arcs = body_curve_arcs(bodies)
-    graph = build_meet_graph(bodies, arcs=arcs)
+    family, _, _, arcs, _ = validate(instance.bodies, instance.curve, instance.p)
+    graph = build_meet_graph(family, arcs=arcs)
     q = witness_list(arcs, graph.adj)
     spread = sum(1 for color in range(n_bodies)
                  if len(q) and is_spread_out(q.occurrences(color), len(q), args.alpha))

@@ -111,10 +111,22 @@ class Instance:
         return cls(bodies, p, curve, dict(meta))
 
 
-def save_instance(instance: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance.to_dict(), fh, indent=1)
-        fh.write("\n")
+def write_text(text: str, path: str | None) -> None:
+    """Writes text to the file at path, or to stdout when path is None,
+    ending it with exactly one newline: the one writer of the instances,
+    reports and SVG drawings that the package outputs."""
+    text = text.rstrip("\n") + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def save_instance(instance: Instance, path: str | None) -> None:
+    """Writes the instance's JSON to the file at path, or to stdout when
+    path is None (write_text)."""
+    write_text(json.dumps(instance.to_dict(), indent=1), path)
 
 
 def load_instance(path: str) -> Instance:

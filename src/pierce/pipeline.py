@@ -412,21 +412,22 @@ def flag_values(p_eff, n_active, holds, certified, best_load, recount, total, d,
 
 
 def validate(bodies: list[ConvexBody], curve: CurveModel, p: int):
-    """The step that solve and verify share: (family, filtered, active,
-    arcs, p_eff).
+    """The one way into the curve's frame, which solve, verify, oracle and
+    stats share: (family, filtered, active, arcs, p_eff).
 
     family is the bodies in the curve's frame (CurveModel.to_unit),
-    packed; filtered the indices of the bodies that miss the curve; active
-    the others, packed, and arcs their body_curve_arcs; p_eff is p less
-    one per filtered body, and at least 2. The candidate stage reads active
-    and the final containment family: one packed object, stacked once,
-    when every body meets the curve.
+    packed; arcs every body's body_curve_arcs, aligned with family, [] for
+    a body that misses the curve; filtered the indices of those bodies;
+    active the others, packed; p_eff is p less one per filtered body, and
+    at least 2. The candidate stage reads active and the final containment
+    family: one packed object, stacked once, when every body meets the
+    curve.
     """
     family = pack(curve.to_unit(bodies))
     arcs = body_curve_arcs(family)
     filtered = tuple(i for i, a in enumerate(arcs) if not a)
     active = pack(b for b, a in zip(family, arcs) if a) if filtered else family
-    return family, filtered, active, [a for a in arcs if a], max(2, p - len(filtered))
+    return family, filtered, active, arcs, max(2, p - len(filtered))
 
 
 def run_pipeline(
@@ -452,7 +453,8 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     # A skipped check builds no meet graph, and flag_values writes no condition_holds.
-    holds = decides_p2(p_eff, len(active)) and verify_p2(build_meet_graph(active, arcs=arcs), p_eff)
+    holds = decides_p2(p_eff, len(active)) and verify_p2(
+        build_meet_graph(active, arcs=[a for a in arcs if a]), p_eff)
     timings["condition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

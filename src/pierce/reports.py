@@ -25,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from .geometry import candidate_points, containment_matrix
-from .instances import Instance, _is_int, _is_number, _is_point
+from .instances import Instance, _is_int, _is_number, _is_point, write_text
 from .pipeline import TransversalReport, certificate_failures, flag_values, validate
 
 
@@ -74,10 +74,10 @@ _OBJECTS = [key for key in _HEADS if key not in SHAPES]
 _PATHS = [(path, *path.rpartition(".")[::2], what, ok) for path, (what, ok) in SHAPES.items()]
 
 
-def save_report(report: TransversalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
+def save_report(report: TransversalReport, path: str | None) -> None:
+    """Writes the report's JSON to the file at path, or to stdout when
+    path is None (instances.write_text)."""
+    write_text(json.dumps(report.to_dict(), indent=1), path)
 
 
 def load_report(path: str) -> dict:

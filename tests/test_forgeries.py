@@ -111,6 +111,8 @@ FALSE_CLAIMS = [
                  "cover weight", id="cover_points-moved"),
     pytest.param(lambda i, r: _set(r, "lp.cover_weights", [w - 0.1 for w in r["lp"]["cover_weights"]]),
                  "cover", id="cover_weights-lowered"),
+    pytest.param(lambda i, r: _set(r, "lp.cover_weights", r["lp"]["cover_weights"][:-1]),
+                 "cover weights for", id="cover_weights-dropped"),
     pytest.param(lambda i, r: _set(r, "lp.packing", [w + 0.1 for w in r["lp"]["packing"]]),
                  "packing", id="packing-raised"),
     pytest.param(lambda i, r: _set(r, "extra", 1), "unknown key 'extra'", id="unknown-key"),

@@ -178,8 +178,10 @@ def test_the_oracle_keeps_its_answer_at_any_scale(make, tmp_path, monkeypatch, c
         caplog.clear()
         assert cli_run(["oracle", path]) == 0
         sizes.append(int(capsys.readouterr().out))
-        # The logged points, as the floats the log line formats.
-        points = np.array([r.args for r in caplog.records if r.msg.startswith("point ")])
+        # The logged points, read back from the text: a format with too few
+        # digits (once %.9f, which at 1e-8 kept one or two) fails here.
+        points = np.array([r.getMessage().split()[1:] for r in caplog.records
+                           if r.getMessage().startswith("point ")], dtype=float)
         assert len(points) == sizes[-1]
         inside = containment_matrix(inst.curve.to_unit(inst.bodies),
                                     inst.curve.to_unit_points(points))

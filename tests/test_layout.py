@@ -3,8 +3,9 @@ in the package or the bench: a name read as code (a Name or an Attribute node
 in a load, not a string, a docstring or the assignment itself) in src/pierce
 or bench, or the console script's entry point. Dunder names such as __all__
 are exempt. The paper's lemmas that only tests run live in tests/lemmas.py.
-Only pipeline.flag_values writes a report flag, and only cli.cli_run catches
-a package error."""
+Only pipeline.flag_values writes a report flag, only cli.cli_run catches a
+package error, and only pipeline.validate maps a family into the curve's
+frame."""
 
 import ast
 import tomllib
@@ -97,3 +98,19 @@ def test_only_the_cli_catches_a_package_error():
     assert "PierceError" in errors
     assert ("cli", "cli_run", "PierceError") in catches
     assert [c for c in catches if c[:2] != ("cli", "cli_run")] == []
+
+
+def test_only_validate_maps_bodies_into_the_curve_frame():
+    # One door into the unit frame: solve, verify, oracle and stats take
+    # their family from pipeline.validate. A command that mapped the bodies
+    # itself could skip the map, as pierce oracle once did, and read
+    # TOL_GEOM in input units. build_meet_graph's own map serves its
+    # callers without arcs, the bench's among them; naming it here keeps
+    # that exception from growing.
+    trees, callers = _trees(), []
+    for path in PACKAGE:
+        for top in trees[path].body:
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "to_unit" for node in ast.walk(top)):
+                callers.append(f"{path.stem}.{top.name}")
+    assert sorted(callers) == ["meetgraph.build_meet_graph", "pipeline.validate"]

@@ -647,6 +647,25 @@ def test_run_pipeline_heavy_point_with_no_meeting_copies():
     assert verify_report(inst, report.to_dict()) == []
 
 
+@pytest.mark.parametrize("name", ["three_bodies", "fano_reordered"])
+def test_run_pipeline_gives_an_empty_rounding_one_copy_of_the_heaviest_body(monkeypatch, name):
+    # rationalize's floor at D = max_denominator can round every weight to
+    # 0, which only families past about 500 bodies reach: the multiset then
+    # takes one copy of the body with the largest packing weight.
+    real = pierce.pipeline.rationalize
+
+    def all_zeros(weights, max_denominator, class_rows=None):
+        return (0,) * len(weights), real(weights, max_denominator, class_rows=class_rows)[1]
+
+    monkeypatch.setattr(pierce.pipeline, "rationalize", all_zeros)
+    inst = _guard_instance(name)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    heaviest = int(np.argmax(report.packing))
+    assert report.multiplicities == tuple(int(j == heaviest) for j in range(len(inst.bodies)))
+    assert report.multiset_size == report.heavy_coverage == 1
+    assert verify_report(inst, report.to_dict()) == []
+
+
 # Pinned transversal, tau_star, m and D of each family. The heavy point
 # feeds none of them, so a change to it must leave them as they are.
 # The transversal points are class representatives, each class's lowest

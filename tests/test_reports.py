@@ -287,6 +287,16 @@ def gallery_run():
     return inst, run_pipeline(inst.bodies, inst.curve, inst.p).to_dict()
 
 
+def test_verify_report_fails_when_no_body_meets_the_curve(gallery_run):
+    # Solve raises on such a family, so a report for it is forged: its
+    # filtered and p_effective claims hold, and nothing else is read.
+    _, report = gallery_run
+    far = [ConvexBody.from_vertices(i, [(8.5 + i, 8.5), (9.5 + i, 8.5), (9.5 + i, 9.5)])
+           for i in range(2)]
+    forged = dict(report, filtered=[0, 1], p_effective=2)
+    assert verify_report(Instance(far), forged) == ["no body meets the curve"]
+
+
 def test_verify_report_names_a_flag_its_check_contradicts(gallery_run):
     inst, report = gallery_run
     short = dict(report, transversal=report["transversal"][:1])
