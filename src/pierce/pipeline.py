@@ -1,9 +1,11 @@
 """LP-duality rounding from fractional to integer transversals.
 
 The chain: deduplicate candidate points into maximal containment classes,
-solve the fractional packing program and read the fractional transversal
-(its exact dual over the same 0/1 matrix) off the optimal tableau, check the
-pair as a weak-duality certificate for tau*, turn the packing weights into
+solve the fractional transversal (the cover) by a dual simplex and read the
+fractional packing (its exact dual over the same 0/1 matrix) off the
+optimal tableau, check the pair as a weak-duality certificate for tau*
+(lp.packing_solve raises PipelineError, naming the lps stage, on an LP
+past its pivot budget or a tableau that drifts), turn the packing weights into
 integer multiplicities m(S)/D, take the heavy point of the multiset with
 m(S) copies of each body S, and finish with a greedy verified hitting set.
 The heavy point is the point of the heaviest class: the class loads

@@ -80,6 +80,25 @@ def pg22_twice() -> list[ConvexBody]:
     return bodies
 
 
+def pg_lines(q: int) -> tuple[int, list[list[int]]]:
+    """Point count and lines of PG(2, q), q prime: the normalized nonzero
+    vectors of F_q^3, where line l holds the points p with l.p = 0."""
+    pts = [v for v in itertools.product(range(q), repeat=3)
+           if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1]
+    return len(pts), [[i for i, p in enumerate(pts) if sum(a * b for a, b in zip(line, p)) % q == 0]
+                      for line in pts]
+
+
+def pg_union_polygons(q, copies) -> list[list[tuple[float, float]]]:
+    """Inscribed PG(2, q) copies, one polygon per line, each copy a (turn,
+    place) pair: turned by turn, with point v at angle TWO_PI * place[v] /
+    size on the circle. Many edges pass through shared circle points."""
+    size, lines = pg_lines(q)
+    return [[(math.cos(a), math.sin(a))
+             for a in sorted((turn + TWO_PI * place[v] / size) % TWO_PI for v in line)]
+            for turn, place in copies for line in lines]
+
+
 def containment_margin(body: ConvexBody, pt: Point2) -> float:
     """Signed clearance of pt: positive inside, negative outside.
 
@@ -352,54 +371,47 @@ def reference_body_curve_arcs(body: ConvexBody) -> list[tuple[float, float]]:
 
 def reference_packing_solve(mat) -> LPSolution:
     """packing_solve with its scans as loops over numpy scalars, read from
-    the tableau entry by entry: the entering column is the first whose
-    reduced cost is below -TOL_LP, and the leaving row has the least ratio,
-    ties within PIVOT_TOL going to the basic variable of lowest index
-    (Bland's rule). It pivots through lp._pivot, so a test can count the
-    pivots of both."""
+    the tableau entry by entry: the leaving row has the most negative rhs
+    below -TOL_LP, the first such row among ties, and the entering column
+    the least reduced cost per unit of the leaving row's entries below
+    -PIVOT_TOL, the first such column among ties. It starts from
+    lp._tableau and pivots through lp._pivot, so a test can count the
+    pivots of both; it never refactors, so it stands for packing_solve on
+    LPs of fewer than REFACTOR_EVERY pivots."""
     mat = np.asarray(mat, dtype=float)
     m, n = mat.shape
-    k = n + m
-    tab = np.zeros((m, k + 1))
-    tab[:, :n] = mat
-    tab[:, n:k] = np.eye(m)
-    tab[:, k] = 1.0
-    basis = list(range(n, k))
-    cost = np.zeros(k)
-    cost[:n] = -1.0
+    k = m + n
+    tab = lp._tableau(mat)
+    basis = list(range(m, k))
+    pivots = 0
     while True:
-        reduced = cost - cost[basis] @ tab[:, :k]
+        leaving = -1
+        for i in range(n):
+            if tab[i, k] < -TOL_LP and (leaving < 0 or tab[i, k] < tab[leaving, k]):
+                leaving = i
+        if leaving < 0:
+            break
         entering = -1
         for j in range(k):
-            if reduced[j] < -TOL_LP:
+            a = tab[leaving, j]
+            if a < -PIVOT_TOL and (
+                    entering < 0 or tab[n, j] / -a < tab[n, entering] / -tab[leaving, entering]):
                 entering = j
-                break
         if entering < 0:
-            break
-        ratio = np.inf
-        leaving = -1
-        for i in range(m):
-            a = tab[i, entering]
-            if a > PIVOT_TOL:
-                r = tab[i, k] / a
-                if r < ratio - PIVOT_TOL or (
-                    abs(r - ratio) <= PIVOT_TOL
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    ratio = r
-                    leaving = i
-        if leaving < 0:
-            raise ValueError(f"packing program is unbounded in column {entering}")
+            raise ValueError(f"packing program is unbounded in column {leaving}")
         lp._pivot(tab, basis, leaving, entering)
-    x = np.zeros(k)
-    for i, bcol in enumerate(basis):
-        x[bcol] = tab[i, k]
-    values = x[:n]
+        pivots += 1
+    # The packing is the surplus columns' reduced costs under unit class costs.
+    values = np.zeros(n)
+    cover = [0.0] * m
+    for r in range(n):
+        if basis[r] < m:
+            values -= tab[r, m:k]
+            cover[basis[r]] = float(tab[r, k])
     if np.any(mat @ values > 1.0 + TOL_LP) or np.any(values < -TOL_LP):
         raise ArithmeticError("simplex returned an infeasible optimum")
-    duals = reduced[n:]
-    objective = float(np.dot(np.ones(n), values))
-    return LPSolution(tuple(float(v) for v in values), objective, tuple(duals.tolist()))
+    packing = values.tolist()
+    return LPSolution(tuple(packing), sum(packing), tuple(cover), pivots)
 
 
 def reference_sturm_chain(p: list[int]) -> list[list[int]]:

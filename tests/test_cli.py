@@ -64,6 +64,20 @@ def test_oracle_exits_1_naming_a_body_without_a_candidate(tmp_path, monkeypatch,
     assert err == "error: candidates: no candidate inside bodies [1, 3, 5, 6]\n"
 
 
+def test_solve_exits_1_when_the_transversal_misses_a_body(tmp_path, monkeypatch, caplog):
+    # A greedy cover that drops its last pick leaves a body unhit: solve
+    # still writes the report, whose all_bodies_hit flag is False, and exits 1.
+    inst_path = str(tmp_path / "g.json")
+    rep_path = str(tmp_path / "r.json")
+    save_instance(gallery7(), inst_path)
+    greedy = pierce.pipeline.greedy_transversal
+    monkeypatch.setattr(pierce.pipeline, "greedy_transversal", lambda classes: greedy(classes)[:-1])
+    assert cli_run(["solve", inst_path, "-o", rep_path]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "output transversal does not hit every body"]
+    assert json.loads(open(rep_path).read())["flags"]["all_bodies_hit"] is False
+
+
 def test_solve_then_verify(tmp_path, capsys):
     inst_path = str(tmp_path / "g.json")
     rep_path = str(tmp_path / "r.json")

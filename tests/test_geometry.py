@@ -36,6 +36,7 @@ from conftest import (
     grid_square,
     grid_triangle,
     pg22_twice,
+    pg_union_polygons,
     reference_body_curve_arcs,
     reference_candidates,
     reference_classes,
@@ -508,28 +509,11 @@ _shifted_family = st.lists(
     [shape] if shift is None else [shape, [(x + shift[0], y + shift[1]) for x, y in shape]])])
 
 
-def _pg_lines(q):
-    # PG(2, q): normalized nonzero vectors of F_q^3; line l holds the points p with l.p = 0.
-    pts = [v for v in itertools.product(range(q), repeat=3)
-           if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1]
-    return len(pts), [[i for i, p in enumerate(pts) if sum(a * b for a, b in zip(line, p)) % q == 0]
-                      for line in pts]
-
-
-def _pg_union(q, copies):
-    """Inscribed PG(2, q) copies, each turned and with its points placed on the circle
-    in its own order: many edges through shared circle points."""
-    size, lines = _pg_lines(q)
-    return [[(math.cos(a), math.sin(a))
-             for a in sorted((turn + TWO_PI * place[v] / size) % TWO_PI for v in line)]
-            for turn, place in copies for line in lines]
-
-
 _pg_family = st.one_of(
     st.lists(st.tuples(st.floats(0.0, TWO_PI), st.permutations(range(7))), min_size=1, max_size=3)
-    .map(lambda copies: _pg_union(2, copies)),
+    .map(lambda copies: pg_union_polygons(2, copies)),
     st.lists(st.tuples(st.floats(0.0, TWO_PI), st.permutations(range(13))), min_size=1, max_size=2)
-    .map(lambda copies: _pg_union(3, copies)),
+    .map(lambda copies: pg_union_polygons(3, copies)),
 )
 
 
@@ -570,14 +554,14 @@ def _classes_match_the_arrangement(bodies):
 @example([[(0, 0), (2, 0), (2, 1), (0, 1)], [(1, 0.5), (3, 0.5), (3, 2), (1, 2)]])  # level edges
 @example([[(0, 0), (2, 0), (1, 2)], [(0, 1), (2, 1), (1, 3)]])  # lowest vertex at a crossing
 @example([[(0, 0), (2, 0), (1, 2)], [(2, 1), (0, 1), (0, 1.001), (2, 1.001)]])  # a band across
-@example(_pg_union(2, [(0.0, range(7)), (1e-5, range(7)), (1.2e-7, [0, 1, 2, 3, 5, 4, 6])]))
+@example(pg_union_polygons(2, [(0.0, range(7)), (1e-5, range(7)), (1.2e-7, [0, 1, 2, 3, 5, 4, 6])]))
 def test_lowest_candidates_keep_every_class(shapes):
     _classes_match_the_arrangement([ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)])
 
 
 def test_lowest_candidates_keep_every_class_of_pg_unions():
     _classes_match_the_arrangement([ConvexBody.from_vertices(i, v) for i, v in enumerate(
-        _pg_union(3, [(0.0, range(13)), (0.1, [5, 0, 7, 1, 12, 3, 2, 9, 4, 11, 6, 10, 8])]))])
+        pg_union_polygons(3, [(0.0, range(13)), (0.1, [5, 0, 7, 1, 12, 3, 2, 9, 4, 11, 6, 10, 8])]))])
     _classes_match_the_arrangement(pg22_twice())
 
 
@@ -677,7 +661,7 @@ def _same_on_a_list_and_its_family(bodies):
 @pytest.mark.parametrize("bodies", [
     gallery7().bodies,
     [ConvexBody.from_vertices(i, v) for i, v in enumerate(
-        _pg_union(3, [(0.0, range(13)), (0.1, [5, 0, 7, 1, 12, 3, 2, 9, 4, 11, 6, 10, 8])]))],
+        pg_union_polygons(3, [(0.0, range(13)), (0.1, [5, 0, 7, 1, 12, 3, 2, 9, 4, 11, 6, 10, 8])]))],
 ], ids=["gallery7", "pg-union"])
 def test_kernels_read_a_list_and_its_family_alike(bodies):
     _same_on_a_list_and_its_family(bodies)

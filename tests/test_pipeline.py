@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import signal
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -544,6 +545,23 @@ def test_greedy_examples():
     assert len(picks) >= 3
     inside = containment_matrix(bodies, picks)
     assert inside.any(axis=0).all()
+
+
+def test_greedy_transversal_raises_on_a_body_in_no_class():
+    # A forged class list whose one class misses body 1: no pick gains, and
+    # the cover stops instead of looping; an alarm fails a cover that loops.
+    def loops(signum, frame):
+        raise AssertionError("greedy_transversal did not stop")
+
+    classes = pierce.pipeline.CandidateClasses(((0.0, 0.0),), np.array([[True, False]]))
+    handler = signal.signal(signal.SIGALRM, loops)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(PipelineError, match="^greedy cover stalled with unhit bodies$"):
+            greedy_transversal(classes)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 # ---------------------------------------------------------------- pipeline

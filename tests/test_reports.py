@@ -331,7 +331,7 @@ def test_verify_report_without_weights_reads_every_active_body(gallery_run):
         "multiset size 15 != sum of multiplicities 0",
         "multiset is empty: m sums to 0",
         "packing sum 0.000000000 != cover sum 2.142857143",
-        "tau_star 2.1428571428571423 > packing bound 0.000000000",
+        "tau_star 2.142857142857143 > packing bound 0.000000000",
         "heavy point covers 0 copies, report says 7",
         "flag duality_ok is True, but verify finds False",
         "flag tau_epsilon_consistent is True, but verify finds False",
