@@ -314,14 +314,15 @@ def body_curve_arcs(bodies: Family | list[ConvexBody]) -> list[list[tuple[float,
     curve.
 
     The angles an edge holds are one arc, from s = phi + acos(c), mod 2*pi,
-    to e = s + 2*pi - 2 acos(c), cut into pieces that hold 0 at both ends
-    when they hold it at all: (s, 2*pi) and (0, e - 2*pi) through 0, (0, e)
-    and (2*pi, 2*pi) when s is 0, (0, 0) and (s, 2*pi) when e is 2*pi, and
-    (s, e) otherwise. The running pieces, which start as (0, 2*pi), become
-    their overlaps with the edge's pieces. An overlap starts at 0, or ends
-    at 2*pi, only when both of its pieces do, so the overlaps keep the
-    rule. Pieces may touch or repeat until _merged merges them once at the
-    end.
+    to e = s + 2*pi - 2 acos(c), cut in one of two ways. An arc that holds
+    angle 0 is cut into (s, 2*pi) and (0, e), which hold it at both ends:
+    e is brought back by 2*pi when it reaches 2*pi, and s is moved to 2*pi
+    when it is 0, so the point 0 is (2*pi, 2*pi) or (0, 0) at that end.
+    Any other arc is the one piece (s, e). The running pieces, which start
+    as (0, 2*pi), become their overlaps with the edge's pieces. An overlap
+    starts at 0, or ends at 2*pi, only when both of its pieces do, so the
+    overlaps keep the rule. Pieces may touch or repeat until _merged merges
+    them once at the end.
     """
     if not bodies:
         return []
@@ -344,20 +345,26 @@ def _curve_arcs(rows) -> list[tuple[float, float]]:
         delta = math.acos(c)
         phi = math.atan2(ny, nx)
         # The edge's arc runs from phi + delta counterclockwise to
-        # phi + 2*pi - delta, a span under 2*pi since delta > 0; s is
-        # normalize_angle(phi + delta). Each running piece (a0, a1) keeps
-        # its overlap with each of the edge's pieces, in one loop per kind
-        # of cut. Every piece lies in [0, 2*pi], so an overlap with a piece
-        # from 0 starts at a0, and one with a piece up to 2*pi ends at a1.
+        # phi + 2*pi - delta; s is normalize_angle(phi + delta). An arc that
+        # holds angle 0 is cut into (s, 2*pi) and (0, e), with e brought
+        # back by 2*pi or s moved to 2*pi, and only such an arc then has
+        # e < s: the span is further than 1e-8 from 0 and from 2*pi, since
+        # c lies strictly between -1 and 1. Each running piece (a0, a1)
+        # keeps its overlap with each of the edge's pieces. Every piece lies
+        # in [0, 2*pi], so an overlap with (s, 2*pi) ends at a1, and one
+        # with (0, e) starts at a0.
         s = math.fmod(phi + delta, TWO_PI)
         if s < 0.0:
             s += TWO_PI
         if s >= TWO_PI:
             s = 0.0
         e = s + ((phi + TWO_PI - delta) - (phi + delta))
-        hits = []
-        if e > TWO_PI:  # through 0: (s, 2*pi) and (0, e - 2*pi)
+        if e >= TWO_PI:
             e -= TWO_PI
+        elif s == 0.0:
+            s = TWO_PI
+        hits = []
+        if e < s:  # holds angle 0: (s, 2*pi) and (0, e)
             for a0, a1 in segs:
                 lo = s if s > a0 else a0
                 if lo <= a1:
@@ -365,20 +372,6 @@ def _curve_arcs(rows) -> list[tuple[float, float]]:
                 hi = e if e < a1 else a1
                 if a0 <= hi:
                     hits.append((a0, hi))
-        elif s == 0.0:  # from 0: (0, e) and (2*pi, 2*pi)
-            for a0, a1 in segs:
-                hi = e if e < a1 else a1
-                if a0 <= hi:
-                    hits.append((a0, hi))
-                if a1 == TWO_PI:
-                    hits.append((TWO_PI, TWO_PI))
-        elif e == TWO_PI:  # up to 2*pi: (0, 0) and (s, 2*pi)
-            for a0, a1 in segs:
-                if a0 == 0.0:
-                    hits.append((0.0, 0.0))
-                lo = s if s > a0 else a0
-                if lo <= a1:
-                    hits.append((lo, a1))
         else:  # (s, e)
             for a0, a1 in segs:
                 lo = s if s > a0 else a0

@@ -33,6 +33,11 @@ def _is_point(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
 
 
+def _is_id(v) -> bool:
+    # A body id is what an instance file can hold: a string or a number.
+    return isinstance(v, str) or _is_number(v)
+
+
 @dataclass
 class Instance:
     bodies: list[ConvexBody]
@@ -49,6 +54,9 @@ class Instance:
             raise ValueError(f"p must be an integer, not {self.p!r}") from None
         if self.p < 2:
             raise ValueError("p must be at least 2")
+        bad = [b.id for b in self.bodies if not _is_id(b.id)]
+        if bad:
+            raise ValueError(f"body ids must be finite numbers or strings; not {bad}")
         repeated = [i for i, k in Counter(b.id for b in self.bodies).items() if k > 1]
         if repeated:
             raise ValueError(f"body ids must be distinct; repeated: {repeated}")
@@ -100,8 +108,7 @@ class Instance:
         for k, b in enumerate(read(data, "bodies", "instance", "a list",
                                    lambda v: isinstance(v, list))):
             where = f"bodies[{k}]"
-            body_id = read(b, "id", where, "a number or a string",
-                           lambda v: isinstance(v, (int, float, str)))
+            body_id = read(b, "id", where, "a finite number or a string", _is_id)
             vertices = read(b, "vertices", where, "a list of points",
                             lambda v: isinstance(v, list) and all(map(_is_point, v)))
             bodies.append(ConvexBody.from_vertices(body_id, vertices))

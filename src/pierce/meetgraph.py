@@ -101,13 +101,11 @@ def _has_independent_set(graph: ColorGraph, size: int) -> bool:
             return False
         if not cliques_reach(candidates, size - chosen):
             return False
-        while candidates:
+        while chosen + candidates.bit_count() >= size:
             low = candidates & -candidates
             candidates ^= low
             if extend(chosen + 1, candidates & ~neighbors[low.bit_length() - 1]):
                 return True
-            if chosen + candidates.bit_count() < size:
-                return False
         return False
 
     return extend(0, (1 << graph.n) - 1)

@@ -1,7 +1,9 @@
 """End-to-end driver behavior: subcommands, exit codes, file handling."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +77,7 @@ def test_solve_exits_1_when_the_transversal_misses_a_body(tmp_path, monkeypatch,
     assert cli_run(["solve", inst_path, "-o", rep_path]) == 1
     assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
         "output transversal does not hit every body"]
-    assert json.loads(open(rep_path).read())["flags"]["all_bodies_hit"] is False
+    assert json.loads(Path(rep_path).read_text())["flags"]["all_bodies_hit"] is False
 
 
 def test_solve_then_verify(tmp_path, capsys):
@@ -87,7 +89,7 @@ def test_solve_then_verify(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
     # tamper with the claimed LP value and watch the recheck catch it
-    report = json.loads(open(rep_path).read())
+    report = json.loads(Path(rep_path).read_text())
     report["tau_star"] += 1.0
     with open(rep_path, "w") as fh:
         json.dump(report, fh)
@@ -101,7 +103,7 @@ def test_verify_catches_bad_multiplicities(tmp_path, capsys):
     rep_path = str(tmp_path / "r.json")
     cli_run(["gen", "gallery", "-o", inst_path])
     cli_run(["solve", inst_path, "-o", rep_path])
-    report = json.loads(open(rep_path).read())
+    report = json.loads(Path(rep_path).read_text())
     report["m"] = [v * 3 for v in report["m"]]  # breaks the D bound
     with open(rep_path, "w") as fh:
         json.dump(report, fh)
@@ -118,7 +120,7 @@ def test_verify_fails_on_malformed_reports(tmp_path, capsys, change):
     rep_path = str(tmp_path / "r.json")
     cli_run(["gen", "gallery", "-o", inst_path])
     cli_run(["solve", inst_path, "-o", rep_path])
-    report = json.loads(open(rep_path).read())
+    report = json.loads(Path(rep_path).read_text())
     report = [report] if change == "list" else dict(report, **change)
     with open(rep_path, "w") as fh:
         json.dump(report, fh)
@@ -309,6 +311,12 @@ def test_solve_and_verify_reject_coordinates_past_the_range_bound(tmp_path, caps
                               "eighth of TOL_GEOM*r = 1e-09")
 
 
+def _with_id(data: dict, k: int, body_id) -> dict:
+    bodies = [dict(b) for b in data["bodies"]]
+    bodies[k]["id"] = body_id
+    return {**data, "bodies": bodies}
+
+
 @pytest.mark.parametrize("edit, error", [
     (lambda d: {k: v for k, v in d.items() if k != "bodies"}, "instance has no 'bodies' key"),
     (lambda d: [d], "instance is not a JSON object"),
@@ -319,7 +327,12 @@ def test_solve_and_verify_reject_coordinates_past_the_range_bound(tmp_path, caps
     (lambda d: {**d, "p": 2.9}, "p must be an integer, not 2.9"),
     (lambda d: {**d, "curve": {**d["curve"], "type": "ellipse"}},
      "curve 'type' is not \"circle\""),
-], ids=["no-bodies", "a-list", "string-radius", "string-vertex", "fractional-p", "ellipse"])
+    # one of gallery7's ids written as true, Infinity or NaN
+    (lambda d: _with_id(d, 0, True), "bodies[0] 'id' is not a finite number or a string"),
+    (lambda d: _with_id(d, 1, math.inf), "bodies[1] 'id' is not a finite number or a string"),
+    (lambda d: _with_id(d, 2, math.nan), "bodies[2] 'id' is not a finite number or a string"),
+], ids=["no-bodies", "a-list", "string-radius", "string-vertex", "fractional-p", "ellipse",
+        "true-id", "infinite-id", "nan-id"])
 def test_malformed_instance_file_is_an_input_error(edit, error, tmp_path, capsys):
     inst_path = tmp_path / "bad.json"
     inst_path.write_text(json.dumps(edit(gallery7().to_dict())))

@@ -75,6 +75,25 @@ def test_repeated_body_ids_are_rejected(tmp_path):
         load_instance(str(path))
 
 
+def test_body_ids_are_finite_numbers_or_strings(tmp_path):
+    # NaN never equals itself, so two NaN ids would pass the distinct-id
+    # check; the id rule rejects them first, as it does what no instance
+    # file can hold
+    bodies = gen_pairwise(4, 0).bodies
+    for ids, named in [([math.nan, math.nan, 2, 3], "[nan, nan]"), ([True, 1, 2, 3], "[True]"),
+                       ([0, math.inf, None, 3], "[inf, None]"), ([0, 1, 2, (3,)], "[(3,)]"),
+                       ([0, 1, 2, 10**400], f"[{10**400}]")]:
+        family = [ConvexBody.from_vertices(i, b.vertices) for i, b in zip(ids, bodies)]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"body ids must be finite numbers or strings; not {named}") + "$"):
+            Instance(family)
+    # every id an instance holds survives a write and a read
+    ids = ["a", 2.5, -7, 1e300]
+    inst = Instance([ConvexBody.from_vertices(i, b.vertices) for i, b in zip(ids, bodies)])
+    save_instance(inst, str(tmp_path / "ids.json"))
+    assert [b.id for b in load_instance(str(tmp_path / "ids.json")).bodies] == ids
+
+
 def test_instance_rejects_coordinates_past_the_range_bound():
     # At radius 1 a coordinate below 2**20 has an ulp of 2**-33, under
     # TOL_GEOM / 8, and one from 2**20 on an ulp of 2**-32, over it.
