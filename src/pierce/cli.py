@@ -1,7 +1,8 @@
 """Command-line driver: generate, solve, certify, inspect, and draw.
 
 Exit codes: 0 success, 1 a check failed or the run could not complete,
-2 usage or input-file problems, an invalid body included.
+2 usage or input problems: a file that cannot be opened, for reading or
+writing, a malformed input file, or an invalid body.
 PIERCE_LOG_LEVEL (error, info, debug) controls verbosity on stderr; any
 other value is named in one warning line and taken as error.
 """
@@ -24,8 +25,8 @@ from .instances import (
     write_text,
 )
 from .meetgraph import build_meet_graph, turan_pair_check
-from .pipeline import brute_min_transversal, run_pipeline, validate
-from .reports import SHAPES, load_report, save_report, verify_report
+from .pipeline import SHAPES, brute_min_transversal, run_pipeline, validate
+from .reports import load_report, save_report, verify_report
 from .svg import render_svg
 from .witness import is_spread_out, witness_list
 
@@ -149,7 +150,7 @@ def _cmd_plot(args) -> int:
         report = load_report(args.report)
         if not isinstance(report, dict) or "transversal" not in report:
             raise ValueError("report has no 'transversal' key")
-        what, ok = SHAPES["transversal"]
+        _, what, ok = SHAPES["transversal"]
         if not ok(report["transversal"]):
             raise ValueError(f"report 'transversal' is not {what}")
         points = [tuple(pt) for pt in report["transversal"]]
@@ -195,8 +196,8 @@ def cli_run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _DISPATCH[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed input file: {exc}", file=sys.stderr)

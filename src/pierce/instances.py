@@ -171,9 +171,12 @@ def _wedge_points(anchor: float, w_lo: float, w_hi: float) -> list[tuple[float, 
     return pts
 
 
-def _check_seed(seed) -> None:
-    if not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+def _check_int(name: str, value, non_negative: bool = False) -> None:
+    # A generator's integer argument is an int, not a bool, a float or a
+    # numpy integer, which meta could not write to a file.
+    if not (_is_int(value) and (value >= 0 or not non_negative)):
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise ValueError(f"{name} must be {kind}, not {value!r}")
 
 
 def gen_pairwise(n: int, seed: int = 0) -> Instance:
@@ -185,12 +188,13 @@ def gen_pairwise(n: int, seed: int = 0) -> Instance:
     so every two bodies meet, and one draw from SeedSequence([seed, 0])
     gives the family. The self-check is that certificate, linear in n:
     the first body whose body_curve_arcs measure at most pi raises a
-    GenerationError naming it. seed is a non-negative int; anything else
-    raises a ValueError.
+    GenerationError naming it. n is an int and seed a non-negative int;
+    anything else raises a ValueError.
     """
+    _check_int("n", n)
+    _check_int("seed", seed, non_negative=True)
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     bodies = []
     for i in range(n):
@@ -212,14 +216,16 @@ def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:
     body per cluster gives an independent set of size p-1 (tightness).  The
     self-check is that pigeonhole certificate, one containment_matrix call
     of the bodies against the p-1 anchors, linear in n: every body holds the
-    circle point at its cluster's anchor.  seed is a non-negative int;
-    anything else raises a ValueError.
+    circle point at its cluster's anchor.  p and n are ints and seed a
+    non-negative int; anything else raises a ValueError.
     """
+    _check_int("p", p)
+    _check_int("n", n)
+    _check_int("seed", seed, non_negative=True)
     if p < 2:
         raise ValueError("p must be at least 2")
     if n < p:
         raise ValueError("need at least p bodies for the condition to bite")
-    _check_seed(seed)
     rng = np.random.default_rng(seed)
     k = p - 1
     half_gap = math.pi / k

@@ -15,10 +15,11 @@ a vertex of every cell; see its docstring), so their maximum is the most
 copies any point covers.  Every stage's claim is re-checked and the outcome
 recorded in the report flags rather than trusted, each by its one rule in
 flag_values, which verify_report applies too; the report carries the LP
-certificate so that verify_report can prove tau* without a solver.  The
-chain runs in the curve's frame, which validate, the step that
-verify_report shares, sets up; the report's points are mapped back to the
-input's coordinates.
+certificate so that verify_report can prove tau* without a solver.  SHAPES
+is the report's one layout: TransversalReport.to_dict writes its paths, and
+verify_report checks them.  The chain runs in the curve's frame, which
+validate, the step that verify_report shares, sets up; the report's points
+are mapped back to the input's coordinates.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .geometry import (
     containment_matrix,
     pack,
 )
+from .instances import _is_int, _is_number, _is_point
 from .lp import TOL_LP, packing_solve
 from .meetgraph import build_meet_graph, decides_p2, verify_p2
 
@@ -69,9 +71,48 @@ class CandidateClasses:
         return self._matrix
 
 
+def _is_list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# The booleans flag_values writes, save condition_holds, which it writes
+# exactly when condition_checked is true, as a skipped check observes no
+# outcome.
+FLAGS = ("condition_checked", "duality_ok", "rounding_feasible_exact", "coverage_le_denominator",
+         "tau_epsilon_consistent", "greedy_within_log_bound", "all_bodies_hit")
+
+
+def _is_flags(v) -> bool:
+    if not (isinstance(v, dict) and all(type(flag) is bool for flag in v.values())):
+        return False
+    return v.keys() == ({*FLAGS, "condition_holds"} if v.get("condition_checked") else set(FLAGS))
+
+
+# The report's layout, in the order to_dict writes it: each dotted key path
+# with the TransversalReport field its value comes from, and what
+# verify_report requires of the value.  A report also holds an object at
+# each dot, and stages, the stage timings, which verify reads no key of.
+SHAPES = {
+    "transversal": ("transversal", "a list of points", _is_list_of(_is_point)),
+    "tau_star": ("tau_star", "a finite number", _is_number),
+    "m": ("multiplicities", "a list of integers", _is_list_of(_is_int)),
+    "D": ("denominator", "an integer", _is_int),
+    "z": ("heavy_point", "a point", _is_point),
+    "coverage.count": ("heavy_coverage", "an integer", _is_int),
+    "coverage.epsilon": ("epsilon", "a finite number", _is_number),
+    "coverage.multiset_size": ("multiset_size", "an integer", _is_int),
+    "p_effective": ("p_effective", "an integer", _is_int),
+    "filtered": ("filtered", "a list of integers", _is_list_of(_is_int)),
+    "lp.cover_points": ("cover_points", "a list of points", _is_list_of(_is_point)),
+    "lp.cover_weights": ("cover_weights", "a list of numbers", _is_list_of(_is_number)),
+    "lp.packing": ("packing", "a list of numbers", _is_list_of(_is_number)),
+    "flags": ("flags", "an object of the booleans run_pipeline writes", _is_flags),
+}
+
+
 @dataclass(frozen=True)
 class TransversalReport:
-    """One run's results: to_dict writes the report, and reports.SHAPES lists what verify reads."""
+    """One run's results: to_dict writes the report, laid out as SHAPES lists it."""
 
     transversal: tuple[Point2, ...]
     tau_star: float
@@ -90,27 +131,18 @@ class TransversalReport:
     timings: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "transversal": [list(pt) for pt in self.transversal],
-            "tau_star": self.tau_star,
-            "m": list(self.multiplicities),
-            "D": self.denominator,
-            "z": list(self.heavy_point),
-            "coverage": {
-                "count": self.heavy_coverage,
-                "epsilon": self.epsilon,
-                "multiset_size": self.multiset_size,
-            },
-            "p_effective": self.p_effective,
-            "filtered": list(self.filtered),
-            "lp": {
-                "cover_points": [list(pt) for pt in self.cover_points],
-                "cover_weights": list(self.cover_weights),
-                "packing": list(self.packing),
-            },
-            "flags": dict(self.flags),
-            "stages": dict(self.timings),
-        }
+        """The report as JSON values, SHAPES' paths in order and then stages:
+        tuples become lists, points included, and flags is copied."""
+        out = {}
+        for path, (field, _, _) in SHAPES.items():
+            parent, _, key = path.rpartition(".")
+            value = getattr(self, field)
+            if isinstance(value, tuple):
+                value = list(map(list, value) if value and isinstance(value[0], tuple) else value)
+            holder = out.setdefault(parent, {}) if parent else out
+            holder[key] = dict(value) if isinstance(value, dict) else value
+        out["stages"] = dict(self.timings)
+        return out
 
 
 def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:

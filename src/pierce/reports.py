@@ -1,14 +1,15 @@
 """Report files and the independent recheck of a finished run.
 
-A report is the JSON form of a TransversalReport.  verify_report loads one
-next to its instance and re-derives every claim from scratch: which bodies
-miss the curve, geometry of the output points, tau_star from the report's LP
-certificate, exact integer feasibility of the multiplicities, the
-heavy-point accounting, and the flags, by the rules run_pipeline writes
-them with (pipeline.flag_values).  The report claims the heaviest point,
-so its recount must equal the heaviest load max(rows @ m) over the
-candidate rows, the bodies containing each candidate point, and may not
-exceed D.  Only the bodies with a nonzero multiplicity or packing weight
+A report is the JSON form of a TransversalReport, laid out as
+pipeline.SHAPES lists it, and _shape_failures checks it against that same
+table.  verify_report loads one next to its instance and re-derives every
+claim from scratch: which bodies miss the curve, geometry of the output
+points, tau_star from the report's LP certificate, exact integer
+feasibility of the multiplicities, the heavy-point accounting, and the
+flags, by the rules run_pipeline writes them with (pipeline.flag_values).
+The report claims the heaviest point, so its recount must equal the
+heaviest load max(rows @ m) over the candidate rows, the bodies
+containing each candidate point, and may not exceed D.  Only the bodies with a nonzero multiplicity or packing weight
 load a point, so the candidate points are those of that weighted
 sub-family.  The certificate is a cover (points with weights) and a
 packing (one weight per active body);
@@ -25,53 +26,15 @@ from collections import Counter
 import numpy as np
 
 from .geometry import candidate_points, containment_matrix
-from .instances import Instance, _is_int, _is_number, _is_point, write_text
-from .pipeline import TransversalReport, certificate_failures, flag_values, validate
-
-
-def _is_list_of(ok):
-    return lambda v: isinstance(v, list) and all(map(ok, v))
-
-
-# The booleans run_pipeline writes (pipeline.flag_values), save
-# condition_holds, which it writes exactly when condition_checked is true,
-# as a skipped check observes no outcome.
-FLAGS = ("condition_checked", "duality_ok", "rounding_feasible_exact", "coverage_le_denominator",
-         "tau_epsilon_consistent", "greedy_within_log_bound", "all_bodies_hit")
-
-
-def _is_flags(v) -> bool:
-    if not (isinstance(v, dict) and all(type(flag) is bool for flag in v.values())):
-        return False
-    return v.keys() == ({*FLAGS, "condition_holds"} if v.get("condition_checked") else set(FLAGS))
-
-
-# What each value verify_report reads must be, by dotted key path.  A report
-# also needs each path's first key, and an object at each dot, and has no
-# other top-level key but stages.
-SHAPES = {
-    "transversal": ("a list of points", _is_list_of(_is_point)),
-    "tau_star": ("a finite number", _is_number),
-    "m": ("a list of integers", _is_list_of(_is_int)),
-    "D": ("an integer", _is_int),
-    "z": ("a point", _is_point),
-    "coverage.multiset_size": ("an integer", _is_int),
-    "coverage.count": ("an integer", _is_int),
-    "coverage.epsilon": ("a finite number", _is_number),
-    "p_effective": ("an integer", _is_int),
-    "filtered": ("a list of integers", _is_list_of(_is_int)),
-    "lp.cover_points": ("a list of points", _is_list_of(_is_point)),
-    "lp.cover_weights": ("a list of numbers", _is_list_of(_is_number)),
-    "lp.packing": ("a list of numbers", _is_list_of(_is_number)),
-    "flags": ("an object of the booleans run_pipeline writes", _is_flags),
-}
+from .instances import Instance, write_text
+from .pipeline import SHAPES, TransversalReport, certificate_failures, flag_values, validate
 
 
 # SHAPES parsed once: its paths' first keys in order, those that hold
 # objects, and each path as (path, parent, key, what, ok).
 _HEADS = dict.fromkeys(path.split(".")[0] for path in SHAPES)
 _OBJECTS = [key for key in _HEADS if key not in SHAPES]
-_PATHS = [(path, *path.rpartition(".")[::2], what, ok) for path, (what, ok) in SHAPES.items()]
+_PATHS = [(path, *path.rpartition(".")[::2], what, ok) for path, (_, what, ok) in SHAPES.items()]
 
 
 def save_report(report: TransversalReport, path: str | None) -> None:

@@ -1,7 +1,9 @@
 """End-to-end driver behavior: subcommands, exit codes, file handling."""
 
+import errno
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -338,6 +340,25 @@ def test_malformed_instance_file_is_an_input_error(edit, error, tmp_path, capsys
     inst_path.write_text(json.dumps(edit(gallery7().to_dict())))
     assert cli_run(["solve", str(inst_path)]) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, path, code", [
+    (["solve", "missing.json", "-o", "out.json"], "missing.json", errno.ENOENT),
+    (["solve", "folder", "-o", "out.json"], "folder", errno.EISDIR),
+    (["gen", "gallery", "-o", "folder"], "folder", errno.EISDIR),
+    (["gen", "gallery", "-o", "missing/x.json"], "missing/x.json", errno.ENOENT),
+], ids=["missing-input", "directory-input", "directory-output", "output-in-missing-directory"])
+def test_a_file_that_cannot_be_opened_is_an_input_error(argv, path, code, tmp_path, monkeypatch,
+                                                        capsys):
+    # Reading and writing fail alike, each named in one line, and nothing
+    # is written. A PermissionError takes the same branch; root opens any
+    # file, so a run as root cannot provoke one.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    assert cli_run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: cannot open {path}: {os.strerror(code)}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+    assert list((tmp_path / "folder").iterdir()) == []
 
 
 def test_plot_rejects_a_report_without_a_transversal(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pierce.reports
+import pierce.pipeline
 from pierce.geometry import TWO_PI, UNIT_CIRCLE, candidate_points, containment_matrix
 from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import run_pipeline
@@ -173,7 +173,7 @@ def test_a_benign_edit_passes_verify(runs, family, edit):
     assert forged != report and verify_report(inst, forged) == []
 
 
-@pytest.mark.parametrize("flag", pierce.reports.FLAGS)
+@pytest.mark.parametrize("flag", pierce.pipeline.FLAGS)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_verify_report_names_a_flipped_flag(runs, family, flag):
     # Verify applies each flag's rule to its own numbers. condition_checked

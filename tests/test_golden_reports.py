@@ -7,7 +7,10 @@ commit and names the families whose digests moved. The families are ones
 tier-1 builds itself: the gallery and its mirror image, PG(2, q) unions
 with tau* > 1 and D > 1, pairwise and clustered families (one past the
 exact condition check's cap), the gallery on a circle other than the unit
-one, and the gallery with a body that misses the curve.
+one, and the gallery with a body that misses the curve. Two more take paths
+no other family does: five wedges in a 5-cycle with p = 3, on which the
+independent-set search branches, and four PG(2, 2) copies with p = 5, whose
+multiplicities are floored at D = 143 (rationalize's floor path).
 """
 
 import hashlib
@@ -15,8 +18,8 @@ import json
 
 import numpy as np
 
-from pierce.geometry import ConvexBody, CurveModel
-from pierce.instances import Instance, gallery7, gen_clustered, gen_pairwise
+from pierce.geometry import TWO_PI, ConvexBody, CurveModel
+from pierce.instances import Instance, _wedge_points, gallery7, gen_clustered, gen_pairwise
 from pierce.pipeline import run_pipeline
 from pierce.reports import verify_report
 
@@ -60,6 +63,15 @@ def _families() -> dict[str, Instance]:
         "gallery7 on a shifted, scaled circle": _mapped(
             gallery, lambda v: v * 3.0 + np.array([5.0, -2.0]), CurveModel((5.0, -2.0), 3.0)),
         "gallery7 and a body off the curve": Instance([*gallery.bodies, inside]),
+        # tau* = 5/2, D = 2; each wedge meets its two neighbors on the circle
+        "five wedges in a 5-cycle, p=3": Instance(
+            [ConvexBody.from_vertices(i, _wedge_points(TWO_PI * i / 5, 0.7, 0.7))
+             for i in range(5)], 3),
+        # tau* = 3.4743, D = d_cap = 143
+        "PG(2,2) x 4": _pg_union(2, [(0.11379139745585641, (5, 0, 1, 4, 2, 3, 6)),
+                                     (0.3262759101146608, (1, 5, 6, 0, 2, 3, 4)),
+                                     (0.49738939589427633, (1, 3, 6, 0, 2, 4, 5)),
+                                     (0.7589003771766261, (6, 2, 5, 1, 3, 4, 0))]),
     }
 
 
@@ -80,6 +92,8 @@ DIGESTS = {
     "clustered(3, 42, 1)": "987787d93ae847930c836e940c3afcb2069012a2e0853324636b4b587a623a3b",
     "gallery7 on a shifted, scaled circle": "ea7c16d12b395460cd1ebf46491df6215a4a968a01c070ad49b0f0d5b7a6d923",
     "gallery7 and a body off the curve": "2ac1669c04d991811a6a3779b702434f952d2b4e4c6ea94038f0e38dffc60899",
+    "five wedges in a 5-cycle, p=3": "00923978d2ec6a7d32bf80649205f1cf0a90a2e9fb01546e42309e793c1ff6ee",
+    "PG(2,2) x 4": "2429fe86c0ddb0a0266cf12500defa545aea5e290df0d86497a936cb930541d8",
 }
 
 

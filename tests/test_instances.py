@@ -229,6 +229,23 @@ def test_generators_take_only_a_non_negative_int_seed(seed):
         gen_clustered(3, 4, seed=seed)
 
 
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: gen_pairwise(v), "n", np.int64(8)),
+    (lambda v: gen_pairwise(v), "n", 8.0),
+    (lambda v: gen_clustered(v, 8), "p", np.int64(3)),
+    (lambda v: gen_clustered(v, 8), "p", 3.0),
+    (lambda v: gen_clustered(3, v), "n", np.int64(8)),
+    (lambda v: gen_clustered(3, v), "n", 8.0),
+], ids=["pairwise-n-int64", "pairwise-n-float", "clustered-p-int64", "clustered-p-float",
+        "clustered-n-int64", "clustered-n-float"])
+def test_generators_take_only_int_sizes(make, name, value):
+    # A numpy integer in meta could not be written to a file, and a float
+    # failed in range() with a bare TypeError.
+    error = re.escape(f"{name} must be an integer, not {value!r}")
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        make(value)
+
+
 def test_gallery7_shape():
     inst = gallery7()
     assert len(inst.bodies) == 7

@@ -12,7 +12,7 @@ import tomllib
 from pathlib import Path
 
 import pierce.errors
-import pierce.reports
+import pierce.pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "pierce").glob("*.py"))
@@ -59,12 +59,12 @@ def test_every_module_constant_in_src_is_read():
 
 def test_only_flag_values_writes_a_flag():
     # Each flag's rule lives in pipeline.flag_values, which solve and verify
-    # both call, and reports.FLAGS lists the names. A rule is a write: a flag
+    # both call, and pipeline.FLAGS lists the names. A rule is a write: a flag
     # name as a dict key, or as the key of an assigned subscript. Elsewhere a
     # name may only be listed or read (verify reads the verdicts, the CLI
     # reads all_bodies_hit), so a second rule cannot creep back into
     # run_pipeline or verify_report as a flags[...] line or a truth dict.
-    names = {*pierce.reports.FLAGS, "condition_holds"}
+    names = {*pierce.pipeline.FLAGS, "condition_holds"}
     trees, writes = _trees(), []
     for path in PACKAGE:
         for top in trees[path].body:

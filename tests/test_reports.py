@@ -400,9 +400,9 @@ def test_a_class_line_names_a_class_of_the_load_it_prints(gallery_run):
 def test_verify_report_fails_on_empty_coverage(gallery_run):
     inst, report = gallery_run
     assert verify_report(inst, dict(report, coverage={})) == [
-        "missing key 'coverage.multiset_size'",
         "missing key 'coverage.count'",
         "missing key 'coverage.epsilon'",
+        "missing key 'coverage.multiset_size'",
     ]
 
 
@@ -452,7 +452,7 @@ def test_verify_report_fails_on_wrong_types(gallery_run):
 
 
 def test_the_report_writer_and_verify_read_the_same_keys(gallery_run):
-    # A key added to to_dict alone, or to SHAPES alone, fails here. stages
+    # to_dict writes SHAPES' paths and stages, and no other key. stages
     # is an object that verify reads no key of; flags is read whole.
     _, report = gallery_run
     leaves = set()
@@ -463,11 +463,11 @@ def test_the_report_writer_and_verify_read_the_same_keys(gallery_run):
             leaves.update(f"{key}.{sub}" for sub in value)
         else:
             leaves.add(key)
-    assert leaves == set(pierce.reports.SHAPES)
+    assert leaves == set(pierce.pipeline.SHAPES)
     # A flag added to run_pipeline alone, or to the flags' shape alone, fails
     # here too: the shape takes the flags of a run that checks the condition
     # and of one that skips it, and no fewer.
-    _, is_flags = pierce.reports.SHAPES["flags"]
+    _, _, is_flags = pierce.pipeline.SHAPES["flags"]
     skipped = gen_clustered(3, 42, seed=1)
     skipped = run_pipeline(skipped.bodies, skipped.curve, skipped.p).flags
     assert report["flags"]["condition_checked"] and not skipped["condition_checked"]
@@ -475,6 +475,18 @@ def test_the_report_writer_and_verify_read_the_same_keys(gallery_run):
         assert is_flags(flags)
         for key in flags:
             assert not is_flags({k: v for k, v in flags.items() if k != key}), key
+
+
+def test_the_report_is_written_in_the_order_shapes_lists(gallery_run):
+    # The golden digests hash sorted keys, so this pins the written order:
+    # SHAPES' paths, an object's keys in the order of their paths, and
+    # then stages.
+    _, report = gallery_run
+    written = []
+    for key, value in report.items():
+        leaf = key in pierce.pipeline.SHAPES or key == "stages"
+        written += [key] if leaf else [f"{key}.{sub}" for sub in value]
+    assert written == [*pierce.pipeline.SHAPES, "stages"]
 
 
 @pytest.mark.parametrize("edit", [
