@@ -25,7 +25,7 @@ from .instances import (
     write_text,
 )
 from .meetgraph import build_meet_graph, turan_pair_check
-from .pipeline import SHAPES, brute_min_transversal, run_pipeline, validate
+from .pipeline import PATHS, brute_min_transversal, run_pipeline, validate
 from .reports import load_report, save_report, verify_report
 from .svg import render_svg
 from .witness import is_spread_out, witness_list
@@ -150,7 +150,7 @@ def _cmd_plot(args) -> int:
         report = load_report(args.report)
         if not isinstance(report, dict) or "transversal" not in report:
             raise ValueError("report has no 'transversal' key")
-        _, what, ok = SHAPES["transversal"]
+        *_, what, ok = PATHS["transversal"]
         if not ok(report["transversal"]):
             raise ValueError(f"report 'transversal' is not {what}")
         points = [tuple(pt) for pt in report["transversal"]]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import (TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, body_curve_arcs,
-                       containment_matrix)
+from .geometry import (TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, _finite_floats,
+                       body_curve_arcs, containment_matrix)
 
 
 def _is_int(v) -> bool:
@@ -38,6 +38,19 @@ def _is_id(v) -> bool:
     return isinstance(v, str) or _is_number(v)
 
 
+def _check_p(p) -> int:
+    """p as an int, the rule of Instance and pipeline.validate: an integer of
+    at least 2, numpy's included (operator.index); anything else raises a
+    ValueError, a bool too, which reads as 0 or 1."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"p must be an integer, not {p!r}") from None
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    return p
+
+
 @dataclass
 class Instance:
     bodies: list[ConvexBody]
@@ -48,12 +61,7 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.bodies:
             raise ValueError("instance needs at least one body")
-        try:
-            self.p = operator.index(self.p)
-        except TypeError:
-            raise ValueError(f"p must be an integer, not {self.p!r}") from None
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
+        self.p = _check_p(self.p)
         bad = [b.id for b in self.bodies if not _is_id(b.id)]
         if bad:
             raise ValueError(f"body ids must be finite numbers or strings; not {bad}")
@@ -265,8 +273,12 @@ def gallery7(delta: float = 0.3) -> Instance:
     triangles still share a sliver of area, and that point plus one shared
     corner pierces everything.  From 0.275 on the deepest overlaps have
     exactly four triangles (three such faces) and the minimum transversal
-    is three.  The default keeps a safe margin above the collapse.
+    is three.  The default keeps a safe margin above the collapse.  delta is
+    read by CurveModel's rule for a number (geometry._finite_floats): a bool,
+    a non-number or a value that is not finite raises a ValueError naming
+    delta.
     """
+    (delta,) = _finite_floats((delta,), "delta")
     angles = [TWO_PI * k / 7 for k in range(7)]
     angles[5] -= delta
     corners = [(math.cos(a), math.sin(a)) for a in angles]

@@ -16,8 +16,10 @@ copies any point covers.  Every stage's claim is re-checked and the outcome
 recorded in the report flags rather than trusted, each by its one rule in
 flag_values, which verify_report applies too; the report carries the LP
 certificate so that verify_report can prove tau* without a solver.  SHAPES
-is the report's one layout: TransversalReport.to_dict writes its paths, and
-verify_report checks them.  The chain runs in the curve's frame, which
+is the report's one layout, parsed once into PATHS, HEADS and OBJECTS, which
+its three readers walk: TransversalReport.to_dict writes the report,
+verify_report's shape check reads it, and pierce plot takes its transversal
+check.  The chain runs in the curve's frame, which
 validate, the step that verify_report shares, sets up; the report's points
 are mapped back to the input's coordinates.
 """
@@ -42,7 +44,7 @@ from .geometry import (
     containment_matrix,
     pack,
 )
-from .instances import _is_int, _is_number, _is_point
+from .instances import _check_p, _is_int, _is_number, _is_point
 from .lp import TOL_LP, packing_solve
 from .meetgraph import build_meet_graph, decides_p2, verify_p2
 
@@ -109,6 +111,15 @@ SHAPES = {
     "flags": ("flags", "an object of the booleans run_pipeline writes", _is_flags),
 }
 
+# SHAPES parsed once, for its three readers (to_dict, verify's shape check
+# and pierce plot): PATHS maps each path to (path, parent, key, field, what,
+# ok), parent "" at the top level, so that a reader walks its values; HEADS
+# holds the top-level keys in written order, and OBJECTS those of them that
+# hold an object.
+PATHS = {path: (path, *path.rpartition(".")[::2], *shape) for path, shape in SHAPES.items()}
+HEADS = dict.fromkeys(parent or key for _, parent, key, *_ in PATHS.values())
+OBJECTS = tuple(dict.fromkeys(parent for _, parent, *_ in PATHS.values() if parent))
+
 
 @dataclass(frozen=True)
 class TransversalReport:
@@ -131,16 +142,16 @@ class TransversalReport:
     timings: dict[str, float]
 
     def to_dict(self) -> dict:
-        """The report as JSON values, SHAPES' paths in order and then stages:
-        tuples become lists, points included, and flags is copied."""
-        out = {}
-        for path, (field, _, _) in SHAPES.items():
-            parent, _, key = path.rpartition(".")
+        """The report as JSON values, HEADS in order and then stages:
+        tuples become lists, points included, and flags is copied. A
+        top-level path's parent is "", which is no head, so out.get puts
+        its value in out itself."""
+        out = {key: {} if key in OBJECTS else None for key in HEADS}
+        for _, parent, key, field, _, _ in PATHS.values():
             value = getattr(self, field)
             if isinstance(value, tuple):
                 value = list(map(list, value) if value and isinstance(value[0], tuple) else value)
-            holder = out.setdefault(parent, {}) if parent else out
-            holder[key] = dict(value) if isinstance(value, dict) else value
+            out.get(parent, out)[key] = dict(value) if isinstance(value, dict) else value
         out["stages"] = dict(self.timings)
         return out
 
@@ -455,8 +466,10 @@ def validate(bodies: list[ConvexBody], curve: CurveModel, p: int):
     active the others, packed; p_eff is p less one per filtered body, and
     at least 2. The candidate stage reads active and the final containment
     family: one packed object, stacked once, when every body meets the
-    curve.
+    curve. p must pass Instance's rule (instances._check_p), else a
+    ValueError is raised.
     """
+    p = _check_p(p)
     family = pack(curve.to_unit(bodies))
     arcs = body_curve_arcs(family)
     filtered = tuple(i for i, a in enumerate(arcs) if not a)

@@ -1,8 +1,11 @@
 """Report files and the independent recheck of a finished run.
 
 A report is the JSON form of a TransversalReport, laid out as
-pipeline.SHAPES lists it, and _shape_failures checks it against that same
-table.  verify_report loads one next to its instance and re-derives every
+pipeline.SHAPES lists it.  pipeline parses that table once, into PATHS,
+HEADS and OBJECTS, for its three readers: TransversalReport.to_dict writes a
+report by that parse, _shape_failures checks one against it, and pierce plot
+takes its transversal check from it; no module parses SHAPES again.
+verify_report loads a report next to its instance and re-derives every
 claim from scratch: which bodies miss the curve, geometry of the output
 points, tau_star from the report's LP certificate, exact integer
 feasibility of the multiplicities, the heavy-point accounting, and the
@@ -27,14 +30,8 @@ import numpy as np
 
 from .geometry import candidate_points, containment_matrix
 from .instances import Instance, write_text
-from .pipeline import SHAPES, TransversalReport, certificate_failures, flag_values, validate
-
-
-# SHAPES parsed once: its paths' first keys in order, those that hold
-# objects, and each path as (path, parent, key, what, ok).
-_HEADS = dict.fromkeys(path.split(".")[0] for path in SHAPES)
-_OBJECTS = [key for key in _HEADS if key not in SHAPES]
-_PATHS = [(path, *path.rpartition(".")[::2], what, ok) for path, (_, what, ok) in SHAPES.items()]
+from .pipeline import (HEADS, OBJECTS, PATHS, TransversalReport, certificate_failures, flag_values,
+                       validate)
 
 
 def save_report(report: TransversalReport, path: str | None) -> None:
@@ -210,13 +207,13 @@ def _shape_failures(report) -> list[str]:
     """Why the report cannot be read at all: a missing key or a wrong type."""
     if not isinstance(report, dict):
         return ["report is not a JSON object"]
-    failures = [f"missing key {key!r}" for key in _HEADS if key not in report]
-    failures += [f"unknown key {key!r}" for key in report if key not in _HEADS and key != "stages"]
+    failures = [f"missing key {key!r}" for key in HEADS if key not in report]
+    failures += [f"unknown key {key!r}" for key in report if key not in HEADS and key != "stages"]
     failures += [f"{key} is not a JSON object"
-                 for key in _OBJECTS if key in report and not isinstance(report[key], dict)]
+                 for key in OBJECTS if key in report and not isinstance(report[key], dict)]
     if failures:
         return failures
-    for path, parent, key, what, ok in _PATHS:
+    for path, parent, key, _, what, ok in PATHS.values():
         holder = report[parent] if parent else report
         if key not in holder:
             failures.append(f"missing key {path!r}")

@@ -232,6 +232,14 @@ def test_gen_names_a_bad_seed(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_gen_gallery_names_a_delta_that_is_not_finite(tmp_path, capsys, delta):
+    out = tmp_path / "x.json"
+    assert cli_run(["gen", "gallery", "--delta", delta, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: delta must be finite"]
+    assert not out.exists()
+
+
 def test_plot_outputs_svg(tmp_path):
     inst_path = str(tmp_path / "g.json")
     rep_path = str(tmp_path / "r.json")

@@ -246,6 +246,26 @@ def test_generators_take_only_int_sizes(make, name, value):
         make(value)
 
 
+@pytest.mark.parametrize("delta, error", [
+    (np.float32(0.3), None),
+    (True, "delta must be numbers"),
+    (math.nan, "delta must be finite"),
+    (math.inf, "delta must be finite"),
+], ids=["float32", "true", "nan", "inf"])
+def test_gallery7_takes_a_finite_real_delta(tmp_path, delta, error):
+    # delta is read by CurveModel's rule for a number. A numpy float in meta
+    # could not be written to a file, True was written as "delta": true, and
+    # NaN and infinity failed later with a line that did not name delta.
+    if error:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            gallery7(delta)
+        return
+    save_instance(gallery7(delta), str(tmp_path / "g.json"))
+    inst = load_instance(str(tmp_path / "g.json"))
+    assert inst.meta["delta"] == float(delta)
+    assert inst.to_dict() == gallery7(float(delta)).to_dict()
+
+
 def test_gallery7_shape():
     inst = gallery7()
     assert len(inst.bodies) == 7

@@ -4,8 +4,8 @@ in a load, not a string, a docstring or the assignment itself) in src/pierce
 or bench, or the console script's entry point. Dunder names such as __all__
 are exempt. The paper's lemmas that only tests run live in tests/lemmas.py.
 Only pipeline.flag_values writes a report flag, only cli.cli_run catches a
-package error, and only pipeline.validate maps a family into the curve's
-frame."""
+package error, only pipeline.validate maps a family into the curve's frame,
+and only pipeline's parse reads the report layout SHAPES."""
 
 import ast
 import tomllib
@@ -114,3 +114,22 @@ def test_only_validate_maps_bodies_into_the_curve_frame():
                    and node.func.attr == "to_unit" for node in ast.walk(top)):
                 callers.append(f"{path.stem}.{top.name}")
     assert sorted(callers) == ["meetgraph.build_meet_graph", "pipeline.validate"]
+
+
+def test_only_the_parse_of_shapes_reads_it():
+    # pipeline.SHAPES is parsed once, next to it, into PATHS, HEADS and
+    # OBJECTS, and the report's readers take that parse: to_dict, verify's
+    # shape check and pierce plot. A module that split SHAPES' paths itself
+    # would hold a second parse of one layout.
+    trees, readers = _trees(), {"SHAPES": [], "PATHS": [], "HEADS": [], "OBJECTS": []}
+    for path in PACKAGE:
+        for top in trees[path].body:
+            name = ast.unparse(top.targets[0]) if isinstance(top, ast.Assign) else getattr(
+                top, "name", None)
+            for read in _names_read([top]) & readers.keys():
+                readers[read].append(f"{path.stem}.{name}")
+    assert readers["SHAPES"] == ["pipeline.PATHS"]
+    assert sorted(readers["PATHS"]) == ["cli._cmd_plot", "pipeline.HEADS", "pipeline.OBJECTS",
+                                        "pipeline.TransversalReport", "reports._shape_failures"]
+    for parse in ("HEADS", "OBJECTS"):
+        assert sorted(readers[parse]) == ["pipeline.TransversalReport", "reports._shape_failures"]

@@ -654,6 +654,7 @@ def test_run_pipeline_times_each_stage():
     report = run_pipeline(inst.bodies, inst.curve, inst.p)
     assert list(report.timings) == [
         "validate", "condition", "candidates", "lps", "rationalize", "heavy_point", "greedy"]
+    assert report.to_dict()["stages"] == report.timings
 
 
 def test_run_pipeline_heavy_point_with_no_meeting_copies():
@@ -843,6 +844,29 @@ def test_run_pipeline_errors():
         run_pipeline([])
     with pytest.raises(PipelineError):
         run_pipeline([box(0, 9.0, 9.0, 0.5)])
+
+
+@pytest.mark.parametrize("p, error", [
+    (np.int64(3), None),
+    (2.5, "p must be an integer, not 2.5"),
+    (0, "p must be at least 2"),
+    (1, "p must be at least 2"),
+    (True, "p must be at least 2"),
+], ids=["int64", "float", "zero", "one", "true"])
+def test_run_pipeline_reads_p_by_the_instance_rule(p, error):
+    # run_pipeline once ran p = 0, 1 and True as 2, wrote a report for 2.5
+    # that verify rejected, and wrote a numpy p_effective that json could
+    # not dump. Now it takes p as Instance does, and raises as Instance does.
+    inst = gallery7()
+    if error:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            Instance(inst.bodies, p)
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            run_pipeline(inst.bodies, inst.curve, p)
+        return
+    report = json.loads(json.dumps(run_pipeline(inst.bodies, inst.curve, p).to_dict()))
+    assert report["p_effective"] == 3
+    assert verify_report(Instance(inst.bodies, p), report) == []
 
 
 def test_run_pipeline_deterministic_report():
