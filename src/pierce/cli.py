@@ -43,8 +43,22 @@ def _setup_logging() -> None:
     logger.setLevel(level or logging.ERROR)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, that reads any
+    argument float() takes as a value: argparse itself takes only plain
+    decimals such as -0.5 for negative numbers, and reads -1e5 or -inf as
+    an unknown option, so that --delta -1e5 lacked its value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pierce",
         description="Small transversals for convex bodies meeting on a circle.",
     )

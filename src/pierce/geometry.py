@@ -15,8 +15,9 @@ Instance runs). from_vertices, which sees no curve, applies it relative to
 each body's extent, so it too judges a body alike at any scale.
 
 Membership is a family's half-plane rows, Family.rows, the one place
-TOL_GEOM enters it: containment_matrix reads them for points and
-body_curve_arcs for the points of the unit circle. There is no per-body
+TOL_GEOM enters it: containment_matrix reads them for points,
+body_curve_arcs for the points of the unit circle, and lowest_common_point
+for the lowest point of them all. There is no per-body
 test (no body_contains): one point against one body is
 containment_matrix([body], [point]).
 """
@@ -517,9 +518,7 @@ def candidate_points(bodies: Family | list[ConvexBody]) -> np.ndarray:
         return np.empty((0, 2))
     verts, nxt, prev, owner = pack(bodies).edges
     dx, dy = (verts[nxt] - verts).T
-    norm = np.hypot(dx, dy)
-    slack = TOL_GEOM * norm
-    rises, falls = dy >= -slack, dy <= slack
+    norm, slack, rises, falls = _edge_steps(dx, dy)
     lowest = falls[prev] & rises
     if len(bodies) < 2:
         return verts[lowest]
@@ -538,10 +537,8 @@ def candidate_points(bodies: Family | list[ConvexBody]) -> np.ndarray:
         flip = ~first[i, j]
         a, b, den = f[i, 0], rise[j], den[i, j]
         a[flip], b[flip], den[flip] = b[flip], a[flip], -den[flip]
-        ex, ey = sx[b] - sx[a], sy[b] - sy[a]
-        t = (ex * dy[b] - ey * dx[b]) / den
-        u = (ex * dy[a] - ey * dx[a]) / den
-        hit = (t >= -pad[a]) & (t <= 1.0 + pad[a]) & (u >= -pad[b]) & (u <= 1.0 + pad[b])
+        t, hit = _crossing(sx[a], sy[a], dx[a], dy[a], sx[b], sy[b], dx[b], dy[b], den,
+                           pad[a], pad[b])
         hits.append((a[hit], b[hit], t[hit]))
     # Every body has a falling edge, so there is at least one block.
     a, b, t = (np.concatenate(v) for v in zip(*hits))
@@ -549,6 +546,154 @@ def candidate_points(bodies: Family | list[ConvexBody]) -> np.ndarray:
     a, t = a[order], t[order]
     crossings = np.stack([sx[a] + t * dx[a], sy[a] + t * dy[a]], axis=1)
     return np.concatenate((verts[lowest], crossings))
+
+
+# The arithmetic that candidate_points and lowest_common_point share, one
+# rule for both: elementwise, on arrays of edges or on one edge's floats.
+
+def _edge_steps(dx, dy):
+    """The edge of step (dx, dy) as (norm, slack, rises, falls): its length,
+    TOL_GEOM times that, and whether it rises (dy >= -slack) and falls
+    (dy <= slack)."""
+    norm = np.hypot(dx, dy)
+    slack = TOL_GEOM * norm
+    return norm, slack, dy >= -slack, dy <= slack
+
+
+def _crossing(xa, ya, dxa, dya, xb, yb, dxb, dyb, den, pad_a, pad_b):
+    """Where edge a, from (xa, ya) along (dxa, dya), meets edge b, from
+    (xb, yb) along (dxb, dyb), with den = dxa dyb - dya dxb: (t, hit), the
+    point being (xa + t dxa, ya + t dya), and hit whether t and u, the
+    parameter along b, lie in [0, 1] padded by pad_a and pad_b."""
+    ex, ey = xb - xa, yb - ya
+    t = (ex * dyb - ey * dxb) / den
+    u = (ex * dya - ey * dxa) / den
+    return t, (t >= -pad_a) & (t <= 1.0 + pad_a) & (u >= -pad_b) & (u <= 1.0 + pad_b)
+
+
+# lowest_common_point's box reaches _MARGIN past the bodies' shared
+# bounding box. A body's rows hold points up to TOL_GEOM / sin(a / 2) past
+# a vertex of angle a, under _MARGIN for any a above 0.12 degrees, so the
+# box meets the common point only at sharper corners, which then take the
+# full path. A row counts as one of the rows that meet at the optimum when
+# it comes within _TIGHT of its limit there.
+_MARGIN = 1e3 * TOL_GEOM
+_TIGHT = 4 * TOL_GEOM
+
+
+def lowest_common_point(bodies: Family | list[ConvexBody]) -> Point2 | None:
+    """The lowest point (least y, then least x) that every body holds, when
+    the bodies share a point and that point is plainly one candidate of
+    candidate_points, else None. The one maximal class of a family whose
+    bodies share a point is every body, and this is its point.
+
+    It returns None at once when the bodies' bounding boxes share no point.
+    Otherwise Seidel's incremental LP in the plane (R. Seidel, "Small-
+    dimensional linear programming and convex hulls made easy", Discrete
+    Comput. Geom. 6, 1991) finds the lowest point of the family's half-plane
+    rows (Family.rows) inside the box _MARGIN beyond the shared bounding
+    box. Rows that hold the whole box, pad rows among them, cannot move the
+    optimum and are skipped. The others are added in a fixed pseudo-random
+    order, by a multiply-xorshift-multiply hash of their row numbers, so a
+    run is deterministic and its expected work linear: a row that the
+    running optimum breaks moves it onto the row's line, to the lowest
+    point there that the rows before allow.
+
+    The answer stands only when exactly two rows, and no side of the box,
+    lie within _TIGHT (four TOL_GEOM) of their limits at the optimum, and
+    they are two adjacent edges of one body whose vertex candidate_points
+    keeps, or edges of two bodies whose crossing it keeps, by its own
+    arithmetic (_edge_steps, _crossing); that vertex or crossing must lie
+    in every body by containment_matrix, and it is the answer. With no
+    third row near the optimum, no other candidate inside every body is as
+    low, so this is the lowest candidate of the all-bodies class, the point
+    candidate_classes' full path picks. Anything else returns None: no
+    common point, a third row near the optimum (a corner that more than two
+    edges share), a level edge among the two (along it the full path's
+    choice among points of one height is rounding's), a side of the box, or
+    a point that misses a body.
+    """
+    if not bodies:
+        return None
+    family = pack(bodies)
+    verts, nxt, prev, _ = family.edges
+    first = np.flatnonzero(prev > np.arange(len(prev)))  # each body's edge 0
+    lo = np.minimum.reduceat(verts, first).max(axis=0) - _MARGIN
+    hi = np.maximum.reduceat(verts, first).min(axis=0) + _MARGIN
+    if (lo > hi).any():
+        return None
+
+    normals, limits = family.rows
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    live = np.flatnonzero(normals @ mid + np.abs(normals) @ half > limits[:, 0])
+    key = live.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    live = live[np.argsort((key ^ (key >> np.uint64(32))) * np.uint64(0xD6E8FEB86659FD93))]
+    (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
+    box = [[-1.0, 0.0, -x0], [1.0, 0.0, x1], [0.0, -1.0, -y0], [0.0, 1.0, y1]]
+    rows = box + np.column_stack((normals[live], limits[live])).tolist()
+    vx, vy = x0, y0
+    for i in range(len(box), len(rows)):
+        ax, ay, c = rows[i]
+        if ax * vx + ay * vy <= c:
+            continue
+        # The optimum moves onto this row's line, (ax, ay) . v = c, which
+        # runs through (ax c, ay c) along (-ay, ax): to the lowest point
+        # there that the rows before allow.
+        px, py = ax * c, ay * c
+        t_lo, t_hi = -math.inf, math.inf
+        for bx, by, e in rows[:i]:
+            slope, room = ax * by - ay * bx, e - bx * px - by * py
+            if slope > 0.0:
+                t_hi = min(t_hi, room / slope)
+            elif slope < 0.0:
+                t_lo = max(t_lo, room / slope)
+            elif room < 0.0:
+                return None
+        if t_lo > t_hi:
+            return None
+        # Along (-ay, ax), y rises when ax > 0, and x when ax is 0 and ay < 0.
+        t = t_lo if ax > 0.0 or ax == 0.0 and ay < 0.0 else t_hi
+        vx, vy = px - t * ay, py + t * ax
+
+    if min(vx - x0, x1 - vx, vy - y0, y1 - vy) <= _TIGHT:
+        return None
+    tight = np.flatnonzero(limits[:, 0] - normals @ (vx, vy) <= _TIGHT)
+    if len(tight) != 2:
+        return None
+    # Row j * width + k is edge k of body j, the packed edge first[j] + k.
+    body, k = np.divmod(tight, len(normals) // len(family))
+    e, f = (first[body] + k).tolist()
+    # One pair of edges, in floats, by candidate_points' arithmetic. A
+    # level edge (one that both rises and falls) hands over too: along it
+    # the full path's choice among points of equal height is rounding's.
+    if body[0] == body[1]:
+        k = f if prev[f] == e else e if prev[e] == f else -1
+        if k < 0:
+            return None
+        (x0, y0), point, (x2, y2) = verts[[prev[k], k, nxt[k]]].tolist()
+        *_, r0, f0 = _edge_steps(point[0] - x0, point[1] - y0)
+        *_, r1, f1 = _edge_steps(x2 - point[0], y2 - point[1])
+        if not (f0 and r1) or r0 or f1:
+            return None
+    else:
+        # Edge e, of the lower-index body, is candidate_points' edge a.
+        (xa, ya), (xa1, ya1), (xb, yb), (xb1, yb1) = verts[[e, nxt[e], f, nxt[f]]].tolist()
+        dxa, dya, dxb, dyb = xa1 - xa, ya1 - ya, xb1 - xb, yb1 - yb
+        na, sla, ra, fa = _edge_steps(dxa, dya)
+        nb, _, rb, fb = _edge_steps(dxb, dyb)
+        # The cone and parallel tests: den(falling, rising) > slack(a) |b|,
+        # where den(b, a) is exactly -den(a, b).
+        den, limit = dxa * dyb - dya * dxb, sla * nb
+        level = ra and fa or rb and fb
+        if level or not (fa and rb and den > limit or fb and ra and -den > limit):
+            return None
+        t, hit = _crossing(xa, ya, dxa, dya, xb, yb, dxb, dyb, den, TOL_GEOM / na, TOL_GEOM / nb)
+        if not hit:
+            return None
+        point = [xa + t * dxa, ya + t * dya]
+    if not containment_matrix(family, [point]).all():
+        return None
+    return tuple(map(float, point))
 
 
 def containment_matrix(bodies: Family | list[ConvexBody], points) -> np.ndarray:

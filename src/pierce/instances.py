@@ -276,9 +276,12 @@ def gallery7(delta: float = 0.3) -> Instance:
     is three.  The default keeps a safe margin above the collapse.  delta is
     read by CurveModel's rule for a number (geometry._finite_floats): a bool,
     a non-number or a value that is not finite raises a ValueError naming
-    delta.
+    delta, and so does a delta outside (-2*pi/7, 2*pi/7), which would move
+    the sixth corner onto or past a neighbour.
     """
     (delta,) = _finite_floats((delta,), "delta")
+    if not -TWO_PI / 7 < delta < TWO_PI / 7:
+        raise ValueError(f"delta must lie strictly between -2*pi/7 and 2*pi/7, not {delta!r}")
     angles = [TWO_PI * k / 7 for k in range(7)]
     angles[5] -= delta
     corners = [(math.cos(a), math.sin(a)) for a in angles]

@@ -42,6 +42,7 @@ from .geometry import (
     body_curve_arcs,
     candidate_points,
     containment_matrix,
+    lowest_common_point,
     pack,
 )
 from .instances import _check_p, _is_int, _is_number, _is_point
@@ -159,22 +160,37 @@ class TransversalReport:
 def candidate_classes(bodies: list[ConvexBody]) -> CandidateClasses:
     """The maximal containment classes of candidate_points(bodies).
 
-    Each candidate has a signature, the set of bodies containing it,
-    packed by _signature_words into ceil(n / 64) uint64 words for n
-    bodies. One stable lexsort, on the words with the most significant
-    word as the primary key and then on y and x, sorts the signatures as
-    the binary numbers sum(2**i for body i in the set) and the candidates
-    of equal signatures in (y, x) order, so the first of each run of equal
+    Base case: when the bodies share a point, their one maximal class is
+    every body, and lowest_common_point, a linear-time LP in the plane
+    (Seidel, Discrete Comput. Geom. 6, 1991), finds its point, the lowest
+    candidate inside every body, without the candidate pass: the classes
+    are that point and an all-true 1 x n row. The kernel answers only when
+    two rows alone, neither a level edge, meet at the lowest common point;
+    otherwise (no common point, a third row there, a level edge, a point
+    that misses a body) it returns None and the full path below runs. The
+    input chooses; there is no option.
+
+    Full path: each candidate has a signature, the set of bodies containing
+    it, packed by _signature_words into ceil(n / 64) uint64 words for n
+    bodies. One stable lexsort, on the words with the most significant word
+    as the primary key and then on y and x, sorts the signatures as the
+    binary numbers sum(2**i for body i in the set) and the candidates of
+    equal signatures in (y, x) order, so the first of each run of equal
     signatures is its lowest candidate (least y, then least x), the
-    representative. _maximal_rows then drops dominated signatures, in
-    blocks within BLOCK_CELLS words. That drops the empty signature of
-    candidates inside no body too: every body contains a candidate, so
-    some other signature exists, and the empty one lies inside it. The
-    classes keep that signature order, so neither their order nor their
-    points depend on the candidates' order, and a turned family has its
-    classes in the same order. Bodies that contain no candidate raise
+    representative. _maximal_rows then drops dominated signatures, in blocks
+    within BLOCK_CELLS words. That drops the empty signature of candidates
+    inside no body too: every body contains a candidate, so some other
+    signature exists, and the empty one lies inside it. The classes keep
+    that signature order, so neither their order nor their points depend on
+    the candidates' order, and a turned family has its classes in the same
+    order. Bodies that contain no candidate raise
     PipelineError("candidates: no candidate inside bodies [ids]").
     """
+    point = lowest_common_point(bodies)
+    if point is not None:
+        matrix = np.ones((1, len(bodies)), dtype=bool)
+        matrix.setflags(write=False)
+        return CandidateClasses((point,), matrix)
     candidates = candidate_points(bodies)
     inside = containment_matrix(bodies, candidates)
     covered = inside.any(axis=0)

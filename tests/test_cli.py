@@ -240,6 +240,34 @@ def test_gen_gallery_names_a_delta_that_is_not_finite(tmp_path, capsys, delta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, delta", [
+    (["--delta", "-1e5"], "-100000.0"),
+    (["--delta=-1e5"], "-100000.0"),
+    (["--delta", "0.8975979010256552"], "0.8975979010256552"),
+])
+def test_gen_gallery_names_a_delta_out_of_range(tmp_path, capsys, argv, delta):
+    # A value that starts with "-" but is not a plain decimal reaches
+    # gallery7's check, as its "--delta=" spelling does; argparse once read
+    # it as an option and said "expected one argument".
+    out = tmp_path / "x.json"
+    assert cli_run(["gen", "gallery", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: delta must lie strictly between -2*pi/7 and 2*pi/7, not {delta}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--delta", "-inf"], "error: delta must be finite"),
+    (["--delta=-inf"], "error: delta must be finite"),
+    (["--delta", "-0.5"], ""),
+])
+def test_gen_gallery_reads_a_negative_delta_as_its_value(tmp_path, capsys, argv, err):
+    out = tmp_path / "x.json"
+    assert cli_run(["gen", "gallery", *argv, "-o", str(out)]) == (2 if err else 0)
+    assert capsys.readouterr().err.strip() == err
+    assert out.exists() != bool(err)
+
+
 def test_plot_outputs_svg(tmp_path):
     inst_path = str(tmp_path / "g.json")
     rep_path = str(tmp_path / "r.json")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pierce.errors import GenerationError
-from pierce.geometry import UNIT_CIRCLE, ConvexBody, CurveModel, containment_matrix
+from pierce.geometry import TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, containment_matrix
 from pierce.instances import (
     GALLERY_TRIANGLES,
     Instance,
@@ -264,6 +264,26 @@ def test_gallery7_takes_a_finite_real_delta(tmp_path, delta, error):
     inst = load_instance(str(tmp_path / "g.json"))
     assert inst.meta["delta"] == float(delta)
     assert inst.to_dict() == gallery7(float(delta)).to_dict()
+
+
+@pytest.mark.parametrize("delta", [TWO_PI / 7, -TWO_PI / 7, 1.0])
+def test_gallery7_keeps_its_corners_apart(delta):
+    # At 2*pi/7 the sixth corner lands on the fifth, and two of the
+    # triangles once failed with "body 2: 2 distinct vertices", naming no
+    # delta.
+    error = re.escape(f"delta must lie strictly between -2*pi/7 and 2*pi/7, not {delta!r}")
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        gallery7(delta)
+
+
+@pytest.mark.parametrize("delta, digest", [
+    (0.3, "f779a58dc516418e403cf5bebb87b9d65d316f5477fb6792cbe5f5cbcefd3eb5"),
+    (-0.5, "515df7782242cbd2d2eb686f73b6891966a38ddbb0832a9b973f5696a179e821"),
+])
+def test_gallery7_in_range_is_unchanged(delta, digest):
+    # The sha256 of each instance's sorted JSON, as it was before the range check.
+    text = json.dumps(gallery7(delta).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gallery7_shape():

@@ -23,8 +23,10 @@ from pierce.geometry import (
     UNIT_CIRCLE,
     candidate_points,
     containment_matrix,
+    lowest_common_point,
 )
-from pierce.instances import Instance, _ring_points, gallery7, gen_clustered, gen_pairwise
+from pierce.instances import (Instance, _ring_points, _wedge_points, gallery7, gen_clustered,
+                              gen_pairwise)
 from pierce.lp import TOL_LP, packing_solve
 from pierce.pipeline import (
     candidate_classes,
@@ -149,7 +151,8 @@ def test_candidate_classes_sort_by_the_integer_key_of_their_body_sets(monkeypatc
     # each drawn at two points, and every body alone at one more: the
     # classes must come in the order of the Python int sum(2**i for body i
     # in the set), each at its lowest point (least y, then least x),
-    # wherever in the 64-bit words the bits fall.
+    # wherever in the 64-bit words the bits fall. The bodies are ints, so
+    # the one-point base case is stubbed out and the full path runs.
     rng = np.random.default_rng(n)
     rows = np.zeros((80 + n, n), dtype=bool)
     for r in range(40):
@@ -157,6 +160,7 @@ def test_candidate_classes_sort_by_the_integer_key_of_their_body_sets(monkeypatc
     rows[80:] = np.eye(n, dtype=bool)
     pts = np.column_stack([rng.permutation(len(rows)), rng.integers(0, 7, len(rows))]) / 2
     table = {tuple(pt): row for pt, row in zip(pts.tolist(), rows)}
+    monkeypatch.setattr(pierce.pipeline, "lowest_common_point", lambda _: None)
     monkeypatch.setattr(pierce.pipeline, "candidate_points", lambda _: pts)
     monkeypatch.setattr(pierce.pipeline, "containment_matrix",
                         lambda _, cands: np.array([table[tuple(pt)] for pt in cands.tolist()]))
@@ -170,6 +174,102 @@ def test_candidate_classes_sort_by_the_integer_key_of_their_body_sets(monkeypatc
     want = sorted(key for key in lowest if not any(key != o and key & o == key for o in lowest))
     assert [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in cc.matrix()] == want
     assert list(cc.points) == [lowest[key] for key in want]
+
+
+# Bodies that hold one common point c, drawn four ways: a triangle around c,
+# a triangle with a corner at c (a fan when several do), a box whose level
+# bottom edge runs through c, and a wedge of the circle anchored where c
+# meets it, which gen_clustered draws.  Quarter-unit coordinates and
+# eighth-turn angles make shared vertices, shared edges and level edges
+# come up often.
+quarter = st.integers(1, 8).map(lambda k: k / 4)
+turn = st.integers(0, 7).map(lambda k: k * math.pi / 4)
+
+
+@st.composite
+def body_at(draw, c):
+    cx, cy = c
+    kind = draw(st.sampled_from(("around", "corner", "level")))
+    if kind == "around":  # three directions, each gap under half a turn
+        a = draw(turn)
+        return [(cx + r * math.cos(a + k * TWO_PI / 3), cy + r * math.sin(a + k * TWO_PI / 3))
+                for k, r in enumerate(draw(st.lists(quarter, min_size=3, max_size=3)))]
+    if kind == "corner":
+        a, w = draw(turn), draw(st.integers(1, 3)) * math.pi / 4
+        r, s = draw(quarter), draw(quarter)
+        return [(cx, cy), (cx + r * math.cos(a), cy + r * math.sin(a)),
+                (cx + s * math.cos(a + w), cy + s * math.sin(a + w))]
+    left, right, h = draw(st.integers(0, 4)) / 4, draw(quarter), draw(quarter)
+    return [(cx - left, cy), (cx + right, cy), (cx + right, cy + h), (cx - left, cy + h)]
+
+
+@st.composite
+def sharing_family(draw):
+    if draw(st.booleans()):
+        anchor = draw(turn)
+        width = st.integers(1, 4).map(lambda k: k / 10)
+        return [_wedge_points(anchor, *w)
+                for w in draw(st.lists(st.tuples(width, width), min_size=1, max_size=6))]
+    c = (draw(st.integers(-2, 2)) / 2, draw(st.integers(-2, 2)) / 2)
+    return draw(st.lists(body_at(c), min_size=1, max_size=6))
+
+
+def assert_base_case_is_the_full_path(shapes) -> bool:
+    # The classes equal the full path's, point and row alike, and a family
+    # whose one maximal class is not every body never takes the base case.
+    # Returns whether the family has that one class.
+    bodies = [ConvexBody.from_vertices(i, v) for i, v in enumerate(shapes)]
+    got = candidate_classes(bodies)
+    with mock.patch.object(pierce.pipeline, "lowest_common_point", return_value=None):
+        full = candidate_classes(bodies)
+    assert got.points == full.points
+    assert got.matrix().tolist() == full.matrix().tolist()
+    shared = full.matrix().shape[0] == 1 and full.matrix().all()
+    if not shared:
+        assert lowest_common_point(bodies) is None
+    return shared
+
+
+@settings(max_examples=150, deadline=None)
+@given(sharing_family())
+# A fan of three triangles at one corner.
+@example([[(0, 0), (1, 1), (-0.25, 1)], [(0, 0), (0.5, 1), (-1, 1)], [(0, 0), (1, 0.5), (0, 1)]])
+@example([_wedge_points(0.0, 0.1 * (1 + k % 3), 0.2) for k in range(5)])  # wedges at one anchor
+# Two boxes on one level bottom edge.
+@example([[(-1, 0), (1, 0), (1, 1), (-1, 1)], [(-0.5, 0), (2, 0), (2, 2), (-0.5, 2)]])
+# A level bottom edge from c, whose far end the full path picks, as its
+# crossing rounds to y = -2.8e-17: the base case must hand it over.
+@example([[(0.25, 0.0), (-0.12499999999999994, 0.21650635094610968),
+           (-0.1250000000000001, -0.2165063509461096)],
+          [(0.1767766952966369, 0.17677669529663687), (-0.24148145657226705, 0.06470476127563025),
+           (0.06470476127563007, -0.2414814565722671)],
+          [(0.0, 0.0), (0.75, 0.0), (0.75, 0.25), (0.0, 0.25)]])
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)]])  # one body
+def test_the_one_point_base_case_is_the_full_path_on_shared_points(shapes):
+    assert assert_base_case_is_the_full_path(shapes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(grid_square, grid_triangle), min_size=1, max_size=6))
+@example([[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (2, 1)]])  # shared vertex
+@example([[(0, 0), (1, 0), (1, 1), (0, 1)], [(2, 0), (3, 0), (3, 1), (2, 1)]])  # apart
+def test_the_one_point_base_case_is_the_full_path_on_grid_families(shapes):
+    assert_base_case_is_the_full_path(shapes)
+
+
+def test_the_one_point_base_case_skips_the_candidate_pass(monkeypatch):
+    # A gen_pairwise family shares a point whose two rows meet alone, so the
+    # base case answers; a fan's corner is where six rows meet, and a PG(2,2)
+    # union shares no point, so both take the full path.
+    calls = []
+    monkeypatch.setattr(pierce.pipeline, "candidate_points",
+                        lambda bodies: calls.append(len(bodies)) or candidate_points(bodies))
+    cc = candidate_classes(gen_pairwise(200, 0).bodies)
+    assert calls == [] and cc.matrix().shape == (1, 200) and cc.matrix().all()
+    fan = [ConvexBody.from_vertices(i, v) for i, v in enumerate(
+        [[(0, 0), (1, 1), (-0.25, 1)], [(0, 0), (0.5, 1), (-1, 1)], [(0, 0), (1, 0.5), (0, 1)]])]
+    assert candidate_classes(fan).points == ((0.0, 0.0),) and calls == [3]
+    assert len(candidate_classes(pg22_twice()).points) > 1 and calls == [3, 14]
 
 
 def test_a_solve_and_its_verify_stack_each_family_once(monkeypatch):
