@@ -11,10 +11,15 @@ its tests in tests/lemmas.py.
 Crossing counts are exact on both curves.  One pass checks the caller's
 float data, dyadic rationals, and takes their exact ratios, scaled to an
 integer polynomial (on the closed curve, in u = tan(t/2)).  A streamed
-Sturm chain of integer pseudo-remainders counts its distinct real roots: a
-step whose degrees differ by one, the usual step, is one fused pass over
-the coefficients, and other steps divide term by term.  Counts cover the
-whole curve: they read each member's signs at +-infinity from its leading
+Sturm chain counts its distinct real roots.  Its members are the
+subresultant remainder sequence of p and p' (Collins, J. ACM 14, 1967;
+Brown and Traub, J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1, Algorithm
+C): each pseudo-remainder is divided by a factor known before the
+division, exactly, with no gcd, and each member is a positive multiple of
+the rational Sturm member, so it has that member's signs.  A step whose
+degrees differ by one, the usual step, is one fused pass over the
+coefficients, and other steps divide term by term.  Counts cover the whole
+curve: they read each member's signs at +-infinity from its leading
 coefficient and degree, and count the variations as the members arrive.
 """
 
@@ -40,8 +45,11 @@ class CurveSpecD:
     def __post_init__(self) -> None:
         if self.kind not in (MOMENT, CARATHEODORY):
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        if type(self.d) is not int:
+        # An integer, numpy's included, read as Instance reads p; a bool
+        # reads as 0 or 1, so it is turned away.
+        if isinstance(self.d, bool) or not hasattr(type(self.d), "__index__"):
             raise ValueError(f"d must be an integer, not {self.d!r}")
+        object.__setattr__(self, "d", operator.index(self.d))
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
         if self.kind == CARATHEODORY and self.d % 2 != 0:
@@ -59,39 +67,47 @@ def _trim(p: IntPoly) -> IntPoly:
     return p
 
 
-def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """(q, r) with |lc(b)|^(deg a - deg b + 1) a = q b + r and deg r < deg b.
+def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """r with |lc(b)|^(deg a - deg b + 1) a = q b + r and deg r < deg b.
 
-    The scale makes every quotient coefficient an integer, and being
-    positive, it leaves q and r positive multiples of the quotient and
-    remainder of a by b over the rationals.  _sturm_chain fuses the step of
-    degree gap one; this term-by-term division serves the other gaps.
+    The scale makes every quotient digit an integer, and being positive, it
+    leaves r a positive multiple of the remainder of a by b over the
+    rationals.  _sturm_chain fuses the step of degree gap one; this
+    term-by-term division serves the other gaps.
     """
     lead = b[-1]
-    quo = [0] * (len(a) - len(b) + 1)
-    rem = [abs(lead) ** len(quo) * c for c in a]
+    rem = [abs(lead) ** (len(a) - len(b) + 1) * c for c in a]
     while len(rem) >= len(b):
         shift = len(rem) - len(b)
-        factor = quo[shift] = rem[-1] // lead  # exact, by the scale
+        factor = rem[-1] // lead  # exact, by the scale
         for i, c in enumerate(b):
             rem[i + shift] -= factor * c
         rem.pop()
         _trim(rem)
-    return quo, rem
+    return rem
 
 
 def _sturm_chain(p: IntPoly) -> Iterator[IntPoly]:
     """p (degree >= 1), p', then negated pseudo-remainders, one at a time.
 
-    Each member is scaled by a positive integer (pseudo-division, then
-    content removal), so the sign pattern is that of the rational chain.
-    The chain ends at a constant or before a vanishing remainder.
+    The members after p' are the subresultant remainders (Knuth's Algorithm
+    C, TAOCP vol. 2, 4.6.1).  With two integers g = h = 1 at the start, a
+    step from a to b, of gap = deg a - deg b, divides the negated
+    pseudo-remainder by g h^gap, then sets g = |lc(b)| and h = g^gap /
+    h^(gap - 1) (h = g when gap = 1).  Both divisions are exact by the
+    subresultant theorem (Collins 1967; Brown and Traub 1971), and the
+    divisor is known before the remainder is made, so no gcd is taken.
+    The pseudo-division scale |lc(b)|^(gap + 1), g and h are positive, so
+    each member is a positive multiple of the rational chain's member and
+    has its sign pattern: the signs, degrees and length of the chain, and
+    every count, are those of the rational chain.  The chain ends at a
+    constant or before a vanishing remainder.
 
     In the usual step, deg a = deg b + 1 (p by p', and every step of a chain
     without degree gaps), the two division steps fuse: with beta = lc(b),
     the quotient digits are c1 = beta a_top and c0 = beta a_top-1 - a_top
     b_top-1, and r_i = beta^2 a_i - c1 b_i-1 - c0 b_i for i < deg b, where
-    b_-1 = 0.  These are the integers _pseudo_divmod computes.
+    b_-1 = 0.  These are the integers _pseudo_rem computes.
 
     When p has multiple roots the last member is gcd(p, p') up to a
     constant, and every member is it times a member of the square-free
@@ -102,24 +118,33 @@ def _sturm_chain(p: IntPoly) -> Iterator[IntPoly]:
     a, b = p, [k * p[k] for k in range(1, len(p))]
     yield a
     yield b
+    g = h = 1
     while (n := len(b)) > 1:
-        if len(a) == n + 1:
+        gap = len(a) - n
+        if gap == 1:
             beta, top = b[-1], a[-1]
             scale, c1, c0 = beta * beta, beta * top, beta * a[-2] - top * b[-2]
             rem = [scale * a[0] - c0 * b[0]]
             rem += [scale * a[i] - c1 * b[i - 1] - c0 * b[i] for i in range(1, n - 1)]
             _trim(rem)
         else:
-            rem = _pseudo_divmod(a, b)[1]
+            rem = _pseudo_rem(a, b)
         if not rem:
             return
-        content = math.gcd(*rem)
-        a, b = b, [-c // content for c in rem]
+        divisor = g * h**gap
+        g = abs(b[-1])
+        h = g if gap == 1 else g**gap // h ** (gap - 1)
+        a, b = b, [-c // divisor for c in rem]  # exact: see the docstring
         yield b
 
 
 def _distinct_roots(p: IntPoly) -> int:
-    """Distinct real roots of p on the whole line, exactly."""
+    """Distinct real roots of p on the whole line, exactly.
+
+    Sturm's theorem on _sturm_chain(p): the sign variations at -infinity
+    minus those at +infinity.  Every member is a positive multiple of the
+    rational Sturm member, so the subresultant scales change no sign.
+    """
     if len(p) < 2:
         return 0  # a nonzero constant
     # At +infinity a member has the sign of its leading coefficient, at

@@ -16,7 +16,7 @@ from pierce.geometry import (
     normalize_angle,
 )
 from pierce import lp
-from pierce.highdim import _pseudo_divmod
+from pierce.highdim import _pseudo_rem
 from pierce.lp import PIVOT_TOL, TOL_LP, LPSolution
 from pierce.meetgraph import ColorGraph
 from pierce.witness import WitnessList, spread_threshold
@@ -415,12 +415,12 @@ def reference_packing_solve(mat) -> LPSolution:
 
 
 def reference_sturm_chain(p: list[int]) -> list[list[int]]:
-    """The Sturm chain of p built on _pseudo_divmod alone: p, p', then each
+    """The Sturm chain of p built on _pseudo_rem alone: p, p', then each
     negated pseudo-remainder over its content, until a constant or a
     vanishing remainder."""
     chain = [p, [k * c for k, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
-        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
         content = math.gcd(*rem)

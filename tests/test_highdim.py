@@ -17,6 +17,7 @@ from pierce.highdim import (
     MOMENT,
     CurveSpecD,
     _closed_basis,
+    _pseudo_rem,
     _sturm_chain,
     _trim,
     hyperplane_crossings,
@@ -56,6 +57,15 @@ def test_curve_spec_takes_an_integer_dimension(kind, d):
     # TypeError; a str d would fail the comparison with one.
     with pytest.raises(ValueError, match=r"^d must be an integer, not "):
         CurveSpecD(kind, d)
+
+
+@pytest.mark.parametrize("d", [np.int64(4), np.int32(4), np.uint8(4)])
+@pytest.mark.parametrize("kind, crossings", [(MOMENT, 2), (CARATHEODORY, 4)])
+def test_curve_spec_reads_a_numpy_integer_as_an_int(kind, crossings, d):
+    spec = CurveSpecD(kind, d)
+    assert type(spec.d) is int and spec == CurveSpecD(kind, 4)
+    # t^4 = 1/2 on the moment curve, cos 2t = 1/2 on the closed one
+    assert hyperplane_crossings(spec, [0.0, 0.0, 0.0, 1.0], 0.5) == crossings
 
 
 def test_curve_point_examples():
@@ -335,6 +345,37 @@ def test_closed_curve_counts_match_sympy(case):
     assert hyperplane_crossings(spec, normal, offset) == _sympy_closed_count(d, normal, offset)
 
 
+def test_crossings_match_sympy_beyond_the_ladder():
+    # The bench ladder stops at d = 8; these degrees lengthen the chain and
+    # grow its integers.  Moment: normal floats, and products of (t - r/2)^k
+    # (repeated roots) times a 1 + c t^2 without real roots.
+    # Closed: normal floats, a third of the offsets the composition at t = pi,
+    # so that the u-polynomial drops degree.
+    rng = np.random.default_rng(48)
+    for d in (10, 12, 16):
+        for j in range(8):
+            if j % 2:
+                coeffs = rng.normal(size=d + 1).tolist()
+            else:
+                coeffs = [Fraction(1), Fraction(0), Fraction(int(rng.integers(1, 4)))]
+                while len(coeffs) <= d:
+                    r = Fraction(int(rng.integers(-6, 7)), 2)
+                    for _ in range(min(int(rng.integers(1, 4)), d + 1 - len(coeffs))):
+                        coeffs = _times(coeffs, [-r, Fraction(1)])
+                coeffs = [float(c) for c in coeffs]
+            spec = CurveSpecD(MOMENT, d)
+            assert hyperplane_crossings(spec, coeffs[1:], -coeffs[0]) == _sympy_roots(coeffs)
+    for d in (8, 12):
+        for j in range(6):
+            # multiples of 2^-10, so that the offset at t = pi is exact
+            normal = (np.round(rng.normal(size=d) * 1024) / 1024).tolist()
+            offset = float(rng.normal())
+            if j % 3 == 0:
+                offset = sum(normal[2 * k - 1] * (-1) ** k for k in range(1, d // 2 + 1))
+            spec = CurveSpecD(CARATHEODORY, d)
+            assert hyperplane_crossings(spec, normal, offset) == _sympy_closed_count(d, normal, offset)
+
+
 _coefficient = st.integers(-3, 3) | st.integers(-2**60, 2**60)
 
 
@@ -360,6 +401,31 @@ def integer_polys(draw):
     return poly
 
 
+def _assert_subresultant_chain(p):
+    """_sturm_chain(p) is the subresultant chain: the same signs as the
+    primitive reference chain, +- sympy's subresultants, and exact divisions."""
+    chain = list(_sturm_chain(p))
+    reference = reference_sturm_chain(p)
+    # Each member over its positive content is the primitive member: the two
+    # chains differ by positive scales, which leave every sign as it is.
+    assert chain[:2] == reference[:2]
+    assert [[c // math.gcd(*m) for c in m] for m in chain[2:]] == reference[2:]
+    poly = sympy.Poly(p[::-1], T)
+    subresultants = [[int(c) for c in q.all_coeffs()[::-1]]
+                     for q in sympy.subresultants(poly, poly.diff(T))]
+    assert len(chain) == len(subresultants)
+    assert all(m in (s, [-c for c in s]) for m, s in zip(chain, subresultants))
+    # Every division is exact: each pseudo-remainder is -g h^gap times the
+    # next member, and g^gap / h^(gap - 1) leaves no remainder.
+    g = h = 1
+    for a, b, c in zip(chain, chain[1:], chain[2:]):
+        gap = len(a) - len(b)
+        assert _pseudo_rem(a, b) == [-g * h**gap * x for x in c]
+        g = abs(b[-1])
+        h, left = divmod(g**gap, h ** (gap - 1))
+        assert left == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(integer_polys())
 @example([1, 2, 1])  # (t + 1)^2 by p' = 2t + 2: no remainder
@@ -367,8 +433,9 @@ def integer_polys(draw):
 @example([1, 0, 0, 0, 1])  # t^4 + 1, whose first remainder is a constant
 @example([0, 1, 0, 0, 0, 1])  # t^5 + t: p' by the remainder -t, a degree gap of 3
 @example([-2**60, 3, -2**60])
+@example([2, 0, 0, -3, 0, 0, 1])  # (t^3 - 1)(t^3 - 2): a gap of 2 after the first step
 def test_sturm_chain_is_the_reference_chain_on_drawn_polynomials(p):
-    assert list(_sturm_chain(p)) == reference_sturm_chain(p)
+    _assert_subresultant_chain(p)
 
 
 def _dyadic_integers(values: list[float]) -> list[int]:
@@ -401,14 +468,16 @@ def _chain_polys():
         for r in roots:
             poly = _times(poly, [Fraction(-r), Fraction(1)])
         polys.append(_dyadic_integers([float(c) for c in poly]))
-    # t^2 (1 - 2t), t^2 (3 + t^4) and (1 + t^2)^2
-    polys += [[0, 0, 1, -2], [0, 0, 3, 0, 0, 0, 1], [1, 0, 2, 0, 1]]
+    # t^2 (1 - 2t), t^2 (3 + t^4) and (1 + t^2)^2; t^5 + t, whose chain takes
+    # a gap of 3, and (t^3 - 1)(t^3 - 2)(t^3 + 1), in every third power alone
+    polys += [[0, 0, 1, -2], [0, 0, 3, 0, 0, 0, 1], [1, 0, 2, 0, 1], [0, 1, 0, 0, 0, 1],
+              [2, 0, 0, -1, 0, 0, -2, 0, 0, 1]]
     return [p for p in polys if len(p) >= 2]
 
 
 def test_sturm_chain_is_the_reference_chain():
     for p in _chain_polys():
-        assert list(_sturm_chain(p)) == reference_sturm_chain(p)
+        _assert_subresultant_chain(p)
 
 
 def _golden_crossing_inputs():
