@@ -178,9 +178,9 @@ def _cmd_stats(args) -> int:
         raise ValueError("alpha must lie in (0, 1)")
     instance = load_instance(args.instance)
     n_bodies = len(instance.bodies)
-    family, _, _, arcs, _ = validate(instance.bodies, instance.curve, instance.p)
-    graph = build_meet_graph(family, arcs=arcs)
-    q = witness_list(arcs, graph.adj)
+    family = validate(instance.bodies, instance.curve, instance.p)[0]
+    graph = build_meet_graph(family)
+    q = witness_list(family.arcs, graph.adj)
     spread = sum(1 for color in range(n_bodies)
                  if len(q) and is_spread_out(q.occurrences(color), len(q), args.alpha))
     meets, bound, ok = turan_pair_check(graph, instance.p)

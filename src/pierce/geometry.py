@@ -23,6 +23,7 @@ containment_matrix([body], [point]).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +76,20 @@ def _finite_floats(values, what: str) -> list[float]:
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"{what} must be finite")
     return floats
+
+
+def _is_index(value) -> bool:
+    """Whether value is an integer, numpy's included (it has __index__), and
+    not a bool, which reads as 0 or 1."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int (operator.index) when _is_index takes it; a
+    ValueError naming what rejects anything else."""
+    if not _is_index(value):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -242,11 +257,12 @@ def _signed_area2(arr: np.ndarray) -> float:
 
 class Family(tuple):
     """A family of bodies, packed: the tuple of its bodies, with their
-    stacked arrays. pack makes one; the kernels take either a Family or a
-    sequence of bodies, which they pack. Each array group is built on first
-    use and kept, so a family is stacked once however many kernel calls
-    read it, and a group no call reads is never built (verify's containment
-    over all bodies needs no edges). The kernels do not write to them.
+    stacked arrays and their curve arcs. pack makes one; the kernels take
+    either a Family or a sequence of bodies, which they pack. Each of the
+    three groups, edges, rows and arcs, is built on first use and kept, so
+    a family is stacked once however many kernel calls read it, and a group
+    no call reads is never built (verify's containment over all bodies
+    needs no edges). The kernels do not write to them.
 
     edges is (verts, nxt, prev, owner). verts stacks the bodies' vertices,
     body by body. Edge k of a body runs from its vertex k to vertex k + 1
@@ -265,6 +281,12 @@ class Family(tuple):
     (containment_matrix), and a point of the unit circle when its angle
     passes them all (body_curve_arcs). The slack is per edge, so past a
     vertex of angle a it reaches about TOL_GEOM / sin(a) beyond the body.
+
+    arcs is each body's points of the unit circle, one piece list per body
+    in the family's order, read off rows as body_curve_arcs describes. The
+    meet graph and the witness list read them, and a body without pieces
+    misses the curve. pipeline.validate hands the active bodies' family the
+    arcs it already has for them, so no run builds a body's arcs twice.
     """
 
     @cached_property
@@ -290,6 +312,16 @@ class Family(tuple):
         normals[real] = np.concatenate([body.normals for body in self])
         limits[real] = np.concatenate([body.offsets for body in self]) + TOL_GEOM
         return normals.reshape(-1, 2), limits.reshape(-1, 1)
+
+    @cached_property
+    def arcs(self) -> list[list[tuple[float, float]]]:
+        if not self:
+            return []
+        normals, limits = self.rows
+        # Each body's row of the (bodies, width) grid, in two tolist calls:
+        # n holds its normals as nx, ny, nx, ny, ...
+        rows = zip(normals.reshape(len(self), -1).tolist(), limits.reshape(len(self), -1).tolist())
+        return [_curve_arcs(zip(n[::2], n[1::2], c)) for n, c in rows]
 
 
 def pack(bodies) -> Family:
@@ -324,14 +356,12 @@ def body_curve_arcs(bodies: Family | list[ConvexBody]) -> list[list[tuple[float,
     starts at 0, or ends at 2*pi, only when both of its pieces do, so the
     overlaps keep the rule. Pieces may touch or repeat until _merged merges
     them once at the end.
+
+    The lists are the packed family's arcs (Family.arcs), built on first
+    use and kept, so a Family's are built once however many calls read
+    them.
     """
-    if not bodies:
-        return []
-    normals, limits = pack(bodies).rows
-    # Each body's row of the (bodies, width) grid, in two tolist calls:
-    # n holds its normals as nx, ny, nx, ny, ...
-    rows = zip(normals.reshape(len(bodies), -1).tolist(), limits.reshape(len(bodies), -1).tolist())
-    return [_curve_arcs(zip(n[::2], n[1::2], c)) for n, c in rows]
+    return pack(bodies).arcs
 
 
 def _curve_arcs(rows) -> list[tuple[float, float]]:

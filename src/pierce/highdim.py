@@ -31,7 +31,7 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .geometry import _NP_REALS, _PY_REALS, _finite_floats
+from .geometry import _NP_REALS, _PY_REALS, _as_int, _finite_floats
 
 MOMENT = "moment"
 CARATHEODORY = "caratheodory"
@@ -45,11 +45,7 @@ class CurveSpecD:
     def __post_init__(self) -> None:
         if self.kind not in (MOMENT, CARATHEODORY):
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        # An integer, numpy's included, read as Instance reads p; a bool
-        # reads as 0 or 1, so it is turned away.
-        if isinstance(self.d, bool) or not hasattr(type(self.d), "__index__"):
-            raise ValueError(f"d must be an integer, not {self.d!r}")
-        object.__setattr__(self, "d", operator.index(self.d))
+        object.__setattr__(self, "d", _as_int(self.d, "d"))
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
         if self.kind == CARATHEODORY and self.d % 2 != 0:

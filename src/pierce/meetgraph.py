@@ -41,20 +41,15 @@ class ColorGraph:
         return int(np.count_nonzero(self.adj)) // 2
 
 
-def build_meet_graph(
-    bodies: list[ConvexBody],
-    curve: CurveModel = UNIT_CIRCLE,
-    arcs: list[list[tuple[float, float]]] | None = None,
-) -> ColorGraph:
+def build_meet_graph(bodies: list[ConvexBody], curve: CurveModel = UNIT_CIRCLE) -> ColorGraph:
     """Edge (i, j) whenever bodies i and j share a point of the curve.
 
     The edges are the meet_matrix of the bodies' body_curve_arcs in the
-    curve's frame (CurveModel.to_unit); arcs is those lists when the
-    caller already has them.
+    curve's frame (CurveModel.to_unit). On the unit circle the bodies are
+    taken as they are, so a packed family's arcs (Family.arcs), as
+    pipeline.validate hands them on, are read and not built again.
     """
-    if arcs is None:
-        arcs = body_curve_arcs(curve.to_unit(bodies))
-    return ColorGraph(meet_matrix(arcs))
+    return ColorGraph(meet_matrix(body_curve_arcs(curve.to_unit(bodies))))
 
 
 def _has_independent_set(graph: ColorGraph, size: int) -> bool:

@@ -474,23 +474,25 @@ def flag_values(p_eff, n_active, holds, certified, best_load, recount, total, d,
 
 def validate(bodies: list[ConvexBody], curve: CurveModel, p: int):
     """The one way into the curve's frame, which solve, verify, oracle and
-    stats share: (family, filtered, active, arcs, p_eff).
+    stats share: (family, filtered, active, p_eff).
 
     family is the bodies in the curve's frame (CurveModel.to_unit),
-    packed; arcs every body's body_curve_arcs, aligned with family, [] for
-    a body that misses the curve; filtered the indices of those bodies;
-    active the others, packed; p_eff is p less one per filtered body, and
-    at least 2. The candidate stage reads active and the final containment
-    family: one packed object, stacked once, when every body meets the
-    curve. p must pass Instance's rule (instances._check_p), else a
-    ValueError is raised.
+    packed, with their body_curve_arcs built (Family.arcs); filtered the
+    indices of the bodies without arcs, which miss the curve; active the
+    others, packed, carrying the arcs family built for them, so that no
+    body's arcs are built twice; p_eff is p less one per filtered body, and
+    at least 2. The condition and candidate stages read active and the
+    final containment family: one packed object, stacked once, when every
+    body meets the curve. p must pass Instance's rule
+    (instances._check_p), else a ValueError is raised.
     """
     p = _check_p(p)
     family = pack(curve.to_unit(bodies))
     arcs = body_curve_arcs(family)
     filtered = tuple(i for i, a in enumerate(arcs) if not a)
     active = pack(b for b, a in zip(family, arcs) if a) if filtered else family
-    return family, filtered, active, arcs, max(2, p - len(filtered))
+    active.arcs = [a for a in arcs if a]
+    return family, filtered, active, max(2, p - len(filtered))
 
 
 def run_pipeline(
@@ -504,20 +506,23 @@ def run_pipeline(
     points are mapped back to the input's (CurveModel.from_unit). The
     flags are flag_values of the numbers the stages compute, the rules
     verify_report rechecks them by; the condition stage runs verify_p2
-    only where flag_values' skip rule, decides_p2, checks the condition.
+    only where flag_values' skip rule, decides_p2, checks the condition,
+    on the meet graph of the active bodies' arcs from validate. The seven
+    stage clocks run back to back and the last, greedy, stops once the
+    report is built, so report.timings sums to the whole run but for the
+    few clock reads between stages.
     """
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    family, filtered, active, arcs, p_eff = validate(bodies, curve, p)
+    family, filtered, active, p_eff = validate(bodies, curve, p)
     if not active:  # an empty family included
         raise PipelineError("validate: no body meets the curve")
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # A skipped check builds no meet graph, and flag_values writes no condition_holds.
-    holds = decides_p2(p_eff, len(active)) and verify_p2(
-        build_meet_graph(active, arcs=[a for a in arcs if a]), p_eff)
+    holds = decides_p2(p_eff, len(active)) and verify_p2(build_meet_graph(active), p_eff)
     timings["condition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -563,9 +568,8 @@ def run_pipeline(
     # The report's points, back in the input's frame. A transversal is a
     # set, so a point repeated, here or by the map, is kept once.
     transversal = tuple(dict.fromkeys(curve.from_unit(transversal)))
-    timings["greedy"] = time.perf_counter() - t0
-
-    return TransversalReport(
+    # The report holds timings itself, so its build is on the greedy clock.
+    report = TransversalReport(
         transversal=transversal,
         tau_star=tau_star,
         multiplicities=m,
@@ -583,3 +587,5 @@ def run_pipeline(
                           len(transversal) - len(filtered), missed),
         timings=timings,
     )
+    timings["greedy"] = time.perf_counter() - t0
+    return report

@@ -97,7 +97,7 @@ def verify_report(instance: Instance, report: dict) -> list[str]:
         return failures
     tau_star = float(report["tau_star"])
 
-    bodies, filtered, active, _, p_eff = validate(instance.bodies, instance.curve, instance.p)
+    bodies, filtered, active, p_eff = validate(instance.bodies, instance.curve, instance.p)
     claimed, filtered = report["filtered"], list(filtered)
     if claimed != filtered:
         failures.append(f"filtered {claimed}, but the bodies missing the curve are {filtered}")

@@ -16,12 +16,11 @@ from here: it is the heaviest candidate class (see run_pipeline).
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TWO_PI, meet_angle
+from .geometry import _NP_REALS, _PY_REALS, TWO_PI, _as_int, _is_index, meet_angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,10 +30,12 @@ class WitnessList:
     Entry k is the color pair pairs[k] = (i, j), i < j, meeting at angles[k]
     in [0, 2*pi); the colors are range(colors).
 
-    Construction checks, once, that each pair's colors are in that range and
-    in increasing order; that entries are in (angle, pair) order, which
-    fixes the entry indices the lemmas count in; and that each pair occurs
-    at most once. len() counts the entries.
+    Construction checks, once, that the angles are numbers and the pairs and
+    colors integers, numpy's included but not bools (_typed, _as_int); that
+    each pair's colors are in that range and in increasing order; that
+    entries are in (angle, pair) order, which fixes the entry indices the
+    lemmas count in; and that each pair occurs at most once. len() counts
+    the entries.
     """
 
     angles: np.ndarray   # (E,) meet angle of each entry
@@ -43,9 +44,9 @@ class WitnessList:
     _occ: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
-        colors = operator.index(self.colors)
+        angles = _typed(self.angles, "iuf", "witness angles").astype(float, copy=False)
+        pairs = _typed(self.pairs, "iu", "witness pairs").astype(np.intp, copy=False).reshape(-1, 2)
+        colors = _as_int(self.colors, "witness colors")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "colors", colors)
@@ -76,6 +77,26 @@ class WitnessList:
         return self._occ[color]
 
 
+def _typed(values, kinds: str, what: str) -> np.ndarray:
+    """values as an array, of integers when kinds is "iu" and of numbers
+    when it is "iuf". A numpy array is checked by its dtype kind, anything
+    else value by value, since a list's dtype can hide a bool among
+    integers: the package's rules, an integer as _as_int takes it, and a
+    number an int or a float, Python's or numpy's (see _PY_REALS). An
+    empty one passes; otherwise a ValueError names the first value that
+    fails."""
+    arr = np.asarray(values)
+    if isinstance(values, np.ndarray):
+        bad = [] if arr.dtype.kind in kinds else arr.ravel()[:1].tolist()
+    else:
+        bad = [v for v in np.asarray(values, dtype=object).ravel() if not (
+            _is_index(v) if kinds == "iu" else type(v) in _PY_REALS or isinstance(v, _NP_REALS))]
+    if bad:
+        raise ValueError(f"{what} must be {'integers' if kinds == 'iu' else 'numbers'}, "
+                         f"not {bad[0]!r}")
+    return arr
+
+
 def witness_list(arcs: list[list[tuple[float, float]]], meets: np.ndarray) -> WitnessList:
     """The witness list with one entry, at its meet_angle, for each pair
     i < j of these body_curve_arcs that meets (their meet_matrix) marks."""
@@ -93,11 +114,15 @@ def spread_threshold(alpha: float, n: int) -> int:
 
 
 def _dichotomy_input(occ, n: int, alpha: float) -> list[int]:
+    """occ sorted, after the checks is_spread_out and the lemmas share:
+    alpha in (0, 1), and n and each occurrence integers (_as_int), n
+    positive and the occurrences in [0, n); a ValueError names the first
+    that fails."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if n < 1:
+    if _as_int(n, "n") < 1:
         raise ValueError("list size must be positive")
-    occ = sorted(int(v) for v in occ)
+    occ = sorted([_as_int(v, "occurrence index") for v in occ])
     if occ and (occ[0] < 0 or occ[-1] >= n):
         raise ValueError("occurrence indices must lie in [0, n)")
     return occ

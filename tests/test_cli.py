@@ -12,7 +12,7 @@ import pytest
 
 import pierce.pipeline
 from pierce.cli import cli_run
-from pierce.geometry import ConvexBody
+from pierce.geometry import ConvexBody, CurveModel
 from pierce.instances import (
     Instance, _ring_points, gallery7, gen_clustered, gen_pairwise, load_instance, save_instance,
 )
@@ -155,7 +155,7 @@ def test_stats_colors_by_list_index(tmp_path, capsys):
     assert "spread_out 12/12 " in capsys.readouterr().out
 
 
-# pierce stats' whole output on five families, pinned so that a change in the
+# pierce stats' whole output on each family here, pinned so that a change in the
 # witness list, the spread-out rule or the meet graph shows: the header, N,
 # the Turan line, and the spread-out count at each of STATS_ALPHAS.
 STATS_ALPHAS = ("0.027", "0.05", "0.1", "0.2")
@@ -173,6 +173,17 @@ STATS_PINS = {
     "coincident-4": (lambda: Instance([ConvexBody.from_vertices(i, _ring_points(0.3, 2.0))
                                        for i in range(4)]),
                      "bodies=4 p=2", 6, "meets=6 bound=4.0", (0, 0, 0, 0)),
+    # a small triangle about the center misses the circle: eight colors,
+    # one of them in no entry
+    "gallery7-and-a-body-off-the-curve": (
+        lambda: Instance([*gallery7().bodies, ConvexBody.from_vertices(
+            7, [(-0.1, -0.1), (0.1, -0.1), (0.0, 0.1)])]),
+        "bodies=8 p=2", 21, "meets=21 bound=16.0", (7, 5, 0, 0)),
+    # the gallery scaled by 3 and shifted with its circle: arcs in the curve's frame
+    "gallery7-on-a-shifted-scaled-circle": (
+        lambda: Instance([ConvexBody.from_vertices(b.id, b.vertices * 3.0 + np.array([5.0, -2.0]))
+                          for b in gallery7().bodies], curve=CurveModel((5.0, -2.0), 3.0)),
+        "bodies=7 p=2", 21, "meets=21 bound=12.25", (7, 5, 0, 0)),
 }
 
 

@@ -5,7 +5,8 @@ or bench, or the console script's entry point. Dunder names such as __all__
 are exempt. The paper's lemmas that only tests run live in tests/lemmas.py.
 Only pipeline.flag_values writes a report flag, only cli.cli_run catches a
 package error, only pipeline.validate maps a family into the curve's frame,
-and only pipeline's parse reads the report layout SHAPES."""
+and only pipeline's parse reads the report layout SHAPES. No function takes
+both bodies and their arcs: the arcs travel with the packed family."""
 
 import ast
 import tomllib
@@ -133,3 +134,24 @@ def test_only_the_parse_of_shapes_reads_it():
                                         "pipeline.TransversalReport", "reports._shape_failures"]
     for parse in ("HEADS", "OBJECTS"):
         assert sorted(readers[parse]) == ["pipeline.TransversalReport", "reports._shape_failures"]
+
+
+def test_no_function_takes_bodies_and_their_arcs():
+    # A body's arcs travel with its packed family (Family.arcs), which
+    # pipeline.validate builds once and hands on. A function that took the
+    # bodies and, beside them, their arcs could be handed arcs of other
+    # bodies and would read one and ignore the other, as build_meet_graph's
+    # arcs parameter once ignored its bodies and its curve.
+    trees, takes = _trees(), []
+    for path in PACKAGE:
+        for node in ast.walk(trees[path]):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                takes.append((f"{path.stem}.{getattr(node, 'name', '<lambda>')}",
+                              bool(names & {"bodies", "family", "active"}), "arcs" in names))
+    assert {"meetgraph.build_meet_graph", "geometry.body_curve_arcs"} <= {
+        name for name, bodies, _ in takes if bodies}
+    assert {"geometry.meet_matrix", "witness.witness_list"} <= {
+        name for name, _, arcs in takes if arcs}
+    assert [name for name, bodies, arcs in takes if bodies and arcs] == []

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import signal
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pierce.geometry
 import pierce.pipeline
+from pierce.cli import cli_run
 from pierce.errors import PipelineError
 from pierce.geometry import (
     TOL_GEOM,
@@ -26,7 +29,7 @@ from pierce.geometry import (
     lowest_common_point,
 )
 from pierce.instances import (Instance, _ring_points, _wedge_points, gallery7, gen_clustered,
-                              gen_pairwise)
+                              gen_pairwise, save_instance)
 from pierce.lp import TOL_LP, packing_solve
 from pierce.pipeline import (
     candidate_classes,
@@ -755,6 +758,61 @@ def test_run_pipeline_times_each_stage():
     assert list(report.timings) == [
         "validate", "condition", "candidates", "lps", "rationalize", "heavy_point", "greedy"]
     assert report.to_dict()["stages"] == report.timings
+
+
+def test_stage_clocks_cover_the_report_build(monkeypatch):
+    # The greedy clock stops once the report is built, so the seven stages
+    # sum to run_pipeline's whole span: a 20 ms pause in flag_values, a step
+    # of that build, lands in greedy and leaves no gap outside the clocks.
+    # The best of three runs keeps a descheduling of the test itself out.
+    real = pierce.pipeline.flag_values
+
+    def slow(*args):
+        time.sleep(0.02)
+        return real(*args)
+
+    monkeypatch.setattr(pierce.pipeline, "flag_values", slow)
+    inst = gallery7()
+    gaps = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report = run_pipeline(inst.bodies, inst.curve, inst.p)
+        gaps.append(time.perf_counter() - t0 - sum(report.timings.values()))
+    assert min(gaps) < 0.002
+    assert report.timings["greedy"] >= 0.02
+
+
+@pytest.mark.parametrize("off_curve", [False, True], ids=["gallery7", "gallery7-and-a-body-off"])
+def test_each_body_arcs_are_built_once_per_run(monkeypatch, tmp_path, capsys, off_curve):
+    # validate builds every body's arcs once, on the packed family, and
+    # hands the active bodies theirs when a body misses the curve: the
+    # condition stage's meet graph, verify and pierce stats' meet graph and
+    # witness list build none again.
+    inst = gallery7()
+    if off_curve:
+        inside = ConvexBody.from_vertices(7, [(-0.1, -0.1), (0.1, -0.1), (0.0, 0.1)])
+        inst = Instance([*inst.bodies, inside])
+    path = tmp_path / "i.json"
+    save_instance(inst, str(path))
+    calls = []
+    real = pierce.geometry._curve_arcs
+
+    def counted(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(pierce.geometry, "_curve_arcs", counted)
+    n = len(inst.bodies)
+    report = run_pipeline(inst.bodies, inst.curve, inst.p)
+    assert (report.filtered, report.flags["condition_checked"]) == ((7,) if off_curve else (), True)
+    assert len(calls) == n
+    calls.clear()
+    assert verify_report(inst, report.to_dict()) == []
+    assert len(calls) == n
+    calls.clear()
+    assert cli_run(["stats", str(path)]) == 0
+    assert f"bodies={n} " in capsys.readouterr().out
+    assert len(calls) == n
 
 
 def test_run_pipeline_heavy_point_with_no_meeting_copies():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,40 @@ def test_witness_list_rejects_malformed_entries(angles, pairs):
         WitnessList(angles, pairs, 3)
 
 
+@pytest.mark.parametrize("angles, pairs, colors, error", [
+    (["0.5"], [(0, 1)], 2, "witness angles must be numbers, not '0.5'"),
+    ([True], [(0, 1)], 2, "witness angles must be numbers, not True"),
+    (np.array(["0.5"]), [(0, 1)], 2, "witness angles must be numbers, not '0.5'"),
+    # once truncated to the pair (0, 1)
+    ([0.5], [(0.9, 1.7)], 2, "witness pairs must be integers, not 0.9"),
+    ([0.5], [(0, 1.0)], 2, "witness pairs must be integers, not 1.0"),
+    # a list's dtype (int64 here) hides the bool, so lists are read value by value
+    ([0.5], [(True, 1)], 2, "witness pairs must be integers, not True"),
+    ([0.5], [("0", 1)], 2, "witness pairs must be integers, not '0'"),
+    ([0.5], np.array([[0.0, 1.0]]), 2, "witness pairs must be integers, not 0.0"),
+    ([0.5], np.array([[False, True]]), 2, "witness pairs must be integers, not False"),
+    ([0.5], [(0, 1)], 2.0, "witness colors must be an integer, not 2.0"),
+    ([0.5], [(0, 1)], True, "witness colors must be an integer, not True"),
+    ([0.5], [(0, 1)], "2", "witness colors must be an integer, not '2'"),
+], ids=["str-angle", "bool-angle", "str-angle-array", "float-pair", "float-in-pair", "bool-in-pair",
+        "str-in-pair", "float-pair-array", "bool-pair-array", "float-colors", "bool-colors",
+        "str-colors"])
+def test_witness_list_rejects_values_of_the_wrong_kind(angles, pairs, colors, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        WitnessList(angles, pairs, colors)
+
+
+def test_witness_list_takes_numpy_numbers_and_an_empty_list():
+    q = WitnessList(np.array([0.5], dtype=np.float32), np.array([[0, 1]], dtype=np.int32),
+                    np.int64(2))
+    assert (q.angles.dtype, q.pairs.dtype, type(q.colors)) == (np.float64, np.intp, int)
+    assert q.pairs.tolist() == [[0, 1]] and q.colors == 2
+    assert WitnessList([1, np.float64(2.5)], [(np.int64(0), 1), (0, 2)], 3).angles.tolist() == [
+        1.0, 2.5]
+    empty = WitnessList([], [], 0)
+    assert len(empty) == 0 and empty.pairs.shape == (0, 2)
+
+
 @pytest.mark.parametrize("family", [
     lambda: gallery7().bodies,
     lambda: gen_pairwise(12, seed=3).bodies,
@@ -149,6 +184,29 @@ def test_is_spread_out_examples():
     assert not is_spread_out([], 100, 0.1)
     with pytest.raises(ValueError):
         is_spread_out([0, 1, 2, 3], 100, 0.0)
+
+
+@pytest.mark.parametrize("occ, n, error", [
+    # once read as [0, 3, 5, 8], which is spread out
+    ([0.9, 3.2, 5.7, 8.1], 10, "occurrence index must be an integer, not 0.9"),
+    # once parsed as integers
+    (["1", "4"], 10, "occurrence index must be an integer, not '1'"),
+    ([True, 4], 10, "occurrence index must be an integer, not True"),
+    (np.array([1.0, 4.0]), 10, f"occurrence index must be an integer, not {np.float64(1.0)!r}"),
+    ([1, 4], 10.0, "n must be an integer, not 10.0"),
+    ([1, 4], True, "n must be an integer, not True"),
+], ids=["floats", "strs", "bool", "float-array", "float-n", "bool-n"])
+def test_is_spread_out_rejects_values_of_the_wrong_kind(occ, n, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        is_spread_out(occ, n, 0.2)
+
+
+def test_is_spread_out_takes_numpy_integers():
+    occ = [0, 3, 5, 8]
+    assert is_spread_out(occ, 10, 0.2)
+    assert is_spread_out(np.array(occ), np.int64(10), 0.2)
+    assert is_spread_out([np.int32(v) for v in occ], 10, 0.2)
+    assert not is_spread_out(np.array([], dtype=np.int64), 10, 0.2)
 
 
 def test_is_spread_out_threshold_regression():
