@@ -23,7 +23,7 @@ containment_matrix([body], [point]).
 """
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,19 +54,28 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-# The values that count as numbers: Python's ints and floats, by exact type
-# so that bools (an int subclass) are not, and numpy's; strings that float()
-# would parse are not. The exact-type test comes first, as it is the cheaper.
-_PY_REALS = frozenset((int, float))
-_NP_REALS = (np.integer, np.floating)
+# What a number is, for every reader of values from outside: an integer is
+# a Python int or one of numpy's integer scalars, and a number is an
+# integer or a Python or numpy float. Readers test the exact type, type(v)
+# in _INTS or in _REALS, which is also the cheapest test: a bool (an int
+# subclass), a np.timedelta64 (a np.signedinteger subclass) and a string
+# that float() would parse are neither.
+_INTS = frozenset([int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])])
+_REALS = _INTS | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_finite(v) -> bool:
+    """Whether v is a number (_REALS) within float range: the rule of a
+    number in an instance file or a report, one call per value."""
+    return type(v) in _REALS and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
 def _finite_floats(values, what: str) -> list[float]:
     """A sequence of values as floats; a ValueError naming what rejects any
-    value that is not an int or float (see _PY_REALS), finite and within
-    float range."""
+    value that is not a number (_REALS), finite and within float range."""
     try:
-        floats = [float(v) for v in values if type(v) in _PY_REALS or isinstance(v, _NP_REALS)]
+        floats = [float(v) for v in values if type(v) in _REALS]
         if len(floats) != len(values):
             raise TypeError
     except OverflowError:
@@ -78,18 +87,36 @@ def _finite_floats(values, what: str) -> list[float]:
     return floats
 
 
-def _is_index(value) -> bool:
-    """Whether value is an integer, numpy's included (it has __index__), and
-    not a bool, which reads as 0 or 1."""
-    return not isinstance(value, bool) and hasattr(type(value), "__index__")
-
-
 def _as_int(value, what: str) -> int:
-    """value as an int (operator.index) when _is_index takes it; a
-    ValueError naming what rejects anything else."""
-    if not _is_index(value):
+    """value as an int when it is an integer (_INTS); a ValueError naming
+    what rejects anything else."""
+    if type(value) not in _INTS:
         raise ValueError(f"{what} must be an integer, not {value!r}")
-    return operator.index(value)
+    return int(value)
+
+
+def _as_array(values, types: frozenset, what: str) -> np.ndarray:
+    """values as an array of intp when types is _INTS, of floats when it is
+    _REALS. A numpy array is checked by its dtype, anything else value by
+    value, since a list's dtype can hide a bool among integers; an empty
+    one passes. A ValueError names what and the first value whose type is
+    not in types, or else the first that does not fit the array's dtype."""
+    if isinstance(values, np.ndarray):
+        bad = [] if values.dtype.type in types else values.ravel()[:1].tolist()
+    else:
+        values = np.asarray(values, dtype=object)
+        bad = [v for v in values.ravel().tolist() if type(v) not in types]
+    if bad:
+        kind = "integers" if types is _INTS else "numbers"
+        raise ValueError(f"{what} must be {kind}, not {bad[0]!r}")
+    dtype = np.intp if types is _INTS else np.float64
+    try:
+        return values.astype(dtype, copy=False)
+    except OverflowError:
+        lo, hi = ((np.iinfo(dtype).min, np.iinfo(dtype).max) if types is _INTS
+                  else (-_FLOAT_MAX, _FLOAT_MAX))
+        big = next(v for v in values.ravel().tolist() if not lo <= v <= hi)
+        raise ValueError(f"{what} must fit in {np.dtype(dtype).name}, not {big!r}") from None
 
 
 @dataclass(frozen=True)
@@ -185,7 +212,7 @@ class ConvexBody:
         """The body with these vertices, in either orientation.
 
         Raises InvalidBodyError, naming the body id, when the vertices are
-        not a finite (m, 2) array of ints and floats (see _PY_REALS), when
+        not a finite (m, 2) array of numbers (_REALS, by _as_array), when
         fewer than three remain after repeated ones are merged, when they do
         not turn one way, or when the polygon's width is too small:
         segments, points and collinear rings are not convex bodies. The
@@ -204,10 +231,10 @@ class ConvexBody:
             raise InvalidBodyError(f"body {body_id}: vertices are not floats: {exc}") from None
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise InvalidBodyError(f"body {body_id}: vertices must be an (m, 2) array")
-        if not (isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iuf"
-                or all(type(v) in _PY_REALS or isinstance(v, _NP_REALS)
-                       for row in vertices for v in row)):
-            raise InvalidBodyError(f"body {body_id}: vertices must be numbers")
+        try:
+            _as_array(vertices, _REALS, "vertices")
+        except ValueError:
+            raise InvalidBodyError(f"body {body_id}: vertices must be numbers") from None
         if not np.all(np.isfinite(arr)):
             raise InvalidBodyError(f"body {body_id}: vertices must be finite")
         extent = math.hypot(*(arr.max(axis=0) - arr.min(axis=0)))

@@ -31,7 +31,7 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .geometry import _NP_REALS, _PY_REALS, _as_int, _finite_floats
+from .geometry import _REALS, _as_int, _finite_floats
 
 MOMENT = "moment"
 CARATHEODORY = "caratheodory"
@@ -205,14 +205,14 @@ def hyperplane_crossings(spec: CurveSpecD, normal, offset: float) -> int:
     coefficient is the composition at t = pi (u = infinity), so that point
     is common exactly when the degree drops.
 
-    The normal and offset must be finite ints or floats (numpy's too; see
+    The normal and offset must be finite numbers (_REALS, numpy's too; see
     _finite_floats); a ValueError naming the argument rejects any other.
     """
     # One pass checks the values and takes their exact ratios.  It accepts what
     # the checks below accept; they run on a reject alone, to name its fault.
     try:
         nums, dens = zip(*[float(v).as_integer_ratio() for v in (offset, *normal)
-                           if type(v) in _PY_REALS or isinstance(v, _NP_REALS)])
+                           if type(v) in _REALS])
         valid = len(nums) == len(normal) + 1 == spec.d + 1 and any(nums[1:])
     except (OverflowError, TypeError, ValueError):  # past float range, inf, nan, no sequence
         valid = False

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,35 +16,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import (TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, _finite_floats,
-                       body_curve_arcs, containment_matrix)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return math.isfinite(v) if isinstance(v, float) else _is_int(v) and abs(v) <= sys.float_info.max
+from .geometry import (_INTS, TWO_PI, UNIT_CIRCLE, ConvexBody, CurveModel, _as_int,
+                       _finite_floats, _is_finite, body_curve_arcs, containment_matrix)
 
 
 def _is_point(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v))
 
 
 def _is_id(v) -> bool:
-    # A body id is what an instance file can hold: a string or a number.
-    return isinstance(v, str) or _is_number(v)
+    # A body id is what an instance file can hold, as save_instance writes
+    # it verbatim: a string, or a finite number of Python's own types. This
+    # is the one reader of outside values that takes no numpy number, which
+    # json.dumps could not write.
+    return isinstance(v, str) or type(v) in (int, float) and _is_finite(v)
 
 
 def _check_p(p) -> int:
-    """p as an int, the rule of Instance and pipeline.validate: an integer of
-    at least 2, numpy's included (operator.index); anything else raises a
-    ValueError, a bool too, which reads as 0 or 1."""
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise ValueError(f"p must be an integer, not {p!r}") from None
+    """p as an int, the rule of Instance, pipeline.validate and
+    gen_clustered: an integer (_as_int) of at least 2; anything else
+    raises a ValueError."""
+    p = _as_int(p, "p")
     if p < 2:
         raise ValueError("p must be at least 2")
     return p
@@ -110,7 +101,7 @@ class Instance:
         read(c, "type", "curve", '"circle"', lambda v: v == "circle")
         curve = CurveModel(
             tuple(read(c, "center", "curve", "a point", _is_point)),
-            read(c, "radius", "curve", "a finite number", _is_number),
+            read(c, "radius", "curve", "a finite number", _is_finite),
         )
         bodies = []
         for k, b in enumerate(read(data, "bodies", "instance", "a list",
@@ -122,7 +113,7 @@ class Instance:
             bodies.append(ConvexBody.from_vertices(body_id, vertices))
         meta = read(data, "meta", "instance", "an object", is_dict) if "meta" in data else {}
         # p goes through as it is: Instance checks that it is an integer
-        p = read(data, "p", "instance", "a finite number", _is_number)
+        p = read(data, "p", "instance", "a finite number", _is_finite)
         return cls(bodies, p, curve, dict(meta))
 
 
@@ -179,12 +170,11 @@ def _wedge_points(anchor: float, w_lo: float, w_hi: float) -> list[tuple[float, 
     return pts
 
 
-def _check_int(name: str, value, non_negative: bool = False) -> None:
-    # A generator's integer argument is an int, not a bool, a float or a
-    # numpy integer, which meta could not write to a file.
-    if not (_is_int(value) and (value >= 0 or not non_negative)):
-        kind = "a non-negative integer" if non_negative else "an integer"
-        raise ValueError(f"{name} must be {kind}, not {value!r}")
+def _check_seed(seed) -> int:
+    # numpy would take True as 1 and reject -1 without naming the seed.
+    if type(seed) not in _INTS or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+    return int(seed)
 
 
 def gen_pairwise(n: int, seed: int = 0) -> Instance:
@@ -196,11 +186,11 @@ def gen_pairwise(n: int, seed: int = 0) -> Instance:
     so every two bodies meet, and one draw from SeedSequence([seed, 0])
     gives the family. The self-check is that certificate, linear in n:
     the first body whose body_curve_arcs measure at most pi raises a
-    GenerationError naming it. n is an int and seed a non-negative int;
-    anything else raises a ValueError.
+    GenerationError naming it. n is an integer (_as_int) and seed a
+    non-negative one, numpy's too; meta holds them as ints. Anything else
+    raises a ValueError.
     """
-    _check_int("n", n)
-    _check_int("seed", seed, non_negative=True)
+    n, seed = _as_int(n, "n"), _check_seed(seed)
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -224,14 +214,12 @@ def gen_clustered(p: int, n: int, seed: int = 0) -> Instance:
     body per cluster gives an independent set of size p-1 (tightness).  The
     self-check is that pigeonhole certificate, one containment_matrix call
     of the bodies against the p-1 anchors, linear in n: every body holds the
-    circle point at its cluster's anchor.  p and n are ints and seed a
-    non-negative int; anything else raises a ValueError.
+    circle point at its cluster's anchor.  p is read as Instance reads it
+    (_check_p), n as an integer (_as_int) and seed as a non-negative one,
+    numpy's too; meta holds them as ints.  Anything else raises a
+    ValueError.
     """
-    _check_int("p", p)
-    _check_int("n", n)
-    _check_int("seed", seed, non_negative=True)
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    p, n, seed = _check_p(p), _as_int(n, "n"), _check_seed(seed)
     if n < p:
         raise ValueError("need at least p bodies for the condition to bite")
     rng = np.random.default_rng(seed)

@@ -34,18 +34,20 @@ import numpy as np
 
 from .errors import PipelineError
 from .geometry import (
+    _INTS,
     BLOCK_CELLS,
     UNIT_CIRCLE,
     ConvexBody,
     CurveModel,
     Point2,
+    _is_finite,
     body_curve_arcs,
     candidate_points,
     containment_matrix,
     lowest_common_point,
     pack,
 )
-from .instances import _check_p, _is_int, _is_number, _is_point
+from .instances import _check_p, _is_point
 from .lp import TOL_LP, packing_solve
 from .meetgraph import build_meet_graph, decides_p2, verify_p2
 
@@ -78,6 +80,10 @@ def _is_list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
+def _is_integer(v) -> bool:
+    return type(v) in _INTS
+
+
 # The booleans flag_values writes, save condition_holds, which it writes
 # exactly when condition_checked is true, as a skipped check observes no
 # outcome.
@@ -97,18 +103,18 @@ def _is_flags(v) -> bool:
 # each dot, and stages, the stage timings, which verify reads no key of.
 SHAPES = {
     "transversal": ("transversal", "a list of points", _is_list_of(_is_point)),
-    "tau_star": ("tau_star", "a finite number", _is_number),
-    "m": ("multiplicities", "a list of integers", _is_list_of(_is_int)),
-    "D": ("denominator", "an integer", _is_int),
+    "tau_star": ("tau_star", "a finite number", _is_finite),
+    "m": ("multiplicities", "a list of integers", _is_list_of(_is_integer)),
+    "D": ("denominator", "an integer", _is_integer),
     "z": ("heavy_point", "a point", _is_point),
-    "coverage.count": ("heavy_coverage", "an integer", _is_int),
-    "coverage.epsilon": ("epsilon", "a finite number", _is_number),
-    "coverage.multiset_size": ("multiset_size", "an integer", _is_int),
-    "p_effective": ("p_effective", "an integer", _is_int),
-    "filtered": ("filtered", "a list of integers", _is_list_of(_is_int)),
+    "coverage.count": ("heavy_coverage", "an integer", _is_integer),
+    "coverage.epsilon": ("epsilon", "a finite number", _is_finite),
+    "coverage.multiset_size": ("multiset_size", "an integer", _is_integer),
+    "p_effective": ("p_effective", "an integer", _is_integer),
+    "filtered": ("filtered", "a list of integers", _is_list_of(_is_integer)),
     "lp.cover_points": ("cover_points", "a list of points", _is_list_of(_is_point)),
-    "lp.cover_weights": ("cover_weights", "a list of numbers", _is_list_of(_is_number)),
-    "lp.packing": ("packing", "a list of numbers", _is_list_of(_is_number)),
+    "lp.cover_weights": ("cover_weights", "a list of numbers", _is_list_of(_is_finite)),
+    "lp.packing": ("packing", "a list of numbers", _is_list_of(_is_finite)),
     "flags": ("flags", "an object of the booleans run_pipeline writes", _is_flags),
 }
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _NP_REALS, _PY_REALS, TWO_PI, _as_int, _is_index, meet_angle
+from .geometry import _INTS, _REALS, TWO_PI, _as_array, _as_int, meet_angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,11 +31,11 @@ class WitnessList:
     in [0, 2*pi); the colors are range(colors).
 
     Construction checks, once, that the angles are numbers and the pairs and
-    colors integers, numpy's included but not bools (_typed, _as_int); that
-    each pair's colors are in that range and in increasing order; that
-    entries are in (angle, pair) order, which fixes the entry indices the
-    lemmas count in; and that each pair occurs at most once. len() counts
-    the entries.
+    colors integers (_REALS and _INTS, by _as_array and _as_int), each
+    within intp; that each pair's colors are in that range and in
+    increasing order; that entries are in (angle, pair) order, which fixes
+    the entry indices the lemmas count in; and that each pair occurs at
+    most once. len() counts the entries.
     """
 
     angles: np.ndarray   # (E,) meet angle of each entry
@@ -44,9 +44,10 @@ class WitnessList:
     _occ: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        angles = _typed(self.angles, "iuf", "witness angles").astype(float, copy=False)
-        pairs = _typed(self.pairs, "iu", "witness pairs").astype(np.intp, copy=False).reshape(-1, 2)
+        angles = _as_array(self.angles, _REALS, "witness angles")
+        pairs = _as_array(self.pairs, _INTS, "witness pairs").reshape(-1, 2)
         colors = _as_int(self.colors, "witness colors")
+        _as_array(colors, _INTS, "witness colors")  # within intp, as the pairs are
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "colors", colors)
@@ -58,12 +59,11 @@ class WitnessList:
         # Read as unsigned, a negative color is out of range too.
         if np.count_nonzero(pairs.view(np.uintp) >= colors) or np.count_nonzero(lo >= hi):
             raise ValueError("witness pairs must be colors (i, j), i < j < colors")
-        key = lo * colors + hi
-        if (np.count_nonzero(np.lexsort((key, angles)) != np.arange(len(key)))
+        if (np.count_nonzero(np.lexsort((hi, lo, angles)) != np.arange(len(pairs)))
                 or not 0.0 <= angles[0] or not angles[-1] < TWO_PI):
             raise ValueError("witness entries must be in (angle, pair) order within [0, 2*pi)")
-        key.sort()
-        if np.count_nonzero(key[1:] == key[:-1]):
+        rows = pairs[np.lexsort((hi, lo))]
+        if np.count_nonzero((rows[1:] == rows[:-1]).all(axis=1)):
             raise ValueError("a color pair may witness at most once")
 
     def __len__(self) -> int:
@@ -75,26 +75,6 @@ class WitnessList:
             hit = (self.pairs[:, 0] == color) | (self.pairs[:, 1] == color)
             self._occ[color] = hit.nonzero()[0].tolist()
         return self._occ[color]
-
-
-def _typed(values, kinds: str, what: str) -> np.ndarray:
-    """values as an array, of integers when kinds is "iu" and of numbers
-    when it is "iuf". A numpy array is checked by its dtype kind, anything
-    else value by value, since a list's dtype can hide a bool among
-    integers: the package's rules, an integer as _as_int takes it, and a
-    number an int or a float, Python's or numpy's (see _PY_REALS). An
-    empty one passes; otherwise a ValueError names the first value that
-    fails."""
-    arr = np.asarray(values)
-    if isinstance(values, np.ndarray):
-        bad = [] if arr.dtype.kind in kinds else arr.ravel()[:1].tolist()
-    else:
-        bad = [v for v in np.asarray(values, dtype=object).ravel() if not (
-            _is_index(v) if kinds == "iu" else type(v) in _PY_REALS or isinstance(v, _NP_REALS))]
-    if bad:
-        raise ValueError(f"{what} must be {'integers' if kinds == 'iu' else 'numbers'}, "
-                         f"not {bad[0]!r}")
-    return arr
 
 
 def witness_list(arcs: list[list[tuple[float, float]]], meets: np.ndarray) -> WitnessList:

@@ -947,6 +947,7 @@ def test_curve_model_validation():
     (("1", "2"), "3", "curve center must be numbers"),
     ((True, False), True, "curve center must be numbers"),
     ((0.0, 0.0), "3", "curve radius must be numbers"),
+    ((np.timedelta64(1), 0.0), 1.0, "curve center must be numbers"),
 ])
 def test_curve_model_rejects_bad_numbers(center, radius, message):
     with pytest.raises(ValueError, match=message):
@@ -968,6 +969,7 @@ def test_body_rejects_vertices_that_are_not_floats(vertices, message):
     [(True, 0.0), (1.0, 0.0), (0.0, 1.0)],
     np.array([(0, 0), (1, 0), (0, 1)]).astype(str),
     np.array([(1, 0), (1, 1), (0, 1)], dtype=bool),
+    [(np.timedelta64(0), 0.0), (1.0, 0.0), (0.0, 1.0)],
 ])
 def test_body_rejects_strings_and_bools(vertices):
     # float() parses each of these, but they are not numbers.

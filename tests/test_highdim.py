@@ -51,6 +51,7 @@ def test_curve_spec_validation():
 
 @pytest.mark.parametrize("kind, d", [
     (CARATHEODORY, 4.0), (MOMENT, 3.0), (MOMENT, "3"), (CARATHEODORY, "4"), (MOMENT, True),
+    (MOMENT, np.timedelta64(4)),
 ])
 def test_curve_spec_takes_an_integer_dimension(kind, d):
     # A float d would reach _closed_basis and fail there with a bare
@@ -106,6 +107,7 @@ def test_hyperplane_crossings_validation():
     ((1, 0), "0", "offset"),
     ((True, 0), 0, "normal"),
     ((1, 0), False, "offset"),
+    ((np.timedelta64(1), 1.0), 0, "normal"),
 ])
 def test_hyperplane_crossings_reject_strings_and_bools(normal, offset, bad):
     # float() parses each of these, but they are not numbers.
@@ -131,12 +133,13 @@ def _first_input_fault(d, normal, offset) -> str | None:
 
 
 # Ints and floats of every kind, numpy's too, and what _finite_floats
-# rejects: bools, numeric strings, None, NaN, +-inf and ints past float range.
+# rejects: bools, numeric strings, None, NaN, +-inf, ints past float range
+# and np.timedelta64.
 _input_value = st.one_of(
     st.integers(-9, 9),
     st.floats(),
     st.sampled_from([10**400, -10**400, True, False, "1", "nan", None,
-                     np.float64("inf"), np.float32("nan"), np.bool_(True)]),
+                     np.float64("inf"), np.float32("nan"), np.bool_(True), np.timedelta64(1, "s")]),
     st.builds(np.float64, st.floats(-1e3, 1e3)),
     st.builds(np.float32, st.floats(-1e3, 1e3, width=32)),
     st.builds(np.int64, st.integers(-9, 9)),

@@ -82,7 +82,9 @@ def test_body_ids_are_finite_numbers_or_strings(tmp_path):
     bodies = gen_pairwise(4, 0).bodies
     for ids, named in [([math.nan, math.nan, 2, 3], "[nan, nan]"), ([True, 1, 2, 3], "[True]"),
                        ([0, math.inf, None, 3], "[inf, None]"), ([0, 1, 2, (3,)], "[(3,)]"),
-                       ([0, 1, 2, 10**400], f"[{10**400}]")]:
+                       ([0, 1, 2, 10**400], f"[{10**400}]"),
+                       # json.dumps cannot write a numpy number
+                       ([np.int64(0), 1, 2, 3], "[np.int64(0)]")]:
         family = [ConvexBody.from_vertices(i, b.vertices) for i, b in zip(ids, bodies)]
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"body ids must be finite numbers or strings; not {named}") + "$"):
@@ -219,7 +221,7 @@ def test_gen_clustered_validation():
         gen_clustered(3, 2)
 
 
-@pytest.mark.parametrize("seed", [-1, True, False, 1.0, "3", None, np.int64(3)])
+@pytest.mark.parametrize("seed", [-1, True, False, 1.0, "3", None, np.timedelta64(3)])
 def test_generators_take_only_a_non_negative_int_seed(seed):
     # numpy would take True as 1 and reject -1 without naming the seed.
     error = re.escape(f"seed must be a non-negative integer, not {seed!r}")
@@ -230,20 +232,37 @@ def test_generators_take_only_a_non_negative_int_seed(seed):
 
 
 @pytest.mark.parametrize("make, name, value", [
-    (lambda v: gen_pairwise(v), "n", np.int64(8)),
     (lambda v: gen_pairwise(v), "n", 8.0),
-    (lambda v: gen_clustered(v, 8), "p", np.int64(3)),
     (lambda v: gen_clustered(v, 8), "p", 3.0),
-    (lambda v: gen_clustered(3, v), "n", np.int64(8)),
     (lambda v: gen_clustered(3, v), "n", 8.0),
-], ids=["pairwise-n-int64", "pairwise-n-float", "clustered-p-int64", "clustered-p-float",
-        "clustered-n-int64", "clustered-n-float"])
+], ids=["pairwise-n-float", "clustered-p-float", "clustered-n-float"])
 def test_generators_take_only_int_sizes(make, name, value):
-    # A numpy integer in meta could not be written to a file, and a float
-    # failed in range() with a bare TypeError.
+    # A float failed in range() with a bare TypeError.
     error = re.escape(f"{name} must be an integer, not {value!r}")
     with pytest.raises(ValueError, match=f"^{error}$"):
         make(value)
+
+
+@pytest.mark.parametrize("make, args, at", [
+    (gen_pairwise, (8, 3), 0),
+    (gen_pairwise, (8, 3), 1),
+    (gen_clustered, (3, 8, 3), 0),
+    (gen_clustered, (3, 8, 3), 1),
+    (gen_clustered, (3, 8, 3), 2),
+], ids=["pairwise-n", "pairwise-seed", "clustered-p", "clustered-n", "clustered-seed"])
+def test_generators_take_numpy_integers(tmp_path, make, args, at):
+    # A numpy integer is an integer, as it is for Instance's p. meta holds
+    # it as an int, which a file can hold, and the family is the one the
+    # int gives.
+    inst = make(*args[:at], np.int64(args[at]), *args[at + 1:])
+    want = make(*args)
+    assert inst.meta == want.meta
+    assert [type(v) for v in inst.meta.values()] == [str] + [int] * (len(inst.meta) - 1)
+    assert [b.id for b in inst.bodies] == [b.id for b in want.bodies]
+    for a, b in zip(inst.bodies, want.bodies):
+        assert np.array_equal(a.vertices, b.vertices)
+    save_instance(inst, str(tmp_path / "inst.json"))
+    assert load_instance(str(tmp_path / "inst.json")).to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("delta, error", [

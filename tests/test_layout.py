@@ -6,7 +6,8 @@ are exempt. The paper's lemmas that only tests run live in tests/lemmas.py.
 Only pipeline.flag_values writes a report flag, only cli.cli_run catches a
 package error, only pipeline.validate maps a family into the curve's frame,
 and only pipeline's parse reads the report layout SHAPES. No function takes
-both bodies and their arcs: the arcs travel with the packed family."""
+both bodies and their arcs: the arcs travel with the packed family. Only
+geometry decides what is an integer and what is a number."""
 
 import ast
 import tomllib
@@ -155,3 +156,29 @@ def test_no_function_takes_bodies_and_their_arcs():
     assert {"geometry.meet_matrix", "witness.witness_list"} <= {
         name for name, _, arcs in takes if arcs}
     assert [name for name, bodies, arcs in takes if bodies and arcs] == []
+
+
+def _decides_a_number(node) -> bool:
+    # operator.index, numpy's abstract number types, or a test that sets
+    # bools apart (isinstance(v, bool) and the like)
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node) in ("operator.index", "np.integer", "np.floating")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator" and "index" in {alias.name for alias in node.names}
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+        return "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    return False
+
+
+def test_only_geometry_decides_what_is_a_number():
+    # geometry's _INTS and _REALS are the one rule, and every reader of
+    # outside values tests a value's type against them. A module that
+    # called operator.index, named numpy's abstract number types or set
+    # bools apart itself would hold a second rule, as instances once did:
+    # its p took True as 1, its generators refused numpy integers that
+    # Instance took, and hyperplane_crossings took a np.timedelta64.
+    trees = _trees()
+    deciders = [f"{path.stem}.{getattr(top, 'name', '<module>')}" for path in PACKAGE
+                if path.stem != "geometry" for top in trees[path].body
+                if any(map(_decides_a_number, ast.walk(top)))]
+    assert deciders == []

@@ -1009,7 +1009,7 @@ def test_run_pipeline_errors():
     (2.5, "p must be an integer, not 2.5"),
     (0, "p must be at least 2"),
     (1, "p must be at least 2"),
-    (True, "p must be at least 2"),
+    (True, "p must be an integer, not True"),
 ], ids=["int64", "float", "zero", "one", "true"])
 def test_run_pipeline_reads_p_by_the_instance_rule(p, error):
     # run_pipeline once ran p = 0, 1 and True as 2, wrote a report for 2.5

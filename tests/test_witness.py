@@ -100,6 +100,26 @@ def test_witness_list_rejects_values_of_the_wrong_kind(angles, pairs, colors, er
         WitnessList(angles, pairs, colors)
 
 
+@pytest.mark.parametrize("angles, pairs, colors, error", [
+    ([0.5], [(0, 10**30)], 3, f"witness pairs must fit in int64, not {10**30}"),
+    ([0.5], [(0, 1)], 10**30, f"witness colors must fit in int64, not {10**30}"),
+    ([10**400], [(0, 1)], 3, f"witness angles must fit in float64, not {10**400}"),
+], ids=["pair", "colors", "angle"])
+def test_witness_list_names_a_value_past_its_dtype(angles, pairs, colors, error):
+    # Each once raised a bare OverflowError, from the cast or the range check.
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        WitnessList(angles, pairs, colors)
+
+
+def test_witness_list_orders_pairs_of_large_colors_exactly():
+    # Once keyed as i * colors + j in int64, which wrapped: with 2**62 colors
+    # (4, 5) had the key of (0, 5) and was read as a repeated pair.
+    q = WitnessList([0.5, 0.5], [(0, 5), (4, 5)], 2**62)
+    assert q.pairs.tolist() == [[0, 5], [4, 5]]
+    with pytest.raises(ValueError, match="^witness entries must be in"):
+        WitnessList([0.5, 0.5], [(4, 5), (0, 5)], 2**62)
+
+
 def test_witness_list_takes_numpy_numbers_and_an_empty_list():
     q = WitnessList(np.array([0.5], dtype=np.float32), np.array([[0, 1]], dtype=np.int32),
                     np.int64(2))
